@@ -1,22 +1,25 @@
-//! Decision-path latency benchmark: from-scratch vs incremental.
+//! Decision-path latency benchmark: what the driver's retained state buys.
 //!
 //! The Blaze decision path — cost maintenance plus the per-executor state
 //! solve — runs in the engine's *serial* plan/commit phase at every job
-//! submission, so its latency directly caps parallel speedup. This harness
-//! measures it two ways:
+//! submission, so its latency directly caps parallel speedup. There is one
+//! decision driver; the baseline ("scratch") arm is that same driver made to
+//! forget everything it retains before every submission. This harness
+//! measures the difference two ways:
 //!
 //! 1. **Workloads** — every evaluation application runs twice under full
-//!    Blaze, once with the incremental decision path
-//!    (`BlazeConfig::incremental`) and once from scratch, with the
-//!    controller wrapped in a timing shim. The simulated ACT must be
-//!    identical in both modes (the decision-identity contract); only the
-//!    real time spent deciding may differ.
+//!    Blaze with the controller wrapped in a timing shim, which in the
+//!    baseline arm also calls `BlazeController::forget_decision_state`
+//!    before each job submission. The simulated ACT must be identical in
+//!    both arms (the decision-identity contract); only the real time spent
+//!    deciding may differ.
 //! 2. **Stress shapes** — synthetic lineages exercising the regimes where
-//!    from-scratch work is O(everything): `wide` (many sibling datasets),
-//!    `deep` (a long narrow chain priced through Eq. 4 recursion), and
-//!    `churn` (a growing job sequence forcing reference re-derivation).
-//!    Each round perturbs the lineage, runs both paths, and asserts their
-//!    command streams are equal.
+//!    cold work is O(everything): `wide` (many sibling datasets), `deep` (a
+//!    long narrow chain priced through Eq. 4 recursion), and `churn` (a
+//!    growing job sequence forcing reference re-derivation). Each round
+//!    perturbs the lineage, runs a retaining driver and a reset driver fed
+//!    freshly built references, and asserts their command streams are
+//!    equal.
 //!
 //! Wall-clock time is the *measured output* here, never an input to
 //! simulated behaviour (`blaze-lint` enforces that split). Results go to
@@ -24,9 +27,7 @@
 //!
 //! Flags: `--quick` (CI-sized run, no JSON), `--check` (exit non-zero if
 //! the stress speedups regress below [`CHECK_MIN_SPEEDUP`] or certificate
-//! verification costs more than [`CHECK_MAX_VERIFY_RATIO`] of solving),
-//! `--shadow` (additionally run one workload with `shadow_compare` asserting
-//! command-stream equality inside the controller).
+//! verification costs more than [`CHECK_MAX_VERIFY_RATIO`] of solving).
 //!
 //! A third section measures the **certify** overhead (see `blaze-certify`):
 //! per strategy, how much certificate *emission* adds to a solve and what
@@ -38,10 +39,7 @@ use blaze_certify::{verify_greedy, verify_ilp, verify_knapsack};
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_core::costlineage::CostLineage;
-use blaze_core::optimize::optimize_states;
-use blaze_core::{
-    BlazeConfig, BlazeController, IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState,
-};
+use blaze_core::{BlazeController, IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState};
 use blaze_dataflow::{runner::LocalRunner, Context, Dataset, JobPlan, Plan};
 use blaze_engine::config::default_worker_threads;
 use blaze_engine::{
@@ -58,7 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Minimum stress-shape speedup (`from-scratch / incremental`) the `--check`
+/// Minimum stress-shape speedup (`cold / retained`) the `--check`
 /// mode requires on the `deep` and `churn` shapes. The committed full-mode
 /// results sit far above this; the margin absorbs CI machine noise.
 const CHECK_MIN_SPEEDUP: f64 = 2.0;
@@ -74,6 +72,9 @@ const CHECK_MAX_VERIFY_RATIO: f64 = 0.2;
 /// simulated behaviour.
 struct TimedController {
     inner: BlazeController,
+    /// Baseline arm: forget all retained decision state before every job
+    /// submission (outside the timed region).
+    cold: bool,
     decision_nanos: Arc<AtomicU64>,
     decision_calls: Arc<AtomicU64>,
 }
@@ -146,6 +147,9 @@ impl CacheController for TimedController {
         plan: &Plan,
     ) -> Vec<StateCommand> {
         let inner = &mut self.inner;
+        if self.cold {
+            inner.forget_decision_state();
+        }
         // audit: allow(wall-clock)
         let start = Instant::now();
         let out = inner.on_job_submit(ctx, job, job_plan, plan);
@@ -203,18 +207,17 @@ impl StressSample {
     }
 }
 
-/// Runs `spec` under full Blaze with the given incremental setting; returns
-/// (simulated ACT seconds, jobs, real decision seconds, decision calls).
-fn run_timed(spec: &AppSpec, incremental: bool) -> (f64, u64, f64, u64) {
+/// Runs `spec` under full Blaze, retaining decision state or (`cold`)
+/// forgetting it before every submission; returns (simulated ACT seconds,
+/// jobs, real decision seconds, decision calls).
+fn run_timed(spec: &AppSpec, cold: bool) -> (f64, u64, f64, u64) {
     let nanos = Arc::new(AtomicU64::new(0));
     let calls = Arc::new(AtomicU64::new(0));
     let (n2, c2) = (Arc::clone(&nanos), Arc::clone(&calls));
-    let cfg = BlazeConfig { incremental, ..BlazeConfig::full() };
     let out = Session::builder()
         .app(*spec)
-        .blaze(cfg)
         .instrument(move |inner| {
-            Box::new(TimedController { inner, decision_nanos: n2, decision_calls: c2 })
+            Box::new(TimedController { inner, cold, decision_nanos: n2, decision_calls: c2 })
         })
         .run()
         .expect("workload run failed")
@@ -230,16 +233,16 @@ fn run_timed(spec: &AppSpec, incremental: bool) -> (f64, u64, f64, u64) {
 fn bench_workloads(apps: &[App]) -> Vec<WorkloadSample> {
     // One discarded warm-up run, so the first measured workload does not
     // absorb the process's allocator/page-cache warm-up in its column.
-    let _ = run_timed(&AppSpec::evaluation(apps[0]), true);
+    let _ = run_timed(&AppSpec::evaluation(apps[0]), false);
     let mut samples = Vec::new();
     for &app in apps {
         let spec = AppSpec::evaluation(app);
-        let (act_inc, jobs_inc, dec_inc, calls) = run_timed(&spec, true);
-        let (act_scr, jobs_scr, dec_scr, _) = run_timed(&spec, false);
+        let (act_inc, jobs_inc, dec_inc, calls) = run_timed(&spec, false);
+        let (act_scr, jobs_scr, dec_scr, _) = run_timed(&spec, true);
         assert_eq!(jobs_inc, jobs_scr, "{app:?}: job counts diverged");
         assert!(
             (act_inc - act_scr).abs() < 1e-12,
-            "{app:?}: incremental path changed the simulated ACT ({act_inc} vs {act_scr})"
+            "{app:?}: retained decision state changed the simulated ACT ({act_inc} vs {act_scr})"
         );
         eprintln!(
             "{:7} jobs={jobs_inc:3} act={act_inc:.4}s decision scratch={dec_scr:.4}s \
@@ -259,13 +262,15 @@ fn bench_workloads(apps: &[App]) -> Vec<WorkloadSample> {
     samples
 }
 
-/// Shared state of one synthetic stress run: a lineage plus the incremental
-/// path's retained structures, stepped round by round against the
-/// from-scratch path with command-stream equality asserted every round.
+/// Shared state of one synthetic stress run: a lineage plus a retaining
+/// driver with its append-only references, stepped round by round against a
+/// reset driver with rebuilt references, command-stream equality asserted
+/// every round.
 struct StressRig {
     lineage: CostLineage,
     inc: IncrementalOptimizer,
     inc_refs: JobRefs,
+    cold: IncrementalOptimizer,
     hardware: HardwareModel,
     capacity: ByteSize,
     config: OptimizerConfig,
@@ -279,6 +284,7 @@ impl StressRig {
             lineage: CostLineage::new(),
             inc: IncrementalOptimizer::new(),
             inc_refs: JobRefs::default(),
+            cold: IncrementalOptimizer::new(),
             hardware: HardwareModel::default(),
             capacity,
             config: OptimizerConfig::default(),
@@ -287,23 +293,12 @@ impl StressRig {
         }
     }
 
-    /// Runs both decision paths for the current round and accumulates their
-    /// real latencies. Panics if the command streams differ.
+    /// Runs both drivers for the current round and accumulates their real
+    /// latencies. Panics if the command streams differ.
+    ///
+    /// The retaining driver goes first: it drains the lineage's dirty set,
+    /// which the reset driver (empty memo, nothing to invalidate) never needs.
     fn step(&mut self, plan: &Plan, targets: &[RddId], round: usize) {
-        // audit: allow(wall-clock)
-        let start = Instant::now();
-        let scratch_refs = JobRefs::build(plan, targets);
-        let scratch = optimize_states(
-            &self.lineage,
-            &scratch_refs,
-            None,
-            &self.hardware,
-            self.capacity,
-            round,
-            &self.config,
-        );
-        self.scratch_s += start.elapsed().as_secs_f64();
-
         // audit: allow(wall-clock)
         let start = Instant::now();
         let captured = self.inc_refs.captured_jobs();
@@ -319,11 +314,27 @@ impl StressRig {
         );
         self.incremental_s += start.elapsed().as_secs_f64();
 
-        assert_eq!(fast, scratch, "stress round {round}: decision paths diverged");
+        self.cold.reset();
+        // audit: allow(wall-clock)
+        let start = Instant::now();
+        let scratch_refs = JobRefs::build(plan, targets);
+        let scratch = self.cold.optimize(
+            &mut self.lineage,
+            &scratch_refs,
+            None,
+            &self.hardware,
+            self.capacity,
+            round,
+            &self.config,
+        );
+        self.scratch_s += start.elapsed().as_secs_f64();
+
+        assert_eq!(fast, scratch, "stress round {round}: retained state changed the decision");
         debug_assert!(self.lineage.residency_consistent());
     }
 
     fn finish(self, shape: &'static str, rounds: usize) -> StressSample {
+        assert_eq!(self.cold.stats().reused, 0, "the reset driver must never reuse a solve");
         let stats = self.inc.stats();
         let sample = StressSample {
             shape,
@@ -361,7 +372,7 @@ fn record_all(lineage: &mut CostLineage, rdd: RddId, parts: u32, kib: u64, ms: u
 }
 
 /// `wide`: one source fanned out into many sibling datasets, all cached.
-/// Every round dirties a single block; from-scratch re-prices every sibling.
+/// Every round dirties a single block; a cold driver re-prices every sibling.
 fn stress_wide(rounds: usize) -> StressSample {
     const SIBLINGS: usize = 96;
     const PARTS: u32 = 16;
@@ -400,9 +411,9 @@ fn stress_wide(rounds: usize) -> StressSample {
     rig.finish("wide", rounds)
 }
 
-/// `deep`: a long narrow chain with a cached tail. From-scratch pricing
-/// recurses the whole chain (Eq. 4) every round; the incremental path only
-/// re-derives the invalidated suffix below the dirtied block.
+/// `deep`: a long narrow chain with a cached tail. Cold pricing recurses the
+/// whole chain (Eq. 4) every round; the retained memo only re-derives the
+/// invalidated suffix below the dirtied block.
 fn stress_deep(rounds: usize) -> StressSample {
     const DEPTH: usize = 440;
     const PARTS: u32 = 8;
@@ -449,9 +460,9 @@ fn stress_deep(rounds: usize) -> StressSample {
 }
 
 /// `churn`: the job sequence grows by one appended target per round (an
-/// iterative driver), with a sliding window of cached datasets. From-scratch
-/// reference derivation is O(jobs) per round — O(rounds²) overall — while
-/// the incremental path extends by exactly the appended job.
+/// iterative driver), with a sliding window of cached datasets. Rebuilding
+/// the references is O(jobs) per round — O(rounds²) overall — while the
+/// append-only extension adds exactly the appended job.
 fn stress_churn(rounds: usize) -> StressSample {
     const PARTS: u32 = 4;
     const WINDOW: usize = 8;
@@ -714,22 +725,6 @@ fn aggregate_verify_ratio(certify: &[CertifySample]) -> f64 {
     }
 }
 
-/// Runs one workload with `shadow_compare`: the controller itself asserts,
-/// at every job submission, that the incremental and from-scratch command
-/// streams are identical (active in release builds).
-fn run_shadow(app: App) {
-    let spec = AppSpec::evaluation(app);
-    let cfg = BlazeConfig { shadow_compare: true, ..BlazeConfig::full() };
-    let out =
-        Session::builder().app(spec).blaze(cfg).run().expect("shadow run failed").into_outcome();
-    eprintln!(
-        "shadow  {:7} jobs={:3} act={:.4}s (all submissions compared equal)",
-        app.label(),
-        out.metrics.jobs,
-        out.metrics.completion_time.as_secs_f64()
-    );
-}
-
 fn render_json(
     host_cpus: usize,
     workloads: &[WorkloadSample],
@@ -808,7 +803,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
-    let shadow = args.iter().any(|a| a == "--shadow");
 
     let apps: Vec<App> = if quick { vec![App::KMeans] } else { App::all().to_vec() };
     let (wide_rounds, deep_rounds, churn_rounds) =
@@ -818,9 +812,6 @@ fn main() {
     let stress =
         vec![stress_wide(wide_rounds), stress_deep(deep_rounds), stress_churn(churn_rounds)];
     let certify = bench_certify(quick);
-    if shadow {
-        run_shadow(if quick { App::KMeans } else { App::PageRank });
-    }
 
     if check {
         for r in stress.iter().filter(|r| r.shape == "deep" || r.shape == "churn") {

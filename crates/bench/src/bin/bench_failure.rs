@@ -385,10 +385,10 @@ fn main() {
         let degraded = Arc::new(AtomicU64::new(0));
         let passthrough = Arc::new(AtomicU64::new(0));
         let (d, p) = (Arc::clone(&degraded), Arc::clone(&passthrough));
-        let cfg = BlazeConfig {
-            solve_deadline: Some(SimDuration::from_nanos(SOLVE_DEADLINE_NS)),
-            ..BlazeConfig::full()
-        };
+        let cfg = BlazeConfig::builder()
+            .solve_deadline(SimDuration::from_nanos(SOLVE_DEADLINE_NS))
+            .build()
+            .expect("deadline above the ladder floor");
         let capped = Session::builder()
             .app(spec)
             .blaze(cfg)

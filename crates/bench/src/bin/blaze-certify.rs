@@ -3,9 +3,8 @@
 //! Two modes, combinable:
 //!
 //! - `--all` (default): runs every evaluation workload under full Blaze with
-//!   `BlazeConfig::certify` on, across all three [`SolveStrategy`] variants
-//!   and both decision paths (incremental on/off), plus a serialized-tier
-//!   leg (the high-`ser_factor` workloads under tightened memory with
+//!   `BlazeConfig::certify` on, across all three [`SolveStrategy`]
+//!   variants, plus a serialized-tier leg (the high-`ser_factor` workloads under tightened memory with
 //!   `ser_tier` on, so multi-choice certificates with real s-state picks
 //!   are emitted and verified). Certify mode makes every
 //!   per-executor solve emit a machine-checkable certificate and verifies it
@@ -145,29 +144,26 @@ fn check_all(scale: f64) {
     for app in App::all() {
         let spec = AppSpec::evaluation(app).scaled(scale);
         for strategy in strategies {
-            for incremental in [true, false] {
-                let mut cfg = BlazeConfig { incremental, certify: true, ..BlazeConfig::full() };
-                cfg.optimizer.strategy = strategy;
-                let certified = Arc::new(AtomicU64::new(0));
-                let mirror = Arc::clone(&certified);
-                let out = Session::builder()
-                    .app(spec)
-                    .blaze(cfg)
-                    .instrument(move |inner| Box::new(CertCounting { inner, certified: mirror }))
-                    .run()
-                    .expect("certified workload run failed")
-                    .into_outcome();
-                let n = certified.load(Ordering::Relaxed);
-                total += n;
-                eprintln!(
-                    "{:7} strategy={:9} incremental={:5} jobs={:3} certificates={n}",
-                    app.label(),
-                    strategy_label(strategy),
-                    incremental,
-                    out.metrics.jobs,
-                );
-                assert!(n > 0, "{app:?}/{strategy:?}: no certificates were emitted");
-            }
+            let mut cfg = BlazeConfig { certify: true, ..BlazeConfig::full() };
+            cfg.optimizer.strategy = strategy;
+            let certified = Arc::new(AtomicU64::new(0));
+            let mirror = Arc::clone(&certified);
+            let out = Session::builder()
+                .app(spec)
+                .blaze(cfg)
+                .instrument(move |inner| Box::new(CertCounting { inner, certified: mirror }))
+                .run()
+                .expect("certified workload run failed")
+                .into_outcome();
+            let n = certified.load(Ordering::Relaxed);
+            total += n;
+            eprintln!(
+                "{:7} strategy={:9} jobs={:3} certificates={n}",
+                app.label(),
+                strategy_label(strategy),
+                out.metrics.jobs,
+            );
+            assert!(n > 0, "{app:?}/{strategy:?}: no certificates were emitted");
         }
     }
     // Serialized-tier leg: the high-ser_factor workloads under tightened
@@ -178,30 +174,26 @@ fn check_all(scale: f64) {
         spec.memory_capacity =
             spec.memory_capacity.scale(if app == App::Svdpp { 0.55 } else { 0.4 });
         for strategy in strategies {
-            for incremental in [true, false] {
-                let mut cfg =
-                    BlazeConfig { incremental, certify: true, ..BlazeConfig::full_ser_tier() };
-                cfg.optimizer.strategy = strategy;
-                let certified = Arc::new(AtomicU64::new(0));
-                let mirror = Arc::clone(&certified);
-                let out = Session::builder()
-                    .app(spec)
-                    .blaze(cfg)
-                    .instrument(move |inner| Box::new(CertCounting { inner, certified: mirror }))
-                    .run()
-                    .expect("certified ser-tier run failed")
-                    .into_outcome();
-                let n = certified.load(Ordering::Relaxed);
-                total += n;
-                eprintln!(
-                    "{:7} strategy={:9} incremental={:5} jobs={:3} certificates={n} [ser-tier]",
-                    app.label(),
-                    strategy_label(strategy),
-                    incremental,
-                    out.metrics.jobs,
-                );
-                assert!(n > 0, "{app:?}/{strategy:?} [ser-tier]: no certificates were emitted");
-            }
+            let mut cfg = BlazeConfig { certify: true, ..BlazeConfig::full_ser_tier() };
+            cfg.optimizer.strategy = strategy;
+            let certified = Arc::new(AtomicU64::new(0));
+            let mirror = Arc::clone(&certified);
+            let out = Session::builder()
+                .app(spec)
+                .blaze(cfg)
+                .instrument(move |inner| Box::new(CertCounting { inner, certified: mirror }))
+                .run()
+                .expect("certified ser-tier run failed")
+                .into_outcome();
+            let n = certified.load(Ordering::Relaxed);
+            total += n;
+            eprintln!(
+                "{:7} strategy={:9} jobs={:3} certificates={n} [ser-tier]",
+                app.label(),
+                strategy_label(strategy),
+                out.metrics.jobs,
+            );
+            assert!(n > 0, "{app:?}/{strategy:?} [ser-tier]: no certificates were emitted");
         }
     }
     println!("blaze-certify: {total} certificates emitted and verified clean across the sweep");

@@ -18,10 +18,7 @@
 use crate::cost::CostModel;
 use crate::costlineage::{CostLineage, PartitionState};
 use crate::incremental::{DecisionStats, IncrementalOptimizer};
-use crate::optimize::{
-    min_ladder_cost_ns, optimize_states_report, optimize_states_with_certificates, LadderReport,
-    OptimizerConfig,
-};
+use crate::optimize::{min_ladder_cost_ns, OptimizerConfig};
 use crate::pattern::{detect, IterationPattern};
 use crate::profiler::ProfileResult;
 use crate::refs::JobRefs;
@@ -47,41 +44,18 @@ pub struct BlazeConfig {
     pub unified: bool,
     /// Whether disk states are allowed at all (false = Fig. 12 mode).
     pub use_disk: bool,
-    /// ILP configuration.
+    /// Everything the job-submission decision reads: window, strategy,
+    /// disk budget, solve deadline ([`OptimizerConfig::solve_deadline`]) and
+    /// the serialized in-memory tier ([`OptimizerConfig::ser_tier`]).
     pub optimizer: OptimizerConfig,
     /// How many future jobs to induce when running without profiling.
     pub induce_horizon: usize,
-    /// Use the O(changed) incremental decision path ([`crate::incremental`])
-    /// instead of recomputing costs and solves from scratch at every job
-    /// submission. Decision-identical by construction; flip off to fall back
-    /// to the from-scratch path.
-    pub incremental: bool,
-    /// Shadow mode: run *both* decision paths at every job submission and
-    /// assert that their command streams are identical (active in release
-    /// builds too). A correctness harness, not a production setting.
-    pub shadow_compare: bool,
     /// Certify mode: every solver emits a machine-checkable decision
     /// certificate, verified inline by `blaze-certify` at each job
     /// submission (BA501–BA505; any finding panics). Decision-identical by
     /// construction — certified solvers only append to side vectors — so
-    /// this is a debugging harness like `shadow_compare`, not a production
-    /// setting.
+    /// this is a debugging harness, not a production setting.
     pub certify: bool,
-    /// Simulated-time budget for each job's decision solve. When the modeled
-    /// solver cost would blow the budget, the degradation ladder steps down
-    /// `ExactIlp -> Knapsack -> Greedy -> LRU passthrough` per executor
-    /// instance (see [`OptimizerConfig::solve_deadline`], which this field
-    /// seeds at controller construction). `None` (the default) never
-    /// degrades.
-    pub solve_deadline: Option<SimDuration>,
-    /// Enables the serialized in-memory tier as a first-class decision state:
-    /// the solver chooses one of m/s/d/u per candidate (seeding
-    /// [`OptimizerConfig::ser_tier`] at controller construction) and the
-    /// engine executes the resulting `SerializeInMemory` /
-    /// `DeserializeInMemory` / `PromoteToSerializedMemory` commands. With the
-    /// flag off (the default) the decision path, metrics, and traces are
-    /// byte-identical to the pre-s-tier system.
-    pub ser_tier: bool,
 }
 
 impl BlazeConfig {
@@ -94,17 +68,15 @@ impl BlazeConfig {
             use_disk: true,
             optimizer: OptimizerConfig::default(),
             induce_horizon: 4,
-            incremental: true,
-            shadow_compare: false,
             certify: false,
-            solve_deadline: None,
-            ser_tier: false,
         }
     }
 
     /// Full Blaze with the serialized in-memory tier enabled.
     pub fn full_ser_tier() -> Self {
-        Self { ser_tier: true, ..Self::full() }
+        let mut cfg = Self::full();
+        cfg.optimizer.ser_tier = true;
+        cfg
     }
 
     /// Full Blaze without disk support (the Fig. 12 configuration).
@@ -142,8 +114,7 @@ impl BlazeConfig {
                     .into(),
             ));
         }
-        let deadline = self.solve_deadline.or(self.optimizer.solve_deadline);
-        if let Some(deadline) = deadline {
+        if let Some(deadline) = self.optimizer.solve_deadline {
             let floor = min_ladder_cost_ns();
             if deadline.as_nanos() < floor {
                 return Err(BlazeError::Audit {
@@ -214,20 +185,6 @@ impl BlazeConfigBuilder {
         self
     }
 
-    /// The O(changed) incremental decision path.
-    #[must_use]
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.cfg.incremental = on;
-        self
-    }
-
-    /// Shadow-compare both decision paths (correctness harness).
-    #[must_use]
-    pub fn shadow_compare(mut self, on: bool) -> Self {
-        self.cfg.shadow_compare = on;
-        self
-    }
-
     /// Emit and verify decision certificates (debugging harness).
     #[must_use]
     pub fn certify(mut self, on: bool) -> Self {
@@ -238,14 +195,14 @@ impl BlazeConfigBuilder {
     /// Simulated-time budget for each job's decision solve.
     #[must_use]
     pub fn solve_deadline(mut self, deadline: SimDuration) -> Self {
-        self.cfg.solve_deadline = Some(deadline);
+        self.cfg.optimizer.solve_deadline = Some(deadline);
         self
     }
 
     /// The serialized in-memory tier as a first-class decision state.
     #[must_use]
     pub fn ser_tier(mut self, on: bool) -> Self {
-        self.cfg.ser_tier = on;
+        self.cfg.optimizer.ser_tier = on;
         self
     }
 
@@ -275,20 +232,13 @@ pub struct BlazeController {
     /// LRU clock for cost-agnostic eviction and tie-breaking.
     tick: u64,
     recency: FxHashMap<BlockId, u64>,
-    /// The incremental decision path's retained state (memo + previous
-    /// solutions); only consulted when `cfg.incremental` is set.
+    /// The decision driver and its retained state (memo + previous
+    /// solutions).
     incr: IncrementalOptimizer,
     /// [`CostLineage::sequence_rev`] at which `refs` was last built from
     /// scratch; a bump means the target sequence was truncated and the
     /// append-only reference extension is no longer sound.
     refs_seq_rev: u64,
-    /// Certificates emitted and verified by the *from-scratch* path under
-    /// certify mode (the incremental path counts its own in
-    /// [`DecisionStats::certified`]).
-    certified_scratch: u64,
-    /// Ladder counters accumulated by the *from-scratch* paths (the
-    /// incremental path counts its own in [`DecisionStats`]).
-    ladder_scratch: LadderReport,
     /// Degradation note of the most recent job submit, drained by the
     /// engine via [`CacheController::take_degradation`].
     pending_degradation: Option<DegradationNote>,
@@ -303,57 +253,27 @@ impl BlazeController {
     /// Creates a controller, optionally seeded by a dependency-extraction
     /// run ([`crate::profiler::extract_dependencies`]).
     pub fn new(cfg: BlazeConfig, profile: Option<ProfileResult>) -> Self {
-        let mut cfg = cfg;
-        // The user-facing deadline seeds the optimizer's; an explicitly set
-        // optimizer deadline (tests, benches) wins only when the user-facing
-        // field is unset.
-        if cfg.solve_deadline.is_some() {
-            cfg.optimizer.solve_deadline = cfg.solve_deadline;
-        }
-        // The user-facing s-tier switch seeds the optimizer's; tests and
-        // benches may still set the optimizer flag directly.
-        if cfg.ser_tier {
-            cfg.optimizer.ser_tier = true;
-        }
         let mut incr = IncrementalOptimizer::new();
         incr.set_certify(cfg.certify);
-        match profile {
-            Some(p) => Self {
-                cfg,
-                lineage: p.lineage,
-                refs: p.refs,
-                pattern: p.pattern,
-                profiled: true,
-                current_idx: 0,
-                remaining: FxHashMap::default(),
-                consumed_by_stage: FxHashMap::default(),
-                tick: 0,
-                recency: FxHashMap::default(),
-                incr,
-                refs_seq_rev: u64::MAX,
-                certified_scratch: 0,
-                ladder_scratch: LadderReport::default(),
-                pending_degradation: None,
-                targets_by_app: FxHashMap::default(),
-            },
-            None => Self {
-                cfg,
-                lineage: CostLineage::new(),
-                refs: JobRefs::default(),
-                pattern: None,
-                profiled: false,
-                current_idx: 0,
-                remaining: FxHashMap::default(),
-                consumed_by_stage: FxHashMap::default(),
-                tick: 0,
-                recency: FxHashMap::default(),
-                incr,
-                refs_seq_rev: u64::MAX,
-                certified_scratch: 0,
-                ladder_scratch: LadderReport::default(),
-                pending_degradation: None,
-                targets_by_app: FxHashMap::default(),
-            },
+        let (lineage, refs, pattern, profiled) = match profile {
+            Some(p) => (p.lineage, p.refs, p.pattern, true),
+            None => (CostLineage::new(), JobRefs::default(), None, false),
+        };
+        Self {
+            cfg,
+            lineage,
+            refs,
+            pattern,
+            profiled,
+            current_idx: 0,
+            remaining: FxHashMap::default(),
+            consumed_by_stage: FxHashMap::default(),
+            tick: 0,
+            recency: FxHashMap::default(),
+            incr,
+            refs_seq_rev: u64::MAX,
+            pending_degradation: None,
+            targets_by_app: FxHashMap::default(),
         }
     }
 
@@ -426,12 +346,11 @@ impl BlazeController {
     /// Rebuilds references from the runtime plan and induces future jobs
     /// from the detected pattern (the no-profiling path of Fig. 13).
     ///
-    /// On the incremental path a job submission normally only *appends* one
-    /// target, so the captured counts are extended in place (byte-identical
-    /// to a rebuild, see [`JobRefs::extend_build`]) and only the induced
-    /// tail is re-derived. A [`CostLineage::sequence_rev`] bump (target
-    /// truncation) invalidates the append-only assumption and forces the
-    /// from-scratch build.
+    /// A job submission normally only *appends* one target, so the captured
+    /// counts are extended in place (byte-identical to a rebuild, see
+    /// [`JobRefs::extend_build`]) and only the induced tail is re-derived. A
+    /// [`CostLineage::sequence_rev`] bump (target truncation) invalidates
+    /// the append-only assumption and forces a full build.
     fn relearn_refs(&mut self, plan: &Plan, app: AppId) {
         let targets = self.lineage.job_targets().to_vec();
         // Pattern detection is per application. With one app the global
@@ -446,10 +365,7 @@ impl BlazeController {
             detect(&targets)
         };
         let seq = self.lineage.sequence_rev();
-        if self.cfg.incremental
-            && seq == self.refs_seq_rev
-            && self.refs.captured_jobs() <= targets.len()
-        {
+        if seq == self.refs_seq_rev && self.refs.captured_jobs() <= targets.len() {
             self.refs.retract_induced();
             self.refs.extend_build(plan, &targets[self.refs.captured_jobs()..]);
         } else {
@@ -461,14 +377,20 @@ impl BlazeController {
         }
     }
 
-    /// Work-avoidance counters of the incremental decision path, plus the
-    /// certificates verified and ladder steps taken by whichever path ran.
+    /// The decision driver's work and work-avoidance counters.
     pub fn decision_stats(&self) -> DecisionStats {
-        let mut stats = self.incr.stats();
-        stats.certified += self.certified_scratch;
-        stats.degraded += self.ladder_scratch.degraded;
-        stats.passthrough += self.ladder_scratch.passthrough;
-        stats
+        self.incr.stats()
+    }
+
+    /// Drops everything the decision path retains between submissions — the
+    /// cost memo, the previous solves, and the append-only reference counts
+    /// — so the next submission prices, solves and derives references cold.
+    /// Retained state never influences a decision; the differential tests
+    /// and `bench_decision` call this before every submission to obtain the
+    /// reference that proves it.
+    pub fn forget_decision_state(&mut self) {
+        self.incr.reset();
+        self.refs_seq_rev = u64::MAX;
     }
 }
 
@@ -525,78 +447,16 @@ impl CacheController for BlazeController {
             return Vec::new();
         }
         // The ILP trigger (§5.6): restate cached partitions for the window.
-        let (mut commands, ladder) = if self.cfg.incremental {
-            let commands = self.incr.optimize(
-                &mut self.lineage,
-                &self.refs,
-                self.pattern,
-                &ctx.hardware,
-                ctx.memory_capacity,
-                self.current_idx,
-                &self.cfg.optimizer,
-            );
-            let ladder = self.incr.last_ladder_report();
-            if self.cfg.shadow_compare {
-                let (scratch, scratch_ladder) = optimize_states_report(
-                    &self.lineage,
-                    &self.refs,
-                    self.pattern,
-                    &ctx.hardware,
-                    ctx.memory_capacity,
-                    self.current_idx,
-                    &self.cfg.optimizer,
-                );
-                assert_eq!(
-                    commands, scratch,
-                    "incremental decision path diverged from from-scratch at job {job:?}"
-                );
-                assert_eq!(
-                    ladder, scratch_ladder,
-                    "degradation ladder diverged between decision paths at job {job:?}"
-                );
-                assert!(
-                    self.lineage.residency_consistent(),
-                    "residency index diverged from the per-partition states"
-                );
-            }
-            (commands, ladder)
-        } else if self.cfg.certify {
-            let (commands, certs, ladder) = optimize_states_with_certificates(
-                &self.lineage,
-                &self.refs,
-                self.pattern,
-                &ctx.hardware,
-                ctx.memory_capacity,
-                self.current_idx,
-                &self.cfg.optimizer,
-            );
-            for cert in &certs {
-                let findings = blaze_certify::verify_instance(cert);
-                assert!(
-                    findings.is_empty(),
-                    "decision certificate for {:?} failed verification at job {job:?}: \
-                     {findings:?}",
-                    cert.executor
-                );
-            }
-            self.certified_scratch += certs.len() as u64;
-            self.ladder_scratch.degraded += ladder.degraded;
-            self.ladder_scratch.passthrough += ladder.passthrough;
-            (commands, ladder)
-        } else {
-            let (commands, ladder) = optimize_states_report(
-                &self.lineage,
-                &self.refs,
-                self.pattern,
-                &ctx.hardware,
-                ctx.memory_capacity,
-                self.current_idx,
-                &self.cfg.optimizer,
-            );
-            self.ladder_scratch.degraded += ladder.degraded;
-            self.ladder_scratch.passthrough += ladder.passthrough;
-            (commands, ladder)
-        };
+        let mut commands = self.incr.optimize(
+            &mut self.lineage,
+            &self.refs,
+            self.pattern,
+            &ctx.hardware,
+            ctx.memory_capacity,
+            self.current_idx,
+            &self.cfg.optimizer,
+        );
+        let ladder = self.incr.last_ladder_report();
         if ladder.any() {
             self.pending_degradation = Some(DegradationNote {
                 rung: ladder.lowest.map_or("lru-passthrough", |r| r.label()),
@@ -1085,7 +945,7 @@ mod tests {
     #[test]
     fn builder_validates_at_build_time() {
         let cfg = BlazeConfig::builder().ser_tier(true).use_disk(false).build().unwrap();
-        assert!(cfg.ser_tier && !cfg.use_disk);
+        assert!(cfg.optimizer.ser_tier && !cfg.use_disk);
 
         // BA304 at construction time instead of a per-job warning.
         let err = BlazeConfig::builder().solve_deadline(SimDuration::from_nanos(1)).build();

@@ -341,7 +341,7 @@ impl CostLineage {
     }
 
     /// Debug check: the residency indexes must agree with a full scan of the
-    /// per-partition states (used by the differential tests and shadow mode).
+    /// per-partition states (used by the differential tests).
     pub fn residency_consistent(&self) -> bool {
         let scan = |class: fn(PartitionState) -> bool| -> BTreeSet<BlockId> {
             self.nodes

@@ -1,12 +1,11 @@
-//! The incremental decision path: O(changed) cost maintenance and
-//! warm-started solves, decision-identical to the from-scratch path.
+//! The decision driver: one loop over executors → degradation ladder →
+//! solve → command emission, run at every job submission (§5.5).
 //!
-//! [`crate::optimize::optimize_states`] re-derives every cached partition's
-//! recovery cost and re-solves every executor's state program at each job
-//! submission. All of that happens in the engine's *serial* plan/commit
-//! phase, so its latency directly caps parallel speedup. This module keeps
-//! the decision state alive between submissions and re-derives only what a
-//! change could have affected:
+//! The loop runs in the engine's *serial* plan/commit phase, so its latency
+//! directly caps parallel speedup. Re-deriving every cached partition's
+//! recovery cost and re-solving every executor's state program each time is
+//! O(everything); the driver instead keeps its decision state alive between
+//! submissions and re-derives only what a change could have affected:
 //!
 //! - **Cost memo** — the Eq. 4 recovery memo ([`crate::cost::CostMemo`]) is
 //!   retained across solves. [`CostLineage`] marks blocks dirty on every
@@ -20,26 +19,29 @@
 //!   induction reads congruent blocks anywhere in the lineage.
 //! - **Solution reuse** — per executor, if the candidate vector (ids, sizes,
 //!   costs, reference flags, states) and capacity are unchanged, the
-//!   previous keep flags are returned without solving: the solvers are
+//!   previous picks are returned without solving: the solvers are
 //!   deterministic functions of exactly that data.
 //! - **Warm-started solves** — otherwise the previous solution warm-starts
 //!   the solver: the knapsack reuses the previous density order (adaptive
 //!   re-sort of a nearly-sorted permutation) and prunes with the previous
-//!   selection's value; the ILP prunes with the previous assignment's
-//!   objective. Both bounds are *pruning-only* — never installed as
-//!   incumbents — so the returned selection, tie-breaks included, is the one
-//!   a cold solve finds (see `WarmStart` / `IlpProblem::warm`).
+//!   selection's value; the multi-choice knapsack and the ILP prune with the
+//!   previous assignment's objective. All bounds are *pruning-only* — never
+//!   installed as incumbents — so the returned selection, tie-breaks
+//!   included, is the one a cold solve finds (see
+//!   [`crate::optimize::WarmHint`]).
 //!
-//! Correctness is enforced, not assumed: `BlazeConfig::shadow_compare`
-//! recomputes from scratch and asserts command-stream equality, and the
-//! differential/golden-trace tests pin byte-identical behaviour.
+//! None of the retained state may influence a decision. The reference that
+//! pins this is *the same driver with nothing retained*
+//! ([`IncrementalOptimizer::reset`] before every call; at controller level
+//! `BlazeController::forget_decision_state`): the differential and
+//! golden-trace tests require byte-identical command streams and traces
+//! against it.
 
 use crate::cost::{CostMemo, CostModel};
 use crate::costlineage::CostLineage;
 use crate::optimize::{
-    emit_commands, gather_candidates, knapsack_items, solve_exact, solve_exact_certified,
-    solve_instance_mc_certified_warm, solve_instance_mc_warm, to_picks, Candidate, LadderReport,
-    OptimizerConfig, Pick, SolveLadder, SolveStrategy,
+    emit_commands, gather_candidates, solve_instance, Candidate, LadderReport, OptimizerConfig,
+    Pick, SolveLadder, SolveStrategy, WarmHint,
 };
 use crate::pattern::IterationPattern;
 use crate::refs::JobRefs;
@@ -52,11 +54,8 @@ use blaze_common::fxhash::{FxHashMap, FxHashSet};
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::ByteSize;
 use blaze_engine::{HardwareModel, StateCommand};
-use blaze_solver::knapsack::{
-    greedy_certificate, solve_knapsack_certified, solve_knapsack_warm, WarmStart,
-};
 
-/// Counters describing how much work the incremental path avoided; exported
+/// Counters describing how much work the driver did and avoided; exported
 /// by the decision benchmark.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecisionStats {
@@ -93,11 +92,11 @@ struct PrevSolve {
     order: Vec<BlockId>,
 }
 
-/// Incremental replacement for [`crate::optimize::optimize_states`].
+/// The decision driver and the state it retains between submissions.
 ///
-/// Feed it every lineage mutation implicitly (it drains
-/// [`CostLineage::take_dirty`]) and call [`Self::optimize`] wherever
-/// `optimize_states` would run; the returned command stream is identical.
+/// It sees every lineage mutation implicitly (it drains
+/// [`CostLineage::take_dirty`]); call [`Self::optimize`] at each job
+/// submission.
 #[derive(Debug, Default)]
 pub struct IncrementalOptimizer {
     memo: CostMemo,
@@ -112,15 +111,15 @@ pub struct IncrementalOptimizer {
     last_ladder: LadderReport,
     /// Certify mode: emit a decision certificate for every actual solve,
     /// verify it inline (panicking on any finding), and check every dirty
-    /// invalidation's closure for BA505 soundness. A debugging harness like
-    /// `shadow_compare` — certified solvers return byte-identical answers,
-    /// so flipping this cannot change decisions, only validate them.
+    /// invalidation's closure for BA505 soundness. A debugging harness —
+    /// certified solvers return byte-identical answers, so flipping this
+    /// cannot change decisions, only validate them.
     certify: bool,
 }
 
 impl IncrementalOptimizer {
-    /// Creates an optimizer with no retained state (the first call is a
-    /// from-scratch solve).
+    /// Creates a driver with no retained state (the first call prices and
+    /// solves everything cold).
     pub fn new() -> Self {
         Self::default()
     }
@@ -136,7 +135,8 @@ impl IncrementalOptimizer {
         self.last_ladder
     }
 
-    /// Drops all retained state; the next call solves from scratch.
+    /// Drops all retained state (counters excepted); the next call prices
+    /// and solves everything cold.
     pub fn reset(&mut self) {
         self.memo.clear();
         self.prev.clear();
@@ -193,9 +193,13 @@ impl IncrementalOptimizer {
         assert!(findings.is_empty(), "dirty-closure certification failed (BA505): {findings:?}");
     }
 
-    /// The incremental counterpart of [`crate::optimize::optimize_states`]:
-    /// same signature semantics, identical command stream, O(changed) work.
-    #[allow(clippy::too_many_arguments)] // Mirrors optimize_states.
+    /// Computes the state commands that move the cluster's cached
+    /// partitions to the cost-optimal configuration for the upcoming window.
+    ///
+    /// `current_job` is the index of the job being submitted within the job
+    /// sequence. Commands are ordered so that space is freed (spills and
+    /// unpersists) before promotions consume it.
+    #[allow(clippy::too_many_arguments)]
     pub fn optimize(
         &mut self,
         lineage: &mut CostLineage,
@@ -237,8 +241,11 @@ impl IncrementalOptimizer {
         for exec in execs {
             let candidates = per_exec.remove(&exec).unwrap_or_default();
             // The ladder deducts its estimate *before* the reuse check so
-            // that the from-scratch shadow (which never reuses) walks the
-            // budget identically and picks the same rungs.
+            // that a driver with nothing retained (which never reuses) walks
+            // the budget identically and picks the same rungs. Passthrough:
+            // the instance is skipped, no commands are emitted for this
+            // executor, and its blocks stay where they are (the engine's
+            // recency eviction is the fallback policy under pressure).
             let Some(strategy) = ladder.pick(candidates.len()) else { continue };
             let picks = self.solve_with_reuse(
                 exec,
@@ -280,133 +287,39 @@ impl IncrementalOptimizer {
             }
         }
         self.stats.solves += 1;
-        // Take the entry out (it is unconditionally re-inserted below) so
-        // the warm hint does not hold a borrow across the solve.
-        let warm = self.prev.remove(&exec).filter(|p| p.ser_tier == ser_tier);
-        let warm = warm.as_ref();
-        // audit: allow(decision-hash) keyed index, never iterated
-        let index_of: FxHashMap<BlockId, usize> =
-            candidates.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
-        let (picks, order) = if ser_tier {
-            // Multi-choice path: re-align the previous picks to the current
-            // slots (vanished blocks drop out, new blocks default to Out —
-            // a feasible completion, so the bound stays valid).
-            let warm_picks = warm.map(|p| {
-                let mut picks = vec![Pick::Out; candidates.len()];
-                for (c, &pick) in p.candidates.iter().zip(&p.picks) {
-                    if let Some(&i) = index_of.get(&c.id) {
-                        picks[i] = pick;
-                    }
+        // Re-align the previous solve (taken out: it is unconditionally
+        // re-inserted below) to the current slots as the warm hint.
+        let warm = self.prev.remove(&exec).filter(|p| p.ser_tier == ser_tier).map(|p| {
+            // audit: allow(decision-hash) keyed index, never iterated
+            let index_of: FxHashMap<BlockId, usize> =
+                candidates.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
+            let mut picks = vec![Pick::Out; candidates.len()];
+            for (c, &pick) in p.candidates.iter().zip(&p.picks) {
+                if let Some(&i) = index_of.get(&c.id) {
+                    picks[i] = pick;
                 }
-                picks
-            });
-            let picks = if self.certify {
-                let (picks, payload) = solve_instance_mc_certified_warm(
-                    &candidates,
-                    capacity,
-                    strategy,
-                    warm_picks.as_deref(),
-                );
-                self.verify_inline(exec, payload);
-                picks
-            } else {
-                solve_instance_mc_warm(&candidates, capacity, strategy, warm_picks.as_deref())
-            };
-            (picks, Vec::new())
-        } else {
-            self.solve_binary_with_warm(exec, &candidates, capacity, strategy, warm, &index_of)
-        };
+            }
+            let order = p.order.iter().filter_map(|id| index_of.get(id).copied()).collect();
+            WarmHint { picks, order }
+        });
+        let solved =
+            solve_instance(&candidates, capacity, strategy, ser_tier, warm.as_ref(), self.certify);
+        if let Some(payload) = solved.payload {
+            self.verify_inline(exec, payload);
+        }
+        let order = solved.order.iter().map(|&i| candidates[i].id).collect();
         self.prev.insert(
             exec,
-            PrevSolve { capacity, strategy, ser_tier, candidates, picks: picks.clone(), order },
+            PrevSolve {
+                capacity,
+                strategy,
+                ser_tier,
+                candidates,
+                picks: solved.picks.clone(),
+                order,
+            },
         );
-        picks
-    }
-
-    /// The legacy 0/1 solve with warm start, byte-identical to the
-    /// pre-s-tier incremental path.
-    fn solve_binary_with_warm(
-        &mut self,
-        exec: ExecutorId,
-        candidates: &[Candidate],
-        capacity: ByteSize,
-        strategy: SolveStrategy,
-        warm: Option<&PrevSolve>,
-        // audit: allow(decision-hash) keyed index, never iterated
-        index_of: &FxHashMap<BlockId, usize>,
-    ) -> (Vec<Pick>, Vec<BlockId>) {
-        let (keep, order) = match strategy {
-            SolveStrategy::Knapsack | SolveStrategy::Greedy => {
-                let items = knapsack_items(candidates);
-                let warm_start = warm.map(|p| {
-                    let order = p.order.iter().filter_map(|id| index_of.get(id).copied()).collect();
-                    let mut selection = vec![false; candidates.len()];
-                    for (c, &pick) in p.candidates.iter().zip(&p.picks) {
-                        if pick == Pick::Mem {
-                            if let Some(&i) = index_of.get(&c.id) {
-                                selection[i] = true;
-                            }
-                        }
-                    }
-                    WarmStart { order, selection }
-                });
-                let budget = if strategy == SolveStrategy::Greedy { 1 } else { 0 };
-                let sol = if self.certify {
-                    let (sol, cert) = solve_knapsack_certified(
-                        &items,
-                        capacity.as_bytes(),
-                        budget,
-                        warm_start.as_ref(),
-                    );
-                    let payload = if strategy == SolveStrategy::Greedy {
-                        let cert = greedy_certificate(&items, capacity.as_bytes(), &sol);
-                        InstancePayload::Greedy {
-                            items,
-                            capacity: capacity.as_bytes(),
-                            solution: sol.clone(),
-                            cert,
-                        }
-                    } else {
-                        InstancePayload::Knapsack {
-                            items,
-                            capacity: capacity.as_bytes(),
-                            solution: sol.clone(),
-                            cert,
-                        }
-                    };
-                    self.verify_inline(exec, payload);
-                    sol
-                } else {
-                    solve_knapsack_warm(&items, capacity.as_bytes(), budget, warm_start.as_ref())
-                };
-                let order = sol.order.iter().map(|&i| candidates[i].id).collect();
-                (sol.selected, order)
-            }
-            SolveStrategy::ExactIlp => {
-                // Previous keep flags, re-aligned to the current slots.
-                let warm_keep = warm.map(|p| {
-                    let mut flags = vec![false; candidates.len()];
-                    for (c, &pick) in p.candidates.iter().zip(&p.picks) {
-                        if pick == Pick::Mem {
-                            if let Some(&i) = index_of.get(&c.id) {
-                                flags[i] = true;
-                            }
-                        }
-                    }
-                    flags
-                });
-                let keep = if self.certify && !candidates.is_empty() {
-                    let (keep, payload) =
-                        solve_exact_certified(candidates, capacity, warm_keep.as_deref());
-                    self.verify_inline(exec, payload);
-                    keep
-                } else {
-                    solve_exact(candidates, capacity, warm_keep.as_deref())
-                };
-                (keep, Vec::new())
-            }
-        };
-        (to_picks(&keep), order)
+        solved.picks
     }
 
     /// Certify-mode enforcement: verifies one emitted certificate and
@@ -427,7 +340,6 @@ impl IncrementalOptimizer {
 mod tests {
     use super::*;
     use crate::costlineage::PartitionState;
-    use crate::optimize::optimize_states;
     use blaze_common::ids::RddId;
     use blaze_common::SimDuration;
     use blaze_dataflow::{runner::LocalRunner, Context};
@@ -460,8 +372,23 @@ mod tests {
         (cl, refs)
     }
 
+    /// The cold reference: the same driver with nothing retained. Runs after
+    /// the warm driver, which has already drained the lineage's dirty set (a
+    /// driver with an empty memo has nothing to invalidate).
+    fn cold(
+        cl: &mut CostLineage,
+        refs: &JobRefs,
+        cap: ByteSize,
+        job: usize,
+        cfg: &OptimizerConfig,
+    ) -> (Vec<StateCommand>, IncrementalOptimizer) {
+        let mut fresh = IncrementalOptimizer::new();
+        let cmds = fresh.optimize(cl, refs, None, &HardwareModel::default(), cap, job, cfg);
+        (cmds, fresh)
+    }
+
     #[test]
-    fn matches_from_scratch_over_churn() {
+    fn matches_cold_reference_over_churn() {
         let (mut cl, refs) = world(6);
         let hw = HardwareModel::default();
         let cap = blaze_common::ByteSize::from_kib(200);
@@ -484,8 +411,9 @@ mod tests {
                 SimDuration::from_millis(7),
             );
             let fast = inc.optimize(&mut cl, &refs, None, &hw, cap, job, &cfg);
-            let slow = optimize_states(&cl, &refs, None, &hw, cap, job, &cfg);
+            let (slow, fresh) = cold(&mut cl, &refs, cap, job, &cfg);
             assert_eq!(fast, slow, "diverged at job {job}");
+            assert_eq!(fresh.stats().reused, 0, "the cold reference has nothing to reuse");
         }
         assert!(inc.stats().solves + inc.stats().reused > 0);
     }
@@ -504,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_ladder_matches_from_scratch() {
+    fn degraded_ladder_matches_cold_reference() {
         let (mut cl, refs) = world(6);
         let hw = HardwareModel::default();
         let cap = blaze_common::ByteSize::from_kib(200);
@@ -520,29 +448,30 @@ mod tests {
         for job in 0..4 {
             cl.set_state(BlockId::new(RddId(job as u32), 0), PartitionState::Disk(ExecutorId(0)));
             let fast = inc.optimize(&mut cl, &refs, None, &hw, cap, job, &cfg);
-            let slow = optimize_states(&cl, &refs, None, &hw, cap, job, &cfg);
+            let (slow, fresh) = cold(&mut cl, &refs, cap, job, &cfg);
             assert_eq!(fast, slow, "degraded ladder diverged at job {job}");
+            assert_eq!(inc.last_ladder_report(), fresh.last_ladder_report());
         }
         assert!(inc.stats().degraded > 0, "ladder never degraded: {:?}", inc.stats());
         assert!(inc.last_ladder_report().any());
     }
 
     #[test]
-    fn passthrough_ladder_emits_nothing_on_both_paths() {
+    fn passthrough_ladder_emits_nothing_warm_or_cold() {
         let (mut cl, refs) = world(4);
         let hw = HardwareModel::default();
         let cap = blaze_common::ByteSize::from_kib(100);
         let cfg = OptimizerConfig { solve_deadline: Some(SimDuration::ZERO), ..Default::default() };
         let mut inc = IncrementalOptimizer::new();
         let fast = inc.optimize(&mut cl, &refs, None, &hw, cap, 0, &cfg);
-        let slow = optimize_states(&cl, &refs, None, &hw, cap, 0, &cfg);
+        let (slow, _) = cold(&mut cl, &refs, cap, 0, &cfg);
         assert_eq!(fast, slow);
         assert!(fast.is_empty());
         assert_eq!(inc.stats().passthrough, 2, "both executors pass through");
     }
 
     #[test]
-    fn exact_ilp_matches_from_scratch_with_warm_start() {
+    fn exact_ilp_matches_cold_reference_with_warm_start() {
         let (mut cl, refs) = world(5);
         let hw = HardwareModel::default();
         let cap = blaze_common::ByteSize::from_kib(150);
@@ -551,7 +480,7 @@ mod tests {
         for job in 0..5 {
             cl.set_state(BlockId::new(RddId(job as u32), 0), PartitionState::Disk(ExecutorId(0)));
             let fast = inc.optimize(&mut cl, &refs, None, &hw, cap, job, &cfg);
-            let slow = optimize_states(&cl, &refs, None, &hw, cap, job, &cfg);
+            let (slow, _) = cold(&mut cl, &refs, cap, job, &cfg);
             assert_eq!(fast, slow, "ILP diverged at job {job}");
         }
     }

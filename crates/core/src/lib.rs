@@ -65,9 +65,7 @@ pub use controller::{BlazeConfig, BlazeController};
 pub use cost::CostModel;
 pub use costlineage::{CostLineage, PartitionState};
 pub use incremental::{DecisionStats, IncrementalOptimizer};
-pub use optimize::{
-    optimize_states_with_certificates, LadderReport, OptimizerConfig, SolveRung, SolveStrategy,
-};
+pub use optimize::{LadderReport, OptimizerConfig, SolveRung, SolveStrategy};
 pub use pattern::IterationPattern;
 pub use profiler::{extract_dependencies, ProfileResult};
 pub use refs::JobRefs;

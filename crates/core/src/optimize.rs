@@ -21,12 +21,17 @@
 //!   saved recovery cost (the default; exact and much faster);
 //! - [`SolveStrategy::Greedy`] — density-greedy knapsack (a time-budget
 //!   fallback).
+//!
+//! This module holds the pieces of one decision: the degradation ladder,
+//! candidate gathering, the two encodings of the program (0/1, and m/s/d/u
+//! with the serialized tier on), the single [`solve_instance`] entry into
+//! the solver crate, and command emission. The loop that runs them per
+//! executor at each job submission is [`crate::incremental`].
 
 use crate::cost::CostModel;
 use crate::costlineage::{CostLineage, PartitionState};
-use crate::pattern::IterationPattern;
 use crate::refs::JobRefs;
-use blaze_certify::{InstanceCertificate, InstancePayload};
+use blaze_certify::InstancePayload;
 // audit: allow(decision-hash) keyed buckets only; callers sort executor ids before draining
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
@@ -34,12 +39,11 @@ use blaze_common::{ByteSize, SimDuration};
 use blaze_engine::{HardwareModel, StateCommand};
 use blaze_solver::ilp::{solve_binary, solve_binary_certified, IlpOutcome, IlpProblem};
 use blaze_solver::knapsack::{
-    greedy_certificate, solve_knapsack, solve_knapsack_certified, KnapsackItem,
+    greedy_certificate, solve_knapsack_certified, solve_knapsack_warm, KnapsackItem, WarmStart,
 };
 use blaze_solver::lp::Constraint;
 use blaze_solver::mckp::{
-    greedy_mckp_certificate, solve_mckp, solve_mckp_certified, solve_mckp_warm, MckpGroup,
-    MckpOption, MckpWarm,
+    greedy_mckp_certificate, solve_mckp_certified, solve_mckp_warm, MckpGroup, MckpOption, MckpWarm,
 };
 
 /// How the per-executor state program is solved.
@@ -172,9 +176,8 @@ pub fn min_ladder_cost_ns() -> u64 {
 /// instance, the highest rung whose modeled cost still fits.
 ///
 /// Estimates are deducted unconditionally — independently of whether the
-/// incremental path later reuses a previous solution — so the from-scratch
-/// and incremental paths pick identical rungs for identical inputs (the
-/// shadow-compare invariant).
+/// driver later reuses a previous solution — so the rungs picked for given
+/// inputs never depend on retained state (the warm-vs-cold invariant).
 pub(crate) struct SolveLadder {
     requested: SolveStrategy,
     /// Remaining budget in estimate units; `None` = no deadline.
@@ -231,8 +234,8 @@ impl SolveLadder {
 
 /// One candidate partition of one executor's optimization instance.
 ///
-/// `PartialEq` matters: the incremental path ([`crate::incremental`]) reuses
-/// the previous solution outright when an executor's candidate vector is
+/// `PartialEq` matters: the driver ([`crate::incremental`]) reuses the
+/// previous solution outright when an executor's candidate vector is
 /// unchanged — the solvers are deterministic functions of this data.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Candidate {
@@ -272,8 +275,8 @@ pub(crate) struct Candidate {
 /// Gathers each executor's optimization instance: every currently cached
 /// block, priced through `model`. Per-executor vectors are sorted by id.
 ///
-/// The caller picks the cost model: [`optimize_states`] uses a cold one, the
-/// incremental path seeds it with its maintained memo.
+/// The caller picks the cost model: the driver seeds it with its maintained
+/// memo (empty after a reset).
 pub(crate) fn gather_candidates(
     lineage: &CostLineage,
     refs: &JobRefs,
@@ -359,15 +362,7 @@ pub(crate) enum Pick {
     Out,
 }
 
-/// Lifts legacy 0/1 keep flags into the pick space (`true` -> m,
-/// `false` -> out), so both solve paths share one command emitter.
-pub(crate) fn to_picks(keep: &[bool]) -> Vec<Pick> {
-    keep.iter().map(|&k| if k { Pick::Mem } else { Pick::Out }).collect()
-}
-
-/// Translates per-executor picks into state commands. Shared verbatim
-/// by the from-scratch and incremental paths, so identical pick-sets yield
-/// identical command streams.
+/// Translates per-executor picks into state commands.
 ///
 /// `solved` must be in ascending executor order, each candidate vector
 /// sorted by id with `picks` aligned. Commands free space (spills,
@@ -454,107 +449,9 @@ pub(crate) fn emit_commands(
     commands
 }
 
-/// Computes the state commands that move the cluster's cached partitions to
-/// the cost-optimal configuration for the upcoming window.
-///
-/// `current_job` is the index of the job being submitted within the job
-/// sequence. Commands are ordered so that space is freed (spills and
-/// unpersists) before promotions consume it.
-pub fn optimize_states(
-    lineage: &CostLineage,
-    refs: &JobRefs,
-    pattern: Option<IterationPattern>,
-    hardware: &HardwareModel,
-    memory_capacity: ByteSize,
-    current_job: usize,
-    config: &OptimizerConfig,
-) -> Vec<StateCommand> {
-    optimize_states_report(lineage, refs, pattern, hardware, memory_capacity, current_job, config).0
-}
-
-/// [`optimize_states`], additionally reporting what the degradation ladder
-/// did (always `LadderReport::default()`-like when no deadline is set).
-pub fn optimize_states_report(
-    lineage: &CostLineage,
-    refs: &JobRefs,
-    pattern: Option<IterationPattern>,
-    hardware: &HardwareModel,
-    memory_capacity: ByteSize,
-    current_job: usize,
-    config: &OptimizerConfig,
-) -> (Vec<StateCommand>, LadderReport) {
-    let mut model = CostModel::new(lineage, hardware, pattern);
-    let mut per_exec = gather_candidates(lineage, refs, hardware, current_job, config, &mut model);
-
-    let mut execs: Vec<ExecutorId> = per_exec.keys().copied().collect();
-    execs.sort();
-    let mut solved = Vec::with_capacity(execs.len());
-    let mut ladder = SolveLadder::new(config);
-    for exec in execs {
-        let candidates = per_exec.remove(&exec).unwrap_or_default();
-        // Passthrough: the instance is skipped, no commands are emitted for
-        // this executor, and its blocks stay where they are (the engine's
-        // recency eviction is the fallback policy under pressure).
-        let Some(strategy) = ladder.pick(candidates.len()) else { continue };
-        let picks = if config.ser_tier {
-            solve_instance_mc(&candidates, memory_capacity, strategy)
-        } else {
-            to_picks(&solve_instance(&candidates, memory_capacity, strategy))
-        };
-        solved.push((exec, candidates, picks));
-    }
-    (emit_commands(&solved, refs, current_job, config), ladder.report())
-}
-
-/// [`optimize_states`], additionally returning the decision certificate of
-/// every per-executor solve (one per executor, in ascending executor order).
-///
-/// The command stream is byte-identical to the plain path: certified solvers
-/// only append to side vectors and never influence the search (see
-/// `blaze_solver::knapsack::solve_knapsack_certified` /
-/// `blaze_solver::ilp::solve_binary_certified`). Certificates are checked by
-/// `blaze_certify::verify_instance` — inline under `BlazeConfig::certify`,
-/// offline by the `blaze-certify` binary.
-#[allow(clippy::too_many_arguments)] // Mirrors optimize_states.
-pub fn optimize_states_with_certificates(
-    lineage: &CostLineage,
-    refs: &JobRefs,
-    pattern: Option<IterationPattern>,
-    hardware: &HardwareModel,
-    memory_capacity: ByteSize,
-    current_job: usize,
-    config: &OptimizerConfig,
-) -> (Vec<StateCommand>, Vec<InstanceCertificate>, LadderReport) {
-    let mut model = CostModel::new(lineage, hardware, pattern);
-    let mut per_exec = gather_candidates(lineage, refs, hardware, current_job, config, &mut model);
-
-    let mut execs: Vec<ExecutorId> = per_exec.keys().copied().collect();
-    execs.sort();
-    let mut solved = Vec::with_capacity(execs.len());
-    let mut certs = Vec::with_capacity(execs.len());
-    let mut ladder = SolveLadder::new(config);
-    for exec in execs {
-        let candidates = per_exec.remove(&exec).unwrap_or_default();
-        // Passthrough instances emit neither commands nor a certificate —
-        // there was no solve to certify.
-        let Some(strategy) = ladder.pick(candidates.len()) else { continue };
-        let (picks, cert) = if config.ser_tier {
-            solve_instance_mc_certified(exec, &candidates, memory_capacity, strategy)
-        } else {
-            let (keep, cert) =
-                solve_instance_certified(exec, &candidates, memory_capacity, strategy);
-            (to_picks(&keep), cert)
-        };
-        certs.push(cert);
-        solved.push((exec, candidates, picks));
-    }
-    (emit_commands(&solved, refs, current_job, config), certs, ladder.report())
-}
-
 /// The knapsack encoding of one executor's instance (saved recovery cost as
-/// value, partition size as weight). Shared by the cold and warm solves so
-/// both price items identically.
-pub(crate) fn knapsack_items(candidates: &[Candidate]) -> Vec<KnapsackItem> {
+/// value, partition size as weight).
+fn knapsack_items(candidates: &[Candidate]) -> Vec<KnapsackItem> {
     candidates
         .iter()
         .map(|c| {
@@ -578,75 +475,6 @@ pub(crate) fn knapsack_items(candidates: &[Candidate]) -> Vec<KnapsackItem> {
         .collect()
 }
 
-/// Solves one executor's instance; returns keep-in-memory flags aligned
-/// with `candidates`.
-pub(crate) fn solve_instance(
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    strategy: SolveStrategy,
-) -> Vec<bool> {
-    match strategy {
-        SolveStrategy::Knapsack | SolveStrategy::Greedy => {
-            let items = knapsack_items(candidates);
-            let budget = if strategy == SolveStrategy::Greedy { 1 } else { 0 };
-            solve_knapsack(&items, capacity.as_bytes(), budget).selected
-        }
-        SolveStrategy::ExactIlp => solve_exact(candidates, capacity, None),
-    }
-}
-
-/// [`solve_instance`] with certificate emission: same keep flags, plus the
-/// instance/answer/proof bundle the verifier checks.
-///
-/// An empty `ExactIlp` instance has no program to encode, so it is certified
-/// through the (trivially equivalent) knapsack payload.
-pub(crate) fn solve_instance_certified(
-    executor: ExecutorId,
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    strategy: SolveStrategy,
-) -> (Vec<bool>, InstanceCertificate) {
-    let payload = match strategy {
-        SolveStrategy::Greedy => {
-            let items = knapsack_items(candidates);
-            let solution = solve_knapsack(&items, capacity.as_bytes(), 1);
-            let cert = greedy_certificate(&items, capacity.as_bytes(), &solution);
-            InstancePayload::Greedy { items, capacity: capacity.as_bytes(), solution, cert }
-        }
-        SolveStrategy::Knapsack => {
-            let items = knapsack_items(candidates);
-            let (solution, cert) = solve_knapsack_certified(&items, capacity.as_bytes(), 0, None);
-            InstancePayload::Knapsack { items, capacity: capacity.as_bytes(), solution, cert }
-        }
-        SolveStrategy::ExactIlp if !candidates.is_empty() => {
-            let (_, payload) = solve_exact_certified(candidates, capacity, None);
-            payload
-        }
-        SolveStrategy::ExactIlp => {
-            let (solution, cert) = solve_knapsack_certified(&[], capacity.as_bytes(), 0, None);
-            InstancePayload::Knapsack {
-                items: Vec::new(),
-                capacity: capacity.as_bytes(),
-                solution,
-                cert,
-            }
-        }
-    };
-    let keep = match &payload {
-        InstancePayload::Knapsack { solution, .. } | InstancePayload::Greedy { solution, .. } => {
-            solution.selected.clone()
-        }
-        InstancePayload::Ilp { outcome, .. } => match outcome {
-            IlpOutcome::Solved { x, .. } => (0..candidates.len()).map(|i| x[3 * i]).collect(),
-            _ => vec![false; candidates.len()],
-        },
-        InstancePayload::MultiChoice { .. } | InstancePayload::MultiChoiceGreedy { .. } => {
-            unreachable!("the 0/1 certified solve never builds a multi-choice payload")
-        }
-    };
-    (keep, InstanceCertificate { executor, payload })
-}
-
 /// The multi-choice encoding of one executor's instance with the s tier
 /// enabled. Each candidate becomes one group `[zero, ser, mem]`:
 ///
@@ -662,7 +490,7 @@ pub(crate) fn solve_instance_certified(
 /// m/s/d/u (see [`eq56_problem_mc`] — the two encodings differ by the
 /// constant `Σ out_best`), so all three strategies price states
 /// identically.
-pub(crate) fn mckp_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
+fn mckp_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
     candidates
         .iter()
         .map(|c| {
@@ -689,7 +517,7 @@ pub(crate) fn mckp_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
 
 /// Maps an MCKP per-group choice (0 = zero, 1 = ser, 2 = mem — the
 /// [`mckp_groups`] option layout) to picks.
-pub(crate) fn picks_of_choice(choice: &[usize]) -> Vec<Pick> {
+fn picks_of_choice(choice: &[usize]) -> Vec<Pick> {
     choice
         .iter()
         .map(|&c| match c {
@@ -702,7 +530,7 @@ pub(crate) fn picks_of_choice(choice: &[usize]) -> Vec<Pick> {
 
 /// The inverse of [`picks_of_choice`], used to re-price a previous solve as
 /// a warm bound.
-pub(crate) fn choice_of_picks(picks: &[Pick]) -> Vec<usize> {
+fn choice_of_picks(picks: &[Pick]) -> Vec<usize> {
     picks
         .iter()
         .map(|&p| match p {
@@ -713,113 +541,110 @@ pub(crate) fn choice_of_picks(picks: &[Pick]) -> Vec<usize> {
         .collect()
 }
 
-/// Solves one executor's instance over the enlarged m/s/d/u space; returns
-/// one pick per candidate, aligned with `candidates`.
-pub(crate) fn solve_instance_mc(
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    strategy: SolveStrategy,
-) -> Vec<Pick> {
-    match strategy {
-        SolveStrategy::Knapsack | SolveStrategy::Greedy => {
-            let groups = mckp_groups(candidates);
-            let budget = if strategy == SolveStrategy::Greedy { 1 } else { 0 };
-            picks_of_choice(&solve_mckp(&groups, capacity.as_bytes(), budget).choice)
-        }
-        SolveStrategy::ExactIlp => solve_exact_mc(candidates, capacity, None),
-    }
-}
-
-/// [`solve_instance_mc`] with a warm-start hint (a previous pick vector
-/// re-aligned to the current slots). Decision-identical to the cold solve:
-/// warm bounds only prune (see [`MckpWarm`] / [`IlpProblem::warm`]).
-pub(crate) fn solve_instance_mc_warm(
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    strategy: SolveStrategy,
-    warm_picks: Option<&[Pick]>,
-) -> Vec<Pick> {
-    match strategy {
-        SolveStrategy::Knapsack | SolveStrategy::Greedy => {
-            let groups = mckp_groups(candidates);
-            let budget = if strategy == SolveStrategy::Greedy { 1 } else { 0 };
-            let warm = warm_picks.map(|p| MckpWarm { choice: choice_of_picks(p) });
-            let sol = solve_mckp_warm(&groups, capacity.as_bytes(), budget, warm.as_ref());
-            picks_of_choice(&sol.choice)
-        }
-        SolveStrategy::ExactIlp => solve_exact_mc(candidates, capacity, warm_picks),
-    }
-}
-
-/// [`solve_instance_mc`] with certificate emission: same picks, plus the
-/// instance/answer/proof bundle `blaze_certify::verify_instance` checks.
+/// A previous solve of the same executor, re-aligned to the current
+/// candidate slots (vanished blocks drop out, new blocks default to
+/// [`Pick::Out`] — a feasible completion, so the bound stays valid).
 ///
-/// An empty `ExactIlp` instance has no program to encode, so it is
-/// certified through the (trivially equivalent) multi-choice payload.
-pub(crate) fn solve_instance_mc_certified(
-    executor: ExecutorId,
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    strategy: SolveStrategy,
-) -> (Vec<Pick>, InstanceCertificate) {
-    let (picks, payload) = solve_instance_mc_certified_warm(candidates, capacity, strategy, None);
-    (picks, InstanceCertificate { executor, payload })
+/// Every solver uses it as a *pruning-only* hint — never installed as an
+/// incumbent — so the returned picks, tie-breaks included, are the ones a
+/// cold solve finds (see `WarmStart` / `MckpWarm` / `IlpProblem::warm`).
+#[derive(Debug)]
+pub(crate) struct WarmHint {
+    /// The previous pick of each current candidate.
+    pub(crate) picks: Vec<Pick>,
+    /// Density order of the previous 0/1 knapsack solve as current
+    /// candidate indices; empty when the previous solve had none.
+    pub(crate) order: Vec<usize>,
 }
 
-/// Certified multi-choice solve with an optional warm hint; shared by the
-/// from-scratch and incremental certify paths.
-pub(crate) fn solve_instance_mc_certified_warm(
+/// The answer to one executor's instance.
+#[derive(Debug)]
+pub(crate) struct Solved {
+    /// One pick per candidate, aligned with the input.
+    pub(crate) picks: Vec<Pick>,
+    /// Density order the 0/1 knapsack search used (candidate indices), fed
+    /// back through [`WarmHint::order`]; empty for the other encodings.
+    pub(crate) order: Vec<usize>,
+    /// The instance/answer/proof bundle `blaze_certify::verify_instance`
+    /// checks; `Some` exactly when certification was requested on a
+    /// non-empty instance.
+    pub(crate) payload: Option<InstancePayload>,
+}
+
+/// Solves one executor's instance — the only place `core` calls a solver.
+///
+/// `ser_tier` picks the encoding (0/1 keep-in-memory vs one of m/s/d/u per
+/// candidate), `warm` is an optional pruning hint, and `certify` switches to
+/// the certificate-emitting solver entry points, which only append to side
+/// vectors: the picks are a function of `(candidates, capacity, strategy,
+/// ser_tier)` alone.
+pub(crate) fn solve_instance(
     candidates: &[Candidate],
     capacity: ByteSize,
     strategy: SolveStrategy,
-    warm_picks: Option<&[Pick]>,
-) -> (Vec<Pick>, InstancePayload) {
-    match strategy {
-        SolveStrategy::Greedy => {
+    ser_tier: bool,
+    warm: Option<&WarmHint>,
+    certify: bool,
+) -> Solved {
+    let cap = capacity.as_bytes();
+    let greedy = strategy == SolveStrategy::Greedy;
+    // The greedy rung is the branch-and-bound search cut off at its root.
+    let budget = usize::from(greedy);
+    match (strategy, ser_tier) {
+        (SolveStrategy::ExactIlp, _) => {
+            let warm = warm.map(|w| w.picks.as_slice());
+            let (problem, vars) = if ser_tier {
+                (eq56_problem_mc(candidates, capacity, warm), 4)
+            } else {
+                (eq56_problem(candidates, capacity, warm), 3)
+            };
+            let (picks, payload) = solve_exact(problem, vars, certify);
+            Solved { picks, order: Vec::new(), payload }
+        }
+        (_, false) => {
+            let items = knapsack_items(candidates);
+            let warm = warm.map(|w| WarmStart {
+                order: w.order.clone(),
+                selection: w.picks.iter().map(|&p| p == Pick::Mem).collect(),
+            });
+            let (solution, cert) = if certify && !greedy {
+                let (s, c) = solve_knapsack_certified(&items, cap, budget, warm.as_ref());
+                (s, Some(c))
+            } else {
+                (solve_knapsack_warm(&items, cap, budget, warm.as_ref()), None)
+            };
+            let picks =
+                solution.selected.iter().map(|&k| if k { Pick::Mem } else { Pick::Out }).collect();
+            let order = solution.order.clone();
+            let payload = certify.then(|| match cert {
+                Some(cert) => InstancePayload::Knapsack { items, capacity: cap, solution, cert },
+                None => {
+                    let cert = greedy_certificate(&items, cap, &solution);
+                    InstancePayload::Greedy { items, capacity: cap, solution, cert }
+                }
+            });
+            Solved { picks, order, payload }
+        }
+        (_, true) => {
             let groups = mckp_groups(candidates);
-            let solution = solve_mckp(&groups, capacity.as_bytes(), 1);
-            let cert = greedy_mckp_certificate(&groups, capacity.as_bytes(), &solution);
+            let warm = warm.map(|w| MckpWarm { choice: choice_of_picks(&w.picks) });
+            let (solution, cert) = if certify && !greedy {
+                let (s, c) = solve_mckp_certified(&groups, cap, budget, warm.as_ref());
+                (s, Some(c))
+            } else {
+                (solve_mckp_warm(&groups, cap, budget, warm.as_ref()), None)
+            };
             let picks = picks_of_choice(&solution.choice);
-            (
-                picks,
-                InstancePayload::MultiChoiceGreedy {
-                    groups,
-                    capacity: capacity.as_bytes(),
-                    solution,
-                    cert,
-                },
-            )
-        }
-        SolveStrategy::Knapsack => {
-            let groups = mckp_groups(candidates);
-            let warm = warm_picks.map(|p| MckpWarm { choice: choice_of_picks(p) });
-            let (solution, cert) =
-                solve_mckp_certified(&groups, capacity.as_bytes(), 0, warm.as_ref());
-            let picks = picks_of_choice(&solution.choice);
-            (
-                picks,
-                InstancePayload::MultiChoice {
-                    groups,
-                    capacity: capacity.as_bytes(),
-                    solution,
-                    cert,
-                },
-            )
-        }
-        SolveStrategy::ExactIlp if !candidates.is_empty() => {
-            solve_exact_mc_certified(candidates, capacity, warm_picks)
-        }
-        SolveStrategy::ExactIlp => {
-            let (solution, cert) = solve_mckp_certified(&[], capacity.as_bytes(), 0, None);
-            (
-                Vec::new(),
-                InstancePayload::MultiChoice {
-                    groups: Vec::new(),
-                    capacity: capacity.as_bytes(),
-                    solution,
-                    cert,
-                },
-            )
+            let payload = certify.then(|| match cert {
+                Some(cert) => {
+                    InstancePayload::MultiChoice { groups, capacity: cap, solution, cert }
+                }
+                None => {
+                    let cert = greedy_mckp_certificate(&groups, cap, &solution);
+                    InstancePayload::MultiChoiceGreedy { groups, capacity: cap, solution, cert }
+                }
+            });
+            Solved { picks, order: Vec::new(), payload }
         }
     }
 }
@@ -828,7 +653,7 @@ pub(crate) fn solve_instance_mc_certified_warm(
 fn eq56_problem(
     candidates: &[Candidate],
     capacity: ByteSize,
-    warm_keep: Option<&[bool]>,
+    warm_picks: Option<&[Pick]>,
 ) -> IlpProblem {
     let n = candidates.len();
     let nv = 3 * n;
@@ -871,13 +696,13 @@ fn eq56_problem(
     }
     // audit: allow(float-cast) byte sizes are < 2^53 and exactly representable
     constraints.push(Constraint::le(cap_row, capacity.as_bytes() as f64));
-    // Expand previous keep flags to (m, d, u): kept partitions take m; the
+    // Expand previous picks to (m, d, u): kept partitions take m; the
     // rest take whichever of d/u has the lower objective coefficient (a
     // feasible completion — the bound only has to be valid, not optimal).
-    let warm = warm_keep.filter(|w| w.len() == n).map(|w| {
+    let warm = warm_picks.filter(|w| w.len() == n).map(|w| {
         let mut x = vec![false; nv];
-        for (i, &keep) in w.iter().enumerate() {
-            if keep {
+        for (i, &pick) in w.iter().enumerate() {
+            if pick == Pick::Mem {
                 x[3 * i] = true;
             } else if objective[3 * i + 1] <= objective[3 * i + 2] {
                 x[3 * i + 1] = true;
@@ -888,53 +713,6 @@ fn eq56_problem(
         x
     });
     IlpProblem { objective, constraints, node_budget: 200_000, warm }
-}
-
-/// Solves the Eq. 5–6 encoding; returns keep-in-memory flags.
-///
-/// `warm_keep` (previous keep flags over the same candidate slots) is
-/// expanded to a full `(m, d, u)` assignment and passed to the solver as a
-/// pruning bound; see [`IlpProblem::warm`] for why this cannot change the
-/// returned assignment.
-pub(crate) fn solve_exact(
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    warm_keep: Option<&[bool]>,
-) -> Vec<bool> {
-    let n = candidates.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let problem = eq56_problem(candidates, capacity, warm_keep);
-    match solve_binary(&problem) {
-        Ok(IlpOutcome::Solved { x, .. }) => (0..n).map(|i| x[3 * i]).collect(),
-        // Infeasibility cannot happen (u_i = 1 for all i is feasible), but
-        // degrade to "evict everything" rather than panic.
-        _ => vec![false; n],
-    }
-}
-
-/// [`solve_exact`] with certificate emission: same keep flags, plus the
-/// program/outcome/proof payload. `candidates` must be non-empty.
-pub(crate) fn solve_exact_certified(
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    warm_keep: Option<&[bool]>,
-) -> (Vec<bool>, InstancePayload) {
-    let n = candidates.len();
-    let problem = eq56_problem(candidates, capacity, warm_keep);
-    let (outcome, cert) = match solve_binary_certified(&problem) {
-        Ok(pair) => pair,
-        // Unreachable for well-formed Eq. 5–6 programs; mirror the plain
-        // path's "evict everything" degradation with an empty (and thus
-        // failing-to-verify) certificate rather than panic.
-        Err(_) => (IlpOutcome::Infeasible, Default::default()),
-    };
-    let keep = match &outcome {
-        IlpOutcome::Solved { x, .. } => (0..n).map(|i| x[3 * i]).collect(),
-        _ => vec![false; n],
-    };
-    (keep, InstancePayload::Ilp { problem, outcome, cert })
 }
 
 /// The Eq. 5–6 program enlarged to the m/s/d/u space, over
@@ -996,67 +774,76 @@ fn eq56_problem_mc(
     IlpProblem { objective, constraints, node_budget: 200_000, warm }
 }
 
-/// Solves the enlarged Eq. 5–6 encoding; returns one pick per candidate.
-pub(crate) fn solve_exact_mc(
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    warm_picks: Option<&[Pick]>,
-) -> Vec<Pick> {
-    let n = candidates.len();
+/// Solves either Eq. 5–6 encoding (`vars` binaries per candidate: 3 for
+/// [`eq56_problem`]'s m/d/u, 4 for [`eq56_problem_mc`]'s m/s/d/u); returns
+/// one pick per candidate plus, under `certify`, the program/outcome/proof
+/// payload.
+fn solve_exact(
+    problem: IlpProblem,
+    vars: usize,
+    certify: bool,
+) -> (Vec<Pick>, Option<InstancePayload>) {
+    let n = problem.objective.len() / vars;
     if n == 0 {
-        return Vec::new();
+        return (Vec::new(), None);
     }
-    let problem = eq56_problem_mc(candidates, capacity, warm_picks);
-    match solve_binary(&problem) {
-        Ok(IlpOutcome::Solved { x, .. }) => picks_of_x(&x, n),
-        // Infeasibility cannot happen (u_i = 1 for all i is feasible), but
-        // degrade to "evict everything" rather than panic.
-        _ => vec![Pick::Out; n],
-    }
-}
-
-/// [`solve_exact_mc`] with certificate emission. `candidates` must be
-/// non-empty.
-pub(crate) fn solve_exact_mc_certified(
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    warm_picks: Option<&[Pick]>,
-) -> (Vec<Pick>, InstancePayload) {
-    let n = candidates.len();
-    let problem = eq56_problem_mc(candidates, capacity, warm_picks);
-    let (outcome, cert) = match solve_binary_certified(&problem) {
-        Ok(pair) => pair,
-        // Unreachable for well-formed programs; mirror the plain path's
-        // "evict everything" degradation with an empty (and thus
-        // failing-to-verify) certificate rather than panic.
-        Err(_) => (IlpOutcome::Infeasible, Default::default()),
+    // Infeasibility cannot happen (u_i = 1 for all i is feasible) and the
+    // programs are well-formed, but degrade to "evict everything" rather
+    // than panic; under certify the empty certificate then fails to verify.
+    let (outcome, cert) = if certify {
+        let (outcome, cert) = solve_binary_certified(&problem)
+            .unwrap_or_else(|_| (IlpOutcome::Infeasible, Default::default()));
+        (outcome, Some(cert))
+    } else {
+        (solve_binary(&problem).unwrap_or(IlpOutcome::Infeasible), None)
     };
     let picks = match &outcome {
-        IlpOutcome::Solved { x, .. } => picks_of_x(x, n),
-        _ => vec![Pick::Out; n],
+        IlpOutcome::Solved { x, .. } => (0..n)
+            .map(|i| {
+                if x[vars * i] {
+                    Pick::Mem
+                } else if vars == 4 && x[vars * i + 1] {
+                    Pick::Ser
+                } else {
+                    Pick::Out
+                }
+            })
+            .collect(),
+        IlpOutcome::Infeasible => vec![Pick::Out; n],
     };
-    (picks, InstancePayload::Ilp { problem, outcome, cert })
-}
-
-/// Reads picks out of a 4-variable-per-candidate ILP assignment.
-fn picks_of_x(x: &[bool], n: usize) -> Vec<Pick> {
-    (0..n)
-        .map(|i| {
-            if x[4 * i] {
-                Pick::Mem
-            } else if x[4 * i + 1] {
-                Pick::Ser
-            } else {
-                Pick::Out
-            }
-        })
-        .collect()
+    (picks, cert.map(|cert| InstancePayload::Ilp { problem, outcome, cert }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costlineage::CostLineage;
+    use crate::incremental::IncrementalOptimizer;
     use blaze_common::ids::RddId;
+
+    /// A cold, uncertified solve's picks.
+    fn picks(
+        candidates: &[Candidate],
+        capacity: ByteSize,
+        strategy: SolveStrategy,
+        ser_tier: bool,
+    ) -> Vec<Pick> {
+        solve_instance(candidates, capacity, strategy, ser_tier, None, false).picks
+    }
+
+    /// One submission through a driver with nothing retained.
+    fn decide(
+        lineage: &mut CostLineage,
+        refs: &JobRefs,
+        capacity: ByteSize,
+        current_job: usize,
+        config: &OptimizerConfig,
+    ) -> (Vec<StateCommand>, LadderReport) {
+        let mut driver = IncrementalOptimizer::new();
+        let hw = HardwareModel::default();
+        let cmds = driver.optimize(lineage, refs, None, &hw, capacity, current_job, config);
+        (cmds, driver.last_ladder_report())
+    }
 
     fn cand(
         rdd: u32,
@@ -1098,12 +885,12 @@ mod tests {
         ];
         for cap_kib in [60u64, 120, 180, 300] {
             let cap = ByteSize::from_kib(cap_kib);
-            let k = solve_instance(&candidates, cap, SolveStrategy::Knapsack);
-            let e = solve_instance(&candidates, cap, SolveStrategy::ExactIlp);
-            let value = |sel: &[bool]| -> f64 {
+            let k = picks(&candidates, cap, SolveStrategy::Knapsack, false);
+            let e = picks(&candidates, cap, SolveStrategy::ExactIlp, false);
+            let value = |sel: &[Pick]| -> f64 {
                 sel.iter()
                     .zip(&candidates)
-                    .filter(|(s, _)| **s)
+                    .filter(|(s, _)| **s == Pick::Mem)
                     .map(
                         |(_, c)| {
                             if c.referenced {
@@ -1124,7 +911,7 @@ mod tests {
                 let w: u64 = sel
                     .iter()
                     .zip(&candidates)
-                    .filter(|(s, _)| **s)
+                    .filter(|(s, _)| **s == Pick::Mem)
                     .map(|(_, c)| c.size.as_bytes())
                     .sum();
                 assert!(w <= cap.as_bytes());
@@ -1197,8 +984,8 @@ mod tests {
         ];
         for cap_kib in [40u64, 90, 150, 300] {
             let cap = ByteSize::from_kib(cap_kib);
-            let k = solve_instance_mc(&candidates, cap, SolveStrategy::Knapsack);
-            let e = solve_instance_mc(&candidates, cap, SolveStrategy::ExactIlp);
+            let k = picks(&candidates, cap, SolveStrategy::Knapsack, true);
+            let e = picks(&candidates, cap, SolveStrategy::ExactIlp, true);
             assert!(
                 (mc_value(&candidates, &k) - mc_value(&candidates, &e)).abs() < 1e-9,
                 "mc strategies disagree at cap {cap_kib}: knapsack {k:?} vs exact {e:?}"
@@ -1217,25 +1004,74 @@ mod tests {
         let candidates =
             vec![cand_mc(1, 100, 50, 400, 500, 5, PartitionState::Memory(ExecutorId(0)))];
         for strategy in [SolveStrategy::Knapsack, SolveStrategy::ExactIlp, SolveStrategy::Greedy] {
-            let picks = solve_instance_mc(&candidates, ByteSize::from_kib(60), strategy);
-            assert_eq!(picks, vec![Pick::Ser], "{strategy:?} must choose the s state");
+            let chosen = picks(&candidates, ByteSize::from_kib(60), strategy, true);
+            assert_eq!(chosen, vec![Pick::Ser], "{strategy:?} must choose the s state");
         }
     }
 
+    /// Warm hints and certification never change the answer: for every
+    /// strategy × tier, every (warm, certify) combination returns the cold
+    /// uncertified picks and density order, and every emitted certificate
+    /// verifies.
     #[test]
-    fn mc_warm_start_is_decision_identical() {
-        let m = PartitionState::Memory(ExecutorId(0));
-        let candidates = vec![
+    fn solve_instance_is_identical_warm_or_cold_certified_or_not() {
+        let e = ExecutorId(0);
+        let m = PartitionState::Memory(e);
+        let binary = vec![
+            cand(1, 0, 100, 50, 200, true, true),
+            cand(2, 0, 80, 300, 100, true, true),
+            cand(3, 0, 60, 20, 10, true, false),
+            cand(4, 0, 50, 0, 0, false, true),
+        ];
+        let multi = vec![
             cand_mc(1, 100, 60, 50, 200, 5, m),
             cand_mc(2, 80, 30, 300, 100, 40, m),
-            cand_mc(3, 60, 50, 20, 10, 1, PartitionState::SerializedMemory(ExecutorId(0))),
+            cand_mc(3, 60, 50, 20, 10, 1, PartitionState::SerializedMemory(e)),
+            cand_mc(4, 50, 20, 400, 500, 2, PartitionState::Disk(e)),
         ];
-        let cap = ByteSize::from_kib(120);
-        for strategy in [SolveStrategy::Knapsack, SolveStrategy::ExactIlp] {
-            let cold = solve_instance_mc(&candidates, cap, strategy);
-            for warm in [vec![Pick::Out; 3], vec![Pick::Ser; 3], cold.clone()] {
-                let warmed = solve_instance_mc_warm(&candidates, cap, strategy, Some(&warm));
-                assert_eq!(cold, warmed, "{strategy:?} warm start changed the answer");
+        for (ser_tier, candidates) in [(false, &binary), (true, &multi)] {
+            let n = candidates.len();
+            for strategy in
+                [SolveStrategy::Knapsack, SolveStrategy::ExactIlp, SolveStrategy::Greedy]
+            {
+                for cap_kib in [60u64, 120, 300] {
+                    let cap = ByteSize::from_kib(cap_kib);
+                    let cold = solve_instance(candidates, cap, strategy, ser_tier, None, false);
+                    assert!(cold.payload.is_none());
+                    let hints = [
+                        None,
+                        Some(WarmHint { picks: vec![Pick::Out; n], order: Vec::new() }),
+                        Some(WarmHint { picks: vec![Pick::Ser; n], order: Vec::new() }),
+                        // Infeasible at the small capacities: must be ignored.
+                        Some(WarmHint { picks: vec![Pick::Mem; n], order: (0..n).rev().collect() }),
+                        Some(WarmHint { picks: cold.picks.clone(), order: cold.order.clone() }),
+                    ];
+                    for (h, warm) in hints.iter().enumerate() {
+                        for certify in [false, true] {
+                            let case = format!(
+                                "{strategy:?} ser_tier={ser_tier} cap={cap_kib} hint={h} \
+                                 certify={certify}"
+                            );
+                            let got = solve_instance(
+                                candidates,
+                                cap,
+                                strategy,
+                                ser_tier,
+                                warm.as_ref(),
+                                certify,
+                            );
+                            assert_eq!(got.picks, cold.picks, "{case}: picks moved");
+                            assert_eq!(got.order, cold.order, "{case}: density order moved");
+                            assert_eq!(got.payload.is_some(), certify, "{case}");
+                            if let Some(payload) = got.payload {
+                                let cert =
+                                    blaze_certify::InstanceCertificate { executor: e, payload };
+                                let findings = blaze_certify::verify_instance(&cert);
+                                assert!(findings.is_empty(), "{case}: {findings:?}");
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -1274,13 +1110,15 @@ mod tests {
     fn unreferenced_partitions_are_never_kept_over_referenced() {
         let candidates =
             vec![cand(1, 0, 100, 500, 900, true, true), cand(2, 0, 100, 0, 0, false, true)];
-        let keep = solve_instance(&candidates, ByteSize::from_kib(100), SolveStrategy::Knapsack);
-        assert_eq!(keep, vec![true, false]);
+        let keep = picks(&candidates, ByteSize::from_kib(100), SolveStrategy::Knapsack, false);
+        assert_eq!(keep, vec![Pick::Mem, Pick::Out]);
     }
 
     #[test]
     fn exact_ilp_empty_instance() {
-        assert!(solve_exact(&[], ByteSize::from_kib(1), None).is_empty());
+        for ser_tier in [false, true] {
+            assert!(picks(&[], ByteSize::from_kib(1), SolveStrategy::ExactIlp, ser_tier).is_empty());
+        }
     }
 
     /// Builds a two-dataset lineage (a -> b, both single-partition), marks
@@ -1308,20 +1146,12 @@ mod tests {
     }
 
     #[test]
-    fn optimize_states_evicts_the_unreferenced_block_under_pressure() {
-        let (cl, refs, a_block, b_block) = small_world();
-        let hw = blaze_engine::HardwareModel::default();
+    fn driver_evicts_the_unreferenced_block_under_pressure() {
+        let (mut cl, refs, a_block, b_block) = small_world();
         // Capacity fits exactly one 64 KiB block: `b` (never referenced
         // after job 0; the window starts at job 1) must go.
-        let cmds = optimize_states(
-            &cl,
-            &refs,
-            None,
-            &hw,
-            ByteSize::from_kib(64),
-            1,
-            &OptimizerConfig::default(),
-        );
+        let (cmds, _) =
+            decide(&mut cl, &refs, ByteSize::from_kib(64), 1, &OptimizerConfig::default());
         assert!(
             cmds.iter().any(|c| matches!(c,
                 StateCommand::UnpersistBlock(id) | StateCommand::SpillToDisk(id) if *id == b_block)),
@@ -1333,18 +1163,10 @@ mod tests {
     }
 
     #[test]
-    fn optimize_states_is_a_noop_when_everything_fits() {
-        let (cl, refs, _a, _b) = small_world();
-        let hw = blaze_engine::HardwareModel::default();
-        let cmds = optimize_states(
-            &cl,
-            &refs,
-            None,
-            &hw,
-            ByteSize::from_mib(10),
-            1,
-            &OptimizerConfig::default(),
-        );
+    fn driver_is_a_noop_when_everything_fits() {
+        let (mut cl, refs, _a, _b) = small_world();
+        let (cmds, _) =
+            decide(&mut cl, &refs, ByteSize::from_mib(10), 1, &OptimizerConfig::default());
         assert!(cmds.is_empty(), "no pressure, no commands: {cmds:?}");
     }
 
@@ -1397,11 +1219,9 @@ mod tests {
 
     #[test]
     fn zero_deadline_emits_no_commands() {
-        let (cl, refs, _a, _b) = small_world();
-        let hw = blaze_engine::HardwareModel::default();
+        let (mut cl, refs, _a, _b) = small_world();
         let cfg = OptimizerConfig { solve_deadline: Some(SimDuration::ZERO), ..Default::default() };
-        let (cmds, report) =
-            optimize_states_report(&cl, &refs, None, &hw, ByteSize::from_kib(64), 1, &cfg);
+        let (cmds, report) = decide(&mut cl, &refs, ByteSize::from_kib(64), 1, &cfg);
         assert!(cmds.is_empty(), "passthrough must not emit commands: {cmds:?}");
         assert_eq!(report.passthrough, 1);
         assert_eq!(report.lowest, Some(SolveRung::Passthrough));
@@ -1410,26 +1230,16 @@ mod tests {
     #[test]
     fn disk_capacity_extension_degrades_spills_to_unpersists() {
         let (mut cl, refs, _a, b_block) = small_world();
-        let hw = blaze_engine::HardwareModel::default();
         // Make the evicted block strongly prefer disk: enormous compute.
         cl.record_metrics(b_block, ByteSize::from_kib(64), SimDuration::from_secs(100));
         // Give b a future reference so the spill path is even considered:
         // reuse refs where only `a` is referenced — so instead check the
         // constrained case directly against the unconstrained one.
-        let unconstrained = optimize_states(
-            &cl,
+        let (unconstrained, _) =
+            decide(&mut cl, &refs, ByteSize::from_kib(64), 0, &OptimizerConfig::default());
+        let (constrained, _) = decide(
+            &mut cl,
             &refs,
-            None,
-            &hw,
-            ByteSize::from_kib(64),
-            0,
-            &OptimizerConfig::default(),
-        );
-        let constrained = optimize_states(
-            &cl,
-            &refs,
-            None,
-            &hw,
             ByteSize::from_kib(64),
             0,
             &OptimizerConfig { disk_capacity: Some(ByteSize::ZERO), ..Default::default() },

@@ -108,7 +108,7 @@ impl StoreTier {
 }
 
 /// What the solver degradation ladder did for one job's decision solve
-/// (see `BlazeConfig::solve_deadline` in `blaze-core`): which rung actually
+/// (see `OptimizerConfig::solve_deadline` in `blaze-core`): which rung actually
 /// ran and how many per-executor instances were stepped down or skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradationNote {

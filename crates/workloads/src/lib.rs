@@ -17,10 +17,6 @@ pub mod session;
 pub mod systems;
 
 pub use apps::{App, AppSpec};
-#[allow(deprecated)]
-pub use runner::{
-    run_app, run_blaze_instrumented, run_blaze_with, run_spec, run_spec_serial, run_spec_traced,
-    run_spec_with_fault, RunOutcome,
-};
+pub use runner::{run_app, run_spec_serial, RunOutcome};
 pub use session::{RunOptions, Session, SessionBuilder, SessionOutcome};
 pub use systems::SystemKind;

@@ -1,10 +1,10 @@
 //! One-call execution of (application × system) pairs.
 //!
-//! The historical free functions here are kept as thin deprecated wrappers
-//! over the unified [`Session`](crate::session::Session) builder; new code
-//! should use `Session::builder()` directly. [`run_spec_serial`] remains
-//! non-deprecated: it is the legacy single-app reference path (no scheduler
-//! layer at all) that the session API is differential-tested against.
+//! [`run_app`] is shorthand for the unified
+//! [`Session`](crate::session::Session) builder, which everything else
+//! should use directly. [`run_spec_serial`] is the single-app reference path
+//! (no scheduler layer at all) that the session API is differential-tested
+//! against.
 
 use crate::apps::{App, AppSpec};
 use crate::session::Session;
@@ -47,45 +47,10 @@ pub fn run_app(app: App, system: SystemKind) -> Result<RunOutcome> {
     Session::builder().app(spec).system(system).run().map(|o| o.into_outcome())
 }
 
-/// Runs a custom spec under `system` (used by harnesses that sweep scales).
-#[deprecated(note = "use `Session::builder().app(spec).system(system).run()`")]
-pub fn run_spec(spec: &AppSpec, system: SystemKind) -> Result<RunOutcome> {
-    Session::builder().app(*spec).system(system).run().map(|o| o.into_outcome())
-}
-
-/// Runs a custom spec under `system` with a deterministic fault-injection
-/// schedule (the chaos harness). With the default (disabled) plan this is
-/// exactly the plain run.
-#[deprecated(note = "use `Session::builder().app(spec).system(system).fault(plan).run()`")]
-pub fn run_spec_with_fault(
-    spec: &AppSpec,
-    system: SystemKind,
-    fault: FaultPlan,
-) -> Result<RunOutcome> {
-    Session::builder().app(*spec).system(system).fault(fault).run().map(|o| o.into_outcome())
-}
-
-/// Runs a custom spec under `system` with structured event tracing enabled;
-/// the returned outcome carries the [`TraceLog`]. Tracing never changes
-/// simulated behaviour, so metrics are identical to the untraced run.
-#[deprecated(
-    note = "use `Session::builder().app(spec).system(system).fault(plan).tracing(true).run()`"
-)]
-pub fn run_spec_traced(spec: &AppSpec, system: SystemKind, fault: FaultPlan) -> Result<RunOutcome> {
-    Session::builder()
-        .app(*spec)
-        .system(system)
-        .fault(fault)
-        .tracing(true)
-        .run()
-        .map(|o| o.into_outcome())
-}
-
 /// Runs a spec on the **legacy single-app serial path**: a fresh context
-/// directly over the cluster, no turnstile scheduler in the loop. Kept
-/// non-deprecated as the reference implementation that
-/// `Session`-with-one-app is differential-tested against (byte-identical
-/// metrics and traces).
+/// directly over the cluster, no turnstile scheduler in the loop. The
+/// reference implementation that `Session`-with-one-app is
+/// differential-tested against (byte-identical metrics and traces).
 pub fn run_spec_serial(
     spec: &AppSpec,
     system: SystemKind,
@@ -106,36 +71,6 @@ pub fn run_spec_serial(
     let ctx = Context::new(cluster.clone());
     spec.drive(&ctx)?;
     Ok(RunOutcome { app: spec.app, system, metrics: cluster.metrics(), trace: cluster.trace() })
-}
-
-/// Runs `spec` under a Blaze controller with a custom configuration
-/// (profiled). Used by the solver/horizon ablation harnesses.
-#[deprecated(note = "use `Session::builder().app(spec).blaze(cfg).run()`")]
-pub fn run_blaze_with(spec: &AppSpec, cfg: blaze_core::BlazeConfig) -> Result<RunOutcome> {
-    Session::builder().app(*spec).blaze(cfg).run().map(|o| o.into_outcome())
-}
-
-/// Like `run_blaze_with`, but lets the caller wrap the profiled
-/// [`blaze_core::BlazeController`] in an instrumentation shim (e.g. the
-/// decision-path benchmark's timing wrapper) before it is installed, and
-/// select fault injection / tracing. The wrapper must delegate faithfully:
-/// instrumentation never changes simulated behaviour.
-#[deprecated(note = "use `Session::builder().app(spec).blaze(cfg).instrument(wrap).run()`")]
-pub fn run_blaze_instrumented(
-    spec: &AppSpec,
-    cfg: blaze_core::BlazeConfig,
-    fault: FaultPlan,
-    tracing: bool,
-    wrap: impl FnOnce(blaze_core::BlazeController) -> Box<dyn blaze_engine::CacheController> + 'static,
-) -> Result<RunOutcome> {
-    Session::builder()
-        .app(*spec)
-        .blaze(cfg)
-        .instrument(wrap)
-        .fault(fault)
-        .tracing(tracing)
-        .run()
-        .map(|o| o.into_outcome())
 }
 
 #[cfg(test)]
@@ -160,16 +95,5 @@ mod tests {
         let a = run_app(App::KMeans, SystemKind::SparkMemOnly).unwrap();
         let b = run_app(App::KMeans, SystemKind::Blaze).unwrap();
         assert_eq!(a.metrics.jobs, b.metrics.jobs);
-    }
-
-    #[test]
-    fn deprecated_wrappers_still_deliver_the_serial_result() {
-        // The compat shims must agree with the reference serial path.
-        let spec = AppSpec::evaluation(App::KMeans);
-        let serial =
-            run_spec_serial(&spec, SystemKind::SparkMemOnly, FaultPlan::default(), false).unwrap();
-        #[allow(deprecated)]
-        let wrapped = run_spec(&spec, SystemKind::SparkMemOnly).unwrap();
-        assert_eq!(serial.metrics, wrapped.metrics);
     }
 }

@@ -1,9 +1,7 @@
 //! The unified run API: N applications, one shared holistic cache.
 //!
-//! [`Session`] replaces the five historical entry points (`run_spec`,
-//! `run_spec_with_fault`, `run_spec_traced`, `run_blaze_with`,
-//! `run_blaze_instrumented`) with one builder. A session admits one or more
-//! [`AppSpec`]s, audits the admission (BA01x diagnostics), folds their
+//! [`Session`] is the one builder every run goes through. A session admits
+//! one or more [`AppSpec`]s, audits the admission (BA01x diagnostics), folds their
 //! cluster requirements into a single shared [`ClusterConfig`], and runs the
 //! drivers through the engine's deterministic [`Turnstile`] scheduler:
 //!
@@ -109,15 +107,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Runs Blaze with a custom configuration (the ablation harness path,
-    /// formerly `run_blaze_with`). Overrides [`SessionBuilder::system`].
+    /// Runs Blaze with a custom configuration (the ablation harness path).
+    /// Overrides [`SessionBuilder::system`].
     pub fn blaze(mut self, cfg: BlazeConfig) -> Self {
         self.blaze = Some(cfg);
         self
     }
 
     /// Wraps the Blaze controller in an instrumentation shim before it is
-    /// installed (formerly `run_blaze_instrumented`). The wrapper must
+    /// installed. The wrapper must
     /// delegate faithfully: instrumentation never changes simulated
     /// behaviour. Implies a Blaze run (with [`SessionBuilder::blaze`]'s
     /// config if given, else [`BlazeConfig::full`]).

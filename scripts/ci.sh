@@ -23,6 +23,10 @@ run() {
 }
 
 run cargo build --release $OFFLINE --workspace
+# The repository benchmark is a package of its own outside the workspace,
+# pinned to the crates' public API; build it so an API break surfaces here
+# and not in the outside driver.
+run cargo build --release $OFFLINE --manifest-path benchmark/Cargo.toml
 run cargo test -q $OFFLINE --workspace
 # Chaos step: replay the fault-injection suite over a wider seed matrix
 # than the default `cargo test` run. Override the seeds (comma-separated
@@ -42,11 +46,11 @@ run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
 # solver must actually step down its ladder (--check floors).
 run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_failure -- \
     --quick --check
-# Decision-path smoke: the incremental optimizer must stay decision-identical
-# to from-scratch (--shadow runs one workload with shadow compare on) and its
+# Decision-path smoke: the driver's retained state must never change a
+# decision (every stress round is compared against a reset driver) and its
 # deep/churn stress speedups must stay above the committed floor (--check).
 run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_decision -- \
-    --quick --check --shadow
+    --quick --check
 # Serialized-tier and multi-app smoke: on the high-ser_factor workloads
 # (SVD++/LR) under tightened memory the multi-choice solver must actually
 # pick s-states (ser_transitions > 0 somewhere), tier-off runs must keep
@@ -56,10 +60,10 @@ run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_decision -- \
 # (--quick skips the wall-clock thread sweep, keeps both floors).
 run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_engine -- \
     --quick --check
-# Decision certificates: every workload x strategy x decision-path combo
-# must emit certificates that verify clean (--all, implied), and each seeded
-# corruption must trip its BA5xx check (--mutate) — proving the verifier has
-# teeth, not just that the solvers are honest.
+# Decision certificates: every workload x strategy combo must emit
+# certificates that verify clean (--all, implied), and each seeded corruption
+# must trip its BA5xx check (--mutate) — proving the verifier has teeth, not
+# just that the solvers are honest.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-certify -- \
     --quick --mutate --all
 # Layer-2 static analysis: the determinism source lint (including the

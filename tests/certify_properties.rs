@@ -260,20 +260,17 @@ fn ba505_fires_on_a_retained_stale_memo_entry() {
 }
 
 /// End-to-end: `BlazeConfig::certify` verifies every decision inline
-/// (panicking on any finding) across all strategies and both decision
-/// paths on a real workload run.
+/// (panicking on any finding) across all strategies on a real workload run.
 #[test]
 fn inline_certify_mode_accepts_every_strategy() {
     let spec = AppSpec::evaluation(App::PageRank).scaled(0.2);
     for strategy in [SolveStrategy::Knapsack, SolveStrategy::ExactIlp, SolveStrategy::Greedy] {
-        for incremental in [true, false] {
-            let mut cfg = BlazeConfig { incremental, certify: true, ..BlazeConfig::full() };
-            cfg.optimizer.strategy = strategy;
-            Session::builder()
-                .app(spec)
-                .blaze(cfg)
-                .run()
-                .unwrap_or_else(|e| panic!("{strategy:?}/incremental={incremental}: {e:?}"));
-        }
+        let mut cfg = BlazeConfig { certify: true, ..BlazeConfig::full() };
+        cfg.optimizer.strategy = strategy;
+        Session::builder()
+            .app(spec)
+            .blaze(cfg)
+            .run()
+            .unwrap_or_else(|e| panic!("{strategy:?}: {e:?}"));
     }
 }

@@ -1,35 +1,46 @@
-//! Differential tests for the incremental decision path.
+//! Differential tests for the decision driver's retained state.
 //!
-//! The incremental optimizer ([`blaze::core::IncrementalOptimizer`]) must be
-//! *decision-identical* to the from-scratch path: same lineage, same job
-//! references, same configuration must yield byte-for-byte the same
-//! [`StateCommand`] stream, no matter how the lineage got into its current
-//! state. These tests attack that contract from three sides:
+//! The driver ([`blaze::core::IncrementalOptimizer`]) keeps a cost memo,
+//! previous solves and append-only reference counts between submissions.
+//! None of it may influence a decision: the reference is *the same driver
+//! with nothing retained* — `reset()` before every call at core level,
+//! `BlazeController::forget_decision_state()` before every job submission at
+//! engine level — and same lineage, same job references, same configuration
+//! must yield byte-for-byte the same [`StateCommand`] stream, no matter how
+//! the lineage got into its current state. Everything the retained state
+//! does (memo invalidation, instance reuse, warm bounds, append-only refs
+//! extension) is off in that reference. These tests attack the contract
+//! from three sides:
 //!
 //! 1. a core-level differential property — random plans plus random
-//!    job/state/metric churn, every round checked against a from-scratch
-//!    solve under every solver strategy;
+//!    job/state/metric churn, every round checked against a reset driver fed
+//!    freshly built references, under every solver strategy;
 //! 2. an engine-level differential property — random pipelines run twice
-//!    under profiled Blaze (incremental on vs off), with and without
-//!    deterministic fault injection, requiring identical results, metrics,
-//!    and a byte-identical Chrome trace;
-//! 3. golden runs — an evaluation workload at `worker_threads` ∈ {1, 2, 4}
-//!    with the incremental path on vs off, all six traces byte-identical.
+//!    under profiled Blaze (retaining vs forgetting before every job), with
+//!    and without deterministic fault injection, requiring identical
+//!    results, metrics, and a byte-identical Chrome trace;
+//! 3. golden runs — evaluation workloads at `worker_threads` ∈ {1, 2, 4},
+//!    with and without a fault plan, with and without the serialized tier,
+//!    warm vs cold, all traces byte-identical.
+//!
+//! [`StateCommand`]: blaze::engine::StateCommand
 
 use blaze::common::error::Result;
-use blaze::common::ids::{BlockId, ExecutorId, RddId};
+use blaze::common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze::common::{ByteSize, SimDuration, SimTime};
-use blaze::core::optimize::optimize_states;
 use blaze::core::{
-    extract_dependencies, BlazeConfig, BlazeController, CostLineage, IncrementalOptimizer, JobRefs,
-    OptimizerConfig, PartitionState, SolveStrategy,
+    extract_dependencies, BlazeConfig, BlazeController, CostLineage, DecisionStats,
+    IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState, SolveStrategy,
 };
-use blaze::dataflow::{runner::LocalRunner, Context, Dataset};
+use blaze::dataflow::{runner::LocalRunner, Context, Dataset, JobPlan, Plan};
 use blaze::engine::{
-    Cluster, ClusterConfig, ExecutorCrash, FaultPlan, HardwareModel, Metrics, TraceLog,
+    Admission, BlockInfo, CacheController, Cluster, ClusterConfig, CtrlCtx, DegradationNote,
+    ExecutorCrash, FaultPlan, HardwareModel, Metrics, PartitionEvent, StateCommand, StoreTier,
+    TraceLog, VictimAction,
 };
 use blaze::workloads::{App, AppSpec, Session};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Core-level differential property
@@ -87,11 +98,11 @@ fn apply_churn(lineage: &mut CostLineage, rdds: &[RddId], parts: u32, op: &Churn
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// On random plans under random job/state/metric churn, the incremental
-    /// optimizer emits exactly the from-scratch command stream every round,
+    /// On random plans under random job/state/metric churn, the retaining
+    /// driver emits exactly the reset driver's command stream every round,
     /// under every solver strategy, and never corrupts the residency index.
     #[test]
-    fn incremental_matches_from_scratch_on_random_churn(
+    fn retaining_driver_matches_reset_driver_on_random_churn(
         shape in prop::collection::vec(0u8..255, 1..8),
         rounds in prop::collection::vec(
             (prop::collection::vec(churn_op_strategy(), 1..6), 0usize..1_000_000),
@@ -127,6 +138,7 @@ proptest! {
 
         let mut inc = IncrementalOptimizer::new();
         let mut inc_refs = JobRefs::default();
+        let mut cold = IncrementalOptimizer::new();
         let mut targets: Vec<RddId> = Vec::new();
         let plan_lock = ctx.plan();
         let plan = plan_lock.read();
@@ -136,14 +148,17 @@ proptest! {
                 apply_churn(&mut lineage, &rdds, PARTS, op);
             }
 
-            let scratch_refs = JobRefs::build(&plan, &targets);
-            let scratch = optimize_states(
-                &lineage, &scratch_refs, None, &hardware, capacity, round, &config,
-            );
+            // The retaining driver goes first: it drains the lineage's
+            // dirty set, which a reset driver (empty memo) never needs.
             let captured = inc_refs.captured_jobs();
             inc_refs.extend_build(&plan, &targets[captured..]);
             let fast = inc.optimize(
                 &mut lineage, &inc_refs, None, &hardware, capacity, round, &config,
+            );
+            cold.reset();
+            let scratch_refs = JobRefs::build(&plan, &targets);
+            let scratch = cold.optimize(
+                &mut lineage, &scratch_refs, None, &hardware, capacity, round, &config,
             );
 
             prop_assert_eq!(
@@ -152,6 +167,124 @@ proptest! {
             );
             prop_assert!(lineage.residency_consistent());
         }
+        prop_assert_eq!(cold.stats().reused, 0, "a reset driver has nothing to reuse");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The cold reference at engine level
+// ---------------------------------------------------------------------------
+
+/// Delegating wrapper that turns a Blaze controller into its own cold
+/// reference: with `forget` set it drops all retained decision state before
+/// every job submission. It also mirrors `decision_stats()` into a shared
+/// cell (the controller itself is moved into the cluster).
+struct DecisionProbe {
+    inner: BlazeController,
+    forget: bool,
+    stats: Arc<Mutex<DecisionStats>>,
+}
+
+impl CacheController for DecisionProbe {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn should_cache(&mut self, ctx: &CtrlCtx, block: &BlockInfo, annotated: bool) -> bool {
+        self.inner.should_cache(ctx, block, annotated)
+    }
+
+    fn admit(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
+        self.inner.admit(ctx, block)
+    }
+
+    fn choose_victims(
+        &mut self,
+        ctx: &CtrlCtx,
+        exec: ExecutorId,
+        needed: ByteSize,
+        incoming: &BlockInfo,
+        resident: &[BlockInfo],
+    ) -> Vec<(BlockId, VictimAction)> {
+        self.inner.choose_victims(ctx, exec, needed, incoming, resident)
+    }
+
+    fn on_admission_failure(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
+        self.inner.on_admission_failure(ctx, block)
+    }
+
+    fn readmit_after_disk_read(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
+        self.inner.readmit_after_disk_read(ctx, block)
+    }
+
+    fn serialized_in_memory(&self) -> bool {
+        self.inner.serialized_in_memory()
+    }
+
+    fn memory_footprint_factor(&self) -> f64 {
+        self.inner.memory_footprint_factor()
+    }
+
+    fn on_access(&mut self, ctx: &CtrlCtx, id: BlockId) {
+        self.inner.on_access(ctx, id);
+    }
+
+    fn explain_block(&self, id: BlockId) -> Option<String> {
+        self.inner.explain_block(id)
+    }
+
+    fn on_inserted(&mut self, ctx: &CtrlCtx, info: &BlockInfo, tier: StoreTier) {
+        self.inner.on_inserted(ctx, info, tier);
+    }
+
+    fn on_evicted(&mut self, ctx: &CtrlCtx, id: BlockId) {
+        self.inner.on_evicted(ctx, id);
+    }
+
+    fn on_partition_computed(&mut self, ctx: &CtrlCtx, event: &PartitionEvent) {
+        self.inner.on_partition_computed(ctx, event);
+    }
+
+    fn on_job_submit(
+        &mut self,
+        ctx: &CtrlCtx,
+        job: JobId,
+        job_plan: &JobPlan,
+        plan: &Plan,
+    ) -> Vec<StateCommand> {
+        if self.forget {
+            self.inner.forget_decision_state();
+        }
+        let out = self.inner.on_job_submit(ctx, job, job_plan, plan);
+        *self.stats.lock().unwrap() = self.inner.decision_stats();
+        out
+    }
+
+    fn on_stage_complete(
+        &mut self,
+        ctx: &CtrlCtx,
+        stage_output: RddId,
+        job: JobId,
+        plan: &Plan,
+    ) -> Vec<StateCommand> {
+        self.inner.on_stage_complete(ctx, stage_output, job, plan)
+    }
+
+    fn take_degradation(&mut self) -> Option<DegradationNote> {
+        self.inner.take_degradation()
+    }
+
+    fn preflight_diagnostics(&self) -> Vec<blaze::audit::Diagnostic> {
+        self.inner.preflight_diagnostics()
+    }
+}
+
+/// The controller to install: the bare one (warm) or its cold reference.
+fn install(inner: BlazeController, cold: bool) -> Box<dyn CacheController> {
+    if cold {
+        Box::new(DecisionProbe { inner, forget: true, stats: Arc::default() })
+    } else {
+        Box::new(inner)
     }
 }
 
@@ -202,21 +335,21 @@ fn apply(ctx: &Context, elems: u64, parts: usize, steps: &[Step]) -> Result<Vec<
     Ok(out)
 }
 
-/// Runs the pipeline under profiled Blaze with the given incremental setting,
-/// tracing on, and returns (results, metrics, trace).
+/// Runs the pipeline under profiled Blaze — retaining decision state, or
+/// (`cold`) forgetting it before every job — with tracing on, and returns
+/// (results, metrics, trace).
 fn run_blaze_pipeline(
     elems: u64,
     parts: usize,
     steps: &[Step],
     capacity_kib: u64,
-    incremental: bool,
+    cold: bool,
     fault: FaultPlan,
 ) -> (Vec<(u64, u64)>, Metrics, TraceLog) {
     let profile_steps = steps.to_vec();
     let profile =
         extract_dependencies(move |ctx| apply(ctx, elems, parts, &profile_steps).map(|_| ()), 0)
             .expect("profiling run failed");
-    let cfg = BlazeConfig { incremental, ..BlazeConfig::full() };
     let cluster = Cluster::new(
         ClusterConfig {
             executors: 2,
@@ -227,7 +360,7 @@ fn run_blaze_pipeline(
             fault,
             ..Default::default()
         },
-        Box::new(BlazeController::new(cfg, Some(profile))),
+        install(BlazeController::new(BlazeConfig::full(), Some(profile)), cold),
     )
     .unwrap();
     let ctx = Context::new(cluster.clone());
@@ -260,9 +393,10 @@ proptest! {
 
     /// Random pipelines under profiled Blaze — with and without fault
     /// injection — produce identical results, metrics, and a byte-identical
-    /// Chrome trace whether the decision path is incremental or from-scratch.
+    /// Chrome trace whether the controller retains its decision state or
+    /// forgets it before every job.
     #[test]
-    fn engine_runs_are_identical_with_incremental_on_or_off(
+    fn engine_runs_are_identical_warm_or_cold(
         elems in 100u64..600,
         parts in 1usize..5,
         steps in prop::collection::vec(step_strategy(), 1..5),
@@ -272,9 +406,9 @@ proptest! {
     ) {
         let fault = fault_variant(fault_pick, seed);
         let (out_inc, m_inc, t_inc) =
-            run_blaze_pipeline(elems, parts, &steps, capacity_kib, true, fault.clone());
+            run_blaze_pipeline(elems, parts, &steps, capacity_kib, false, fault.clone());
         let (out_scr, m_scr, t_scr) =
-            run_blaze_pipeline(elems, parts, &steps, capacity_kib, false, fault);
+            run_blaze_pipeline(elems, parts, &steps, capacity_kib, true, fault);
         prop_assert_eq!(out_inc, out_scr);
         prop_assert_eq!(m_inc.jobs, m_scr.jobs);
         prop_assert_eq!(m_inc.tasks, m_scr.tasks);
@@ -287,35 +421,39 @@ proptest! {
 // Golden runs
 // ---------------------------------------------------------------------------
 
-/// Traces a workload under full Blaze at the given thread count with the
-/// given incremental setting.
-fn trace_workload(app: App, threads: usize, incremental: bool, fault: FaultPlan) -> String {
-    let spec = AppSpec::evaluation(app).with_worker_threads(threads);
-    let cfg = BlazeConfig { incremental, ..BlazeConfig::full() };
+/// Traces a workload under `cfg` at the given thread count, warm or cold;
+/// returns the Chrome trace and the run's metrics.
+fn trace_workload(
+    spec: AppSpec,
+    threads: usize,
+    cfg: BlazeConfig,
+    cold: bool,
+    fault: FaultPlan,
+) -> (String, Metrics) {
     let out = Session::builder()
-        .app(spec)
+        .app(spec.with_worker_threads(threads))
         .blaze(cfg)
+        .instrument(move |inner| install(inner, cold))
         .fault(fault)
         .tracing(true)
         .run()
         .expect("workload run failed")
         .into_outcome();
-    out.trace.expect("tracing was enabled").chrome_json()
+    (out.trace.expect("tracing was enabled").chrome_json(), out.metrics)
 }
 
 /// The golden decision-identity run: KMeans at `worker_threads` ∈ {1, 2, 4},
-/// incremental on vs off — all six traces must be byte-identical.
+/// warm vs cold — all six traces must be byte-identical.
 #[test]
-fn golden_traces_are_byte_identical_across_threads_and_decision_paths() {
-    let reference = trace_workload(App::KMeans, 1, true, FaultPlan::default());
+fn golden_traces_are_byte_identical_across_threads_warm_or_cold() {
+    let spec = AppSpec::evaluation(App::KMeans);
+    let (reference, _) = trace_workload(spec, 1, BlazeConfig::full(), false, FaultPlan::default());
     assert!(!reference.is_empty());
     for threads in [1usize, 2, 4] {
-        for incremental in [true, false] {
-            let trace = trace_workload(App::KMeans, threads, incremental, FaultPlan::default());
-            assert_eq!(
-                trace, reference,
-                "trace diverged at worker_threads={threads} incremental={incremental}"
-            );
+        for cold in [false, true] {
+            let (trace, _) =
+                trace_workload(spec, threads, BlazeConfig::full(), cold, FaultPlan::default());
+            assert_eq!(trace, reference, "trace diverged at worker_threads={threads} cold={cold}");
         }
     }
 }
@@ -335,19 +473,52 @@ fn golden_traces_are_byte_identical_under_fault_injection() {
         external_shuffle_service: false,
         ..Default::default()
     };
-    let on = trace_workload(App::KMeans, 2, true, fault.clone());
-    let off = trace_workload(App::KMeans, 2, false, fault);
-    assert_eq!(on, off, "faulted trace diverged between decision paths");
+    let spec = AppSpec::evaluation(App::KMeans);
+    let (warm, _) = trace_workload(spec, 2, BlazeConfig::full(), false, fault.clone());
+    let (cold, _) = trace_workload(spec, 2, BlazeConfig::full(), true, fault);
+    assert_eq!(warm, cold, "faulted trace diverged between warm and cold");
 }
 
-/// Shadow mode re-solves from scratch at every submission inside the
-/// controller and asserts command-stream equality there; a full workload
-/// must complete under it.
+/// Full workloads under both encodings: the memory-pressured PageRank on
+/// the 0/1 path, and SVD++ under tightened memory with the serialized tier
+/// on (so the multi-choice solver really picks s-states). Warm and cold
+/// traces must be byte-identical.
 #[test]
-fn shadow_compare_mode_passes_on_a_full_workload() {
-    let spec = AppSpec::evaluation(App::KMeans);
-    let cfg = BlazeConfig { shadow_compare: true, ..BlazeConfig::full() };
-    let out =
-        Session::builder().app(spec).blaze(cfg).run().expect("shadow run failed").into_outcome();
-    assert!(out.metrics.jobs >= 10);
+fn warm_and_cold_traces_are_identical_on_full_workloads() {
+    let mut svdpp = AppSpec::evaluation(App::Svdpp);
+    svdpp.memory_capacity = svdpp.memory_capacity.scale(0.55);
+    let inputs = [
+        (AppSpec::evaluation(App::PageRank), BlazeConfig::full()),
+        (svdpp, BlazeConfig::full_ser_tier()),
+    ];
+    for (spec, cfg) in inputs {
+        let (warm, m) = trace_workload(spec, 2, cfg, false, FaultPlan::default());
+        let (cold, _) = trace_workload(spec, 2, cfg, true, FaultPlan::default());
+        assert_eq!(warm, cold, "{:?}: trace diverged between warm and cold", spec.app);
+        assert!(m.jobs >= 5, "{:?} ran only {} jobs", spec.app, m.jobs);
+        if cfg.optimizer.ser_tier {
+            assert!(m.ser_transitions > 0, "the ser-tier input must exercise the mc path");
+        }
+    }
+}
+
+/// The cold reference really is cold: it never reuses a previous solve,
+/// while the warm run of the same workload does.
+#[test]
+fn cold_reference_reports_zero_reuse() {
+    let stats_of = |forget: bool| {
+        let stats = Arc::new(Mutex::new(DecisionStats::default()));
+        let mirror = Arc::clone(&stats);
+        Session::builder()
+            .app(AppSpec::evaluation(App::KMeans))
+            .instrument(move |inner| Box::new(DecisionProbe { inner, forget, stats: mirror }))
+            .run()
+            .expect("workload run failed");
+        let stats = *stats.lock().unwrap();
+        stats
+    };
+    let (warm, cold) = (stats_of(false), stats_of(true));
+    assert!(warm.reused > 0, "the warm run should reuse some solve: {warm:?}");
+    assert_eq!(cold.reused, 0, "the cold reference must solve every instance: {cold:?}");
+    assert_eq!(cold.solves, warm.solves + warm.reused, "same instances either way");
 }

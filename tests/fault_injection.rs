@@ -510,8 +510,10 @@ fn fetch_retries_back_off_then_escalate() {
 fn solver_deadline_degrades_and_traces_the_ladder() {
     // Exact ILP costs >= 70 us per instance under the ladder's estimates;
     // 5 us fits only greedy rungs, and only a few of them.
-    let cfg =
-        BlazeConfig { solve_deadline: Some(SimDuration::from_nanos(5_000)), ..BlazeConfig::full() };
+    let cfg = BlazeConfig::builder()
+        .solve_deadline(SimDuration::from_nanos(5_000))
+        .build()
+        .expect("deadline above the ladder floor");
     let cluster = Cluster::new(
         ClusterConfig { tracing: true, ..cluster_config(FaultPlan::default()) },
         Box::new(BlazeController::new(cfg, None)),
@@ -575,8 +577,10 @@ fn corruption_without_a_disk_tier_fires_ba303() {
 /// solve passes through; strict audit refuses to run such a config.
 #[test]
 fn sub_floor_solve_deadline_fires_ba304() {
-    let cfg =
-        BlazeConfig { solve_deadline: Some(SimDuration::from_nanos(1)), ..BlazeConfig::full() };
+    // Set the field directly: the builder refuses a sub-floor deadline
+    // (BA304 at build time), and this test is about the preflight audit.
+    let mut cfg = BlazeConfig::full();
+    cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(1));
     let config = ClusterConfig { strict_audit: true, ..cluster_config(FaultPlan::default()) };
     let cluster =
         Cluster::new(config, Box::new(BlazeController::new(cfg, None))).expect("valid config");
