@@ -6,9 +6,10 @@
 //! - `--validate` (the default) replays each requested application across
 //!   several `worker_threads` settings and checks the determinism and
 //!   self-consistency contract: the Chrome-trace export must be
-//!   byte-identical across thread counts, metrics must match, and the
-//!   trace's own audit (span nesting, aggregate reconciliation, cache
-//!   event pairing — BA401..BA403) must be clean.
+//!   byte-identical across thread counts, metrics must match (also against
+//!   one untraced run: tracing only retains events), and the trace's own
+//!   audit (span nesting, aggregate reconciliation, cache event pairing —
+//!   BA401..BA403) must be clean.
 //! - `--timeline <path>` writes the Chrome trace-event JSON for one run
 //!   (load it in `chrome://tracing` or Perfetto).
 //! - `--ledger` prints the per-job cache-decision ledger.
@@ -49,7 +50,7 @@ fn usage() -> &'static str {
      --explain <rdd[:part]> | --diff <system>]\n\
      \x20      [--apps <a,b,..>] [--system <name>] [--threads <1,2,..>] [--faults]\n\
      apps:    pagerank cc lr kmeans gbt svdpp (default: all)\n\
-     systems: blaze blaze_no_profile spark_mem_only spark_mem_disk alluxio \
+     systems: blaze blaze_no_profile blaze_ser_tier spark_mem_only spark_mem_disk alluxio \
      lrc mrd autocache costaware\n\
      threads: worker-thread counts swept by --validate (default: 1,2,4)"
 }
@@ -70,6 +71,7 @@ fn parse_system(s: &str) -> Result<SystemKind, String> {
     match s.to_ascii_lowercase().as_str() {
         "blaze" => Ok(SystemKind::Blaze),
         "blaze_no_profile" => Ok(SystemKind::BlazeNoProfile),
+        "blaze_ser_tier" => Ok(SystemKind::BlazeSerTier),
         "spark_mem_only" => Ok(SystemKind::SparkMemOnly),
         "spark_mem_disk" => Ok(SystemKind::SparkMemDisk),
         "alluxio" => Ok(SystemKind::SparkAlluxio),
@@ -164,14 +166,14 @@ fn app_key(app: App) -> &'static str {
     }
 }
 
-fn run_traced(opts: &Options, app: App, system: SystemKind, threads: usize) -> RunOutcome {
+fn run(opts: &Options, app: App, system: SystemKind, threads: usize, tracing: bool) -> RunOutcome {
     let spec = AppSpec::evaluation(app).with_worker_threads(threads);
     let fault = if opts.faults { fault_plan() } else { FaultPlan::default() };
     let run = Session::builder()
         .app(spec)
         .system(system)
         .fault(fault)
-        .tracing(true)
+        .tracing(tracing)
         .run()
         .map(|o| o.into_outcome());
     match run {
@@ -186,7 +188,7 @@ fn run_traced(opts: &Options, app: App, system: SystemKind, threads: usize) -> R
 /// One run with its trace; exits when the engine produced no trace (that
 /// would mean the tracing gate is broken).
 fn traced(opts: &Options, app: App, system: SystemKind, threads: usize) -> (RunOutcome, TraceLog) {
-    let out = run_traced(opts, app, system, threads);
+    let out = run(opts, app, system, threads, true);
     match out.trace.clone() {
         Some(t) => (out, t),
         None => {
@@ -202,6 +204,7 @@ fn validate(opts: &Options) -> usize {
     let mut failures = 0;
     for &app in &opts.apps {
         let mut baseline: Option<(usize, String, String)> = None;
+        let untraced = run(opts, app, opts.system, opts.threads[0], false).metrics;
         for &t in &opts.threads {
             let (out, trace) = traced(opts, app, opts.system, t);
             let report = trace.validate(&out.metrics);
@@ -211,6 +214,10 @@ fn validate(opts: &Options) -> usize {
                 for d in &report.diagnostics {
                     eprintln!("  {d}");
                 }
+            }
+            if out.metrics != untraced {
+                failures += 1;
+                eprintln!("FAIL {} threads={t}: traced and untraced metrics differ", app_key(app));
             }
             let json = trace.chrome_json();
             let metrics = format!("{:?}", out.metrics);

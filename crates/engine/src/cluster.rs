@@ -32,7 +32,8 @@
 //! - **Commit** (serial, partition-index order): slot assignment on the
 //!   simulated clocks, replay of the event logs through the
 //!   [`CacheController`] hooks (admissions, evictions, promotions, shuffle
-//!   registration) and metrics updates.
+//!   registration) and accounting: every countable thing that happens is
+//!   one [`ClusterState::emit`] of a [`TraceEvent`].
 //!
 //! Because every controller decision and every simulated-time composition
 //! happens in the deterministic commit phase, metrics, ACT and policy
@@ -45,7 +46,7 @@ use crate::controller::{
     VictimAction,
 };
 use crate::fault::{FaultCause, SPECULATION_QUANTILE, SPECULATION_SLACK};
-use crate::metrics::{Metrics, TaskCharge};
+use crate::metrics::{Metrics, OpenJobs, TaskCharge, TaskTrace};
 use crate::shuffle::{ShuffleId, ShuffleStore};
 use crate::storage::{spill_checksum, BlockStore, StoredBlock};
 use crate::tracing::{CacheDecision, CacheRecord, TraceEvent, TraceLog};
@@ -157,7 +158,8 @@ impl Cluster {
     pub(crate) fn unpersist_for(&self, app: AppId, rdd: RddId) {
         let mut st = self.state.lock();
         st.current_app = app;
-        st.user_unpersist(rdd);
+        let at = st.clock_floor;
+        st.unpersist_rdd(rdd, at);
     }
 }
 
@@ -168,7 +170,9 @@ impl JobRunner for Cluster {
     }
 
     fn on_unpersist(&self, rdd: RddId) {
-        self.state.lock().user_unpersist(rdd);
+        let mut st = self.state.lock();
+        let at = st.clock_floor;
+        st.unpersist_rdd(rdd, at);
     }
 }
 
@@ -196,7 +200,11 @@ struct ClusterState {
     stores: Stores,
     /// Per-executor, per-slot simulated clocks.
     slots: Vec<Vec<SimTime>>,
+    /// The fold of every emitted event ([`Self::emit`]), plus the few
+    /// fields no event describes (stage counts, gauges, off-task charges).
     metrics: Metrics,
+    /// The metrics fold's private state.
+    open_jobs: OpenJobs,
     /// Per-application job counters: each admitted app numbers its own
     /// jobs from zero (like a `SparkContext` does), so all per-job
     /// accounting downstream is keyed by `(AppId, JobId)`.
@@ -224,9 +232,8 @@ struct ClusterState {
     /// while corruption injection is on, so a respilled block draws a
     /// fresh coin. Bumped exclusively in the serial commit phase.
     spill_seq: FxHashMap<BlockId, u64>,
-    /// Structured event trace, present only when
-    /// [`ClusterConfig::tracing`] is on. Every record happens in a serial
-    /// engine phase, so the log is byte-identical across `worker_threads`.
+    /// The retained event stream, present only when
+    /// [`ClusterConfig::tracing`] is on. Written by [`Self::emit`] alone.
     trace: Option<TraceLog>,
 }
 
@@ -823,6 +830,7 @@ impl ClusterState {
             },
             slots: (0..execs).map(|_| vec![SimTime::ZERO; config.slots_per_executor]).collect(),
             metrics: Metrics::new(),
+            open_jobs: OpenJobs::default(),
             job_counters: FxHashMap::default(),
             current_app: AppId(0),
             block_app: FxHashMap::default(),
@@ -846,6 +854,35 @@ impl ClusterState {
             disk_capacity: self.config.disk_capacity,
             executors: self.config.executors,
         }
+    }
+
+    // ---- Accounting ------------------------------------------------------
+
+    /// The engine's one accounting statement: folds `ev` into the metrics
+    /// and, when tracing is on, retains it in the log. Only called from the
+    /// serial engine phases, so both are identical across `worker_threads`.
+    fn emit(&mut self, ev: TraceEvent) {
+        self.metrics.apply(&mut self.open_jobs, &ev);
+        if let Some(tr) = self.trace.as_mut() {
+            tr.record(ev);
+        }
+    }
+
+    /// Emits one cache decision made on behalf of the current app, stamped
+    /// with the block's owner (its first producer).
+    fn emit_cache(
+        &mut self,
+        at: SimTime,
+        executor: ExecutorId,
+        id: BlockId,
+        bytes: ByteSize,
+        decision: CacheDecision,
+        rationale: Option<String>,
+    ) {
+        let app = self.current_app;
+        let owner = self.block_app.get(&id).copied().unwrap_or(app);
+        let record = CacheRecord { at, app, owner, executor, id, bytes, decision, rationale };
+        self.emit(TraceEvent::Cache(record));
     }
 
     // ---- Job execution ---------------------------------------------------
@@ -957,9 +994,7 @@ impl ClusterState {
             self.fire_idle_crashes(self.clock_floor);
             self.inject_map_output_loss(job);
         }
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::JobStarted { at: self.clock_floor, app, job, target });
-        }
+        self.emit(TraceEvent::JobStarted { at: self.clock_floor, app, job, target });
 
         // Which shuffles does each map stage feed within this job?
         let mut consumers: FxHashMap<RddId, Vec<(RddId, usize)>> = FxHashMap::default();
@@ -983,20 +1018,17 @@ impl ClusterState {
         // the solver not run at full strength here?" must be answerable
         // from the trace alone.
         if let Some(note) = self.controller.take_degradation() {
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record(TraceEvent::Cache(CacheRecord {
-                    at: self.clock_floor,
-                    app,
-                    executor: ExecutorId(0),
-                    id: BlockId::new(RddId(u32::MAX), 0),
-                    bytes: ByteSize::ZERO,
-                    decision: CacheDecision::SolverDegrade,
-                    rationale: Some(format!(
-                        "ladder: {} ({} degraded, {} passthrough)",
-                        note.rung, note.degraded, note.passthrough
-                    )),
-                }));
-            }
+            self.emit_cache(
+                self.clock_floor,
+                ExecutorId(0),
+                BlockId::new(RddId(u32::MAX), 0),
+                ByteSize::ZERO,
+                CacheDecision::SolverDegrade,
+                Some(format!(
+                    "ladder: {} ({} degraded, {} passthrough)",
+                    note.rung, note.degraded, note.passthrough
+                )),
+            );
         }
 
         let stage_done = vec![self.clock_floor; job_plan.stages.len()];
@@ -1052,15 +1084,12 @@ impl ClusterState {
                 // This map stage would have been skipped but for lost
                 // shuffle outputs: lineage-driven parent-stage
                 // resubmission (Spark's fetch-failure handling).
-                self.metrics.recovery.stages_resubmitted += 1;
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record(TraceEvent::StageResubmitted {
-                        at: start,
-                        app: ticket.app,
-                        job,
-                        stage_output: stage.output,
-                    });
-                }
+                self.emit(TraceEvent::StageResubmitted {
+                    at: start,
+                    app: ticket.app,
+                    job,
+                    stage_output: stage.output,
+                });
             }
         }
 
@@ -1070,17 +1099,15 @@ impl ClusterState {
         let mut placements: Vec<ExecutorId> = (0..stage.num_partitions)
             .map(|p| self.pick_executor(plan, stage.output, p))
             .collect::<Result<_>>()?;
-        if let Some(tr) = self.trace.as_mut() {
-            for (p, &executor) in placements.iter().enumerate() {
-                tr.record(TraceEvent::TaskPlanned {
-                    at: start,
-                    app: ticket.app,
-                    job,
-                    stage_output: stage.output,
-                    partition: p as u32,
-                    executor,
-                });
-            }
+        for (p, &executor) in placements.iter().enumerate() {
+            self.emit(TraceEvent::TaskPlanned {
+                at: start,
+                app: ticket.app,
+                job,
+                stage_output: stage.output,
+                partition: p as u32,
+                executor,
+            });
         }
 
         // -- Execute: all tasks run against a frozen snapshot of the
@@ -1187,28 +1214,20 @@ impl ClusterState {
 
     /// Completes a job whose stages have all run: advances the global
     /// clock floor (monotonically — another app may already have pushed
-    /// it past this job's end), attributes per-app metrics, and returns
-    /// the result blocks.
+    /// it past this job's end) and returns the result blocks.
     fn finish_job(&mut self, ticket: JobTicket) -> Result<Vec<Block>> {
         debug_assert!(ticket.done(), "finish_job called with stages still pending");
         self.current_app = ticket.app;
         let last_stage = ticket.job_plan.stages.len() - 1;
         let end = ticket.stage_done[last_stage];
         self.clock_floor = self.clock_floor.max(end);
-        self.metrics.jobs += 1;
-        self.metrics.completion_time = self.clock_floor;
-        let app_metrics = self.metrics.app_metrics(ticket.app);
-        app_metrics.jobs += 1;
-        app_metrics.completion_time = end;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::JobCompleted { at: end, app: ticket.app, job: ticket.job });
-        }
+        self.emit(TraceEvent::JobCompleted { at: end, app: ticket.app, job: ticket.job });
         Ok(ticket.results)
     }
 
     /// Commits one executed task: assigns it the earliest slot of its
     /// executor, replays its event log through the controller (which may
-    /// add cache-write charges), and records metrics and the trace.
+    /// add cache-write charges), and emits the accounting events.
     /// Returns the task's simulated end time.
     fn commit_task(
         &mut self,
@@ -1252,81 +1271,33 @@ impl ClusterState {
                     // retries and executor-loss re-executions.
                     debug_assert_eq!(attempt, next_attempt, "non-contiguous attempt replay");
                     next_attempt = attempt + 1;
-                    match cause {
-                        FaultCause::Transient => self.metrics.recovery.task_retries += 1,
-                        FaultCause::ExecutorLost => {
-                            self.metrics.recovery.tasks_lost_to_crash += 1;
-                        }
-                    }
                     charge.fault_wasted += wasted;
-                    self.metrics.recovery.wasted_time += wasted;
-                    self.metrics.recovery.record_job_recovery(app, job, wasted);
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.record(TraceEvent::TaskRetry {
-                            at: t0,
-                            app,
-                            job,
-                            stage_output,
-                            partition: part as u32,
-                            attempt,
-                            cause,
-                            wasted,
-                        });
-                    }
+                    self.emit(TraceEvent::TaskRetry {
+                        at: t0,
+                        app,
+                        job,
+                        stage_output,
+                        partition: part as u32,
+                        attempt,
+                        cause,
+                        wasted,
+                    });
                 }
                 TaskEvent::MemHit { id, bytes, serialized } => {
                     let ctx = self.ctrl_ctx(self.clock_floor);
                     self.controller.on_access(&ctx, id);
-                    self.metrics.mem_hits += 1;
-                    // Cross-app attribution: a hit on a block another app
-                    // materialized is the shared cache paying off.
-                    let owner = self.block_app.get(&id).copied().unwrap_or(app);
-                    let app_metrics = self.metrics.app_metrics(app);
-                    app_metrics.mem_hits += 1;
-                    if owner != app {
-                        app_metrics.cross_mem_hits += 1;
-                    }
-                    if serialized {
-                        self.metrics.ser_mem_hits += 1;
-                        *self.metrics.ser_mem_hits_by_job.entry((app, job)).or_default() += 1;
-                    }
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.record(TraceEvent::Cache(CacheRecord {
-                            at: t0,
-                            app,
-                            executor: exec,
-                            id,
-                            bytes,
-                            decision: if serialized {
-                                CacheDecision::HitSerializedMemory
-                            } else {
-                                CacheDecision::HitMemory
-                            },
-                            rationale: None,
-                        }));
-                    }
+                    let decision = if serialized {
+                        CacheDecision::HitSerializedMemory
+                    } else {
+                        CacheDecision::HitMemory
+                    };
+                    self.emit_cache(t0, exec, id, bytes, decision, None);
                 }
                 TaskEvent::DiskHit { info, block } => {
                     let ctx = self.ctrl_ctx(self.clock_floor);
                     self.controller.on_access(&ctx, info.id);
-                    self.metrics.disk_hits += 1;
-                    let owner = self.block_app.get(&info.id).copied().unwrap_or(app);
-                    let app_metrics = self.metrics.app_metrics(app);
-                    app_metrics.disk_hits += 1;
-                    if owner != app {
-                        app_metrics.cross_disk_hits += 1;
-                    }
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.record(TraceEvent::Cache(CacheRecord {
-                            at: t0,
-                            app,
-                            executor: info.executor,
-                            id: info.id,
-                            bytes: info.bytes,
-                            decision: CacheDecision::HitDisk,
-                            rationale: None,
-                        }));
-                    }
+                    let hit = CacheDecision::HitDisk;
+                    self.emit_cache(t0, info.executor, info.id, info.bytes, hit, None);
                     // Optional promotion back into memory (paper §2.3:
                     // recovered data can be cached again).
                     let ctx = self.ctrl_ctx(self.clock_floor);
@@ -1357,35 +1328,21 @@ impl ClusterState {
                 }
                 TaskEvent::Computed { info, edge, recomputed, annotated, depth, block } => {
                     if recomputed {
-                        self.metrics.recompute_misses += 1;
-                        self.metrics.record_recompute(app, job, info.id.rdd, edge);
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.record(TraceEvent::Cache(CacheRecord {
-                                at: t0,
-                                app,
-                                executor: info.executor,
-                                id: info.id,
-                                bytes: info.bytes,
-                                decision: CacheDecision::MissRecompute,
-                                rationale: None,
-                            }));
-                            tr.record(TraceEvent::Recompute {
-                                at: t0,
-                                app,
-                                job,
-                                id: info.id,
-                                executor: info.executor,
-                                depth,
-                                duration: edge,
-                            });
-                        }
+                        let miss = CacheDecision::MissRecompute;
+                        self.emit_cache(t0, info.executor, info.id, info.bytes, miss, None);
+                        self.emit(TraceEvent::Recompute {
+                            at: t0,
+                            app,
+                            job,
+                            id: info.id,
+                            executor: info.executor,
+                            depth,
+                            duration: edge,
+                        });
                     }
                     self.stores.materialized_once.insert(info.id);
                     if self.stores.lost_blocks.remove(&info.id) {
-                        self.metrics.recovery.blocks_recovered += 1;
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.record(TraceEvent::BlockRecovered { at: t0, id: info.id });
-                        }
+                        self.emit(TraceEvent::BlockRecovered { at: t0, id: info.id });
                     }
                     let ctx = self.ctrl_ctx(self.clock_floor);
                     let event = PartitionEvent { info, edge_compute: edge, job, recomputed };
@@ -1426,15 +1383,12 @@ impl ClusterState {
                     if !self.stores.shuffle.has_map_output(shuffle, map_part) {
                         self.stores.shuffle.put_map_output(shuffle, map_part, buckets, exec);
                         if self.stores.shuffle.mark_recovered(shuffle, map_part) {
-                            self.metrics.recovery.map_outputs_recovered += 1;
-                            if let Some(tr) = self.trace.as_mut() {
-                                tr.record(TraceEvent::MapOutputRecovered {
-                                    at: t0,
-                                    child: shuffle.0,
-                                    dep_idx: shuffle.1 as u32,
-                                    map_part: map_part as u32,
-                                });
-                            }
+                            self.emit(TraceEvent::MapOutputRecovered {
+                                at: t0,
+                                child: shuffle.0,
+                                dep_idx: shuffle.1 as u32,
+                                map_part: map_part as u32,
+                            });
                         }
                     }
                 }
@@ -1445,54 +1399,42 @@ impl ClusterState {
                     self.quarantine_spill(info.executor, info.id, info.bytes, t0);
                 }
                 TaskEvent::FetchRetry { shuffle, reduce_part, attempt, backoff } => {
-                    self.metrics.recovery.fetch_retries += 1;
-                    self.metrics.recovery.fetch_backoff_time += backoff;
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.record(TraceEvent::FetchRetry {
-                            at: t0,
-                            app,
-                            job,
-                            child: shuffle.0,
-                            dep_idx: shuffle.1 as u32,
-                            reduce_part,
-                            attempt,
-                            backoff,
-                        });
-                    }
+                    self.emit(TraceEvent::FetchRetry {
+                        at: t0,
+                        app,
+                        job,
+                        child: shuffle.0,
+                        dep_idx: shuffle.1 as u32,
+                        reduce_part,
+                        attempt,
+                        backoff,
+                    });
                 }
                 TaskEvent::FetchEscalated { shuffle, reduce_part } => {
-                    self.metrics.recovery.fetch_escalations += 1;
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.record(TraceEvent::FetchEscalated {
-                            at: t0,
-                            app,
-                            job,
-                            child: shuffle.0,
-                            dep_idx: shuffle.1 as u32,
-                            reduce_part,
-                        });
-                    }
+                    self.emit(TraceEvent::FetchEscalated {
+                        at: t0,
+                        app,
+                        job,
+                        child: shuffle.0,
+                        dep_idx: shuffle.1 as u32,
+                        reduce_part,
+                    });
                 }
             }
         }
 
         if recovery > SimDuration::ZERO {
-            self.metrics.recovery.lineage_replay_time += recovery;
-            self.metrics.recovery.record_job_recovery(app, job, recovery);
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record(TraceEvent::RecoveryReplay {
-                    at: t0,
-                    app,
-                    job,
-                    stage_output,
-                    partition: part as u32,
-                    duration: recovery,
-                });
-            }
+            self.emit(TraceEvent::RecoveryReplay {
+                at: t0,
+                app,
+                job,
+                stage_output,
+                partition: part as u32,
+                duration: recovery,
+            });
         }
-        self.metrics.record_task(&charge);
         let end = t0 + charge.total();
-        self.metrics.record_trace(crate::metrics::TaskTrace {
+        self.emit(TraceEvent::TaskCommitted(TaskTrace {
             app,
             job,
             stage_output,
@@ -1502,19 +1444,7 @@ impl ClusterState {
             start: t0,
             end,
             charge,
-        });
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::TaskCommitted {
-                app,
-                job,
-                stage_output,
-                partition: part as u32,
-                executor: exec,
-                slot: slot as u32,
-                start: t0,
-                end,
-            });
-        }
+        }));
         self.slots[e][slot] = end;
         end
     }
@@ -1530,7 +1460,7 @@ impl ClusterState {
     /// executor). Whichever attempt finishes first commits; the loser's
     /// slot stays busy until the winner's end, and that burn is charged to
     /// [`crate::metrics::SpeculationMetrics`] — not to any task span, so
-    /// the BA402 busy-time reconciliation stays exact.
+    /// per-executor busy time stays the sum of the committed spans.
     #[allow(clippy::too_many_arguments)]
     fn commit_straggler(
         &mut self,
@@ -1547,7 +1477,6 @@ impl ClusterState {
         let base = output.charge.total();
         let slowed = base * slowdown;
         let delay = slowed.saturating_sub(base);
-        self.metrics.speculation.stragglers += 1;
 
         // Decide the race before committing anything: both launch times are
         // pure functions of the current slot clocks.
@@ -1566,7 +1495,9 @@ impl ClusterState {
             None
         };
 
-        match spec {
+        // Each arm commits the winning attempt and yields the task's end,
+        // the delay its committed span carries, and the race (if one ran).
+        let (end, delay, race) = match spec {
             Some((se, _, spec_start, spec_end)) if spec_end < orig_end => {
                 // The copy wins: it commits (at full speed, floored at its
                 // launch time) and the original is cancelled, having burned
@@ -1588,79 +1519,38 @@ impl ClusterState {
                     output,
                     Some(spec_start),
                 );
-                let wasted = end.since(t0_orig);
                 self.slots[e][orig_slot] = self.slots[e][orig_slot].max(end);
-                self.metrics.speculation.launched += 1;
-                *self.metrics.speculation_by_job.entry((self.current_app, job)).or_default() += 1;
-                self.metrics.speculation.wins += 1;
-                self.metrics.speculation.wasted += wasted;
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record(TraceEvent::Straggler {
-                        at: t0_orig,
-                        app: self.current_app,
-                        job,
-                        stage_output,
-                        partition: part as u32,
-                        delay: SimDuration::ZERO,
-                    });
-                    tr.record(TraceEvent::Speculation {
-                        at: t0_orig,
-                        app: self.current_app,
-                        job,
-                        stage_output,
-                        partition: part as u32,
-                        copy_executor: copy_exec,
-                        copy_won: true,
-                        wasted,
-                    });
-                }
-                end
+                (end, SimDuration::ZERO, Some((copy_exec, true, end.since(t0_orig))))
             }
             _ => {
                 // The original commits, carrying the straggler delay in its
                 // charge (so its span and the busy clock agree); a launched
                 // but losing copy burns its slot until the original's end.
                 output.charge.straggler_delay = delay;
-                self.metrics.speculation.straggler_delay += delay;
                 let end = self.commit_task(job, stage_output, part, exec, start, output);
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record(TraceEvent::Straggler {
-                        at: t0_orig,
-                        app: self.current_app,
-                        job,
-                        stage_output,
-                        partition: part as u32,
-                        delay,
-                    });
-                }
-                if let Some((se, spec_slot, spec_start, _)) = spec {
-                    if spec_start < end {
-                        let wasted = end.since(spec_start);
-                        self.metrics.speculation.launched += 1;
-                        *self
-                            .metrics
-                            .speculation_by_job
-                            .entry((self.current_app, job))
-                            .or_default() += 1;
-                        self.metrics.speculation.wasted += wasted;
-                        self.slots[se][spec_slot] = self.slots[se][spec_slot].max(end);
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.record(TraceEvent::Speculation {
-                                at: t0_orig,
-                                app: self.current_app,
-                                job,
-                                stage_output,
-                                partition: part as u32,
-                                copy_executor: ExecutorId(se as u32),
-                                copy_won: false,
-                                wasted,
-                            });
-                        }
-                    }
-                }
-                end
+                let lost = spec.filter(|&(_, _, spec_start, _)| spec_start < end);
+                let race = lost.map(|(se, spec_slot, spec_start, _)| {
+                    self.slots[se][spec_slot] = self.slots[se][spec_slot].max(end);
+                    (ExecutorId(se as u32), false, end.since(spec_start))
+                });
+                (end, delay, race)
             }
+        };
+        let (at, app, partition) = (t0_orig, self.current_app, part as u32);
+        self.emit(TraceEvent::Straggler { at, app, job, stage_output, partition, delay });
+        if let Some((copy_executor, copy_won, wasted)) = race {
+            self.emit(TraceEvent::Speculation {
+                at,
+                app,
+                job,
+                stage_output,
+                partition,
+                copy_executor,
+                copy_won,
+                wasted,
+            });
         }
+        end
     }
 
     fn earliest_slot(slots: &[SimTime]) -> usize {
@@ -1702,8 +1592,7 @@ impl ClusterState {
     /// Tries to place `block` in `exec`'s memory store, running the
     /// controller's eviction path if space is needed. Returns true on
     /// success; on failure consults `on_admission_failure`. `trace_at` and
-    /// `decision` stamp the trace record (admission vs. promotion) when
-    /// tracing is enabled.
+    /// `decision` stamp the emitted record (admission vs. promotion).
     fn try_cache_memory(
         &mut self,
         exec: ExecutorId,
@@ -1775,19 +1664,13 @@ impl ClusterState {
             self.stores.block_home.insert(info.id, exec);
             let ctx = self.ctrl_ctx(self.clock_floor);
             self.controller.on_inserted(&ctx, info, StoreTier::Memory);
-            if fresh && self.trace.is_some() {
-                let why = self.controller.explain_block(info.id);
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record(TraceEvent::Cache(CacheRecord {
-                        at: trace_at,
-                        app: self.current_app,
-                        executor: exec,
-                        id: info.id,
-                        bytes: info.bytes,
-                        decision,
-                        rationale: why,
-                    }));
-                }
+            if fresh {
+                let why = if self.trace.is_some() {
+                    self.controller.explain_block(info.id)
+                } else {
+                    None
+                };
+                self.emit_cache(trace_at, exec, info.id, info.bytes, decision, why);
             }
             let mem_total: ByteSize = self.stores.mem.iter().map(BlockStore::used).sum();
             self.metrics.memory_bytes_peak = self.metrics.memory_bytes_peak.max(mem_total);
@@ -1801,9 +1684,9 @@ impl ClusterState {
         }
     }
 
-    /// Evicts one memory-resident block with the given action. When tracing
-    /// is on, the evicting policy's rationale is captured *before* the
-    /// decision is applied (its belief about the victim at decision time).
+    /// Evicts one memory-resident block with the given action. The evicting
+    /// policy's rationale is captured *before* the decision is applied (its
+    /// belief about the victim at decision time).
     fn evict_one(
         &mut self,
         exec: ExecutorId,
@@ -1815,26 +1698,12 @@ impl ClusterState {
         let e = exec.raw() as usize;
         let why = if self.trace.is_some() { self.controller.explain_block(vid) } else { None };
         let Some(sb) = self.stores.mem[e].remove(vid) else { return };
-        self.metrics.record_eviction(exec, sb.logical_bytes, action == VictimAction::ToDisk);
-        // An eviction is charged against the app that owns the victim, not
-        // the app whose admission forced it out.
-        let owner = self.block_app.get(&vid).copied().unwrap_or(self.current_app);
-        self.metrics.app_metrics(owner).evictions += 1;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::Cache(CacheRecord {
-                at: trace_at,
-                app: self.current_app,
-                executor: exec,
-                id: vid,
-                bytes: sb.logical_bytes,
-                decision: if action == VictimAction::ToDisk {
-                    CacheDecision::EvictToDisk
-                } else {
-                    CacheDecision::EvictDiscard
-                },
-                rationale: why,
-            }));
-        }
+        let decision = if action == VictimAction::ToDisk {
+            CacheDecision::EvictToDisk
+        } else {
+            CacheDecision::EvictDiscard
+        };
+        self.emit_cache(trace_at, exec, vid, sb.logical_bytes, decision, why);
         let ctx = self.ctrl_ctx(self.clock_floor);
         self.controller.on_evicted(&ctx, vid);
         if action == VictimAction::ToDisk {
@@ -1887,17 +1756,7 @@ impl ClusterState {
             self.stores.block_home.insert(info.id, exec);
             let ctx = self.ctrl_ctx(self.clock_floor);
             self.controller.on_inserted(&ctx, info, StoreTier::Disk);
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record(TraceEvent::Cache(CacheRecord {
-                    at: trace_at,
-                    app: self.current_app,
-                    executor: exec,
-                    id: info.id,
-                    bytes: info.bytes,
-                    decision: CacheDecision::AdmitDisk,
-                    rationale: None,
-                }));
-            }
+            self.emit_cache(trace_at, exec, info.id, info.bytes, CacheDecision::AdmitDisk, None);
         }
     }
 
@@ -1934,10 +1793,7 @@ impl ClusterState {
         if self.stores.disk[e].remove(id).is_none() {
             return;
         }
-        self.metrics.recovery.spills_quarantined += 1;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::SpillQuarantined { at, executor: exec, id, bytes });
-        }
+        self.emit(TraceEvent::SpillQuarantined { at, executor: exec, id, bytes });
     }
 
     // ---- Off-task state transitions ----------------------------------------
@@ -1948,27 +1804,16 @@ impl ClusterState {
     fn apply_commands(&mut self, _plan: &Plan, at: SimTime, cmds: Vec<StateCommand>) {
         for cmd in cmds {
             match cmd {
-                StateCommand::UnpersistRdd(rdd) => {
-                    for e in 0..self.config.executors {
-                        for (vid, sb) in self.stores.mem[e].remove_rdd(rdd) {
-                            let ctx = self.ctrl_ctx(self.clock_floor);
-                            self.controller.on_evicted(&ctx, vid);
-                            self.trace_unpersist(at, e, vid, sb.logical_bytes, false);
-                        }
-                        for (vid, sb) in self.stores.disk[e].remove_rdd(rdd) {
-                            self.trace_unpersist(at, e, vid, sb.logical_bytes, true);
-                        }
-                    }
-                }
+                StateCommand::UnpersistRdd(rdd) => self.unpersist_rdd(rdd, at),
                 StateCommand::UnpersistBlock(id) => {
                     for e in 0..self.config.executors {
                         if let Some(sb) = self.stores.mem[e].remove(id) {
                             let ctx = self.ctrl_ctx(self.clock_floor);
                             self.controller.on_evicted(&ctx, id);
-                            self.trace_unpersist(at, e, id, sb.logical_bytes, false);
+                            self.emit_unpersist(at, e, id, sb.logical_bytes, false);
                         }
                         if let Some(sb) = self.stores.disk[e].remove(id) {
-                            self.trace_unpersist(at, e, id, sb.logical_bytes, true);
+                            self.emit_unpersist(at, e, id, sb.logical_bytes, true);
                         }
                     }
                 }
@@ -1983,188 +1828,100 @@ impl ClusterState {
                     self.evict_one(exec, id, VictimAction::ToDisk, &mut charge, at);
                     self.charge_migration(exec, &charge);
                 }
-                StateCommand::PromoteToMemory(id) => {
-                    let Some(e) =
-                        (0..self.config.executors).find(|&e| self.stores.disk[e].contains(id))
-                    else {
-                        continue;
-                    };
-                    let Some(sb) = self.stores.disk[e].get(id).cloned() else { continue };
-                    // A corrupt spill must not be laundered into memory:
-                    // quarantine it here and let lineage re-produce it.
-                    if sb
-                        .checksum
-                        .is_some_and(|ck| ck != spill_checksum(id, sb.logical_bytes, sb.ser_factor))
-                    {
-                        self.quarantine_spill(ExecutorId(e as u32), id, sb.logical_bytes, at);
-                        continue;
-                    }
-                    if !self.stores.mem[e].fits(sb.stored_bytes) {
-                        continue; // Best effort: promotion only into free space.
-                    }
-                    self.stores.disk[e].remove(id);
-                    let mut charge = TaskCharge::default();
-                    charge.disk_cache_read +=
-                        self.config.hardware.fetch_from_disk_time(sb.logical_bytes, sb.ser_factor);
-                    let info = BlockInfo {
-                        id,
-                        bytes: sb.logical_bytes,
-                        ser_factor: sb.ser_factor,
-                        executor: ExecutorId(e as u32),
-                    };
-                    let fresh = !self.stores.mem[e].contains(id);
-                    let ok = self.stores.mem[e].insert(id, StoredBlock { checksum: None, ..sb });
-                    debug_assert!(ok);
-                    let ctx = self.ctrl_ctx(self.clock_floor);
-                    self.controller.on_inserted(&ctx, &info, StoreTier::Memory);
-                    if fresh {
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.record(TraceEvent::Cache(CacheRecord {
-                                at,
-                                app: self.current_app,
-                                executor: info.executor,
-                                id,
-                                bytes: info.bytes,
-                                decision: CacheDecision::PromoteToMemory,
-                                rationale: None,
-                            }));
-                        }
-                    }
-                    // Prefetch overlaps with computation (MRD's design):
-                    // record the I/O but do not block a slot.
-                    self.metrics.accumulated.disk_cache_read += charge.disk_cache_read;
-                }
-                StateCommand::SerializeInMemory(id) => {
-                    let Some(e) =
-                        (0..self.config.executors).find(|&e| self.stores.mem[e].contains(id))
-                    else {
-                        continue;
-                    };
-                    let Some(sb) = self.stores.mem[e].get(id).cloned() else { continue };
-                    if sb.serialized {
-                        continue;
-                    }
-                    let scaled = sb.logical_bytes.scale(self.config.hardware.ser_footprint);
-                    let mut charge = TaskCharge::default();
-                    charge.external_store_io +=
-                        self.config.hardware.ser_time(sb.logical_bytes, sb.ser_factor);
-                    let logical = sb.logical_bytes;
-                    // In-place compaction m -> s: shrinking never fails the
-                    // capacity check, and the replacement re-accounts.
-                    let ok = self.stores.mem[e]
-                        .insert(id, StoredBlock { stored_bytes: scaled, serialized: true, ..sb });
-                    debug_assert!(ok);
-                    self.metrics.ser_transitions += 1;
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.record(TraceEvent::Cache(CacheRecord {
-                            at,
-                            app: self.current_app,
-                            executor: ExecutorId(e as u32),
-                            id,
-                            bytes: logical,
-                            decision: CacheDecision::SerializeInMemory,
-                            rationale: None,
-                        }));
-                    }
-                    self.charge_migration(ExecutorId(e as u32), &charge);
-                }
-                StateCommand::DeserializeInMemory(id) => {
-                    let Some(e) =
-                        (0..self.config.executors).find(|&e| self.stores.mem[e].contains(id))
-                    else {
-                        continue;
-                    };
-                    let Some(sb) = self.stores.mem[e].get(id).cloned() else { continue };
-                    if !sb.serialized {
-                        continue;
-                    }
-                    let logical = sb.logical_bytes;
-                    // Best effort: expanding back to the full footprint must
-                    // fit (the replacement frees the scaled bytes first).
-                    if self.stores.mem[e].free() + sb.stored_bytes < logical {
-                        continue;
-                    }
-                    let mut charge = TaskCharge::default();
-                    charge.external_store_io +=
-                        self.config.hardware.deser_time(logical, sb.ser_factor);
-                    let ok = self.stores.mem[e]
-                        .insert(id, StoredBlock { stored_bytes: logical, serialized: false, ..sb });
-                    debug_assert!(ok);
-                    self.metrics.ser_transitions += 1;
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr.record(TraceEvent::Cache(CacheRecord {
-                            at,
-                            app: self.current_app,
-                            executor: ExecutorId(e as u32),
-                            id,
-                            bytes: logical,
-                            decision: CacheDecision::DeserializeInMemory,
-                            rationale: None,
-                        }));
-                    }
-                    self.charge_migration(ExecutorId(e as u32), &charge);
-                }
-                StateCommand::PromoteToSerializedMemory(id) => {
-                    let Some(e) =
-                        (0..self.config.executors).find(|&e| self.stores.disk[e].contains(id))
-                    else {
-                        continue;
-                    };
-                    let Some(sb) = self.stores.disk[e].get(id).cloned() else { continue };
-                    // Same corruption gate as PromoteToMemory.
-                    if sb
-                        .checksum
-                        .is_some_and(|ck| ck != spill_checksum(id, sb.logical_bytes, sb.ser_factor))
-                    {
-                        self.quarantine_spill(ExecutorId(e as u32), id, sb.logical_bytes, at);
-                        continue;
-                    }
-                    let scaled = sb.logical_bytes.scale(self.config.hardware.ser_footprint);
-                    if !self.stores.mem[e].fits(scaled) {
-                        continue; // Best effort, like PromoteToMemory.
-                    }
-                    self.stores.disk[e].remove(id);
-                    // d -> s moves the already-serialized bytes: a raw disk
-                    // read, no deserialization leg.
-                    let mut charge = TaskCharge::default();
-                    charge.disk_cache_read += self.config.hardware.disk_read_time(sb.logical_bytes);
-                    let info = BlockInfo {
-                        id,
-                        bytes: sb.logical_bytes,
-                        ser_factor: sb.ser_factor,
-                        executor: ExecutorId(e as u32),
-                    };
-                    let fresh = !self.stores.mem[e].contains(id);
-                    let ok = self.stores.mem[e].insert(
-                        id,
-                        StoredBlock {
-                            stored_bytes: scaled,
-                            serialized: true,
-                            checksum: None,
-                            ..sb
-                        },
-                    );
-                    debug_assert!(ok);
-                    let ctx = self.ctrl_ctx(self.clock_floor);
-                    self.controller.on_inserted(&ctx, &info, StoreTier::SerializedMemory);
-                    self.metrics.ser_transitions += 1;
-                    if fresh {
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.record(TraceEvent::Cache(CacheRecord {
-                                at,
-                                app: self.current_app,
-                                executor: info.executor,
-                                id,
-                                bytes: info.bytes,
-                                decision: CacheDecision::PromoteToSerializedMemory,
-                                rationale: None,
-                            }));
-                        }
-                    }
-                    self.metrics.accumulated.disk_cache_read += charge.disk_cache_read;
-                }
+                StateCommand::PromoteToMemory(id) => self.promote(id, at, false),
+                StateCommand::SerializeInMemory(id) => self.reserialize(id, at, true),
+                StateCommand::DeserializeInMemory(id) => self.reserialize(id, at, false),
+                StateCommand::PromoteToSerializedMemory(id) => self.promote(id, at, true),
             }
         }
+    }
+
+    /// Changes a memory-resident block's form in place: compaction to
+    /// serialized bytes (m -> s) or expansion back (s -> m). The block stays
+    /// resident; only its stored footprint changes.
+    fn reserialize(&mut self, id: BlockId, at: SimTime, serialize: bool) {
+        let Some(e) = (0..self.config.executors).find(|&e| self.stores.mem[e].contains(id)) else {
+            return;
+        };
+        let Some(sb) = self.stores.mem[e].get(id).cloned() else { return };
+        if sb.serialized == serialize {
+            return;
+        }
+        let hw = self.config.hardware;
+        let logical = sb.logical_bytes;
+        let (stored_bytes, io, decision) = if serialize {
+            // Shrinking never fails the capacity check.
+            let scaled = logical.scale(hw.ser_footprint);
+            (scaled, hw.ser_time(logical, sb.ser_factor), CacheDecision::SerializeInMemory)
+        } else {
+            // Best effort: expanding back to the full footprint must fit
+            // (the replacement frees the scaled bytes first).
+            if self.stores.mem[e].free() + sb.stored_bytes < logical {
+                return;
+            }
+            (logical, hw.deser_time(logical, sb.ser_factor), CacheDecision::DeserializeInMemory)
+        };
+        let ok = self.stores.mem[e]
+            .insert(id, StoredBlock { stored_bytes, serialized: serialize, ..sb });
+        debug_assert!(ok);
+        let exec = ExecutorId(e as u32);
+        self.emit_cache(at, exec, id, logical, decision, None);
+        self.charge_migration(exec, &TaskCharge { external_store_io: io, ..Default::default() });
+    }
+
+    /// Moves a disk-resident block into its executor's memory, best effort
+    /// (only into free space): deserialized (d -> m), or — `serialized` — as
+    /// the already-serialized bytes (d -> s), a raw disk read without the
+    /// deserialization leg.
+    fn promote(&mut self, id: BlockId, at: SimTime, serialized: bool) {
+        let Some(e) = (0..self.config.executors).find(|&e| self.stores.disk[e].contains(id)) else {
+            return;
+        };
+        let Some(sb) = self.stores.disk[e].get(id).cloned() else { return };
+        let exec = ExecutorId(e as u32);
+        // A corrupt spill must not be laundered into memory: quarantine it
+        // here and let lineage re-produce it.
+        if sb.checksum.is_some_and(|ck| ck != spill_checksum(id, sb.logical_bytes, sb.ser_factor)) {
+            self.quarantine_spill(exec, id, sb.logical_bytes, at);
+            return;
+        }
+        let hw = &self.config.hardware;
+        let (stored_bytes, read, tier, decision) = if serialized {
+            (
+                sb.logical_bytes.scale(hw.ser_footprint),
+                hw.disk_read_time(sb.logical_bytes),
+                StoreTier::SerializedMemory,
+                CacheDecision::PromoteToSerializedMemory,
+            )
+        } else {
+            (
+                sb.stored_bytes,
+                hw.fetch_from_disk_time(sb.logical_bytes, sb.ser_factor),
+                StoreTier::Memory,
+                CacheDecision::PromoteToMemory,
+            )
+        };
+        if !self.stores.mem[e].fits(stored_bytes) {
+            return;
+        }
+        self.stores.disk[e].remove(id);
+        let info =
+            BlockInfo { id, bytes: sb.logical_bytes, ser_factor: sb.ser_factor, executor: exec };
+        // A block already memory-resident here (regenerated by two tasks of
+        // one stage: spilled, then admitted) is replaced, not admitted: no
+        // record, and the d -> s transition count follows the record.
+        let fresh = !self.stores.mem[e].contains(id);
+        let ok = self.stores.mem[e]
+            .insert(id, StoredBlock { stored_bytes, serialized, checksum: None, ..sb });
+        debug_assert!(ok);
+        let ctx = self.ctrl_ctx(self.clock_floor);
+        self.controller.on_inserted(&ctx, &info, tier);
+        if fresh {
+            self.emit_cache(at, exec, id, info.bytes, decision, None);
+        }
+        // Prefetch overlaps with computation (MRD's design): record the I/O
+        // but do not block a slot.
+        self.metrics.accumulated.disk_cache_read += read;
     }
 
     /// Charges a data-movement operation to the executor's least-loaded slot
@@ -2176,42 +1933,27 @@ impl ClusterState {
         self.metrics.accumulated.merge(charge);
     }
 
-    /// User-initiated unpersist (the `unpersist()` API): drop everywhere.
-    fn user_unpersist(&mut self, rdd: RddId) {
-        let at = self.clock_floor;
+    /// Drops every block of `rdd` everywhere (the `unpersist()` API, or a
+    /// controller's `UnpersistRdd`); `at` stamps the records.
+    fn unpersist_rdd(&mut self, rdd: RddId, at: SimTime) {
         for e in 0..self.config.executors {
             for (vid, sb) in self.stores.mem[e].remove_rdd(rdd) {
                 let ctx = self.ctrl_ctx(self.clock_floor);
                 self.controller.on_evicted(&ctx, vid);
-                self.trace_unpersist(at, e, vid, sb.logical_bytes, false);
+                self.emit_unpersist(at, e, vid, sb.logical_bytes, false);
             }
             for (vid, sb) in self.stores.disk[e].remove_rdd(rdd) {
-                self.trace_unpersist(at, e, vid, sb.logical_bytes, true);
+                self.emit_unpersist(at, e, vid, sb.logical_bytes, true);
             }
         }
     }
 
-    /// Records one unpersist decision (memory or disk tier) when tracing,
-    /// and attributes it to the app that owns the block (one count per
-    /// tier removal, mirroring the trace records).
-    fn trace_unpersist(&mut self, at: SimTime, e: usize, id: BlockId, bytes: ByteSize, disk: bool) {
-        let owner = self.block_app.get(&id).copied().unwrap_or(self.current_app);
-        self.metrics.app_metrics(owner).unpersists += 1;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::Cache(CacheRecord {
-                at,
-                app: self.current_app,
-                executor: ExecutorId(e as u32),
-                id,
-                bytes,
-                decision: if disk {
-                    CacheDecision::UnpersistDisk
-                } else {
-                    CacheDecision::UnpersistMemory
-                },
-                rationale: None,
-            }));
-        }
+    /// Emits one unpersist decision (one per tier removal); the fold
+    /// attributes it to the app that owns the block.
+    fn emit_unpersist(&mut self, at: SimTime, e: usize, id: BlockId, bytes: ByteSize, disk: bool) {
+        let decision =
+            if disk { CacheDecision::UnpersistDisk } else { CacheDecision::UnpersistMemory };
+        self.emit_cache(at, ExecutorId(e as u32), id, bytes, decision, None);
     }
 
     // ---- Fault injection ---------------------------------------------------
@@ -2223,82 +1965,55 @@ impl ClusterState {
     /// replaced: subsequent tasks may be placed on the same index again,
     /// they just find its stores empty.
     fn wipe_executor(&mut self, e: usize, at: SimTime) {
-        self.metrics.recovery.executor_crashes += 1;
         let exec = ExecutorId(e as u32);
-        let mut blocks_lost = 0u64;
-        let mut bytes_lost = ByteSize::ZERO;
-        let mut record_loss = |st: &mut Self, id: BlockId, bytes: ByteSize, disk: bool| {
-            blocks_lost += 1;
-            bytes_lost += bytes;
-            if let Some(tr) = st.trace.as_mut() {
-                tr.record(TraceEvent::Cache(CacheRecord {
-                    at,
-                    app: st.current_app,
-                    executor: exec,
-                    id,
-                    bytes,
-                    decision: if disk {
-                        CacheDecision::LostDisk
-                    } else {
-                        CacheDecision::LostMemory
-                    },
-                    rationale: None,
-                }));
-            }
-        };
-        let mem_ids: Vec<BlockId> = self.stores.mem[e].iter().map(|(id, _)| *id).collect();
-        for id in mem_ids {
-            if let Some(sb) = self.stores.mem[e].remove(id) {
-                self.note_block_lost(id, sb.logical_bytes);
-                record_loss(self, id, sb.logical_bytes, false);
+        let mut lost: Vec<(BlockId, ByteSize, CacheDecision)> = Vec::new();
+        for (store, decision) in [
+            (&mut self.stores.mem[e], CacheDecision::LostMemory),
+            (&mut self.stores.disk[e], CacheDecision::LostDisk),
+        ] {
+            let ids: Vec<BlockId> = store.iter().map(|(id, _)| *id).collect();
+            for id in ids {
+                if let Some(sb) = store.remove(id) {
+                    lost.push((id, sb.logical_bytes, decision));
+                }
             }
         }
-        let disk_ids: Vec<BlockId> = self.stores.disk[e].iter().map(|(id, _)| *id).collect();
-        for id in disk_ids {
-            if let Some(sb) = self.stores.disk[e].remove(id) {
-                self.note_block_lost(id, sb.logical_bytes);
-                record_loss(self, id, sb.logical_bytes, true);
-            }
+        let blocks_lost = lost.len() as u64;
+        let bytes_lost: ByteSize = lost.iter().map(|&(_, bytes, _)| bytes).sum();
+        for (id, bytes, decision) in lost {
+            // The eviction notification lets stateful controllers drop their
+            // residency belief; clearing `materialized_once` keeps the later
+            // rebuild classified as recovery work rather than a
+            // policy-caused recomputation.
+            let ctx = self.ctrl_ctx(self.clock_floor);
+            self.controller.on_evicted(&ctx, id);
+            self.stores.block_home.remove(&id);
+            self.stores.materialized_once.remove(&id);
+            self.stores.lost_blocks.insert(id);
+            self.emit_cache(at, exec, id, bytes, decision, None);
         }
         let mut map_outputs_lost = 0u64;
         if !self.config.fault.external_shuffle_service {
             let lost = self.stores.shuffle.drop_by_producer(exec);
             map_outputs_lost = lost.len() as u64;
-            self.metrics.recovery.map_outputs_lost += map_outputs_lost;
-            if let Some(tr) = self.trace.as_mut() {
-                for ((child, dep_idx), map_part) in lost {
-                    tr.record(TraceEvent::MapOutputLost {
-                        at,
-                        child,
-                        dep_idx: dep_idx as u32,
-                        map_part: map_part as u32,
-                    });
-                }
+            for ((child, dep_idx), map_part) in lost {
+                self.emit(TraceEvent::MapOutputLost {
+                    at,
+                    child,
+                    dep_idx: dep_idx as u32,
+                    map_part: map_part as u32,
+                });
             }
         }
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(TraceEvent::ExecutorCrashed {
-                at,
-                executor: exec,
-                blocks_lost,
-                bytes_lost,
-                map_outputs_lost,
-            });
-        }
-    }
-
-    /// Records one cached block destroyed by executor loss. The eviction
-    /// notification lets stateful controllers drop their residency belief;
-    /// clearing `materialized_once` keeps the later rebuild classified as
-    /// recovery work rather than a policy-caused recomputation.
-    fn note_block_lost(&mut self, id: BlockId, bytes: ByteSize) {
-        let ctx = self.ctrl_ctx(self.clock_floor);
-        self.controller.on_evicted(&ctx, id);
-        self.stores.block_home.remove(&id);
-        self.stores.materialized_once.remove(&id);
-        self.stores.lost_blocks.insert(id);
-        self.metrics.recovery.blocks_lost += 1;
-        self.metrics.recovery.bytes_lost += bytes;
+        // The fold takes the block and byte tallies from this summary (and
+        // the map-output count from the per-output events above).
+        self.emit(TraceEvent::ExecutorCrashed {
+            at,
+            executor: exec,
+            blocks_lost,
+            bytes_lost,
+            map_outputs_lost,
+        });
     }
 
     /// Fires every scheduled crash whose time has passed while the cluster
@@ -2406,15 +2121,12 @@ impl ClusterState {
             if self.config.fault.map_output_lost(job.raw(), child.raw(), dep_idx, map_part)
                 && self.stores.shuffle.drop_map_output((child, dep_idx), map_part)
             {
-                self.metrics.recovery.map_outputs_lost += 1;
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record(TraceEvent::MapOutputLost {
-                        at: self.clock_floor,
-                        child,
-                        dep_idx: dep_idx as u32,
-                        map_part: map_part as u32,
-                    });
-                }
+                self.emit(TraceEvent::MapOutputLost {
+                    at: self.clock_floor,
+                    child,
+                    dep_idx: dep_idx as u32,
+                    map_part: map_part as u32,
+                });
             }
         }
     }
@@ -2792,6 +2504,94 @@ mod tests {
         let (m_off, t_off) = run(1, false);
         assert!(t_off.is_none());
         assert_eq!(m1, m_off, "tracing changed engine behaviour");
+    }
+
+    /// A block can be resident in memory and on disk of one executor at
+    /// once — two tasks of one stage regenerate it (every reduce task whose
+    /// fetch retries run out re-materializes the shuffle's parent), the
+    /// first copy is spilled, the second admitted to memory. Promoting such
+    /// a block to serialized memory replaces the resident copy: no new
+    /// admission, so no record, and `ser_transitions` follows the record.
+    #[test]
+    fn promoting_a_block_already_in_memory_keeps_the_audit_clean() {
+        use crate::fault::FaultPlan;
+
+        /// Caches only the annotated dataset, from the second stage on:
+        /// to disk the first time an executor produces a block, to memory
+        /// the second time; then promotes one such doubly-resident block.
+        #[derive(Default)]
+        struct SpillThenAdmit {
+            armed: bool,
+            produced: FxHashSet<(BlockId, ExecutorId)>,
+            doubly_resident: Option<BlockId>,
+        }
+        impl CacheController for SpillThenAdmit {
+            fn name(&self) -> String {
+                "SpillThenAdmit".into()
+            }
+            fn should_cache(&mut self, _: &CtrlCtx, _: &BlockInfo, annotated: bool) -> bool {
+                annotated && self.armed
+            }
+            fn admit(&mut self, _: &CtrlCtx, b: &BlockInfo) -> Admission {
+                if self.produced.insert((b.id, b.executor)) {
+                    Admission::Disk
+                } else {
+                    self.doubly_resident.get_or_insert(b.id);
+                    Admission::Memory
+                }
+            }
+            fn on_stage_complete(
+                &mut self,
+                _: &CtrlCtx,
+                _: RddId,
+                _: JobId,
+                _: &Plan,
+            ) -> Vec<StateCommand> {
+                self.armed = true;
+                self.doubly_resident
+                    .take()
+                    .map(StateCommand::PromoteToSerializedMemory)
+                    .into_iter()
+                    .collect()
+            }
+        }
+
+        let run = |tracing: bool| {
+            let config = ClusterConfig {
+                executors: 2,
+                slots_per_executor: 2,
+                memory_capacity: ByteSize::from_kib(64),
+                tracing,
+                // Nearly every fetch attempt fails, so every reduce task
+                // escalates to regenerating all four parent blocks.
+                fault: FaultPlan {
+                    fetch_failure_rate: 0.99,
+                    max_fetch_retries: 1,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let cl = Cluster::new(config, Box::new(SpillThenAdmit::default())).unwrap();
+            let ctx = Context::new(cl.clone());
+            let pairs = ctx.parallelize((0..400u64).map(|i| (i % 16, i)).collect::<Vec<_>>(), 4);
+            pairs.cache();
+            pairs.reduce_by_key(4, |a, b| a + b).count().unwrap();
+            cl
+        };
+        let cl = run(true);
+        let (metrics, trace) = (cl.metrics(), cl.trace().expect("tracing enabled"));
+        // Both executors spilled all four parent blocks and then admitted
+        // them to memory; the promotion took one disk copy away from exec-0
+        // without admitting anything.
+        assert_eq!(metrics.recovery.fetch_escalations, 4, "every reduce task must escalate");
+        let (disk, mem) = (cl.disk_used(), cl.memory_used());
+        assert!(disk[0] < disk[1], "the promoted block's disk copy must be gone: {disk:?}");
+        assert!(mem[0] < mem[1], "the promoted block must now be held serialized: {mem:?}");
+        assert!(!trace.chrome_json().contains("promote-to-ser"));
+        assert_eq!(metrics.ser_transitions, 0);
+        let report = trace.validate(&metrics);
+        assert!(report.is_clean(), "{:?}", report.diagnostics);
+        assert_eq!(metrics, run(false).metrics(), "tracing changed the metrics");
     }
 
     #[test]

@@ -152,11 +152,11 @@ pub struct ClusterConfig {
     /// disabled and the engine takes no fault path at all (zero cost;
     /// byte-identical results and metrics to a build without the feature).
     pub fault: FaultPlan,
-    /// Structured event tracing (see [`crate::tracing`]). Off by default;
-    /// like the fault plan, the disabled state takes no tracing path at
-    /// all, so measured runs pay zero cost. When on, the engine records a
+    /// Retain the engine's event stream (see [`crate::tracing`]) in a
     /// deterministic [`crate::tracing::TraceLog`] retrievable via
-    /// [`crate::cluster::Cluster::trace`].
+    /// [`crate::cluster::Cluster::trace`]. Off by default. The engine emits
+    /// the same events and folds them into [`crate::metrics::Metrics`]
+    /// either way; only the policy rationale strings are skipped when off.
     pub tracing: bool,
     /// Multi-app interleaving policy and seed (see
     /// [`crate::session::Turnstile`]). Irrelevant when a single

@@ -5,12 +5,21 @@
 //! per-executor eviction volumes (Figs. 3 and 12a), per-iteration
 //! recomputation time (Figs. 5 and 12b), disk-resident cache volume (§7.2
 //! inline statistics) and the application completion time (Fig. 9).
+//!
+//! [`Metrics`] is a fold over the engine's event stream: every field a
+//! [`TraceEvent`] describes is written by [`Metrics::apply`] and nowhere
+//! else, whether or not the events are also retained in a
+//! [`crate::tracing::TraceLog`]. The few fields no event describes are
+//! written directly by the engine (DESIGN.md "Observability" lists them).
 
+use crate::fault::FaultCause;
+use crate::tracing::{CacheDecision, CacheRecord, TraceEvent};
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{AppId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration, SimTime};
 
-/// One executed task, for timeline reconstruction and skew analysis.
+/// One executed task, for timeline reconstruction and skew analysis; the
+/// payload of [`TraceEvent::TaskCommitted`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskTrace {
     /// Application the task belonged to (`app-0` outside multi-app runs).
@@ -200,8 +209,8 @@ impl RecoveryMetrics {
         v
     }
 
-    /// Records recovery time attributed to `job` of `app`.
-    pub fn record_job_recovery(&mut self, app: AppId, job: JobId, time: SimDuration) {
+    /// Attributes recovery time to `job` of `app`; zero time leaves no entry.
+    fn add_job_recovery(&mut self, app: AppId, job: JobId, time: SimDuration) {
         if time > SimDuration::ZERO {
             *self.recovery_time_by_job.entry((app, job)).or_default() += time;
         }
@@ -234,6 +243,12 @@ pub struct AppMetrics {
     /// Completion time of this application's last job.
     pub completion_time: SimTime,
 }
+
+/// The private state of the [`Metrics::apply`] fold: each application's
+/// open job, which attributes serialized-memory hits per `(app, job)`
+/// (cache records carry the app but not the job).
+#[derive(Debug, Default)]
+pub(crate) struct OpenJobs(FxHashMap<AppId, JobId>);
 
 /// Aggregated metrics of one application run.
 ///
@@ -323,15 +338,138 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records one executed task.
-    pub fn record_task(&mut self, charge: &TaskCharge) {
-        self.accumulated.merge(charge);
-        self.tasks += 1;
+    /// Folds one engine event into the aggregates: the only writer of
+    /// every field a [`TraceEvent`] describes. `open` is the fold's private
+    /// state and must be the same value across one event stream.
+    pub(crate) fn apply(&mut self, open: &mut OpenJobs, ev: &TraceEvent) {
+        match ev {
+            TraceEvent::JobStarted { app, job, .. } => {
+                open.0.insert(*app, *job);
+            }
+            TraceEvent::JobCompleted { at, app, .. } => {
+                self.jobs += 1;
+                // With co-running apps the last *recorded* completion need
+                // not be the latest on the sim clock.
+                self.completion_time = self.completion_time.max(*at);
+                let per_app = self.per_app.entry(*app).or_default();
+                per_app.jobs += 1;
+                per_app.completion_time = *at;
+                open.0.remove(app);
+            }
+            TraceEvent::TaskPlanned { .. } => {}
+            TraceEvent::TaskCommitted(task) => {
+                self.accumulated.merge(&task.charge);
+                self.tasks += 1;
+                self.task_traces.push(*task);
+            }
+            TraceEvent::Cache(r) => self.apply_cache(open, r),
+            TraceEvent::Recompute { app, job, id, duration, .. } => {
+                *self.recompute_by_job_rdd.entry((*app, *job, id.rdd)).or_default() += *duration;
+                self.per_app.entry(*app).or_default().recompute_time += *duration;
+            }
+            TraceEvent::TaskRetry { app, job, cause, wasted, .. } => {
+                match cause {
+                    FaultCause::Transient => self.recovery.task_retries += 1,
+                    FaultCause::ExecutorLost => self.recovery.tasks_lost_to_crash += 1,
+                }
+                self.recovery.wasted_time += *wasted;
+                self.recovery.add_job_recovery(*app, *job, *wasted);
+            }
+            TraceEvent::RecoveryReplay { app, job, duration, .. } => {
+                self.recovery.lineage_replay_time += *duration;
+                self.recovery.add_job_recovery(*app, *job, *duration);
+            }
+            TraceEvent::ExecutorCrashed { blocks_lost, bytes_lost, .. } => {
+                // Map-output losses are counted from the per-output events
+                // (a crash emits both the summary and one event per output).
+                self.recovery.executor_crashes += 1;
+                self.recovery.blocks_lost += blocks_lost;
+                self.recovery.bytes_lost += *bytes_lost;
+            }
+            TraceEvent::MapOutputLost { .. } => self.recovery.map_outputs_lost += 1,
+            TraceEvent::MapOutputRecovered { .. } => self.recovery.map_outputs_recovered += 1,
+            TraceEvent::BlockRecovered { .. } => self.recovery.blocks_recovered += 1,
+            TraceEvent::StageResubmitted { .. } => self.recovery.stages_resubmitted += 1,
+            TraceEvent::Straggler { delay, .. } => {
+                self.speculation.stragglers += 1;
+                self.speculation.straggler_delay += *delay;
+            }
+            TraceEvent::Speculation { app, job, copy_won, wasted, .. } => {
+                self.speculation.launched += 1;
+                self.speculation.wins += u64::from(*copy_won);
+                self.speculation.wasted += *wasted;
+                *self.speculation_by_job.entry((*app, *job)).or_default() += 1;
+            }
+            TraceEvent::SpillQuarantined { .. } => self.recovery.spills_quarantined += 1,
+            TraceEvent::FetchRetry { backoff, .. } => {
+                self.recovery.fetch_retries += 1;
+                self.recovery.fetch_backoff_time += *backoff;
+            }
+            TraceEvent::FetchEscalated { .. } => self.recovery.fetch_escalations += 1,
+        }
     }
 
-    /// Records a task's timeline entry.
-    pub fn record_trace(&mut self, trace: TaskTrace) {
-        self.task_traces.push(trace);
+    /// The cache-decision arm of [`Self::apply`]. Hits attribute to the
+    /// reading app (`r.app`), evictions and unpersists to the block's owner.
+    fn apply_cache(&mut self, open: &OpenJobs, r: &CacheRecord) {
+        match r.decision {
+            CacheDecision::HitMemory | CacheDecision::HitSerializedMemory => {
+                self.mem_hits += 1;
+                let per_app = self.per_app.entry(r.app).or_default();
+                per_app.mem_hits += 1;
+                per_app.cross_mem_hits += u64::from(r.owner != r.app);
+                if r.decision == CacheDecision::HitSerializedMemory {
+                    // Hits only happen while the reading app has a job
+                    // open, which attributes the per-job counter.
+                    self.ser_mem_hits += 1;
+                    if let Some(job) = open.0.get(&r.app) {
+                        *self.ser_mem_hits_by_job.entry((r.app, *job)).or_default() += 1;
+                    }
+                }
+            }
+            CacheDecision::HitDisk => {
+                self.disk_hits += 1;
+                let per_app = self.per_app.entry(r.app).or_default();
+                per_app.disk_hits += 1;
+                per_app.cross_disk_hits += u64::from(r.owner != r.app);
+            }
+            CacheDecision::MissRecompute => self.recompute_misses += 1,
+            CacheDecision::EvictToDisk => {
+                self.evictions += 1;
+                self.evictions_to_disk += 1;
+                *self.spilled_bytes_per_executor.entry(r.executor).or_default() += r.bytes;
+                self.per_app.entry(r.owner).or_default().evictions += 1;
+            }
+            CacheDecision::EvictDiscard => {
+                self.evictions += 1;
+                self.evictions_discard += 1;
+                *self.discarded_bytes_per_executor.entry(r.executor).or_default() += r.bytes;
+                self.per_app.entry(r.owner).or_default().evictions += 1;
+            }
+            CacheDecision::SerializeInMemory
+            | CacheDecision::DeserializeInMemory
+            | CacheDecision::PromoteToSerializedMemory => self.ser_transitions += 1,
+            CacheDecision::UnpersistMemory | CacheDecision::UnpersistDisk => {
+                self.per_app.entry(r.owner).or_default().unpersists += 1;
+            }
+            CacheDecision::AdmitMemory
+            | CacheDecision::AdmitDisk
+            | CacheDecision::PromoteToMemory
+            | CacheDecision::LostMemory
+            | CacheDecision::LostDisk
+            | CacheDecision::SolverDegrade => {}
+        }
+    }
+
+    /// The aggregates of a whole event stream: what the engine's own
+    /// [`Metrics`] hold in every event-derived field after emitting `events`.
+    pub fn from_events(events: &[TraceEvent]) -> Self {
+        let mut metrics = Self::default();
+        let mut open = OpenJobs::default();
+        for ev in events {
+            metrics.apply(&mut open, ev);
+        }
+        metrics
     }
 
     /// Per-executor busy time (sum of task durations).
@@ -363,18 +501,6 @@ impl Metrics {
         idx.into_iter().map(|i| self.task_traces[i]).collect()
     }
 
-    /// Records an eviction of `bytes` from `exec` (spilled or discarded).
-    pub fn record_eviction(&mut self, exec: ExecutorId, bytes: ByteSize, to_disk: bool) {
-        self.evictions += 1;
-        if to_disk {
-            self.evictions_to_disk += 1;
-            *self.spilled_bytes_per_executor.entry(exec).or_default() += bytes;
-        } else {
-            self.evictions_discard += 1;
-            *self.discarded_bytes_per_executor.entry(exec).or_default() += bytes;
-        }
-    }
-
     /// Total bytes evicted from memory per executor, spills and discards
     /// combined (the quantity Fig. 3 plots).
     pub fn evicted_bytes_per_executor(&self) -> FxHashMap<ExecutorId, ByteSize> {
@@ -383,17 +509,6 @@ impl Metrics {
             *out.entry(e).or_default() += b;
         }
         out
-    }
-
-    /// Records recomputation time attributed to `rdd` during `job` of `app`.
-    pub fn record_recompute(&mut self, app: AppId, job: JobId, rdd: RddId, time: SimDuration) {
-        *self.recompute_by_job_rdd.entry((app, job, rdd)).or_default() += time;
-        self.app_metrics(app).recompute_time += time;
-    }
-
-    /// The per-application attribution entry for `app`, created on first use.
-    pub fn app_metrics(&mut self, app: AppId) -> &mut AppMetrics {
-        self.per_app.entry(app).or_default()
     }
 
     /// Per-application attribution entries, sorted by application id.
@@ -449,6 +564,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blaze_common::ids::BlockId;
 
     fn charge(compute_ms: u64, disk_ms: u64) -> TaskCharge {
         TaskCharge {
@@ -458,11 +574,52 @@ mod tests {
         }
     }
 
+    fn ms(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    // Event builders: the tests below drive the fold, the only writer.
+
+    fn cache(app: u32, owner: u32, exec: u32, mib: u64, decision: CacheDecision) -> TraceEvent {
+        TraceEvent::Cache(CacheRecord {
+            at: SimTime::ZERO,
+            app: AppId(app),
+            owner: AppId(owner),
+            executor: ExecutorId(exec),
+            id: BlockId::new(RddId(1), 0),
+            bytes: ByteSize::from_mib(mib),
+            decision,
+            rationale: None,
+        })
+    }
+
+    fn recompute(app: u32, job: u32, rdd: u32, secs: u64) -> TraceEvent {
+        TraceEvent::Recompute {
+            at: SimTime::ZERO,
+            app: AppId(app),
+            job: JobId(job),
+            id: BlockId::new(RddId(rdd), 0),
+            executor: ExecutorId(0),
+            depth: 0,
+            duration: SimDuration::from_secs(secs),
+        }
+    }
+
+    fn replay(app: u32, job: u32, secs: u64) -> TraceEvent {
+        TraceEvent::RecoveryReplay {
+            at: SimTime::ZERO,
+            app: AppId(app),
+            job: JobId(job),
+            stage_output: RddId(1),
+            partition: 0,
+            duration: SimDuration::from_secs(secs),
+        }
+    }
+
     #[test]
     fn charges_aggregate_by_category() {
-        let mut m = Metrics::new();
-        m.record_task(&charge(10, 5));
-        m.record_task(&charge(20, 0));
+        let task = |c| TraceEvent::TaskCommitted(TaskTrace { charge: c, ..trace_at(0, 1, 0, 0) });
+        let m = Metrics::from_events(&[task(charge(10, 5)), task(charge(20, 0))]);
         assert_eq!(m.tasks, 2);
         assert_eq!(m.accumulated.computation_and_shuffle(), SimDuration::from_millis(30));
         assert_eq!(m.accumulated.disk_io_for_caching(), SimDuration::from_millis(5));
@@ -474,10 +631,11 @@ mod tests {
         // Regression: spill and discard volumes used to be lumped into one
         // per-executor map, so disk-pressure reporting could not tell a
         // 4 MiB spill from a 4 MiB discard.
-        let mut m = Metrics::new();
-        m.record_eviction(ExecutorId(0), ByteSize::from_mib(4), true);
-        m.record_eviction(ExecutorId(0), ByteSize::from_mib(2), false);
-        m.record_eviction(ExecutorId(1), ByteSize::from_mib(1), false);
+        let m = Metrics::from_events(&[
+            cache(0, 0, 0, 4, CacheDecision::EvictToDisk),
+            cache(0, 0, 0, 2, CacheDecision::EvictDiscard),
+            cache(0, 0, 1, 1, CacheDecision::EvictDiscard),
+        ]);
         assert_eq!(m.evictions, 3);
         assert_eq!(m.evictions_to_disk, 1);
         assert_eq!(m.evictions_discard, 2);
@@ -494,10 +652,11 @@ mod tests {
     #[test]
     fn recompute_attribution_per_job_and_rdd() {
         let a = AppId(0);
-        let mut m = Metrics::new();
-        m.record_recompute(a, JobId(1), RddId(7), SimDuration::from_secs(2));
-        m.record_recompute(a, JobId(1), RddId(9), SimDuration::from_secs(5));
-        m.record_recompute(a, JobId(2), RddId(9), SimDuration::from_secs(1));
+        let m = Metrics::from_events(&[
+            recompute(0, 1, 7, 2),
+            recompute(0, 1, 9, 5),
+            recompute(0, 2, 9, 1),
+        ]);
         assert_eq!(m.total_recompute_time(), SimDuration::from_secs(8));
         assert_eq!(
             m.recompute_by_job(),
@@ -515,9 +674,12 @@ mod tests {
     fn job_keys_do_not_collide_across_apps() {
         // Two applications both submit job-1; per-job attribution must keep
         // them apart (job ids are per-application counters).
-        let mut m = Metrics::new();
-        m.record_recompute(AppId(0), JobId(1), RddId(7), SimDuration::from_secs(2));
-        m.record_recompute(AppId(1), JobId(1), RddId(7), SimDuration::from_secs(5));
+        let m = Metrics::from_events(&[
+            recompute(0, 1, 7, 2),
+            recompute(1, 1, 7, 5),
+            replay(0, 0, 1),
+            replay(1, 0, 3),
+        ]);
         assert_eq!(
             m.recompute_by_job(),
             vec![
@@ -529,11 +691,8 @@ mod tests {
             m.top_recompute_rdd(AppId(1), JobId(1)),
             Some((RddId(7), SimDuration::from_secs(5)))
         );
-        let mut r = RecoveryMetrics::default();
-        r.record_job_recovery(AppId(0), JobId(0), SimDuration::from_secs(1));
-        r.record_job_recovery(AppId(1), JobId(0), SimDuration::from_secs(3));
         assert_eq!(
-            r.recovery_by_job(),
+            m.recovery.recovery_by_job(),
             vec![
                 ((AppId(0), JobId(0)), SimDuration::from_secs(1)),
                 ((AppId(1), JobId(0)), SimDuration::from_secs(3)),
@@ -560,14 +719,180 @@ mod tests {
         assert_eq!(m.recovery.total_recovery_time(), SimDuration::ZERO);
     }
 
+    /// The fold's whole contract in one place: a log holding every
+    /// [`TraceEvent`] variant and every [`CacheDecision`] folds to exactly
+    /// this literal. Two apps, so owner-vs-reader attribution shows.
+    #[test]
+    fn from_events_folds_every_event_kind() {
+        use CacheDecision as D;
+        use TraceEvent as E;
+        fn map<K: std::hash::Hash + Eq, V, const N: usize>(kv: [(K, V); N]) -> FxHashMap<K, V> {
+            kv.into_iter().collect()
+        }
+        let (at, app, a1, job) = (SimTime::ZERO, AppId(0), AppId(1), JobId(0));
+        let (stage_output, partition, executor, attempt) = (RddId(1), 0, ExecutorId(0), 0);
+        let (child, dep_idx, map_part, reduce_part) = (RddId(1), 0, 0, 0);
+        let (id, bytes, dur) =
+            (BlockId::new(RddId(1), 0), ByteSize::from_mib(2), SimDuration::from_millis);
+        let task = TaskTrace { charge: charge(10, 5), ..trace_at(0, 1, 0, 15) };
+        let retry = |cause, wasted| E::TaskRetry {
+            at,
+            app,
+            job,
+            stage_output,
+            partition,
+            attempt,
+            cause,
+            wasted,
+        };
+        let events = [
+            E::JobStarted { at, app, job, target: RddId(1) },
+            E::JobStarted { at, app: a1, job, target: RddId(1) },
+            E::TaskPlanned { at, app, job, stage_output, partition, executor },
+            cache(0, 0, 0, 1, D::AdmitMemory),
+            cache(0, 0, 0, 1, D::AdmitDisk),
+            cache(1, 0, 0, 1, D::HitMemory), // app-1 reads app-0's block
+            cache(0, 0, 0, 1, D::HitSerializedMemory),
+            cache(0, 1, 0, 1, D::HitDisk), // app-0 reads app-1's block
+            cache(0, 0, 0, 1, D::MissRecompute),
+            cache(0, 1, 0, 4, D::EvictToDisk), // app-0 evicts app-1's block
+            cache(0, 0, 1, 2, D::EvictDiscard),
+            cache(0, 0, 0, 1, D::PromoteToMemory),
+            cache(0, 0, 0, 1, D::SerializeInMemory),
+            cache(0, 0, 0, 1, D::DeserializeInMemory),
+            cache(0, 0, 0, 1, D::PromoteToSerializedMemory),
+            cache(0, 1, 0, 1, D::UnpersistMemory),
+            cache(0, 0, 0, 1, D::UnpersistDisk),
+            cache(0, 0, 0, 1, D::LostMemory),
+            cache(0, 0, 0, 1, D::LostDisk),
+            cache(0, 0, 0, 0, D::SolverDegrade),
+            recompute(0, 0, 5, 2),
+            retry(FaultCause::Transient, dur(1)),
+            retry(FaultCause::ExecutorLost, dur(2)),
+            replay(1, 0, 4),
+            // `map_outputs_lost` is not folded: the per-output events are.
+            E::ExecutorCrashed {
+                at,
+                executor,
+                blocks_lost: 2,
+                bytes_lost: bytes,
+                map_outputs_lost: 7,
+            },
+            E::MapOutputLost { at, child, dep_idx, map_part },
+            E::MapOutputRecovered { at, child, dep_idx, map_part },
+            E::BlockRecovered { at, id },
+            E::StageResubmitted { at, app, job, stage_output },
+            E::Straggler { at, app, job, stage_output, partition, delay: dur(3) },
+            E::Speculation {
+                at,
+                app,
+                job,
+                stage_output,
+                partition,
+                copy_executor: executor,
+                copy_won: true,
+                wasted: dur(5),
+            },
+            E::SpillQuarantined { at, executor, id, bytes },
+            E::FetchRetry { at, app, job, child, dep_idx, reduce_part, attempt, backoff: dur(6) },
+            E::FetchEscalated { at, app, job, child, dep_idx, reduce_part },
+            E::TaskCommitted(task),
+            // App-1 finishes first on the clock but is recorded last.
+            E::JobCompleted { at: ms(40), app, job },
+            E::JobCompleted { at: ms(20), app: a1, job },
+            // A serialized hit outside any job of its app has no job to
+            // attribute to.
+            cache(1, 1, 0, 1, D::HitSerializedMemory),
+        ];
+        let expected = Metrics {
+            accumulated: charge(10, 5),
+            tasks: 1,
+            jobs: 2,
+            evictions: 2,
+            evictions_discard: 1,
+            evictions_to_disk: 1,
+            spilled_bytes_per_executor: map([(ExecutorId(0), ByteSize::from_mib(4))]),
+            discarded_bytes_per_executor: map([(ExecutorId(1), ByteSize::from_mib(2))]),
+            recompute_by_job_rdd: map([((app, job, RddId(5)), SimDuration::from_secs(2))]),
+            mem_hits: 3,
+            ser_mem_hits: 2,
+            ser_mem_hits_by_job: map([((app, job), 1)]),
+            ser_transitions: 3,
+            disk_hits: 1,
+            recompute_misses: 1,
+            recovery: RecoveryMetrics {
+                task_retries: 1,
+                tasks_lost_to_crash: 1,
+                executor_crashes: 1,
+                blocks_lost: 2,
+                bytes_lost: bytes,
+                blocks_recovered: 1,
+                map_outputs_lost: 1,
+                map_outputs_recovered: 1,
+                stages_resubmitted: 1,
+                spills_quarantined: 1,
+                fetch_retries: 1,
+                fetch_backoff_time: dur(6),
+                fetch_escalations: 1,
+                wasted_time: dur(3),
+                lineage_replay_time: SimDuration::from_secs(4),
+                recovery_time_by_job: map([
+                    ((app, job), dur(3)),
+                    ((a1, job), SimDuration::from_secs(4)),
+                ]),
+            },
+            speculation: SpeculationMetrics {
+                stragglers: 1,
+                straggler_delay: dur(3),
+                launched: 1,
+                wins: 1,
+                wasted: dur(5),
+            },
+            speculation_by_job: map([((app, job), 1)]),
+            per_app: map([
+                (
+                    app,
+                    AppMetrics {
+                        jobs: 1,
+                        mem_hits: 1,
+                        disk_hits: 1,
+                        cross_disk_hits: 1,
+                        evictions: 1,
+                        unpersists: 1,
+                        recompute_time: SimDuration::from_secs(2),
+                        completion_time: ms(40),
+                        ..Default::default()
+                    },
+                ),
+                (
+                    a1,
+                    AppMetrics {
+                        jobs: 1,
+                        mem_hits: 2,
+                        cross_mem_hits: 1,
+                        evictions: 1,
+                        unpersists: 1,
+                        completion_time: ms(20),
+                        ..Default::default()
+                    },
+                ),
+            ]),
+            completion_time: ms(40),
+            task_traces: vec![task],
+            // The rest (stage counts, gauges, `disk_bytes_written`,
+            // `audit_warnings`) no event describes; the engine writes those.
+            ..Default::default()
+        };
+        assert_eq!(Metrics::from_events(&events), expected);
+    }
+
     #[test]
     fn recovery_time_aggregates_per_job() {
         let a = AppId(0);
-        let mut r = RecoveryMetrics::default();
-        r.record_job_recovery(a, JobId(2), SimDuration::from_secs(1));
-        r.record_job_recovery(a, JobId(0), SimDuration::from_secs(2));
-        r.record_job_recovery(a, JobId(2), SimDuration::from_secs(3));
-        r.record_job_recovery(a, JobId(1), SimDuration::ZERO); // no-op
+        // Job 1's zero-time replay must leave no entry.
+        let events = [replay(0, 2, 1), replay(0, 0, 2), replay(0, 2, 3), replay(0, 1, 0)];
+        let mut r = Metrics::from_events(&events).recovery;
+        assert_eq!(r.lineage_replay_time, SimDuration::from_secs(6));
         assert_eq!(
             r.recovery_by_job(),
             vec![
@@ -576,8 +901,7 @@ mod tests {
             ]
         );
         r.wasted_time = SimDuration::from_secs(1);
-        r.lineage_replay_time = SimDuration::from_secs(2);
-        assert_eq!(r.total_recovery_time(), SimDuration::from_secs(3));
+        assert_eq!(r.total_recovery_time(), SimDuration::from_secs(7));
     }
 
     #[test]
@@ -588,18 +912,15 @@ mod tests {
         // whatever order the entries were recorded in.
         let a = AppId(0);
         let t = SimDuration::from_secs(3);
-        let mut forward = Metrics::new();
-        for r in 1..=16 {
-            forward.record_recompute(a, JobId(0), RddId(r), t);
-        }
-        let mut backward = Metrics::new();
-        for r in (1..=16).rev() {
-            backward.record_recompute(a, JobId(0), RddId(r), t);
-        }
+        let mut events: Vec<TraceEvent> = (1..=16).map(|r| recompute(0, 0, r, 3)).collect();
+        let forward = Metrics::from_events(&events);
+        events.reverse();
+        let backward = Metrics::from_events(&events);
         assert_eq!(forward.top_recompute_rdd(a, JobId(0)), Some((RddId(1), t)));
         assert_eq!(backward.top_recompute_rdd(a, JobId(0)), Some((RddId(1), t)));
         // A strictly larger time still wins regardless of id.
-        forward.record_recompute(a, JobId(0), RddId(9), SimDuration::from_secs(1));
+        events.push(recompute(0, 0, 9, 1));
+        let forward = Metrics::from_events(&events);
         assert_eq!(
             forward.top_recompute_rdd(a, JobId(0)),
             Some((RddId(9), SimDuration::from_secs(4)))
@@ -615,7 +936,7 @@ mod tests {
             executor: ExecutorId(0),
             slot: 0,
             start: SimTime::ZERO,
-            end: SimTime::ZERO + SimDuration::from_millis(dur_ms),
+            end: ms(dur_ms),
             charge: TaskCharge::default(),
         }
     }
@@ -625,15 +946,14 @@ mod tests {
         // Regression: equal-duration tasks used to surface in push order.
         // The canonical order is duration desc, then (job, stage, partition)
         // ascending — independent of recording order.
-        let mut m = Metrics::new();
-        for t in [
+        let events = [
             trace_at(1, 9, 1, 10),
             trace_at(0, 7, 3, 10),
             trace_at(1, 9, 0, 10),
             trace_at(0, 7, 2, 20),
-        ] {
-            m.record_trace(t);
-        }
+        ]
+        .map(TraceEvent::TaskCommitted);
+        let m = Metrics::from_events(&events);
         let top = m.slowest_tasks(3);
         let key: Vec<(u32, u32, u32)> =
             top.iter().map(|t| (t.job.raw(), t.stage_output.raw(), t.partition)).collect();

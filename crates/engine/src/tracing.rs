@@ -1,27 +1,28 @@
 //! Structured, deterministic event tracing.
 //!
-//! When [`crate::config::ClusterConfig::tracing`] is on, the engine records
-//! every task-lifecycle step, cache decision (with the deciding policy's
-//! rationale), recomputation span and recovery action into a [`TraceLog`]
-//! of sim-clock-timestamped [`TraceEvent`]s. The log is the auditable form
-//! of the aggregate [`Metrics`]: everything the paper's evaluation figures
-//! sum up can be re-derived event by event.
+//! The engine accounts for every task-lifecycle step, cache decision (with
+//! the deciding policy's rationale), recomputation span and recovery action
+//! by emitting one sim-clock-timestamped [`TraceEvent`], which is folded
+//! into the aggregate [`Metrics`] ([`Metrics::from_events`] over a whole
+//! stream) and, when [`crate::config::ClusterConfig::tracing`] is on,
+//! retained in a [`TraceLog`] — the auditable form of the metrics.
 //!
-//! Three contracts, mirroring the fault layer's design:
+//! Three contracts:
 //!
-//! - **Zero cost when off.** Like [`crate::fault::FaultPlan`], tracing is a
-//!   feature gate on the config; with the default (`tracing: false`) the
-//!   engine takes no tracing path at all and behaves byte-identically to a
-//!   build without this module.
+//! - **One path.** Tracing on or off, the engine emits the same events in
+//!   the same order and derives the same metrics from them; `tracing:
+//!   false` (the default) only means the events are not retained, and the
+//!   policy rationale strings are not built.
 //! - **Deterministic.** Every event is recorded during the serial commit
 //!   phase of the plan/execute/commit pipeline (or in other serial engine
 //!   paths), so the log is byte-identical across `worker_threads` settings
 //!   and repeated runs.
-//! - **Self-checking.** [`TraceLog::validate`] replays the log against the
-//!   run's [`Metrics`] and reports BA4xx diagnostics when span nesting is
-//!   violated (BA401), summed event durations fail to reproduce the metric
-//!   aggregates (BA402), or a cache event is unpaired — e.g. an eviction
-//!   with no earlier admission (BA403).
+//! - **Self-checking.** [`TraceLog::validate`] replays the log against a
+//!   [`Metrics`] and reports BA4xx diagnostics when span nesting is
+//!   violated (BA401), folding the events fails to reproduce the metric
+//!   aggregates (BA402 — impossible for the engine's own log and metrics,
+//!   so it guards logs edited or produced outside the engine), or a cache
+//!   event is unpaired — e.g. an eviction with no earlier admission (BA403).
 //!
 //! Exports: Chrome trace-event JSON ([`TraceLog::chrome_json`], loadable in
 //! `chrome://tracing` / Perfetto) and a human-readable per-job cache-decision
@@ -29,7 +30,7 @@
 //! renders, explains, validates and diffs these.
 
 use crate::fault::FaultCause;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, TaskTrace};
 use blaze_audit::{AuditReport, DiagCode, Diagnostic};
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
@@ -146,6 +147,10 @@ pub struct CacheRecord {
     /// this is the *reader*, so a hit recorded under a different app than
     /// the one that produced the block is a cross-app hit.
     pub app: AppId,
+    /// The application that first materialized the block (`app` itself when
+    /// nobody has yet). Evictions and unpersists are attributed to it, not
+    /// to the app that forced them; no exporter prints it.
+    pub owner: AppId,
     /// Executor whose store the decision concerns (for hits: the reader).
     pub executor: ExecutorId,
     /// The block decided about.
@@ -220,25 +225,9 @@ pub enum TraceEvent {
         /// Slot time the dead attempt burned.
         wasted: SimDuration,
     },
-    /// A task committed: its simulated span on an executor slot.
-    TaskCommitted {
-        /// The application the job belongs to.
-        app: AppId,
-        /// Job the task belonged to.
-        job: JobId,
-        /// The RDD the task's stage materialized.
-        stage_output: RddId,
-        /// Partition index.
-        partition: u32,
-        /// Executor the task ran on.
-        executor: ExecutorId,
-        /// Slot within the executor.
-        slot: u32,
-        /// Simulated start time.
-        start: SimTime,
-        /// Simulated end time.
-        end: SimTime,
-    },
+    /// A task committed: its simulated span on an executor slot, with the
+    /// charge breakdown the metrics fold sums (no exporter prints that).
+    TaskCommitted(TaskTrace),
     /// A cache decision (admit / hit / miss / evict / unpersist / loss).
     Cache(CacheRecord),
     /// A lineage edge was re-executed for a previously materialized block.
@@ -437,7 +426,7 @@ impl TraceEvent {
             | TraceEvent::SpillQuarantined { at, .. }
             | TraceEvent::FetchRetry { at, .. }
             | TraceEvent::FetchEscalated { at, .. } => *at,
-            TraceEvent::TaskCommitted { start, .. } => *start,
+            TraceEvent::TaskCommitted(task) => task.start,
             TraceEvent::Cache(r) => r.at,
         }
     }
@@ -481,27 +470,18 @@ impl TraceLog {
             }
             first = false;
             match ev {
-                TraceEvent::TaskCommitted {
-                    app,
-                    job,
-                    stage_output,
-                    partition,
-                    executor,
-                    slot,
-                    start,
-                    end,
-                } => {
+                TraceEvent::TaskCommitted(t) => {
                     let _ = write!(
                         out,
                         "{{\"name\":{},\"cat\":\"task\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                          \"pid\":{},\"tid\":{},\"args\":{{\"app\":{},\"job\":{}}}}}",
-                        json_string(&format!("{stage_output}[{partition}]")),
-                        micros(start.as_nanos()),
-                        micros(end.since(*start).as_nanos()),
-                        executor.raw(),
-                        slot,
-                        app.raw(),
-                        job.raw(),
+                        json_string(&format!("{}[{}]", t.stage_output, t.partition)),
+                        micros(t.start.as_nanos()),
+                        micros(t.duration().as_nanos()),
+                        t.executor.raw(),
+                        t.slot,
+                        t.app.raw(),
+                        t.job.raw(),
                     );
                 }
                 TraceEvent::Cache(r) => {
@@ -698,7 +678,7 @@ impl TraceLog {
                     }
                     open_jobs.remove(app);
                 }
-                TraceEvent::TaskCommitted {
+                TraceEvent::TaskCommitted(TaskTrace {
                     app,
                     job,
                     stage_output,
@@ -707,7 +687,8 @@ impl TraceLog {
                     slot,
                     start,
                     end,
-                } => {
+                    ..
+                }) => {
                     let task = format!("{stage_output}[{partition}] of {app}/{job}");
                     if end < start {
                         ds.push(err(format!(
@@ -736,242 +717,69 @@ impl TraceLog {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
     fn check_aggregates(&self, metrics: &Metrics, ds: &mut Vec<Diagnostic>) {
-        // Re-derive every aggregate from the events alone...
-        let mut tasks = 0u64;
-        let mut jobs = 0u64;
-        let mut last_completed = SimTime::ZERO;
-        let mut busy: FxHashMap<ExecutorId, SimDuration> = FxHashMap::default();
-        let mut mem_hits = 0u64;
-        let mut ser_mem_hits = 0u64;
-        let mut ser_transitions = 0u64;
-        let mut disk_hits = 0u64;
-        let mut misses = 0u64;
-        let mut recomputes = 0u64;
-        let mut recompute_by: FxHashMap<(AppId, JobId, RddId), SimDuration> = FxHashMap::default();
-        let mut ser_hits_by_job: FxHashMap<(AppId, JobId), u64> = FxHashMap::default();
-        let mut spec_by_job: FxHashMap<(AppId, JobId), u64> = FxHashMap::default();
-        let mut open: FxHashMap<AppId, JobId> = FxHashMap::default();
-        let mut evictions_to_disk = 0u64;
-        let mut evictions_discard = 0u64;
-        let mut spilled: FxHashMap<ExecutorId, ByteSize> = FxHashMap::default();
-        let mut discarded: FxHashMap<ExecutorId, ByteSize> = FxHashMap::default();
-        let mut task_retries = 0u64;
-        let mut tasks_lost = 0u64;
-        let mut wasted = SimDuration::ZERO;
-        let mut replay = SimDuration::ZERO;
-        let mut recovery_by_job: FxHashMap<(AppId, JobId), SimDuration> = FxHashMap::default();
-        let mut crashes = 0u64;
-        let mut blocks_lost = 0u64;
-        let mut bytes_lost = ByteSize::ZERO;
-        let mut map_lost = 0u64;
-        let mut map_recovered = 0u64;
-        let mut blocks_recovered = 0u64;
-        let mut resubmitted = 0u64;
-        let mut stragglers = 0u64;
-        let mut straggler_delay = SimDuration::ZERO;
-        let mut spec_launched = 0u64;
-        let mut spec_wins = 0u64;
-        let mut spec_wasted = SimDuration::ZERO;
-        let mut quarantined = 0u64;
-        let mut fetch_retries = 0u64;
-        let mut fetch_backoff = SimDuration::ZERO;
-        let mut escalations = 0u64;
-        for ev in &self.events {
-            match ev {
-                TraceEvent::JobStarted { app, job, .. } => {
-                    open.insert(*app, *job);
-                }
-                TraceEvent::JobCompleted { at, app, .. } => {
-                    jobs += 1;
-                    // With co-running apps the last *recorded* completion
-                    // need not be the latest on the sim clock.
-                    last_completed = last_completed.max(*at);
-                    open.remove(app);
-                }
-                TraceEvent::TaskCommitted { executor, start, end, .. } => {
-                    tasks += 1;
-                    *busy.entry(*executor).or_default() += end.since(*start);
-                }
-                TraceEvent::Cache(r) => match r.decision {
-                    CacheDecision::HitMemory => mem_hits += 1,
-                    CacheDecision::HitSerializedMemory => {
-                        // Serialized hits are memory hits; `ser_mem_hits`
-                        // is the serialized subset of `mem_hits`. Hits only
-                        // happen while the reading app has a job open, so
-                        // the open-job map attributes the per-job counter.
-                        mem_hits += 1;
-                        ser_mem_hits += 1;
-                        if let Some(job) = open.get(&r.app) {
-                            *ser_hits_by_job.entry((r.app, *job)).or_default() += 1;
-                        }
-                    }
-                    CacheDecision::SerializeInMemory
-                    | CacheDecision::DeserializeInMemory
-                    | CacheDecision::PromoteToSerializedMemory => ser_transitions += 1,
-                    CacheDecision::HitDisk => disk_hits += 1,
-                    CacheDecision::MissRecompute => misses += 1,
-                    CacheDecision::EvictToDisk => {
-                        evictions_to_disk += 1;
-                        *spilled.entry(r.executor).or_default() += r.bytes;
-                    }
-                    CacheDecision::EvictDiscard => {
-                        evictions_discard += 1;
-                        *discarded.entry(r.executor).or_default() += r.bytes;
-                    }
-                    _ => {}
-                },
-                TraceEvent::Recompute { app, job, id, duration, .. } => {
-                    recomputes += 1;
-                    *recompute_by.entry((*app, *job, id.rdd)).or_default() += *duration;
-                }
-                TraceEvent::TaskRetry { app, job, cause, wasted: w, .. } => {
-                    match cause {
-                        FaultCause::Transient => task_retries += 1,
-                        FaultCause::ExecutorLost => tasks_lost += 1,
-                    }
-                    wasted += *w;
-                    *recovery_by_job.entry((*app, *job)).or_default() += *w;
-                }
-                TraceEvent::RecoveryReplay { app, job, duration, .. } => {
-                    replay += *duration;
-                    *recovery_by_job.entry((*app, *job)).or_default() += *duration;
-                }
-                TraceEvent::ExecutorCrashed { blocks_lost: b, bytes_lost: by, .. } => {
-                    // Map-output losses are counted from the per-output
-                    // events below (a crash emits both a summary and the
-                    // per-output events; counting the summary too would
-                    // double-count).
-                    crashes += 1;
-                    blocks_lost += b;
-                    bytes_lost += *by;
-                }
-                TraceEvent::MapOutputLost { .. } => map_lost += 1,
-                TraceEvent::MapOutputRecovered { .. } => map_recovered += 1,
-                TraceEvent::BlockRecovered { .. } => blocks_recovered += 1,
-                TraceEvent::StageResubmitted { .. } => resubmitted += 1,
-                TraceEvent::Straggler { delay, .. } => {
-                    stragglers += 1;
-                    straggler_delay += *delay;
-                }
-                TraceEvent::Speculation { app, job, copy_won, wasted: w, .. } => {
-                    spec_launched += 1;
-                    if *copy_won {
-                        spec_wins += 1;
-                    }
-                    spec_wasted += *w;
-                    *spec_by_job.entry((*app, *job)).or_default() += 1;
-                }
-                TraceEvent::SpillQuarantined { .. } => quarantined += 1,
-                TraceEvent::FetchRetry { backoff, .. } => {
-                    fetch_retries += 1;
-                    fetch_backoff += *backoff;
-                }
-                TraceEvent::FetchEscalated { .. } => escalations += 1,
-                _ => {}
-            }
-        }
-        recovery_by_job.retain(|_, t| *t > SimDuration::ZERO);
-
-        // ... and require exact equality with the recorded metrics.
-        let mut check = |what: &str, from_trace: String, from_metrics: String| {
+        // Fold the events exactly as the engine does and require every
+        // event-derived aggregate to equal the given metrics.
+        let derived = Metrics::from_events(&self.events);
+        let mut mismatch = |what: &str, from_trace: String, from_metrics: String| {
             if from_trace != from_metrics {
                 ds.push(Diagnostic::new(
                     DiagCode::TraceAggregateMismatch,
                     None,
                     format!("{what}: trace says {from_trace}, metrics say {from_metrics}"),
-                    "an engine path updated this metric without recording the matching event"
+                    "these metrics are not the fold of this log; one of them was edited or \
+                     produced outside the engine"
                         .into(),
                 ));
             }
         };
-        check("task count", tasks.to_string(), metrics.tasks.to_string());
-        check("job count", jobs.to_string(), metrics.jobs.to_string());
-        if jobs > 0 {
-            check(
-                "completion time",
-                last_completed.to_string(),
-                metrics.completion_time.to_string(),
-            );
+        let mut check = |what: &str, get: &dyn Fn(&Metrics) -> String| {
+            mismatch(what, get(&derived), get(metrics));
+        };
+        check("task count", &|m| m.tasks.to_string());
+        check("job count", &|m| m.jobs.to_string());
+        if derived.jobs > 0 {
+            check("completion time", &|m| m.completion_time.to_string());
         }
-        check("memory hits", mem_hits.to_string(), metrics.mem_hits.to_string());
-        check("serialized memory hits", ser_mem_hits.to_string(), metrics.ser_mem_hits.to_string());
-        check(
-            "serialized memory hits by (app, job)",
-            fmt_map(&ser_hits_by_job),
-            fmt_map(&metrics.ser_mem_hits_by_job),
-        );
-        check(
-            "serialized-tier transitions",
-            ser_transitions.to_string(),
-            metrics.ser_transitions.to_string(),
-        );
-        check("disk hits", disk_hits.to_string(), metrics.disk_hits.to_string());
-        check("recompute misses", misses.to_string(), metrics.recompute_misses.to_string());
-        check("recompute spans", recomputes.to_string(), metrics.recompute_misses.to_string());
-        check(
-            "evictions to disk",
-            evictions_to_disk.to_string(),
-            metrics.evictions_to_disk.to_string(),
-        );
-        check(
-            "evictions discarded",
-            evictions_discard.to_string(),
-            metrics.evictions_discard.to_string(),
-        );
-        check("busy time per executor", fmt_map(&busy), fmt_map(&metrics.busy_time_per_executor()));
-        check(
-            "spilled bytes per executor",
-            fmt_map(&spilled),
-            fmt_map(&metrics.spilled_bytes_per_executor),
-        );
-        check(
-            "discarded bytes per executor",
-            fmt_map(&discarded),
-            fmt_map(&metrics.discarded_bytes_per_executor),
-        );
-        check(
-            "recompute time by (app, job, rdd)",
-            fmt_map(&recompute_by),
-            fmt_map(&metrics.recompute_by_job_rdd),
-        );
-        let rec = &metrics.recovery;
-        check("task retries", task_retries.to_string(), rec.task_retries.to_string());
-        check("tasks lost to crash", tasks_lost.to_string(), rec.tasks_lost_to_crash.to_string());
-        check("wasted time", wasted.to_string(), rec.wasted_time.to_string());
-        check("lineage replay time", replay.to_string(), rec.lineage_replay_time.to_string());
-        check(
-            "recovery time by job",
-            fmt_map(&recovery_by_job),
-            fmt_map(&rec.recovery_time_by_job),
-        );
-        check("executor crashes", crashes.to_string(), rec.executor_crashes.to_string());
-        check("blocks lost", blocks_lost.to_string(), rec.blocks_lost.to_string());
-        check("bytes lost", bytes_lost.to_string(), rec.bytes_lost.to_string());
-        check("map outputs lost", map_lost.to_string(), rec.map_outputs_lost.to_string());
-        check(
-            "map outputs recovered",
-            map_recovered.to_string(),
-            rec.map_outputs_recovered.to_string(),
-        );
-        check("blocks recovered", blocks_recovered.to_string(), rec.blocks_recovered.to_string());
-        check("stages resubmitted", resubmitted.to_string(), rec.stages_resubmitted.to_string());
-        check("spills quarantined", quarantined.to_string(), rec.spills_quarantined.to_string());
-        check("fetch retries", fetch_retries.to_string(), rec.fetch_retries.to_string());
-        check("fetch backoff time", fetch_backoff.to_string(), rec.fetch_backoff_time.to_string());
-        check("fetch escalations", escalations.to_string(), rec.fetch_escalations.to_string());
-        let spec = &metrics.speculation;
-        check("stragglers", stragglers.to_string(), spec.stragglers.to_string());
-        check("straggler delay", straggler_delay.to_string(), spec.straggler_delay.to_string());
-        check("speculative copies", spec_launched.to_string(), spec.launched.to_string());
-        check("speculation wins", spec_wins.to_string(), spec.wins.to_string());
-        check("speculation wasted time", spec_wasted.to_string(), spec.wasted.to_string());
-        check(
-            "speculative copies by (app, job)",
-            fmt_map(&spec_by_job),
-            fmt_map(&metrics.speculation_by_job),
-        );
+        check("memory hits", &|m| m.mem_hits.to_string());
+        check("serialized memory hits", &|m| m.ser_mem_hits.to_string());
+        check("serialized memory hits by (app, job)", &|m| fmt_map(&m.ser_mem_hits_by_job));
+        check("serialized-tier transitions", &|m| m.ser_transitions.to_string());
+        check("disk hits", &|m| m.disk_hits.to_string());
+        check("recompute misses", &|m| m.recompute_misses.to_string());
+        check("evictions to disk", &|m| m.evictions_to_disk.to_string());
+        check("evictions discarded", &|m| m.evictions_discard.to_string());
+        check("busy time per executor", &|m| fmt_map(&m.busy_time_per_executor()));
+        check("spilled bytes per executor", &|m| fmt_map(&m.spilled_bytes_per_executor));
+        check("discarded bytes per executor", &|m| fmt_map(&m.discarded_bytes_per_executor));
+        check("recompute time by (app, job, rdd)", &|m| fmt_map(&m.recompute_by_job_rdd));
+        check("task retries", &|m| m.recovery.task_retries.to_string());
+        check("tasks lost to crash", &|m| m.recovery.tasks_lost_to_crash.to_string());
+        check("wasted time", &|m| m.recovery.wasted_time.to_string());
+        check("lineage replay time", &|m| m.recovery.lineage_replay_time.to_string());
+        check("recovery time by job", &|m| fmt_map(&m.recovery.recovery_time_by_job));
+        check("executor crashes", &|m| m.recovery.executor_crashes.to_string());
+        check("blocks lost", &|m| m.recovery.blocks_lost.to_string());
+        check("bytes lost", &|m| m.recovery.bytes_lost.to_string());
+        check("map outputs lost", &|m| m.recovery.map_outputs_lost.to_string());
+        check("map outputs recovered", &|m| m.recovery.map_outputs_recovered.to_string());
+        check("blocks recovered", &|m| m.recovery.blocks_recovered.to_string());
+        check("stages resubmitted", &|m| m.recovery.stages_resubmitted.to_string());
+        check("spills quarantined", &|m| m.recovery.spills_quarantined.to_string());
+        check("fetch retries", &|m| m.recovery.fetch_retries.to_string());
+        check("fetch backoff time", &|m| m.recovery.fetch_backoff_time.to_string());
+        check("fetch escalations", &|m| m.recovery.fetch_escalations.to_string());
+        check("stragglers", &|m| m.speculation.stragglers.to_string());
+        check("straggler delay", &|m| m.speculation.straggler_delay.to_string());
+        check("speculative copies", &|m| m.speculation.launched.to_string());
+        check("speculation wins", &|m| m.speculation.wins.to_string());
+        check("speculation wasted time", &|m| m.speculation.wasted.to_string());
+        check("speculative copies by (app, job)", &|m| fmt_map(&m.speculation_by_job));
+        // The one count the fold does not keep: every miss-recompute record
+        // is followed by its recompute span.
+        let spans =
+            self.events.iter().filter(|ev| matches!(ev, TraceEvent::Recompute { .. })).count();
+        mismatch("recompute spans", spans.to_string(), metrics.recompute_misses.to_string());
     }
 
     fn check_pairing(&self, ds: &mut Vec<Diagnostic>) {
@@ -1076,7 +884,7 @@ fn event_name(ev: &TraceEvent) -> &'static str {
         TraceEvent::SpillQuarantined { .. } => "spill-quarantined",
         TraceEvent::FetchRetry { .. } => "fetch-retry",
         TraceEvent::FetchEscalated { .. } => "fetch-escalated",
-        TraceEvent::TaskCommitted { .. } => "task",
+        TraceEvent::TaskCommitted(_) => "task",
         TraceEvent::Cache(_) => "cache",
     }
 }
@@ -1154,7 +962,7 @@ fn event_detail(ev: &TraceEvent) -> String {
                  its retry budget; parent map outputs regenerated"
             )
         }
-        TraceEvent::TaskCommitted { .. } | TraceEvent::Cache(_) => String::new(),
+        TraceEvent::TaskCommitted(_) | TraceEvent::Cache(_) => String::new(),
     }
 }
 
@@ -1166,6 +974,7 @@ mod tests {
         TraceEvent::Cache(CacheRecord {
             at: SimTime::ZERO + SimDuration::from_millis(at_ms),
             app: AppId(0),
+            owner: AppId(0),
             executor: ExecutorId(exec),
             id: BlockId::new(RddId(rdd), part),
             bytes: ByteSize::from_kib(4),
@@ -1188,7 +997,7 @@ mod tests {
         start_ms: u64,
         end_ms: u64,
     ) -> TraceEvent {
-        TraceEvent::TaskCommitted {
+        TraceEvent::TaskCommitted(TaskTrace {
             app: AppId(app),
             job: JobId(job),
             stage_output: RddId(1),
@@ -1197,7 +1006,8 @@ mod tests {
             slot,
             start: SimTime::ZERO + SimDuration::from_millis(start_ms),
             end: SimTime::ZERO + SimDuration::from_millis(end_ms),
-        }
+            charge: crate::metrics::TaskCharge::default(),
+        })
     }
 
     fn job_started(at_ms: u64, app: u32, job: u32) -> TraceEvent {
@@ -1227,30 +1037,14 @@ mod tests {
         m.tasks = 2;
         m.jobs = 1;
         m.completion_time = SimTime::ZERO + SimDuration::from_millis(25);
-        m.task_traces = vec![
-            crate::metrics::TaskTrace {
-                app: AppId(0),
-                job: JobId(0),
-                stage_output: RddId(1),
-                partition: 0,
-                executor: ExecutorId(0),
-                slot: 0,
-                start: SimTime::ZERO,
-                end: SimTime::ZERO + SimDuration::from_millis(10),
-                charge: crate::metrics::TaskCharge::default(),
-            },
-            crate::metrics::TaskTrace {
-                app: AppId(0),
-                job: JobId(0),
-                stage_output: RddId(1),
-                partition: 1,
-                executor: ExecutorId(0),
-                slot: 0,
-                start: SimTime::ZERO + SimDuration::from_millis(10),
-                end: SimTime::ZERO + SimDuration::from_millis(25),
-                charge: crate::metrics::TaskCharge::default(),
-            },
-        ];
+        m.task_traces = log
+            .events()
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::TaskCommitted(t) => Some(*t),
+                _ => None,
+            })
+            .collect();
         (log, m)
     }
 
@@ -1331,7 +1125,8 @@ mod tests {
     fn unpaired_eviction_is_ba403() {
         let (mut log, mut m) = minimal_log();
         log.record(cache(25, 0, 5, 0, CacheDecision::EvictDiscard));
-        m.record_eviction(ExecutorId(0), ByteSize::from_kib(4), false);
+        m.evictions_discard = 1;
+        m.discarded_bytes_per_executor.insert(ExecutorId(0), ByteSize::from_kib(4));
         let report = log.validate(&m);
         assert!(report.has(DiagCode::TraceUnpairedCacheEvent));
 
@@ -1339,7 +1134,8 @@ mod tests {
         let (mut log, mut m) = minimal_log();
         log.record(cache(5, 0, 5, 0, CacheDecision::AdmitMemory));
         log.record(cache(25, 0, 5, 0, CacheDecision::EvictDiscard));
-        m.record_eviction(ExecutorId(0), ByteSize::from_kib(4), false);
+        m.evictions_discard = 1;
+        m.discarded_bytes_per_executor.insert(ExecutorId(0), ByteSize::from_kib(4));
         assert!(log.validate(&m).is_clean());
         log.record(cache(26, 0, 6, 0, CacheDecision::AdmitMemory));
         log.record(cache(27, 0, 6, 0, CacheDecision::AdmitMemory));
@@ -1369,6 +1165,7 @@ mod tests {
         log.record(TraceEvent::Cache(CacheRecord {
             at: SimTime::ZERO + SimDuration::from_millis(26),
             app: AppId(0),
+            owner: AppId(0),
             executor: ExecutorId(1),
             id: BlockId::new(RddId(5), 2),
             bytes: ByteSize::from_kib(8),
@@ -1392,6 +1189,7 @@ mod tests {
         log.record(TraceEvent::Cache(CacheRecord {
             at: SimTime::ZERO + SimDuration::from_millis(2),
             app: AppId(0),
+            owner: AppId(0),
             executor: ExecutorId(0),
             id: BlockId::new(RddId(5), 0),
             bytes: ByteSize::from_kib(4),

@@ -21,7 +21,7 @@
 use blaze::common::ByteSize;
 use blaze::core::{extract_dependencies, BlazeConfig, BlazeController};
 use blaze::dataflow::{runner::LocalRunner, Context, CostSpec};
-use blaze::engine::{Cluster, ClusterConfig, FaultPlan, Metrics};
+use blaze::engine::{Cluster, ClusterConfig, FaultPlan, Metrics, TraceLog};
 
 /// How expensive this workload's element type is to (de)serialize,
 /// relative to the hardware model's baseline. High, like the paper's
@@ -93,14 +93,15 @@ fn cluster_config(fault: FaultPlan) -> ClusterConfig {
     }
 }
 
-/// Runs [`pipeline`] under `cfg` with tracing on, returning the sorted
-/// results, full metrics and the Chrome trace JSON.
-fn run_traced(
+/// Runs [`pipeline`] under `cfg`, returning the sorted results, full metrics
+/// and (when `tracing`) the event trace.
+fn run(
     cfg: BlazeConfig,
     fault: FaultPlan,
     worker_threads: usize,
-) -> (Vec<(u64, u64)>, Metrics, String) {
-    let config = ClusterConfig { worker_threads, tracing: true, ..cluster_config(fault) };
+    tracing: bool,
+) -> (Vec<(u64, u64)>, Metrics, Option<TraceLog>) {
+    let config = ClusterConfig { worker_threads, tracing, ..cluster_config(fault) };
     let profile = extract_dependencies(
         |ctx| {
             pipeline(ctx);
@@ -113,8 +114,21 @@ fn run_traced(
         .expect("valid config");
     let ctx = Context::new(cluster.clone());
     let out = pipeline(&ctx);
-    let trace = cluster.trace().expect("tracing was enabled").chrome_json();
-    (out, cluster.metrics(), trace)
+    (out, cluster.metrics(), cluster.trace())
+}
+
+/// [`run`] traced, returning the Chrome trace JSON. The trace must pass its
+/// own audit (the random audit in `trace_properties` never engages the tier).
+fn run_traced(
+    cfg: BlazeConfig,
+    fault: FaultPlan,
+    worker_threads: usize,
+) -> (Vec<(u64, u64)>, Metrics, String) {
+    let (out, metrics, trace) = run(cfg, fault, worker_threads, true);
+    let trace = trace.expect("tracing was enabled");
+    let report = trace.validate(&metrics);
+    assert!(report.is_clean(), "trace audit failed: {:?}", report.diagnostics);
+    (out, metrics, trace.chrome_json())
 }
 
 /// An active duress schedule for the golden test: stragglers and transient
@@ -159,6 +173,9 @@ fn ser_tier_engages_under_memory_pressure() {
     for name in ["ser-in-mem", "deser-in-mem", "promote-to-ser", "hit-ser-mem"] {
         assert!(trace.contains(name), "expected `{name}` in the trace");
     }
+    // The same events fold to the same metrics when they are not retained.
+    let (_, untraced, _) = run(BlazeConfig::full_ser_tier(), FaultPlan::default(), 2, false);
+    assert_eq!(m, untraced, "tracing changed the metrics");
 }
 
 /// Contract 3 (golden): results, metrics and the Chrome trace are

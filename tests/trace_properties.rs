@@ -5,7 +5,9 @@
 //! run them with tracing enabled — with and without deterministic fault
 //! injection — and require that the trace's self-audit passes: spans nest
 //! (BA401), trace-derived aggregates reproduce the metrics (BA402), and
-//! every memory-cache removal pairs with an earlier admission (BA403).
+//! every memory-cache removal pairs with an earlier admission (BA403) —
+//! and that the same pipeline run untraced yields equal metrics (tracing
+//! retains events, it must not change what they fold to).
 //! A second property pins the determinism contract: the Chrome-trace
 //! export is byte-identical across `worker_threads` settings.
 
@@ -66,22 +68,23 @@ fn apply(ctx: &Context, elems: u64, keys: u64, parts: usize, steps: &[Step]) -> 
     out
 }
 
-/// Runs a pipeline on a traced cluster and returns (metrics, trace).
-fn run_traced(
+/// Runs a pipeline and returns its metrics and (when `tracing`) its trace.
+fn run(
     elems: u64,
     steps: &[Step],
     capacity_kib: u64,
     system: SystemKind,
     worker_threads: usize,
     fault: FaultPlan,
-) -> (Metrics, TraceLog) {
+    tracing: bool,
+) -> (Metrics, Option<TraceLog>) {
     let cluster = Cluster::new(
         ClusterConfig {
             executors: 2,
             slots_per_executor: 2,
             memory_capacity: ByteSize::from_kib(capacity_kib),
             worker_threads,
-            tracing: true,
+            tracing,
             fault,
             ..Default::default()
         },
@@ -90,8 +93,7 @@ fn run_traced(
     .unwrap();
     let ctx = Context::new(cluster.clone());
     let _ = apply(&ctx, elems, 16, 4, steps);
-    let trace = cluster.trace().expect("tracing was enabled");
-    (cluster.metrics(), trace)
+    (cluster.metrics(), cluster.trace())
 }
 
 /// The deterministic fault schedule variants swept by the properties.
@@ -123,19 +125,23 @@ proptest! {
         elems in 100u64..1_000,
         steps in prop::collection::vec(step_strategy(), 1..5),
         capacity_kib in 1u64..48,
-        system_pick in 0usize..4,
+        system_pick in 0usize..5,
         fault_pick in 0usize..3,
         seed in 0u64..1_000,
     ) {
+        // `BlazeSerTier` alone turns the serialized tier on, but these short
+        // pipelines never make its solver pick the s-state; the transitions
+        // themselves are audited in `tests/ser_tier.rs`.
         let system = [
             SystemKind::SparkMemOnly,
             SystemKind::SparkMemDisk,
             SystemKind::Lrc,
             SystemKind::BlazeNoProfile,
+            SystemKind::BlazeSerTier,
         ][system_pick];
-        let (metrics, trace) =
-            run_traced(elems, &steps, capacity_kib, system, 2, fault_variant(fault_pick, seed));
-        let report = trace.validate(&metrics);
+        let fault = fault_variant(fault_pick, seed);
+        let (metrics, trace) = run(elems, &steps, capacity_kib, system, 2, fault.clone(), true);
+        let report = trace.expect("tracing was enabled").validate(&metrics);
         prop_assert!(
             report.is_clean(),
             "trace audit failed: {:?}",
@@ -143,6 +149,10 @@ proptest! {
         );
         // The trace actually covers the run: one span per committed task.
         prop_assert!(metrics.tasks > 0);
+        // Tracing off folds the same events without retaining them.
+        let (untraced, none) = run(elems, &steps, capacity_kib, system, 2, fault, false);
+        prop_assert!(none.is_none());
+        prop_assert_eq!(metrics, untraced, "tracing changed the metrics");
     }
 }
 
@@ -161,15 +171,16 @@ proptest! {
     ) {
         let mut baseline: Option<(String, String)> = None;
         for threads in [1usize, 2, 4] {
-            let (metrics, trace) = run_traced(
+            let (metrics, trace) = run(
                 elems,
                 &steps,
                 capacity_kib,
                 SystemKind::SparkMemDisk,
                 threads,
                 fault_variant(fault_pick, seed),
+                true,
             );
-            let json = trace.chrome_json();
+            let json = trace.expect("tracing was enabled").chrome_json();
             let dbg = format!("{metrics:?}");
             match &baseline {
                 None => baseline = Some((json, dbg)),
