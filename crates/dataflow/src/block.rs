@@ -12,7 +12,7 @@
 use blaze_common::error::{BlazeError, Result};
 use blaze_common::sizeof::SizeOf;
 use blaze_common::ByteSize;
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::sync::Arc;
 
 /// Bound for element types storable in datasets.
@@ -26,20 +26,38 @@ impl<T: Clone + Send + Sync + SizeOf + 'static> Data for T {}
 
 /// One materialized partition: an immutable, type-erased vector of elements.
 ///
-/// Cloning a block is an `Arc` bump; blocks are never mutated after
+/// Cloning a block is at most an `Arc` bump; blocks are never mutated after
 /// construction (partitions are immutable in the RDD model).
 #[derive(Clone)]
 pub struct Block {
-    payload: Arc<dyn Any + Send + Sync>,
+    payload: Payload,
     len: usize,
     bytes: ByteSize,
+}
+
+/// What a block holds. Most shuffle buckets of a wide shuffle are empty, so
+/// an empty block allocates nothing: it remembers only its element type,
+/// which keeps a wrong-type read an error. The function pointer fits in the
+/// `Arc`'s niche, so `Block` stays 32 bytes — drivers memoize tens of
+/// thousands of tiny blocks and a wider `Block` is measurable there.
+#[derive(Clone)]
+enum Payload {
+    Empty(fn() -> TypeId),
+    Full(Arc<dyn Any + Send + Sync>),
 }
 
 impl Block {
     /// Materializes a block from a vector of elements, estimating its size.
     pub fn from_vec<T: Data>(items: Vec<T>) -> Self {
+        if items.is_empty() {
+            return Self {
+                payload: Payload::Empty(TypeId::of::<T>),
+                len: 0,
+                bytes: ByteSize::ZERO,
+            };
+        }
         let bytes = blaze_common::sizeof::slice_size(&items);
-        Self { len: items.len(), bytes, payload: Arc::new(items) }
+        Self { len: items.len(), bytes, payload: Payload::Full(Arc::new(items)) }
     }
 
     /// An empty block of type `T`.
@@ -68,13 +86,14 @@ impl Block {
     /// elements of type `T`; `context` is included in the error for
     /// diagnosis.
     pub fn as_slice<T: Data>(&self, context: &str) -> Result<&[T]> {
-        self.payload
-            .downcast_ref::<Vec<T>>()
-            .map(Vec::as_slice)
-            .ok_or_else(|| BlazeError::TypeMismatch { context: context.to_string() })
+        match &self.payload {
+            Payload::Empty(elem) => (elem() == TypeId::of::<T>()).then_some(&[][..]),
+            Payload::Full(items) => items.downcast_ref::<Vec<T>>().map(Vec::as_slice),
+        }
+        .ok_or_else(|| BlazeError::TypeMismatch { context: context.to_string() })
     }
 
-    /// Returns the typed elements, cloning only if the block is shared.
+    /// Returns a copy of the typed elements.
     pub fn to_vec<T: Data>(&self, context: &str) -> Result<Vec<T>> {
         Ok(self.as_slice::<T>(context)?.to_vec())
     }
@@ -123,9 +142,26 @@ mod tests {
     }
 
     #[test]
-    fn empty_block() {
-        let b = Block::empty::<u32>();
-        assert!(b.is_empty());
-        assert_eq!(b.bytes(), ByteSize::ZERO);
+    fn empty_block_keeps_its_element_type_without_a_payload() {
+        // A drained vector still owns capacity; the block must not keep it.
+        let mut drained = vec![1u32, 2, 3];
+        drained.clear();
+        for b in [Block::empty::<u32>(), Block::from_vec(drained)] {
+            assert!(matches!(b.payload, Payload::Empty(_)));
+            assert!(b.is_empty());
+            assert_eq!(b.len(), 0);
+            assert_eq!(b.bytes(), ByteSize::ZERO);
+            assert_eq!(b.as_slice::<u32>("t").unwrap(), &[] as &[u32]);
+            assert_eq!(b.to_vec::<u32>("t").unwrap(), Vec::<u32>::new());
+            let err = b.as_slice::<u64>("rdd-3[0]").unwrap_err();
+            assert_eq!(err, BlazeError::TypeMismatch { context: "rdd-3[0]".into() });
+        }
+    }
+
+    #[test]
+    fn block_is_four_words() {
+        // Set-up paths memoize tens of thousands of tiny blocks; the empty
+        // arm must live in the `Arc`'s niche, not beside it.
+        assert_eq!(std::mem::size_of::<Block>(), 32);
     }
 }

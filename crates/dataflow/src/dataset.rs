@@ -249,7 +249,7 @@ impl<T: Data> Dataset<T> {
         let blocks = self.ctx.run_job(self.id)?;
         let mut out = Vec::new();
         for (p, b) in blocks.iter().enumerate() {
-            out.extend(b.to_vec::<T>(&format!("collect {}[{p}]", self.id))?);
+            out.extend_from_slice(b.as_slice::<T>(&format!("collect {}[{p}]", self.id))?);
         }
         Ok(out)
     }

@@ -8,9 +8,11 @@
 
 use crate::block::{Block, Data};
 use crate::dataset::Dataset;
+use crate::pair::write_buckets;
 use crate::plan::{Compute, CostSpec, Dep, RddNode};
 use blaze_common::rng::{derive_seed, seeded};
 use rand::Rng;
+use std::borrow::Cow;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -141,12 +143,9 @@ where
         let map_splits = Arc::clone(&splits);
         let map_side: crate::plan::MapSideFn = Arc::new(move |block, n| {
             let pairs = block.as_slice::<(K, V)>("sort_by_key map-side")?;
-            let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-            for kv in pairs {
-                let b = map_splits.partition_point(|s| s <= &kv.0).min(n - 1);
-                buckets[b].push(kv.clone());
-            }
-            Ok(buckets.into_iter().map(Block::from_vec).collect())
+            Ok(write_buckets(Cow::Borrowed(pairs), n, |(k, _)| {
+                map_splits.partition_point(|s| s <= k).min(n - 1)
+            }))
         });
         let agg: crate::plan::ShuffleAggFn = Arc::new(move |p, per_dep| {
             let ctx = format!("sort_by_key agg@{p}");

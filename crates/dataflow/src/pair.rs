@@ -13,12 +13,93 @@ use crate::partitioner::HashPartitioner;
 use crate::plan::{Compute, CostSpec, Dep, MapSideFn, RddNode, ShuffleAggFn};
 use blaze_common::error::Result;
 use blaze_common::fxhash::FxHashMap;
+use std::borrow::Cow;
 use std::hash::Hash;
 use std::sync::Arc;
 
 /// Result of [`Dataset::cogroup`]: for every key, the values seen on the
 /// left and on the right side.
 pub type CoGrouped<K, V, W> = Dataset<(K, (Vec<V>, Vec<W>))>;
+
+/// The map side of every shuffle: splits one partition's records into `n`
+/// buckets, `dest` naming each record's bucket.
+///
+/// Records keep their relative order within a bucket. Owned records are
+/// moved, borrowed ones cloned. Every bucket is allocated once at its exact
+/// size: the outer capacity of a block is memory no size estimate sees.
+pub(crate) fn write_buckets<T: Data>(
+    records: Cow<'_, [T]>,
+    n: usize,
+    dest: impl Fn(&T) -> usize,
+) -> Vec<Block> {
+    split_exact(records, n, dest).into_iter().map(Block::from_vec).collect()
+}
+
+fn split_exact<T: Clone>(
+    records: Cow<'_, [T]>,
+    n: usize,
+    dest: impl Fn(&T) -> usize,
+) -> Vec<Vec<T>> {
+    let dests: Vec<usize> = records.iter().map(dest).collect();
+    let mut counts = vec![0usize; n];
+    for &d in &dests {
+        counts[d] += 1;
+    }
+    let mut buckets: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
+    match records {
+        Cow::Borrowed(records) => {
+            for (record, d) in records.iter().zip(dests) {
+                buckets[d].push(record.clone());
+            }
+        }
+        Cow::Owned(records) => {
+            for (record, d) in records.into_iter().zip(dests) {
+                buckets[d].push(record);
+            }
+        }
+    }
+    buckets
+}
+
+/// Splits a partition of pairs into `n` buckets by key hash.
+fn hash_buckets<K: Data + Hash, V: Data>(pairs: Cow<'_, [(K, V)]>, n: usize) -> Vec<Block> {
+    let partitioner = HashPartitioner::new(n);
+    write_buckets(pairs, n, |(k, _)| partitioner.partition(k))
+}
+
+/// A borrowed probe index over the right side of a co-partitioned join: the
+/// first position of every key and, per position, the next one holding the
+/// same key. Probing yields a key's values in right-side order and allocates
+/// nothing per key.
+struct ProbeIndex<'a, K, W> {
+    right: &'a [(K, W)],
+    first: FxHashMap<&'a K, usize>,
+    /// `next[i]` follows `i` in its key's chain; `right.len()` ends it.
+    next: Vec<usize>,
+}
+
+impl<'a, K: Hash + Eq, W> ProbeIndex<'a, K, W> {
+    fn new(right: &'a [(K, W)]) -> Self {
+        let end = right.len();
+        let mut first = FxHashMap::with_capacity_and_hasher(end, Default::default());
+        let mut next = vec![end; end];
+        // Back to front, so every chain runs forward from the first position.
+        for (i, (k, _)) in right.iter().enumerate().rev() {
+            if let Some(later) = first.insert(k, i) {
+                next[i] = later;
+            }
+        }
+        Self { right, first, next }
+    }
+
+    fn matches(&self, key: &K) -> impl Iterator<Item = &'a W> + '_ {
+        let right = self.right;
+        std::iter::successors(self.first.get(key).copied(), move |&i| {
+            Some(self.next[i]).filter(|&j| j < right.len())
+        })
+        .map(move |i| &right[i].1)
+    }
+}
 
 impl<K, V> Dataset<(K, V)>
 where
@@ -48,16 +129,6 @@ where
             unpersist_requested: false,
         });
         Dataset::new(self.context().clone(), id, num_partitions)
-    }
-
-    /// Splits a partition of pairs into `n` buckets by key hash.
-    fn bucket_pairs(pairs: &[(K, V)], n: usize) -> Vec<Vec<(K, V)>> {
-        let partitioner = HashPartitioner::new(n);
-        let mut buckets: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-        for kv in pairs {
-            buckets[partitioner.partition(&kv.0)].push(kv.clone());
-        }
-        buckets
     }
 
     /// Merges values per key with `f`, shuffling into `num_partitions`
@@ -94,7 +165,7 @@ where
                 }
             }
             let merged: Vec<(K, V)> = combined.into_iter().collect();
-            Ok(Self::bucket_pairs(&merged, n).into_iter().map(Block::from_vec).collect())
+            Ok(hash_buckets(Cow::Owned(merged), n))
         });
         let agg_f = Arc::clone(&f);
         let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
@@ -145,13 +216,7 @@ where
                 }
             }
             let merged: Vec<(K, C)> = combined.into_iter().collect();
-            let partitioner = HashPartitioner::new(n);
-            let mut buckets: Vec<Vec<(K, C)>> = (0..n).map(|_| Vec::new()).collect();
-            for kc in merged {
-                let b = partitioner.partition(&kc.0);
-                buckets[b].push(kc);
-            }
-            Ok(buckets.into_iter().map(Block::from_vec).collect())
+            Ok(hash_buckets(Cow::Owned(merged), n))
         });
         let mc = Arc::clone(&merge_combiners);
         let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
@@ -215,7 +280,7 @@ where
     pub fn group_by_key(&self, num_partitions: usize) -> Dataset<(K, Vec<V>)> {
         let map_side: MapSideFn = Arc::new(move |block, n| {
             let pairs = block.as_slice::<(K, V)>("group_by_key map-side")?;
-            Ok(Self::bucket_pairs(pairs, n).into_iter().map(Block::from_vec).collect())
+            Ok(hash_buckets(Cow::Borrowed(pairs), n))
         });
         let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
             let ctx = format!("group_by_key agg@{p}");
@@ -241,7 +306,7 @@ where
         }
         let map_side: MapSideFn = Arc::new(move |block, n| {
             let pairs = block.as_slice::<(K, V)>("partition_by map-side")?;
-            Ok(Self::bucket_pairs(pairs, n).into_iter().map(Block::from_vec).collect())
+            Ok(hash_buckets(Cow::Borrowed(pairs), n))
         });
         let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
             let ctx = format!("partition_by agg@{p}");
@@ -336,16 +401,11 @@ where
         let left = self.partition_by(num_partitions);
         let right = other.partition_by(num_partitions);
         left.zip_partitions(&right, |l: &[(K, V)], r: &[(K, W)]| {
-            let mut table: FxHashMap<K, Vec<W>> = FxHashMap::default();
-            for (k, w) in r {
-                table.entry(k.clone()).or_default().push(w.clone());
-            }
-            let mut out = Vec::new();
+            let index = ProbeIndex::new(r);
+            let mut out = Vec::with_capacity(l.len());
             for (k, v) in l {
-                if let Some(ws) = table.get(k) {
-                    for w in ws {
-                        out.push((k.clone(), (v.clone(), w.clone())));
-                    }
+                for w in index.matches(k) {
+                    out.push((k.clone(), (v.clone(), w.clone())));
                 }
             }
             out
@@ -363,19 +423,15 @@ where
         let left = self.partition_by(num_partitions);
         let right = other.partition_by(num_partitions);
         left.zip_partitions(&right, |l: &[(K, V)], r: &[(K, W)]| {
-            let mut table: FxHashMap<K, Vec<W>> = FxHashMap::default();
-            for (k, w) in r {
-                table.entry(k.clone()).or_default().push(w.clone());
-            }
-            let mut out = Vec::new();
+            let index = ProbeIndex::new(r);
+            let mut out = Vec::with_capacity(l.len());
             for (k, v) in l {
-                match table.get(k) {
-                    Some(ws) => {
-                        for w in ws {
-                            out.push((k.clone(), (v.clone(), Some(w.clone()))));
-                        }
-                    }
-                    None => out.push((k.clone(), (v.clone(), None))),
+                let mut ws = index.matches(k).peekable();
+                if ws.peek().is_none() {
+                    out.push((k.clone(), (v.clone(), None)));
+                }
+                for w in ws {
+                    out.push((k.clone(), (v.clone(), Some(w.clone()))));
                 }
             }
             out
@@ -592,6 +648,49 @@ mod tests {
         let mut vs = ds.values().collect().unwrap();
         vs.sort();
         assert_eq!(vs, vec![10, 20]);
+    }
+
+    #[test]
+    fn bucket_writer_is_stable_exact_and_complete() {
+        // (bucket, sequence number): the sequence must survive per bucket.
+        let records: Vec<(usize, u32)> = (0..40u32).map(|i| ((i as usize * 7) % 5, i)).collect();
+        let n = 8; // buckets 5..8 stay empty
+        let borrowed = split_exact(Cow::Borrowed(&records[..]), n, |r| r.0);
+        let owned = split_exact(Cow::Owned(records.clone()), n, |r| r.0);
+        assert_eq!(borrowed, owned);
+        assert_eq!(owned.len(), n);
+        for (b, bucket) in owned.iter().enumerate() {
+            assert_eq!(bucket.capacity(), bucket.len(), "bucket {b} over-allocated");
+            let want: Vec<(usize, u32)> = records.iter().filter(|r| r.0 == b).copied().collect();
+            assert_eq!(bucket, &want, "bucket {b} lost or reordered records");
+        }
+        let blocks = write_buckets(Cow::Owned(records), n, |r| r.0);
+        let lens: Vec<usize> = blocks.iter().map(Block::len).collect();
+        assert_eq!(lens, owned.iter().map(Vec::len).collect::<Vec<_>>());
+    }
+
+    /// Nested vectors are sized with their spare capacity, so block sizes —
+    /// and through them admissions and simulated time — depend on *which
+    /// calls* build them: `group_by_key` grows its groups by `push`, the
+    /// joins `clone` them to exact capacity. The literals were taken before
+    /// the keyed kernels stopped allocating per key; a kernel that builds
+    /// nested values some other way moves them.
+    #[test]
+    fn nested_vector_block_sizes_are_pinned() {
+        let ctx = ctx();
+        let nested = |i: u64| (0..=i % 5).collect::<Vec<u64>>();
+        let left = (0..60u64).map(|i| ((i % 7) as u32, nested(i))).collect();
+        let right = (0..30u64).map(|i| ((i % 5) as u32 + 4, nested(i + 3))).collect();
+        let grouped = ctx.parallelize::<(u32, Vec<u64>)>(left, 3).group_by_key(4);
+        let right = ctx.parallelize::<(u32, Vec<u64>)>(right, 2);
+        let sizes = |blocks: Vec<Block>| -> Vec<u64> {
+            blocks.iter().map(|b| b.bytes().as_bytes()).collect()
+        };
+        assert_eq!(sizes(ctx.run_job(grouped.id()).unwrap()), [1048, 1024, 1040, 636]);
+        let joined = grouped.join(&right, 4);
+        assert_eq!(sizes(ctx.run_job(joined.id()).unwrap()), [2904, 2856, 2568, 0]);
+        let outer = grouped.left_outer_join(&right, 4);
+        assert_eq!(sizes(ctx.run_job(outer.id()).unwrap()), [3380, 3324, 3068, 492]);
     }
 
     #[test]

@@ -97,9 +97,11 @@ impl LocalRunner {
                     let mut incoming = Vec::with_capacity(num_maps);
                     for m in 0..num_maps {
                         let bucket_key = (rdd, dep_idx, m);
-                        let cached = self.buckets.lock().get(&bucket_key).cloned();
-                        let buckets = match cached {
-                            Some(b) => b,
+                        // Only this reduce task's bucket leaves the memo:
+                        // every memoized vector holds `num_partitions` buckets.
+                        let cached = self.buckets.lock().get(&bucket_key).map(|b| b[part].clone());
+                        let bucket = match cached {
+                            Some(bucket) => bucket,
                             None => {
                                 let input = self.compute(plan, *parent, m)?;
                                 let b = map_side(&input, node.num_partitions)?;
@@ -110,11 +112,12 @@ impl LocalRunner {
                                         node.num_partitions
                                     )));
                                 }
-                                self.buckets.lock().insert(bucket_key, b.clone());
-                                b
+                                let bucket = b[part].clone();
+                                self.buckets.lock().insert(bucket_key, b);
+                                bucket
                             }
                         };
-                        incoming.push(buckets[part].clone());
+                        incoming.push(bucket);
                     }
                     per_dep.push(incoming);
                 }

@@ -400,10 +400,6 @@ impl<'a> TaskCtx<'a> {
             .or_else(|| self.view.stores.shuffle.fetch(shuffle, map_part, reduce_part))
     }
 
-    fn fetch_bytes(&self, shuffle: ShuffleId, num_maps: usize, reduce_part: usize) -> ByteSize {
-        (0..num_maps).filter_map(|m| self.fetch(shuffle, m, reduce_part)).map(|b| b.bytes()).sum()
-    }
-
     /// Materializes one partition against the frozen snapshot, charging
     /// simulated time and recording events. Checks memory, then disk, then
     /// recomputes from lineage — the recovery order of paper Fig. 2.
@@ -597,19 +593,20 @@ impl<'a> TaskCtx<'a> {
                             }
                         }
                     }
-                    let fetch_bytes = self.fetch_bytes((rdd, dep_idx), num_maps, part);
-                    let parent_ser = plan.node(*parent)?.ser_factor;
-                    self.charge.shuffle_fetch += view.config.hardware.network_time(fetch_bytes)
-                        + view.config.hardware.deser_time(fetch_bytes, parent_ser);
+                    let mut fetched = ByteSize::ZERO;
                     let mut incoming = Vec::with_capacity(num_maps);
                     for m in 0..num_maps {
                         let b = self.fetch((rdd, dep_idx), m, part).ok_or_else(|| {
                             BlazeError::Execution(format!("missing map output {rdd}/{dep_idx}/{m}"))
                         })?;
                         in_elems += b.len() as u64;
-                        in_bytes += b.bytes().as_bytes();
+                        fetched += b.bytes();
                         incoming.push(b);
                     }
+                    in_bytes += fetched.as_bytes();
+                    let parent_ser = plan.node(*parent)?.ser_factor;
+                    self.charge.shuffle_fetch += view.config.hardware.network_time(fetched)
+                        + view.config.hardware.deser_time(fetched, parent_ser);
                     per_dep.push(incoming);
                 }
                 (agg(part, &per_dep)?, in_elems, in_bytes)
@@ -2235,6 +2232,68 @@ mod tests {
         let expected: Vec<(u64, u64)> =
             (0..4).map(|k| (k, (0..100).filter(|i| i % 4 == k).sum::<u64>())).collect();
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn reduce_task_is_charged_for_exactly_the_bytes_it_fetched() {
+        let (ctx, cl) = cluster(Box::new(NoCacheController));
+        let pairs: Vec<(u64, u64)> = (0..1000).map(|i| (i % 37, i)).collect();
+        let parted = ctx.parallelize(pairs, 4).partition_by(3);
+        let blocks = ctx.run_job(parted.id()).unwrap();
+        let hw = ClusterConfig::default().hardware;
+        let m = cl.metrics();
+        for (p, block) in blocks.iter().enumerate() {
+            // `partition_by` concatenates its buckets unchanged, so a reduce
+            // task's output is exactly as large as what it fetched.
+            let fetched = block.bytes();
+            assert!(!fetched.is_zero());
+            let task = m
+                .task_traces
+                .iter()
+                .find(|t| t.stage_output == parted.id() && t.partition as usize == p)
+                .expect("one reduce task per partition");
+            assert_eq!(
+                task.charge.shuffle_fetch,
+                hw.network_time(fetched) + hw.deser_time(fetched, 1.0)
+            );
+        }
+    }
+
+    #[test]
+    fn wide_shuffle_matches_local_runner_and_runs_each_map_side_once() {
+        use blaze_dataflow::runner::LocalRunner;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const P: usize = 64;
+        // The same 64 x 64 shuffle (most buckets empty) on any backend, its
+        // map side wrapped to count calls.
+        fn run(ctx: &Context) -> (Vec<Vec<(u64, u64)>>, usize) {
+            let pairs: Vec<(u64, u64)> = (0..4000).map(|i| (i % 300, i)).collect();
+            let summed = ctx.parallelize(pairs, P).reduce_by_key(P, |a, b| a + b);
+            let calls = Arc::new(AtomicUsize::new(0));
+            {
+                let mut plan = ctx.plan().write();
+                let node = plan.node_mut(summed.id()).unwrap();
+                let Dep::Shuffle { map_side, .. } = &mut node.deps[0] else {
+                    panic!("reduce_by_key reads through a shuffle");
+                };
+                let (inner, calls) = (Arc::clone(map_side), Arc::clone(&calls));
+                *map_side = Arc::new(move |block, n| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    inner(block, n)
+                });
+            }
+            let blocks = ctx.run_job(summed.id()).unwrap();
+            let parts = blocks.iter().map(|b| b.to_vec::<(u64, u64)>("t").unwrap()).collect();
+            (parts, calls.load(Ordering::Relaxed))
+        }
+        let (reference, local_calls) = run(&Context::new(LocalRunner::new()));
+        let (ctx, _cluster) = cluster(Box::new(NoCacheController));
+        let (got, cluster_calls) = run(&ctx);
+        assert_eq!(reference.len(), P);
+        assert_eq!(reference.iter().map(Vec::len).sum::<usize>(), 300);
+        assert_eq!(got, reference, "same records in the same order in every partition");
+        assert_eq!(local_calls, P, "LocalRunner memoizes a map task's buckets across reducers");
+        assert_eq!(cluster_calls, P);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use blaze_common::fxhash::{FxHashMap, FxHashSet};
 use blaze_common::ids::{ExecutorId, RddId};
-use blaze_common::ByteSize;
 use blaze_dataflow::Block;
 
 /// Identifies one shuffle: the consuming RDD and the index of the shuffle
@@ -70,20 +69,6 @@ impl ShuffleStore {
     /// Fetches the bucket addressed to `reduce_part` from one map task.
     pub fn fetch(&self, shuffle: ShuffleId, map_part: usize, reduce_part: usize) -> Option<Block> {
         self.outputs.get(&(shuffle, map_part)).and_then(|o| o.buckets.get(reduce_part)).cloned()
-    }
-
-    /// Total bytes a reducer fetches for `reduce_part` across `num_maps` maps.
-    pub fn fetch_bytes(&self, shuffle: ShuffleId, num_maps: usize, reduce_part: usize) -> ByteSize {
-        (0..num_maps)
-            .filter_map(|m| self.outputs.get(&(shuffle, m)))
-            .filter_map(|o| o.buckets.get(reduce_part))
-            .map(|b| b.bytes())
-            .sum()
-    }
-
-    /// Total bytes resident in the shuffle store.
-    pub fn total_bytes(&self) -> ByteSize {
-        self.outputs.values().flat_map(|o| &o.buckets).map(|b| b.bytes()).sum()
     }
 
     /// Number of registered map outputs.
@@ -172,16 +157,6 @@ mod tests {
         let b = s.fetch(sh, 1, 2).unwrap();
         assert_eq!(b.len(), 2);
         assert!(s.fetch(sh, 9, 0).is_none());
-    }
-
-    #[test]
-    fn fetch_bytes_sums_across_maps() {
-        let mut s = ShuffleStore::new();
-        let sh: ShuffleId = (RddId(1), 0);
-        s.put_map_output(sh, 0, buckets(2, 10), E0);
-        s.put_map_output(sh, 1, buckets(2, 10), E0);
-        assert_eq!(s.fetch_bytes(sh, 2, 0), ByteSize::from_bytes(2 * 10 * 8));
-        assert_eq!(s.total_bytes(), ByteSize::from_bytes(4 * 10 * 8));
     }
 
     #[test]

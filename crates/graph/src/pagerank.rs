@@ -78,10 +78,18 @@ pub fn run(ctx: &Context, cfg: &PageRankConfig) -> Result<PageRankResult> {
     let mut prev: Option<(Dataset<(VertexId, f64)>, RankGraph)> = None;
 
     for _ in 0..cfg.iterations {
+        // One pass per partition into a pre-sized vector: a `flat_map`
+        // closure cannot borrow from its argument, so it would allocate a
+        // vector per vertex.
         let contribs = rank_graph
-            .flat_map(|(_, (dests, rank))| {
-                let share = *rank / dests.len() as f64;
-                dests.iter().map(|&d| (d, share)).collect::<Vec<_>>()
+            .map_partitions(|part| {
+                let edges = part.iter().map(|(_, (dests, _))| dests.len()).sum();
+                let mut out = Vec::with_capacity(edges);
+                for (_, (dests, rank)) in part {
+                    let share = *rank / dests.len() as f64;
+                    out.extend(dests.iter().map(|&d| (d, share)));
+                }
+                out
             })
             .named("contribs");
         let msgs = contribs.reduce_by_key(parts, |a, b| a + b).named("msg_sums");
