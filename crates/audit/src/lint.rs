@@ -40,7 +40,8 @@
 //!
 //! A finding on line `n` is suppressed by `// audit: allow(<code>)` on line
 //! `n` or `n - 1`. Doc comments, comment text and `#[cfg(test)]` modules
-//! (by convention at the end of a file) are not linted.
+//! (by convention at the end of a file, or out of line in a `tests.rs`) are
+//! not linted.
 
 use std::fmt;
 use std::fs;
@@ -302,12 +303,13 @@ pub fn lint_paths(roots: &[PathBuf]) -> io::Result<Vec<LintViolation>> {
             files.push(root.clone());
         }
     }
-    // Integration tests and benches may legitimately mention the banned
-    // constructs (fixtures, wall-clock harnesses); the contract covers
-    // the production `src/` trees.
+    // Integration tests, benches and out-of-line unit-test modules
+    // (`#[cfg(test)] mod tests;` -> `tests.rs`) may legitimately mention
+    // the banned constructs (fixtures, wall-clock harnesses); the contract
+    // covers the production `src/` trees.
     files.retain(|f| {
         let p = f.to_string_lossy().replace('\\', "/");
-        !p.contains("/tests/") && !p.contains("/benches/")
+        !p.contains("/tests/") && !p.contains("/benches/") && !p.ends_with("/tests.rs")
     });
     let mut out = Vec::new();
     for file in files {

@@ -8,9 +8,10 @@
 //! measures the difference two ways:
 //!
 //! 1. **Workloads** — every evaluation application runs twice under full
-//!    Blaze with the controller wrapped in a timing shim, which in the
-//!    baseline arm also calls `BlazeController::forget_decision_state`
-//!    before each job submission. The simulated ACT must be identical in
+//!    Blaze with the controller wrapped in the harness's timing shim
+//!    (`blaze_bench::harness::DecisionProbe`), which in the baseline arm
+//!    also calls `BlazeController::forget_decision_state` before each job
+//!    submission. The simulated ACT must be identical in
 //!    both arms (the decision-identity contract); only the real time spent
 //!    deciding may differ.
 //! 2. **Stress shapes** — synthetic lineages exercising the regimes where
@@ -34,26 +35,23 @@
 //! *verification* costs relative to solving. The headline workload/stress
 //! speedup columns are measured with certification off, exactly as before.
 
+use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use blaze_bench::json::nz;
 use blaze_certify::{verify_greedy, verify_ilp, verify_knapsack};
-use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
+use blaze_common::ids::{BlockId, ExecutorId, RddId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_core::costlineage::CostLineage;
-use blaze_core::{BlazeController, IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState};
-use blaze_dataflow::{runner::LocalRunner, Context, Dataset, JobPlan, Plan};
+use blaze_core::{IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState};
+use blaze_dataflow::{runner::LocalRunner, Context, Dataset, Plan};
 use blaze_engine::config::default_worker_threads;
-use blaze_engine::{
-    Admission, BlockInfo, CacheController, CtrlCtx, HardwareModel, PartitionEvent, StateCommand,
-    StoreTier, VictimAction,
-};
+use blaze_engine::HardwareModel;
 use blaze_solver::ilp::{solve_binary, solve_binary_certified, IlpProblem};
 use blaze_solver::knapsack::{
     greedy_certificate, solve_knapsack, solve_knapsack_certified, KnapsackItem,
 };
 use blaze_solver::lp::Constraint;
 use blaze_workloads::{App, AppSpec, Session};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Minimum stress-shape speedup (`cold / retained`) the `--check`
@@ -65,115 +63,6 @@ const CHECK_MIN_SPEEDUP: f64 = 2.0;
 /// the certify section: checking proofs must stay a small fraction of
 /// producing answers, or the certificates are not cheaper than re-solving.
 const CHECK_MAX_VERIFY_RATIO: f64 = 0.2;
-
-/// Wraps the Blaze controller and attributes the real time spent in the
-/// decision path (job submission + stage completion hooks) to shared
-/// counters. Every method delegates; instrumentation never changes
-/// simulated behaviour.
-struct TimedController {
-    inner: BlazeController,
-    /// Baseline arm: forget all retained decision state before every job
-    /// submission (outside the timed region).
-    cold: bool,
-    decision_nanos: Arc<AtomicU64>,
-    decision_calls: Arc<AtomicU64>,
-}
-
-impl CacheController for TimedController {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn should_cache(&mut self, ctx: &CtrlCtx, block: &BlockInfo, annotated: bool) -> bool {
-        self.inner.should_cache(ctx, block, annotated)
-    }
-
-    fn admit(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.admit(ctx, block)
-    }
-
-    fn choose_victims(
-        &mut self,
-        ctx: &CtrlCtx,
-        exec: ExecutorId,
-        needed: ByteSize,
-        incoming: &BlockInfo,
-        resident: &[BlockInfo],
-    ) -> Vec<(BlockId, VictimAction)> {
-        self.inner.choose_victims(ctx, exec, needed, incoming, resident)
-    }
-
-    fn on_admission_failure(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.on_admission_failure(ctx, block)
-    }
-
-    fn readmit_after_disk_read(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.readmit_after_disk_read(ctx, block)
-    }
-
-    fn serialized_in_memory(&self) -> bool {
-        self.inner.serialized_in_memory()
-    }
-
-    fn memory_footprint_factor(&self) -> f64 {
-        self.inner.memory_footprint_factor()
-    }
-
-    fn on_access(&mut self, ctx: &CtrlCtx, id: BlockId) {
-        self.inner.on_access(ctx, id);
-    }
-
-    fn explain_block(&self, id: BlockId) -> Option<String> {
-        self.inner.explain_block(id)
-    }
-
-    fn on_inserted(&mut self, ctx: &CtrlCtx, info: &BlockInfo, tier: StoreTier) {
-        self.inner.on_inserted(ctx, info, tier);
-    }
-
-    fn on_evicted(&mut self, ctx: &CtrlCtx, id: BlockId) {
-        self.inner.on_evicted(ctx, id);
-    }
-
-    fn on_partition_computed(&mut self, ctx: &CtrlCtx, event: &PartitionEvent) {
-        self.inner.on_partition_computed(ctx, event);
-    }
-
-    fn on_job_submit(
-        &mut self,
-        ctx: &CtrlCtx,
-        job: JobId,
-        job_plan: &JobPlan,
-        plan: &Plan,
-    ) -> Vec<StateCommand> {
-        let inner = &mut self.inner;
-        if self.cold {
-            inner.forget_decision_state();
-        }
-        // audit: allow(wall-clock)
-        let start = Instant::now();
-        let out = inner.on_job_submit(ctx, job, job_plan, plan);
-        self.decision_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.decision_calls.fetch_add(1, Ordering::Relaxed);
-        out
-    }
-
-    fn on_stage_complete(
-        &mut self,
-        ctx: &CtrlCtx,
-        stage_output: RddId,
-        job: JobId,
-        plan: &Plan,
-    ) -> Vec<StateCommand> {
-        let inner = &mut self.inner;
-        // audit: allow(wall-clock)
-        let start = Instant::now();
-        let out = inner.on_stage_complete(ctx, stage_output, job, plan);
-        self.decision_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.decision_calls.fetch_add(1, Ordering::Relaxed);
-        out
-    }
-}
 
 /// One workload's paired measurement.
 struct WorkloadSample {
@@ -211,22 +100,20 @@ impl StressSample {
 /// forgetting it before every submission; returns (simulated ACT seconds,
 /// jobs, real decision seconds, decision calls).
 fn run_timed(spec: &AppSpec, cold: bool) -> (f64, u64, f64, u64) {
-    let nanos = Arc::new(AtomicU64::new(0));
-    let calls = Arc::new(AtomicU64::new(0));
-    let (n2, c2) = (Arc::clone(&nanos), Arc::clone(&calls));
+    let readout = Arc::new(Mutex::new(ProbeReadout::default()));
+    let mirror = Arc::clone(&readout);
     let out = Session::builder()
         .app(*spec)
-        .instrument(move |inner| {
-            Box::new(TimedController { inner, cold, decision_nanos: n2, decision_calls: c2 })
-        })
+        .instrument(move |inner| Box::new(DecisionProbe::new(inner, cold, mirror)))
         .run()
         .expect("workload run failed")
         .into_outcome();
+    let readout = *readout.lock().expect("the probe panicked");
     (
         out.metrics.completion_time.as_secs_f64(),
         out.metrics.jobs,
-        nanos.load(Ordering::Relaxed) as f64 / 1e9,
-        calls.load(Ordering::Relaxed),
+        readout.hook_time.as_secs_f64(),
+        readout.hook_calls,
     )
 }
 
@@ -839,5 +726,23 @@ fn main() {
         let json = render_json(default_worker_threads(), &workloads, &stress, &certify);
         std::fs::write(path, &json).expect("write BENCH_decision.json");
         println!("wrote {} workload + {} stress samples to {path}", workloads.len(), stress.len());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blaze_core::{BlazeConfig, BlazeController};
+    use blaze_engine::CacheController;
+
+    /// The shim must not swallow the wrapped controller's preflight: a
+    /// deadline below the ladder floor is BA304 with or without it.
+    #[test]
+    fn the_timing_shim_forwards_the_preflight_diagnostics() {
+        let mut cfg = BlazeConfig::full();
+        cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(1));
+        let shim = DecisionProbe::new(BlazeController::new(cfg, None), true, Arc::default());
+        let codes: Vec<_> = shim.preflight_diagnostics().iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(codes, ["BA304"]);
     }
 }

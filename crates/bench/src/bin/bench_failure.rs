@@ -30,18 +30,13 @@
 //! every sample, at least one spill is quarantined, and the capped solver
 //! actually degrades).
 
+use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use blaze_bench::json::nz;
-use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
-use blaze_common::{ByteSize, SimDuration, SimTime};
-use blaze_core::{BlazeConfig, BlazeController};
-use blaze_dataflow::{JobPlan, Plan};
-use blaze_engine::{
-    Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote, ExecutorCrash, FaultPlan,
-    PartitionEvent, StateCommand, StoreTier, VictimAction,
-};
+use blaze_common::{SimDuration, SimTime};
+use blaze_core::BlazeConfig;
+use blaze_engine::{ExecutorCrash, FaultPlan};
 use blaze_workloads::{App, AppSpec, RunOutcome, Session, SystemKind};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One faulted (or clean, with the default plan) run through the session API.
 fn run_one(spec: &AppSpec, system: SystemKind, fault: FaultPlan) -> RunOutcome {
@@ -149,109 +144,6 @@ fn straggler_plan(speculation: bool) -> FaultPlan {
         straggler_slowdown: 6.0,
         speculation,
         ..Default::default()
-    }
-}
-
-/// Delegating controller wrapper mirroring the ladder counters into shared
-/// cells after every submission (the controller itself is moved into the
-/// cluster, so the counts must escape through the shim). Every method
-/// delegates; instrumentation never changes simulated behaviour.
-struct LadderCounting {
-    inner: BlazeController,
-    degraded: Arc<AtomicU64>,
-    passthrough: Arc<AtomicU64>,
-}
-
-impl CacheController for LadderCounting {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn should_cache(&mut self, ctx: &CtrlCtx, block: &BlockInfo, annotated: bool) -> bool {
-        self.inner.should_cache(ctx, block, annotated)
-    }
-
-    fn admit(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.admit(ctx, block)
-    }
-
-    fn choose_victims(
-        &mut self,
-        ctx: &CtrlCtx,
-        exec: ExecutorId,
-        needed: ByteSize,
-        incoming: &BlockInfo,
-        resident: &[BlockInfo],
-    ) -> Vec<(BlockId, VictimAction)> {
-        self.inner.choose_victims(ctx, exec, needed, incoming, resident)
-    }
-
-    fn on_admission_failure(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.on_admission_failure(ctx, block)
-    }
-
-    fn readmit_after_disk_read(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.readmit_after_disk_read(ctx, block)
-    }
-
-    fn serialized_in_memory(&self) -> bool {
-        self.inner.serialized_in_memory()
-    }
-
-    fn memory_footprint_factor(&self) -> f64 {
-        self.inner.memory_footprint_factor()
-    }
-
-    fn on_access(&mut self, ctx: &CtrlCtx, id: BlockId) {
-        self.inner.on_access(ctx, id);
-    }
-
-    fn explain_block(&self, id: BlockId) -> Option<String> {
-        self.inner.explain_block(id)
-    }
-
-    fn on_inserted(&mut self, ctx: &CtrlCtx, info: &BlockInfo, tier: StoreTier) {
-        self.inner.on_inserted(ctx, info, tier);
-    }
-
-    fn on_evicted(&mut self, ctx: &CtrlCtx, id: BlockId) {
-        self.inner.on_evicted(ctx, id);
-    }
-
-    fn on_partition_computed(&mut self, ctx: &CtrlCtx, event: &PartitionEvent) {
-        self.inner.on_partition_computed(ctx, event);
-    }
-
-    fn on_job_submit(
-        &mut self,
-        ctx: &CtrlCtx,
-        job: JobId,
-        job_plan: &JobPlan,
-        plan: &Plan,
-    ) -> Vec<StateCommand> {
-        let out = self.inner.on_job_submit(ctx, job, job_plan, plan);
-        let stats = self.inner.decision_stats();
-        self.degraded.store(stats.degraded, Ordering::Relaxed);
-        self.passthrough.store(stats.passthrough, Ordering::Relaxed);
-        out
-    }
-
-    fn on_stage_complete(
-        &mut self,
-        ctx: &CtrlCtx,
-        stage_output: RddId,
-        job: JobId,
-        plan: &Plan,
-    ) -> Vec<StateCommand> {
-        self.inner.on_stage_complete(ctx, stage_output, job, plan)
-    }
-
-    fn take_degradation(&mut self) -> Option<DegradationNote> {
-        self.inner.take_degradation()
-    }
-
-    fn preflight_diagnostics(&self) -> Vec<blaze_audit::Diagnostic> {
-        self.inner.preflight_diagnostics()
     }
 }
 
@@ -382,29 +274,26 @@ fn main() {
             .run()
             .expect("uncapped run")
             .into_outcome();
-        let degraded = Arc::new(AtomicU64::new(0));
-        let passthrough = Arc::new(AtomicU64::new(0));
-        let (d, p) = (Arc::clone(&degraded), Arc::clone(&passthrough));
-        let cfg = BlazeConfig::builder()
-            .solve_deadline(SimDuration::from_nanos(SOLVE_DEADLINE_NS))
-            .build()
-            .expect("deadline above the ladder floor");
+        let readout = Arc::new(Mutex::new(ProbeReadout::default()));
+        let mirror = Arc::clone(&readout);
+        let mut cfg = BlazeConfig::full();
+        cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(SOLVE_DEADLINE_NS));
+        cfg.validate().expect("deadline above the ladder floor");
         let capped = Session::builder()
             .app(spec)
             .blaze(cfg)
-            .instrument(move |inner| {
-                Box::new(LadderCounting { inner, degraded: d, passthrough: p })
-            })
+            .instrument(move |inner| Box::new(DecisionProbe::new(inner, false, mirror)))
             .run()
             .expect("capped Blaze run")
             .into_outcome();
+        let stats = readout.lock().expect("the probe panicked").stats;
         let s = DegradSample {
             workload: label,
             deadline_ns: SOLVE_DEADLINE_NS,
             act_full: full.metrics.completion_time.as_secs_f64(),
             act_capped: capped.metrics.completion_time.as_secs_f64(),
-            degraded: degraded.load(Ordering::Relaxed),
-            passthrough: passthrough.load(Ordering::Relaxed),
+            degraded: stats.degraded,
+            passthrough: stats.passthrough,
         };
         eprintln!(
             "{label:9} degradation act {:.4}s -> {:.4}s  (degraded {}, passthrough {})",

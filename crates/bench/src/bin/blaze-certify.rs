@@ -18,116 +18,19 @@
 //!   accepts everything would pass `--all` trivially; this mode proves the
 //!   checks have teeth.
 
+use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use blaze_certify::{
     check_dirty_closure, verify_greedy, verify_greedy_relaxation, verify_ilp, verify_knapsack,
     verify_mckp, verify_mckp_greedy, LineageNodeView, LineageView,
 };
-use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
-use blaze_common::ByteSize;
-use blaze_core::{BlazeConfig, BlazeController, SolveStrategy};
-use blaze_dataflow::{JobPlan, Plan};
-use blaze_engine::{
-    Admission, BlockInfo, CacheController, CtrlCtx, PartitionEvent, StateCommand, StoreTier,
-    VictimAction,
-};
+use blaze_common::ids::{BlockId, RddId};
+use blaze_core::{BlazeConfig, SolveStrategy};
 use blaze_solver::cert::KnapNode;
 use blaze_solver::ilp::{solve_binary_certified, IlpProblem};
 use blaze_solver::knapsack::{greedy_certificate, solve_knapsack_certified, KnapsackItem};
 use blaze_solver::mckp::{greedy_mckp_certificate, solve_mckp_certified, MckpGroup, MckpOption};
 use blaze_workloads::{App, AppSpec, Session};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Delegating controller wrapper that mirrors the certified-solve counter
-/// into a shared cell after every submission (the controller itself is moved
-/// into the cluster, so the count must escape through the shim).
-struct CertCounting {
-    inner: BlazeController,
-    certified: Arc<AtomicU64>,
-}
-
-impl CacheController for CertCounting {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn should_cache(&mut self, ctx: &CtrlCtx, block: &BlockInfo, annotated: bool) -> bool {
-        self.inner.should_cache(ctx, block, annotated)
-    }
-
-    fn admit(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.admit(ctx, block)
-    }
-
-    fn choose_victims(
-        &mut self,
-        ctx: &CtrlCtx,
-        exec: ExecutorId,
-        needed: ByteSize,
-        incoming: &BlockInfo,
-        resident: &[BlockInfo],
-    ) -> Vec<(BlockId, VictimAction)> {
-        self.inner.choose_victims(ctx, exec, needed, incoming, resident)
-    }
-
-    fn on_admission_failure(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.on_admission_failure(ctx, block)
-    }
-
-    fn readmit_after_disk_read(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.readmit_after_disk_read(ctx, block)
-    }
-
-    fn serialized_in_memory(&self) -> bool {
-        self.inner.serialized_in_memory()
-    }
-
-    fn memory_footprint_factor(&self) -> f64 {
-        self.inner.memory_footprint_factor()
-    }
-
-    fn on_access(&mut self, ctx: &CtrlCtx, id: BlockId) {
-        self.inner.on_access(ctx, id);
-    }
-
-    fn explain_block(&self, id: BlockId) -> Option<String> {
-        self.inner.explain_block(id)
-    }
-
-    fn on_inserted(&mut self, ctx: &CtrlCtx, info: &BlockInfo, tier: StoreTier) {
-        self.inner.on_inserted(ctx, info, tier);
-    }
-
-    fn on_evicted(&mut self, ctx: &CtrlCtx, id: BlockId) {
-        self.inner.on_evicted(ctx, id);
-    }
-
-    fn on_partition_computed(&mut self, ctx: &CtrlCtx, event: &PartitionEvent) {
-        self.inner.on_partition_computed(ctx, event);
-    }
-
-    fn on_job_submit(
-        &mut self,
-        ctx: &CtrlCtx,
-        job: JobId,
-        job_plan: &JobPlan,
-        plan: &Plan,
-    ) -> Vec<StateCommand> {
-        let out = self.inner.on_job_submit(ctx, job, job_plan, plan);
-        self.certified.store(self.inner.decision_stats().certified, Ordering::Relaxed);
-        out
-    }
-
-    fn on_stage_complete(
-        &mut self,
-        ctx: &CtrlCtx,
-        stage_output: RddId,
-        job: JobId,
-        plan: &Plan,
-    ) -> Vec<StateCommand> {
-        self.inner.on_stage_complete(ctx, stage_output, job, plan)
-    }
-}
+use std::sync::{Arc, Mutex};
 
 fn strategy_label(s: SolveStrategy) -> &'static str {
     match s {
@@ -146,16 +49,16 @@ fn check_all(scale: f64) {
         for strategy in strategies {
             let mut cfg = BlazeConfig { certify: true, ..BlazeConfig::full() };
             cfg.optimizer.strategy = strategy;
-            let certified = Arc::new(AtomicU64::new(0));
-            let mirror = Arc::clone(&certified);
+            let readout = Arc::new(Mutex::new(ProbeReadout::default()));
+            let mirror = Arc::clone(&readout);
             let out = Session::builder()
                 .app(spec)
                 .blaze(cfg)
-                .instrument(move |inner| Box::new(CertCounting { inner, certified: mirror }))
+                .instrument(move |inner| Box::new(DecisionProbe::new(inner, false, mirror)))
                 .run()
                 .expect("certified workload run failed")
                 .into_outcome();
-            let n = certified.load(Ordering::Relaxed);
+            let n = readout.lock().expect("the probe panicked").stats.certified;
             total += n;
             eprintln!(
                 "{:7} strategy={:9} jobs={:3} certificates={n}",
@@ -176,16 +79,16 @@ fn check_all(scale: f64) {
         for strategy in strategies {
             let mut cfg = BlazeConfig { certify: true, ..BlazeConfig::full_ser_tier() };
             cfg.optimizer.strategy = strategy;
-            let certified = Arc::new(AtomicU64::new(0));
-            let mirror = Arc::clone(&certified);
+            let readout = Arc::new(Mutex::new(ProbeReadout::default()));
+            let mirror = Arc::clone(&readout);
             let out = Session::builder()
                 .app(spec)
                 .blaze(cfg)
-                .instrument(move |inner| Box::new(CertCounting { inner, certified: mirror }))
+                .instrument(move |inner| Box::new(DecisionProbe::new(inner, false, mirror)))
                 .run()
                 .expect("certified ser-tier run failed")
                 .into_outcome();
-            let n = certified.load(Ordering::Relaxed);
+            let n = readout.lock().expect("the probe panicked").stats.certified;
             total += n;
             eprintln!(
                 "{:7} strategy={:9} jobs={:3} certificates={n} [ser-tier]",
@@ -415,5 +318,24 @@ fn main() {
     }
     if all {
         check_all(if quick { 0.3 } else { 1.0 });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blaze_common::SimDuration;
+    use blaze_core::BlazeController;
+    use blaze_engine::CacheController;
+
+    /// The shim must not swallow the wrapped controller's preflight: a
+    /// deadline below the ladder floor is BA304 with or without it.
+    #[test]
+    fn the_counting_shim_forwards_the_preflight_diagnostics() {
+        let mut cfg = BlazeConfig::full();
+        cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(1));
+        let shim = DecisionProbe::new(BlazeController::new(cfg, None), false, Arc::default());
+        let codes: Vec<_> = shim.preflight_diagnostics().iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(codes, ["BA304"]);
     }
 }

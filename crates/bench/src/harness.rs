@@ -1,9 +1,18 @@
 //! Run helpers shared by the figure binaries.
 
 use blaze_common::error::Result;
-use blaze_engine::Metrics;
+use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
+use blaze_common::ByteSize;
+use blaze_core::{BlazeController, DecisionStats};
+use blaze_dataflow::{JobPlan, Plan};
+use blaze_engine::{
+    Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote, Metrics, PartitionEvent,
+    StateCommand, StoreTier, VictimAction,
+};
 use blaze_workloads::{run_app, App, RunOutcome, SystemKind};
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Runs every (app, system) pair and returns outcomes keyed by both.
 pub fn run_matrix(
@@ -34,6 +43,149 @@ pub fn breakdown_secs(m: &Metrics) -> (f64, f64, f64) {
         m.accumulated.external_store_io.as_secs_f64(),
         m.accumulated.computation_and_shuffle().as_secs_f64(),
     )
+}
+
+/// What a [`DecisionProbe`] mirrors out of the cluster that owns it.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ProbeReadout {
+    /// The wrapped controller's `decision_stats()` after the latest job
+    /// submission.
+    pub stats: DecisionStats,
+    /// Host time spent inside the decision hooks (`on_job_submit` and
+    /// `on_stage_complete`): the decision path runs in the engine's serial
+    /// phases, so this directly caps parallel speedup.
+    pub hook_time: Duration,
+    /// Calls of the decision hooks.
+    pub hook_calls: u64,
+}
+
+/// The harness's one delegating wrapper around a [`BlazeController`]
+/// (install it with `Session::instrument`). The controller is moved into
+/// the cluster, so whatever a harness wants to know about its decision path
+/// must escape through a shim: this one times the two decision hooks and
+/// mirrors `decision_stats()` into a shared [`ProbeReadout`], and — `cold` —
+/// makes the controller forget its retained decision state before every job
+/// submission (the "from scratch" reference). Every `CacheController`
+/// method forwards; instrumentation never changes simulated behaviour.
+pub struct DecisionProbe {
+    inner: BlazeController,
+    cold: bool,
+    readout: Arc<Mutex<ProbeReadout>>,
+}
+
+impl DecisionProbe {
+    /// Wraps `inner`, reporting into `readout`.
+    pub fn new(inner: BlazeController, cold: bool, readout: Arc<Mutex<ProbeReadout>>) -> Self {
+        Self { inner, cold, readout }
+    }
+
+    /// Runs one decision hook on the wrapped controller, timed.
+    fn timed(
+        &mut self,
+        hook: impl FnOnce(&mut BlazeController) -> Vec<StateCommand>,
+    ) -> Vec<StateCommand> {
+        let start = Instant::now();
+        let out = hook(&mut self.inner);
+        let spent = start.elapsed();
+        let mut readout = self.readout.lock().expect("a probe reader panicked");
+        readout.stats = self.inner.decision_stats();
+        readout.hook_time += spent;
+        readout.hook_calls += 1;
+        out
+    }
+}
+
+impl CacheController for DecisionProbe {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn should_cache(&mut self, ctx: &CtrlCtx, block: &BlockInfo, annotated: bool) -> bool {
+        self.inner.should_cache(ctx, block, annotated)
+    }
+
+    fn admit(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
+        self.inner.admit(ctx, block)
+    }
+
+    fn choose_victims(
+        &mut self,
+        ctx: &CtrlCtx,
+        exec: ExecutorId,
+        needed: ByteSize,
+        incoming: &BlockInfo,
+        resident: &[BlockInfo],
+    ) -> Vec<(BlockId, VictimAction)> {
+        self.inner.choose_victims(ctx, exec, needed, incoming, resident)
+    }
+
+    fn on_admission_failure(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
+        self.inner.on_admission_failure(ctx, block)
+    }
+
+    fn readmit_after_disk_read(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
+        self.inner.readmit_after_disk_read(ctx, block)
+    }
+
+    fn serialized_in_memory(&self) -> bool {
+        self.inner.serialized_in_memory()
+    }
+
+    fn memory_footprint_factor(&self) -> f64 {
+        self.inner.memory_footprint_factor()
+    }
+
+    fn on_access(&mut self, ctx: &CtrlCtx, id: BlockId) {
+        self.inner.on_access(ctx, id);
+    }
+
+    fn explain_block(&self, id: BlockId) -> Option<String> {
+        self.inner.explain_block(id)
+    }
+
+    fn on_inserted(&mut self, ctx: &CtrlCtx, info: &BlockInfo, tier: StoreTier) {
+        self.inner.on_inserted(ctx, info, tier);
+    }
+
+    fn on_evicted(&mut self, ctx: &CtrlCtx, id: BlockId) {
+        self.inner.on_evicted(ctx, id);
+    }
+
+    fn on_partition_computed(&mut self, ctx: &CtrlCtx, event: &PartitionEvent) {
+        self.inner.on_partition_computed(ctx, event);
+    }
+
+    fn on_job_submit(
+        &mut self,
+        ctx: &CtrlCtx,
+        job: JobId,
+        job_plan: &JobPlan,
+        plan: &Plan,
+    ) -> Vec<StateCommand> {
+        if self.cold {
+            // Outside the timed region.
+            self.inner.forget_decision_state();
+        }
+        self.timed(|inner| inner.on_job_submit(ctx, job, job_plan, plan))
+    }
+
+    fn on_stage_complete(
+        &mut self,
+        ctx: &CtrlCtx,
+        stage_output: RddId,
+        job: JobId,
+        plan: &Plan,
+    ) -> Vec<StateCommand> {
+        self.timed(|inner| inner.on_stage_complete(ctx, stage_output, job, plan))
+    }
+
+    fn take_degradation(&mut self) -> Option<DegradationNote> {
+        self.inner.take_degradation()
+    }
+
+    fn preflight_diagnostics(&self) -> Vec<blaze_audit::Diagnostic> {
+        self.inner.preflight_diagnostics()
+    }
 }
 
 #[cfg(test)]

@@ -1,19 +1,9 @@
 //! The Blaze cache controller: the unified decision layer (§5.6, §4).
 //!
-//! One implementation covers the full system and the paper's §7.3 ablation
-//! points by switching features:
-//!
-//! - [`BlazeConfig::auto_cache_only`] — **+AutoCache**: automatic caching
-//!   and unpersisting of partitions by future references, on top of
-//!   MEM+DISK behaviour with cost-agnostic (LRU) eviction;
-//! - [`BlazeConfig::cost_aware`] — **+CostAware**: additionally selects
-//!   eviction victims by their potential disk cost (smallest first), always
-//!   spilling them to disk (no recompute option, no ILP);
-//! - [`BlazeConfig::full`] — **Blaze**: the unified decision layer with the
-//!   admission comparison of §4.1, per-victim m→d vs m→u state choice of
-//!   §4.2, and the ILP re-optimization of §5.5 at every job submission;
-//! - [`BlazeConfig::full_mem_only`] — Blaze restricted to memory states
-//!   (the Fig. 12 configuration).
+//! One implementation covers the full system and the paper's cumulative §7.3
+//! ablation ladder, selected by [`BlazeConfig::level`] ([`BlazeLevel`]);
+//! [`BlazeConfig::full_mem_only`] is Blaze restricted to memory states (the
+//! Fig. 12 configuration).
 
 use crate::cost::CostModel;
 use crate::costlineage::{CostLineage, PartitionState};
@@ -25,23 +15,36 @@ use crate::refs::JobRefs;
 use blaze_common::error::{BlazeError, Result};
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
-use blaze_common::{ByteSize, SimDuration};
+use blaze_common::ByteSize;
 use blaze_dataflow::{JobPlan, Plan};
 use blaze_engine::{
-    Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote, PartitionEvent, StateCommand,
-    StoreTier, VictimAction,
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote,
+    PartitionEvent, StateCommand, StoreTier, VictimAction,
 };
 
-/// Feature switches of the Blaze controller.
+/// How much of the decision layer is on: the paper's §7.3 ablation ladder.
+/// Each level includes the ones before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum BlazeLevel {
+    /// **+AutoCache**: automatic caching and unpersisting of partitions by
+    /// future references (§5.6), on top of MEM+DISK behaviour with
+    /// cost-agnostic (LRU) eviction.
+    AutoCache,
+    /// **+CostAware**: additionally selects eviction victims by their
+    /// potential disk cost (smallest first, §4.2), always spilling them to
+    /// disk (no recompute option, no ILP).
+    CostAware,
+    /// **Blaze**: the unified decision layer with the admission comparison
+    /// of §4.1, the per-victim m→d vs m→u state choice of §4.2, and the ILP
+    /// re-optimization of §5.5 at every job submission.
+    Unified,
+}
+
+/// Configuration of the Blaze controller.
 #[derive(Debug, Clone, Copy)]
 pub struct BlazeConfig {
-    /// Automatic caching / unpersisting by future references (§5.6).
-    pub auto_cache: bool,
-    /// Cost-aware victim selection (§4.2).
-    pub cost_aware: bool,
-    /// The full unified decision layer: admission comparison, per-victim
-    /// state choice, ILP at job submission (§4.1, §5.5).
-    pub unified: bool,
+    /// The ablation level.
+    pub level: BlazeLevel,
     /// Whether disk states are allowed at all (false = Fig. 12 mode).
     pub use_disk: bool,
     /// Everything the job-submission decision reads: window, strategy,
@@ -62,9 +65,7 @@ impl BlazeConfig {
     /// Full Blaze.
     pub fn full() -> Self {
         Self {
-            auto_cache: true,
-            cost_aware: true,
-            unified: true,
+            level: BlazeLevel::Unified,
             use_disk: true,
             optimizer: OptimizerConfig::default(),
             induce_horizon: 4,
@@ -86,26 +87,18 @@ impl BlazeConfig {
 
     /// The +AutoCache ablation (§7.3).
     pub fn auto_cache_only() -> Self {
-        Self { cost_aware: false, unified: false, ..Self::full() }
+        Self { level: BlazeLevel::AutoCache, ..Self::full() }
     }
 
     /// The +CostAware ablation (§7.3).
     pub fn cost_aware() -> Self {
-        Self { unified: false, ..Self::full() }
-    }
-
-    /// Starts a typed builder seeded with the full-Blaze preset.
-    pub fn builder() -> BlazeConfigBuilder {
-        BlazeConfigBuilder { cfg: Self::full() }
+        Self { level: BlazeLevel::CostAware, ..Self::full() }
     }
 
     /// Runs the controller's preflight checks eagerly, turning every
     /// error-or-warning finding the engine would otherwise surface at job
-    /// submission into a construction-time [`BlazeError::Audit`].
-    ///
-    /// This mirrors [`CacheController::preflight_diagnostics`] (BA304): a
-    /// solver deadline below the cheapest ladder rung silently disables the
-    /// optimizer, which a deliberately configured deadline never intends.
+    /// submission ([`CacheController::preflight_diagnostics`]) into a
+    /// construction-time [`BlazeError::Audit`].
     pub fn validate(&self) -> Result<()> {
         if self.optimizer.horizon_jobs == 0 {
             return Err(BlazeError::Config(
@@ -114,102 +107,30 @@ impl BlazeConfig {
                     .into(),
             ));
         }
-        if let Some(deadline) = self.optimizer.solve_deadline {
-            let floor = min_ladder_cost_ns();
-            if deadline.as_nanos() < floor {
-                return Err(BlazeError::Audit {
-                    code: "BA304".into(),
-                    message: format!(
-                        "solve_deadline of {} ns is below the cheapest ladder rung \
-                         (~{floor} ns): every decision solve would degrade straight \
-                         to LRU passthrough",
-                        deadline.as_nanos()
-                    ),
-                });
-            }
+        match self.deadline_diagnostic() {
+            Some(d) => Err(BlazeError::Audit { code: d.code.as_str().into(), message: d.message }),
+            None => Ok(()),
         }
-        Ok(())
-    }
-}
-
-/// Typed builder for [`BlazeConfig`], running the controller's preflight
-/// validations at [`BlazeConfigBuilder::build`] time so misconfigurations
-/// surface as an early [`BlazeError::Audit`] instead of a per-job warning.
-///
-/// Starts from [`BlazeConfig::full`]; every method overrides one field.
-#[derive(Debug, Clone)]
-pub struct BlazeConfigBuilder {
-    cfg: BlazeConfig,
-}
-
-impl BlazeConfigBuilder {
-    /// Automatic caching / unpersisting by future references (§5.6).
-    #[must_use]
-    pub fn auto_cache(mut self, on: bool) -> Self {
-        self.cfg.auto_cache = on;
-        self
     }
 
-    /// Cost-aware victim selection (§4.2).
-    #[must_use]
-    pub fn cost_aware(mut self, on: bool) -> Self {
-        self.cfg.cost_aware = on;
-        self
-    }
-
-    /// The full unified decision layer (§4.1, §5.5).
-    #[must_use]
-    pub fn unified(mut self, on: bool) -> Self {
-        self.cfg.unified = on;
-        self
-    }
-
-    /// Whether disk states are allowed at all.
-    #[must_use]
-    pub fn use_disk(mut self, on: bool) -> Self {
-        self.cfg.use_disk = on;
-        self
-    }
-
-    /// ILP configuration.
-    #[must_use]
-    pub fn optimizer(mut self, optimizer: OptimizerConfig) -> Self {
-        self.cfg.optimizer = optimizer;
-        self
-    }
-
-    /// How many future jobs to induce when running without profiling.
-    #[must_use]
-    pub fn induce_horizon(mut self, jobs: usize) -> Self {
-        self.cfg.induce_horizon = jobs;
-        self
-    }
-
-    /// Emit and verify decision certificates (debugging harness).
-    #[must_use]
-    pub fn certify(mut self, on: bool) -> Self {
-        self.cfg.certify = on;
-        self
-    }
-
-    /// Simulated-time budget for each job's decision solve.
-    #[must_use]
-    pub fn solve_deadline(mut self, deadline: SimDuration) -> Self {
-        self.cfg.optimizer.solve_deadline = Some(deadline);
-        self
-    }
-
-    /// The serialized in-memory tier as a first-class decision state.
-    #[must_use]
-    pub fn ser_tier(mut self, on: bool) -> Self {
-        self.cfg.optimizer.ser_tier = on;
-        self
-    }
-
-    /// Validates and returns the configuration (see [`BlazeConfig::validate`]).
-    pub fn build(self) -> Result<BlazeConfig> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
+    /// BA304: a deadline below the cheapest rung's modeled cost cannot run
+    /// *any* solver — every job becomes an LRU passthrough, which is almost
+    /// never what a configured deadline intends.
+    fn deadline_diagnostic(&self) -> Option<blaze_audit::Diagnostic> {
+        let deadline = self.optimizer.solve_deadline?;
+        let floor = min_ladder_cost_ns();
+        (deadline.as_nanos() < floor).then(|| {
+            blaze_audit::Diagnostic::new(
+                blaze_audit::DiagCode::SolveDeadlineTooSmall,
+                None,
+                format!(
+                    "solve_deadline of {} ns is below the cheapest ladder rung (~{floor} ns): \
+                     every decision solve will degrade straight to LRU passthrough",
+                    deadline.as_nanos()
+                ),
+                "raise solve_deadline above the greedy rung's cost, or unset it".into(),
+            )
+        })
     }
 }
 
@@ -396,12 +317,11 @@ impl BlazeController {
 
 impl CacheController for BlazeController {
     fn name(&self) -> String {
-        match (self.cfg.unified, self.cfg.cost_aware, self.cfg.auto_cache) {
-            (true, _, _) if !self.cfg.use_disk => "Blaze (MEM_ONLY)".into(),
-            (true, _, _) => "Blaze".into(),
-            (false, true, _) => "+CostAware".into(),
-            (false, false, true) => "+AutoCache".into(),
-            _ => "Blaze (disabled)".into(),
+        match self.cfg.level {
+            BlazeLevel::Unified if !self.cfg.use_disk => "Blaze (MEM_ONLY)".into(),
+            BlazeLevel::Unified => "Blaze".into(),
+            BlazeLevel::CostAware => "+CostAware".into(),
+            BlazeLevel::AutoCache => "+AutoCache".into(),
         }
     }
 
@@ -443,7 +363,7 @@ impl CacheController for BlazeController {
                 }
             }
         }
-        if !self.cfg.unified {
+        if self.cfg.level < BlazeLevel::Unified {
             return Vec::new();
         }
         // The ILP trigger (§5.6): restate cached partitions for the window.
@@ -496,9 +416,6 @@ impl CacheController for BlazeController {
                 }
             }
         }
-        if !self.cfg.auto_cache {
-            return Vec::new();
-        }
         // Auto-unpersist: drop cached data without future references, to
         // "quickly acquire free space after each stage execution" (§5.6).
         let mut rdds: Vec<RddId> = self
@@ -516,10 +433,7 @@ impl CacheController for BlazeController {
             .collect()
     }
 
-    fn should_cache(&mut self, _ctx: &CtrlCtx, block: &BlockInfo, annotated: bool) -> bool {
-        if !self.cfg.auto_cache {
-            return annotated;
-        }
+    fn should_cache(&mut self, _ctx: &CtrlCtx, block: &BlockInfo, _annotated: bool) -> bool {
         // Automatic caching: only partitions that future jobs will read
         // (§5.6); same-job consumption happens inside the producing task
         // pipelines and cannot hit the cache.
@@ -534,30 +448,24 @@ impl CacheController for BlazeController {
         incoming: &BlockInfo,
         resident: &[BlockInfo],
     ) -> Vec<(BlockId, VictimAction)> {
-        if !self.cfg.cost_aware {
+        if self.cfg.level == BlazeLevel::AutoCache {
             // +AutoCache: cost-agnostic LRU eviction.
-            let mut candidates: Vec<(u64, BlockId, ByteSize)> = resident
-                .iter()
-                .map(|b| (self.recency.get(&b.id).copied().unwrap_or(0), b.id, b.bytes))
-                .collect();
-            candidates.sort_by_key(|&(t, id, _)| (t, id));
             let action =
                 if self.cfg.use_disk { VictimAction::ToDisk } else { VictimAction::Discard };
-            return take_until(needed, candidates.into_iter().map(|(_, id, b)| (id, b)))
-                .into_iter()
-                .map(|(id, _)| (id, action))
-                .collect();
+            return victims_by_key(resident, needed, |b| {
+                self.recency.get(&b.id).copied().unwrap_or(0)
+            })
+            .into_iter()
+            .map(|(id, _)| (id, action))
+            .collect();
         }
 
         let hw = ctx.hardware;
         let mut model = CostModel::new(&self.lineage, &hw, self.pattern);
-        if !self.cfg.unified {
+        if self.cfg.level == BlazeLevel::CostAware {
             // +CostAware: sort by potential disk cost (smallest disk I/O
             // evicted first), always spilling (§7.3).
-            let mut candidates: Vec<(u64, BlockId, ByteSize)> =
-                resident.iter().map(|b| (model.cost_d(b.id).as_nanos(), b.id, b.bytes)).collect();
-            candidates.sort_by_key(|&(c, id, _)| (c, id));
-            return take_until(needed, candidates.into_iter().map(|(_, id, b)| (id, b)))
+            return victims_by_key(resident, needed, |b| model.cost_d(b.id).as_nanos())
                 .into_iter()
                 .map(|(id, _)| (id, VictimAction::ToDisk))
                 .collect();
@@ -566,19 +474,15 @@ impl CacheController for BlazeController {
         // Full Blaze (§4.1/§4.2): victims ordered by effective potential
         // recovery cost (zero for unreferenced data); caching proceeds only
         // if the incoming partition saves more than the victims lose.
-        let mut candidates: Vec<(f64, BlockId, ByteSize)> = resident
-            .iter()
-            .map(|b| {
-                let w = self.value_weight(b.id.rdd, Some(incoming.id.rdd));
-                let v = if w > 0.0 { model.cost(b.id).as_secs_f64() * w } else { 0.0 };
-                (v, b.id, b.bytes)
-            })
-            .collect();
-        candidates.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
+        let picked = victims_by_key(resident, needed, |b| {
+            let w = self.value_weight(b.id.rdd, Some(incoming.id.rdd));
+            if w > 0.0 {
+                model.cost(b.id).as_secs_f64() * w
+            } else {
+                0.0
+            }
         });
-        let picked = take_until(needed, candidates.iter().map(|&(_, id, b)| (id, b)));
-        let victims_value: f64 = candidates.iter().take(picked.len()).map(|&(v, _, _)| v).sum();
+        let victims_value: f64 = picked.iter().map(|&(_, v)| v).sum();
         let iw = self.value_weight(incoming.id.rdd, None);
         let incoming_value =
             if iw > 0.0 { model.cost(incoming.id).as_secs_f64() * iw } else { 0.0 };
@@ -604,7 +508,7 @@ impl CacheController for BlazeController {
         if !self.cfg.use_disk {
             return Admission::Skip;
         }
-        if !self.cfg.unified {
+        if self.cfg.level < BlazeLevel::Unified {
             // +AutoCache / +CostAware run on MEM+DISK behaviour.
             return Admission::Disk;
         }
@@ -618,7 +522,7 @@ impl CacheController for BlazeController {
     }
 
     fn readmit_after_disk_read(&mut self, _ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        if self.cfg.unified && self.cross_job_refs(block.id.rdd) > 0 {
+        if self.cfg.level == BlazeLevel::Unified && self.cross_job_refs(block.id.rdd) > 0 {
             Admission::Memory
         } else {
             Admission::Disk
@@ -673,42 +577,8 @@ impl CacheController for BlazeController {
     }
 
     fn preflight_diagnostics(&self) -> Vec<blaze_audit::Diagnostic> {
-        // BA304: a deadline below the cheapest rung's modeled cost cannot
-        // run *any* solver — every job becomes an LRU passthrough, which is
-        // almost never what a configured deadline intends.
-        let Some(deadline) = self.cfg.optimizer.solve_deadline else { return Vec::new() };
-        let floor = min_ladder_cost_ns();
-        if deadline.as_nanos() >= floor {
-            return Vec::new();
-        }
-        vec![blaze_audit::Diagnostic::new(
-            blaze_audit::DiagCode::SolveDeadlineTooSmall,
-            None,
-            format!(
-                "solve_deadline of {} ns is below the cheapest ladder rung (~{floor} ns): every \
-                 decision solve will degrade straight to LRU passthrough",
-                deadline.as_nanos()
-            ),
-            "raise solve_deadline above the greedy rung's cost, or unset it".into(),
-        )]
+        self.cfg.deadline_diagnostic().into_iter().collect()
     }
-}
-
-/// Picks prefix items until `needed` bytes are covered.
-fn take_until(
-    needed: ByteSize,
-    ordered: impl IntoIterator<Item = (BlockId, ByteSize)>,
-) -> Vec<(BlockId, ByteSize)> {
-    let mut freed = ByteSize::ZERO;
-    let mut out = Vec::new();
-    for (id, bytes) in ordered {
-        if freed >= needed {
-            break;
-        }
-        freed += bytes;
-        out.push((id, bytes));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -778,16 +648,6 @@ mod tests {
         ctl.on_job_submit(&ctx, JobId(0), &jp, &plan);
         assert!(ctl.should_cache(&ctx, &info(b.id().raw(), 0, 1), false));
         assert!(!ctl.should_cache(&ctx, &info(c.id().raw(), 0, 1), false));
-    }
-
-    #[test]
-    fn annotations_rule_when_auto_cache_is_off() {
-        let mut cfg = BlazeConfig::full();
-        cfg.auto_cache = false;
-        let mut ctl = BlazeController::new(cfg, None);
-        let ctx = ctrl_ctx();
-        assert!(ctl.should_cache(&ctx, &info(1, 0, 1), true));
-        assert!(!ctl.should_cache(&ctx, &info(1, 0, 1), false));
     }
 
     #[test]
@@ -943,19 +803,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_at_build_time() {
-        let cfg = BlazeConfig::builder().ser_tier(true).use_disk(false).build().unwrap();
-        assert!(cfg.optimizer.ser_tier && !cfg.use_disk);
+    fn validate_rejects_what_the_preflight_would() {
+        let mut cfg = BlazeConfig { use_disk: false, ..BlazeConfig::full_ser_tier() };
+        cfg.validate().unwrap();
 
         // BA304 at construction time instead of a per-job warning.
-        let err = BlazeConfig::builder().solve_deadline(SimDuration::from_nanos(1)).build();
+        cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(1));
+        let err = cfg.validate();
         assert!(
             matches!(err, Err(BlazeError::Audit { ref code, .. }) if code == "BA304"),
             "{err:?}"
         );
 
-        let opt = OptimizerConfig { horizon_jobs: 0, ..OptimizerConfig::default() };
-        let err = BlazeConfig::builder().optimizer(opt).build();
+        let optimizer = OptimizerConfig { horizon_jobs: 0, ..OptimizerConfig::default() };
+        let err = BlazeConfig { optimizer, ..BlazeConfig::full() }.validate();
         assert!(matches!(err, Err(BlazeError::Config(_))), "{err:?}");
     }
 

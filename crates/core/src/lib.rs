@@ -61,7 +61,7 @@ pub mod pattern;
 pub mod profiler;
 pub mod refs;
 
-pub use controller::{BlazeConfig, BlazeController};
+pub use controller::{BlazeConfig, BlazeController, BlazeLevel};
 pub use cost::CostModel;
 pub use costlineage::{CostLineage, PartitionState};
 pub use incremental::{DecisionStats, IncrementalOptimizer};

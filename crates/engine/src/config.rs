@@ -225,105 +225,6 @@ impl ClusterConfig {
     pub fn total_memory(&self) -> ByteSize {
         self.memory_capacity * self.executors as u64
     }
-
-    /// A typed builder that validates at `build()` time instead of first use.
-    pub fn builder() -> ClusterConfigBuilder {
-        ClusterConfigBuilder::default()
-    }
-}
-
-/// Typed builder for [`ClusterConfig`].
-///
-/// `build()` runs the full preflight validation ([`ClusterConfig::validate`],
-/// which includes `FaultPlan::validate` against the configured executor
-/// count), so an inconsistent configuration surfaces as an error where it
-/// was written instead of at the first job submission.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterConfigBuilder {
-    config: ClusterConfig,
-}
-
-impl ClusterConfigBuilder {
-    /// Starts from an existing configuration.
-    pub fn from_config(config: ClusterConfig) -> Self {
-        Self { config }
-    }
-
-    /// Sets the executor count.
-    #[must_use]
-    pub fn executors(mut self, executors: usize) -> Self {
-        self.config.executors = executors;
-        self
-    }
-
-    /// Sets the task slots per executor.
-    #[must_use]
-    pub fn slots_per_executor(mut self, slots: usize) -> Self {
-        self.config.slots_per_executor = slots;
-        self
-    }
-
-    /// Sets the per-executor memory-store capacity.
-    #[must_use]
-    pub fn memory_capacity(mut self, capacity: ByteSize) -> Self {
-        self.config.memory_capacity = capacity;
-        self
-    }
-
-    /// Sets the per-executor disk-store capacity.
-    #[must_use]
-    pub fn disk_capacity(mut self, capacity: ByteSize) -> Self {
-        self.config.disk_capacity = capacity;
-        self
-    }
-
-    /// Sets the hardware throughput model.
-    #[must_use]
-    pub fn hardware(mut self, hardware: HardwareModel) -> Self {
-        self.config.hardware = hardware;
-        self
-    }
-
-    /// Sets the real worker-thread count.
-    #[must_use]
-    pub fn worker_threads(mut self, threads: usize) -> Self {
-        self.config.worker_threads = threads;
-        self
-    }
-
-    /// Enables strict preflight auditing.
-    #[must_use]
-    pub fn strict_audit(mut self, strict: bool) -> Self {
-        self.config.strict_audit = strict;
-        self
-    }
-
-    /// Installs a fault-injection schedule.
-    #[must_use]
-    pub fn fault(mut self, fault: FaultPlan) -> Self {
-        self.config.fault = fault;
-        self
-    }
-
-    /// Enables structured event tracing.
-    #[must_use]
-    pub fn tracing(mut self, tracing: bool) -> Self {
-        self.config.tracing = tracing;
-        self
-    }
-
-    /// Sets the multi-app scheduler policy and seed.
-    #[must_use]
-    pub fn scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.config.scheduler = scheduler;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<ClusterConfig> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
 }
 
 #[cfg(test)]
@@ -387,46 +288,6 @@ mod tests {
             ..Default::default()
         };
         ok.validate().unwrap();
-    }
-
-    #[test]
-    fn builder_validates_at_build_time() {
-        let built = ClusterConfig::builder()
-            .executors(2)
-            .slots_per_executor(3)
-            .memory_capacity(ByteSize::from_mib(64))
-            .worker_threads(2)
-            .tracing(true)
-            .build()
-            .unwrap();
-        assert_eq!(built.executors, 2);
-        assert_eq!(built.slots_per_executor, 3);
-        assert_eq!(built.memory_capacity, ByteSize::from_mib(64));
-        assert!(built.tracing);
-
-        // The same preflight checks as `validate()`, but at build time.
-        assert!(ClusterConfig::builder().executors(0).build().is_err());
-        assert!(ClusterConfig::builder().worker_threads(0).build().is_err());
-    }
-
-    #[test]
-    fn builder_runs_fault_plan_validation() {
-        use crate::fault::FaultPlan;
-        let bad = FaultPlan { task_failure_rate: 0.1, max_task_retries: 0, ..Default::default() };
-        assert!(ClusterConfig::builder().fault(bad).build().is_err());
-    }
-
-    #[test]
-    fn builder_from_config_round_trips() {
-        let base = ClusterConfig { executors: 7, ..Default::default() };
-        let rebuilt = ClusterConfigBuilder::from_config(base.clone())
-            .scheduler(SchedulerConfig { policy: SchedPolicy::FairShare, seed: 3 })
-            .build()
-            .unwrap();
-        assert_eq!(rebuilt.executors, 7);
-        assert_eq!(rebuilt.scheduler.policy, SchedPolicy::FairShare);
-        assert_eq!(rebuilt.scheduler.seed, 3);
-        assert_eq!(base.scheduler, SchedulerConfig::default());
     }
 
     #[test]

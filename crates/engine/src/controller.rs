@@ -276,6 +276,38 @@ pub trait CacheController: Send {
     }
 }
 
+/// The victim-selection routine behind every ranking policy's
+/// [`CacheController::choose_victims`]: keys each candidate once, orders them
+/// by ascending key (`partial_cmp`, then block id — so `f64` keys work and
+/// ties are deterministic) and returns the shortest prefix that covers
+/// `needed`, each victim with its key.
+///
+/// A victim frees its [`BlockInfo::bytes`]; a controller whose store charges
+/// a different footprint passes candidates with `bytes` already scaled.
+/// Anything else a policy does around the ranking (aging, ghost lists, an
+/// admission filter, declining the eviction) stays at its call site.
+pub fn victims_by_key<K: PartialOrd>(
+    candidates: &[BlockInfo],
+    needed: ByteSize,
+    mut key: impl FnMut(&BlockInfo) -> K,
+) -> Vec<(BlockId, K)> {
+    let mut ranked: Vec<(K, BlockId, ByteSize)> =
+        candidates.iter().map(|b| (key(b), b.id, b.bytes)).collect();
+    ranked.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
+    });
+    let mut freed = ByteSize::ZERO;
+    let mut victims = Vec::new();
+    for (key, id, bytes) in ranked {
+        if freed >= needed {
+            break;
+        }
+        freed += bytes;
+        victims.push((id, key));
+    }
+    victims
+}
+
 /// A controller that never caches anything (for engine tests and as the
 /// degenerate baseline: every reuse recomputes from lineage).
 #[derive(Debug, Default, Clone)]

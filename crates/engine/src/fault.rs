@@ -34,9 +34,14 @@
 //! The default plan is fully disabled and adds zero cost: the engine takes
 //! no fault path at all when [`FaultPlan::enabled`] is false.
 
+use crate::cluster::{ClusterState, StageRun};
+use crate::exec::{execute_task, TaskEvent};
+use crate::storage::spill_checksum;
+use crate::tracing::{CacheDecision, TraceEvent};
 use blaze_common::error::{BlazeError, Result};
+use blaze_common::ids::{BlockId, ExecutorId, JobId};
 use blaze_common::rng::{coord_coin, hash_coords};
-use blaze_common::{SimDuration, SimTime};
+use blaze_common::{ByteSize, SimDuration, SimTime};
 
 /// Distinct coin streams, so the same coordinates never reuse a draw
 /// across failure classes.
@@ -378,6 +383,234 @@ impl FaultPlan {
             }
         }
         Ok(())
+    }
+}
+
+/// The engine side of the plan: how the injected failures land on the
+/// cluster state. Serial phases only.
+impl ClusterState {
+    /// Destroys executor `e`'s cached state: memory and disk stores are
+    /// wiped (with controller eviction notifications), and — when the
+    /// fault plan disables the external shuffle service — every shuffle
+    /// output the executor produced. The machine itself is immediately
+    /// replaced: subsequent tasks may be placed on the same index again,
+    /// they just find its stores empty.
+    pub(crate) fn wipe_executor(&mut self, e: usize, at: SimTime) {
+        let exec = ExecutorId(e as u32);
+        let mut lost: Vec<(BlockId, ByteSize, CacheDecision)> = Vec::new();
+        for (store, decision) in [
+            (&mut self.stores.mem[e], CacheDecision::LostMemory),
+            (&mut self.stores.disk[e], CacheDecision::LostDisk),
+        ] {
+            let ids: Vec<BlockId> = store.iter().map(|(id, _)| *id).collect();
+            for id in ids {
+                if let Some(sb) = store.remove(id) {
+                    lost.push((id, sb.logical_bytes, decision));
+                }
+            }
+        }
+        let blocks_lost = lost.len() as u64;
+        let bytes_lost: ByteSize = lost.iter().map(|&(_, bytes, _)| bytes).sum();
+        for (id, bytes, decision) in lost {
+            // The eviction notification lets stateful controllers drop their
+            // residency belief; clearing `materialized` keeps the later
+            // rebuild classified as recovery work rather than a
+            // policy-caused recomputation.
+            let ctx = self.ctrl_ctx(self.clock_floor);
+            self.controller.on_evicted(&ctx, id);
+            let meta = self.stores.meta_mut(id);
+            (meta.home, meta.materialized, meta.lost) = (None, false, true);
+            self.emit_cache(at, exec, id, bytes, decision, None);
+        }
+        let mut map_outputs_lost = 0u64;
+        if !self.config.fault.external_shuffle_service {
+            let lost = self.stores.shuffle.drop_by_producer(exec);
+            map_outputs_lost = lost.len() as u64;
+            for ((child, dep_idx), map_part) in lost {
+                self.emit(TraceEvent::MapOutputLost {
+                    at,
+                    child,
+                    dep_idx: dep_idx as u32,
+                    map_part: map_part as u32,
+                });
+            }
+        }
+        // The fold takes the block and byte tallies from this summary (and
+        // the map-output count from the per-output events above).
+        self.emit(TraceEvent::ExecutorCrashed {
+            at,
+            executor: exec,
+            blocks_lost,
+            bytes_lost,
+            map_outputs_lost,
+        });
+    }
+
+    /// Takes the next scheduled crash if its time has come. Crashes are
+    /// validated time-ordered and each fires exactly once.
+    fn next_due_crash(&mut self, now: SimTime) -> Option<ExecutorCrash> {
+        let crash = *self.config.fault.crashes.get(self.next_crash)?;
+        (crash.at <= now).then(|| {
+            self.next_crash += 1;
+            crash
+        })
+    }
+
+    /// Fires every scheduled crash whose time has passed while the cluster
+    /// was idle (between jobs).
+    pub(crate) fn fire_idle_crashes(&mut self, now: SimTime) {
+        while let Some(crash) = self.next_due_crash(now) {
+            self.wipe_executor(crash.executor, crash.at);
+        }
+    }
+
+    /// Fires crashes that became due during a stage, at the task-commit
+    /// boundary: the dead executor's stores are wiped and every not-yet-
+    /// committed task placed on it is lost and re-executed on the next
+    /// surviving executor (against the post-crash state, continuing the
+    /// task's attempt sequence).
+    pub(crate) fn handle_due_crashes(
+        &mut self,
+        stage: &mut StageRun<'_>,
+        next_commit: usize,
+        now: SimTime,
+    ) {
+        while let Some(crash) = self.next_due_crash(now) {
+            let e = crash.executor;
+            self.wipe_executor(e, crash.at);
+
+            for q in next_commit..stage.outputs.len() {
+                if stage.placements[q].raw() as usize != e {
+                    continue;
+                }
+                // Already-failed tasks stay failed; the job aborts at their
+                // commit slot as before.
+                let Some(Ok(prev)) = stage.outputs[q].take_if(|o| o.is_ok()) else { continue };
+                // The in-flight attempt dies with the executor; its prior
+                // failed attempts (if any) replay unchanged.
+                let mut prior: Vec<TaskEvent> = prev
+                    .events
+                    .into_iter()
+                    .filter(|ev| matches!(ev, TaskEvent::Failed { .. }))
+                    .collect();
+                prior.push(TaskEvent::Failed {
+                    attempt: prior.len() as u32,
+                    cause: FaultCause::ExecutorLost,
+                    wasted: prev.charge.total(),
+                });
+                let survivor = ExecutorId(((e + 1) % self.config.executors) as u32);
+                stage.placements[q] = survivor;
+                let rerun = execute_task(&self.exec_view(stage), q, survivor, prior.len() as u32);
+                stage.outputs[q] = Some(rerun.map(|mut out| {
+                    prior.extend(std::mem::take(&mut out.events));
+                    out.events = prior;
+                    out
+                }));
+            }
+        }
+    }
+
+    /// Draws the per-job map-output-loss coin over every registered shuffle
+    /// output (in sorted key order, so draws are independent of hash-map
+    /// iteration order). Only active without an external shuffle service.
+    pub(crate) fn inject_map_output_loss(&mut self, job: JobId) {
+        if self.config.fault.external_shuffle_service
+            || self.config.fault.map_output_loss_rate <= 0.0
+        {
+            return;
+        }
+        for ((child, dep_idx), map_part) in self.stores.shuffle.keys_sorted() {
+            if self.config.fault.map_output_lost(job.raw(), child.raw(), dep_idx, map_part)
+                && self.stores.shuffle.drop_map_output((child, dep_idx), map_part)
+            {
+                self.emit(TraceEvent::MapOutputLost {
+                    at: self.clock_floor,
+                    child,
+                    dep_idx: dep_idx as u32,
+                    map_part: map_part as u32,
+                });
+            }
+        }
+    }
+
+    /// Straggler injection for one executed stage: which tasks the seeded
+    /// coin slows down, and the quantile-based speculation deadline (the
+    /// shape of Spark's `spark.speculation.{quantile,multiplier}`). Decided
+    /// in the serial commit phase from pre-commit execute charges, so traces
+    /// stay thread-count invariant. `None` when no task can straggle.
+    pub(crate) fn speculation_deadline(
+        &self,
+        stage: &StageRun<'_>,
+    ) -> Option<(Vec<bool>, SimDuration)> {
+        let fault = &self.config.fault;
+        if !stage.fault_on || fault.straggler_rate <= 0.0 || stage.outputs.is_empty() {
+            return None;
+        }
+        let stragglers: Vec<bool> = (0..stage.outputs.len())
+            .map(|p| fault.task_straggles(stage.job.raw(), stage.index, p as u32))
+            .collect();
+        let mut observed: Vec<SimDuration> = stage
+            .outputs
+            .iter()
+            .zip(&stragglers)
+            .map(|(o, &slow)| {
+                let base = o
+                    .as_ref()
+                    .and_then(|r| r.as_ref().ok())
+                    .map_or(SimDuration::ZERO, |out| out.charge.total());
+                if slow {
+                    base * fault.straggler_slowdown
+                } else {
+                    base
+                }
+            })
+            .collect();
+        observed.sort_unstable();
+        let q_idx = (SPECULATION_QUANTILE * (observed.len() - 1) as f64) as usize;
+        Some((stragglers, observed[q_idx] * SPECULATION_SLACK))
+    }
+
+    /// Integrity checksum for a block being written to the disk tier, with
+    /// the seeded corruption injection applied: the coin of
+    /// [`FaultPlan::spill_corrupted`] flips one checksum bit, which the next
+    /// read detects and quarantines. Returns `None` (stamp nothing, verify
+    /// nothing) while corruption injection is off, keeping the fault-free
+    /// path byte-identical. Only called from the serial commit phase, so the
+    /// per-block sequence stream is deterministic.
+    pub(crate) fn stamp_spill(
+        &mut self,
+        id: BlockId,
+        logical: ByteSize,
+        ser_factor: f64,
+    ) -> Option<u64> {
+        let fault = &self.config.fault;
+        if fault.spill_corruption_rate <= 0.0 {
+            return None;
+        }
+        let meta = self.stores.meta_mut(id);
+        let seq = meta.spill_seq;
+        meta.spill_seq += 1;
+        let mut ck = spill_checksum(id, logical, ser_factor);
+        if fault.spill_corrupted(id.rdd.raw(), id.partition, seq) {
+            ck ^= 1u64 << fault.corruption_bit(id.rdd.raw(), id.partition, seq);
+        }
+        Some(ck)
+    }
+
+    /// Drops a corrupt disk-tier block detected by checksum mismatch and
+    /// attributes the quarantine. A no-op if the block is already gone
+    /// (several tasks of one stage may detect the same corruption).
+    pub(crate) fn quarantine_spill(
+        &mut self,
+        exec: ExecutorId,
+        id: BlockId,
+        bytes: ByteSize,
+        at: SimTime,
+    ) {
+        if self.stores.disk[exec.raw() as usize].remove(id).is_none() {
+            return;
+        }
+        self.emit(TraceEvent::SpillQuarantined { at, executor: exec, id, bytes });
     }
 }
 

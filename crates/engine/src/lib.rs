@@ -31,24 +31,28 @@
 //! ```
 
 #![warn(missing_docs)]
+// Clippy's default 100-line ceiling, so no engine function grows back into a
+// `materialize` (`scripts/ci.sh` runs clippy with `-D warnings`).
+#![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
 pub mod cluster;
+mod commit;
 pub mod config;
 pub mod controller;
+mod exec;
 pub mod fault;
 pub mod metrics;
 pub mod session;
 pub mod shuffle;
 pub mod storage;
+mod store_ops;
 pub mod tracing;
 
 pub use cluster::Cluster;
-pub use config::{
-    ClusterConfig, ClusterConfigBuilder, HardwareModel, SchedPolicy, SchedulerConfig,
-};
+pub use config::{ClusterConfig, HardwareModel, SchedPolicy, SchedulerConfig};
 pub use controller::{
-    Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote, NoCacheController,
-    PartitionEvent, StateCommand, StoreTier, VictimAction,
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote,
+    NoCacheController, PartitionEvent, StateCommand, StoreTier, VictimAction,
 };
 pub use fault::{ExecutorCrash, FaultCause, FaultPlan};
 pub use metrics::{

@@ -7,11 +7,12 @@
 //! loses to plain MEM+DISK Spark on serialization-light workloads like LR
 //! (§7.2). Tier management itself is LRU with spill-to-disk.
 
-use crate::mode::take_until_covered;
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::ByteSize;
-use blaze_engine::{Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction};
+use blaze_engine::{
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction,
+};
 
 /// Default in-memory footprint ratio of serialized vs deserialized data.
 pub const DEFAULT_SER_FOOTPRINT: f64 = 0.6;
@@ -74,18 +75,11 @@ impl CacheController for AlluxioController {
         // Victims therefore free `bytes × footprint`, not their logical
         // size — covering with logical bytes under-evicts whenever the
         // footprint is < 1 and the admission still fails.
-        let mut candidates: Vec<(u64, BlockId, ByteSize)> = resident
+        let stored: Vec<BlockInfo> = resident
             .iter()
-            .map(|b| {
-                (
-                    self.last_access.get(&b.id).copied().unwrap_or(0),
-                    b.id,
-                    b.bytes.scale(self.footprint),
-                )
-            })
+            .map(|b| BlockInfo { bytes: b.bytes.scale(self.footprint), ..*b })
             .collect();
-        candidates.sort_by_key(|&(t, id, _)| (t, id));
-        take_until_covered(needed, candidates.into_iter().map(|(_, id, b)| (id, b)))
+        victims_by_key(&stored, needed, |b| self.last_access.get(&b.id).copied().unwrap_or(0))
             .into_iter()
             .map(|(id, _)| (id, VictimAction::ToDisk))
             .collect()

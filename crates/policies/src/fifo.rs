@@ -3,11 +3,13 @@
 //! One of the conventional policies the paper considers (§7.1). Evicts in
 //! insertion order regardless of reuse.
 
-use crate::mode::{take_until_covered, EvictMode};
+use crate::mode::EvictMode;
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::ByteSize;
-use blaze_engine::{Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction};
+use blaze_engine::{
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction,
+};
 
 /// FIFO cache controller, obeying user cache annotations.
 #[derive(Debug)]
@@ -37,13 +39,8 @@ impl CacheController for FifoController {
         _incoming: &BlockInfo,
         resident: &[BlockInfo],
     ) -> Vec<(BlockId, VictimAction)> {
-        let mut candidates: Vec<(u64, BlockId, ByteSize)> = resident
-            .iter()
-            .map(|b| (self.inserted_at.get(&b.id).copied().unwrap_or(0), b.id, b.bytes))
-            .collect();
-        candidates.sort_by_key(|&(t, id, _)| (t, id));
         let action = self.mode.victim_action();
-        take_until_covered(needed, candidates.into_iter().map(|(_, id, b)| (id, b)))
+        victims_by_key(resident, needed, |b| self.inserted_at.get(&b.id).copied().unwrap_or(0))
             .into_iter()
             .map(|(id, _)| (id, action))
             .collect()

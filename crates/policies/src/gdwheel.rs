@@ -9,11 +9,13 @@
 //! (cost = estimated disk fetch time of the block, weighted by access
 //! frequency). One of the paper's considered cost-aware baselines (§7.1).
 
-use crate::mode::{take_until_covered, EvictMode};
+use crate::mode::EvictMode;
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::ByteSize;
-use blaze_engine::{Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction};
+use blaze_engine::{
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction,
+};
 
 /// GreedyDual-Size-Frequency cache controller (GDWheel-style), obeying user
 /// cache annotations.
@@ -58,15 +60,10 @@ impl CacheController for GdWheelController {
         _incoming: &BlockInfo,
         resident: &[BlockInfo],
     ) -> Vec<(BlockId, VictimAction)> {
-        let mut candidates: Vec<(f64, BlockId, ByteSize)> =
-            resident.iter().map(|b| (self.priority(ctx, b), b.id, b.bytes)).collect();
-        candidates.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-        });
-        let picked = take_until_covered(needed, candidates.iter().map(|&(_, id, b)| (id, b)));
+        let picked = victims_by_key(resident, needed, |b| self.priority(ctx, b));
         // GreedyDual: inflate the clock to the highest evicted priority.
-        if let Some(last) = candidates.get(picked.len().saturating_sub(1)) {
-            self.inflation = self.inflation.max(last.0);
+        if let Some(&(_, priority)) = picked.last() {
+            self.inflation = self.inflation.max(priority);
         }
         let action = self.mode.victim_action();
         picked.into_iter().map(|(id, _)| (id, action)).collect()

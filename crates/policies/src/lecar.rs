@@ -8,11 +8,13 @@
 //! we derive the sample from a deterministic hash of the decision counter so
 //! runs are reproducible.
 
-use crate::mode::{take_until_covered, EvictMode};
+use crate::mode::EvictMode;
 use blaze_common::fxhash::{hash_one, FxHashMap, FxHashSet};
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::ByteSize;
-use blaze_engine::{Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction};
+use blaze_engine::{
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction,
+};
 use std::collections::VecDeque;
 
 const GHOST_CAPACITY: usize = 256;
@@ -129,19 +131,8 @@ impl CacheController for LeCaRController {
         resident: &[BlockInfo],
     ) -> Vec<(BlockId, VictimAction)> {
         let use_lru = self.follow_lru();
-        let mut candidates: Vec<(u64, BlockId, ByteSize)> = resident
-            .iter()
-            .map(|b| {
-                let key = if use_lru {
-                    self.last_access.get(&b.id).copied().unwrap_or(0)
-                } else {
-                    self.freq.get(&b.id).copied().unwrap_or(0)
-                };
-                (key, b.id, b.bytes)
-            })
-            .collect();
-        candidates.sort_by_key(|&(k, id, _)| (k, id));
-        let picked = take_until_covered(needed, candidates.into_iter().map(|(_, id, b)| (id, b)));
+        let expert = if use_lru { &self.last_access } else { &self.freq };
+        let picked = victims_by_key(resident, needed, |b| expert.get(&b.id).copied().unwrap_or(0));
         let action = self.mode.victim_action();
         for (id, _) in &picked {
             if use_lru {

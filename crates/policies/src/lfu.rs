@@ -6,11 +6,13 @@
 //! eventually become evictable. Both variants are among the paper's
 //! considered conventional policies (§7.1).
 
-use crate::mode::{take_until_covered, EvictMode};
+use crate::mode::EvictMode;
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::ByteSize;
-use blaze_engine::{Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction};
+use blaze_engine::{
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction,
+};
 
 /// LFU / LFUDA cache controller, obeying user cache annotations.
 #[derive(Debug)]
@@ -56,21 +58,15 @@ impl CacheController for LfuController {
         _incoming: &BlockInfo,
         resident: &[BlockInfo],
     ) -> Vec<(BlockId, VictimAction)> {
-        let mut candidates: Vec<(u64, BlockId, ByteSize)> = resident
-            .iter()
-            .map(|b| (self.priority.get(&b.id).copied().unwrap_or(0), b.id, b.bytes))
-            .collect();
-        candidates.sort_by_key(|&(p, id, _)| (p, id));
+        let victims =
+            victims_by_key(resident, needed, |b| self.priority.get(&b.id).copied().unwrap_or(0));
         if self.aging {
-            if let Some(&(p, _, _)) = candidates.first() {
+            if let Some(&(_, p)) = victims.first() {
                 self.age = self.age.max(p);
             }
         }
         let action = self.mode.victim_action();
-        take_until_covered(needed, candidates.into_iter().map(|(_, id, b)| (id, b)))
-            .into_iter()
-            .map(|(id, _)| (id, action))
-            .collect()
+        victims.into_iter().map(|(id, _)| (id, action)).collect()
     }
 
     fn on_admission_failure(&mut self, _ctx: &CtrlCtx, _block: &BlockInfo) -> Admission {

@@ -7,12 +7,14 @@
 //! DAG — references from future jobs/iterations are invisible to it, and
 //! ties are broken arbitrarily without regard to recovery costs.
 
-use crate::mode::{take_until_covered, EvictMode};
+use crate::mode::EvictMode;
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::ByteSize;
 use blaze_dataflow::{JobPlan, Plan};
-use blaze_engine::{Admission, BlockInfo, CacheController, CtrlCtx, StateCommand, VictimAction};
+use blaze_engine::{
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StateCommand, VictimAction,
+};
 
 /// Reference structure of the current job, rebuilt at each submission.
 #[derive(Debug, Default)]
@@ -97,12 +99,9 @@ impl CacheController for LrcController {
         _incoming: &BlockInfo,
         resident: &[BlockInfo],
     ) -> Vec<(BlockId, VictimAction)> {
-        let mut candidates: Vec<(i64, BlockId, ByteSize)> =
-            resident.iter().map(|b| (self.reference_count(b.id.rdd), b.id, b.bytes)).collect();
         // Smallest remaining reference count first; arbitrary (id) tie-break.
-        candidates.sort_by_key(|&(r, id, _)| (r, id));
         let action = self.mode.victim_action();
-        take_until_covered(needed, candidates.into_iter().map(|(_, id, b)| (id, b)))
+        victims_by_key(resident, needed, |b| self.reference_count(b.id.rdd))
             .into_iter()
             .map(|(id, _)| (id, action))
             .collect()

@@ -43,32 +43,9 @@ impl EvictMode {
     }
 }
 
-/// Picks victims from `ordered` (most-evictable first) until `needed` bytes
-/// are covered. Shared by all baseline policies.
-pub fn take_until_covered<I>(
-    needed: blaze_common::ByteSize,
-    ordered: I,
-) -> Vec<(blaze_common::ids::BlockId, blaze_common::ByteSize)>
-where
-    I: IntoIterator<Item = (blaze_common::ids::BlockId, blaze_common::ByteSize)>,
-{
-    let mut out = Vec::new();
-    let mut freed = blaze_common::ByteSize::ZERO;
-    for (id, bytes) in ordered {
-        if freed >= needed {
-            break;
-        }
-        freed += bytes;
-        out.push((id, bytes));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blaze_common::ids::{BlockId, RddId};
-    use blaze_common::ByteSize;
 
     #[test]
     fn modes_map_to_actions() {
@@ -76,21 +53,5 @@ mod tests {
         assert_eq!(EvictMode::MemDisk.victim_action(), VictimAction::ToDisk);
         assert_eq!(EvictMode::MemOnly.admission_fallback(), Admission::Skip);
         assert_eq!(EvictMode::MemDisk.admission_fallback(), Admission::Disk);
-    }
-
-    #[test]
-    fn take_until_covered_stops_early() {
-        let items: Vec<_> =
-            (0..5).map(|i| (BlockId::new(RddId(i), 0), ByteSize::from_kib(4))).collect();
-        let picked = take_until_covered(ByteSize::from_kib(7), items);
-        assert_eq!(picked.len(), 2);
-    }
-
-    #[test]
-    fn take_until_covered_takes_all_when_insufficient() {
-        let items: Vec<_> =
-            (0..2).map(|i| (BlockId::new(RddId(i), 0), ByteSize::from_kib(1))).collect();
-        let picked = take_until_covered(ByteSize::from_kib(100), items);
-        assert_eq!(picked.len(), 2);
     }
 }

@@ -6,13 +6,14 @@
 //! memory is available it prefetches spilled blocks with the smallest
 //! reference distance. Like LRC, it only sees the current job's DAG (§7.1).
 
-use crate::mode::{take_until_covered, EvictMode};
+use crate::mode::EvictMode;
 use blaze_common::fxhash::{FxHashMap, FxHashSet};
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::ByteSize;
 use blaze_dataflow::{JobPlan, Plan};
 use blaze_engine::{
-    Admission, BlockInfo, CacheController, CtrlCtx, StateCommand, StoreTier, VictimAction,
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StateCommand, StoreTier,
+    VictimAction,
 };
 
 const INFINITE_DISTANCE: i64 = i64::MAX / 2;
@@ -125,12 +126,9 @@ impl CacheController for MrdController {
         _incoming: &BlockInfo,
         resident: &[BlockInfo],
     ) -> Vec<(BlockId, VictimAction)> {
-        let mut candidates: Vec<(i64, BlockId, ByteSize)> =
-            resident.iter().map(|b| (self.reference_distance(b.id.rdd), b.id, b.bytes)).collect();
         // Largest reference distance first; arbitrary (id) tie-break.
-        candidates.sort_by_key(|&(d, id, _)| (std::cmp::Reverse(d), id));
         let action = self.mode.victim_action();
-        take_until_covered(needed, candidates.into_iter().map(|(_, id, b)| (id, b)))
+        victims_by_key(resident, needed, |b| std::cmp::Reverse(self.reference_distance(b.id.rdd)))
             .into_iter()
             .map(|(id, _)| (id, action))
             .collect()

@@ -11,11 +11,13 @@
 //! any capacity an idle tenant is not using and recomputes blocks a
 //! neighbouring app already holds.
 
-use crate::mode::{take_until_covered, EvictMode};
+use crate::mode::EvictMode;
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{AppId, BlockId, ExecutorId};
 use blaze_common::ByteSize;
-use blaze_engine::{Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction};
+use blaze_engine::{
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction,
+};
 
 /// Per-app LRU over an evenly partitioned store (no cross-app eviction).
 #[derive(Debug)]
@@ -86,19 +88,18 @@ impl CacheController for IsolatedLruController {
     ) -> Vec<(BlockId, VictimAction)> {
         let app = ctx.app;
         // Isolation: only the requester's own blocks are candidates.
-        let mut own: Vec<(u64, BlockId, ByteSize)> = resident
+        let own: Vec<BlockInfo> = resident
             .iter()
             .filter(|b| self.owner.get(&b.id).is_some_and(|&(o, _)| o == app))
-            .map(|b| (self.last_access.get(&b.id).copied().unwrap_or(0), b.id, b.bytes))
+            .copied()
             .collect();
-        own.sort_by_key(|&(t, id, _)| (t, id));
         // Free whichever is larger: what the store needs globally, or what
         // the slice needs to stay under its share with `incoming` added.
         let used = self.used.get(&app).copied().unwrap_or(ByteSize::ZERO);
         let over_share = (used + incoming.bytes).saturating_sub(self.share(ctx.memory_capacity));
         let target = if over_share > needed { over_share } else { needed };
         let action = self.mode.victim_action();
-        take_until_covered(target, own.into_iter().map(|(_, id, b)| (id, b)))
+        victims_by_key(&own, target, |b| self.last_access.get(&b.id).copied().unwrap_or(0))
             .into_iter()
             .map(|(id, _)| (id, action))
             .collect()

@@ -7,11 +7,13 @@
 //! the frequency-comparison admission filter, on top of LRU ordering for
 //! same-frequency ties.
 
-use crate::mode::{take_until_covered, EvictMode};
+use crate::mode::EvictMode;
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::ByteSize;
-use blaze_engine::{Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction};
+use blaze_engine::{
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction,
+};
 
 /// A count-min sketch over block ids with periodic halving.
 #[derive(Debug, Clone)]
@@ -111,31 +113,19 @@ impl CacheController for TinyLfuController {
     ) -> Vec<(BlockId, VictimAction)> {
         // Order candidates by (frequency, recency): the classic W-TinyLFU
         // victim is the least-frequent, least-recent block.
-        let mut candidates: Vec<(u32, u64, BlockId, ByteSize)> = resident
-            .iter()
-            .map(|b| {
-                (
-                    self.sketch.estimate(b.id),
-                    self.last_access.get(&b.id).copied().unwrap_or(0),
-                    b.id,
-                    b.bytes,
-                )
-            })
-            .collect();
-        candidates.sort_by_key(|&(f, t, id, _)| (f, t, id));
+        let victims = victims_by_key(resident, needed, |b| {
+            (self.sketch.estimate(b.id), self.last_access.get(&b.id).copied().unwrap_or(0))
+        });
         // Admission filter: if the incoming block is no more popular than
         // the best victim, decline admission (return no victims; the engine
         // falls back to on_admission_failure).
-        if let Some(&(victim_freq, _, _, _)) = candidates.first() {
+        if let Some(&(_, (victim_freq, _))) = victims.first() {
             if self.sketch.estimate(incoming.id) <= victim_freq {
                 return Vec::new();
             }
         }
         let action = self.mode.victim_action();
-        take_until_covered(needed, candidates.into_iter().map(|(_, _, id, b)| (id, b)))
-            .into_iter()
-            .map(|(id, _)| (id, action))
-            .collect()
+        victims.into_iter().map(|(id, _)| (id, action)).collect()
     }
 
     fn on_admission_failure(&mut self, _ctx: &CtrlCtx, _block: &BlockInfo) -> Admission {

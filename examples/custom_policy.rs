@@ -14,7 +14,8 @@ use blaze::common::ids::{BlockId, ExecutorId};
 use blaze::common::ByteSize;
 use blaze::dataflow::Context;
 use blaze::engine::{
-    Admission, BlockInfo, CacheController, Cluster, ClusterConfig, CtrlCtx, VictimAction,
+    victims_by_key, Admission, BlockInfo, CacheController, Cluster, ClusterConfig, CtrlCtx,
+    VictimAction,
 };
 use blaze::policies::{EvictMode, LruController};
 
@@ -35,19 +36,10 @@ impl CacheController for BiggestFirst {
         _incoming: &BlockInfo,
         resident: &[BlockInfo],
     ) -> Vec<(BlockId, VictimAction)> {
-        let mut candidates: Vec<(ByteSize, BlockId)> =
-            resident.iter().map(|b| (b.bytes, b.id)).collect();
-        candidates.sort_by_key(|&(bytes, id)| (std::cmp::Reverse(bytes), id));
-        let mut freed = ByteSize::ZERO;
-        let mut victims = Vec::new();
-        for (bytes, id) in candidates {
-            if freed >= needed {
-                break;
-            }
-            freed += bytes;
-            victims.push((id, VictimAction::ToDisk));
-        }
-        victims
+        victims_by_key(resident, needed, |b| std::cmp::Reverse(b.bytes))
+            .into_iter()
+            .map(|(id, _)| (id, VictimAction::ToDisk))
+            .collect()
     }
 
     fn on_admission_failure(&mut self, _ctx: &CtrlCtx, _block: &BlockInfo) -> Admission {

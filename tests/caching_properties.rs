@@ -6,62 +6,14 @@
 //! exercises the full caching/eviction/recovery surface with shapes no
 //! hand-written test would cover.
 
+mod common;
+
 use blaze::common::ByteSize;
-use blaze::dataflow::{runner::LocalRunner, Context, Dataset};
+use blaze::dataflow::{runner::LocalRunner, Context};
 use blaze::engine::{Cluster, ClusterConfig};
 use blaze::workloads::SystemKind;
+use common::{apply, step_strategy};
 use proptest::prelude::*;
-
-/// One step of a random pipeline.
-#[derive(Debug, Clone)]
-enum Step {
-    MapAdd(u64),
-    FilterMod(u64),
-    ReduceByKey,
-    GroupCount,
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (1u64..100).prop_map(Step::MapAdd),
-        (2u64..7).prop_map(Step::FilterMod),
-        Just(Step::ReduceByKey),
-        Just(Step::GroupCount),
-    ]
-}
-
-/// Applies the pipeline, caching after every shuffle (iterative style).
-fn apply(ctx: &Context, elems: u64, keys: u64, parts: usize, steps: &[Step]) -> Vec<(u64, u64)> {
-    let mut data: Dataset<(u64, u64)> =
-        ctx.parallelize((0..elems).map(|i| (i % keys, i)).collect::<Vec<_>>(), parts);
-    for step in steps {
-        data = match step {
-            Step::MapAdd(k) => {
-                let k = *k;
-                data.map_values(move |v| v.wrapping_add(k))
-            }
-            Step::FilterMod(m) => {
-                let m = *m;
-                data.filter(move |(_, v)| v % m != 0)
-            }
-            Step::ReduceByKey => {
-                let d = data.reduce_by_key(parts, |a, b| a.wrapping_add(*b));
-                d.cache();
-                d.count().unwrap();
-                d
-            }
-            Step::GroupCount => {
-                let d = data.group_by_key(parts).map_values(|vs| vs.len() as u64);
-                d.cache();
-                d.count().unwrap();
-                d
-            }
-        };
-    }
-    let mut out = data.collect().unwrap();
-    out.sort();
-    out
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -82,7 +34,7 @@ proptest! {
         let reference = apply(
             &Context::new(LocalRunner::new().with_threads(worker_threads)),
             elems, keys, parts, &steps,
-        );
+        ).expect("reference run");
         let system = [
             SystemKind::SparkMemOnly,
             SystemKind::SparkMemDisk,
@@ -99,7 +51,7 @@ proptest! {
             },
             system.make_controller(None),
         ).unwrap();
-        let got = apply(&Context::new(cluster), elems, keys, parts, &steps);
+        let got = apply(&Context::new(cluster), elems, keys, parts, &steps).expect("cluster run");
         prop_assert_eq!(got, reference);
     }
 
@@ -119,7 +71,7 @@ proptest! {
             SystemKind::SparkMemDisk.make_controller(None),
         ).unwrap();
         let ctx = Context::new(cluster.clone());
-        let _ = apply(&ctx, elems, 16, 4, &steps);
+        apply(&ctx, elems, 16, 4, &steps).expect("pipeline run");
         let m = cluster.metrics();
         prop_assert!(m.tasks > 0);
         prop_assert!(m.jobs > 0);

@@ -25,7 +25,8 @@
 //!
 //! [`StateCommand`]: blaze::engine::StateCommand
 
-use blaze::common::error::Result;
+mod common;
+
 use blaze::common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze::common::{ByteSize, SimDuration, SimTime};
 use blaze::core::{
@@ -39,6 +40,7 @@ use blaze::engine::{
     TraceLog, VictimAction,
 };
 use blaze::workloads::{App, AppSpec, Session};
+use common::{apply, fault_variant, step_strategy, Step};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -292,49 +294,6 @@ fn install(inner: BlazeController, cold: bool) -> Box<dyn CacheController> {
 // Engine-level differential property
 // ---------------------------------------------------------------------------
 
-/// One step of a random pipeline (same shape as `caching_properties`).
-#[derive(Debug, Clone)]
-enum Step {
-    MapAdd(u64),
-    FilterMod(u64),
-    ReduceByKey,
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (1u64..100).prop_map(Step::MapAdd),
-        (2u64..7).prop_map(Step::FilterMod),
-        Just(Step::ReduceByKey),
-    ]
-}
-
-/// Applies the pipeline, caching after every shuffle (iterative style).
-fn apply(ctx: &Context, elems: u64, parts: usize, steps: &[Step]) -> Result<Vec<(u64, u64)>> {
-    let mut data: Dataset<(u64, u64)> =
-        ctx.parallelize((0..elems).map(|i| (i % 16, i)).collect::<Vec<_>>(), parts);
-    for step in steps {
-        data = match step {
-            Step::MapAdd(k) => {
-                let k = *k;
-                data.map_values(move |v| v.wrapping_add(k))
-            }
-            Step::FilterMod(m) => {
-                let m = *m;
-                data.filter(move |(_, v)| v % m != 0)
-            }
-            Step::ReduceByKey => {
-                let d = data.reduce_by_key(parts, |a, b| a.wrapping_add(*b));
-                d.cache();
-                d.count()?;
-                d
-            }
-        };
-    }
-    let mut out = data.collect()?;
-    out.sort();
-    Ok(out)
-}
-
 /// Runs the pipeline under profiled Blaze — retaining decision state, or
 /// (`cold`) forgetting it before every job — with tracing on, and returns
 /// (results, metrics, trace).
@@ -347,9 +306,11 @@ fn run_blaze_pipeline(
     fault: FaultPlan,
 ) -> (Vec<(u64, u64)>, Metrics, TraceLog) {
     let profile_steps = steps.to_vec();
-    let profile =
-        extract_dependencies(move |ctx| apply(ctx, elems, parts, &profile_steps).map(|_| ()), 0)
-            .expect("profiling run failed");
+    let profile = extract_dependencies(
+        move |ctx| apply(ctx, elems, 16, parts, &profile_steps).map(|_| ()),
+        0,
+    )
+    .expect("profiling run failed");
     let cluster = Cluster::new(
         ClusterConfig {
             executors: 2,
@@ -364,28 +325,9 @@ fn run_blaze_pipeline(
     )
     .unwrap();
     let ctx = Context::new(cluster.clone());
-    let out = apply(&ctx, elems, parts, steps).expect("pipeline run failed");
+    let out = apply(&ctx, elems, 16, parts, steps).expect("pipeline run failed");
     let trace = cluster.trace().expect("tracing was enabled");
     (out, cluster.metrics(), trace)
-}
-
-/// The deterministic fault schedules swept by the engine-level property.
-fn fault_variant(pick: usize, seed: u64) -> FaultPlan {
-    match pick {
-        0 => FaultPlan::default(),
-        1 => FaultPlan { seed, task_failure_rate: 0.05, max_task_retries: 4, ..Default::default() },
-        _ => FaultPlan {
-            seed,
-            task_failure_rate: 0.03,
-            max_task_retries: 4,
-            crashes: vec![ExecutorCrash {
-                at: SimTime::ZERO + SimDuration::from_micros(40),
-                executor: 0,
-            }],
-            external_shuffle_service: false,
-            ..Default::default()
-        },
-    }
 }
 
 proptest! {

@@ -16,6 +16,8 @@
 //! 4. **Recoverability preflight** — an uncached lineage chain deeper than
 //!    the plan's retry budget can replay aborts up front with BA301.
 
+mod common;
+
 use blaze::common::{ByteSize, SimDuration, SimTime};
 use blaze::dataflow::{runner::LocalRunner, Context};
 use blaze::engine::{Cluster, ClusterConfig, ExecutorCrash, FaultPlan, Metrics, RecoveryMetrics};
@@ -37,13 +39,7 @@ fn pipeline(ctx: &Context) -> Vec<(u64, u64)> {
 }
 
 fn cluster_config(fault: FaultPlan) -> ClusterConfig {
-    ClusterConfig {
-        executors: 2,
-        slots_per_executor: 2,
-        memory_capacity: ByteSize::from_kib(64),
-        fault,
-        ..Default::default()
-    }
+    common::small_cluster(64, fault)
 }
 
 /// Runs [`pipeline`] on a cluster under `system` with `fault`, returning
@@ -56,9 +52,9 @@ fn run_chaos(system: SystemKind, fault: FaultPlan) -> (Vec<(u64, u64)>, Metrics)
     (out, cluster.metrics())
 }
 
-/// The failure-free reference answer, from the cache-less local runner.
+/// The failure-free reference answer.
 fn reference() -> Vec<(u64, u64)> {
-    pipeline(&Context::new(LocalRunner::new()))
+    common::reference(pipeline)
 }
 
 /// A mid-run crash time for `system`: probe the clean simulated ACT once,
@@ -510,10 +506,9 @@ fn fetch_retries_back_off_then_escalate() {
 fn solver_deadline_degrades_and_traces_the_ladder() {
     // Exact ILP costs >= 70 us per instance under the ladder's estimates;
     // 5 us fits only greedy rungs, and only a few of them.
-    let cfg = BlazeConfig::builder()
-        .solve_deadline(SimDuration::from_nanos(5_000))
-        .build()
-        .expect("deadline above the ladder floor");
+    let mut cfg = BlazeConfig::full();
+    cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(5_000));
+    cfg.validate().expect("deadline above the ladder floor");
     let cluster = Cluster::new(
         ClusterConfig { tracing: true, ..cluster_config(FaultPlan::default()) },
         Box::new(BlazeController::new(cfg, None)),
@@ -577,8 +572,8 @@ fn corruption_without_a_disk_tier_fires_ba303() {
 /// solve passes through; strict audit refuses to run such a config.
 #[test]
 fn sub_floor_solve_deadline_fires_ba304() {
-    // Set the field directly: the builder refuses a sub-floor deadline
-    // (BA304 at build time), and this test is about the preflight audit.
+    // Not validated here: `BlazeConfig::validate` refuses a sub-floor
+    // deadline itself, and this test is about the preflight audit.
     let mut cfg = BlazeConfig::full();
     cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(1));
     let config = ClusterConfig { strict_audit: true, ..cluster_config(FaultPlan::default()) };

@@ -17,11 +17,20 @@
 //!    multi-choice decision certificate. (That the driver's retained state
 //!    never changes a multi-choice decision is pinned, with the 0/1 path,
 //!    by the warm-vs-cold trace identity in `tests/decision_incremental.rs`.)
+//! 5. **The random generator gets there too** — the shared random-pipeline
+//!    generator (`tests/common`), profiled and under memory pressure, makes
+//!    the solver pick the s-state in at least one generated case per run,
+//!    and every case stays result-transparent with a clean trace audit.
+
+mod common;
 
 use blaze::common::ByteSize;
 use blaze::core::{extract_dependencies, BlazeConfig, BlazeController};
-use blaze::dataflow::{runner::LocalRunner, Context, CostSpec};
+use blaze::dataflow::{Context, CostSpec};
 use blaze::engine::{Cluster, ClusterConfig, FaultPlan, Metrics, TraceLog};
+use common::{apply, small_cluster, step_strategy};
+use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How expensive this workload's element type is to (de)serialize,
 /// relative to the hardware model's baseline. High, like the paper's
@@ -76,21 +85,15 @@ fn pipeline(ctx: &Context) -> Vec<(u64, u64)> {
     out
 }
 
-/// The failure-free reference answer, from the cache-less local runner.
+/// The failure-free reference answer.
 fn reference() -> Vec<(u64, u64)> {
-    pipeline(&Context::new(LocalRunner::new()))
+    common::reference(pipeline)
 }
 
 /// Tight memory so the full-size residents cannot all fit but their packed
 /// (`ser_footprint`-scaled) forms can: the regime where the s-state wins.
 fn cluster_config(fault: FaultPlan) -> ClusterConfig {
-    ClusterConfig {
-        executors: 2,
-        slots_per_executor: 2,
-        memory_capacity: ByteSize::from_kib(26),
-        fault,
-        ..Default::default()
-    }
+    small_cluster(26, fault)
 }
 
 /// Runs [`pipeline`] under `cfg`, returning the sorted results, full metrics
@@ -204,4 +207,47 @@ fn ser_tier_certified_run_verifies_inline() {
     let (out, m, _) = run_traced(cfg, FaultPlan::default(), 2);
     assert_eq!(out, reference(), "certified ser-tier run must compute the right answer");
     assert!(m.ser_transitions > 0, "certified run must exercise the multi-choice payloads");
+}
+
+/// `ser_transitions` summed over the cases of [`pressured_pipeline_case`].
+static GENERATED_SER_TRANSITIONS: AtomicU64 = AtomicU64::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// One generated pipeline under profiled ser-tier Blaze, the store sized
+    /// as a percentage of one un-reduced dataset's per-executor bytes:
+    /// results equal the local runner's and the trace audit is clean. Not a
+    /// `#[test]` of its own — contract 5 needs every case to have run.
+    fn pressured_pipeline_case(
+        elems in 400u64..2_000,
+        steps in prop::collection::vec(step_strategy(), 2..6),
+        pressure_pct in 35u64..130,
+    ) {
+        let run_on = |ctx: &Context| apply(ctx, elems, 16, 4, &steps);
+        let profile = extract_dependencies(|ctx| run_on(ctx).map(|_| ()), 0).expect("profiling run");
+        let config = ClusterConfig {
+            memory_capacity: ByteSize::from_bytes(elems * 16 / 2 * pressure_pct / 100),
+            tracing: true,
+            ..cluster_config(FaultPlan::default())
+        };
+        let controller = BlazeController::new(BlazeConfig::full_ser_tier(), Some(profile));
+        let cluster = Cluster::new(config, Box::new(controller)).expect("valid config");
+        let got = run_on(&Context::new(cluster.clone())).expect("cluster run");
+        prop_assert_eq!(got, common::reference(|ctx| run_on(ctx).expect("reference run")));
+        let metrics = cluster.metrics();
+        let report = cluster.trace().expect("tracing was enabled").validate(&metrics);
+        prop_assert!(report.is_clean(), "trace audit failed: {:?}", report.diagnostics);
+        GENERATED_SER_TRANSITIONS.fetch_add(metrics.ser_transitions, Ordering::Relaxed);
+    }
+}
+
+/// Contract 5: the generated cases reach the serialized tier.
+#[test]
+fn random_pressured_pipelines_reach_the_s_tier() {
+    pressured_pipeline_case();
+    assert!(
+        GENERATED_SER_TRANSITIONS.load(Ordering::Relaxed) > 0,
+        "no generated case made the multi-choice solver pick an s-state"
+    );
 }

@@ -1,7 +1,7 @@
 //! Property-based tests tying [`blaze::engine::Metrics`] to the structured
 //! event trace.
 //!
-//! Strategy: generate random keyed pipelines (as in `caching_properties`),
+//! Strategy: generate random keyed pipelines (`tests/common`),
 //! run them with tracing enabled — with and without deterministic fault
 //! injection — and require that the trace's self-audit passes: spans nest
 //! (BA401), trace-derived aggregates reproduce the metrics (BA402), and
@@ -11,62 +11,14 @@
 //! A second property pins the determinism contract: the Chrome-trace
 //! export is byte-identical across `worker_threads` settings.
 
-use blaze::common::{ByteSize, SimDuration, SimTime};
+mod common;
+
+use blaze::common::ByteSize;
 use blaze::dataflow::{Context, Dataset};
-use blaze::engine::{Cluster, ClusterConfig, ExecutorCrash, FaultPlan, Metrics, TraceLog};
+use blaze::engine::{Cluster, ClusterConfig, FaultPlan, Metrics, TraceLog};
 use blaze::workloads::SystemKind;
+use common::{apply, fault_variant, step_strategy, Step};
 use proptest::prelude::*;
-
-/// One step of a random pipeline.
-#[derive(Debug, Clone)]
-enum Step {
-    MapAdd(u64),
-    FilterMod(u64),
-    ReduceByKey,
-    GroupCount,
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (1u64..100).prop_map(Step::MapAdd),
-        (2u64..7).prop_map(Step::FilterMod),
-        Just(Step::ReduceByKey),
-        Just(Step::GroupCount),
-    ]
-}
-
-/// Applies the pipeline, caching after every shuffle (iterative style).
-fn apply(ctx: &Context, elems: u64, keys: u64, parts: usize, steps: &[Step]) -> Vec<(u64, u64)> {
-    let mut data: Dataset<(u64, u64)> =
-        ctx.parallelize((0..elems).map(|i| (i % keys, i)).collect::<Vec<_>>(), parts);
-    for step in steps {
-        data = match step {
-            Step::MapAdd(k) => {
-                let k = *k;
-                data.map_values(move |v| v.wrapping_add(k))
-            }
-            Step::FilterMod(m) => {
-                let m = *m;
-                data.filter(move |(_, v)| v % m != 0)
-            }
-            Step::ReduceByKey => {
-                let d = data.reduce_by_key(parts, |a, b| a.wrapping_add(*b));
-                d.cache();
-                d.count().unwrap();
-                d
-            }
-            Step::GroupCount => {
-                let d = data.group_by_key(parts).map_values(|vs| vs.len() as u64);
-                d.cache();
-                d.count().unwrap();
-                d
-            }
-        };
-    }
-    let mut out = data.collect().unwrap();
-    out.sort();
-    out
-}
 
 /// Runs a pipeline and returns its metrics and (when `tracing`) its trace.
 fn run(
@@ -92,27 +44,8 @@ fn run(
     )
     .unwrap();
     let ctx = Context::new(cluster.clone());
-    let _ = apply(&ctx, elems, 16, 4, steps);
+    apply(&ctx, elems, 16, 4, steps).expect("pipeline run");
     (cluster.metrics(), cluster.trace())
-}
-
-/// The deterministic fault schedule variants swept by the properties.
-fn fault_variant(pick: usize, seed: u64) -> FaultPlan {
-    match pick {
-        0 => FaultPlan::default(),
-        1 => FaultPlan { seed, task_failure_rate: 0.05, max_task_retries: 4, ..Default::default() },
-        _ => FaultPlan {
-            seed,
-            task_failure_rate: 0.03,
-            max_task_retries: 4,
-            crashes: vec![ExecutorCrash {
-                at: SimTime::ZERO + SimDuration::from_micros(40),
-                executor: 0,
-            }],
-            external_shuffle_service: false,
-            ..Default::default()
-        },
-    }
 }
 
 proptest! {
@@ -129,9 +62,10 @@ proptest! {
         fault_pick in 0usize..3,
         seed in 0u64..1_000,
     ) {
-        // `BlazeSerTier` alone turns the serialized tier on, but these short
-        // pipelines never make its solver pick the s-state; the transitions
-        // themselves are audited in `tests/ser_tier.rs`.
+        // `BlazeSerTier` turns the serialized tier on, but without a profile
+        // Blaze sees no future references in these aperiodic pipelines and
+        // caches nothing; `tests/ser_tier.rs` runs the same generator
+        // profiled and under memory pressure, where the tier does engage.
         let system = [
             SystemKind::SparkMemOnly,
             SystemKind::SparkMemDisk,
