@@ -423,7 +423,7 @@ mod tests {
         let src = join(&["use rustc_hash::FxHashMap;", "fn f() {}"]);
         assert_eq!(lint_source("crates/core/src/optimize.rs", &src)[0].code, "decision-hash");
         assert_eq!(lint_source("crates/core/src/incremental.rs", &src).len(), 1);
-        assert_eq!(lint_source("crates/solver/src/knapsack.rs", &src).len(), 1);
+        assert_eq!(lint_source("crates/solver/src/mckp.rs", &src).len(), 1);
         // Elsewhere in core the std-hash rule governs, not decision-hash.
         assert!(lint_source("crates/core/src/controller.rs", &src).is_empty());
         let set = join(&["fn f() { let s: FxHashSet<u32> = FxHashSet::default(); }"]);
@@ -447,7 +447,7 @@ mod tests {
         let secs = join(&["fn f(d: std::time::Duration) -> f64 { d.as_secs_f64() }"]);
         assert!(lint_source("crates/solver/src/lp.rs", &secs).is_empty());
         let allowed = join(&["let v = x as f64; // audit: allow(float-cast) x < 2^53"]);
-        assert!(lint_source("crates/solver/src/knapsack.rs", &allowed).is_empty());
+        assert!(lint_source("crates/solver/src/mckp.rs", &allowed).is_empty());
     }
 
     #[test]
@@ -458,7 +458,7 @@ mod tests {
         let cast = join(&["fn f(x: u64) -> f64 { x as f64 }"]);
         assert_eq!(lint_source("crates/certify/src/mckp.rs", &cast)[0].code, "float-cast");
         let map = join(&["use rustc_hash::FxHashMap;"]);
-        assert_eq!(lint_source("crates/certify/src/knapsack.rs", &map)[0].code, "decision-hash");
+        assert_eq!(lint_source("crates/certify/src/lineage.rs", &map)[0].code, "decision-hash");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Solver microbenches: the knapsack fast path, the LP core and the
+//! Solver microbenches: the knapsack search, the LP core and the
 //! branch-and-bound ILP at the instance sizes Blaze produces per executor.
 //!
 //! The paper bounds ILP latency at 5 s on cluster-sized instances (§5.5);
@@ -6,8 +6,8 @@
 //! in microseconds-to-milliseconds for the job-submission trigger to hide.
 
 use blaze_solver::ilp::{solve_binary, IlpProblem};
-use blaze_solver::knapsack::{solve_knapsack, KnapsackItem};
 use blaze_solver::lp::{solve as solve_lp, Constraint, LinearProgram};
+use blaze_solver::mckp::{solve_mckp, MckpGroup, MckpOption};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn pseudo(n: u64, salt: u64) -> f64 {
@@ -17,11 +17,16 @@ fn pseudo(n: u64, salt: u64) -> f64 {
     ((x >> 11) % 10_000) as f64 / 100.0
 }
 
-fn knapsack_items(n: usize) -> Vec<KnapsackItem> {
+/// One `[zero, (value, weight)]` group per item: the 0/1 program.
+fn knapsack_groups(n: usize) -> Vec<MckpGroup> {
+    let zero = MckpOption { value: 0.0, weight: 0 };
     (0..n)
-        .map(|i| KnapsackItem {
-            value: pseudo(i as u64, 1) + 1.0,
-            weight: pseudo(i as u64, 2) as u64 * 1024 + 1,
+        .map(|i| {
+            let item = MckpOption {
+                value: pseudo(i as u64, 1) + 1.0,
+                weight: pseudo(i as u64, 2) as u64 * 1024 + 1,
+            };
+            MckpGroup { options: vec![zero, item] }
         })
         .collect()
 }
@@ -29,13 +34,13 @@ fn knapsack_items(n: usize) -> Vec<KnapsackItem> {
 fn bench_knapsack(c: &mut Criterion) {
     let mut g = c.benchmark_group("knapsack");
     for n in [16usize, 64, 256, 1024] {
-        let items = knapsack_items(n);
-        let cap: u64 = items.iter().map(|i| i.weight).sum::<u64>() / 3;
-        g.bench_with_input(BenchmarkId::new("exact", n), &items, |b, items| {
-            b.iter(|| solve_knapsack(std::hint::black_box(items), cap, 0))
+        let groups = knapsack_groups(n);
+        let cap: u64 = groups.iter().map(|g| g.options[1].weight).sum::<u64>() / 3;
+        g.bench_with_input(BenchmarkId::new("exact", n), &groups, |b, groups| {
+            b.iter(|| solve_mckp(std::hint::black_box(groups), cap, 0))
         });
-        g.bench_with_input(BenchmarkId::new("greedy", n), &items, |b, items| {
-            b.iter(|| solve_knapsack(std::hint::black_box(items), cap, 1))
+        g.bench_with_input(BenchmarkId::new("greedy", n), &groups, |b, groups| {
+            b.iter(|| solve_mckp(std::hint::black_box(groups), cap, 1))
         });
     }
     g.finish();

@@ -35,9 +35,10 @@
 //! *verification* costs relative to solving. The headline workload/stress
 //! speedup columns are measured with certification off, exactly as before.
 
+use blaze_audit::diagnostic::Diagnostic;
 use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use blaze_bench::json::nz;
-use blaze_certify::{verify_greedy, verify_ilp, verify_knapsack};
+use blaze_certify::{verify_ilp, verify_mckp, verify_mckp_greedy};
 use blaze_common::ids::{BlockId, ExecutorId, RddId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_core::costlineage::CostLineage;
@@ -46,10 +47,10 @@ use blaze_dataflow::{runner::LocalRunner, Context, Dataset, Plan};
 use blaze_engine::config::default_worker_threads;
 use blaze_engine::HardwareModel;
 use blaze_solver::ilp::{solve_binary, solve_binary_certified, IlpProblem};
-use blaze_solver::knapsack::{
-    greedy_certificate, solve_knapsack, solve_knapsack_certified, KnapsackItem,
-};
 use blaze_solver::lp::Constraint;
+use blaze_solver::mckp::{
+    greedy_mckp_certificate, solve_mckp, solve_mckp_certified, MckpGroup, MckpOption,
+};
 use blaze_workloads::{App, AppSpec, Session};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -415,9 +416,9 @@ impl CertifySample {
     }
 }
 
-/// Deterministic pseudo-random knapsack items (LCG; no OS entropy — the
-/// instance set is identical on every run and machine).
-fn certify_items(n: usize, seed: u64) -> Vec<KnapsackItem> {
+/// Deterministic pseudo-random `(value, weight)` items (LCG; no OS entropy —
+/// the instance set is identical on every run and machine).
+fn certify_items(n: usize, seed: u64) -> Vec<(f64, u64)> {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     (0..n)
         .map(|_| {
@@ -426,18 +427,45 @@ fn certify_items(n: usize, seed: u64) -> Vec<KnapsackItem> {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             // audit: allow(float-cast) value in [1, 101), exactly representable
             let value = 1.0 + ((state >> 33) % 100) as f64;
-            KnapsackItem { value, weight }
+            (value, weight)
         })
         .collect()
 }
 
-/// The knapsack instance as a 0/1 minimization program (one weight row).
-fn certify_ilp(items: &[KnapsackItem], capacity: u64) -> IlpProblem {
-    let objective: Vec<f64> = items.iter().map(|i| -i.value).collect();
+/// One solver instance: option groups and a capacity three quarters of the
+/// items fit in.
+struct Groups {
+    groups: Vec<MckpGroup>,
+    capacity: u64,
+}
+
+/// The items as option groups: `[zero, item]` (the 0/1 keep-in-memory
+/// program), or with `tiers` the benchmark drill's m/s/u shape `[zero,
+/// (0.8 value, 0.6 weight), item]`.
+fn certify_groups(n: usize, seed: u64, tiers: bool) -> Groups {
+    let items = certify_items(n, seed);
+    let groups = items
+        .iter()
+        .map(|&(value, weight)| {
+            let mut options = vec![MckpOption { value: 0.0, weight: 0 }];
+            if tiers {
+                options.push(MckpOption { value: value * 0.8, weight: weight * 6 / 10 });
+            }
+            options.push(MckpOption { value, weight });
+            MckpGroup { options }
+        })
+        .collect();
+    Groups { groups, capacity: items.iter().map(|i| i.1).sum::<u64>() * 3 / 4 }
+}
+
+/// The 0/1 items as a minimization program (one weight row).
+fn certify_ilp(n: usize, seed: u64) -> IlpProblem {
+    let items = certify_items(n, seed);
+    let objective: Vec<f64> = items.iter().map(|i| -i.0).collect();
     // audit: allow(float-cast) weights/capacity are small integers
-    let weights: Vec<f64> = items.iter().map(|i| i.weight as f64).collect();
+    let weights: Vec<f64> = items.iter().map(|i| i.1 as f64).collect();
     // audit: allow(float-cast) see above
-    let cap = capacity as f64;
+    let cap = (items.iter().map(|i| i.1).sum::<u64>() * 3 / 4) as f64;
     IlpProblem {
         objective,
         constraints: vec![Constraint::le(weights, cap)],
@@ -446,9 +474,50 @@ fn certify_ilp(items: &[KnapsackItem], capacity: u64) -> IlpProblem {
     }
 }
 
-/// Measures certificate emission + verification overhead per strategy. Every
-/// certificate produced here is also asserted to verify clean, so the bench
-/// doubles as a property sweep.
+/// Measures one certify row over `count` seeded instances: the plain solve,
+/// the certificate-emitting solve (which must return the same `answer`) and
+/// the verification of what it emitted. Every certificate is asserted to
+/// verify clean, so the bench doubles as a property sweep.
+fn certify_row<I, P, C, A: PartialEq + std::fmt::Debug>(
+    strategy: &'static str,
+    count: usize,
+    instance: impl Fn(u64) -> I,
+    plain: impl Fn(&I) -> P,
+    certified: impl Fn(&I) -> C,
+    answers: impl Fn(&P, &C) -> (A, A),
+    verify: impl Fn(&I, &C) -> Vec<Diagnostic>,
+) -> CertifySample {
+    let (mut solve_s, mut certify_solve_s, mut verify_s) = (0.0, 0.0, 0.0);
+    for seed in 0..count as u64 {
+        let instance = instance(seed);
+        // Alternate which variant runs first: the second identical solve
+        // on the same instance sees warmed caches, so a fixed order would
+        // bias the emission-overhead column.
+        let (mut p, mut c) = (None, None);
+        for which in [seed % 2, 1 - seed % 2] {
+            // audit: allow(wall-clock)
+            let t = Instant::now();
+            if which == 0 {
+                p = Some(plain(&instance));
+                solve_s += t.elapsed().as_secs_f64();
+            } else {
+                c = Some(certified(&instance));
+                certify_solve_s += t.elapsed().as_secs_f64();
+            }
+        }
+        let (p, c) = (p.expect("ran above"), c.expect("ran above"));
+        let (plain_answer, certified_answer) = answers(&p, &c);
+        assert_eq!(plain_answer, certified_answer, "{strategy}: certification changed the answer");
+        // audit: allow(wall-clock)
+        let t = Instant::now();
+        let findings = verify(&instance, &c);
+        verify_s += t.elapsed().as_secs_f64();
+        assert!(findings.is_empty(), "{strategy} seed {seed}: {findings:?}");
+    }
+    CertifySample { strategy, instances: count, solve_s, certify_solve_s, verify_s }
+}
+
+/// Measures certificate emission + verification overhead per strategy.
 fn bench_certify(quick: bool) -> Vec<CertifySample> {
     // Sizes are chosen so the measured regime matches the asymptotics:
     // branch-and-bound spends O(n) per node computing bounds while the
@@ -458,135 +527,57 @@ fn bench_certify(quick: bool) -> Vec<CertifySample> {
     let (kn_count, kn_n) = if quick { (16, 768) } else { (20, 1536) };
     let (gr_count, gr_n) = if quick { (16, 512) } else { (24, 768) };
     let (ilp_count, ilp_n) = if quick { (8, 24) } else { (10, 28) };
-    let mut samples = Vec::new();
 
     // Untimed warmup so first-touch page faults and lazy allocator growth
     // land outside the measured loops.
-    {
-        let items = certify_items(kn_n, 1);
-        let capacity = items.iter().map(|i| i.weight).sum::<u64>() * 3 / 4;
-        let _ = solve_knapsack_certified(&items, capacity, 0, None);
-    }
+    let warmup = certify_groups(kn_n, 1, true);
+    let _ = solve_mckp_certified(&warmup.groups, warmup.capacity, 0, None);
 
-    // Knapsack: branch-and-bound with a preorder replay certificate.
-    let (mut solve_s, mut cert_s, mut verify_s) = (0.0, 0.0, 0.0);
-    for seed in 0..kn_count as u64 {
-        let items = certify_items(kn_n, seed + 1);
-        let capacity = items.iter().map(|i| i.weight).sum::<u64>() * 3 / 4;
-        // Alternate which variant runs first: the second identical solve
-        // on the same instance sees warmed caches, so a fixed order would
-        // bias the emission-overhead column.
-        let mut plain = None;
-        let mut certified = None;
-        for which in [seed % 2, 1 - seed % 2] {
-            if which == 0 {
-                // audit: allow(wall-clock)
-                let t = Instant::now();
-                plain = Some(solve_knapsack(&items, capacity, 0));
-                solve_s += t.elapsed().as_secs_f64();
-            } else {
-                // audit: allow(wall-clock)
-                let t = Instant::now();
-                certified = Some(solve_knapsack_certified(&items, capacity, 0, None));
-                cert_s += t.elapsed().as_secs_f64();
-            }
-        }
-        let (plain, (sol, cert)) = (plain.unwrap(), certified.unwrap());
-        assert_eq!(plain.selected, sol.selected, "certification changed the solution");
-        // audit: allow(wall-clock)
-        let t = Instant::now();
-        let findings = verify_knapsack(&items, capacity, &sol, &cert);
-        verify_s += t.elapsed().as_secs_f64();
-        assert!(findings.is_empty(), "seed {seed}: {findings:?}");
-    }
-    samples.push(CertifySample {
-        strategy: "knapsack",
-        instances: kn_count,
-        solve_s,
-        certify_solve_s: cert_s,
-        verify_s,
-    });
-
-    // Greedy: node-budget-1 solve certified against the LP relaxation.
-    let (mut solve_s, mut cert_s, mut verify_s) = (0.0, 0.0, 0.0);
-    for seed in 0..gr_count as u64 {
-        let items = certify_items(gr_n, seed + 1);
-        let capacity = items.iter().map(|i| i.weight).sum::<u64>() * 3 / 4;
-        // Same first-runner alternation as the knapsack section above.
-        let mut plain = None;
-        let mut certified = None;
-        for which in [seed % 2, 1 - seed % 2] {
-            if which == 0 {
-                // audit: allow(wall-clock)
-                let t = Instant::now();
-                plain = Some(solve_knapsack(&items, capacity, 1));
-                solve_s += t.elapsed().as_secs_f64();
-            } else {
-                // audit: allow(wall-clock)
-                let t = Instant::now();
-                let sol = solve_knapsack(&items, capacity, 1);
-                let cert = greedy_certificate(&items, capacity, &sol);
-                cert_s += t.elapsed().as_secs_f64();
-                certified = Some((sol, cert));
-            }
-        }
-        let (plain, (sol, cert)) = (plain.unwrap(), certified.unwrap());
-        assert_eq!(plain.selected, sol.selected);
-        // audit: allow(wall-clock)
-        let t = Instant::now();
-        let findings = verify_greedy(&items, capacity, &sol, &cert);
-        verify_s += t.elapsed().as_secs_f64();
-        assert!(findings.is_empty(), "seed {seed}: {findings:?}");
-    }
-    samples.push(CertifySample {
-        strategy: "greedy",
-        instances: gr_count,
-        solve_s,
-        certify_solve_s: cert_s,
-        verify_s,
-    });
-
-    // Exact ILP: LP-based branch-and-bound with dual/Farkas evidence.
-    let (mut solve_s, mut cert_s, mut verify_s) = (0.0, 0.0, 0.0);
-    for seed in 0..ilp_count as u64 {
-        let items = certify_items(ilp_n, seed + 101);
-        let capacity = items.iter().map(|i| i.weight).sum::<u64>() * 3 / 4;
-        let problem = certify_ilp(&items, capacity);
-        // Same first-runner alternation as the knapsack section above.
-        let mut plain = None;
-        let mut certified = None;
-        for which in [seed % 2, 1 - seed % 2] {
-            if which == 0 {
-                // audit: allow(wall-clock)
-                let t = Instant::now();
-                plain = Some(solve_binary(&problem).expect("ilp solve"));
-                solve_s += t.elapsed().as_secs_f64();
-            } else {
-                // audit: allow(wall-clock)
-                let t = Instant::now();
-                certified = Some(solve_binary_certified(&problem).expect("ilp solve"));
-                cert_s += t.elapsed().as_secs_f64();
-            }
-        }
-        let (plain, (outcome, cert)) = (plain.unwrap(), certified.unwrap());
-        assert_eq!(format!("{plain:?}"), format!("{outcome:?}"), "certification changed outcome");
-        // audit: allow(wall-clock)
-        let t = Instant::now();
-        let findings = verify_ilp(&problem, &outcome, &cert);
-        verify_s += t.elapsed().as_secs_f64();
-        assert!(findings.is_empty(), "seed {seed}: {findings:?}");
-    }
-    samples.push(CertifySample {
-        strategy: "exact-ilp",
-        instances: ilp_count,
-        solve_s,
-        certify_solve_s: cert_s,
-        verify_s,
-    });
+    // The tree rows: branch and bound with a preorder replay certificate,
+    // over two-option groups (the 0/1 program) and the m/s/u shape.
+    let tree_row = |strategy, tiers| {
+        certify_row(
+            strategy,
+            kn_count,
+            |seed| certify_groups(kn_n, seed + 1, tiers),
+            |i| solve_mckp(&i.groups, i.capacity, 0),
+            |i| solve_mckp_certified(&i.groups, i.capacity, 0, None),
+            |plain, (sol, _)| (plain.choice.clone(), sol.choice.clone()),
+            |i, (sol, cert)| verify_mckp(&i.groups, i.capacity, sol, cert),
+        )
+    };
+    let samples = vec![
+        tree_row("knapsack", false),
+        tree_row("multi-choice", true),
+        // Greedy: node-budget-1 solve certified against the hull relaxation.
+        certify_row(
+            "greedy",
+            gr_count,
+            |seed| certify_groups(gr_n, seed + 1, false),
+            |i| solve_mckp(&i.groups, i.capacity, 1),
+            |i| {
+                let sol = solve_mckp(&i.groups, i.capacity, 1);
+                let cert = greedy_mckp_certificate(&i.groups, i.capacity, &sol);
+                (sol, cert)
+            },
+            |plain, (sol, _)| (plain.choice.clone(), sol.choice.clone()),
+            |i, (sol, cert)| verify_mckp_greedy(&i.groups, i.capacity, sol, cert),
+        ),
+        // Exact ILP: LP-based branch-and-bound with dual/Farkas evidence.
+        certify_row(
+            "exact-ilp",
+            ilp_count,
+            |seed| certify_ilp(ilp_n, seed + 101),
+            |p| solve_binary(p).expect("ilp solve"),
+            |p| solve_binary_certified(p).expect("ilp solve"),
+            |plain, (outcome, _)| (format!("{plain:?}"), format!("{outcome:?}")),
+            |p, (outcome, cert)| verify_ilp(p, outcome, cert),
+        ),
+    ];
 
     for s in &samples {
         eprintln!(
-            "certify {:9} instances={:3} solve={:.4}s certified={:.4}s ({:+.1}%) \
+            "certify {:12} instances={:3} solve={:.4}s certified={:.4}s ({:+.1}%) \
              verify={:.4}s (ratio {:.3})",
             s.strategy,
             s.instances,

@@ -12,22 +12,23 @@
 //!   the proof that every decision taken across the sweep verified. Use
 //!   `--quick` to rescale the workloads for CI.
 //! - `--mutate`: the negative control. Seeded corruptions of otherwise-valid
-//!   certificates (mispriced incumbent, inflated prune bound, truncated
-//!   search tree, understated greedy gap, under-approximated dirty closure)
-//!   must each trigger exactly the matching diagnostic code. A verifier that
+//!   certificates (mispriced incumbent, inflated prune bound, shuffled
+//!   increment order, truncated search tree, understated greedy gap,
+//!   under-approximated dirty closure) must each trigger exactly the
+//!   matching diagnostic code — once for the one tree certificate, once for
+//!   the one greedy certificate, once for the ILP's. A verifier that
 //!   accepts everything would pass `--all` trivially; this mode proves the
 //!   checks have teeth.
 
 use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use blaze_certify::{
-    check_dirty_closure, verify_greedy, verify_greedy_relaxation, verify_ilp, verify_knapsack,
-    verify_mckp, verify_mckp_greedy, LineageNodeView, LineageView,
+    check_dirty_closure, verify_greedy_relaxation, verify_ilp, verify_mckp, verify_mckp_greedy,
+    LineageNodeView, LineageView,
 };
 use blaze_common::ids::{BlockId, RddId};
 use blaze_core::{BlazeConfig, SolveStrategy};
-use blaze_solver::cert::KnapNode;
+use blaze_solver::cert::McNode;
 use blaze_solver::ilp::{solve_binary_certified, IlpProblem};
-use blaze_solver::knapsack::{greedy_certificate, solve_knapsack_certified, KnapsackItem};
 use blaze_solver::mckp::{greedy_mckp_certificate, solve_mckp_certified, MckpGroup, MckpOption};
 use blaze_workloads::{App, AppSpec, Session};
 use std::sync::{Arc, Mutex};
@@ -102,8 +103,9 @@ fn check_all(scale: f64) {
     println!("blaze-certify: {total} certificates emitted and verified clean across the sweep");
 }
 
-/// A deterministic multi-choice instance (zero option + three sized
-/// options per group, hull-shaped values) for the MCKP mutations.
+/// A deterministic instance (zero option + three sized options per group,
+/// hull-shaped values) with enough structure that its branch-and-bound
+/// trees contain prunes (so corrupting a bound has something to corrupt).
 fn mutation_groups() -> Vec<MckpGroup> {
     let mut state = 0x5e12_ca5eu64;
     let mut next = move || {
@@ -132,24 +134,6 @@ fn mutation_groups() -> Vec<MckpGroup> {
         .collect()
 }
 
-/// A deterministic instance with enough structure that its branch-and-bound
-/// trees contain prunes (so corrupting a bound has something to corrupt).
-fn mutation_items() -> Vec<KnapsackItem> {
-    // LCG-style mix, fixed seed: values and weights loosely correlated so
-    // the Dantzig bound is tight enough to prune.
-    let mut state = 0x9e37_79b9u64;
-    (0..24)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let weight = 20 + (state >> 33) % 80;
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            // audit: allow(float-cast) value in [1, 101), exactly representable
-            let value = 1.0 + ((state >> 33) % 100) as f64;
-            KnapsackItem { value, weight }
-        })
-        .collect()
-}
-
 fn assert_fires(findings: &[blaze_audit::diagnostic::Diagnostic], code: &str, what: &str) {
     assert!(
         findings.iter().any(|d| d.code.as_str() == code),
@@ -160,117 +144,94 @@ fn assert_fires(findings: &[blaze_audit::diagnostic::Diagnostic], code: &str, wh
 
 /// Seeded corruptions: each BA5xx code must fire on its matching mutation.
 fn check_mutations() {
-    let items = mutation_items();
-    let capacity: u64 = items.iter().map(|i| i.weight).sum::<u64>() / 3;
+    let groups = mutation_groups();
+    // The odd offset keeps the capacity off every hull-increment boundary
+    // so the greedy fill ends on a fractional break item (declared_gap > 0).
+    let capacity: u64 =
+        groups.iter().map(|g| g.options.iter().map(|o| o.weight).max().unwrap_or(0)).sum::<u64>()
+            / 3
+            + 7;
+    let solve = || solve_mckp_certified(&groups, capacity, 0, None);
 
     // BA501 — mispriced incumbent.
-    let (mut sol, cert) = solve_knapsack_certified(&items, capacity, 0, None);
-    assert!(verify_knapsack(&items, capacity, &sol, &cert).is_empty(), "baseline must verify");
+    let (mut sol, cert) = solve();
+    assert!(verify_mckp(&groups, capacity, &sol, &cert).is_empty(), "baseline must verify");
     sol.value += 1.0;
-    assert_fires(&verify_knapsack(&items, capacity, &sol, &cert), "BA501", "a mispriced incumbent");
+    assert_fires(&verify_mckp(&groups, capacity, &sol, &cert), "BA501", "a mispriced incumbent");
 
     // BA502 — inflated prune bound (claims to dominate more than it does).
-    let (sol, mut cert) = solve_knapsack_certified(&items, capacity, 0, None);
+    let (sol, mut cert) = solve();
     let pruned = cert
         .nodes
         .iter_mut()
-        .find_map(|n| if let KnapNode::Pruned { bound } = n { Some(bound) } else { None })
+        .find_map(|n| if let McNode::Pruned { bound } = n { Some(bound) } else { None })
         .expect("instance must produce at least one pruned node");
     *pruned += 100.0;
-    assert_fires(&verify_knapsack(&items, capacity, &sol, &cert), "BA502", "an inflated bound");
+    assert_fires(&verify_mckp(&groups, capacity, &sol, &cert), "BA502", "an inflated bound");
+
+    // BA502 — the claimed increment order is not the published one.
+    let (sol, mut cert) = solve();
+    cert.order.swap(0, 1);
+    assert_fires(
+        &verify_mckp(&groups, capacity, &sol, &cert),
+        "BA502",
+        "an out-of-order increment list",
+    );
 
     // BA503 — truncated search tree (a subtree silently dropped).
-    let (sol, mut cert) = solve_knapsack_certified(&items, capacity, 0, None);
+    let (sol, mut cert) = solve();
     cert.nodes.pop();
-    assert_fires(&verify_knapsack(&items, capacity, &sol, &cert), "BA503", "a truncated tree");
+    assert_fires(&verify_mckp(&groups, capacity, &sol, &cert), "BA503", "a truncated tree");
 
     // BA504 — understated greedy approximation gap.
-    let (gsol, mut gcert) = {
-        let (sol, _) = solve_knapsack_certified(&items, capacity, 1, None);
-        let cert = greedy_certificate(&items, capacity, &sol);
-        (sol, cert)
-    };
-    assert!(verify_greedy(&items, capacity, &gsol, &gcert).is_empty(), "baseline must verify");
+    let (gsol, _) = solve_mckp_certified(&groups, capacity, 1, None);
+    let mut gcert = greedy_mckp_certificate(&groups, capacity, &gsol);
     assert!(
-        verify_greedy_relaxation(&items, capacity, &gcert).is_empty(),
-        "LP cross-check must agree with the Dantzig relaxation bound"
+        verify_mckp_greedy(&groups, capacity, &gsol, &gcert).is_empty(),
+        "greedy baseline must verify"
     );
-    assert!(gcert.declared_gap > 0.0, "instance must have a fractional break item");
+    assert!(
+        verify_greedy_relaxation(&groups, capacity, &gcert).is_empty(),
+        "LP cross-check must agree with the hull relaxation bound"
+    );
+    assert!(gcert.declared_gap > 0.0, "instance must have a fractional hull break");
     gcert.declared_gap = 0.0;
-    assert_fires(&verify_greedy(&items, capacity, &gsol, &gcert), "BA504", "an understated gap");
+    assert_fires(
+        &verify_mckp_greedy(&groups, capacity, &gsol, &gcert),
+        "BA504",
+        "an understated gap",
+    );
 
     // BA502 (greedy flavour) — an inflated relaxation bound must be caught
-    // by the independent LP solve as well as the fast Dantzig recompute.
-    let mut lcert = greedy_certificate(&items, capacity, &gsol);
+    // by the independent LP solve as well as the fast hull recompute.
+    let mut lcert = greedy_mckp_certificate(&groups, capacity, &gsol);
     lcert.relaxation_bound += 100.0;
     assert_fires(
-        &verify_greedy_relaxation(&items, capacity, &lcert),
+        &verify_mckp_greedy(&groups, capacity, &gsol, &lcert),
+        "BA502",
+        "an inflated relaxation bound",
+    );
+    assert_fires(
+        &verify_greedy_relaxation(&groups, capacity, &lcert),
         "BA502",
         "an inflated relaxation bound (LP cross-check)",
     );
 
     // BA502 (ILP flavour) — certified exact solve, then inflate a bound so
     // the recorded dual evidence no longer supports it.
-    let problem = knapsack_as_ilp(&items, capacity);
+    let problem = groups_as_ilp(&groups, capacity);
     let (outcome, mut icert) = solve_binary_certified(&problem).expect("ilp solve");
     assert!(verify_ilp(&problem, &outcome, &icert).is_empty(), "ILP baseline must verify");
-    let mut inflated = false;
-    for node in &mut icert.nodes {
-        if let blaze_solver::cert::IlpNodeKind::Pruned { bound, .. } = &mut node.kind {
-            *bound += 100.0;
-            inflated = true;
-            break;
-        }
-    }
-    if inflated {
-        assert_fires(&verify_ilp(&problem, &outcome, &icert), "BA502", "an inflated ILP bound");
-    } else {
-        println!("blaze-certify: ILP tree had no pruned nodes; knapsack BA502 covers the bound");
-    }
-
-    // Multi-choice flavours: the enlarged m/s/d/u choice space must be
-    // covered by the same negative controls as the 0/1 path.
-    let groups = mutation_groups();
-    // The odd offset keeps the capacity off every hull-increment boundary
-    // so the greedy fill ends on a fractional break item (declared_gap > 0).
-    let mc_capacity: u64 =
-        groups.iter().map(|g| g.options.iter().map(|o| o.weight).max().unwrap_or(0)).sum::<u64>()
-            / 3
-            + 7;
-
-    // BA501 (MCKP) — mispriced multi-choice incumbent.
-    let (mut msol, mcert) = solve_mckp_certified(&groups, mc_capacity, 0, None);
-    assert!(verify_mckp(&groups, mc_capacity, &msol, &mcert).is_empty(), "MCKP baseline verifies");
-    msol.value += 1.0;
-    assert_fires(
-        &verify_mckp(&groups, mc_capacity, &msol, &mcert),
-        "BA501",
-        "a mispriced multi-choice incumbent",
-    );
-
-    // BA503 (MCKP) — truncated multi-choice search tree.
-    let (msol, mut mcert) = solve_mckp_certified(&groups, mc_capacity, 0, None);
-    mcert.nodes.pop();
-    assert_fires(
-        &verify_mckp(&groups, mc_capacity, &msol, &mcert),
-        "BA503",
-        "a truncated multi-choice tree",
-    );
-
-    // BA504 (MCKP) — understated greedy hull gap.
-    let (gmsol, _) = solve_mckp_certified(&groups, mc_capacity, 1, None);
-    let mut gmcert = greedy_mckp_certificate(&groups, mc_capacity, &gmsol);
-    assert!(
-        verify_mckp_greedy(&groups, mc_capacity, &gmsol, &gmcert).is_empty(),
-        "MCKP greedy baseline verifies"
-    );
-    assert!(gmcert.declared_gap > 0.0, "instance must have a fractional hull break");
-    gmcert.declared_gap = 0.0;
-    assert_fires(
-        &verify_mckp_greedy(&groups, mc_capacity, &gmsol, &gmcert),
-        "BA504",
-        "an understated multi-choice greedy gap",
-    );
+    let bound = icert
+        .nodes
+        .iter_mut()
+        .find_map(|node| match &mut node.kind {
+            blaze_solver::cert::IlpNodeKind::Pruned { bound, .. } => Some(bound),
+            _ => None,
+        })
+        .expect("instance must produce at least one pruned ILP node");
+    *bound += 100.0;
+    assert_fires(&verify_ilp(&problem, &outcome, &icert), "BA502", "an inflated ILP bound");
 
     // BA505 — memo entry retained inside the dirty closure.
     let view = LineageView {
@@ -291,17 +252,25 @@ fn check_mutations() {
     println!("blaze-certify: every corruption was caught");
 }
 
-/// The knapsack instance as a 0/1 program (maximize value = minimize -value
-/// subject to the weight row), for the ILP-flavoured mutation.
-fn knapsack_as_ilp(items: &[KnapsackItem], capacity: u64) -> IlpProblem {
-    let objective: Vec<f64> = items.iter().map(|i| -i.value).collect();
+/// The instance as a 0/1 program: one binary per non-zero option, at most
+/// one per group, minimize the negated value under the weight row.
+fn groups_as_ilp(groups: &[MckpGroup], capacity: u64) -> IlpProblem {
+    use blaze_solver::lp::Constraint;
+    let options = || groups.iter().flat_map(|g| g.options.iter().skip(1));
+    let vars = options().count();
     // audit: allow(float-cast) weights are small integers, exactly representable
-    let weights: Vec<f64> = items.iter().map(|i| i.weight as f64).collect();
-    // audit: allow(float-cast) capacity is a small integer, exactly representable
-    let cap = capacity as f64;
+    let mut constraints =
+        vec![Constraint::le(options().map(|o| o.weight as f64).collect(), capacity as f64)];
+    let mut first = 0;
+    for g in groups {
+        let mut row = vec![0.0; vars];
+        row[first..first + g.options.len() - 1].fill(1.0);
+        first += g.options.len() - 1;
+        constraints.push(Constraint::le(row, 1.0));
+    }
     IlpProblem {
-        objective,
-        constraints: vec![blaze_solver::lp::Constraint::le(weights, cap)],
+        objective: options().map(|o| -o.value).collect(),
+        constraints,
         node_budget: 0,
         warm: None,
     }

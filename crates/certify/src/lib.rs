@@ -18,57 +18,52 @@
 //! - `BA504` — a greedy gap exceeds its declared bound,
 //! - `BA505` — the dirty closure missed an affected entry.
 //!
-//! The verifier is deliberately *independent*: it recomputes Dantzig bounds
-//! from its own prefix sums, rebuilds lineage adjacency from parent lists,
-//! and trusts certificate-recorded numbers only after cross-checking them.
-//! Its cost is a fraction of the solve it certifies — `O(nodes · log n)`
-//! for a knapsack replay versus the solver's `O(nodes · n)`, and one
+//! There is one tree replay for the state search ([`mckp`]; the 0/1
+//! keep-in-memory program is its two-option case) and one for the exact ILP
+//! ([`ilp`]).
+//!
+//! The verifier is deliberately *independent*: it works from the search
+//! rule `blaze_solver::mckp` publishes — re-deriving hulls and increments,
+//! checking the claimed increment order against its own comparator,
+//! recomputing hull bounds from its own sum tree — rebuilds lineage
+//! adjacency from parent lists, and trusts certificate-recorded numbers
+//! only after cross-checking them. Its cost is a fraction of the solve it
+//! certifies — `O(n)` set-up and amortised `O(log n)` per replayed node
+//! versus the search's `O(n log n)` set-up and `O(n)` bound scans, and one
 //! `O(m·n)` dual check per ILP node versus a simplex solve per node.
 
 #![warn(missing_docs)]
 
 pub mod ilp;
-pub mod knapsack;
 pub mod lineage;
 pub mod mckp;
 
 pub use ilp::verify_ilp;
-pub use knapsack::{verify_greedy, verify_greedy_relaxation, verify_knapsack};
 pub use lineage::{check_dirty_closure, LineageNodeView, LineageView};
-pub use mckp::{verify_mckp, verify_mckp_greedy};
+pub use mckp::{verify_greedy_relaxation, verify_mckp, verify_mckp_greedy};
 
 use blaze_audit::diagnostic::Diagnostic;
 use blaze_common::ids::ExecutorId;
-use blaze_solver::cert::{GreedyCertificate, IlpCertificate, KnapsackCertificate, MckpCertificate};
+use blaze_solver::cert::{GreedyCertificate, IlpCertificate, MckpCertificate};
 use blaze_solver::ilp::{IlpOutcome, IlpProblem};
-use blaze_solver::knapsack::{KnapsackItem, KnapsackSolution};
+use blaze_solver::knapsack::{two_option_groups, KnapsackItem};
 use blaze_solver::mckp::{MckpGroup, MckpSolution};
 
 /// One per-executor solver instance together with its answer and proof, as
 /// captured by the decision path at submission time.
 #[derive(Debug, Clone)]
 pub enum InstancePayload {
-    /// A branch-and-bound knapsack solve ([`blaze_solver::knapsack`]).
+    /// A [`MultiChoice`](Self::MultiChoice) solve given as 0/1 items — the
+    /// shape the repository benchmark pins; goes when that is re-pointed.
     Knapsack {
         /// The items of the instance.
         items: Vec<KnapsackItem>,
         /// The memory capacity (bytes).
         capacity: u64,
-        /// The solution returned to the decision path.
-        solution: KnapsackSolution,
+        /// The solution over the items' two-option groups.
+        solution: MckpSolution,
         /// The certificate emitted alongside it.
-        cert: KnapsackCertificate,
-    },
-    /// A greedy (node-budget-1) solve certified against the LP relaxation.
-    Greedy {
-        /// The items of the instance.
-        items: Vec<KnapsackItem>,
-        /// The memory capacity (bytes).
-        capacity: u64,
-        /// The greedy solution returned to the decision path.
-        solution: KnapsackSolution,
-        /// The relaxation-gap certificate emitted alongside it.
-        cert: GreedyCertificate,
+        cert: MckpCertificate,
     },
     /// An exact-ILP solve ([`blaze_solver::ilp`]).
     Ilp {
@@ -79,9 +74,10 @@ pub enum InstancePayload {
         /// The branch-and-bound certificate emitted alongside it.
         cert: IlpCertificate,
     },
-    /// A branch-and-bound multi-choice knapsack solve
-    /// ([`blaze_solver::mckp`]), used when the serialized in-memory tier
-    /// turns the per-executor instance into an m/s/d/u choice per candidate.
+    /// A branch-and-bound solve of the state search
+    /// ([`blaze_solver::mckp`]): one group of options per candidate — two
+    /// for the 0/1 keep-in-memory program, three for the m/s/d/u choice of
+    /// the serialized in-memory tier.
     MultiChoice {
         /// The option groups of the instance (one per candidate).
         groups: Vec<MckpGroup>,
@@ -92,9 +88,9 @@ pub enum InstancePayload {
         /// The certificate emitted alongside it.
         cert: MckpCertificate,
     },
-    /// A greedy (node-budget-1) multi-choice solve certified against the
-    /// hull relaxation.
-    MultiChoiceGreedy {
+    /// A greedy (node-budget-1) solve of the same search, certified against
+    /// the hull relaxation.
+    Greedy {
         /// The option groups of the instance (one per candidate).
         groups: Vec<MckpGroup>,
         /// The memory capacity (bytes).
@@ -120,17 +116,38 @@ pub struct InstanceCertificate {
 pub fn verify_instance(cert: &InstanceCertificate) -> Vec<Diagnostic> {
     match &cert.payload {
         InstancePayload::Knapsack { items, capacity, solution, cert } => {
-            verify_knapsack(items, *capacity, solution, cert)
+            verify_mckp(&two_option_groups(items), *capacity, solution, cert)
         }
-        InstancePayload::Greedy { items, capacity, solution, cert } => {
-            verify_greedy(items, *capacity, solution, cert)
-        }
-        InstancePayload::Ilp { problem, outcome, cert } => verify_ilp(problem, outcome, cert),
         InstancePayload::MultiChoice { groups, capacity, solution, cert } => {
             verify_mckp(groups, *capacity, solution, cert)
         }
-        InstancePayload::MultiChoiceGreedy { groups, capacity, solution, cert } => {
+        InstancePayload::Greedy { groups, capacity, solution, cert } => {
             verify_mckp_greedy(groups, *capacity, solution, cert)
         }
+        InstancePayload::Ilp { problem, outcome, cert } => verify_ilp(problem, outcome, cert),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blaze_solver::knapsack::solve_knapsack_certified;
+
+    /// The benchmark's pinned 0/1 payload goes through the one verifier.
+    #[test]
+    fn knapsack_payloads_verify_as_two_option_groups() {
+        let items: Vec<KnapsackItem> = [(60.0, 10), (50.0, 9), (50.0, 9), (20.0, 4)]
+            .iter()
+            .map(|&(value, weight)| KnapsackItem { value, weight })
+            .collect();
+        let (solution, cert) = solve_knapsack_certified(&items, 18, 0, None);
+        let payload = InstancePayload::Knapsack { items, capacity: 18, solution, cert };
+        let mut cert = InstanceCertificate { executor: ExecutorId(0), payload };
+        assert!(verify_instance(&cert).is_empty());
+        if let InstancePayload::Knapsack { solution, .. } = &mut cert.payload {
+            solution.value += 1.0;
+        }
+        let codes: Vec<_> = verify_instance(&cert).iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(codes, ["BA501"]);
     }
 }

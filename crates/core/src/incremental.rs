@@ -22,13 +22,11 @@
 //!   previous picks are returned without solving: the solvers are
 //!   deterministic functions of exactly that data.
 //! - **Warm-started solves** — otherwise the previous solution warm-starts
-//!   the solver: the knapsack reuses the previous density order (adaptive
-//!   re-sort of a nearly-sorted permutation) and prunes with the previous
-//!   selection's value; the multi-choice knapsack and the ILP prune with the
-//!   previous assignment's objective. All bounds are *pruning-only* — never
-//!   installed as incumbents — so the returned selection, tie-breaks
-//!   included, is the one a cold solve finds (see
-//!   [`crate::optimize::WarmHint`]).
+//!   the solver: the knapsack search and the ILP prune with the previous
+//!   assignment's objective at current prices. The bound is *pruning-only*
+//!   — never installed as an incumbent — so the returned selection,
+//!   tie-breaks included, is the one a cold solve finds (see
+//!   [`crate::optimize::solve_instance`]).
 //!
 //! None of the retained state may influence a decision. The reference that
 //! pins this is *the same driver with nothing retained*
@@ -41,7 +39,7 @@ use crate::cost::{CostMemo, CostModel};
 use crate::costlineage::CostLineage;
 use crate::optimize::{
     emit_commands, gather_candidates, solve_instance, Candidate, LadderReport, OptimizerConfig,
-    Pick, SolveLadder, SolveStrategy, WarmHint,
+    Pick, SolveLadder, SolveStrategy,
 };
 use crate::pattern::IterationPattern;
 use crate::refs::JobRefs;
@@ -86,10 +84,6 @@ struct PrevSolve {
     ser_tier: bool,
     candidates: Vec<Candidate>,
     picks: Vec<Pick>,
-    /// Density order of the last 0/1 knapsack solve, as block ids (stable
-    /// across candidate-set changes; translated to indices per solve).
-    /// Empty for ILP and multi-choice solves.
-    order: Vec<BlockId>,
 }
 
 /// The decision driver and the state it retains between submissions.
@@ -299,25 +293,22 @@ impl IncrementalOptimizer {
                     picks[i] = pick;
                 }
             }
-            let order = p.order.iter().filter_map(|id| index_of.get(id).copied()).collect();
-            WarmHint { picks, order }
+            picks
         });
-        let solved =
-            solve_instance(&candidates, capacity, strategy, ser_tier, warm.as_ref(), self.certify);
+        let solved = solve_instance(
+            &candidates,
+            capacity,
+            strategy,
+            ser_tier,
+            warm.as_deref(),
+            self.certify,
+        );
         if let Some(payload) = solved.payload {
             self.verify_inline(exec, payload);
         }
-        let order = solved.order.iter().map(|&i| candidates[i].id).collect();
         self.prev.insert(
             exec,
-            PrevSolve {
-                capacity,
-                strategy,
-                ser_tier,
-                candidates,
-                picks: solved.picks.clone(),
-                order,
-            },
+            PrevSolve { capacity, strategy, ser_tier, candidates, picks: solved.picks.clone() },
         );
         solved.picks
     }

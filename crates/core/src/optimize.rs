@@ -17,16 +17,18 @@
 //!   `(m_i, d_i, u_i)` binaries, solved by [`blaze_solver::ilp`];
 //! - [`SolveStrategy::Knapsack`] — the provably equivalent reduction: with
 //!   costs frozen at time `t`, out-of-memory partitions independently take
-//!   `min(cost_d, cost_r)`, so choosing `M` is a 0/1 knapsack maximizing
-//!   saved recovery cost (the default; exact and much faster);
-//! - [`SolveStrategy::Greedy`] — density-greedy knapsack (a time-budget
-//!   fallback).
+//!   `min(cost_d, cost_r)`, so choosing `M` is a knapsack maximizing saved
+//!   recovery cost, solved by [`blaze_solver::mckp`]'s branch and bound
+//!   (the default; exact and much faster);
+//! - [`SolveStrategy::Greedy`] — the same search cut off at its root (a
+//!   time-budget fallback).
 //!
 //! This module holds the pieces of one decision: the degradation ladder,
-//! candidate gathering, the two encodings of the program (0/1, and m/s/d/u
-//! with the serialized tier on), the single [`solve_instance`] entry into
-//! the solver crate, and command emission. The loop that runs them per
-//! executor at each job submission is [`crate::incremental`].
+//! candidate gathering, the two pricings of the program as option groups
+//! (`[out, mem]`, and `[out, ser, mem]` with the serialized tier on), the
+//! single [`solve_instance`] entry into the solver crate, and command
+//! emission. The loop that runs them per executor at each job submission is
+//! [`crate::incremental`].
 
 use crate::cost::CostModel;
 use crate::costlineage::{CostLineage, PartitionState};
@@ -38,9 +40,6 @@ use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_engine::{HardwareModel, StateCommand};
 use blaze_solver::ilp::{solve_binary, solve_binary_certified, IlpOutcome, IlpProblem};
-use blaze_solver::knapsack::{
-    greedy_certificate, solve_knapsack_certified, solve_knapsack_warm, KnapsackItem, WarmStart,
-};
 use blaze_solver::lp::Constraint;
 use blaze_solver::mckp::{
     greedy_mckp_certificate, solve_mckp_certified, solve_mckp_warm, MckpGroup, MckpOption, MckpWarm,
@@ -49,7 +48,7 @@ use blaze_solver::mckp::{
 /// How the per-executor state program is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveStrategy {
-    /// Exact 0/1 knapsack over saved recovery costs (default).
+    /// Exact knapsack branch and bound over saved recovery costs (default).
     #[default]
     Knapsack,
     /// The literal Eq. 5–6 ILP over `(m, d, u)` binaries.
@@ -77,10 +76,10 @@ pub struct OptimizerConfig {
     /// `None` (the default) never degrades.
     pub solve_deadline: Option<SimDuration>,
     /// Enables the serialized in-memory tier as a first-class decision
-    /// state: each candidate picks one of m/s/d/u via a multi-choice
-    /// knapsack (or the 4-variable Eq. 5–6 ILP) instead of the 0/1
-    /// keep-in-memory reduction. With the flag off (the default) the
-    /// decision path is byte-identical to the pre-s-tier solver.
+    /// state: each candidate's option group is `[out, ser, mem]` (or the
+    /// Eq. 5–6 ILP has four binaries per candidate) instead of the
+    /// keep-in-memory reduction's `[out, mem]`. With the flag off (the
+    /// default) decisions are byte-identical to the pre-s-tier solver's.
     pub ser_tier: bool,
 }
 
@@ -151,9 +150,10 @@ impl LadderReport {
 }
 
 /// Modeled solve cost of one instance, in deadline nanoseconds. Integer-only
-/// coefficients fitted to the relative orders of the three solvers (the ILP
-/// branches over `3n` binaries; the knapsack DP is `O(n · capacity-classes)`;
-/// greedy is a sort). The absolute scale only matters relative to
+/// coefficients fitted to the relative orders of the three rungs (the ILP
+/// branches over `3n` binaries with an LP per node; the knapsack is a
+/// branch and bound whose every node scans an `O(n)` bound; greedy is a
+/// sort). The absolute scale only matters relative to
 /// [`OptimizerConfig::solve_deadline`], which is expressed in the same units.
 pub fn estimate_solve_ns(strategy: SolveStrategy, n: usize) -> u64 {
     let n = n as u64;
@@ -449,9 +449,17 @@ pub(crate) fn emit_commands(
     commands
 }
 
-/// The knapsack encoding of one executor's instance (saved recovery cost as
-/// value, partition size as weight).
-fn knapsack_items(candidates: &[Candidate]) -> Vec<KnapsackItem> {
+/// The option layout of [`binary_groups`]: out of memory, or in it.
+const BINARY_LAYOUT: &[Pick] = &[Pick::Out, Pick::Mem];
+/// The option layout of [`tier_groups`].
+const TIER_LAYOUT: &[Pick] = &[Pick::Out, Pick::Ser, Pick::Mem];
+
+const ZERO_OPTION: MckpOption = MckpOption { value: 0.0, weight: 0 };
+
+/// The keep-in-memory pricing of one executor's instance: each candidate
+/// becomes the group `[zero, mem]` ([`BINARY_LAYOUT`]) with saved recovery
+/// cost as value and partition size as weight — a 0/1 knapsack.
+fn binary_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
     candidates
         .iter()
         .map(|c| {
@@ -462,21 +470,22 @@ fn knapsack_items(candidates: &[Candidate]) -> Vec<KnapsackItem> {
             // staying; a disk resident pays a read to be promoted.
             match c.state {
                 // SerializedMemory is unreachable with the s tier off (the
-                // only mode this 0/1 encoding runs in); like a memory
-                // resident, staying in memory avoids its exit transition.
+                // only mode this pricing runs in); like a memory resident,
+                // staying in memory avoids its exit transition.
                 PartitionState::Memory(_) | PartitionState::SerializedMemory(_) => {
                     value += c.transition.as_secs_f64()
                 }
                 PartitionState::Disk(_) => value -= c.transition.as_secs_f64(),
                 PartitionState::None => {}
             }
-            KnapsackItem { value: value.max(0.0), weight: c.size.as_bytes() }
+            let mem = MckpOption { value: value.max(0.0), weight: c.size.as_bytes() };
+            MckpGroup { options: vec![ZERO_OPTION, mem] }
         })
         .collect()
 }
 
-/// The multi-choice encoding of one executor's instance with the s tier
-/// enabled. Each candidate becomes one group `[zero, ser, mem]`:
+/// The pricing of one executor's instance with the s tier enabled. Each
+/// candidate becomes one group `[zero, ser, mem]` ([`TIER_LAYOUT`]):
 ///
 /// - option 0 (zero) — out of memory, the feasibility anchor;
 /// - option 1 (ser) — serialized in memory at footprint-scaled weight,
@@ -490,7 +499,7 @@ fn knapsack_items(candidates: &[Candidate]) -> Vec<KnapsackItem> {
 /// m/s/d/u (see [`eq56_problem_mc`] — the two encodings differ by the
 /// constant `Σ out_best`), so all three strategies price states
 /// identically.
-fn mckp_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
+fn tier_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
     candidates
         .iter()
         .map(|c| {
@@ -506,7 +515,7 @@ fn mckp_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
             let out_best = obj_d.min(obj_u);
             MckpGroup {
                 options: vec![
-                    MckpOption { value: 0.0, weight: 0 },
+                    ZERO_OPTION,
                     MckpOption { value: out_best - obj_s, weight: c.ser_size.as_bytes() },
                     MckpOption { value: out_best - obj_m, weight: c.size.as_bytes() },
                 ],
@@ -515,46 +524,16 @@ fn mckp_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
         .collect()
 }
 
-/// Maps an MCKP per-group choice (0 = zero, 1 = ser, 2 = mem — the
-/// [`mckp_groups`] option layout) to picks.
-fn picks_of_choice(choice: &[usize]) -> Vec<Pick> {
-    choice
-        .iter()
-        .map(|&c| match c {
-            2 => Pick::Mem,
-            1 => Pick::Ser,
-            _ => Pick::Out,
-        })
-        .collect()
+/// Maps a per-group option choice to picks under the groups' `layout`.
+fn picks_of_choice(choice: &[usize], layout: &[Pick]) -> Vec<Pick> {
+    choice.iter().map(|&c| layout[c]).collect()
 }
 
 /// The inverse of [`picks_of_choice`], used to re-price a previous solve as
-/// a warm bound.
-fn choice_of_picks(picks: &[Pick]) -> Vec<usize> {
-    picks
-        .iter()
-        .map(|&p| match p {
-            Pick::Mem => 2,
-            Pick::Ser => 1,
-            Pick::Out => 0,
-        })
-        .collect()
-}
-
-/// A previous solve of the same executor, re-aligned to the current
-/// candidate slots (vanished blocks drop out, new blocks default to
-/// [`Pick::Out`] — a feasible completion, so the bound stays valid).
-///
-/// Every solver uses it as a *pruning-only* hint — never installed as an
-/// incumbent — so the returned picks, tie-breaks included, are the ones a
-/// cold solve finds (see `WarmStart` / `MckpWarm` / `IlpProblem::warm`).
-#[derive(Debug)]
-pub(crate) struct WarmHint {
-    /// The previous pick of each current candidate.
-    pub(crate) picks: Vec<Pick>,
-    /// Density order of the previous 0/1 knapsack solve as current
-    /// candidate indices; empty when the previous solve had none.
-    pub(crate) order: Vec<usize>,
+/// a warm bound. A pick the layout has no option for (a previous s state
+/// after the tier was switched off) is out of memory.
+fn choice_of_picks(picks: &[Pick], layout: &[Pick]) -> Vec<usize> {
+    picks.iter().map(|p| layout.iter().position(|l| l == p).unwrap_or(0)).collect()
 }
 
 /// The answer to one executor's instance.
@@ -562,9 +541,6 @@ pub(crate) struct WarmHint {
 pub(crate) struct Solved {
     /// One pick per candidate, aligned with the input.
     pub(crate) picks: Vec<Pick>,
-    /// Density order the 0/1 knapsack search used (candidate indices), fed
-    /// back through [`WarmHint::order`]; empty for the other encodings.
-    pub(crate) order: Vec<usize>,
     /// The instance/answer/proof bundle `blaze_certify::verify_instance`
     /// checks; `Some` exactly when certification was requested on a
     /// non-empty instance.
@@ -573,80 +549,59 @@ pub(crate) struct Solved {
 
 /// Solves one executor's instance — the only place `core` calls a solver.
 ///
-/// `ser_tier` picks the encoding (0/1 keep-in-memory vs one of m/s/d/u per
-/// candidate), `warm` is an optional pruning hint, and `certify` switches to
-/// the certificate-emitting solver entry points, which only append to side
-/// vectors: the picks are a function of `(candidates, capacity, strategy,
-/// ser_tier)` alone.
+/// `ser_tier` picks the pricing (keep-in-memory vs one of m/s/d/u per
+/// candidate) and `certify` switches to the certificate-emitting solver
+/// entry points, which only append to side vectors: the picks are a
+/// function of `(candidates, capacity, strategy, ser_tier)` alone.
+///
+/// `warm` is the previous solve of the same executor re-aligned to the
+/// current candidate slots (vanished blocks drop out, new blocks default to
+/// [`Pick::Out`] — a feasible completion, so the bound stays valid). Every
+/// solver uses it as a *pruning-only* hint — never installed as an
+/// incumbent — so the returned picks, tie-breaks included, are the ones a
+/// cold solve finds (see `MckpWarm` / `IlpProblem::warm`).
 pub(crate) fn solve_instance(
     candidates: &[Candidate],
     capacity: ByteSize,
     strategy: SolveStrategy,
     ser_tier: bool,
-    warm: Option<&WarmHint>,
+    warm: Option<&[Pick]>,
     certify: bool,
 ) -> Solved {
+    if strategy == SolveStrategy::ExactIlp {
+        let (problem, vars) = if ser_tier {
+            (eq56_problem_mc(candidates, capacity, warm), 4)
+        } else {
+            (eq56_problem(candidates, capacity, warm), 3)
+        };
+        let (picks, payload) = solve_exact(problem, vars, certify);
+        return Solved { picks, payload };
+    }
+    let (groups, layout) = if ser_tier {
+        (tier_groups(candidates), TIER_LAYOUT)
+    } else {
+        (binary_groups(candidates), BINARY_LAYOUT)
+    };
     let cap = capacity.as_bytes();
     let greedy = strategy == SolveStrategy::Greedy;
     // The greedy rung is the branch-and-bound search cut off at its root.
     let budget = usize::from(greedy);
-    match (strategy, ser_tier) {
-        (SolveStrategy::ExactIlp, _) => {
-            let warm = warm.map(|w| w.picks.as_slice());
-            let (problem, vars) = if ser_tier {
-                (eq56_problem_mc(candidates, capacity, warm), 4)
-            } else {
-                (eq56_problem(candidates, capacity, warm), 3)
-            };
-            let (picks, payload) = solve_exact(problem, vars, certify);
-            Solved { picks, order: Vec::new(), payload }
+    let warm = warm.map(|picks| MckpWarm { choice: choice_of_picks(picks, layout) });
+    let (solution, cert) = if certify && !greedy {
+        let (s, c) = solve_mckp_certified(&groups, cap, budget, warm.as_ref());
+        (s, Some(c))
+    } else {
+        (solve_mckp_warm(&groups, cap, budget, warm.as_ref()), None)
+    };
+    let picks = picks_of_choice(&solution.choice, layout);
+    let payload = certify.then(|| match cert {
+        Some(cert) => InstancePayload::MultiChoice { groups, capacity: cap, solution, cert },
+        None => {
+            let cert = greedy_mckp_certificate(&groups, cap, &solution);
+            InstancePayload::Greedy { groups, capacity: cap, solution, cert }
         }
-        (_, false) => {
-            let items = knapsack_items(candidates);
-            let warm = warm.map(|w| WarmStart {
-                order: w.order.clone(),
-                selection: w.picks.iter().map(|&p| p == Pick::Mem).collect(),
-            });
-            let (solution, cert) = if certify && !greedy {
-                let (s, c) = solve_knapsack_certified(&items, cap, budget, warm.as_ref());
-                (s, Some(c))
-            } else {
-                (solve_knapsack_warm(&items, cap, budget, warm.as_ref()), None)
-            };
-            let picks =
-                solution.selected.iter().map(|&k| if k { Pick::Mem } else { Pick::Out }).collect();
-            let order = solution.order.clone();
-            let payload = certify.then(|| match cert {
-                Some(cert) => InstancePayload::Knapsack { items, capacity: cap, solution, cert },
-                None => {
-                    let cert = greedy_certificate(&items, cap, &solution);
-                    InstancePayload::Greedy { items, capacity: cap, solution, cert }
-                }
-            });
-            Solved { picks, order, payload }
-        }
-        (_, true) => {
-            let groups = mckp_groups(candidates);
-            let warm = warm.map(|w| MckpWarm { choice: choice_of_picks(&w.picks) });
-            let (solution, cert) = if certify && !greedy {
-                let (s, c) = solve_mckp_certified(&groups, cap, budget, warm.as_ref());
-                (s, Some(c))
-            } else {
-                (solve_mckp_warm(&groups, cap, budget, warm.as_ref()), None)
-            };
-            let picks = picks_of_choice(&solution.choice);
-            let payload = certify.then(|| match cert {
-                Some(cert) => {
-                    InstancePayload::MultiChoice { groups, capacity: cap, solution, cert }
-                }
-                None => {
-                    let cert = greedy_mckp_certificate(&groups, cap, &solution);
-                    InstancePayload::MultiChoiceGreedy { groups, capacity: cap, solution, cert }
-                }
-            });
-            Solved { picks, order: Vec::new(), payload }
-        }
-    }
+    });
+    Solved { picks, payload }
 }
 
 /// The literal Eq. 5–6 program over `[m_0, d_0, u_0, m_1, ...]` binaries.
@@ -668,9 +623,7 @@ fn eq56_problem(
         // Transition costs keep the solution stable (see `Candidate`).
         match c.state {
             PartitionState::Memory(_) => {
-                // Leaving memory pays the spill either way (d writes it,
-                // u at least wastes the already-spent... no: u is free to
-                // drop, d pays the spill). Model: d pays the spill.
+                // Leaving memory for disk pays the spill; dropping is free.
                 objective[3 * i + 1] += c.transition.as_secs_f64();
             }
             PartitionState::SerializedMemory(_) => {
@@ -731,7 +684,7 @@ fn eq56_problem_mc(
     let mut cap_row = vec![0.0; nv];
     for (i, c) in candidates.iter().enumerate() {
         // Per-access costs scale with the window reference count, exactly
-        // as in [`mckp_groups`] (the two encodings must price identically
+        // as in [`tier_groups`] (the two encodings must price identically
         // for the exact and B&B strategies to agree).
         let accesses = f64::from(c.window_refs);
         objective[4 * i] = c.trans_to_m.as_secs_f64();
@@ -947,30 +900,19 @@ mod tests {
         }
     }
 
+    /// The options a pick vector chooses under the mc group pricing.
+    fn mc_options(candidates: &[Candidate], picks: &[Pick]) -> Vec<MckpOption> {
+        let choice = choice_of_picks(picks, TIER_LAYOUT);
+        tier_groups(candidates).iter().zip(choice).map(|(g, c)| g.options[c]).collect()
+    }
+
     /// Objective value of a pick vector under the mc group pricing.
     fn mc_value(candidates: &[Candidate], picks: &[Pick]) -> f64 {
-        let groups = mckp_groups(candidates);
-        picks
-            .iter()
-            .zip(&groups)
-            .map(|(&p, g)| match p {
-                Pick::Mem => g.options[2].value,
-                Pick::Ser => g.options[1].value,
-                Pick::Out => 0.0,
-            })
-            .sum()
+        mc_options(candidates, picks).iter().map(|o| o.value).sum()
     }
 
     fn mc_weight(candidates: &[Candidate], picks: &[Pick]) -> u64 {
-        picks
-            .iter()
-            .zip(candidates)
-            .map(|(&p, c)| match p {
-                Pick::Mem => c.size.as_bytes(),
-                Pick::Ser => c.ser_size.as_bytes(),
-                Pick::Out => 0,
-            })
-            .sum()
+        mc_options(candidates, picks).iter().map(|o| o.weight).sum()
     }
 
     #[test]
@@ -1011,8 +953,7 @@ mod tests {
 
     /// Warm hints and certification never change the answer: for every
     /// strategy × tier, every (warm, certify) combination returns the cold
-    /// uncertified picks and density order, and every emitted certificate
-    /// verifies.
+    /// uncertified picks, and every emitted certificate verifies.
     #[test]
     fn solve_instance_is_identical_warm_or_cold_certified_or_not() {
         let e = ExecutorId(0);
@@ -1040,11 +981,11 @@ mod tests {
                     assert!(cold.payload.is_none());
                     let hints = [
                         None,
-                        Some(WarmHint { picks: vec![Pick::Out; n], order: Vec::new() }),
-                        Some(WarmHint { picks: vec![Pick::Ser; n], order: Vec::new() }),
+                        Some(vec![Pick::Out; n]),
+                        Some(vec![Pick::Ser; n]),
                         // Infeasible at the small capacities: must be ignored.
-                        Some(WarmHint { picks: vec![Pick::Mem; n], order: (0..n).rev().collect() }),
-                        Some(WarmHint { picks: cold.picks.clone(), order: cold.order.clone() }),
+                        Some(vec![Pick::Mem; n]),
+                        Some(cold.picks.clone()),
                     ];
                     for (h, warm) in hints.iter().enumerate() {
                         for certify in [false, true] {
@@ -1057,11 +998,10 @@ mod tests {
                                 cap,
                                 strategy,
                                 ser_tier,
-                                warm.as_ref(),
+                                warm.as_deref(),
                                 certify,
                             );
                             assert_eq!(got.picks, cold.picks, "{case}: picks moved");
-                            assert_eq!(got.order, cold.order, "{case}: density order moved");
                             assert_eq!(got.payload.is_some(), certify, "{case}");
                             if let Some(payload) = got.payload {
                                 let cert =

@@ -9,70 +9,25 @@
 //! append-only: recording a certificate never changes which nodes the
 //! search visits or which solution it returns.
 
-/// One node of the knapsack branch-and-bound tree, recorded in DFS preorder
-/// (take-branch before skip-branch, matching the solver's recursion).
-#[derive(Debug, Clone, PartialEq)]
-pub enum KnapNode {
-    /// Both children (take item, skip item) were explored.
-    Branch,
-    /// Only the skip child was explored — the take child was statically
-    /// excluded (item infeasible at this node, or non-positive value).
-    SkipOnly,
-    /// The subtree was cut because its Dantzig upper bound cannot beat the
-    /// incumbent: `bound <= best_at_prune + 1e-12`, which the verifier
-    /// checks against the *final* value (incumbents only improve).
-    Pruned {
-        /// The fractional (Dantzig) upper bound computed at this node.
-        bound: f64,
-    },
-    /// The subtree was cut against the warm-start bound: `bound <= warm
-    /// value - WARM_EPS`. Sound because the warm solution is feasible, so
-    /// the true optimum is at least its value.
-    PrunedWarm {
-        /// The fractional upper bound computed at this node.
-        bound: f64,
-    },
-    /// All items were decided (or the position ran past the end).
-    Leaf,
-}
-
-/// Feasibility evidence for a warm-start bound used by `PrunedWarm` cuts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KnapsackWarmEvidence {
-    /// The warm selection, in the same index space as the items.
-    pub selection: Vec<bool>,
-    /// Total value of the warm selection (the bound warm prunes cut against).
-    pub value: f64,
-}
-
-/// Certificate of one knapsack branch-and-bound solve.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct KnapsackCertificate {
-    /// The explored tree in DFS preorder. Empty when the node budget was
-    /// exhausted (the tree is then not a proof of anything).
-    pub nodes: Vec<KnapNode>,
-    /// Evidence for the warm bound, present iff warm pruning was armed.
-    pub warm: Option<KnapsackWarmEvidence>,
-    /// True iff the search ran to completion within its node budget.
-    pub complete: bool,
-}
-
 /// Certificate for a greedy (budget-1) solve: the solution is not claimed
 /// optimal, but it is claimed to be within `declared_gap` of the LP
 /// relaxation optimum `relaxation_bound`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GreedyCertificate {
-    /// Dantzig bound at the root = the fractional-relaxation optimum, an
+    /// Hull bound at the root = the fractional-relaxation optimum, an
     /// upper bound on any integral solution.
     pub relaxation_bound: f64,
-    /// Declared approximation gap (the fractional break-item value): the
-    /// greedy value is guaranteed `>= relaxation_bound - declared_gap`.
+    /// Declared approximation gap: the greedy value is guaranteed
+    /// `>= relaxation_bound - declared_gap`.
     pub declared_gap: f64,
+    /// The increment order the bound was filled in; see
+    /// [`MckpCertificate::order`].
+    pub order: Vec<(usize, usize)>,
 }
 
-/// One node of the multi-choice knapsack branch-and-bound tree, recorded in
-/// DFS preorder (children in the group's canonical option order: value
-/// descending, then option index ascending).
+/// One node of the branch-and-bound tree, recorded in DFS preorder
+/// (children in the group's canonical option order: value descending, then
+/// option index ascending).
 #[derive(Debug, Clone, PartialEq)]
 pub enum McNode {
     /// The node branched on its group: every option that fits the remaining
@@ -98,8 +53,7 @@ pub enum McNode {
     Leaf,
 }
 
-/// Feasibility evidence for a warm-start bound used by multi-choice
-/// `PrunedWarm` cuts.
+/// Feasibility evidence for a warm-start bound used by `PrunedWarm` cuts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MckpWarmEvidence {
     /// The warm per-group option choice, aligned with the current groups.
@@ -108,7 +62,7 @@ pub struct MckpWarmEvidence {
     pub value: f64,
 }
 
-/// Certificate of one multi-choice knapsack branch-and-bound solve.
+/// Certificate of one branch-and-bound solve ([`crate::mckp`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MckpCertificate {
     /// The explored tree in DFS preorder. Empty when the node budget was
@@ -118,6 +72,13 @@ pub struct MckpCertificate {
     pub warm: Option<MckpWarmEvidence>,
     /// True iff the search ran to completion within its node budget.
     pub complete: bool,
+    /// The global hull-increment order the search ran under, as `(group,
+    /// hull level)` pairs (levels count from 1). It fixes the bound scan,
+    /// the greedy incumbent and — by first appearance — the branch order.
+    /// A claim, not an input: the verifier checks it is a permutation of
+    /// the increments it derives itself, sorted under the published
+    /// comparator, which costs O(n) where re-sorting costs O(n log n).
+    pub order: Vec<(usize, usize)>,
 }
 
 /// How one popped branch-and-bound node of the ILP search terminated.

@@ -1,13 +1,11 @@
-//! Exact 0/1 knapsack with fractional upper bounds (the ILP fast path).
-//!
-//! With recovery costs frozen at decision time `t`, the paper's ILP
-//! (Eq. 5–6) decomposes per executor into: choose the set `M` of partitions
-//! to keep in memory maximizing the total saved recovery cost, subject to
-//! `Σ size ≤ capacity` — a 0/1 knapsack. Partitions left out of `M`
-//! independently take `min(cost_d, cost_r)` as their state. This module
-//! solves that knapsack exactly by depth-first branch and bound with the
-//! classic fractional (Dantzig) bound, falling back to the greedy solution
-//! if a node budget is exhausted.
+//! 0/1 knapsack as the two-option case of [`crate::mckp`]: the names the
+//! repository benchmark pins, kept as adapters until it is re-pointed at
+//! the one search. Nothing else calls them.
+
+use crate::cert::MckpCertificate;
+use crate::mckp::{
+    solve_mckp, solve_mckp_certified, MckpGroup, MckpOption, MckpSolution, MckpWarm,
+};
 
 /// One candidate item.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,463 +16,43 @@ pub struct KnapsackItem {
     pub weight: u64,
 }
 
-/// The result of a knapsack solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KnapsackSolution {
-    /// Selection flags, aligned with the input items.
-    pub selected: Vec<bool>,
-    /// Total value of the selection.
-    pub value: f64,
-    /// Total weight of the selection.
-    pub weight: u64,
-    /// True if the solution is provably optimal.
-    pub proven_optimal: bool,
-    /// The density order the search used (indices into the input items).
-    /// Feed it back through [`WarmStart::order`] on the next solve over the
-    /// same item slots to make the re-sort near-linear.
-    pub order: Vec<usize>,
+/// Each item as the group `[zero, (value, weight)]`: choice 1 selects it.
+pub fn two_option_groups(items: &[KnapsackItem]) -> Vec<MckpGroup> {
+    let zero = MckpOption { value: 0.0, weight: 0 };
+    items
+        .iter()
+        .map(|i| MckpGroup { options: vec![zero, MckpOption { value: i.value, weight: i.weight }] })
+        .collect()
 }
 
-/// Warm-start hints carried over from a previous solve of a perturbed
-/// instance. Both fields are *hints*: they accelerate the search but are
-/// never allowed to change which selection is returned (see
-/// [`solve_knapsack_warm`]).
-#[derive(Debug, Clone, Default)]
-pub struct WarmStart {
-    /// A previous density order over (a prefix of) the current items.
-    /// Out-of-range and duplicate indices are ignored; missing indices are
-    /// appended. When only a few values changed, re-sorting this
-    /// nearly-sorted order is O(n) instead of O(n log n).
-    pub order: Vec<usize>,
-    /// A previously optimal selection, re-evaluated against the *current*
-    /// items. If it still fits, its value is a proven lower bound on the
-    /// optimum, used purely as an extra pruning bound.
-    pub selection: Vec<bool>,
+/// [`solve_mckp`] over [`two_option_groups`].
+pub fn solve_knapsack(items: &[KnapsackItem], capacity: u64, node_budget: usize) -> MckpSolution {
+    solve_mckp(&two_option_groups(items), capacity, node_budget)
 }
 
-use crate::cert::{GreedyCertificate, KnapNode, KnapsackCertificate, KnapsackWarmEvidence};
-
-/// Margin below a warm lower bound at which subtrees are pruned. Wider than
-/// the incumbent epsilon (1e-12) so that the warm bound — computed as a flat
-/// sum, not along the DFS accumulation order — can never prune a subtree the
-/// cold search would have taken its final answer from. Public so the
-/// certificate verifier can replay prune checks with the same margin.
-pub const WARM_EPS: f64 = 1e-9;
-
-/// Margin the incumbent prune uses (`ub <= best + PRUNE_EPS`). Public for
-/// the certificate verifier.
-pub const PRUNE_EPS: f64 = 1e-12;
-
-/// Solves the 0/1 knapsack over `items` with the given `capacity`.
-///
-/// `node_budget` bounds the branch-and-bound search (0 = default 200 000);
-/// exhausting it returns the best solution found (at least as good as
-/// greedy), flagged `proven_optimal = false`.
-///
-/// # Examples
-///
-/// ```
-/// use blaze_solver::knapsack::{solve_knapsack, KnapsackItem};
-///
-/// let items = [
-///     KnapsackItem { value: 60.0, weight: 10 },
-///     KnapsackItem { value: 100.0, weight: 20 },
-///     KnapsackItem { value: 120.0, weight: 30 },
-/// ];
-/// let s = solve_knapsack(&items, 50, 0);
-/// assert_eq!(s.selected, vec![false, true, true]);
-/// assert_eq!(s.value, 220.0);
-/// ```
-pub fn solve_knapsack(
-    items: &[KnapsackItem],
-    capacity: u64,
-    node_budget: usize,
-) -> KnapsackSolution {
-    solve_knapsack_warm(items, capacity, node_budget, None)
-}
-
-/// [`solve_knapsack`] with warm-start hints from a previous solve.
-///
-/// Decision-identical to the cold solve: the previous order is re-sorted
-/// under the full (strict total) comparator, so the search visits items in
-/// exactly the cold order; the previous selection's value only *prunes*
-/// subtrees that lie strictly below the optimum and is never installed as an
-/// incumbent, so the returned selection — including tie-breaks — is the one
-/// the cold search would find.
-pub fn solve_knapsack_warm(
-    items: &[KnapsackItem],
-    capacity: u64,
-    node_budget: usize,
-    warm: Option<&WarmStart>,
-) -> KnapsackSolution {
-    solve_knapsack_inner(items, capacity, node_budget, warm, false).0
-}
-
-/// [`solve_knapsack_warm`], additionally recording a [`KnapsackCertificate`]
-/// of the explored branch-and-bound tree. The solution is byte-identical to
-/// the uncertified solve — recording only appends to a side vector and never
-/// influences which nodes the search visits.
+/// [`solve_mckp_certified`] over [`two_option_groups`].
 pub fn solve_knapsack_certified(
     items: &[KnapsackItem],
     capacity: u64,
     node_budget: usize,
-    warm: Option<&WarmStart>,
-) -> (KnapsackSolution, KnapsackCertificate) {
-    let (sol, cert) = solve_knapsack_inner(items, capacity, node_budget, warm, true);
-    (sol, cert.unwrap_or_default())
-}
-
-fn solve_knapsack_inner(
-    items: &[KnapsackItem],
-    capacity: u64,
-    node_budget: usize,
-    warm: Option<&WarmStart>,
-    record: bool,
-) -> (KnapsackSolution, Option<KnapsackCertificate>) {
-    let n = items.len();
-    let budget = if node_budget == 0 { 200_000 } else { node_budget };
-    if n == 0 {
-        let sol = KnapsackSolution {
-            selected: vec![],
-            value: 0.0,
-            weight: 0,
-            proven_optimal: true,
-            order: vec![],
-        };
-        let cert = record.then(|| KnapsackCertificate {
-            nodes: vec![KnapNode::Leaf],
-            warm: None,
-            complete: true,
-        });
-        return (sol, cert);
-    }
-
-    // Sort by value density, descending; zero-weight positive-value items
-    // are always taken (infinite density). A warm order is a permutation
-    // hint only: after the (adaptive) re-sort below it is byte-identical to
-    // the cold order because the comparator is a strict total order.
-    let mut order: Vec<usize> = match warm {
-        Some(w) if !w.order.is_empty() => {
-            let mut seen = vec![false; n];
-            let mut o: Vec<usize> = w
-                .order
-                .iter()
-                .copied()
-                .filter(|&i| i < n && !std::mem::replace(&mut seen[i], true))
-                .collect();
-            o.extend((0..n).filter(|&i| !seen[i]));
-            o
-        }
-        _ => (0..n).collect(),
-    };
-    order.sort_by(|&a, &b| {
-        let da = density(&items[a]);
-        let db = density(&items[b]);
-        db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
-
-    // A still-feasible previous selection, valued at current prices, lower
-    // bounds the optimum.
-    let warm_bound = warm.and_then(|w| {
-        let (mut v, mut wt) = (0.0f64, 0u64);
-        for (i, &s) in w.selection.iter().enumerate().take(n) {
-            if s {
-                v += items[i].value;
-                wt = wt.saturating_add(items[i].weight);
-            }
-        }
-        (!w.selection.is_empty() && wt <= capacity).then_some(v)
-    });
-    // Certificate evidence for the warm bound: the selection it was valued
-    // from, in the current item index space.
-    let warm_evidence = record
-        .then(|| {
-            warm.zip(warm_bound).map(|(w, value)| KnapsackWarmEvidence {
-                selection: (0..n).map(|i| w.selection.get(i).copied().unwrap_or(false)).collect(),
-                value,
-            })
-        })
-        .flatten();
-
-    // Greedy incumbent.
-    let mut greedy = vec![false; n];
-    let mut gw = 0u64;
-    let mut gv = 0.0f64;
-    for &i in &order {
-        if items[i].value > 0.0 && gw + items[i].weight <= capacity {
-            greedy[i] = true;
-            gw += items[i].weight;
-            gv += items[i].value;
-        }
-    }
-
-    // DFS branch and bound over the density order.
-    struct Search<'a> {
-        items: &'a [KnapsackItem],
-        order: &'a [usize],
-        capacity: u64,
-        best_value: f64,
-        best_sel: Vec<bool>,
-        /// Extra pruning bound from a warm start; subtrees provably below it
-        /// cannot contain the optimum (`None` disables).
-        warm_bound: Option<f64>,
-        nodes: usize,
-        budget: usize,
-        exhausted: bool,
-        /// DFS-preorder certificate recording (`None` = off). Append-only:
-        /// never consulted by the search itself.
-        rec: Option<Vec<KnapNode>>,
-    }
-
-    impl Search<'_> {
-        /// Dantzig bound: greedy fill plus a fractional piece.
-        fn upper_bound(&self, pos: usize, weight: u64, value: f64) -> f64 {
-            let mut w = weight;
-            let mut v = value;
-            for &i in &self.order[pos..] {
-                let it = &self.items[i];
-                if it.value <= 0.0 {
-                    continue;
-                }
-                if w + it.weight <= self.capacity {
-                    w += it.weight;
-                    v += it.value;
-                } else {
-                    let room = (self.capacity - w) as f64; // audit: allow(float-cast)
-                    if it.weight > 0 {
-                        v += it.value * room / it.weight as f64; // audit: allow(float-cast)
-                    }
-                    break;
-                }
-            }
-            v
-        }
-
-        /// Overwrites the certificate slot pushed for the current node.
-        fn set_node(&mut self, slot: Option<usize>, kind: KnapNode) {
-            if let (Some(rec), Some(s)) = (self.rec.as_mut(), slot) {
-                rec[s] = kind;
-            }
-        }
-
-        fn dfs(&mut self, pos: usize, weight: u64, value: f64, sel: &mut Vec<bool>) {
-            self.nodes += 1;
-            if self.nodes > self.budget {
-                self.exhausted = true;
-                return;
-            }
-            // Preorder slot; overwritten with the node's terminal kind below.
-            let slot = self.rec.as_mut().map(|r| {
-                r.push(KnapNode::Leaf);
-                r.len() - 1
-            });
-            if value > self.best_value {
-                self.best_value = value;
-                self.best_sel = sel.clone();
-            }
-            if pos >= self.order.len() || self.exhausted {
-                return; // The preorder slot stays `Leaf`.
-            }
-            let ub = self.upper_bound(pos, weight, value);
-            if ub <= self.best_value + PRUNE_EPS {
-                self.set_node(slot, KnapNode::Pruned { bound: ub });
-                return; // Prune.
-            }
-            // Warm prune: the optimum is at least `warm_bound`, so subtrees
-            // bounded strictly (by more than WARM_EPS) below it can neither
-            // contain the final answer nor an incumbent the cold search
-            // would keep — skipping them cannot change the result.
-            if self.warm_bound.is_some_and(|wb| ub <= wb - WARM_EPS) {
-                self.set_node(slot, KnapNode::PrunedWarm { bound: ub });
-                return;
-            }
-            let i = self.order[pos];
-            let it = self.items[i];
-            // Take first (density order makes this the promising branch).
-            let take = it.value > 0.0 && weight + it.weight <= self.capacity;
-            self.set_node(slot, if take { KnapNode::Branch } else { KnapNode::SkipOnly });
-            if take {
-                sel[i] = true;
-                self.dfs(pos + 1, weight + it.weight, value + it.value, sel);
-                sel[i] = false;
-            }
-            self.dfs(pos + 1, weight, value, sel);
-        }
-    }
-
-    let mut search = Search {
-        items,
-        order: &order,
-        capacity,
-        best_value: gv,
-        best_sel: greedy,
-        warm_bound,
-        nodes: 0,
-        budget,
-        exhausted: false,
-        rec: record.then(Vec::new),
-    };
-    let mut sel = vec![false; n];
-    search.dfs(0, 0, 0.0, &mut sel);
-
-    let cert = search.rec.take().map(|nodes| KnapsackCertificate {
-        // An exhausted tree proves nothing — drop it rather than let the
-        // verifier chase a truncated replay.
-        nodes: if search.exhausted { vec![] } else { nodes },
-        warm: warm_evidence,
-        complete: !search.exhausted,
-    });
-    let selected = search.best_sel;
-    let weight = selected.iter().zip(items).filter(|(s, _)| **s).map(|(_, it)| it.weight).sum();
-    let sol = KnapsackSolution {
-        value: search.best_value,
-        weight,
-        selected,
-        proven_optimal: !search.exhausted,
-        order,
-    };
-    (sol, cert)
-}
-
-/// Builds the [`GreedyCertificate`] for a greedy (budget-1) solution: the
-/// root Dantzig bound over the solution's density order — which equals the
-/// LP-relaxation optimum — and the fractional break-item value as the
-/// declared approximation gap (`greedy value >= bound - gap` always holds:
-/// the greedy prefix up to the break item is exactly `bound - gap`).
-pub fn greedy_certificate(
-    items: &[KnapsackItem],
-    capacity: u64,
-    solution: &KnapsackSolution,
-) -> GreedyCertificate {
-    let mut w = 0u64;
-    let mut v = 0.0f64;
-    let mut frac = 0.0f64;
-    for &i in &solution.order {
-        let it = &items[i];
-        if it.value <= 0.0 {
-            continue;
-        }
-        if w + it.weight <= capacity {
-            w += it.weight;
-            v += it.value;
-        } else {
-            let room = (capacity - w) as f64; // audit: allow(float-cast)
-            if it.weight > 0 {
-                frac = it.value * room / it.weight as f64; // audit: allow(float-cast)
-            }
-            break;
-        }
-    }
-    GreedyCertificate { relaxation_bound: v + frac, declared_gap: frac }
-}
-
-fn density(item: &KnapsackItem) -> f64 {
-    if item.weight == 0 {
-        if item.value > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        }
-    } else {
-        item.value / item.weight as f64 // audit: allow(float-cast)
-    }
+    warm: Option<&MckpWarm>,
+) -> (MckpSolution, MckpCertificate) {
+    solve_mckp_certified(&two_option_groups(items), capacity, node_budget, warm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn it(value: f64, weight: u64) -> KnapsackItem {
-        KnapsackItem { value, weight }
-    }
-
     #[test]
-    fn solves_classic_instance() {
+    fn adapters_reach_the_one_search() {
         // values 60,100,120; weights 10,20,30; cap 50 => {1,2} = 220.
-        let items = [it(60.0, 10), it(100.0, 20), it(120.0, 30)];
-        let s = solve_knapsack(&items, 50, 0);
-        assert!(s.proven_optimal);
-        assert_eq!(s.selected, vec![false, true, true]);
-        assert!((s.value - 220.0).abs() < 1e-9);
-        assert_eq!(s.weight, 50);
-    }
-
-    #[test]
-    fn greedy_is_not_enough_but_bb_is() {
-        // Greedy by density picks item 0 (density 6.0), after which neither
-        // 9-weight item fits (value 60); optimal is {1, 2} = 100.
-        let items = [it(60.0, 10), it(50.0, 9), it(50.0, 9)];
-        let s = solve_knapsack(&items, 18, 0);
-        assert!((s.value - 100.0).abs() < 1e-9);
-        assert_eq!(s.selected, vec![false, true, true]);
-    }
-
-    #[test]
-    fn zero_weight_items_are_free_value() {
-        let items = [it(5.0, 0), it(1.0, 10)];
-        let s = solve_knapsack(&items, 10, 0);
-        assert_eq!(s.selected, vec![true, true]);
-        assert!((s.value - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn negative_value_items_are_never_selected() {
-        let items = [it(-5.0, 1), it(3.0, 1)];
-        let s = solve_knapsack(&items, 10, 0);
-        assert_eq!(s.selected, vec![false, true]);
-    }
-
-    #[test]
-    fn empty_and_zero_capacity() {
-        assert_eq!(solve_knapsack(&[], 100, 0).value, 0.0);
-        let s = solve_knapsack(&[it(10.0, 5)], 0, 0);
-        assert_eq!(s.selected, vec![false]);
-        assert_eq!(s.weight, 0);
-    }
-
-    #[test]
-    fn matches_brute_force_on_random_instances() {
-        let mut seed = 0xDEAD_BEEF_u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for _case in 0..30 {
-            let n = 10;
-            let items: Vec<KnapsackItem> =
-                (0..n).map(|_| it((next() % 100) as f64, next() % 50 + 1)).collect();
-            let cap: u64 = items.iter().map(|i| i.weight).sum::<u64>() / 3;
-            let s = solve_knapsack(&items, cap, 0);
-            assert!(s.proven_optimal);
-            let mut best = 0.0f64;
-            for mask in 0u32..(1 << n) {
-                let (mut v, mut w) = (0.0, 0u64);
-                for (i, item) in items.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        v += item.value;
-                        w += item.weight;
-                    }
-                }
-                if w <= cap {
-                    best = best.max(v);
-                }
-            }
-            assert!((s.value - best).abs() < 1e-9, "got {}, brute force {best}", s.value);
-        }
-    }
-
-    #[test]
-    fn budget_exhaustion_still_beats_or_matches_greedy() {
-        let items: Vec<KnapsackItem> =
-            (0..40).map(|i| it(((i * 37) % 97) as f64 + 1.0, ((i * 53) % 41) as u64 + 1)).collect();
-        let cap = items.iter().map(|i| i.weight).sum::<u64>() / 2;
-        let tight = solve_knapsack(&items, cap, 50);
-        let full = solve_knapsack(&items, cap, 0);
-        assert!(!tight.proven_optimal);
-        assert!(tight.value <= full.value + 1e-9);
-        // And is at least the greedy incumbent (positive value).
-        assert!(tight.value > 0.0);
+        let items = [(60.0, 10), (100.0, 20), (120.0, 30)]
+            .map(|(value, weight)| KnapsackItem { value, weight });
+        let plain = solve_knapsack(&items, 50, 0);
+        assert_eq!((plain.choice.as_slice(), plain.value), ([0, 1, 1].as_slice(), 220.0));
+        let (certified, cert) = solve_knapsack_certified(&items, 50, 0, None);
+        assert_eq!(certified, plain);
+        assert!(cert.complete && !cert.nodes.is_empty());
     }
 }

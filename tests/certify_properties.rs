@@ -3,38 +3,56 @@
 //! Two directions, both required for the certificates to mean anything:
 //!
 //! - **Soundness of honest solvers**: randomly generated knapsack/ILP
-//!   instances — cold and warm-started — must always produce certificates
-//!   the independent verifier accepts, and certification must never change
-//!   the solution (the decision-identity contract).
+//!   instances — two- and three-option groups, cold and warm-started —
+//!   must always produce certificates the independent verifier accepts, and
+//!   certification must never change the solution (the decision-identity
+//!   contract).
 //! - **Teeth**: seeded corruptions of otherwise-valid certificates must
 //!   each trip exactly the matching BA5xx diagnostic. A verifier that
 //!   accepts everything would pass the first half trivially.
 
 use blaze::audit::diagnostic::{DiagCode, Diagnostic};
 use blaze::certify::{
-    check_dirty_closure, verify_greedy, verify_greedy_relaxation, verify_ilp, verify_knapsack,
+    check_dirty_closure, verify_greedy_relaxation, verify_ilp, verify_mckp, verify_mckp_greedy,
     LineageNodeView, LineageView,
 };
 use blaze::common::ids::{BlockId, RddId};
 use blaze::core::{BlazeConfig, SolveStrategy};
-use blaze::solver::cert::{IlpNodeKind, KnapNode};
+use blaze::solver::cert::{IlpNodeKind, McNode};
 use blaze::solver::ilp::{solve_binary, solve_binary_certified, IlpOutcome, IlpProblem};
-use blaze::solver::knapsack::{
-    greedy_certificate, solve_knapsack, solve_knapsack_certified, KnapsackItem, WarmStart,
-};
 use blaze::solver::lp::Constraint;
+use blaze::solver::mckp::{
+    greedy_mckp_certificate, solve_mckp, solve_mckp_certified, MckpGroup, MckpOption, MckpWarm,
+};
 use blaze::workloads::{App, AppSpec, Session};
 use proptest::prelude::*;
 
-fn items_from(values: &[f64], weights: &[u64]) -> Vec<KnapsackItem> {
-    values.iter().zip(weights).map(|(&value, &weight)| KnapsackItem { value, weight }).collect()
+const ZERO: MckpOption = MckpOption { value: 0.0, weight: 0 };
+
+/// One group per `(value, weight)` item: `[zero, item]`, or — where `ser`
+/// has a factor for the item — `[zero, (ser·value, 0.6·weight), item]`, so
+/// the generated instances mix the 0/1 and the m/s/u shape.
+fn groups_from(values: &[f64], weights: &[u64], ser: &[f64]) -> Vec<MckpGroup> {
+    values
+        .iter()
+        .zip(weights)
+        .enumerate()
+        .map(|(i, (&value, &weight))| {
+            let mut options = vec![ZERO];
+            if let Some(factor) = ser.get(i) {
+                options.push(MckpOption { value: value * factor, weight: weight * 6 / 10 });
+            }
+            options.push(MckpOption { value, weight });
+            MckpGroup { options }
+        })
+        .collect()
 }
 
-fn knapsack_as_ilp(items: &[KnapsackItem], capacity: u64) -> IlpProblem {
+fn knapsack_as_ilp(values: &[f64], weights: &[u64], capacity: u64) -> IlpProblem {
     IlpProblem {
-        objective: items.iter().map(|i| -i.value).collect(),
+        objective: values.iter().map(|v| -v).collect(),
         constraints: vec![Constraint::le(
-            items.iter().map(|i| i.weight as f64).collect(),
+            weights.iter().map(|&w| w as f64).collect(),
             capacity as f64,
         )],
         node_budget: 0,
@@ -51,15 +69,16 @@ proptest! {
     fn cold_knapsack_certificates_verify(
         values in prop::collection::vec(0.1f64..50.0, 1..14),
         weights in prop::collection::vec(1u64..40, 1..14),
+        ser in prop::collection::vec(0.3f64..1.1, 0..14),
     ) {
         let n = values.len().min(weights.len());
-        let items = items_from(&values[..n], &weights[..n]);
+        let groups = groups_from(&values[..n], &weights[..n], &ser);
         let cap: u64 = weights[..n].iter().sum::<u64>() / 2 + 1;
 
-        let plain = solve_knapsack(&items, cap, 0);
-        let (sol, cert) = solve_knapsack_certified(&items, cap, 0, None);
-        prop_assert_eq!(&plain.selected, &sol.selected, "certification changed the decision");
-        let findings = verify_knapsack(&items, cap, &sol, &cert);
+        let plain = solve_mckp(&groups, cap, 0);
+        let (sol, cert) = solve_mckp_certified(&groups, cap, 0, None);
+        prop_assert_eq!(&plain, &sol, "certification changed the decision");
+        let findings = verify_mckp(&groups, cap, &sol, &cert);
         prop_assert!(findings.is_empty(), "{:?}", findings);
     }
 
@@ -70,41 +89,43 @@ proptest! {
     fn warm_knapsack_certificates_verify(
         values in prop::collection::vec(0.1f64..50.0, 2..12),
         weights in prop::collection::vec(1u64..40, 2..12),
+        ser in prop::collection::vec(0.3f64..1.1, 0..12),
         bump in 0.0f64..10.0,
     ) {
         let n = values.len().min(weights.len());
-        let mut items = items_from(&values[..n], &weights[..n]);
+        let mut groups = groups_from(&values[..n], &weights[..n], &ser);
         let cap: u64 = weights[..n].iter().sum::<u64>() / 2 + 1;
 
         // Previous epoch: solve the unperturbed instance for a warm hint.
-        let (prev, _) = solve_knapsack_certified(&items, cap, 0, None);
-        let warm = WarmStart { order: prev.order.clone(), selection: prev.selected.clone() };
+        let warm = MckpWarm { choice: solve_mckp(&groups, cap, 0).choice };
 
         // Current epoch: one value drifted; warm must not change the answer.
-        items[0].value += bump;
-        let (cold, _) = solve_knapsack_certified(&items, cap, 0, None);
-        let (sol, cert) = solve_knapsack_certified(&items, cap, 0, Some(&warm));
-        prop_assert_eq!(&cold.selected, &sol.selected, "warm start changed the decision");
-        let findings = verify_knapsack(&items, cap, &sol, &cert);
+        groups[0].options.last_mut().expect("zero option").value += bump;
+        let cold = solve_mckp(&groups, cap, 0);
+        let (sol, cert) = solve_mckp_certified(&groups, cap, 0, Some(&warm));
+        prop_assert_eq!(&cold, &sol, "warm start changed the decision");
+        prop_assert!(cert.warm.is_some(), "a full-length in-range hint at capacity is feasible");
+        let findings = verify_mckp(&groups, cap, &sol, &cert);
         prop_assert!(findings.is_empty(), "{:?}", findings);
     }
 
-    /// Greedy certificates verify through the fast Dantzig recompute AND
-    /// the independent LP solve (the cross-implementation check).
+    /// Greedy certificates verify through the fast hull recompute AND the
+    /// independent LP solve (the cross-implementation check).
     #[test]
     fn greedy_certificates_verify_against_the_relaxation(
         values in prop::collection::vec(0.1f64..50.0, 1..14),
         weights in prop::collection::vec(1u64..40, 1..14),
+        ser in prop::collection::vec(0.3f64..1.1, 0..14),
     ) {
         let n = values.len().min(weights.len());
-        let items = items_from(&values[..n], &weights[..n]);
+        let groups = groups_from(&values[..n], &weights[..n], &ser);
         let cap: u64 = weights[..n].iter().sum::<u64>() / 2 + 1;
 
-        let sol = solve_knapsack(&items, cap, 1);
-        let cert = greedy_certificate(&items, cap, &sol);
-        let findings = verify_greedy(&items, cap, &sol, &cert);
+        let sol = solve_mckp(&groups, cap, 1);
+        let cert = greedy_mckp_certificate(&groups, cap, &sol);
+        let findings = verify_mckp_greedy(&groups, cap, &sol, &cert);
         prop_assert!(findings.is_empty(), "{:?}", findings);
-        let findings = verify_greedy_relaxation(&items, cap, &cert);
+        let findings = verify_greedy_relaxation(&groups, cap, &cert);
         prop_assert!(findings.is_empty(), "lp cross-check: {:?}", findings);
     }
 
@@ -116,10 +137,9 @@ proptest! {
         weights in prop::collection::vec(1u64..25, 1..8),
     ) {
         let n = values.len().min(weights.len());
-        let items = items_from(&values[..n], &weights[..n]);
         let cap: u64 = weights[..n].iter().sum::<u64>() / 2 + 1;
 
-        let problem = knapsack_as_ilp(&items, cap);
+        let problem = knapsack_as_ilp(&values[..n], &weights[..n], cap);
         let plain = solve_binary(&problem).unwrap();
         let (outcome, cert) = solve_binary_certified(&problem).unwrap();
         prop_assert_eq!(
@@ -144,22 +164,24 @@ proptest! {
     }
 }
 
-/// Fixed instance with enough structure that its trees contain prunes (so
-/// every mutation below has something to corrupt). Mirrors `blaze-certify
-/// --mutate`.
-fn mutation_instance() -> (Vec<KnapsackItem>, u64) {
+/// Fixed 0/1 instance with enough structure that its trees contain prunes
+/// (so every mutation below has something to corrupt). `blaze-certify
+/// --mutate` runs the same corruptions over a four-option instance.
+fn mutation_instance() -> (Vec<f64>, Vec<u64>, u64) {
     let mut state = 0x9e37_79b9u64;
-    let items: Vec<KnapsackItem> = (0..24)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let weight = 20 + (state >> 33) % 80;
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let value = 1.0 + ((state >> 33) % 100) as f64;
-            KnapsackItem { value, weight }
-        })
-        .collect();
-    let capacity = items.iter().map(|i| i.weight).sum::<u64>() / 3;
-    (items, capacity)
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let (weights, values): (Vec<u64>, Vec<f64>) =
+        (0..24).map(|_| (20 + next() % 80, 1.0 + (next() % 100) as f64)).unzip();
+    let capacity = weights.iter().sum::<u64>() / 3;
+    (values, weights, capacity)
+}
+
+fn mutation_groups() -> (Vec<MckpGroup>, u64) {
+    let (values, weights, cap) = mutation_instance();
+    (groups_from(&values, &weights, &[]), cap)
 }
 
 fn fires(findings: &[Diagnostic], code: DiagCode) -> bool {
@@ -168,32 +190,32 @@ fn fires(findings: &[Diagnostic], code: DiagCode) -> bool {
 
 #[test]
 fn ba501_fires_on_a_mispriced_incumbent() {
-    let (items, cap) = mutation_instance();
-    let (mut sol, cert) = solve_knapsack_certified(&items, cap, 0, None);
-    assert!(verify_knapsack(&items, cap, &sol, &cert).is_empty(), "baseline must verify");
+    let (groups, cap) = mutation_groups();
+    let (mut sol, cert) = solve_mckp_certified(&groups, cap, 0, None);
+    assert!(verify_mckp(&groups, cap, &sol, &cert).is_empty(), "baseline must verify");
     sol.value += 1.0;
-    let findings = verify_knapsack(&items, cap, &sol, &cert);
+    let findings = verify_mckp(&groups, cap, &sol, &cert);
     assert!(fires(&findings, DiagCode::InfeasibleIncumbent), "{findings:?}");
 }
 
 #[test]
 fn ba502_fires_on_an_inflated_knapsack_prune_bound() {
-    let (items, cap) = mutation_instance();
-    let (sol, mut cert) = solve_knapsack_certified(&items, cap, 0, None);
+    let (groups, cap) = mutation_groups();
+    let (sol, mut cert) = solve_mckp_certified(&groups, cap, 0, None);
     let bound = cert
         .nodes
         .iter_mut()
-        .find_map(|n| if let KnapNode::Pruned { bound } = n { Some(bound) } else { None })
+        .find_map(|n| if let McNode::Pruned { bound } = n { Some(bound) } else { None })
         .expect("instance must produce at least one pruned node");
     *bound += 100.0;
-    let findings = verify_knapsack(&items, cap, &sol, &cert);
+    let findings = verify_mckp(&groups, cap, &sol, &cert);
     assert!(fires(&findings, DiagCode::UnsoundPruneBound), "{findings:?}");
 }
 
 #[test]
 fn ba502_fires_on_an_inflated_ilp_prune_bound() {
-    let (items, cap) = mutation_instance();
-    let problem = knapsack_as_ilp(&items, cap);
+    let (values, weights, cap) = mutation_instance();
+    let problem = knapsack_as_ilp(&values, &weights, cap);
     let (outcome, mut cert) = solve_binary_certified(&problem).unwrap();
     assert!(verify_ilp(&problem, &outcome, &cert).is_empty(), "baseline must verify");
     let node = cert
@@ -210,33 +232,33 @@ fn ba502_fires_on_an_inflated_ilp_prune_bound() {
 
 #[test]
 fn ba502_fires_on_an_inflated_relaxation_bound() {
-    let (items, cap) = mutation_instance();
-    let sol = solve_knapsack(&items, cap, 1);
-    let mut cert = greedy_certificate(&items, cap, &sol);
+    let (groups, cap) = mutation_groups();
+    let sol = solve_mckp(&groups, cap, 1);
+    let mut cert = greedy_mckp_certificate(&groups, cap, &sol);
     cert.relaxation_bound += 100.0;
-    let findings = verify_greedy(&items, cap, &sol, &cert);
+    let findings = verify_mckp_greedy(&groups, cap, &sol, &cert);
     assert!(fires(&findings, DiagCode::UnsoundPruneBound), "{findings:?}");
-    let findings = verify_greedy_relaxation(&items, cap, &cert);
+    let findings = verify_greedy_relaxation(&groups, cap, &cert);
     assert!(fires(&findings, DiagCode::UnsoundPruneBound), "lp cross-check: {findings:?}");
 }
 
 #[test]
 fn ba503_fires_on_a_truncated_tree() {
-    let (items, cap) = mutation_instance();
-    let (sol, mut cert) = solve_knapsack_certified(&items, cap, 0, None);
+    let (groups, cap) = mutation_groups();
+    let (sol, mut cert) = solve_mckp_certified(&groups, cap, 0, None);
     cert.nodes.pop();
-    let findings = verify_knapsack(&items, cap, &sol, &cert);
+    let findings = verify_mckp(&groups, cap, &sol, &cert);
     assert!(fires(&findings, DiagCode::UncoveredBranchLeaf), "{findings:?}");
 }
 
 #[test]
 fn ba504_fires_on_an_understated_greedy_gap() {
-    let (items, cap) = mutation_instance();
-    let sol = solve_knapsack(&items, cap, 1);
-    let mut cert = greedy_certificate(&items, cap, &sol);
+    let (groups, cap) = mutation_groups();
+    let sol = solve_mckp(&groups, cap, 1);
+    let mut cert = greedy_mckp_certificate(&groups, cap, &sol);
     assert!(cert.declared_gap > 0.0, "instance must have a fractional break item");
     cert.declared_gap = 0.0;
-    let findings = verify_greedy(&items, cap, &sol, &cert);
+    let findings = verify_mckp_greedy(&groups, cap, &sol, &cert);
     assert!(fires(&findings, DiagCode::GreedyGapExceeded), "{findings:?}");
 }
 

@@ -27,19 +27,23 @@
 
 mod common;
 
-use blaze::common::ids::{BlockId, ExecutorId, JobId, RddId};
+use blaze::common::ids::{BlockId, ExecutorId, RddId};
 use blaze::common::{ByteSize, SimDuration, SimTime};
 use blaze::core::{
-    extract_dependencies, BlazeConfig, BlazeController, CostLineage, DecisionStats,
-    IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState, SolveStrategy,
+    extract_dependencies, BlazeConfig, BlazeController, CostLineage, IncrementalOptimizer, JobRefs,
+    OptimizerConfig, PartitionState, SolveStrategy,
 };
-use blaze::dataflow::{runner::LocalRunner, Context, Dataset, JobPlan, Plan};
+use blaze::dataflow::{runner::LocalRunner, Context, Dataset};
 use blaze::engine::{
-    Admission, BlockInfo, CacheController, Cluster, ClusterConfig, CtrlCtx, DegradationNote,
-    ExecutorCrash, FaultPlan, HardwareModel, Metrics, PartitionEvent, StateCommand, StoreTier,
-    TraceLog, VictimAction,
+    CacheController, Cluster, ClusterConfig, ExecutorCrash, FaultPlan, HardwareModel, Metrics,
+    TraceLog,
 };
 use blaze::workloads::{App, AppSpec, Session};
+// The one delegating wrapper around a Blaze controller: `cold` makes it
+// forget all retained decision state before every job submission — the
+// controller's own cold reference — and it mirrors `decision_stats()` out
+// of the cluster the controller is moved into.
+use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use common::{apply, fault_variant, step_strategy, Step};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -177,114 +181,10 @@ proptest! {
 // The cold reference at engine level
 // ---------------------------------------------------------------------------
 
-/// Delegating wrapper that turns a Blaze controller into its own cold
-/// reference: with `forget` set it drops all retained decision state before
-/// every job submission. It also mirrors `decision_stats()` into a shared
-/// cell (the controller itself is moved into the cluster).
-struct DecisionProbe {
-    inner: BlazeController,
-    forget: bool,
-    stats: Arc<Mutex<DecisionStats>>,
-}
-
-impl CacheController for DecisionProbe {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn should_cache(&mut self, ctx: &CtrlCtx, block: &BlockInfo, annotated: bool) -> bool {
-        self.inner.should_cache(ctx, block, annotated)
-    }
-
-    fn admit(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.admit(ctx, block)
-    }
-
-    fn choose_victims(
-        &mut self,
-        ctx: &CtrlCtx,
-        exec: ExecutorId,
-        needed: ByteSize,
-        incoming: &BlockInfo,
-        resident: &[BlockInfo],
-    ) -> Vec<(BlockId, VictimAction)> {
-        self.inner.choose_victims(ctx, exec, needed, incoming, resident)
-    }
-
-    fn on_admission_failure(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.on_admission_failure(ctx, block)
-    }
-
-    fn readmit_after_disk_read(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        self.inner.readmit_after_disk_read(ctx, block)
-    }
-
-    fn serialized_in_memory(&self) -> bool {
-        self.inner.serialized_in_memory()
-    }
-
-    fn memory_footprint_factor(&self) -> f64 {
-        self.inner.memory_footprint_factor()
-    }
-
-    fn on_access(&mut self, ctx: &CtrlCtx, id: BlockId) {
-        self.inner.on_access(ctx, id);
-    }
-
-    fn explain_block(&self, id: BlockId) -> Option<String> {
-        self.inner.explain_block(id)
-    }
-
-    fn on_inserted(&mut self, ctx: &CtrlCtx, info: &BlockInfo, tier: StoreTier) {
-        self.inner.on_inserted(ctx, info, tier);
-    }
-
-    fn on_evicted(&mut self, ctx: &CtrlCtx, id: BlockId) {
-        self.inner.on_evicted(ctx, id);
-    }
-
-    fn on_partition_computed(&mut self, ctx: &CtrlCtx, event: &PartitionEvent) {
-        self.inner.on_partition_computed(ctx, event);
-    }
-
-    fn on_job_submit(
-        &mut self,
-        ctx: &CtrlCtx,
-        job: JobId,
-        job_plan: &JobPlan,
-        plan: &Plan,
-    ) -> Vec<StateCommand> {
-        if self.forget {
-            self.inner.forget_decision_state();
-        }
-        let out = self.inner.on_job_submit(ctx, job, job_plan, plan);
-        *self.stats.lock().unwrap() = self.inner.decision_stats();
-        out
-    }
-
-    fn on_stage_complete(
-        &mut self,
-        ctx: &CtrlCtx,
-        stage_output: RddId,
-        job: JobId,
-        plan: &Plan,
-    ) -> Vec<StateCommand> {
-        self.inner.on_stage_complete(ctx, stage_output, job, plan)
-    }
-
-    fn take_degradation(&mut self) -> Option<DegradationNote> {
-        self.inner.take_degradation()
-    }
-
-    fn preflight_diagnostics(&self) -> Vec<blaze::audit::Diagnostic> {
-        self.inner.preflight_diagnostics()
-    }
-}
-
 /// The controller to install: the bare one (warm) or its cold reference.
 fn install(inner: BlazeController, cold: bool) -> Box<dyn CacheController> {
     if cold {
-        Box::new(DecisionProbe { inner, forget: true, stats: Arc::default() })
+        Box::new(DecisionProbe::new(inner, true, Arc::default()))
     } else {
         Box::new(inner)
     }
@@ -448,15 +348,15 @@ fn warm_and_cold_traces_are_identical_on_full_workloads() {
 /// while the warm run of the same workload does.
 #[test]
 fn cold_reference_reports_zero_reuse() {
-    let stats_of = |forget: bool| {
-        let stats = Arc::new(Mutex::new(DecisionStats::default()));
-        let mirror = Arc::clone(&stats);
+    let stats_of = |cold: bool| {
+        let readout = Arc::new(Mutex::new(ProbeReadout::default()));
+        let mirror = Arc::clone(&readout);
         Session::builder()
             .app(AppSpec::evaluation(App::KMeans))
-            .instrument(move |inner| Box::new(DecisionProbe { inner, forget, stats: mirror }))
+            .instrument(move |inner| Box::new(DecisionProbe::new(inner, cold, mirror)))
             .run()
             .expect("workload run failed");
-        let stats = *stats.lock().unwrap();
+        let stats = readout.lock().unwrap().stats;
         stats
     };
     let (warm, cold) = (stats_of(false), stats_of(true));

@@ -1,9 +1,29 @@
 //! Property-based tests on the LP/ILP solver stack.
 
 use blaze::solver::ilp::{solve_binary, IlpOutcome, IlpProblem};
-use blaze::solver::knapsack::{solve_knapsack, KnapsackItem};
 use blaze::solver::lp::{solve as solve_lp, Constraint, LinearProgram, LpOutcome};
+use blaze::solver::mckp::{
+    greedy_mckp_certificate, solve_mckp, solve_mckp_warm, MckpGroup, MckpOption, MckpWarm,
+};
 use proptest::prelude::*;
+
+/// Builds groups from raw `(value, weight)` rows, prepending the mandatory
+/// zero option to each group.
+fn mckp_groups(raw: &[Vec<(f64, u64)>]) -> Vec<MckpGroup> {
+    raw.iter()
+        .map(|opts| {
+            let mut options = vec![MckpOption { value: 0.0, weight: 0 }];
+            options.extend(opts.iter().map(|&(value, weight)| MckpOption { value, weight }));
+            MckpGroup { options }
+        })
+        .collect()
+}
+
+/// 0/1 items as two-option groups: choice 1 selects the item.
+fn knapsack_groups(values: &[f64], weights: &[u64]) -> Vec<MckpGroup> {
+    let rows: Vec<_> = values.iter().zip(weights).map(|(&v, &w)| vec![(v, w)]).collect();
+    mckp_groups(&rows)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
@@ -19,12 +39,7 @@ proptest! {
         let weights = &weights[..n];
         let cap: u64 = weights.iter().sum::<u64>() / 2 + 1;
 
-        let items: Vec<KnapsackItem> = values
-            .iter()
-            .zip(weights)
-            .map(|(&value, &weight)| KnapsackItem { value, weight })
-            .collect();
-        let exact = solve_knapsack(&items, cap, 0);
+        let exact = solve_mckp(&knapsack_groups(values, weights), cap, 0);
         prop_assert!(exact.proven_optimal);
 
         // LP relaxation (boxed 0..1 variables).
@@ -58,12 +73,7 @@ proptest! {
         let weights = &weights[..n];
         let cap: u64 = weights.iter().sum::<u64>() / 2 + 1;
 
-        let items: Vec<KnapsackItem> = values
-            .iter()
-            .zip(weights)
-            .map(|(&value, &weight)| KnapsackItem { value, weight })
-            .collect();
-        let ks = solve_knapsack(&items, cap, 0);
+        let ks = solve_mckp(&knapsack_groups(values, weights), cap, 0);
 
         let problem = IlpProblem {
             objective: values.iter().map(|v| -v).collect(),
@@ -90,43 +100,19 @@ proptest! {
         items in prop::collection::vec((-10.0f64..50.0, 0u64..40), 0..12),
         cap in 0u64..200,
     ) {
-        let items: Vec<KnapsackItem> =
-            items.into_iter().map(|(value, weight)| KnapsackItem { value, weight }).collect();
-        let s = solve_knapsack(&items, cap, 0);
-        let weight: u64 = s
-            .selected
-            .iter()
-            .zip(&items)
-            .filter(|(sel, _)| **sel)
-            .map(|(_, it)| it.weight)
-            .sum();
+        let (values, weights): (Vec<f64>, Vec<u64>) = items.into_iter().unzip();
+        let s = solve_mckp(&knapsack_groups(&values, &weights), cap, 0);
+        let selected = || s.choice.iter().zip(values.iter().zip(&weights)).filter(|(&c, _)| c == 1);
+        let weight: u64 = selected().map(|(_, (_, &w))| w).sum();
         prop_assert!(weight <= cap);
         prop_assert_eq!(weight, s.weight);
-        for (sel, it) in s.selected.iter().zip(&items) {
-            prop_assert!(!(*sel && it.value < 0.0), "selected a negative-value item");
-        }
+        prop_assert!(selected().all(|(_, (&v, _))| v >= 0.0), "selected a negative-value item");
     }
 }
 
 // ---------------------------------------------------------------------------
-// Multi-choice knapsack (the serialized-tier decision core).
+// More than two options per group (the serialized-tier shape).
 // ---------------------------------------------------------------------------
-
-use blaze::solver::mckp::{
-    greedy_mckp_certificate, solve_mckp, solve_mckp_warm, MckpGroup, MckpOption, MckpWarm,
-};
-
-/// Builds groups from raw `(value, weight)` rows, prepending the mandatory
-/// zero option to each group.
-fn mckp_groups(raw: &[Vec<(f64, u64)>]) -> Vec<MckpGroup> {
-    raw.iter()
-        .map(|opts| {
-            let mut options = vec![MckpOption { value: 0.0, weight: 0 }];
-            options.extend(opts.iter().map(|&(value, weight)| MckpOption { value, weight }));
-            MckpGroup { options }
-        })
-        .collect()
-}
 
 /// Exhaustive enumeration of every per-group choice (small instances only).
 fn mckp_brute_force(groups: &[MckpGroup], capacity: u64) -> f64 {
