@@ -22,15 +22,21 @@
 //!    freshly built references, and asserts their command streams are
 //!    equal.
 //!
+//! 3. **Admission** — the per-task side of the decision path: microseconds
+//!    per `BlazeController::choose_victims` on a sibling-zip lineage, at two
+//!    resident counts. Job submission is a few dozen calls per run; this one
+//!    is made for every block that does not fit.
+//!
 //! Wall-clock time is the *measured output* here, never an input to
 //! simulated behaviour (`blaze-lint` enforces that split). Results go to
 //! `BENCH_decision.json` at the repository root.
 //!
 //! Flags: `--quick` (CI-sized run, no JSON), `--check` (exit non-zero if
-//! the stress speedups regress below [`CHECK_MIN_SPEEDUP`] or certificate
+//! the stress speedups regress below [`CHECK_MIN_SPEEDUP`], an admission
+//! costs more than its [`ADMISSION_SHAPES`] ceiling, or certificate
 //! verification costs more than [`CHECK_MAX_VERIFY_RATIO`] of solving).
 //!
-//! A third section measures the **certify** overhead (see `blaze-certify`):
+//! A fourth section measures the **certify** overhead (see `blaze-certify`):
 //! per strategy, how much certificate *emission* adds to a solve and what
 //! *verification* costs relative to solving. The headline workload/stress
 //! speedup columns are measured with certification off, exactly as before.
@@ -39,13 +45,19 @@ use blaze_audit::diagnostic::Diagnostic;
 use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use blaze_bench::json::nz;
 use blaze_certify::{verify_ilp, verify_mckp, verify_mckp_greedy};
+use blaze_common::error::Result;
+use blaze_common::ids::{AppId, JobId};
 use blaze_common::ids::{BlockId, ExecutorId, RddId};
+use blaze_common::SimTime;
 use blaze_common::{ByteSize, SimDuration};
 use blaze_core::costlineage::CostLineage;
-use blaze_core::{IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState};
-use blaze_dataflow::{runner::LocalRunner, Context, Dataset, Plan};
+use blaze_core::{
+    extract_dependencies, BlazeConfig, BlazeController, IncrementalOptimizer, JobRefs,
+    OptimizerConfig, PartitionState,
+};
+use blaze_dataflow::{planner::plan_job, runner::LocalRunner, Context, Dataset, Plan};
 use blaze_engine::config::default_worker_threads;
-use blaze_engine::HardwareModel;
+use blaze_engine::{BlockInfo, CacheController, CtrlCtx, HardwareModel, PartitionEvent, StoreTier};
 use blaze_solver::ilp::{solve_binary, solve_binary_certified, IlpProblem};
 use blaze_solver::lp::Constraint;
 use blaze_solver::mckp::{
@@ -64,6 +76,13 @@ const CHECK_MIN_SPEEDUP: f64 = 2.0;
 /// the certify section: checking proofs must stay a small fraction of
 /// producing answers, or the certificates are not cheaper than re-solving.
 const CHECK_MAX_VERIFY_RATIO: f64 = 0.2;
+
+/// The admission row's resident counts, each with the `--check` ceiling in
+/// microseconds per `choose_victims` call: about twice the value measured
+/// when the row was added (6.8 and 53 µs, ± 15 % between runs; see
+/// `BENCH_decision.json`), so host noise passes and a return to per-call
+/// lineage walks or per-job reference scans (337 µs and 3.3 ms) does not.
+const ADMISSION_SHAPES: [(usize, f64); 2] = [(48, 15.0), (512, 120.0)];
 
 /// One workload's paired measurement.
 struct WorkloadSample {
@@ -385,6 +404,170 @@ fn stress_churn(rounds: usize) -> StressSample {
     rig.finish("churn", rounds)
 }
 
+/// One resident count's admission measurement.
+struct AdmissionSample {
+    residents: usize,
+    calls: u64,
+    us_per_call: f64,
+    ceiling_us: f64,
+}
+
+const ZIP_SIBLINGS: usize = 32;
+const ZIP_GENERATIONS: usize = 12;
+const ZIP_PARTS: u32 = 16;
+
+/// The benchmark's `wide_decide` driver at sample scale: every generation
+/// is [`ZIP_SIBLINGS`] cached datasets, each a `zip_partitions` of two
+/// siblings of the previous generation; one job per generation folds them,
+/// then the previous generation is unpersisted. Returns the sibling ids of
+/// every generation (generation 0 first) and the job targets.
+fn sibling_zip_driver(ctx: &Context) -> Result<(Vec<Vec<RddId>>, Vec<RddId>)> {
+    let base =
+        ctx.parallelize((0..8 * u64::from(ZIP_PARTS)).collect::<Vec<_>>(), ZIP_PARTS as usize);
+    let mut generation: Vec<Dataset<u64>> =
+        (0..ZIP_SIBLINGS as u64).map(|k| base.map(move |x| x.wrapping_add(k))).collect();
+    let (mut siblings, mut targets) = (Vec::new(), Vec::new());
+    for _ in 0..ZIP_GENERATIONS {
+        for d in &generation {
+            d.cache();
+        }
+        siblings.push(generation.iter().map(Dataset::id).collect());
+        let next: Vec<Dataset<u64>> = (0..ZIP_SIBLINGS)
+            .map(|k| {
+                generation[k].zip_partitions(&generation[(k + 1) % ZIP_SIBLINGS], |a, b| {
+                    a.iter().zip(b).map(|(x, y)| x.wrapping_mul(31).wrapping_add(*y)).collect()
+                })
+            })
+            .collect();
+        let mut folded = next[0].map_partitions(|part| vec![part.len() as u64]);
+        for d in &next[1..] {
+            folded = folded.zip_partitions(d, |acc, part| vec![acc[0] ^ part.len() as u64]);
+        }
+        folded.collect()?;
+        targets.push(folded.id());
+        for d in &generation {
+            d.unpersist();
+        }
+        generation = next;
+    }
+    siblings.push(generation.iter().map(Dataset::id).collect());
+    Ok((siblings, targets))
+}
+
+/// Microseconds per `choose_victims` of a profiled full-Blaze controller in
+/// the middle of the last generation's job: the residents are half blocks of
+/// the previous generation (an in-job reference each, so the half-weight and
+/// ancestor arms run) and half blocks of the current one (cross-job
+/// references), the generation before those is believed on disk as it is on
+/// `wide_decide`, and every block of the current generation is admitted
+/// once per pass. Plan, profile, controller state and resident lists are
+/// built outside the timed region.
+fn bench_admission(quick: bool) -> Vec<AdmissionSample> {
+    let profile = extract_dependencies(|ctx| sibling_zip_driver(ctx).map(|_| ()), 0)
+        .expect("profiling run failed");
+    let dctx = Context::new(LocalRunner::new());
+    let (siblings, targets) = sibling_zip_driver(&dctx).expect("driver run failed");
+    let plan_lock = dctx.plan();
+    let plan = plan_lock.read();
+    let ctx = CtrlCtx {
+        now: SimTime::ZERO,
+        app: AppId(0),
+        hardware: HardwareModel::default(),
+        memory_capacity: ByteSize::from_kib(96),
+        disk_capacity: ByteSize::from_gib(1),
+        executors: 1,
+    };
+    let info = |rdd: RddId, part: u32| BlockInfo {
+        id: BlockId::new(rdd, part),
+        bytes: ByteSize::from_kib(2),
+        ser_factor: 1.0,
+        executor: ExecutorId(0),
+    };
+
+    let mut ctl = BlazeController::new(BlazeConfig::full(), Some(profile));
+    for (j, &target) in targets.iter().enumerate() {
+        let job_plan = plan_job(&plan, target).expect("plannable target");
+        ctl.on_job_submit(&ctx, JobId(j as u32), &job_plan, &plan);
+    }
+    let (incoming_gen, parent_gen) = (&siblings[ZIP_GENERATIONS], &siblings[ZIP_GENERATIONS - 1]);
+    for (g, generation) in siblings.iter().enumerate() {
+        for (k, &rdd) in generation.iter().enumerate() {
+            for part in 0..ZIP_PARTS {
+                let event = PartitionEvent {
+                    info: info(rdd, part),
+                    edge_compute: SimDuration::from_micros(200 + (k as u64 % 7) * 30),
+                    job: JobId(0),
+                    recomputed: false,
+                };
+                ctl.on_partition_computed(&ctx, &event);
+                if g + 2 == ZIP_GENERATIONS {
+                    ctl.on_inserted(&ctx, &info(rdd, part), StoreTier::Disk);
+                }
+            }
+        }
+    }
+
+    let passes = if quick { 4 } else { 40 };
+    let mut samples = Vec::new();
+    for (residents, ceiling_us) in ADMISSION_SHAPES {
+        // Partition-major, as one executor's store is filled; the engine
+        // never offers blocks of the incoming dataset itself as victims.
+        let resident_lists: Vec<Vec<BlockInfo>> = incoming_gen
+            .iter()
+            .map(|&incoming| {
+                let of = |generation: &[RddId]| -> Vec<BlockInfo> {
+                    (0..ZIP_PARTS)
+                        .flat_map(|p| generation.iter().map(move |&rdd| (rdd, p)))
+                        .filter(|&(rdd, _)| rdd != incoming)
+                        .take(residents / 2)
+                        .map(|(rdd, p)| info(rdd, p))
+                        .collect()
+                };
+                [of(parent_gen), of(incoming_gen)].concat()
+            })
+            .collect();
+        for list in &resident_lists {
+            for b in list {
+                ctl.on_inserted(&ctx, b, StoreTier::Memory);
+            }
+        }
+        let (mut spent, mut calls, mut victims) = (0.0, 0u64, 0usize);
+        for _ in 0..passes {
+            // A pass stands for one job: ancestor sets are built on a
+            // dataset's first admission and reused for its other partitions.
+            ctl.forget_decision_state();
+            // audit: allow(wall-clock)
+            let start = Instant::now();
+            for (&incoming, list) in incoming_gen.iter().zip(&resident_lists) {
+                for part in 0..ZIP_PARTS {
+                    let incoming = info(incoming, part);
+                    victims += std::hint::black_box(ctl.choose_victims(
+                        &ctx,
+                        ExecutorId(0),
+                        incoming.bytes,
+                        &incoming,
+                        std::hint::black_box(list),
+                    ))
+                    .len();
+                    calls += 1;
+                }
+            }
+            spent += start.elapsed().as_secs_f64();
+        }
+        assert!(victims > 0, "admissions at {residents} residents never evicted");
+        // audit: allow(float-cast) a call count far below 2^53
+        let us_per_call = spent * 1e6 / calls as f64;
+        eprintln!(
+            "admission residents={residents:4} calls={calls} {us_per_call:.2} us/call \
+             (ceiling {ceiling_us:.1}) victims/call={:.2}",
+            // audit: allow(float-cast) counts far below 2^53
+            victims as f64 / calls as f64
+        );
+        samples.push(AdmissionSample { residents, calls, us_per_call, ceiling_us });
+    }
+    samples
+}
+
 /// One strategy's certificate-overhead measurement: plain solve time vs
 /// certificate-emitting solve time vs verification time over the same
 /// deterministic instance set.
@@ -607,6 +790,7 @@ fn render_json(
     host_cpus: usize,
     workloads: &[WorkloadSample],
     stress: &[StressSample],
+    admission: &[AdmissionSample],
     certify: &[CertifySample],
 ) -> String {
     let mut s = String::from("{\n");
@@ -652,6 +836,19 @@ fn render_json(
         ));
     }
     s.push_str("  ],\n");
+    s.push_str("  \"admission\": [\n");
+    for (i, a) in admission.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"residents\": {}, \"calls\": {}, \"us_per_call\": {:.3}, \
+             \"check_ceiling_us\": {:.1}}}{}\n",
+            a.residents,
+            a.calls,
+            nz(a.us_per_call),
+            a.ceiling_us,
+            if i + 1 < admission.len() { "," } else { "" }
+        ));
+    }
+    s.push_str("  ],\n");
     s.push_str("  \"certify\": [\n");
     for (i, c) in certify.iter().enumerate() {
         s.push_str(&format!(
@@ -689,6 +886,7 @@ fn main() {
     let workloads = bench_workloads(&apps);
     let stress =
         vec![stress_wide(wide_rounds), stress_deep(deep_rounds), stress_churn(churn_rounds)];
+    let admission = bench_admission(quick);
     let certify = bench_certify(quick);
 
     if check {
@@ -700,6 +898,16 @@ fn main() {
                 r.speedup()
             );
         }
+        for a in &admission {
+            assert!(
+                a.us_per_call <= a.ceiling_us,
+                "admission-path regression: {:.2} us per choose_victims at {} residents exceeds \
+                 the {:.1} us ceiling",
+                a.us_per_call,
+                a.residents,
+                a.ceiling_us
+            );
+        }
         let ratio = aggregate_verify_ratio(&certify);
         assert!(
             ratio < CHECK_MAX_VERIFY_RATIO,
@@ -707,14 +915,14 @@ fn main() {
              {CHECK_MAX_VERIFY_RATIO} ceiling"
         );
         eprintln!(
-            "check passed: deep/churn speedups above {CHECK_MIN_SPEEDUP}x, verify ratio \
-             {ratio:.3} below {CHECK_MAX_VERIFY_RATIO}"
+            "check passed: deep/churn speedups above {CHECK_MIN_SPEEDUP}x, admissions under \
+             their ceilings, verify ratio {ratio:.3} below {CHECK_MAX_VERIFY_RATIO}"
         );
     }
 
     if !quick {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decision.json");
-        let json = render_json(default_worker_threads(), &workloads, &stress, &certify);
+        let json = render_json(default_worker_threads(), &workloads, &stress, &admission, &certify);
         std::fs::write(path, &json).expect("write BENCH_decision.json");
         println!("wrote {} workload + {} stress samples to {path}", workloads.len(), stress.len());
     }

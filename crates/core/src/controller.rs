@@ -5,7 +5,7 @@
 //! [`BlazeConfig::full_mem_only`] is Blaze restricted to memory states (the
 //! Fig. 12 configuration).
 
-use crate::cost::CostModel;
+use crate::cost::{CostMemo, CostModel};
 use crate::costlineage::{CostLineage, PartitionState};
 use crate::incremental::{DecisionStats, IncrementalOptimizer};
 use crate::optimize::{min_ladder_cost_ns, OptimizerConfig};
@@ -168,6 +168,56 @@ pub struct BlazeController {
     /// constant stride; each app's own sequence keeps the §5.3 pattern
     /// intact, so detection runs on the submitting app's slice.
     targets_by_app: FxHashMap<AppId, Vec<RddId>>,
+    /// Incoming RDD -> its lineage ancestors that hold an in-job reference
+    /// ([`bounded_ancestors`] restricted to the keys of `remaining`, sorted),
+    /// built on the first admission of that RDD's partitions in a job.
+    /// Lineage and the key set of `remaining` only change at job submission,
+    /// which drops every set.
+    ancestors: FxHashMap<RddId, Vec<RddId>>,
+}
+
+/// Pops after which the ancestor walk gives up. The walk keeps no visited
+/// set, so on fan-in lineage it revisits shared ancestors and the guard can
+/// cut a true ancestor off; admissions have always been decided on that
+/// answer, so the maintained sets reproduce it exactly.
+const ANCESTOR_WALK_POPS: usize = 1024;
+
+/// Every RDD the bounded depth-first walk up from `desc` compares against:
+/// the parents of the first [`ANCESTOR_WALK_POPS`] nodes it pops, in
+/// comparison order, duplicates included.
+fn bounded_ancestors(lineage: &CostLineage, desc: RddId) -> Vec<RddId> {
+    let mut compared = Vec::new();
+    let mut stack = vec![desc];
+    for _ in 0..ANCESTOR_WALK_POPS {
+        let Some(cur) = stack.pop() else { break };
+        let Some(node) = lineage.node(cur) else { continue };
+        compared.extend_from_slice(&node.parents);
+        stack.extend_from_slice(&node.parents);
+    }
+    compared
+}
+
+/// The per-query walk [`bounded_ancestors`] replaced: true if `anc` is
+/// compared against before the pop guard fires. Kept as the reference the
+/// maintained sets are checked against on every lookup in debug builds.
+#[cfg(any(test, debug_assertions))]
+fn walk_finds_ancestor(lineage: &CostLineage, anc: RddId, desc: RddId) -> bool {
+    let mut stack = vec![desc];
+    let mut seen = 0;
+    while let Some(cur) = stack.pop() {
+        seen += 1;
+        if seen > ANCESTOR_WALK_POPS {
+            return false;
+        }
+        let Some(node) = lineage.node(cur) else { continue };
+        for &p in &node.parents {
+            if p == anc {
+                return true;
+            }
+            stack.push(p);
+        }
+    }
+    false
 }
 
 impl BlazeController {
@@ -195,6 +245,7 @@ impl BlazeController {
             refs_seq_rev: u64::MAX,
             pending_degradation: None,
             targets_by_app: FxHashMap::default(),
+            ancestors: FxHashMap::default(),
         }
     }
 
@@ -244,24 +295,32 @@ impl BlazeController {
         }
     }
 
-    /// True if `anc` is a lineage ancestor of `desc` (bounded walk).
+    /// Builds the ancestor set of an incoming RDD unless this job already
+    /// has it. Only RDDs with an in-job reference are ever asked about
+    /// ([`Self::value_weight`]), so only those are kept.
+    fn ensure_ancestors(&mut self, desc: RddId) {
+        let (lineage, remaining) = (&self.lineage, &self.remaining);
+        self.ancestors.entry(desc).or_insert_with(|| {
+            let mut set = bounded_ancestors(lineage, desc);
+            set.retain(|rdd| remaining.contains_key(rdd));
+            set.sort_unstable();
+            set.dedup();
+            set
+        });
+    }
+
+    /// True if `anc` — an RDD with an in-job reference — is a lineage
+    /// ancestor of the incoming `desc`, as far as the bounded walk sees.
     fn is_ancestor_of(&self, anc: RddId, desc: RddId) -> bool {
-        let mut stack = vec![desc];
-        let mut seen = 0;
-        while let Some(cur) = stack.pop() {
-            seen += 1;
-            if seen > 1024 {
-                return false;
-            }
-            let Some(node) = self.lineage.node(cur) else { continue };
-            for &p in &node.parents {
-                if p == anc {
-                    return true;
-                }
-                stack.push(p);
-            }
-        }
-        false
+        let found = self.ancestors.get(&desc).is_some_and(|set| set.binary_search(&anc).is_ok());
+        debug_assert!(self.ancestors.contains_key(&desc), "no ancestor set built for {desc:?}");
+        #[cfg(any(test, debug_assertions))]
+        debug_assert_eq!(
+            found,
+            walk_finds_ancestor(&self.lineage, anc, desc),
+            "maintained ancestry of {desc:?} went stale for {anc:?}"
+        );
+        found
     }
 
     /// Rebuilds references from the runtime plan and induces future jobs
@@ -304,14 +363,16 @@ impl BlazeController {
     }
 
     /// Drops everything the decision path retains between submissions — the
-    /// cost memo, the previous solves, and the append-only reference counts
-    /// — so the next submission prices, solves and derives references cold.
+    /// cost memo, the previous solves, the append-only reference counts and
+    /// the ancestor sets — so the next submission prices, solves and derives
+    /// references cold.
     /// Retained state never influences a decision; the differential tests
     /// and `bench_decision` call this before every submission to obtain the
     /// reference that proves it.
     pub fn forget_decision_state(&mut self) {
         self.incr.reset();
         self.refs_seq_rev = u64::MAX;
+        self.ancestors.clear();
     }
 }
 
@@ -353,6 +414,7 @@ impl CacheController for BlazeController {
         // counts once and is consumed when its stage completes.
         self.remaining.clear();
         self.consumed_by_stage.clear();
+        self.ancestors.clear();
         for stage in &job_plan.stages {
             for &rdd in &stage.rdds {
                 if let Ok(node) = plan.node(rdd) {
@@ -461,15 +523,20 @@ impl CacheController for BlazeController {
         }
 
         let hw = ctx.hardware;
-        let mut model = CostModel::new(&self.lineage, &hw, self.pattern);
         if self.cfg.level == BlazeLevel::CostAware {
             // +CostAware: sort by potential disk cost (smallest disk I/O
             // evicted first), always spilling (§7.3).
+            let model = CostModel::new(&self.lineage, &hw, self.pattern);
             return victims_by_key(resident, needed, |b| model.cost_d(b.id).as_nanos())
                 .into_iter()
                 .map(|(id, _)| (id, VictimAction::ToDisk))
                 .collect();
         }
+        self.ensure_ancestors(incoming.id.rdd);
+        // Pricing a resident memoizes its parents' recovery costs: sized up
+        // front, the memo does not rehash its way up on every admission.
+        let memo = CostMemo::with_capacity_and_hasher(2 * resident.len(), Default::default());
+        let mut model = CostModel::with_memo(&self.lineage, &hw, self.pattern, memo);
 
         // Full Blaze (§4.1/§4.2): victims ordered by effective potential
         // recovery cost (zero for unreferenced data); caching proceeds only
@@ -586,6 +653,8 @@ mod tests {
     use super::*;
     use blaze_common::{SimDuration, SimTime};
     use blaze_engine::HardwareModel;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn ctrl_ctx() -> CtrlCtx {
         ctrl_ctx_for(AppId(0))
@@ -793,6 +862,147 @@ mod tests {
             ctl.on_stage_complete(&ctx, out, JobId(0), &plan);
         }
         assert_eq!(ctl.value_weight(pairs.id(), None), 0.0);
+    }
+
+    /// A lineage with exactly the given narrow edges (`parents[i]` are the
+    /// parents of RDD `i`, all lower ids), one partition per RDD.
+    fn lineage_of(parents: &[Vec<u32>]) -> CostLineage {
+        use blaze_dataflow::{Block, Compute, CostSpec, Dep, RddNode};
+        use std::sync::Arc;
+        let mut plan = Plan::new();
+        for ps in parents {
+            plan.add_node(|id| RddNode {
+                id,
+                name: "n".into(),
+                num_partitions: 1,
+                deps: ps.iter().map(|&p| Dep::Narrow(RddId(p))).collect(),
+                compute: if ps.is_empty() {
+                    Compute::Source(Arc::new(|_| Ok(Block::empty::<u64>())))
+                } else {
+                    Compute::Narrow(Arc::new(|_, _| Ok(Block::empty::<u64>())))
+                },
+                cost: CostSpec::NARROW,
+                ser_factor: 1.0,
+                partitioner: None,
+                cache_annotated: false,
+                unpersist_requested: false,
+            })
+            .unwrap();
+        }
+        let mut lineage = CostLineage::new();
+        lineage.merge_plan(&plan);
+        lineage
+    }
+
+    /// True ancestry, with a visited set and no guard.
+    fn reaches(parents: &[Vec<u32>], anc: u32, desc: u32) -> bool {
+        let mut seen = vec![false; parents.len()];
+        let mut stack = vec![desc];
+        while let Some(cur) = stack.pop() {
+            for &p in &parents[cur as usize] {
+                if p == anc {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[p as usize], true) {
+                    stack.push(p);
+                }
+            }
+        }
+        false
+    }
+
+    /// A layered DAG: `depth` layers of `width` RDDs, each with `fan_in`
+    /// parents picked from the layer below (the first layer are sources).
+    fn layered_dag(depth: usize, width: usize, fan_in: usize, picks: &[usize]) -> Vec<Vec<u32>> {
+        let mut picks = picks.iter().cycle();
+        let mut parents: Vec<Vec<u32>> = vec![Vec::new(); width];
+        for layer in 1..depth {
+            for _ in 0..width {
+                let below = (layer - 1) * width;
+                parents.push(
+                    (0..fan_in).map(|_| (below + picks.next().unwrap() % width) as u32).collect(),
+                );
+            }
+        }
+        parents
+    }
+
+    /// Pairs where the pop guard hid a true ancestor, summed over the cases
+    /// of [`ancestor_sets_case`].
+    static GUARD_HID_AN_ANCESTOR: AtomicU64 = AtomicU64::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// On random layered DAGs the maintained sets answer every askable
+        /// (in-job referenced ancestor, incoming) pair exactly as the
+        /// per-query bounded walk does — including the pairs where the walk
+        /// gives up before reaching a true ancestor — and hold nothing that
+        /// cannot be asked about. Not a `#[test]` of its own: the guard
+        /// check below needs every case to have run.
+        fn ancestor_sets_case(
+            depth in 2usize..17,
+            width in 1usize..5,
+            fan_in in 1usize..4,
+            picks in prop::collection::vec(0usize..1_000, 8..64),
+            referenced in prop::collection::vec(0usize..3, 8..32),
+        ) {
+            let parents = layered_dag(depth, width, fan_in, &picks);
+            let mut ctl = BlazeController::new(BlazeConfig::full(), None);
+            ctl.lineage = lineage_of(&parents);
+            // About two RDDs in three hold an in-job reference.
+            let rdds = 0..parents.len() as u32;
+            ctl.remaining = rdds
+                .clone()
+                .filter(|&r| referenced[r as usize % referenced.len()] > 0)
+                .map(|r| (RddId(r), 1))
+                .collect();
+            let mut hidden = 0;
+            for desc in rdds.clone() {
+                ctl.ensure_ancestors(RddId(desc));
+                let set = &ctl.ancestors[&RddId(desc)];
+                prop_assert!(set.iter().all(|a| ctl.remaining.contains_key(a)));
+                for anc in rdds.clone().filter(|&a| ctl.remaining.contains_key(&RddId(a))) {
+                    let walk = walk_finds_ancestor(&ctl.lineage, RddId(anc), RddId(desc));
+                    prop_assert_eq!(
+                        ctl.is_ancestor_of(RddId(anc), RddId(desc)), walk,
+                        "{} over {}", anc, desc
+                    );
+                    prop_assert!(!walk || reaches(&parents, anc, desc));
+                    hidden += u64::from(!walk && reaches(&parents, anc, desc));
+                }
+            }
+            GUARD_HID_AN_ANCESTOR.fetch_add(hidden, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn ancestor_sets_answer_as_the_bounded_walk() {
+        ancestor_sets_case();
+        // Without such a pair the guard's cut-off would be untested.
+        assert!(
+            GUARD_HID_AN_ANCESTOR.load(Ordering::Relaxed) > 0,
+            "no generated DAG made the pop guard hide a true ancestor"
+        );
+    }
+
+    /// On a chain nothing is revisited, so the guard's position shows: the
+    /// walk up from the tip sees exactly [`ANCESTOR_WALK_POPS`] ancestors.
+    #[test]
+    fn the_pop_guard_cuts_a_chain_after_exactly_its_budget() {
+        let len = ANCESTOR_WALK_POPS as u32 + 6;
+        let parents: Vec<Vec<u32>> =
+            (0..len).map(|i| i.checked_sub(1).into_iter().collect()).collect();
+        let mut ctl = BlazeController::new(BlazeConfig::full(), None);
+        ctl.lineage = lineage_of(&parents);
+        ctl.remaining = (0..len).map(|r| (RddId(r), 1)).collect();
+        let tip = RddId(len - 1);
+        ctl.ensure_ancestors(tip);
+        for anc in 0..len - 1 {
+            let within = (len - 1 - anc) as usize <= ANCESTOR_WALK_POPS;
+            assert_eq!(ctl.is_ancestor_of(RddId(anc), tip), within, "{anc}");
+            assert_eq!(walk_finds_ancestor(&ctl.lineage, RddId(anc), tip), within, "{anc}");
+        }
     }
 
     #[test]

@@ -131,7 +131,10 @@ impl<'a> CostModel<'a> {
     }
 
     fn cost_r_inner(&mut self, id: BlockId, depth: usize) -> (SimDuration, bool) {
-        let Some(node) = self.lineage.node(id.rdd) else {
+        // `node` borrows the lineage for `'a`, not `self`, so its parents
+        // can be walked while the recursion below takes `&mut self`.
+        let lineage = self.lineage;
+        let Some(node) = lineage.node(id.rdd) else {
             return (SimDuration::ZERO, false);
         };
         if depth > MAX_DEPTH {
@@ -152,10 +155,9 @@ impl<'a> CostModel<'a> {
         // Eq. 4 takes the max over ancestor chains (parallel recovery); our
         // engine recovers the inputs of one task serially, so the faithful
         // prediction here is the *sum* over parents (documented deviation).
-        let parents = node.parents.clone();
         let mut total = SimDuration::ZERO;
         let mut inducted = edge_inducted;
-        for parent in parents {
+        for &parent in &node.parents {
             let pid = BlockId::new(parent, id.partition);
             let (c, i) = self.recovery_inner(pid, depth + 1);
             total += c;

@@ -11,6 +11,8 @@ use crate::config::HardwareModel;
 use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration, SimTime};
 use blaze_dataflow::{JobPlan, Plan};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// Metadata of one materialized partition, as seen by controllers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -282,6 +284,11 @@ pub trait CacheController: Send {
 /// ties are deterministic) and returns the shortest prefix that covers
 /// `needed`, each victim with its key.
 ///
+/// An eviction takes a victim or two out of dozens of residents, so the
+/// prefix is selected, not sorted: the candidates are heapified in O(n) and
+/// popped until enough is freed. Block ids are unique, which makes the order
+/// strict and the popped prefix the one a full sort would give.
+///
 /// A victim frees its [`BlockInfo::bytes`]; a controller whose store charges
 /// a different footprint passes candidates with `bytes` already scaled.
 /// Anything else a policy does around the ranking (aging, ghost lists, an
@@ -291,22 +298,46 @@ pub fn victims_by_key<K: PartialOrd>(
     needed: ByteSize,
     mut key: impl FnMut(&BlockInfo) -> K,
 ) -> Vec<(BlockId, K)> {
-    let mut ranked: Vec<(K, BlockId, ByteSize)> =
-        candidates.iter().map(|b| (key(b), b.id, b.bytes)).collect();
-    ranked.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-    });
+    let mut heap: BinaryHeap<Reverse<Ranked<K>>> = candidates
+        .iter()
+        .map(|b| Reverse(Ranked { key: key(b), id: b.id, bytes: b.bytes }))
+        .collect();
     let mut freed = ByteSize::ZERO;
     let mut victims = Vec::new();
-    for (key, id, bytes) in ranked {
-        if freed >= needed {
-            break;
-        }
-        freed += bytes;
-        victims.push((id, key));
+    while freed < needed {
+        let Some(Reverse(next)) = heap.pop() else { break };
+        freed += next.bytes;
+        victims.push((next.id, next.key));
     }
     victims
 }
+
+/// One keyed candidate of [`victims_by_key`], ordered by `(key, id)`.
+struct Ranked<K> {
+    key: K,
+    id: BlockId,
+    bytes: ByteSize,
+}
+
+impl<K: PartialOrd> Ord for Ranked<K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.partial_cmp(&other.key).unwrap_or(Ordering::Equal).then(self.id.cmp(&other.id))
+    }
+}
+
+impl<K: PartialOrd> PartialOrd for Ranked<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K: PartialOrd> PartialEq for Ranked<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<K: PartialOrd> Eq for Ranked<K> {}
 
 /// A controller that never caches anything (for engine tests and as the
 /// degenerate baseline: every reuse recomputes from lineage).
@@ -326,6 +357,61 @@ impl CacheController for NoCacheController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`victims_by_key`] as it was before it selected lazily: sort every
+    /// candidate by `(key, id)`, take the covering prefix.
+    fn victims_by_full_sort<K: PartialOrd>(
+        candidates: &[BlockInfo],
+        needed: ByteSize,
+        mut key: impl FnMut(&BlockInfo) -> K,
+    ) -> Vec<(BlockId, K)> {
+        let mut ranked: Vec<(K, BlockId, ByteSize)> =
+            candidates.iter().map(|b| (key(b), b.id, b.bytes)).collect();
+        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal).then(a.1.cmp(&b.1)));
+        let mut freed = ByteSize::ZERO;
+        let mut victims = Vec::new();
+        for (key, id, bytes) in ranked {
+            if freed >= needed {
+                break;
+            }
+            freed += bytes;
+            victims.push((id, key));
+        }
+        victims
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The heap-selected prefix is the sorted prefix, ties included:
+        /// keys come from a handful of values so most candidates tie, and
+        /// `needed` runs from nothing to more than everything.
+        #[test]
+        fn lazy_selection_equals_the_full_sort(
+            blocks in prop::collection::vec((0u32..4, 0u32..4, 0u64..5), 0..40),
+            needed_pct in 0u64..130,
+        ) {
+            // Ids are unique by construction, in shuffled key order.
+            let candidates: Vec<BlockInfo> = blocks
+                .iter()
+                .enumerate()
+                .map(|(i, &(rdd, _, kib))| BlockInfo {
+                    id: BlockId::new(RddId(rdd), i as u32),
+                    bytes: ByteSize::from_kib(kib),
+                    ser_factor: 1.0,
+                    executor: ExecutorId(0),
+                })
+                .collect();
+            let key = |b: &BlockInfo| f64::from(blocks[b.id.partition as usize].1) * 0.5;
+            let total: u64 = candidates.iter().map(|b| b.bytes.as_bytes()).sum();
+            let needed = ByteSize::from_bytes(total * needed_pct / 100);
+            prop_assert_eq!(
+                victims_by_key(&candidates, needed, key),
+                victims_by_full_sort(&candidates, needed, key)
+            );
+        }
+    }
 
     #[test]
     fn defaults_are_conservative() {

@@ -10,7 +10,7 @@
 //! the lineage got into its current state. Everything the retained state
 //! does (memo invalidation, instance reuse, warm bounds, append-only refs
 //! extension) is off in that reference. These tests attack the contract
-//! from three sides:
+//! from four sides:
 //!
 //! 1. a core-level differential property — random plans plus random
 //!    job/state/metric churn, every round checked against a reset driver fed
@@ -19,7 +19,10 @@
 //!    under profiled Blaze (retaining vs forgetting before every job), with
 //!    and without deterministic fault injection, requiring identical
 //!    results, metrics, and a byte-identical Chrome trace;
-//! 3. golden runs — evaluation workloads at `worker_threads` ∈ {1, 2, 4},
+//! 3. the same at engine level on fan-in lineage — generations of cached
+//!    siblings zipped pairwise, the store a fraction of one generation — so
+//!    admissions reach the ancestor arm of the value weight;
+//! 4. golden runs — evaluation workloads at `worker_threads` ∈ {1, 2, 4},
 //!    with and without a fault plan, with and without the serialized tier,
 //!    warm vs cold, all traces byte-identical.
 //!
@@ -35,8 +38,8 @@ use blaze::core::{
 };
 use blaze::dataflow::{runner::LocalRunner, Context, Dataset};
 use blaze::engine::{
-    CacheController, Cluster, ClusterConfig, ExecutorCrash, FaultPlan, HardwareModel, Metrics,
-    TraceLog,
+    CacheController, CacheDecision, Cluster, ClusterConfig, ExecutorCrash, FaultPlan,
+    HardwareModel, Metrics, TraceEvent, TraceLog,
 };
 use blaze::workloads::{App, AppSpec, Session};
 // The one delegating wrapper around a Blaze controller: `cold` makes it
@@ -46,6 +49,7 @@ use blaze::workloads::{App, AppSpec, Session};
 use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use common::{apply, fault_variant, step_strategy, Step};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
@@ -257,6 +261,176 @@ proptest! {
         prop_assert_eq!(m_inc.completion_time, m_scr.completion_time);
         prop_assert_eq!(t_inc.chrome_json(), t_scr.chrome_json());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Fan-in lineage under memory pressure
+// ---------------------------------------------------------------------------
+
+/// The shape of one sibling-zip pipeline.
+#[derive(Debug, Clone)]
+struct SiblingZip {
+    elems: u64,
+    width: usize,
+    generations: usize,
+    /// Which two siblings of the previous generation each dataset zips
+    /// (consumed two at a time, cyclically).
+    picks: Vec<usize>,
+}
+
+const ZIP_PARTS: usize = 4;
+
+/// A zipped dataset and the two siblings it zips.
+type ZipParents = (RddId, [RddId; 2]);
+
+/// Generations of `width` cached siblings, each a `zip_partitions` of two
+/// siblings of the previous generation — the diamond-rich lineage the chain
+/// generator of `tests/common` cannot produce. One job per generation folds
+/// every sibling into per-partition checksums, then the previous generation
+/// is unpersisted. Returns the checksums and every zipped dataset's parents.
+fn sibling_zip(
+    ctx: &Context,
+    shape: &SiblingZip,
+) -> blaze::common::error::Result<(Vec<u64>, Vec<ZipParents>)> {
+    let checksum =
+        |part: &[u64]| part.iter().fold(part.len() as u64, |acc, x| acc.rotate_left(5) ^ x);
+    let base = ctx.parallelize((0..shape.elems).collect::<Vec<_>>(), ZIP_PARTS);
+    let mut generation: Vec<Dataset<u64>> =
+        (0..shape.width as u64).map(|k| base.map(move |x| x.wrapping_mul(k + 3))).collect();
+    for d in &generation {
+        d.cache();
+    }
+    let mut picks = shape.picks.iter().cycle().map(|p| p % shape.width);
+    let (mut checksums, mut parents) = (Vec::new(), Vec::new());
+    for _ in 0..shape.generations {
+        let mut next = Vec::with_capacity(shape.width);
+        for _ in 0..shape.width {
+            let (a, b) = (picks.next().unwrap(), picks.next().unwrap());
+            let d = generation[a].zip_partitions(&generation[b], |l, r| {
+                l.iter().zip(r).map(|(x, y)| x.wrapping_mul(31).wrapping_add(*y)).collect()
+            });
+            d.cache();
+            parents.push((d.id(), [generation[a].id(), generation[b].id()]));
+            next.push(d);
+        }
+        let mut folded = next[0].map_partitions(move |part| vec![checksum(part)]);
+        for d in &next[1..] {
+            folded = folded
+                .zip_partitions(d, move |acc, part| vec![acc[0].rotate_left(7) ^ checksum(part)]);
+        }
+        checksums.extend(folded.collect()?);
+        for d in &generation {
+            d.unpersist();
+        }
+        generation = next;
+    }
+    Ok((checksums, parents))
+}
+
+/// Runs the pipeline under profiled full Blaze with the store sized to
+/// `pressure_pct` of one generation's per-executor bytes, warm or cold.
+fn run_sibling_zip(
+    shape: &SiblingZip,
+    pressure_pct: u64,
+    cold: bool,
+) -> (Vec<u64>, Metrics, TraceLog) {
+    let profiled = shape.clone();
+    let profile = extract_dependencies(move |ctx| sibling_zip(ctx, &profiled).map(|_| ()), 0)
+        .expect("profiling run failed");
+    let generation_bytes = shape.width as u64 * shape.elems * 8;
+    let cluster = Cluster::new(
+        ClusterConfig {
+            executors: 2,
+            slots_per_executor: 2,
+            memory_capacity: ByteSize::from_bytes(generation_bytes / 2 * pressure_pct / 100),
+            worker_threads: 2,
+            tracing: true,
+            ..Default::default()
+        },
+        install(BlazeController::new(BlazeConfig::full(), Some(profile)), cold),
+    )
+    .unwrap();
+    let (out, _) = sibling_zip(&Context::new(cluster.clone()), shape).expect("pipeline run failed");
+    (out, cluster.metrics(), cluster.trace().expect("tracing was enabled"))
+}
+
+/// Admissions that evicted a block of one of the incoming dataset's own
+/// parents. In this pipeline a parent holds an in-job reference and no
+/// cross-job one for as long as its children are being computed, so each of
+/// these went through the ancestor (weight 0.0) arm of the admission
+/// comparison.
+fn parent_evictions(trace: &TraceLog, parents: &[ZipParents]) -> u64 {
+    let mut evicted: Vec<(ExecutorId, RddId)> = Vec::new();
+    let mut count = 0;
+    for ev in trace.events() {
+        match ev {
+            TraceEvent::Cache(r)
+                if matches!(
+                    r.decision,
+                    CacheDecision::EvictToDisk | CacheDecision::EvictDiscard
+                ) =>
+            {
+                evicted.push((r.executor, r.id.rdd));
+            }
+            TraceEvent::Cache(r) if r.decision == CacheDecision::AdmitMemory => {
+                let own = parents.iter().find(|(child, _)| *child == r.id.rdd);
+                count += evicted
+                    .drain(..)
+                    .filter(|(e, v)| *e == r.executor && own.is_some_and(|(_, ps)| ps.contains(v)))
+                    .count() as u64;
+            }
+            // Evictions on behalf of an admission directly precede it.
+            _ => evicted.clear(),
+        }
+    }
+    count
+}
+
+/// Evictions and [`parent_evictions`] summed over the cases of
+/// [`sibling_zip_case`].
+static ZIP_EVICTIONS: AtomicU64 = AtomicU64::new(0);
+static ZIP_PARENT_EVICTIONS: AtomicU64 = AtomicU64::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+
+    /// One sibling-zip pipeline under memory pressure: the result equals the
+    /// local runner's, and retaining or forgetting decision state gives a
+    /// byte-identical trace and equal metrics. In debug builds every
+    /// admission also cross-checks the maintained references and ancestor
+    /// sets against their per-call originals. Not a `#[test]` of its own:
+    /// the coverage check below needs every case to have run.
+    fn sibling_zip_case(
+        elems in 64u64..400,
+        width in 2usize..9,
+        generations in 2usize..15,
+        picks in prop::collection::vec(0usize..1_000, 2..40),
+        pressure_pct in 30u64..151,
+    ) {
+        let shape = SiblingZip { elems, width, generations, picks };
+        let (want, parents) =
+            sibling_zip(&Context::new(LocalRunner::new()), &shape).expect("reference run failed");
+        let (out_warm, m_warm, t_warm) = run_sibling_zip(&shape, pressure_pct, false);
+        let (out_cold, m_cold, t_cold) = run_sibling_zip(&shape, pressure_pct, true);
+        prop_assert_eq!(&out_warm, &want);
+        prop_assert_eq!(&out_cold, &want);
+        prop_assert_eq!(&m_warm, &m_cold);
+        prop_assert_eq!(t_warm.chrome_json(), t_cold.chrome_json());
+        ZIP_EVICTIONS.fetch_add(m_warm.evictions, Ordering::Relaxed);
+        ZIP_PARENT_EVICTIONS.fetch_add(parent_evictions(&t_warm, &parents), Ordering::Relaxed);
+    }
+}
+
+/// The sibling-zip property, and that its cases reach what it exists for:
+/// evictions, and admissions decided through the ancestor arm.
+#[test]
+fn fan_in_lineage_is_identical_warm_or_cold_under_pressure() {
+    sibling_zip_case();
+    assert!(ZIP_EVICTIONS.load(Ordering::Relaxed) > 0, "no generated case evicted anything");
+    assert!(
+        ZIP_PARENT_EVICTIONS.load(Ordering::Relaxed) > 0,
+        "no generated case evicted an incoming block's own parent"
+    );
 }
 
 // ---------------------------------------------------------------------------
