@@ -27,6 +27,13 @@
 //!   — even fixed-seed — depends on insertion history, which incremental
 //!   reuse deliberately perturbs. Keyed lookups need an explicit
 //!   justification; ordered iteration belongs in `BTreeMap`/sorted vecs.
+//! - `record-order` — *any* hash container in the operator kernels
+//!   (`dataflow/src/{pair,dataset,extra_ops}.rs`): the order of records
+//!   inside a block is a documented rule (first occurrence in input order),
+//!   and a block collected from a hash container would have the order of
+//!   that container's layout — toolchain-dependent — instead. A container
+//!   that is only probed, or that never becomes a block, says so with
+//!   `// audit: allow(record-order) <why: lookup only / driver side>`.
 //! - `float-cast` — bare `as f64` / `as f32` casts in the decision-path
 //!   modules: silent precision loss in a cost or weight changes solver
 //!   tie-breaks. Each cast site must carry a justification that the value
@@ -74,8 +81,7 @@ pub struct LintViolation {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// The rule that fired (`std-hash`, `wall-clock`, `unwrap`,
-    /// `thread-rng`).
+    /// The rule that fired (`std-hash`, `wall-clock`, `unwrap`, ...).
     pub code: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -101,6 +107,10 @@ struct Scope {
     /// `solver/src/*`, `certify/src/*` — the verifiers must be exactly as
     /// deterministic as the solvers they check).
     decision: bool,
+    /// Hash containers banned in the operator kernels
+    /// (`dataflow/src/{pair,dataset,extra_ops}.rs`): nothing whose iteration
+    /// order is a table layout may become a block.
+    record_order: bool,
     /// Host thread-timing primitives banned in the multi-app scheduler
     /// module (`engine/src/session.rs`): grant order must never depend on
     /// OS scheduling or wall time.
@@ -129,6 +139,9 @@ fn scope_of(path: &str) -> Scope {
             || p.ends_with("core/src/incremental.rs")
             || p.contains("solver/src/")
             || p.contains("certify/src/"),
+        record_order: p.ends_with("dataflow/src/pair.rs")
+            || p.ends_with("dataflow/src/dataset.rs")
+            || p.ends_with("dataflow/src/extra_ops.rs"),
         host_sched: p.ends_with("engine/src/session.rs"),
     }
 }
@@ -169,6 +182,8 @@ pub fn lint_source(path: &str, content: &str) -> Vec<LintViolation> {
             continue;
         }
 
+        let hash_container =
+            code_match(line, PAT_HASH_MAP).is_some() || code_match(line, PAT_HASH_SET).is_some();
         if scope.std_hash
             && code_match(line, PAT_STD_HASH_PREFIX).is_some()
             && (line.contains(PAT_HASH_MAP) || line.contains(PAT_HASH_SET))
@@ -210,11 +225,7 @@ pub fn lint_source(path: &str, content: &str) -> Vec<LintViolation> {
                     .into(),
             });
         }
-        if scope.decision
-            && (code_match(line, PAT_HASH_MAP).is_some()
-                || code_match(line, PAT_HASH_SET).is_some())
-            && !allowed(line, prev, "decision-hash")
-        {
+        if scope.decision && hash_container && !allowed(line, prev, "decision-hash") {
             out.push(LintViolation {
                 file: path.into(),
                 line: n,
@@ -222,6 +233,18 @@ pub fn lint_source(path: &str, content: &str) -> Vec<LintViolation> {
                 message: "hash iteration order depends on insertion history; decision-path \
                           code must use BTreeMap/sorted vecs or justify a keyed lookup with \
                           `// audit: allow(decision-hash)`"
+                    .into(),
+            });
+        }
+        if scope.record_order && hash_container && !allowed(line, prev, "record-order") {
+            out.push(LintViolation {
+                file: path.into(),
+                line: n,
+                code: "record-order",
+                message: "records inside a block are in first-occurrence order, never a hash \
+                          container's; accumulate in pair.rs's KeyedFold or justify a container \
+                          that is never iterated into a block with \
+                          `// audit: allow(record-order)`"
                     .into(),
             });
         }
@@ -433,6 +456,39 @@ mod tests {
             "use rustc_hash::FxHashMap;",
         ]);
         assert!(lint_source("crates/core/src/optimize.rs", &allowed).is_empty());
+    }
+
+    #[test]
+    fn flags_hash_containers_in_the_operator_kernels() {
+        // An accumulator collected into a block: the order the rule forbids.
+        let fold = join(&[
+            "let mut merged: FxHashMap<K, V> = FxHashMap::default();",
+            "Ok(Block::from_vec(merged.into_iter().collect::<Vec<(K, V)>>()))",
+        ]);
+        for kernel in ["pair", "dataset", "extra_ops"] {
+            let hits = lint_source(&format!("crates/dataflow/src/{kernel}.rs"), &fold);
+            assert_eq!(hits.len(), 1, "{kernel}");
+            assert_eq!((hits[0].code, hits[0].line), ("record-order", 1));
+        }
+        let set = join(&["let seen: FxHashSet<K> = FxHashSet::default();"]);
+        assert_eq!(lint_source("crates/dataflow/src/extra_ops.rs", &set)[0].code, "record-order");
+        // The planner and the runner's memo are not kernels.
+        assert!(lint_source("crates/dataflow/src/planner.rs", &fold).is_empty());
+        assert!(lint_source("crates/dataflow/src/runner.rs", &fold).is_empty());
+        // The two containers pair.rs keeps, justified.
+        let kept = join(&[
+            "struct ProbeIndex<'a, K, W> {",
+            "    // audit: allow(record-order) lookup only: probed per left record",
+            "    first: FxHashMap<&'a K, usize>,",
+            "}",
+            "/// Counts values per key on the driver.",
+            "// audit: allow(record-order) driver side: a map for the caller, never a block",
+            "pub fn count_by_key(&self) -> Result<FxHashMap<K, u64>> {",
+        ]);
+        assert!(lint_source("crates/dataflow/src/pair.rs", &kept).is_empty());
+        // Another rule's justification does not cover this one.
+        let wrong = join(&["first: FxHashMap<&'a K, usize>, // audit: allow(decision-hash)"]);
+        assert_eq!(lint_source("crates/dataflow/src/pair.rs", &wrong).len(), 1);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use crate::block::{Block, Data};
 use crate::dataset::Dataset;
 use crate::partitioner::HashPartitioner;
 use crate::plan::{Compute, CostSpec, Dep, MapSideFn, RddNode, ShuffleAggFn};
-use blaze_common::error::Result;
-use blaze_common::fxhash::FxHashMap;
+use blaze_common::error::{BlazeError, Result};
+// audit: allow(record-order) for the two below: `ProbeIndex` and `count_by_key`
+use blaze_common::fxhash::{hash_one, FxHashMap};
 use std::borrow::Cow;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -67,12 +68,100 @@ fn hash_buckets<K: Data + Hash, V: Data>(pairs: Cow<'_, [(K, V)]>, n: usize) -> 
     write_buckets(pairs, n, |(k, _)| partitioner.partition(k))
 }
 
+/// The one keyed accumulator, behind `reduce_by_key`, `combine_by_key`,
+/// `group_by_key` and `cogroup`: one entry per key in **first-occurrence
+/// order**, found through an open-addressing table of `index + 1` (0 = free).
+///
+/// `entries` is the operator's output, so record order inside a block is a
+/// rule — keys in the order the input first shows them, a reduce task reading
+/// its buckets in map order — and not the layout of somebody's hash table.
+/// The table is sized once from the number of input records (load <= 0.5):
+/// there is no growth path, and an empty input allocates nothing.
+struct KeyedFold<K, C> {
+    entries: Vec<(K, C)>,
+    slots: Vec<u32>,
+}
+
+impl<K: Hash + Eq + Clone, C> KeyedFold<K, C> {
+    /// A fold that takes at most `records` calls of [`Self::upsert`].
+    fn for_records(records: usize) -> Result<Self> {
+        if u32::try_from(records).is_err() {
+            return Err(BlazeError::Execution(format!(
+                "keyed operator over {records} records in one task; entries are indexed by u32"
+            )));
+        }
+        let slots = if records == 0 { 0 } else { (2 * records).next_power_of_two() };
+        Ok(Self { entries: Vec::new(), slots: vec![0; slots] })
+    }
+
+    /// The slot a key's probe sequence starts at. Both halves of the hash
+    /// are folded in: the top bits of Fx alone cluster dense integer keys,
+    /// and the low bits alone are what the partitioner took `% n` of, so the
+    /// keys of one reduce task reach only one slot in `gcd(n, slots)`.
+    fn home(&self, key: &K) -> usize {
+        let h = hash_one(key);
+        (h ^ (h >> 32)) as usize & (self.slots.len() - 1)
+    }
+
+    /// Applies `update` to `key`'s accumulator, or on its first occurrence
+    /// appends the one `insert` makes (the only time the key is cloned).
+    fn upsert(&mut self, key: &K, insert: impl FnOnce() -> C, update: impl FnOnce(&mut C)) {
+        let mut slot = self.home(key);
+        loop {
+            match self.slots[slot] {
+                0 => {
+                    assert!(2 * self.entries.len() < self.slots.len(), "more keys than records");
+                    self.entries.push((key.clone(), insert()));
+                    self.slots[slot] = self.entries.len() as u32;
+                    return;
+                }
+                taken => {
+                    let (k, acc) = &mut self.entries[taken as usize - 1];
+                    if k == key {
+                        return update(acc);
+                    }
+                }
+            }
+            slot = (slot + 1) & (self.slots.len() - 1);
+        }
+    }
+}
+
+/// A fold's entries as a block, less the spare capacity `push` left them:
+/// outer capacity is memory no size estimate sees.
+fn exact_block<T: Data>(mut entries: Vec<T>) -> Block {
+    entries.shrink_to_fit();
+    Block::from_vec(entries)
+}
+
+/// The fold of a reduce task, sized for every record in its buckets.
+fn fold_over<K: Hash + Eq + Clone, C>(buckets: &[Block]) -> Result<KeyedFold<K, C>> {
+    KeyedFold::for_records(buckets.iter().map(Block::len).sum())
+}
+
+/// A group holding `v`, built with the calls `or_default().push(v)` makes: a
+/// one-value group then has the capacity `push` gives it, not `vec![v]`'s 1,
+/// and nested capacity is part of a block's size.
+#[allow(clippy::vec_init_then_push)]
+fn group_of<V: Clone>(v: &V) -> Vec<V> {
+    let mut group = Vec::new();
+    group.push(v.clone());
+    group
+}
+
+/// Accumulators merged by value live in the fold as `Some`; this takes them
+/// out as the block is built.
+fn unwrapped<K, C>(entries: Vec<(K, Option<C>)>) -> Vec<(K, C)> {
+    entries.into_iter().map(|(k, c)| (k, c.expect("taken only inside a merge"))).collect()
+}
+
 /// A borrowed probe index over the right side of a co-partitioned join: the
 /// first position of every key and, per position, the next one holding the
 /// same key. Probing yields a key's values in right-side order and allocates
 /// nothing per key.
 struct ProbeIndex<'a, K, W> {
     right: &'a [(K, W)],
+    // audit: allow(record-order) lookup only: probed per left record, never iterated
     first: FxHashMap<&'a K, usize>,
     /// `next[i]` follows `i` in its key's chain; `right.len()` ends it.
     next: Vec<usize>,
@@ -81,6 +170,7 @@ struct ProbeIndex<'a, K, W> {
 impl<'a, K: Hash + Eq, W> ProbeIndex<'a, K, W> {
     fn new(right: &'a [(K, W)]) -> Self {
         let end = right.len();
+        // audit: allow(record-order) lookup only
         let mut first = FxHashMap::with_capacity_and_hasher(end, Default::default());
         let mut next = vec![end; end];
         // Back to front, so every chain runs forward from the first position.
@@ -155,33 +245,22 @@ where
         let map_side: MapSideFn = Arc::new(move |block, n| {
             let pairs = block.as_slice::<(K, V)>("reduce_by_key map-side")?;
             // Map-side combine: one value per key per map task.
-            let mut combined: FxHashMap<K, V> = FxHashMap::default();
+            let mut combined = KeyedFold::for_records(pairs.len())?;
             for (k, v) in pairs {
-                match combined.get_mut(k) {
-                    Some(acc) => *acc = map_f(acc, v),
-                    None => {
-                        combined.insert(k.clone(), v.clone());
-                    }
-                }
+                combined.upsert(k, || v.clone(), |acc| *acc = map_f(acc, v));
             }
-            let merged: Vec<(K, V)> = combined.into_iter().collect();
-            Ok(hash_buckets(Cow::Owned(merged), n))
+            Ok(hash_buckets(Cow::Owned(combined.entries), n))
         });
         let agg_f = Arc::clone(&f);
         let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
             let ctx = format!("reduce_by_key agg@{p}");
-            let mut merged: FxHashMap<K, V> = FxHashMap::default();
+            let mut merged = fold_over(&per_dep[0])?;
             for block in &per_dep[0] {
                 for (k, v) in block.as_slice::<(K, V)>(&ctx)? {
-                    match merged.get_mut(k) {
-                        Some(acc) => *acc = agg_f(acc, v),
-                        None => {
-                            merged.insert(k.clone(), v.clone());
-                        }
-                    }
+                    merged.upsert(k, || v.clone(), |acc| *acc = agg_f(acc, v));
                 }
             }
-            Ok(Block::from_vec(merged.into_iter().collect::<Vec<(K, V)>>()))
+            Ok(exact_block(merged.entries))
         });
         self.shuffle_node("reduce_by_key", num_partitions, CostSpec::SHUFFLE_AGG, map_side, agg)
     }
@@ -204,37 +283,23 @@ where
         let (mk, mv) = (Arc::clone(&create), Arc::clone(&merge_value));
         let map_side: MapSideFn = Arc::new(move |block, n| {
             let pairs = block.as_slice::<(K, V)>("combine_by_key map-side")?;
-            let mut combined: FxHashMap<K, C> = FxHashMap::default();
+            let mut combined = KeyedFold::for_records(pairs.len())?;
             for (k, v) in pairs {
-                match combined.remove(k) {
-                    Some(acc) => {
-                        combined.insert(k.clone(), mv(acc, v));
-                    }
-                    None => {
-                        combined.insert(k.clone(), mk(v));
-                    }
-                }
+                combined.upsert(k, || Some(mk(v)), |acc| *acc = acc.take().map(|c| mv(c, v)));
             }
-            let merged: Vec<(K, C)> = combined.into_iter().collect();
-            Ok(hash_buckets(Cow::Owned(merged), n))
+            Ok(hash_buckets(Cow::Owned(unwrapped(combined.entries)), n))
         });
         let mc = Arc::clone(&merge_combiners);
         let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
             let ctx = format!("combine_by_key agg@{p}");
-            let mut merged: FxHashMap<K, C> = FxHashMap::default();
+            let mut merged = fold_over(&per_dep[0])?;
             for block in &per_dep[0] {
                 for (k, c) in block.as_slice::<(K, C)>(&ctx)? {
-                    match merged.remove(k) {
-                        Some(acc) => {
-                            merged.insert(k.clone(), mc(acc, c.clone()));
-                        }
-                        None => {
-                            merged.insert(k.clone(), c.clone());
-                        }
-                    }
+                    let own = || c.clone();
+                    merged.upsert(k, || Some(own()), |acc| *acc = acc.take().map(|a| mc(a, own())));
                 }
             }
-            Ok(Block::from_vec(merged.into_iter().collect::<Vec<(K, C)>>()))
+            Ok(Block::from_vec(unwrapped(merged.entries)))
         });
         self.shuffle_node("combine_by_key", num_partitions, CostSpec::SHUFFLE_AGG, map_side, agg)
     }
@@ -284,13 +349,13 @@ where
         });
         let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
             let ctx = format!("group_by_key agg@{p}");
-            let mut groups: FxHashMap<K, Vec<V>> = FxHashMap::default();
+            let mut groups = fold_over(&per_dep[0])?;
             for block in &per_dep[0] {
                 for (k, v) in block.as_slice::<(K, V)>(&ctx)? {
-                    groups.entry(k.clone()).or_default().push(v.clone());
+                    groups.upsert(k, || group_of(v), |group| group.push(v.clone()));
                 }
             }
-            Ok(Block::from_vec(groups.into_iter().collect::<Vec<(K, Vec<V>)>>()))
+            Ok(exact_block(groups.entries))
         });
         self.shuffle_node("group_by_key", num_partitions, CostSpec::SHUFFLE_AGG, map_side, agg)
     }
@@ -449,21 +514,22 @@ where
     ) -> CoGrouped<K, V, W> {
         let left = self.partition_by(num_partitions);
         let right = other.partition_by(num_partitions);
-        left.zip_partitions(&right, |l: &[(K, V)], r: &[(K, W)]| {
-            let mut table: FxHashMap<K, (Vec<V>, Vec<W>)> = FxHashMap::default();
-            for (k, v) in l {
-                table.entry(k.clone()).or_default().0.push(v.clone());
+        left.narrow_keyed("cogroup", vec![left.id(), right.id()], move |p, inputs| {
+            let ctx = format!("cogroup@{p}");
+            let mut table: KeyedFold<K, (Vec<V>, Vec<W>)> = fold_over(inputs)?;
+            for (k, v) in inputs[0].as_slice::<(K, V)>(&ctx)? {
+                table.upsert(k, || (group_of(v), Vec::new()), |g| g.0.push(v.clone()));
             }
-            for (k, w) in r {
-                table.entry(k.clone()).or_default().1.push(w.clone());
+            for (k, w) in inputs[1].as_slice::<(K, W)>(&ctx)? {
+                table.upsert(k, || (Vec::new(), group_of(w)), |g| g.1.push(w.clone()));
             }
-            table.into_iter().collect()
+            Ok(exact_block(table.entries))
         })
-        .named("cogroup")
         .assume_partitioned(num_partitions)
     }
 
     /// Counts values per key on the driver.
+    // audit: allow(record-order) driver side: a map for the caller, never a block
     pub fn count_by_key(&self) -> Result<FxHashMap<K, u64>> {
         let counted = self.map_values(|_| 1u64).reduce_by_key(self.num_partitions(), |a, b| a + b);
         Ok(counted.collect()?.into_iter().collect())
@@ -671,10 +737,11 @@ mod tests {
 
     /// Nested vectors are sized with their spare capacity, so block sizes —
     /// and through them admissions and simulated time — depend on *which
-    /// calls* build them: `group_by_key` grows its groups by `push`, the
-    /// joins `clone` them to exact capacity. The literals were taken before
-    /// the keyed kernels stopped allocating per key; a kernel that builds
-    /// nested values some other way moves them.
+    /// calls* build them: `group_by_key` grows its groups by `push` from
+    /// empty, the joins `clone` them to exact capacity. The literals were
+    /// taken by running this body on the hash-map kernels; a kernel that
+    /// builds nested values some other way moves them. The accumulator that
+    /// *finds* a key's group is free: record order is not in any size.
     #[test]
     fn nested_vector_block_sizes_are_pinned() {
         let ctx = ctx();
@@ -691,6 +758,91 @@ mod tests {
         assert_eq!(sizes(ctx.run_job(joined.id()).unwrap()), [2904, 2856, 2568, 0]);
         let outer = grouped.left_outer_join(&right, 4);
         assert_eq!(sizes(ctx.run_job(outer.id()).unwrap()), [3380, 3324, 3068, 492]);
+        // 46 of 53 keys occur once: a group built as `vec![v]` (capacity 1,
+        // not `push`'s 4) passes the cases above and fails this one.
+        let sparse = (0..60u64).map(|i| ((i * 7 % 53) as u32, nested(i))).collect();
+        let sparse = ctx.parallelize::<(u32, Vec<u64>)>(sparse, 3).group_by_key(4);
+        assert_eq!(sizes(ctx.run_job(sparse.id()).unwrap()), [2104, 1964, 1972, 1972]);
+    }
+
+    impl<K: Hash + Eq + Clone, C> KeyedFold<K, C> {
+        /// Slots inspected to find `key`, which must be present.
+        fn probes(&self, key: &K) -> usize {
+            let mask = self.slots.len() - 1;
+            let found = |slot: &usize| self.entries[self.slots[*slot] as usize - 1].0 == *key;
+            1 + (0..).map(|i| (self.home(key) + i) & mask).position(|slot| found(&slot)).unwrap()
+        }
+    }
+
+    /// Folds `records` as a task would and returns the mean probes per
+    /// record at the load the sizing rule gives.
+    fn mean_probes(records: &[u64]) -> f64 {
+        let mut fold = KeyedFold::for_records(records.len()).unwrap();
+        for k in records {
+            fold.upsert(k, || 1u32, |n| *n += 1);
+        }
+        assert_eq!(fold.entries.iter().map(|e| e.1 as usize).sum::<usize>(), records.len());
+        records.iter().map(|k| fold.probes(k)).sum::<usize>() as f64 / records.len() as f64
+    }
+
+    /// The two slot functions that were tried first fail exactly here: the
+    /// top bits of Fx cluster dense keys, and its low bits leave most of the
+    /// table unreachable for the keys of one reduce partition.
+    #[test]
+    fn probe_sequences_stay_short_on_the_keys_tasks_see() {
+        use rand::Rng;
+        let check = |what: &str, records: Vec<u64>| {
+            let mean = mean_probes(&records);
+            assert!(mean <= 1.5, "{what}: {mean:.2} probes per record");
+        };
+        check("dense", (0..14_500).collect());
+        for parts in [16, 10] {
+            let partitioner = HashPartitioner::new(parts);
+            for p in [0, parts - 1] {
+                let mine = (0..60_000).filter(|k| partitioner.partition(k) == p).collect();
+                check(&format!("partition {p} of {parts}"), mine);
+            }
+        }
+        // What a `pr_*` map side folds: 43 500 contributions whose
+        // destinations are a product of three uniforms over 60 000 vertices.
+        let mut rng = blaze_common::rng::seeded(42);
+        let mut uniform = || rng.gen::<f64>();
+        let skewed =
+            (0..43_500).map(|_| (uniform() * uniform() * uniform() * 60_000.0) as u64).collect();
+        check("skewed", skewed);
+    }
+
+    #[test]
+    fn upsert_matches_an_ordered_map_and_keeps_first_occurrence_order() {
+        use rand::Rng;
+        use std::collections::BTreeMap;
+        let mut rng = blaze_common::rng::seeded(7);
+        for case in 0..200 {
+            let len = rng.gen_range(1..300usize);
+            let keys = rng.gen_range(1..len as u64 + 1);
+            let records: Vec<(u64, u64)> =
+                (0..len).map(|_| (rng.gen_range(0..keys) * 0x10001, rng.gen())).collect();
+            let mut fold = KeyedFold::for_records(len).unwrap();
+            let (mut model, mut order) = (BTreeMap::new(), Vec::new());
+            for (k, v) in &records {
+                fold.upsert(k, || vec![*v], |seen| seen.push(*v));
+                model.entry(*k).or_insert_with(|| (order.push(*k), Vec::new()).1).push(*v);
+            }
+            let want: Vec<(u64, Vec<u64>)> = order.iter().map(|k| (*k, model[k].clone())).collect();
+            assert_eq!(fold.entries, want, "case {case}");
+            assert_eq!(fold.slots.len(), (2 * len).next_power_of_two());
+        }
+    }
+
+    #[test]
+    fn an_empty_fold_allocates_nothing_and_an_oversized_one_is_an_error() {
+        // `km_tiny_tasks` runs thousands of map sides over empty partitions.
+        let empty = KeyedFold::<u64, u64>::for_records(0).unwrap();
+        assert_eq!((empty.slots.capacity(), empty.entries.capacity()), (0, 0));
+        // Entry indices are `u32`: one more record than they can count is
+        // refused before anything is allocated, not wrapped.
+        let err = KeyedFold::<u64, u64>::for_records(u32::MAX as usize + 1).err();
+        assert!(matches!(err, Some(BlazeError::Execution(msg)) if msg.contains("4294967296")));
     }
 
     #[test]
