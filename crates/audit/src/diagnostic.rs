@@ -121,6 +121,10 @@ pub enum DiagCode {
     /// of a block with no earlier admission, or a double admission without
     /// an intervening removal.
     TraceUnpairedCacheEvent,
+    /// BA404: a controller command (auto-unpersist or a solver's m/d -> u)
+    /// dropped a cached block that a later task then had to recompute — a
+    /// reference misprediction the trace records but no aggregate shows.
+    PrematureUnpersist,
     /// BA501: a decision certificate's incumbent is infeasible or its
     /// recorded objective does not match the claimed solution value.
     InfeasibleIncumbent,
@@ -146,7 +150,7 @@ impl DiagCode {
     /// Every diagnostic code, in code order. This is the single registry the
     /// `blaze-audit` CLI lists and explains from; adding a variant without
     /// extending it fails the registry unit test.
-    pub const ALL: [DiagCode; 28] = [
+    pub const ALL: [DiagCode; 29] = [
         DiagCode::CycleOrForwardRef,
         DiagCode::DanglingParent,
         DiagCode::ZeroPartitions,
@@ -170,6 +174,7 @@ impl DiagCode {
         DiagCode::TraceSpanNesting,
         DiagCode::TraceAggregateMismatch,
         DiagCode::TraceUnpairedCacheEvent,
+        DiagCode::PrematureUnpersist,
         DiagCode::InfeasibleIncumbent,
         DiagCode::UnsoundPruneBound,
         DiagCode::UncoveredBranchLeaf,
@@ -203,6 +208,7 @@ impl DiagCode {
             DiagCode::TraceSpanNesting => "BA401",
             DiagCode::TraceAggregateMismatch => "BA402",
             DiagCode::TraceUnpairedCacheEvent => "BA403",
+            DiagCode::PrematureUnpersist => "BA404",
             DiagCode::InfeasibleIncumbent => "BA501",
             DiagCode::UnsoundPruneBound => "BA502",
             DiagCode::UncoveredBranchLeaf => "BA503",
@@ -242,6 +248,7 @@ impl DiagCode {
             DiagCode::TraceSpanNesting => "event-trace span nesting violation",
             DiagCode::TraceAggregateMismatch => "trace aggregates disagree with metrics",
             DiagCode::TraceUnpairedCacheEvent => "unpaired cache admit/evict event",
+            DiagCode::PrematureUnpersist => "premature-unpersist: dropped, then recomputed",
             DiagCode::InfeasibleIncumbent => "certificate incumbent infeasible or mispriced",
             DiagCode::UnsoundPruneBound => "certificate prune bound not justified",
             DiagCode::UncoveredBranchLeaf => "certificate tree misses part of the search space",
@@ -364,6 +371,15 @@ impl DiagCode {
                 "A cache event is unpaired: an eviction, spill or unpersist of a block with \
                  no earlier admission, or a double admission without an intervening removal."
             }
+            DiagCode::PrematureUnpersist => {
+                "A cache controller's own command (an auto-unpersist at a stage boundary or a \
+                 solver decision to drop a block) removed a cached block, and a later task \
+                 looked that block up, found nothing and recomputed it. The controller's \
+                 reference count said nobody would read the block again and the run proved \
+                 it wrong: either an access is not being counted (for example the job's own \
+                 read of its target) or the profile the references came from has diverged \
+                 from the real run. The user's own unpersist() calls are not reported."
+            }
             DiagCode::InfeasibleIncumbent => {
                 "The solution a decision certificate claims to prove violates its own \
                  constraints (capacity, fixed variables) or its recorded objective does not \
@@ -427,7 +443,8 @@ impl DiagCode {
             | DiagCode::CacheOvercommit
             | DiagCode::StragglerBudgetExceeded
             | DiagCode::CorruptionWithoutDiskTier
-            | DiagCode::SolveDeadlineTooSmall => Severity::Warning,
+            | DiagCode::SolveDeadlineTooSmall
+            | DiagCode::PrematureUnpersist => Severity::Warning,
         }
     }
 }

@@ -411,10 +411,15 @@ impl CacheController for BlazeController {
             self.relearn_refs(plan, ctx.app);
         }
         // Reference budget of this job: every dependency edge of every stage
-        // counts once and is consumed when its stage completes.
+        // counts once and is consumed when its stage completes. The action
+        // itself reads the target — from the cache when an earlier job left
+        // it there — so the target counts once too, consumed by the final
+        // stage, whose output it is.
         self.remaining.clear();
         self.consumed_by_stage.clear();
         self.ancestors.clear();
+        self.remaining.insert(job_plan.target, 1);
+        self.consumed_by_stage.insert(job_plan.target, vec![job_plan.target]);
         for stage in &job_plan.stages {
             for &rdd in &stage.rdds {
                 if let Ok(node) = plan.node(rdd) {
@@ -802,6 +807,45 @@ mod tests {
             cmds.contains(&StateCommand::UnpersistRdd(b.id())),
             "b has no future refs and must be auto-unpersisted, got {cmds:?}"
         );
+    }
+
+    /// The action of a job reads its target: a cached target with no
+    /// cross-job reference holds one in-job reference until the final stage
+    /// — the one that reads it — completes, however many (skipped) stages
+    /// complete before that.
+    #[test]
+    fn a_jobs_target_is_referenced_until_its_final_stage_completes() {
+        use blaze_dataflow::{runner::LocalRunner, Context};
+        let dctx = Context::new(LocalRunner::new());
+        let a = dctx.parallelize((0..16u64).map(|i| (i % 4, i)).collect::<Vec<_>>(), 1);
+        let b = a.reduce_by_key(1, |x, y| x + y).map_values(|v| v + 1);
+
+        let mut ctl = BlazeController::new(BlazeConfig::full(), None);
+        let ctx = ctrl_ctx();
+        let plan_lock = dctx.plan();
+        let plan = plan_lock.read();
+        let jp = blaze_dataflow::planner::plan_job(&plan, b.id()).unwrap();
+        assert!(jp.stages.len() > 1, "the job needs a stage ahead of its result stage");
+        ctl.on_job_submit(&ctx, JobId(0), &jp, &plan);
+        // `b` was cached by an earlier job; this is the last job to read it.
+        let binfo = info(b.id().raw(), 0, 4);
+        ctl.on_inserted(&ctx, &binfo, StoreTier::Memory);
+        assert_eq!(ctl.cross_job_refs(b.id()), 0);
+        let explained = ctl.explain_block(binfo.id).unwrap();
+        assert!(explained.contains("1 in-job + 0 cross-job"), "{explained}");
+        assert_eq!(ctl.value_weight(b.id(), None), 0.5);
+
+        let (result, earlier) = jp.stages.split_last().unwrap();
+        for stage in earlier {
+            let cmds = ctl.on_stage_complete(&ctx, stage.output, JobId(0), &plan);
+            assert!(
+                !cmds.contains(&StateCommand::UnpersistRdd(b.id())),
+                "the target was dropped before the stage that reads it: {cmds:?}"
+            );
+        }
+        let cmds = ctl.on_stage_complete(&ctx, result.output, JobId(0), &plan);
+        assert!(cmds.contains(&StateCommand::UnpersistRdd(b.id())), "{cmds:?}");
+        assert_eq!(ctl.value_weight(b.id(), None), 0.0);
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //!   aggregates (BA402 — impossible for the engine's own log and metrics,
 //!   so it guards logs edited or produced outside the engine), or a cache
 //!   event is unpaired — e.g. an eviction with no earlier admission (BA403).
+//!   One finding is about the policy, not the bookkeeping, and is a warning:
+//!   a block a controller command dropped and a later task recomputed (BA404).
 //!
 //! Exports: Chrome trace-event JSON ([`TraceLog::chrome_json`], loadable in
 //! `chrome://tracing` / Perfetto) and a human-readable per-job cache-decision
@@ -636,13 +638,16 @@ impl TraceLog {
 
     /// Validates the log against the run's aggregate metrics: span nesting
     /// (BA401), aggregate reproduction (BA402) and admit/evict pairing
-    /// (BA403). A clean report proves the aggregates are exactly the sums
-    /// of the recorded events.
+    /// (BA403). A report that [`AuditReport::passes`] proves the aggregates
+    /// are exactly the sums of the recorded events; the warnings it may
+    /// still carry (BA404) are the controller's mispredictions, not the
+    /// engine's bookkeeping.
     pub fn validate(&self, metrics: &Metrics) -> AuditReport {
         let mut ds = Vec::new();
         self.check_spans(&mut ds);
         self.check_aggregates(metrics, &mut ds);
         self.check_pairing(&mut ds);
+        self.check_premature_unpersists(&mut ds);
         AuditReport::new(ds)
     }
 
@@ -819,6 +824,56 @@ impl TraceLog {
                     ),
                     "every eviction must pair with an earlier admit".into(),
                 ));
+            }
+        }
+    }
+
+    /// BA404: a block dropped by a controller command and recomputed later.
+    /// The records of a command-driven unpersist and of the user's
+    /// `unpersist()` are the same; what tells them apart is where they sit:
+    /// commands are applied at job submission and at stage completion, so
+    /// inside an open job of the recording app, while the driver can only
+    /// call `unpersist()` between its jobs.
+    fn check_premature_unpersists(&self, ds: &mut Vec<Diagnostic>) {
+        let mut open_jobs: FxHashMap<AppId, JobId> = FxHashMap::default();
+        let mut dropped_in: FxHashMap<BlockId, (AppId, JobId)> = FxHashMap::default();
+        for ev in &self.events {
+            match ev {
+                TraceEvent::JobStarted { app, job, .. } => {
+                    open_jobs.insert(*app, *job);
+                }
+                TraceEvent::JobCompleted { app, .. } => {
+                    open_jobs.remove(app);
+                }
+                TraceEvent::Cache(r) => match r.decision {
+                    CacheDecision::UnpersistMemory | CacheDecision::UnpersistDisk => {
+                        if let Some(&job) = open_jobs.get(&r.app) {
+                            dropped_in.insert(r.id, (r.app, job));
+                        }
+                    }
+                    CacheDecision::MissRecompute => {
+                        let Some((app, job)) = dropped_in.remove(&r.id) else { continue };
+                        let by = open_jobs.get(&r.app).map_or("no job".into(), |j| j.to_string());
+                        ds.push(Diagnostic::new(
+                            DiagCode::PrematureUnpersist,
+                            Some(r.id.rdd),
+                            format!(
+                                "{} was unpersisted by a controller command in {app}/{job} and \
+                                 recomputed in {}/{by} at {}",
+                                r.id, r.app, r.at
+                            ),
+                            "the controller counted no reference where the run made one; see \
+                             the block's ledger (`blaze-trace --explain`) for the counts it saw"
+                                .into(),
+                        ));
+                    }
+                    // Cached again: what happens to it next is a new decision.
+                    CacheDecision::AdmitMemory | CacheDecision::AdmitDisk => {
+                        dropped_in.remove(&r.id);
+                    }
+                    _ => {}
+                },
+                _ => {}
             }
         }
     }
@@ -1140,6 +1195,43 @@ mod tests {
         log.record(cache(26, 0, 6, 0, CacheDecision::AdmitMemory));
         log.record(cache(27, 0, 6, 0, CacheDecision::AdmitMemory));
         assert!(log.validate(&m).has(DiagCode::TraceUnpairedCacheEvent));
+    }
+
+    #[test]
+    fn a_command_dropped_block_recomputed_later_is_ba404() {
+        let mut log = TraceLog::new();
+        log.record(job_started(0, 0, 0));
+        log.record(cache(1, 0, 5, 0, CacheDecision::AdmitMemory));
+        log.record(cache(1, 0, 6, 0, CacheDecision::AdmitMemory));
+        log.record(cache(1, 0, 7, 0, CacheDecision::AdmitMemory));
+        log.record(job_completed(2, 0, 0));
+        // Between jobs only the driver can drop a block: rdd-5 goes by the
+        // user's `unpersist()`, which is theirs to get wrong.
+        log.record(cache(2, 0, 5, 0, CacheDecision::UnpersistMemory));
+        log.record(job_started(3, 0, 1));
+        // Inside a job it is a controller command: rdd-6 and rdd-7 go.
+        log.record(cache(3, 0, 6, 0, CacheDecision::UnpersistMemory));
+        log.record(cache(3, 0, 7, 0, CacheDecision::UnpersistMemory));
+        log.record(cache(4, 0, 5, 0, CacheDecision::MissRecompute));
+        log.record(cache(4, 0, 6, 0, CacheDecision::MissRecompute));
+        log.record(job_completed(5, 0, 1));
+        log.record(job_started(5, 0, 2));
+        // One report per drop: the second miss of rdd-6 has no drop before it.
+        log.record(cache(6, 0, 6, 0, CacheDecision::MissRecompute));
+        log.record(job_completed(7, 0, 2));
+
+        let report = log.validate(&Metrics::from_events(log.events()));
+        let found: Vec<_> =
+            report.diagnostics.iter().filter(|d| d.code == DiagCode::PrematureUnpersist).collect();
+        // rdd-7 was dropped and never missed: not a misprediction.
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].severity, blaze_audit::Severity::Warning);
+        assert_eq!(found[0].rdd, Some(RddId(6)));
+        let msg = &found[0].message;
+        assert!(msg.contains("rdd-6[0]"), "{msg}");
+        assert!(msg.contains("in app-0/job-1 and recomputed in app-0/job-1"), "{msg}");
+        // A warning: the audit still passes.
+        assert!(report.errors().all(|d| d.code != DiagCode::PrematureUnpersist));
     }
 
     #[test]

@@ -36,10 +36,15 @@ run env BLAZE_CHAOS_SEEDS="${BLAZE_CHAOS_SEEDS:-11,23,37,41,53}" \
 # Trace validation: the structured event log must pass its self-audit
 # (span nesting, metrics reconciliation, cache-event pairing) and be
 # byte-identical across worker-thread counts. One memory-pressured and one
-# compute-bound workload keep the step fast; the full six-workload sweep is
-# `--validate` with no --apps filter.
+# compute-bound workload carry the thread sweep; the other four run
+# single-threaded (under a second each), so every run prints all six apps'
+# BA404 counts (`ba404=N`: blocks a controller command dropped and a later
+# task recomputed — a warning, counted, never a failure). The full
+# six-workload thread sweep is `--validate` with no --apps filter.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
     --validate --apps pagerank,kmeans --threads 1,2,4
+run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
+    --validate --apps cc,lr,gbt,svdpp --threads 1
 # Graceful-degradation smoke: under duress (stragglers, corrupted spills,
 # capped solver) speculation must win races and shorten the makespan, at
 # least one corrupted spill must be caught and quarantined, and the capped

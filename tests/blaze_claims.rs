@@ -3,7 +3,7 @@
 //! evaluation-level shape).
 
 use blaze::common::ByteSize;
-use blaze::core::extract_dependencies;
+use blaze::core::{extract_dependencies, BlazeConfig, BlazeController};
 use blaze::dataflow::{Context, CostSpec};
 use blaze::engine::{Cluster, ClusterConfig};
 use blaze::workloads::SystemKind;
@@ -148,4 +148,32 @@ fn blaze_drops_annotated_data_without_future_use() {
         "junk (32 KB) should have been auto-unpersisted; memory holds {used} bytes"
     );
     assert_eq!(cluster.metrics().evictions, 0, "dropping junk is unpersist, not eviction");
+}
+
+/// A job's action reads its target. The last job to touch a cached dataset
+/// is such a read with no later reference behind it, and here it has a
+/// (skipped) map stage ahead of its result stage: completing that stage
+/// must not auto-unpersist what the result stage is about to read.
+#[test]
+fn the_last_read_of_a_cached_target_is_a_hit_behind_a_skipped_stage() {
+    const PARTS: usize = 4;
+    let app = |ctx: &Context| -> blaze::common::Result<()> {
+        let a = ctx.parallelize((0..4_000u64).map(|i| (i % 97, i)).collect::<Vec<_>>(), PARTS);
+        let b = a.reduce_by_key(PARTS, |x, y| x + y).map(|(k, v)| (*k, v + 1));
+        b.cache();
+        b.count()?;
+        b.collect()?;
+        Ok(())
+    };
+    let profile = extract_dependencies(app, 0).unwrap();
+    let cluster = Cluster::new(
+        ClusterConfig { executors: 2, slots_per_executor: 1, ..Default::default() },
+        Box::new(BlazeController::new(BlazeConfig::full(), Some(profile))),
+    )
+    .unwrap();
+    app(&Context::new(cluster.clone())).unwrap();
+    let m = cluster.metrics();
+    assert_eq!(m.stages_skipped, 1, "the second job's map stage is skipped");
+    assert_eq!(m.recompute_misses, 0, "the cached target was dropped ahead of its own read");
+    assert_eq!(m.mem_hits, PARTS as u64);
 }

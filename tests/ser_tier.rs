@@ -21,13 +21,21 @@
 //!    generator (`tests/common`), profiled and under memory pressure, makes
 //!    the solver pick the s-state in at least one generated case per run,
 //!    and every case stays result-transparent with a clean trace audit.
+//! 6. **A job's read of its own target is a reference** — the same
+//!    generated pipelines, with a store that holds everything, never
+//!    recompute a block in a job whose target is that block's dataset: the
+//!    generator's `count()`s on earlier cached datasets sit behind skipped
+//!    shuffle stages, and completing those must not auto-unpersist what the
+//!    result stage is about to read.
 
 mod common;
 
 use blaze::common::ByteSize;
 use blaze::core::{extract_dependencies, BlazeConfig, BlazeController};
-use blaze::dataflow::{Context, CostSpec};
-use blaze::engine::{Cluster, ClusterConfig, FaultPlan, Metrics, TraceLog};
+use blaze::dataflow::{planner::plan_job, Context, CostSpec, Plan};
+use blaze::engine::{
+    CacheDecision, Cluster, ClusterConfig, FaultPlan, Metrics, TraceEvent, TraceLog,
+};
 use common::{apply, small_cluster, step_strategy};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -212,12 +220,43 @@ fn ser_tier_certified_run_verifies_inline() {
 /// `ser_transitions` summed over the cases of [`pressured_pipeline_case`].
 static GENERATED_SER_TRANSITIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Cases of [`pressured_pipeline_case`] with a job of the contract-6 shape.
+static CASES_READING_A_CACHED_TARGET: AtomicU64 = AtomicU64::new(0);
+
+/// Whether some job of `trace` looked its own target up in the cache with at
+/// least one stage ahead of its result stage (the contract-6 shape), and the
+/// lookups of that kind that missed.
+fn reads_of_cached_targets(trace: &TraceLog, plan: &Plan) -> (bool, Vec<String>) {
+    let (mut reached, mut missed) = (false, Vec::new());
+    let mut target = None;
+    for ev in trace.events() {
+        match ev {
+            TraceEvent::JobStarted { target: t, .. } => {
+                let staged = plan_job(plan, *t).expect("the job ran").stages.len() > 1;
+                target = staged.then_some(*t);
+            }
+            TraceEvent::Cache(r) if Some(r.id.rdd) == target => match r.decision {
+                CacheDecision::HitMemory
+                | CacheDecision::HitSerializedMemory
+                | CacheDecision::HitDisk => reached = true,
+                CacheDecision::MissRecompute => {
+                    reached = true;
+                    missed.push(format!("{} at {}", r.id, r.at));
+                }
+                _ => {}
+            },
+            _ => {}
+        }
+    }
+    (reached, missed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// One generated pipeline under profiled ser-tier Blaze, the store sized
     /// as a percentage of one un-reduced dataset's per-executor bytes:
-    /// results equal the local runner's and the trace audit is clean. Not a
+    /// results equal the local runner's and the trace audit finds no error. Not a
     /// `#[test]` of its own — contract 5 needs every case to have run.
     fn pressured_pipeline_case(
         elems in 400u64..2_000,
@@ -225,20 +264,33 @@ proptest! {
         pressure_pct in 35u64..130,
     ) {
         let run_on = |ctx: &Context| apply(ctx, elems, 16, 4, &steps);
-        let profile = extract_dependencies(|ctx| run_on(ctx).map(|_| ()), 0).expect("profiling run");
-        let config = ClusterConfig {
-            memory_capacity: ByteSize::from_bytes(elems * 16 / 2 * pressure_pct / 100),
-            tracing: true,
-            ..cluster_config(FaultPlan::default())
+        // One traced run under profiled ser-tier Blaze at a given store size.
+        let run_with = |memory_capacity: ByteSize| {
+            let profile =
+                extract_dependencies(|ctx| run_on(ctx).map(|_| ()), 0).expect("profiling run");
+            let config = ClusterConfig {
+                memory_capacity,
+                tracing: true,
+                ..cluster_config(FaultPlan::default())
+            };
+            let controller = BlazeController::new(BlazeConfig::full_ser_tier(), Some(profile));
+            let cluster = Cluster::new(config, Box::new(controller)).expect("valid config");
+            let ctx = Context::new(cluster.clone());
+            let got = run_on(&ctx).expect("cluster run");
+            (got, cluster.metrics(), cluster.trace().expect("tracing was enabled"), ctx)
         };
-        let controller = BlazeController::new(BlazeConfig::full_ser_tier(), Some(profile));
-        let cluster = Cluster::new(config, Box::new(controller)).expect("valid config");
-        let got = run_on(&Context::new(cluster.clone())).expect("cluster run");
+        let (got, metrics, trace, _) =
+            run_with(ByteSize::from_bytes(elems * 16 / 2 * pressure_pct / 100));
         prop_assert_eq!(got, common::reference(|ctx| run_on(ctx).expect("reference run")));
-        let metrics = cluster.metrics();
-        let report = cluster.trace().expect("tracing was enabled").validate(&metrics);
-        prop_assert!(report.is_clean(), "trace audit failed: {:?}", report.diagnostics);
+        let report = trace.validate(&metrics);
+        prop_assert!(report.passes(), "trace audit failed: {:?}", report.diagnostics);
         GENERATED_SER_TRANSITIONS.fetch_add(metrics.ser_transitions, Ordering::Relaxed);
+
+        // Contract 6: the same pipeline and profile, nothing forced out.
+        let (_, _, trace, ctx) = run_with(ByteSize::from_mib(64));
+        let (reached, missed) = reads_of_cached_targets(&trace, &ctx.plan().read());
+        prop_assert!(missed.is_empty(), "a job recomputed its own cached target: {:?}", missed);
+        CASES_READING_A_CACHED_TARGET.fetch_add(u64::from(reached), Ordering::Relaxed);
     }
 }
 
@@ -250,4 +302,8 @@ fn random_pressured_pipelines_reach_the_s_tier() {
         GENERATED_SER_TRANSITIONS.load(Ordering::Relaxed) > 0,
         "no generated case made the multi-choice solver pick an s-state"
     );
+    // Contract 6 is only as good as the cases that reach its shape.
+    let reached = CASES_READING_A_CACHED_TARGET.load(Ordering::Relaxed);
+    println!("{reached} generated cases read a cached job target behind an earlier stage");
+    assert!(reached > 0, "no generated case read a cached job target behind an earlier stage");
 }

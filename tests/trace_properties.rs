@@ -76,11 +76,9 @@ proptest! {
         let fault = fault_variant(fault_pick, seed);
         let (metrics, trace) = run(elems, &steps, capacity_kib, system, 2, fault.clone(), true);
         let report = trace.expect("tracing was enabled").validate(&metrics);
-        prop_assert!(
-            report.is_clean(),
-            "trace audit failed: {:?}",
-            report.diagnostics
-        );
+        // Errors only: BA404 warnings are the policy's mispredictions (Blaze
+        // without a profile guesses references), not the engine's bookkeeping.
+        prop_assert!(report.passes(), "trace audit failed: {:?}", report.diagnostics);
         // The trace actually covers the run: one span per committed task.
         prop_assert!(metrics.tasks > 0);
         // Tracing off folds the same events without retaining them.
