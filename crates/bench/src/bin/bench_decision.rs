@@ -33,8 +33,9 @@
 //!
 //! Flags: `--quick` (CI-sized run, no JSON), `--check` (exit non-zero if
 //! the stress speedups regress below [`CHECK_MIN_SPEEDUP`], an admission
-//! costs more than its [`ADMISSION_SHAPES`] ceiling, or certificate
-//! verification costs more than [`CHECK_MAX_VERIFY_RATIO`] of solving).
+//! costs more than its [`ADMISSION_SHAPES`] ceiling, or a strategy's
+//! certificate verification costs more than its [`VERIFY_RATIO_CEILINGS`]
+//! share of solving).
 //!
 //! A fourth section measures the **certify** overhead (see `blaze-certify`):
 //! per strategy, how much certificate *emission* adds to a solve and what
@@ -72,10 +73,15 @@ use std::time::Instant;
 /// results sit far above this; the margin absorbs CI machine noise.
 const CHECK_MIN_SPEEDUP: f64 = 2.0;
 
-/// Maximum aggregate `verify_s / solve_s` ratio `--check` tolerates across
-/// the certify section: checking proofs must stay a small fraction of
-/// producing answers, or the certificates are not cheaper than re-solving.
-const CHECK_MAX_VERIFY_RATIO: f64 = 0.2;
+/// Each certify row's `--check` ceiling on `verify_s / solve_s`: checking a
+/// proof must stay a fraction of producing the answer, or the certificate
+/// is no cheaper than re-solving. About twice the worst of eight `--quick`
+/// runs when the ceilings were set (knapsack 0.23, multi-choice 0.11,
+/// greedy 0.43, exact-ilp 0.19 with one 0.45 outlier; the full run's rows
+/// are in `BENCH_decision.json`), so host noise passes and a replay gone
+/// several times slower does not.
+const VERIFY_RATIO_CEILINGS: [(&str, f64); 4] =
+    [("knapsack", 0.5), ("multi-choice", 0.25), ("greedy", 1.0), ("exact-ilp", 1.0)];
 
 /// The admission row's resident counts, each with the `--check` ceiling in
 /// microseconds per `choose_victims` call: about twice the value measured
@@ -577,6 +583,8 @@ struct CertifySample {
     solve_s: f64,
     certify_solve_s: f64,
     verify_s: f64,
+    /// The row's [`VERIFY_RATIO_CEILINGS`] entry.
+    ceiling: f64,
 }
 
 impl CertifySample {
@@ -697,7 +705,11 @@ fn certify_row<I, P, C, A: PartialEq + std::fmt::Debug>(
         verify_s += t.elapsed().as_secs_f64();
         assert!(findings.is_empty(), "{strategy} seed {seed}: {findings:?}");
     }
-    CertifySample { strategy, instances: count, solve_s, certify_solve_s, verify_s }
+    let ceiling = VERIFY_RATIO_CEILINGS
+        .iter()
+        .find_map(|&(s, c)| (s == strategy).then_some(c))
+        .expect("every certify row has a ceiling");
+    CertifySample { strategy, instances: count, solve_s, certify_solve_s, verify_s, ceiling }
 }
 
 /// Measures certificate emission + verification overhead per strategy.
@@ -761,7 +773,7 @@ fn bench_certify(quick: bool) -> Vec<CertifySample> {
     for s in &samples {
         eprintln!(
             "certify {:12} instances={:3} solve={:.4}s certified={:.4}s ({:+.1}%) \
-             verify={:.4}s (ratio {:.3})",
+             verify={:.4}s (ratio {:.3}, ceiling {:.2})",
             s.strategy,
             s.instances,
             s.solve_s,
@@ -769,13 +781,14 @@ fn bench_certify(quick: bool) -> Vec<CertifySample> {
             s.emit_overhead() * 100.0,
             s.verify_s,
             s.verify_ratio(),
+            s.ceiling,
         );
     }
     samples
 }
 
-/// Aggregate `verify / solve` across the certify section (what `--check`
-/// bounds): total proof-checking time over total answer-producing time.
+/// Aggregate `verify / solve` across the certify section: total
+/// proof-checking time over total answer-producing time.
 fn aggregate_verify_ratio(certify: &[CertifySample]) -> f64 {
     let solve: f64 = certify.iter().map(|s| s.solve_s).sum();
     let verify: f64 = certify.iter().map(|s| s.verify_s).sum();
@@ -854,7 +867,7 @@ fn render_json(
         s.push_str(&format!(
             "    {{\"strategy\": \"{}\", \"instances\": {}, \"solve_s\": {:.6}, \
              \"certify_solve_s\": {:.6}, \"verify_s\": {:.6}, \"emit_overhead\": {:.3}, \
-             \"verify_ratio\": {:.3}}}{}\n",
+             \"verify_ratio\": {:.3}, \"check_ceiling\": {:.2}}}{}\n",
             c.strategy,
             c.instances,
             nz(c.solve_s),
@@ -862,6 +875,7 @@ fn render_json(
             nz(c.verify_s),
             nz(c.emit_overhead()),
             nz(c.verify_ratio()),
+            c.ceiling,
             if i + 1 < certify.len() { "," } else { "" }
         ));
     }
@@ -908,15 +922,19 @@ fn main() {
                 a.ceiling_us
             );
         }
-        let ratio = aggregate_verify_ratio(&certify);
-        assert!(
-            ratio < CHECK_MAX_VERIFY_RATIO,
-            "certificate verification cost {ratio:.3} of solve time exceeds the \
-             {CHECK_MAX_VERIFY_RATIO} ceiling"
-        );
+        for c in &certify {
+            assert!(
+                c.verify_ratio() <= c.ceiling,
+                "certificate-verification regression: {} verifies in {:.3} of its solve time, \
+                 over the {:.2} ceiling",
+                c.strategy,
+                c.verify_ratio(),
+                c.ceiling
+            );
+        }
         eprintln!(
-            "check passed: deep/churn speedups above {CHECK_MIN_SPEEDUP}x, admissions under \
-             their ceilings, verify ratio {ratio:.3} below {CHECK_MAX_VERIFY_RATIO}"
+            "check passed: deep/churn speedups above {CHECK_MIN_SPEEDUP}x, admissions and \
+             certificate verification under their ceilings"
         );
     }
 

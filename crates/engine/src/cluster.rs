@@ -197,8 +197,7 @@ pub(crate) struct ClusterState {
     pub(crate) next_crash: usize,
 
     // -- Accounting: written through `emit`, from the serial phases only.
-    /// The fold of every emitted event ([`Self::emit`]), plus the few
-    /// fields no event describes (stage counts, gauges, off-task charges).
+    /// The fold of every emitted event ([`Self::emit`]), every field.
     pub(crate) metrics: Metrics,
     /// The metrics fold's private state.
     open_jobs: OpenJobs,
@@ -361,8 +360,8 @@ impl ClusterState {
 
     /// Preflight audit (see `blaze-audit`): error-severity diagnostics
     /// abort the job with [`BlazeError::Audit`] before any task runs;
-    /// warning-severity findings are counted into the metrics once per
-    /// (code, dataset). [`ClusterConfig::strict_audit`] promotes warnings
+    /// warning-severity findings are recorded, one [`TraceEvent::AuditWarning`]
+    /// per (code, dataset). [`ClusterConfig::strict_audit`] promotes warnings
     /// to errors.
     fn preflight_audit(&mut self, plan: &Plan, target: RddId) -> Result<()> {
         if !self.job_targets.contains(&target) {
@@ -413,7 +412,8 @@ impl ClusterState {
         }
         for d in report.warnings() {
             if self.seen_audit.insert((d.code, d.rdd)) {
-                self.metrics.audit_warnings += 1;
+                let (at, app) = (self.clock_floor, self.current_app);
+                self.emit(TraceEvent::AuditWarning { at, app, code: d.code, rdd: d.rdd });
             }
         }
         Ok(())
@@ -540,10 +540,9 @@ impl ClusterState {
 
         if !is_result && self.skip_check(&run, stage.num_partitions) {
             ticket.stage_done[stage.index] = start;
-            self.metrics.stages_skipped += 1;
             // Skipped stages still "complete": dependency-aware
             // controllers must see their references consumed.
-            self.stage_completed(&run, start);
+            self.stage_completed(&run, start, true);
             return Ok(());
         }
 
@@ -551,19 +550,25 @@ impl ClusterState {
         let stage_end = self.commit_stage(&mut run, is_result.then_some(&mut ticket.results))?;
         ticket.stage_done[stage.index] = stage_end;
         self.debug_check_store_accounting();
-        self.stage_completed(&run, stage_end);
-        self.metrics.stages_run += 1;
-        let disk_resident: ByteSize = self.stores.disk.iter().map(BlockStore::used).sum();
-        self.metrics.sample_disk_residency(disk_resident);
+        self.stage_completed(&run, stage_end, false);
         Ok(())
     }
 
-    /// The stage-completion hook (auto-caching / prefetch) and the state
-    /// transitions it asks for.
-    fn stage_completed(&mut self, run: &StageRun<'_>, at: SimTime) {
+    /// The stage-completion hook (auto-caching / prefetch), the state
+    /// transitions it asks for, and then the stage's record: a stage that
+    /// ran samples the disk residency the hook left behind.
+    fn stage_completed(&mut self, run: &StageRun<'_>, at: SimTime, skipped: bool) {
         let ctx = self.ctrl_ctx(at);
         let cmds = self.controller.on_stage_complete(&ctx, run.output, run.job, run.plan);
         self.apply_commands(at, cmds);
+        let disk_resident = (!skipped).then(|| self.stores.disk.iter().map(BlockStore::used).sum());
+        self.emit(TraceEvent::StageCompleted {
+            at,
+            app: self.current_app,
+            job: run.job,
+            stage_output: run.output,
+            disk_resident,
+        });
     }
 
     /// The skip check for a map stage: true when every shuffle it feeds

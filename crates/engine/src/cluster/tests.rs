@@ -301,6 +301,99 @@ fn full_disk_store_degrades_gracefully() {
     assert!(cl.disk_used()[0] <= ByteSize::from_bytes(16));
 }
 
+/// The full-disk path of an eviction: every eviction here makes room for
+/// one 4 000-byte block, so `EvictingLru` spills each victim, and the disk
+/// holds five at a time. A refused spill is a recorded fact, so `disk_bytes_written`
+/// — folded from the records — still counts only the accepted writes.
+#[test]
+fn a_refused_spill_is_recorded_and_writes_nothing() {
+    let config = ClusterConfig {
+        executors: 1,
+        slots_per_executor: 1,
+        memory_capacity: ByteSize::from_kib(16),
+        disk_capacity: ByteSize::from_kib(20),
+        tracing: true,
+        ..Default::default()
+    };
+    let cl = Cluster::new(config, Box::new(EvictingLru::default())).unwrap();
+    let ctx = Context::new(cl.clone());
+    let ds = ctx.range(0..4_000, 8).map(|x| x + 1);
+    ds.count().unwrap();
+    ds.count().unwrap();
+    let (metrics, trace) = (cl.metrics(), cl.trace().expect("tracing enabled"));
+
+    let records = |decision| -> Vec<&CacheRecord> {
+        trace
+            .events()
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Cache(r) if r.decision == decision => Some(r),
+                _ => None,
+            })
+            .collect()
+    };
+    let refused = records(CacheDecision::SpillRefused);
+    let spilled = records(CacheDecision::EvictToDisk);
+    assert!(!refused.is_empty(), "the disk must refuse a spill");
+    assert!(refused.len() < spilled.len(), "and accept another");
+    let refused_block = refused[0].id;
+    assert!(trace.ledger().contains(&format!("spill-refused  {refused_block}")));
+    let history = trace.explain(refused_block);
+    assert!(history.contains("disk not resident"), "{history}");
+    // Only the accepted writes: seven 4 000-byte spills.
+    assert_eq!(metrics.disk_bytes_written, ByteSize::from_bytes(28_000));
+    let bytes = |rs: Vec<&CacheRecord>| rs.iter().map(|r| r.bytes).sum::<ByteSize>();
+    assert_eq!(
+        metrics.disk_bytes_written + bytes(refused),
+        bytes(spilled) + bytes(records(CacheDecision::AdmitDisk))
+    );
+    let report = trace.validate(&metrics);
+    assert!(report.is_clean(), "{:?}", report.diagnostics);
+}
+
+/// Every growth of a memory store can set the memory high-water mark, a
+/// promotion included: here the only memory-resident blocks ever are
+/// promoted from disk, no admission runs at all.
+#[test]
+fn a_promotion_can_set_the_memory_peak() {
+    /// Admits the annotated dataset to disk and promotes all of it at the
+    /// stage's completion.
+    #[derive(Default)]
+    struct DiskThenPromote {
+        spilled: Vec<BlockId>,
+    }
+    impl CacheController for DiskThenPromote {
+        fn name(&self) -> String {
+            "DiskThenPromote".into()
+        }
+        fn admit(&mut self, _: &CtrlCtx, b: &BlockInfo) -> Admission {
+            self.spilled.push(b.id);
+            Admission::Disk
+        }
+        fn on_stage_complete(
+            &mut self,
+            _: &CtrlCtx,
+            _: RddId,
+            _: JobId,
+            _: &Plan,
+        ) -> Vec<StateCommand> {
+            self.spilled.drain(..).map(StateCommand::PromoteToMemory).collect()
+        }
+    }
+    let config = ClusterConfig { executors: 2, tracing: true, ..Default::default() };
+    let cl = Cluster::new(config, Box::new(DiskThenPromote::default())).unwrap();
+    let ctx = Context::new(cl.clone());
+    let ds = ctx.range(0..1_000, 4).map(|x| x + 1);
+    ds.cache();
+    ds.count().unwrap();
+    let in_memory: ByteSize = cl.memory_used().into_iter().sum();
+    assert!(!in_memory.is_zero() && cl.disk_used().iter().all(|b| b.is_zero()));
+    let metrics = cl.metrics();
+    assert_eq!(metrics.memory_bytes_peak, in_memory);
+    let report = cl.trace().expect("tracing enabled").validate(&metrics);
+    assert!(report.is_clean(), "{:?}", report.diagnostics);
+}
+
 #[test]
 fn skipped_stages_still_notify_the_controller() {
     use std::sync::atomic::{AtomicU32, Ordering};

@@ -6,11 +6,11 @@
 //! recomputation time (Figs. 5 and 12b), disk-resident cache volume (§7.2
 //! inline statistics) and the application completion time (Fig. 9).
 //!
-//! [`Metrics`] is a fold over the engine's event stream: every field a
-//! [`TraceEvent`] describes is written by [`Metrics::apply`] and nowhere
-//! else, whether or not the events are also retained in a
-//! [`crate::tracing::TraceLog`]. The few fields no event describes are
-//! written directly by the engine (DESIGN.md "Observability" lists them).
+//! [`Metrics`] is a fold over the engine's event stream: every field is
+//! written by [`Metrics::apply`] and nowhere else, whether or not the events
+//! are also retained in a [`crate::tracing::TraceLog`] — so
+//! `Metrics::from_events(log) == metrics` holds for a whole run, which is
+//! what the trace audit's BA402 checks.
 
 use crate::fault::FaultCause;
 use crate::tracing::{CacheDecision, CacheRecord, TraceEvent};
@@ -279,7 +279,8 @@ pub struct Metrics {
     pub spilled_bytes_per_executor: FxHashMap<ExecutorId, ByteSize>,
     /// Bytes evicted from memory and discarded outright, per executor.
     pub discarded_bytes_per_executor: FxHashMap<ExecutorId, ByteSize>,
-    /// Cumulative bytes of cache data written to disk.
+    /// Cumulative bytes of cache data written to disk (a spill the full
+    /// disk refused wrote nothing).
     pub disk_bytes_written: ByteSize,
     /// Peak bytes of cache data resident on disk.
     pub disk_bytes_peak: ByteSize,
@@ -338,9 +339,9 @@ impl Metrics {
         Self::default()
     }
 
-    /// Folds one engine event into the aggregates: the only writer of
-    /// every field a [`TraceEvent`] describes. `open` is the fold's private
-    /// state and must be the same value across one event stream.
+    /// Folds one engine event into the aggregates: the only writer of every
+    /// field. `open` is the fold's private state and must be the same value
+    /// across one event stream.
     pub(crate) fn apply(&mut self, open: &mut OpenJobs, ev: &TraceEvent) {
         match ev {
             TraceEvent::JobStarted { app, job, .. } => {
@@ -406,6 +407,18 @@ impl Metrics {
                 self.recovery.fetch_backoff_time += *backoff;
             }
             TraceEvent::FetchEscalated { .. } => self.recovery.fetch_escalations += 1,
+            TraceEvent::StageCompleted { disk_resident: None, .. } => self.stages_skipped += 1,
+            TraceEvent::StageCompleted { disk_resident: Some(resident), .. } => {
+                self.stages_run += 1;
+                self.disk_bytes_peak = self.disk_bytes_peak.max(*resident);
+                self.disk_bytes_sampled_sum += *resident;
+                self.disk_samples += 1;
+            }
+            TraceEvent::AuditWarning { .. } => self.audit_warnings += 1,
+            TraceEvent::MemoryPeak { bytes, .. } => {
+                self.memory_bytes_peak = self.memory_bytes_peak.max(*bytes);
+            }
+            TraceEvent::OffTaskCharge { charge, .. } => self.accumulated.merge(charge),
         }
     }
 
@@ -439,7 +452,13 @@ impl Metrics {
                 self.evictions_to_disk += 1;
                 *self.spilled_bytes_per_executor.entry(r.executor).or_default() += r.bytes;
                 self.per_app.entry(r.owner).or_default().evictions += 1;
+                self.disk_bytes_written += r.bytes;
             }
+            // Still an eviction to disk; only the write did not happen.
+            CacheDecision::SpillRefused => {
+                self.disk_bytes_written = self.disk_bytes_written.saturating_sub(r.bytes);
+            }
+            CacheDecision::AdmitDisk => self.disk_bytes_written += r.bytes,
             CacheDecision::EvictDiscard => {
                 self.evictions += 1;
                 self.evictions_discard += 1;
@@ -453,7 +472,6 @@ impl Metrics {
                 self.per_app.entry(r.owner).or_default().unpersists += 1;
             }
             CacheDecision::AdmitMemory
-            | CacheDecision::AdmitDisk
             | CacheDecision::PromoteToMemory
             | CacheDecision::LostMemory
             | CacheDecision::LostDisk
@@ -462,7 +480,7 @@ impl Metrics {
     }
 
     /// The aggregates of a whole event stream: what the engine's own
-    /// [`Metrics`] hold in every event-derived field after emitting `events`.
+    /// [`Metrics`] hold after emitting `events`.
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let mut metrics = Self::default();
         let mut open = OpenJobs::default();
@@ -518,11 +536,51 @@ impl Metrics {
         v
     }
 
-    /// Samples the current disk residency (called at stage completion).
-    pub fn sample_disk_residency(&mut self, resident: ByteSize) {
-        self.disk_bytes_peak = self.disk_bytes_peak.max(resident);
-        self.disk_bytes_sampled_sum += resident;
-        self.disk_samples += 1;
+    /// The first field, in declaration order, in which `self` and `other`
+    /// differ (`None` when they are equal): what a BA402 names. The pattern
+    /// lists every field, so a field added to [`Metrics`] does not compile
+    /// until it is listed here too.
+    pub(crate) fn first_difference(&self, other: &Self) -> Option<&'static str> {
+        macro_rules! first_of {
+            ($($field:ident),+) => {{
+                let Self { $($field),+ } = self;
+                $(if *$field != other.$field {
+                    return Some(stringify!($field));
+                })+
+                None
+            }};
+        }
+        first_of!(
+            accumulated,
+            tasks,
+            jobs,
+            stages_run,
+            stages_skipped,
+            evictions,
+            evictions_discard,
+            evictions_to_disk,
+            spilled_bytes_per_executor,
+            discarded_bytes_per_executor,
+            disk_bytes_written,
+            disk_bytes_peak,
+            disk_bytes_sampled_sum,
+            disk_samples,
+            memory_bytes_peak,
+            recompute_by_job_rdd,
+            mem_hits,
+            ser_mem_hits,
+            ser_mem_hits_by_job,
+            ser_transitions,
+            disk_hits,
+            recompute_misses,
+            audit_warnings,
+            recovery,
+            speculation,
+            speculation_by_job,
+            per_app,
+            completion_time,
+            task_traces
+        )
     }
 
     /// The average disk-resident cache volume over sampled points.
@@ -700,11 +758,21 @@ mod tests {
         );
     }
 
+    fn stage(disk_resident_mib: Option<u64>) -> TraceEvent {
+        TraceEvent::StageCompleted {
+            at: SimTime::ZERO,
+            app: AppId(0),
+            job: JobId(0),
+            stage_output: RddId(1),
+            disk_resident: disk_resident_mib.map(ByteSize::from_mib),
+        }
+    }
+
     #[test]
     fn disk_residency_sampling() {
-        let mut m = Metrics::new();
-        m.sample_disk_residency(ByteSize::from_mib(10));
-        m.sample_disk_residency(ByteSize::from_mib(30));
+        // A skipped stage takes no sample.
+        let m = Metrics::from_events(&[stage(Some(10)), stage(None), stage(Some(30))]);
+        assert_eq!((m.stages_run, m.stages_skipped, m.disk_samples), (2, 1, 2));
         assert_eq!(m.disk_bytes_peak, ByteSize::from_mib(30));
         assert_eq!(m.disk_bytes_avg(), ByteSize::from_mib(20));
     }
@@ -721,7 +789,9 @@ mod tests {
 
     /// The fold's whole contract in one place: a log holding every
     /// [`TraceEvent`] variant and every [`CacheDecision`] folds to exactly
-    /// this literal. Two apps, so owner-vs-reader attribution shows.
+    /// this literal. Two apps, so owner-vs-reader attribution shows. The
+    /// literal names every field, so a field added without a fold arm
+    /// fails to compile here.
     #[test]
     fn from_events_folds_every_event_kind() {
         use CacheDecision as D;
@@ -735,6 +805,7 @@ mod tests {
         let (id, bytes, dur) =
             (BlockId::new(RddId(1), 0), ByteSize::from_mib(2), SimDuration::from_millis);
         let task = TaskTrace { charge: charge(10, 5), ..trace_at(0, 1, 0, 15) };
+        let off_task = TaskCharge { disk_cache_read: dur(7), ..Default::default() };
         let retry = |cause, wasted| E::TaskRetry {
             at,
             app,
@@ -756,6 +827,8 @@ mod tests {
             cache(0, 1, 0, 1, D::HitDisk), // app-0 reads app-1's block
             cache(0, 0, 0, 1, D::MissRecompute),
             cache(0, 1, 0, 4, D::EvictToDisk), // app-0 evicts app-1's block
+            // Not the spill's 4 MiB, so each disk-write arm shows in the sum.
+            cache(0, 1, 0, 3, D::SpillRefused),
             cache(0, 0, 1, 2, D::EvictDiscard),
             cache(0, 0, 0, 1, D::PromoteToMemory),
             cache(0, 0, 0, 1, D::SerializeInMemory),
@@ -796,6 +869,13 @@ mod tests {
             E::SpillQuarantined { at, executor, id, bytes },
             E::FetchRetry { at, app, job, child, dep_idx, reduce_part, attempt, backoff: dur(6) },
             E::FetchEscalated { at, app, job, child, dep_idx, reduce_part },
+            stage(Some(6)),
+            stage(None),
+            stage(Some(2)),
+            E::AuditWarning { at, app, code: blaze_audit::DiagCode::RecomputeBomb, rdd: None },
+            E::MemoryPeak { at, bytes: ByteSize::from_mib(8) },
+            E::MemoryPeak { at, bytes: ByteSize::from_mib(5) }, // a peak never falls
+            E::OffTaskCharge { at, executor, charge: off_task },
             E::TaskCommitted(task),
             // App-1 finishes first on the clock but is recorded last.
             E::JobCompleted { at: ms(40), app, job },
@@ -805,14 +885,23 @@ mod tests {
             cache(1, 1, 0, 1, D::HitSerializedMemory),
         ];
         let expected = Metrics {
-            accumulated: charge(10, 5),
+            // The task's charge plus the off-task prefetch read.
+            accumulated: TaskCharge { disk_cache_read: dur(7), ..charge(10, 5) },
             tasks: 1,
             jobs: 2,
+            stages_run: 2,
+            stages_skipped: 1,
             evictions: 2,
             evictions_discard: 1,
             evictions_to_disk: 1,
             spilled_bytes_per_executor: map([(ExecutorId(0), ByteSize::from_mib(4))]),
             discarded_bytes_per_executor: map([(ExecutorId(1), ByteSize::from_mib(2))]),
+            // Admitted 1 + spilled 4 - refused 3.
+            disk_bytes_written: ByteSize::from_mib(2),
+            disk_bytes_peak: ByteSize::from_mib(6),
+            disk_bytes_sampled_sum: ByteSize::from_mib(8),
+            disk_samples: 2,
+            memory_bytes_peak: ByteSize::from_mib(8),
             recompute_by_job_rdd: map([((app, job, RddId(5)), SimDuration::from_secs(2))]),
             mem_hits: 3,
             ser_mem_hits: 2,
@@ -820,6 +909,7 @@ mod tests {
             ser_transitions: 3,
             disk_hits: 1,
             recompute_misses: 1,
+            audit_warnings: 1,
             recovery: RecoveryMetrics {
                 task_retries: 1,
                 tasks_lost_to_crash: 1,
@@ -856,12 +946,12 @@ mod tests {
                         jobs: 1,
                         mem_hits: 1,
                         disk_hits: 1,
+                        cross_mem_hits: 0,
                         cross_disk_hits: 1,
                         evictions: 1,
                         unpersists: 1,
                         recompute_time: SimDuration::from_secs(2),
                         completion_time: ms(40),
-                        ..Default::default()
                     },
                 ),
                 (
@@ -869,19 +959,18 @@ mod tests {
                     AppMetrics {
                         jobs: 1,
                         mem_hits: 2,
+                        disk_hits: 0,
                         cross_mem_hits: 1,
+                        cross_disk_hits: 0,
                         evictions: 1,
                         unpersists: 1,
+                        recompute_time: SimDuration::ZERO,
                         completion_time: ms(20),
-                        ..Default::default()
                     },
                 ),
             ]),
             completion_time: ms(40),
             task_traces: vec![task],
-            // The rest (stage counts, gauges, `disk_bytes_written`,
-            // `audit_warnings`) no event describes; the engine writes those.
-            ..Default::default()
         };
         assert_eq!(Metrics::from_events(&events), expected);
     }

@@ -10,7 +10,7 @@ use crate::controller::{Admission, BlockInfo, StateCommand, StoreTier, VictimAct
 use crate::metrics::TaskCharge;
 use crate::shuffle::ShuffleStore;
 use crate::storage::{spill_checksum, BlockStore, StoredBlock};
-use crate::tracing::CacheDecision;
+use crate::tracing::{CacheDecision, TraceEvent};
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{AppId, BlockId, ExecutorId, RddId};
 use blaze_common::{ByteSize, SimTime};
@@ -143,9 +143,19 @@ impl ClusterState {
                 if self.trace.is_some() { self.controller.explain_block(info.id) } else { None };
             self.emit_cache(trace_at, exec, info.id, info.bytes, decision, why);
         }
-        let mem_total: ByteSize = self.stores.mem.iter().map(BlockStore::used).sum();
-        self.metrics.memory_bytes_peak = self.metrics.memory_bytes_peak.max(mem_total);
+        self.memory_grew(trace_at);
         true
+    }
+
+    /// Records a new memory high-water mark if the memory stores together
+    /// now hold more than ever before. Called after every change that can
+    /// grow a memory store: admission, promotion and in-place
+    /// (de)serialization.
+    fn memory_grew(&mut self, at: SimTime) {
+        let bytes: ByteSize = self.stores.mem.iter().map(BlockStore::used).sum();
+        if bytes > self.metrics.memory_bytes_peak {
+            self.emit(TraceEvent::MemoryPeak { at, bytes });
+        }
     }
 
     /// Asks the controller for victims to make `footprint` bytes fit beside
@@ -222,10 +232,12 @@ impl ClusterState {
                 StoredBlock { stored_bytes: logical, serialized: false, checksum, ..sb },
             );
             if inserted {
-                self.metrics.disk_bytes_written += logical;
                 let info = BlockInfo { id: vid, bytes: logical, ser_factor: 1.0, executor: exec };
                 let ctx = self.ctrl_ctx(self.clock_floor);
                 self.controller.on_inserted(&ctx, &info, StoreTier::Disk);
+            } else {
+                let refused = CacheDecision::SpillRefused;
+                self.emit_cache(trace_at, exec, vid, logical, refused, None);
             }
         }
     }
@@ -254,7 +266,6 @@ impl ClusterState {
         };
         if self.stores.disk[e].insert(info.id, stored) {
             charge.disk_cache_write += self.config.hardware.spill_time(info.bytes, info.ser_factor);
-            self.metrics.disk_bytes_written += info.bytes;
             self.stores.meta_mut(info.id).home = Some(exec);
             let ctx = self.ctrl_ctx(self.clock_floor);
             self.controller.on_inserted(&ctx, info, StoreTier::Disk);
@@ -277,7 +288,7 @@ impl ClusterState {
                     let exec = ExecutorId(e as u32);
                     let mut charge = TaskCharge::default();
                     self.evict_one(exec, id, VictimAction::ToDisk, &mut charge, at);
-                    self.charge_migration(exec, &charge);
+                    self.charge_migration(exec, charge, at);
                 }
                 StateCommand::PromoteToMemory(id) => self.promote(id, at, false),
                 StateCommand::SerializeInMemory(id) => self.reserialize(id, at, true),
@@ -315,7 +326,8 @@ impl ClusterState {
         debug_assert!(ok);
         let exec = ExecutorId(e as u32);
         self.emit_cache(at, exec, id, logical, decision, None);
-        self.charge_migration(exec, &TaskCharge { external_store_io: io, ..Default::default() });
+        self.memory_grew(at);
+        self.charge_migration(exec, TaskCharge { external_store_io: io, ..Default::default() }, at);
     }
 
     /// Moves a disk-resident block into its executor's memory, best effort
@@ -366,18 +378,20 @@ impl ClusterState {
         if fresh {
             self.emit_cache(at, exec, id, info.bytes, decision, None);
         }
+        self.memory_grew(at);
         // Prefetch overlaps with computation (MRD's design): record the I/O
         // but do not block a slot.
-        self.metrics.accumulated.disk_cache_read += read;
+        let charge = TaskCharge { disk_cache_read: read, ..Default::default() };
+        self.emit(TraceEvent::OffTaskCharge { at, executor: exec, charge });
     }
 
     /// Charges a data-movement operation to the executor's least-loaded slot
-    /// and to the accumulated metrics.
-    fn charge_migration(&mut self, exec: ExecutorId, charge: &TaskCharge) {
+    /// and records it.
+    fn charge_migration(&mut self, exec: ExecutorId, charge: TaskCharge, at: SimTime) {
         let e = exec.raw() as usize;
         let slot = Self::earliest_slot(&self.slots[e]);
         self.slots[e][slot] = self.slots[e][slot].max(self.clock_floor) + charge.total();
-        self.metrics.accumulated.merge(charge);
+        self.emit(TraceEvent::OffTaskCharge { at, executor: exec, charge });
     }
 
     /// Drops every block of `rdd` everywhere (the `unpersist()` API, or a

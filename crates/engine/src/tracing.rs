@@ -1,11 +1,13 @@
 //! Structured, deterministic event tracing.
 //!
 //! The engine accounts for every task-lifecycle step, cache decision (with
-//! the deciding policy's rationale), recomputation span and recovery action
-//! by emitting one sim-clock-timestamped [`TraceEvent`], which is folded
-//! into the aggregate [`Metrics`] ([`Metrics::from_events`] over a whole
-//! stream) and, when [`crate::config::ClusterConfig::tracing`] is on,
-//! retained in a [`TraceLog`] — the auditable form of the metrics.
+//! the deciding policy's rationale), recomputation span, recovery action,
+//! stage completion (with its disk-residency sample), preflight warning,
+//! memory high-water mark and off-task charge by emitting one
+//! sim-clock-timestamped [`TraceEvent`], which is folded into the aggregate
+//! [`Metrics`] ([`Metrics::from_events`] over a whole stream) and, when
+//! [`crate::config::ClusterConfig::tracing`] is on, retained in a
+//! [`TraceLog`] — the auditable form of every metric field.
 //!
 //! Three contracts:
 //!
@@ -19,9 +21,10 @@
 //!   and repeated runs.
 //! - **Self-checking.** [`TraceLog::validate`] replays the log against a
 //!   [`Metrics`] and reports BA4xx diagnostics when span nesting is
-//!   violated (BA401), folding the events fails to reproduce the metric
-//!   aggregates (BA402 — impossible for the engine's own log and metrics,
-//!   so it guards logs edited or produced outside the engine), or a cache
+//!   violated (BA401), folding the events does not reproduce the metrics,
+//!   compared as one whole struct (BA402 — impossible for the engine's own
+//!   log and metrics, so it guards logs edited or produced outside the
+//!   engine, and any accounting that bypasses the events), or a cache
 //!   event is unpaired — e.g. an eviction with no earlier admission (BA403).
 //!   One finding is about the policy, not the bookkeeping, and is a warning:
 //!   a block a controller command dropped and a later task recomputed (BA404).
@@ -32,7 +35,7 @@
 //! renders, explains, validates and diffs these.
 
 use crate::fault::FaultCause;
-use crate::metrics::{Metrics, TaskTrace};
+use crate::metrics::{Metrics, TaskCharge, TaskTrace};
 use blaze_audit::{AuditReport, DiagCode, Diagnostic};
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
@@ -62,6 +65,10 @@ pub enum CacheDecision {
     EvictToDisk,
     /// Evicted from memory and discarded (state m -> u).
     EvictDiscard,
+    /// The disk store refused the write of the [`Self::EvictToDisk`] just
+    /// recorded for this block (the disk is full): the block left memory
+    /// and was not spilled, and its bytes do not count as written.
+    SpillRefused,
     /// Moved from disk into memory (promotion / prefetch, d -> m).
     PromoteToMemory,
     /// Compacted in place from deserialized to serialized memory form
@@ -103,6 +110,7 @@ impl CacheDecision {
             CacheDecision::MissRecompute => "miss-recompute",
             CacheDecision::EvictToDisk => "evict-to-disk",
             CacheDecision::EvictDiscard => "evict-discard",
+            CacheDecision::SpillRefused => "spill-refused",
             CacheDecision::PromoteToMemory => "promote-to-mem",
             CacheDecision::SerializeInMemory => "ser-in-mem",
             CacheDecision::DeserializeInMemory => "deser-in-mem",
@@ -406,6 +414,53 @@ pub enum TraceEvent {
         /// The fetching reduce task's partition index.
         reduce_part: u32,
     },
+    /// A stage finished, after its completion hook's commands were applied:
+    /// it ran, or it was skipped because its shuffle outputs existed.
+    StageCompleted {
+        /// The stage's end time (a skipped stage's: its start).
+        at: SimTime,
+        /// The application the job belongs to.
+        app: AppId,
+        /// Job the stage belongs to.
+        job: JobId,
+        /// The stage's output RDD.
+        stage_output: RddId,
+        /// Cache bytes then resident on disk, cluster-wide: the sample
+        /// behind the "average data on disk" (§7.2). `None` for a skipped
+        /// stage, which takes no sample.
+        disk_resident: Option<ByteSize>,
+    },
+    /// A warning-severity preflight diagnostic, the first of its `(code,
+    /// dataset)` pair in the run (see `blaze-audit`).
+    AuditWarning {
+        /// Admission time of the job whose preflight found it.
+        at: SimTime,
+        /// The application submitting that job.
+        app: AppId,
+        /// The diagnostic's code.
+        code: DiagCode,
+        /// The dataset it concerns, if any.
+        rdd: Option<RddId>,
+    },
+    /// The memory stores together grew past every earlier total of the run
+    /// (an admission, a promotion or an in-place deserialization).
+    MemoryPeak {
+        /// Time of the growth.
+        at: SimTime,
+        /// The new cluster-wide memory-resident total.
+        bytes: ByteSize,
+    },
+    /// Time charged outside any task: a controller-commanded spill or
+    /// in-place (de)serialization, which occupies a slot of `executor`, or
+    /// a promotion's prefetch read, which overlaps computation.
+    OffTaskCharge {
+        /// Time of the command.
+        at: SimTime,
+        /// Executor the data moved on.
+        executor: ExecutorId,
+        /// The charge, summed into the accumulated task-time breakdown.
+        charge: TaskCharge,
+    },
 }
 
 impl TraceEvent {
@@ -427,7 +482,11 @@ impl TraceEvent {
             | TraceEvent::Speculation { at, .. }
             | TraceEvent::SpillQuarantined { at, .. }
             | TraceEvent::FetchRetry { at, .. }
-            | TraceEvent::FetchEscalated { at, .. } => *at,
+            | TraceEvent::FetchEscalated { at, .. }
+            | TraceEvent::StageCompleted { at, .. }
+            | TraceEvent::AuditWarning { at, .. }
+            | TraceEvent::MemoryPeak { at, .. }
+            | TraceEvent::OffTaskCharge { at, .. } => *at,
             TraceEvent::TaskCommitted(task) => task.start,
             TraceEvent::Cache(r) => r.at,
         }
@@ -567,6 +626,7 @@ impl TraceLog {
         let _ = writeln!(out, "history of {id}:");
         let mut mem: Option<ExecutorId> = None;
         let mut disk: Option<ExecutorId> = None;
+        let mut before_spill: Option<ExecutorId> = None;
         let mut seen = 0usize;
         for ev in &self.events {
             let TraceEvent::Cache(r) = ev else { continue };
@@ -592,7 +652,10 @@ impl TraceLog {
                 _ => {}
             }
             match r.decision {
-                CacheDecision::AdmitDisk | CacheDecision::EvictToDisk => disk = Some(r.executor),
+                CacheDecision::AdmitDisk => disk = Some(r.executor),
+                CacheDecision::EvictToDisk => before_spill = disk.replace(r.executor),
+                // The write never happened: residency is what it was before.
+                CacheDecision::SpillRefused => disk = before_spill,
                 CacheDecision::PromoteToMemory
                 | CacheDecision::PromoteToSerializedMemory
                 | CacheDecision::UnpersistDisk
@@ -638,8 +701,8 @@ impl TraceLog {
 
     /// Validates the log against the run's aggregate metrics: span nesting
     /// (BA401), aggregate reproduction (BA402) and admit/evict pairing
-    /// (BA403). A report that [`AuditReport::passes`] proves the aggregates
-    /// are exactly the sums of the recorded events; the warnings it may
+    /// (BA403). A report that [`AuditReport::passes`] proves every field of
+    /// the metrics is exactly the fold of the recorded events; the warnings it may
     /// still carry (BA404) are the controller's mispredictions, not the
     /// engine's bookkeeping.
     pub fn validate(&self, metrics: &Metrics) -> AuditReport {
@@ -723,75 +786,36 @@ impl TraceLog {
     }
 
     fn check_aggregates(&self, metrics: &Metrics, ds: &mut Vec<Diagnostic>) {
-        // Fold the events exactly as the engine does and require every
-        // event-derived aggregate to equal the given metrics.
-        let derived = Metrics::from_events(&self.events);
-        let mut mismatch = |what: &str, from_trace: String, from_metrics: String| {
-            if from_trace != from_metrics {
-                ds.push(Diagnostic::new(
-                    DiagCode::TraceAggregateMismatch,
-                    None,
-                    format!("{what}: trace says {from_trace}, metrics say {from_metrics}"),
-                    "these metrics are not the fold of this log; one of them was edited or \
-                     produced outside the engine"
-                        .into(),
-                ));
-            }
+        let mismatch = |message: String| {
+            Diagnostic::new(
+                DiagCode::TraceAggregateMismatch,
+                None,
+                message,
+                "these metrics are not the fold of this log; one of them was edited or produced \
+                 outside the engine"
+                    .into(),
+            )
         };
-        let mut check = |what: &str, get: &dyn Fn(&Metrics) -> String| {
-            mismatch(what, get(&derived), get(metrics));
-        };
-        check("task count", &|m| m.tasks.to_string());
-        check("job count", &|m| m.jobs.to_string());
-        if derived.jobs > 0 {
-            check("completion time", &|m| m.completion_time.to_string());
+        // Every field of the metrics is the fold of the events.
+        if let Some(field) = Metrics::from_events(&self.events).first_difference(metrics) {
+            ds.push(mismatch(format!("`{field}` differs from what the log folds to")));
         }
-        check("memory hits", &|m| m.mem_hits.to_string());
-        check("serialized memory hits", &|m| m.ser_mem_hits.to_string());
-        check("serialized memory hits by (app, job)", &|m| fmt_map(&m.ser_mem_hits_by_job));
-        check("serialized-tier transitions", &|m| m.ser_transitions.to_string());
-        check("disk hits", &|m| m.disk_hits.to_string());
-        check("recompute misses", &|m| m.recompute_misses.to_string());
-        check("evictions to disk", &|m| m.evictions_to_disk.to_string());
-        check("evictions discarded", &|m| m.evictions_discard.to_string());
-        check("busy time per executor", &|m| fmt_map(&m.busy_time_per_executor()));
-        check("spilled bytes per executor", &|m| fmt_map(&m.spilled_bytes_per_executor));
-        check("discarded bytes per executor", &|m| fmt_map(&m.discarded_bytes_per_executor));
-        check("recompute time by (app, job, rdd)", &|m| fmt_map(&m.recompute_by_job_rdd));
-        check("task retries", &|m| m.recovery.task_retries.to_string());
-        check("tasks lost to crash", &|m| m.recovery.tasks_lost_to_crash.to_string());
-        check("wasted time", &|m| m.recovery.wasted_time.to_string());
-        check("lineage replay time", &|m| m.recovery.lineage_replay_time.to_string());
-        check("recovery time by job", &|m| fmt_map(&m.recovery.recovery_time_by_job));
-        check("executor crashes", &|m| m.recovery.executor_crashes.to_string());
-        check("blocks lost", &|m| m.recovery.blocks_lost.to_string());
-        check("bytes lost", &|m| m.recovery.bytes_lost.to_string());
-        check("map outputs lost", &|m| m.recovery.map_outputs_lost.to_string());
-        check("map outputs recovered", &|m| m.recovery.map_outputs_recovered.to_string());
-        check("blocks recovered", &|m| m.recovery.blocks_recovered.to_string());
-        check("stages resubmitted", &|m| m.recovery.stages_resubmitted.to_string());
-        check("spills quarantined", &|m| m.recovery.spills_quarantined.to_string());
-        check("fetch retries", &|m| m.recovery.fetch_retries.to_string());
-        check("fetch backoff time", &|m| m.recovery.fetch_backoff_time.to_string());
-        check("fetch escalations", &|m| m.recovery.fetch_escalations.to_string());
-        check("stragglers", &|m| m.speculation.stragglers.to_string());
-        check("straggler delay", &|m| m.speculation.straggler_delay.to_string());
-        check("speculative copies", &|m| m.speculation.launched.to_string());
-        check("speculation wins", &|m| m.speculation.wins.to_string());
-        check("speculation wasted time", &|m| m.speculation.wasted.to_string());
-        check("speculative copies by (app, job)", &|m| fmt_map(&m.speculation_by_job));
         // The one count the fold does not keep: every miss-recompute record
         // is followed by its recompute span.
         let spans =
             self.events.iter().filter(|ev| matches!(ev, TraceEvent::Recompute { .. })).count();
-        mismatch("recompute spans", spans.to_string(), metrics.recompute_misses.to_string());
+        if spans as u64 != metrics.recompute_misses {
+            ds.push(mismatch(format!(
+                "recompute spans: trace says {spans}, metrics say {}",
+                metrics.recompute_misses
+            )));
+        }
     }
 
     fn check_pairing(&self, ds: &mut Vec<Diagnostic>) {
         // Replay memory residency per (executor, block): inserts must hit
-        // an empty slot, removals a full one. (The disk tier is not
-        // replayed: a full disk silently rejects inserts by design, so
-        // disk occupancy is not derivable from decisions alone.)
+        // an empty slot, removals a full one. (Only the memory tier is
+        // replayed: admit/evict pairs are what this check is about.)
         let mut resident: FxHashMap<(ExecutorId, BlockId), ()> = FxHashMap::default();
         for ev in &self.events {
             let TraceEvent::Cache(r) = ev else { continue };
@@ -885,22 +909,6 @@ fn micros(nanos: u64) -> String {
     format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
 }
 
-/// Deterministic rendering of a map, sorted by key (both sides of an
-/// aggregate comparison go through this, so hash order never matters).
-fn fmt_map<K: Ord + Copy + std::fmt::Debug, V: std::fmt::Debug>(m: &FxHashMap<K, V>) -> String {
-    let mut entries: Vec<_> = m.iter().collect();
-    entries.sort_by_key(|(k, _)| **k);
-    let mut out = String::from("{");
-    for (i, (k, v)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{k:?}: {v:?}");
-    }
-    out.push('}');
-    out
-}
-
 /// JSON string literal with the minimal escaping the exporter needs.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -939,6 +947,10 @@ fn event_name(ev: &TraceEvent) -> &'static str {
         TraceEvent::SpillQuarantined { .. } => "spill-quarantined",
         TraceEvent::FetchRetry { .. } => "fetch-retry",
         TraceEvent::FetchEscalated { .. } => "fetch-escalated",
+        TraceEvent::StageCompleted { .. } => "stage-completed",
+        TraceEvent::AuditWarning { .. } => "audit-warning",
+        TraceEvent::MemoryPeak { .. } => "memory-peak",
+        TraceEvent::OffTaskCharge { .. } => "off-task-charge",
         TraceEvent::TaskCommitted(_) => "task",
         TraceEvent::Cache(_) => "cache",
     }
@@ -1017,6 +1029,20 @@ fn event_detail(ev: &TraceEvent) -> String {
                  its retry budget; parent map outputs regenerated"
             )
         }
+        TraceEvent::StageCompleted { app, job, stage_output, disk_resident, .. } => {
+            match disk_resident {
+                Some(bytes) => format!("{stage_output} of {app}/{job} ran, {bytes} on disk"),
+                None => format!("{stage_output} of {app}/{job} skipped"),
+            }
+        }
+        TraceEvent::AuditWarning { app, code, rdd, .. } => match rdd {
+            Some(rdd) => format!("{} on {rdd} in {app}", code.as_str()),
+            None => format!("{} in {app}", code.as_str()),
+        },
+        TraceEvent::MemoryPeak { bytes, .. } => format!("{bytes} in memory"),
+        TraceEvent::OffTaskCharge { executor, charge, .. } => {
+            format!("{} on {executor}", charge.total())
+        }
         TraceEvent::TaskCommitted(_) | TraceEvent::Cache(_) => String::new(),
     }
 }
@@ -1088,18 +1114,7 @@ mod tests {
         log.record(task(0, 0, 0, 0, 0, 10));
         log.record(task(0, 1, 0, 0, 10, 25));
         log.record(job_completed(25, 0, 0));
-        let mut m = Metrics::new();
-        m.tasks = 2;
-        m.jobs = 1;
-        m.completion_time = SimTime::ZERO + SimDuration::from_millis(25);
-        m.task_traces = log
-            .events()
-            .iter()
-            .filter_map(|ev| match ev {
-                TraceEvent::TaskCommitted(t) => Some(*t),
-                _ => None,
-            })
-            .collect();
+        let m = Metrics::from_events(log.events());
         (log, m)
     }
 
@@ -1138,13 +1153,8 @@ mod tests {
         log.record(task_of(1, 0, 0, 0, 0, 10, 30));
         log.record(job_completed(10, 0, 0));
         log.record(job_completed(30, 1, 0));
-        let mut m = Metrics::new();
-        m.tasks = 2;
-        m.jobs = 2;
-        m.completion_time = SimTime::ZERO + SimDuration::from_millis(30);
-        m.task_traces = vec![];
-        let report = log.validate(&m);
-        assert!(!report.has(DiagCode::TraceSpanNesting), "{:?}", report.diagnostics);
+        let report = log.validate(&Metrics::from_events(log.events()));
+        assert!(report.is_clean(), "{:?}", report.diagnostics);
 
         // A second job from an app whose first is still open stays a BA401.
         let mut bad = TraceLog::new();
@@ -1156,45 +1166,64 @@ mod tests {
     #[test]
     fn multi_app_completion_is_the_max_not_the_last() {
         // App 1 finishes before app 0 but its completion is recorded
-        // later; the aggregate check must compare against the max.
+        // later; the run completes at the max.
         let mut log = TraceLog::new();
         log.record(job_started(0, 0, 0));
         log.record(job_started(0, 1, 0));
         log.record(job_completed(40, 0, 0));
         log.record(job_completed(20, 1, 0));
-        let mut m = Metrics::new();
-        m.jobs = 2;
-        m.completion_time = SimTime::ZERO + SimDuration::from_millis(40);
-        assert!(!log.validate(&m).has(DiagCode::TraceAggregateMismatch));
+        let m = Metrics::from_events(log.events());
+        assert_eq!(m.completion_time, SimTime::ZERO + SimDuration::from_millis(40));
+        assert!(log.validate(&m).is_clean());
     }
 
+    /// BA402 is one whole-struct equality: metrics folded from a log with
+    /// one more event than the audited one fail it, naming the first field
+    /// that differs — whichever event kind the extra one is.
     #[test]
     fn aggregate_drift_is_ba402() {
-        let (log, mut m) = minimal_log();
-        m.mem_hits = 3; // metrics claim hits the trace never saw
-        let report = log.validate(&m);
-        assert!(report.has(DiagCode::TraceAggregateMismatch));
+        let stage = TraceEvent::StageCompleted {
+            at: SimTime::ZERO,
+            app: AppId(0),
+            job: JobId(0),
+            stage_output: RddId(1),
+            disk_resident: Some(ByteSize::ZERO),
+        };
+        let peak = TraceEvent::MemoryPeak { at: SimTime::ZERO, bytes: ByteSize::from_kib(4) };
+        let hit = cache(5, 0, 5, 0, CacheDecision::HitMemory);
+        for (extra, field) in
+            [(hit, "mem_hits"), (stage, "stages_run"), (peak, "memory_bytes_peak")]
+        {
+            let (log, _) = minimal_log();
+            let mut drifted = log.events().to_vec();
+            drifted.push(extra);
+            let report = log.validate(&Metrics::from_events(&drifted));
+            let found: Vec<_> = report
+                .diagnostics
+                .iter()
+                .filter(|d| d.code == DiagCode::TraceAggregateMismatch)
+                .collect();
+            assert_eq!(found.len(), 1, "{found:?}");
+            assert!(found[0].message.contains(&format!("`{field}`")), "{}", found[0].message);
+        }
     }
 
     #[test]
     fn unpaired_eviction_is_ba403() {
-        let (mut log, mut m) = minimal_log();
+        let (mut log, _) = minimal_log();
         log.record(cache(25, 0, 5, 0, CacheDecision::EvictDiscard));
-        m.evictions_discard = 1;
-        m.discarded_bytes_per_executor.insert(ExecutorId(0), ByteSize::from_kib(4));
-        let report = log.validate(&m);
+        let report = log.validate(&Metrics::from_events(log.events()));
         assert!(report.has(DiagCode::TraceUnpairedCacheEvent));
 
         // Admit then evict pairs cleanly; double admit does not.
-        let (mut log, mut m) = minimal_log();
+        let (mut log, _) = minimal_log();
         log.record(cache(5, 0, 5, 0, CacheDecision::AdmitMemory));
         log.record(cache(25, 0, 5, 0, CacheDecision::EvictDiscard));
-        m.evictions_discard = 1;
-        m.discarded_bytes_per_executor.insert(ExecutorId(0), ByteSize::from_kib(4));
-        assert!(log.validate(&m).is_clean());
+        assert!(log.validate(&Metrics::from_events(log.events())).is_clean());
         log.record(cache(26, 0, 6, 0, CacheDecision::AdmitMemory));
         log.record(cache(27, 0, 6, 0, CacheDecision::AdmitMemory));
-        assert!(log.validate(&m).has(DiagCode::TraceUnpairedCacheEvent));
+        let report = log.validate(&Metrics::from_events(log.events()));
+        assert!(report.has(DiagCode::TraceUnpairedCacheEvent));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use blaze::audit::plan_audit::{
 use blaze::audit::{DiagCode, Severity};
 use blaze::common::{BlazeError, ByteSize, RddId};
 use blaze::dataflow::{runner::LocalRunner, Context, CostSpec};
-use blaze::engine::{Cluster, ClusterConfig};
+use blaze::engine::{Cluster, ClusterConfig, TraceEvent};
 use blaze::workloads::SystemKind;
 
 fn node(id: u32, parts: usize, deps: Vec<AuditDep>, kind: ComputeKind) -> AuditNode {
@@ -263,12 +263,22 @@ fn ba009_fires_through_engine_preflight() {
 
 #[test]
 fn engine_counts_preflight_warnings_in_metrics() {
-    let config = ClusterConfig { executors: 2, ..Default::default() };
-    let cluster = Cluster::new(config, SystemKind::SparkMemOnly.make_controller(None)).unwrap();
-    let ctx = Context::new(cluster.clone());
-    drive_bomb(&ctx, false).unwrap();
-    let m = cluster.metrics();
-    assert!(m.audit_warnings >= 1, "expected a BA101 warning, got {}", m.audit_warnings);
+    for tracing in [false, true] {
+        let config = ClusterConfig { executors: 2, tracing, ..Default::default() };
+        let cluster = Cluster::new(config, SystemKind::SparkMemOnly.make_controller(None)).unwrap();
+        let ctx = Context::new(cluster.clone());
+        drive_bomb(&ctx, false).unwrap();
+        let m = cluster.metrics();
+        assert!(m.audit_warnings >= 1, "expected a BA101 warning, got {}", m.audit_warnings);
+        if let Some(trace) = cluster.trace() {
+            // The count is the fold of its records.
+            let bombs = trace.events().iter().filter(|ev| {
+                matches!(ev, TraceEvent::AuditWarning { code: DiagCode::RecomputeBomb, .. })
+            });
+            assert!(bombs.count() >= 1, "the BA101 warning must be a record");
+            assert!(trace.validate(&m).passes());
+        }
+    }
 
     // The cached variant of the same program is warning-free.
     let config = ClusterConfig { executors: 2, ..Default::default() };
