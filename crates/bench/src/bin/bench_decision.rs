@@ -45,7 +45,7 @@
 use blaze_audit::diagnostic::Diagnostic;
 use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use blaze_bench::json::nz;
-use blaze_certify::{verify_ilp, verify_mckp, verify_mckp_greedy};
+use blaze_certify::{verify_mckp, verify_mckp_greedy};
 use blaze_common::error::Result;
 use blaze_common::ids::{AppId, JobId};
 use blaze_common::ids::{BlockId, ExecutorId, RddId};
@@ -59,8 +59,6 @@ use blaze_core::{
 use blaze_dataflow::{planner::plan_job, runner::LocalRunner, Context, Dataset, Plan};
 use blaze_engine::config::default_worker_threads;
 use blaze_engine::{BlockInfo, CacheController, CtrlCtx, HardwareModel, PartitionEvent, StoreTier};
-use blaze_solver::ilp::{solve_binary, solve_binary_certified, IlpProblem};
-use blaze_solver::lp::Constraint;
 use blaze_solver::mckp::{
     greedy_mckp_certificate, solve_mckp, solve_mckp_certified, MckpGroup, MckpOption,
 };
@@ -77,11 +75,10 @@ const CHECK_MIN_SPEEDUP: f64 = 2.0;
 /// proof must stay a fraction of producing the answer, or the certificate
 /// is no cheaper than re-solving. About twice the worst of eight `--quick`
 /// runs when the ceilings were set (knapsack 0.23, multi-choice 0.11,
-/// greedy 0.43, exact-ilp 0.19 with one 0.45 outlier; the full run's rows
-/// are in `BENCH_decision.json`), so host noise passes and a replay gone
-/// several times slower does not.
-const VERIFY_RATIO_CEILINGS: [(&str, f64); 4] =
-    [("knapsack", 0.5), ("multi-choice", 0.25), ("greedy", 1.0), ("exact-ilp", 1.0)];
+/// greedy 0.43; the full run's rows are in `BENCH_decision.json`), so host
+/// noise passes and a replay gone several times slower does not.
+const VERIFY_RATIO_CEILINGS: [(&str, f64); 3] =
+    [("knapsack", 0.5), ("multi-choice", 0.25), ("greedy", 1.0)];
 
 /// The admission row's resident counts, each with the `--check` ceiling in
 /// microseconds per `choose_victims` call: about twice the value measured
@@ -649,22 +646,6 @@ fn certify_groups(n: usize, seed: u64, tiers: bool) -> Groups {
     Groups { groups, capacity: items.iter().map(|i| i.1).sum::<u64>() * 3 / 4 }
 }
 
-/// The 0/1 items as a minimization program (one weight row).
-fn certify_ilp(n: usize, seed: u64) -> IlpProblem {
-    let items = certify_items(n, seed);
-    let objective: Vec<f64> = items.iter().map(|i| -i.0).collect();
-    // audit: allow(float-cast) weights/capacity are small integers
-    let weights: Vec<f64> = items.iter().map(|i| i.1 as f64).collect();
-    // audit: allow(float-cast) see above
-    let cap = (items.iter().map(|i| i.1).sum::<u64>() * 3 / 4) as f64;
-    IlpProblem {
-        objective,
-        constraints: vec![Constraint::le(weights, cap)],
-        node_budget: 0,
-        warm: None,
-    }
-}
-
 /// Measures one certify row over `count` seeded instances: the plain solve,
 /// the certificate-emitting solve (which must return the same `answer`) and
 /// the verification of what it emitted. Every certificate is asserted to
@@ -721,7 +702,6 @@ fn bench_certify(quick: bool) -> Vec<CertifySample> {
     // dominate both sides.
     let (kn_count, kn_n) = if quick { (16, 768) } else { (20, 1536) };
     let (gr_count, gr_n) = if quick { (16, 512) } else { (24, 768) };
-    let (ilp_count, ilp_n) = if quick { (8, 24) } else { (10, 28) };
 
     // Untimed warmup so first-touch page faults and lazy allocator growth
     // land outside the measured loops.
@@ -757,16 +737,6 @@ fn bench_certify(quick: bool) -> Vec<CertifySample> {
             },
             |plain, (sol, _)| (plain.choice.clone(), sol.choice.clone()),
             |i, (sol, cert)| verify_mckp_greedy(&i.groups, i.capacity, sol, cert),
-        ),
-        // Exact ILP: LP-based branch-and-bound with dual/Farkas evidence.
-        certify_row(
-            "exact-ilp",
-            ilp_count,
-            |seed| certify_ilp(ilp_n, seed + 101),
-            |p| solve_binary(p).expect("ilp solve"),
-            |p| solve_binary_certified(p).expect("ilp solve"),
-            |plain, (outcome, _)| (format!("{plain:?}"), format!("{outcome:?}")),
-            |p, (outcome, cert)| verify_ilp(p, outcome, cert),
         ),
     ];
 

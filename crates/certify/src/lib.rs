@@ -19,8 +19,9 @@
 //! - `BA505` — the dirty closure missed an affected entry.
 //!
 //! There is one tree replay for the state search ([`mckp`]; the 0/1
-//! keep-in-memory program is its two-option case) and one for the exact ILP
-//! ([`ilp`]).
+//! keep-in-memory program is its two-option case) and one for the 0/1 ILP
+//! ([`ilp`]), which no decision runs: it checks the literal Eq. 5–6
+//! program that `blaze-core`'s test oracle solves, and the benchmark drill.
 //!
 //! The verifier is deliberately *independent*: it works from the search
 //! rule `blaze_solver::mckp` publishes — re-deriving hulls and increments,
@@ -65,11 +66,12 @@ pub enum InstancePayload {
         /// The certificate emitted alongside it.
         cert: MckpCertificate,
     },
-    /// An exact-ILP solve ([`blaze_solver::ilp`]).
+    /// A 0/1 ILP solve ([`blaze_solver::ilp`]) — the shape the repository
+    /// benchmark's drill pins; no decision emits it.
     Ilp {
         /// The 0/1 program of the instance.
         problem: IlpProblem,
-        /// The outcome returned to the decision path.
+        /// The outcome the solver returned.
         outcome: IlpOutcome,
         /// The branch-and-bound certificate emitted alongside it.
         cert: IlpCertificate,

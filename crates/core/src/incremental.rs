@@ -22,11 +22,10 @@
 //!   previous picks are returned without solving: the solvers are
 //!   deterministic functions of exactly that data.
 //! - **Warm-started solves** — otherwise the previous solution warm-starts
-//!   the solver: the knapsack search and the ILP prune with the previous
-//!   assignment's objective at current prices. The bound is *pruning-only*
-//!   — never installed as an incumbent — so the returned selection,
-//!   tie-breaks included, is the one a cold solve finds (see
-//!   [`crate::optimize::solve_instance`]).
+//!   the search: it prunes with the previous assignment's value at current
+//!   prices. The bound is *pruning-only* — never installed as an incumbent
+//!   — so the returned selection, tie-breaks included, is the one a cold
+//!   solve finds (see [`crate::optimize::solve_instance`]).
 //!
 //! None of the retained state may influence a decision. The reference that
 //! pins this is *the same driver with nothing retained*
@@ -254,7 +253,7 @@ impl IncrementalOptimizer {
         self.stats.degraded += report.degraded;
         self.stats.passthrough += report.passthrough;
         self.last_ladder = report;
-        emit_commands(&solved, refs, current_job, config)
+        emit_commands(&solved, refs, current_job)
     }
 
     /// Solves one executor's instance, reusing or warm-starting the previous
@@ -427,11 +426,11 @@ mod tests {
         let (mut cl, refs) = world(6);
         let hw = HardwareModel::default();
         let cap = blaze_common::ByteSize::from_kib(200);
-        // Each executor instance has 7 candidates: the exact rung
-        // (~1.51e6 units) never fits, the first knapsack (59k) does, the
-        // second steps down to greedy (3.4k) on the drained budget.
+        // Each executor instance has 7 candidates: the first knapsack (59k
+        // units) fits, the second (59k > the 41k left) steps down to greedy
+        // (3.4k).
         let cfg = OptimizerConfig {
-            strategy: SolveStrategy::ExactIlp,
+            strategy: SolveStrategy::Knapsack,
             solve_deadline: Some(SimDuration::from_nanos(100_000)),
             ..Default::default()
         };
@@ -459,20 +458,5 @@ mod tests {
         assert_eq!(fast, slow);
         assert!(fast.is_empty());
         assert_eq!(inc.stats().passthrough, 2, "both executors pass through");
-    }
-
-    #[test]
-    fn exact_ilp_matches_cold_reference_with_warm_start() {
-        let (mut cl, refs) = world(5);
-        let hw = HardwareModel::default();
-        let cap = blaze_common::ByteSize::from_kib(150);
-        let cfg = OptimizerConfig { strategy: SolveStrategy::ExactIlp, ..Default::default() };
-        let mut inc = IncrementalOptimizer::new();
-        for job in 0..5 {
-            cl.set_state(BlockId::new(RddId(job as u32), 0), PartitionState::Disk(ExecutorId(0)));
-            let fast = inc.optimize(&mut cl, &refs, None, &hw, cap, job, &cfg);
-            let (slow, _) = cold(&mut cl, &refs, cap, job, &cfg);
-            assert_eq!(fast, slow, "ILP diverged at job {job}");
-        }
     }
 }

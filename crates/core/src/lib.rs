@@ -9,7 +9,8 @@
 //! - [`induct`] — inductive regression for unobserved metrics (§5.3);
 //! - [`refs`] — future-reference derivation over the job sequence;
 //! - [`cost`] — the potential-recovery-cost model (Eq. 2–4, §5.4);
-//! - [`optimize`] — the ILP-based optimal-state solver (Eq. 5–6, §5.5);
+//! - [`optimize`] — the optimal-state solver: Eq. 5–6 (§5.5) as a
+//!   multi-choice knapsack;
 //! - [`profiler`] — the dependency-extraction phase (§5.1);
 //! - [`controller`] — the unified decision layer as a
 //!   [`blaze_engine::CacheController`] (§5.6), including the §7.3 ablations.

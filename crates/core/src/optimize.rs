@@ -1,4 +1,4 @@
-//! The ILP-based optimal-partition-state solver (paper §5.5, Eq. 5–6).
+//! The optimal-partition-state solver (paper §5.5, Eq. 5–6).
 //!
 //! At each job submission, Blaze restates the cached partitions of every
 //! executor: minimize the total potential recovery cost of the partitions
@@ -10,18 +10,24 @@
 //! s.t. Σ_i size(p_i) · m_i ≤ capacity_mem ,   m_i + d_i + u_i = 1
 //! ```
 //!
-//! Three interchangeable strategies solve the program (the ablation bench
-//! compares them):
+//! The paper hands this program to Gurobi. Here it is reduced: with costs
+//! frozen at time `t`, an out-of-memory partition independently takes its
+//! cheapest out-of-memory state, so choosing what stays in memory is a
+//! multi-choice knapsack over saved recovery cost, solved by
+//! [`blaze_solver::mckp`]'s branch and bound. Two strategies run it:
 //!
-//! - [`SolveStrategy::ExactIlp`] — the literal Eq. 5–6 encoding over
-//!   `(m_i, d_i, u_i)` binaries, solved by [`blaze_solver::ilp`];
-//! - [`SolveStrategy::Knapsack`] — the provably equivalent reduction: with
-//!   costs frozen at time `t`, out-of-memory partitions independently take
-//!   `min(cost_d, cost_r)`, so choosing `M` is a knapsack maximizing saved
-//!   recovery cost, solved by [`blaze_solver::mckp`]'s branch and bound
-//!   (the default; exact and much faster);
+//! - [`SolveStrategy::Knapsack`] — the exact search (the default);
 //! - [`SolveStrategy::Greedy`] — the same search cut off at its root (a
 //!   time-budget fallback).
+//!
+//! Where the reduction equals Eq. 5–6 is checked, not asserted: the
+//! test-only `oracle` module builds the literal program over `(m, d, u)` /
+//! `(m, s, d, u)` binaries, solves it with the solver crate's 0/1 ILP
+//! branch and bound and compares optima. With the serialized tier on ([`tier_groups`]) the two
+//! optima are equal on every instance. With it off ([`binary_groups`]) they
+//! are equal unless a memory resident carries a spill transition: the 0/1
+//! pricing credits the avoided spill to keeping it in memory, while Eq. 5–6
+//! charges the spill only to `d` and leaves `u` free.
 //!
 //! This module holds the pieces of one decision: the degradation ladder,
 //! candidate gathering, the two pricings of the program as option groups
@@ -39,20 +45,20 @@ use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_engine::{HardwareModel, StateCommand};
-use blaze_solver::ilp::{solve_binary, solve_binary_certified, IlpOutcome, IlpProblem};
-use blaze_solver::lp::Constraint;
 use blaze_solver::mckp::{
     greedy_mckp_certificate, solve_mckp_certified, solve_mckp_warm, MckpGroup, MckpOption, MckpWarm,
 };
 
-/// How the per-executor state program is solved.
+#[cfg(test)]
+mod oracle;
+
+/// How the per-executor state program is solved — also the rungs of the
+/// degradation ladder, best first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveStrategy {
     /// Exact knapsack branch and bound over saved recovery costs (default).
     #[default]
     Knapsack,
-    /// The literal Eq. 5–6 ILP over `(m, d, u)` binaries.
-    ExactIlp,
     /// Greedy density heuristic (no optimality guarantee).
     Greedy,
 }
@@ -65,20 +71,15 @@ pub struct OptimizerConfig {
     pub horizon_jobs: usize,
     /// Solve strategy.
     pub strategy: SolveStrategy,
-    /// Per-executor disk budget for the Eq. 6 extension
-    /// (`Σ size·d ≤ capacity_disk`). `None` = abundant disk (the paper's
-    /// default setup).
-    pub disk_capacity: Option<ByteSize>,
     /// Simulated-time budget for one job's decision solve (all per-executor
     /// instances together). When the modeled cost of the requested strategy
     /// would blow the remaining budget, the ladder steps down
-    /// `ExactIlp -> Knapsack -> Greedy -> LRU passthrough` per instance.
+    /// `Knapsack -> Greedy -> LRU passthrough` per instance.
     /// `None` (the default) never degrades.
     pub solve_deadline: Option<SimDuration>,
     /// Enables the serialized in-memory tier as a first-class decision
-    /// state: each candidate's option group is `[out, ser, mem]` (or the
-    /// Eq. 5–6 ILP has four binaries per candidate) instead of the
-    /// keep-in-memory reduction's `[out, mem]`. With the flag off (the
+    /// state: each candidate's option group is `[out, ser, mem]` instead of
+    /// the keep-in-memory reduction's `[out, mem]`. With the flag off (the
     /// default) decisions are byte-identical to the pre-s-tier solver's.
     pub ser_tier: bool,
 }
@@ -88,7 +89,6 @@ impl Default for OptimizerConfig {
         Self {
             horizon_jobs: 2,
             strategy: SolveStrategy::Knapsack,
-            disk_capacity: None,
             solve_deadline: None,
             ser_tier: false,
         }
@@ -101,9 +101,7 @@ impl Default for OptimizerConfig {
 /// as the fallback policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SolveRung {
-    /// The literal Eq. 5–6 ILP ran.
-    ExactIlp,
-    /// The knapsack reduction ran.
+    /// The knapsack search ran.
     Knapsack,
     /// The greedy density heuristic ran.
     Greedy,
@@ -115,7 +113,6 @@ impl SolveRung {
     /// Short label for traces and reports.
     pub fn label(self) -> &'static str {
         match self {
-            SolveRung::ExactIlp => "exact",
             SolveRung::Knapsack => "knapsack",
             SolveRung::Greedy => "greedy",
             SolveRung::Passthrough => "lru-passthrough",
@@ -124,7 +121,6 @@ impl SolveRung {
 
     fn of(strategy: SolveStrategy) -> Self {
         match strategy {
-            SolveStrategy::ExactIlp => SolveRung::ExactIlp,
             SolveStrategy::Knapsack => SolveRung::Knapsack,
             SolveStrategy::Greedy => SolveRung::Greedy,
         }
@@ -150,15 +146,13 @@ impl LadderReport {
 }
 
 /// Modeled solve cost of one instance, in deadline nanoseconds. Integer-only
-/// coefficients fitted to the relative orders of the three rungs (the ILP
-/// branches over `3n` binaries with an LP per node; the knapsack is a
-/// branch and bound whose every node scans an `O(n)` bound; greedy is a
+/// coefficients fitted to the relative order of the two rungs (the knapsack
+/// is a branch and bound whose every node scans an `O(n)` bound; greedy is a
 /// sort). The absolute scale only matters relative to
 /// [`OptimizerConfig::solve_deadline`], which is expressed in the same units.
 pub fn estimate_solve_ns(strategy: SolveStrategy, n: usize) -> u64 {
     let n = n as u64;
     match strategy {
-        SolveStrategy::ExactIlp => 40_000 + 30_000 * n * n,
         SolveStrategy::Knapsack => 10_000 + 1_000 * n * n,
         SolveStrategy::Greedy => 2_000 + 200 * n,
     }
@@ -205,9 +199,6 @@ impl SolveLadder {
             return Some(self.requested);
         };
         let rungs: &[SolveStrategy] = match self.requested {
-            SolveStrategy::ExactIlp => {
-                &[SolveStrategy::ExactIlp, SolveStrategy::Knapsack, SolveStrategy::Greedy]
-            }
             SolveStrategy::Knapsack => &[SolveStrategy::Knapsack, SolveStrategy::Greedy],
             SolveStrategy::Greedy => &[SolveStrategy::Greedy],
         };
@@ -371,21 +362,13 @@ pub(crate) fn emit_commands(
     solved: &[(ExecutorId, Vec<Candidate>, Vec<Pick>)],
     refs: &JobRefs,
     current_job: usize,
-    config: &OptimizerConfig,
 ) -> Vec<StateCommand> {
     let mut commands = Vec::new();
     let mut promotions = Vec::new();
     for (_exec, candidates, picks) in solved {
-        // Eq. 6 extension: track the executor's disk budget while emitting
-        // spills; once exhausted, further m->d transitions degrade to m->u
-        // (the cheapest-saving spills are dropped first via ordering below).
-        let mut disk_budget = config.disk_capacity.map(|cap| {
-            let already: ByteSize =
-                candidates.iter().filter(|c| c.state.on_disk()).map(|c| c.size).sum();
-            cap.saturating_sub(already)
-        });
-        // Emit spills in descending disk-benefit order so the budget goes to
-        // the partitions that gain the most from disk recovery.
+        // Commands go out in descending disk-benefit order. The engine runs
+        // them in this order and records each one, so the order is part of
+        // the trace: it must stay a fixed function of the candidates.
         let mut spill_order: Vec<usize> = (0..candidates.len()).collect();
         spill_order.sort_by(|&a, &b| {
             let ba = candidates[a].cost_r.saturating_sub(candidates[a].cost_d);
@@ -407,18 +390,7 @@ pub(crate) fn emit_commands(
                     // m/s -> d or -> u: pick the cheaper recovery (§4.2),
                     // considering any reference later in the application.
                     let used_later = refs.future_refs(c.id.rdd, current_job) > 0;
-                    let fits_disk = match &mut disk_budget {
-                        None => true,
-                        Some(budget) => {
-                            if *budget >= c.size {
-                                *budget -= c.size;
-                                true
-                            } else {
-                                false
-                            }
-                        }
-                    };
-                    if used_later && c.cost_d < c.cost_r && fits_disk {
+                    if used_later && c.cost_d < c.cost_r {
                         commands.push(StateCommand::SpillToDisk(c.id));
                     } else {
                         commands.push(StateCommand::UnpersistBlock(c.id));
@@ -459,6 +431,12 @@ const ZERO_OPTION: MckpOption = MckpOption { value: 0.0, weight: 0 };
 /// The keep-in-memory pricing of one executor's instance: each candidate
 /// becomes the group `[zero, mem]` ([`BINARY_LAYOUT`]) with saved recovery
 /// cost as value and partition size as weight — a 0/1 knapsack.
+///
+/// It departs from Eq. 5–6 on one input: a memory resident's spill
+/// `transition` is added to the value of staying, as if leaving memory
+/// always paid the spill, although `u` leaves for free. The oracle's
+/// `zero_one_pricing_credits_a_spill_that_eq56_leaves_free` pins an
+/// instance where the two keep different blocks.
 fn binary_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
     candidates
         .iter()
@@ -496,9 +474,8 @@ fn binary_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
 /// where `out_best = min(ref·cost_d + trans_to_d, ref·cost_r)` is the
 /// cheapest out-of-memory objective. Maximizing summed savings under the
 /// memory capacity is then exactly the Eq. 5–6 minimization enlarged to
-/// m/s/d/u (see [`eq56_problem_mc`] — the two encodings differ by the
-/// constant `Σ out_best`), so all three strategies price states
-/// identically.
+/// m/s/d/u: the knapsack optimum is `Σ out_best` minus the program's
+/// optimum, which the test oracle checks on seeded random instances.
 fn tier_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
     candidates
         .iter()
@@ -556,10 +533,10 @@ pub(crate) struct Solved {
 ///
 /// `warm` is the previous solve of the same executor re-aligned to the
 /// current candidate slots (vanished blocks drop out, new blocks default to
-/// [`Pick::Out`] — a feasible completion, so the bound stays valid). Every
-/// solver uses it as a *pruning-only* hint — never installed as an
+/// [`Pick::Out`] — a feasible completion, so the bound stays valid). The
+/// search uses it as a *pruning-only* hint — never installed as an
 /// incumbent — so the returned picks, tie-breaks included, are the ones a
-/// cold solve finds (see `MckpWarm` / `IlpProblem::warm`).
+/// cold solve finds (see `MckpWarm`).
 pub(crate) fn solve_instance(
     candidates: &[Candidate],
     capacity: ByteSize,
@@ -568,15 +545,6 @@ pub(crate) fn solve_instance(
     warm: Option<&[Pick]>,
     certify: bool,
 ) -> Solved {
-    if strategy == SolveStrategy::ExactIlp {
-        let (problem, vars) = if ser_tier {
-            (eq56_problem_mc(candidates, capacity, warm), 4)
-        } else {
-            (eq56_problem(candidates, capacity, warm), 3)
-        };
-        let (picks, payload) = solve_exact(problem, vars, certify);
-        return Solved { picks, payload };
-    }
     let (groups, layout) = if ser_tier {
         (tier_groups(candidates), TIER_LAYOUT)
     } else {
@@ -602,169 +570,6 @@ pub(crate) fn solve_instance(
         }
     });
     Solved { picks, payload }
-}
-
-/// The literal Eq. 5–6 program over `[m_0, d_0, u_0, m_1, ...]` binaries.
-fn eq56_problem(
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    warm_picks: Option<&[Pick]>,
-) -> IlpProblem {
-    let n = candidates.len();
-    let nv = 3 * n;
-    let mut objective = vec![0.0; nv];
-    let mut constraints = Vec::with_capacity(n + 1);
-    let mut cap_row = vec![0.0; nv];
-    for (i, c) in candidates.iter().enumerate() {
-        if c.referenced {
-            objective[3 * i + 1] = c.cost_d.as_secs_f64();
-            objective[3 * i + 2] = c.cost_r.as_secs_f64();
-        }
-        // Transition costs keep the solution stable (see `Candidate`).
-        match c.state {
-            PartitionState::Memory(_) => {
-                // Leaving memory for disk pays the spill; dropping is free.
-                objective[3 * i + 1] += c.transition.as_secs_f64();
-            }
-            PartitionState::SerializedMemory(_) => {
-                // Unreachable with the s tier off — the only mode this
-                // 3-state encoding runs in; priced like a memory resident
-                // for totality.
-                objective[3 * i + 1] += c.transition.as_secs_f64();
-            }
-            PartitionState::Disk(_) => {
-                // Promotion pays a disk read.
-                objective[3 * i] += c.transition.as_secs_f64();
-            }
-            PartitionState::None => {}
-        }
-        // m_i + d_i + u_i = 1 (Eq. 1).
-        let mut row = vec![0.0; nv];
-        row[3 * i] = 1.0;
-        row[3 * i + 1] = 1.0;
-        row[3 * i + 2] = 1.0;
-        constraints.push(Constraint::eq(row, 1.0));
-        // audit: allow(float-cast) byte sizes are < 2^53 and exactly representable
-        cap_row[3 * i] = c.size.as_bytes() as f64;
-    }
-    // audit: allow(float-cast) byte sizes are < 2^53 and exactly representable
-    constraints.push(Constraint::le(cap_row, capacity.as_bytes() as f64));
-    // Expand previous picks to (m, d, u): kept partitions take m; the
-    // rest take whichever of d/u has the lower objective coefficient (a
-    // feasible completion — the bound only has to be valid, not optimal).
-    let warm = warm_picks.filter(|w| w.len() == n).map(|w| {
-        let mut x = vec![false; nv];
-        for (i, &pick) in w.iter().enumerate() {
-            if pick == Pick::Mem {
-                x[3 * i] = true;
-            } else if objective[3 * i + 1] <= objective[3 * i + 2] {
-                x[3 * i + 1] = true;
-            } else {
-                x[3 * i + 2] = true;
-            }
-        }
-        x
-    });
-    IlpProblem { objective, constraints, node_budget: 200_000, warm }
-}
-
-/// The Eq. 5–6 program enlarged to the m/s/d/u space, over
-/// `[m_0, s_0, d_0, u_0, m_1, ...]` binaries: the s column pays the
-/// windowed deserialization charge plus its transition, and occupies only
-/// the footprint-scaled size in the capacity row.
-fn eq56_problem_mc(
-    candidates: &[Candidate],
-    capacity: ByteSize,
-    warm_picks: Option<&[Pick]>,
-) -> IlpProblem {
-    let n = candidates.len();
-    let nv = 4 * n;
-    let mut objective = vec![0.0; nv];
-    let mut constraints = Vec::with_capacity(n + 1);
-    let mut cap_row = vec![0.0; nv];
-    for (i, c) in candidates.iter().enumerate() {
-        // Per-access costs scale with the window reference count, exactly
-        // as in [`tier_groups`] (the two encodings must price identically
-        // for the exact and B&B strategies to agree).
-        let accesses = f64::from(c.window_refs);
-        objective[4 * i] = c.trans_to_m.as_secs_f64();
-        objective[4 * i + 1] = accesses * c.deser_access.as_secs_f64() + c.trans_to_s.as_secs_f64();
-        objective[4 * i + 2] = accesses * c.cost_d.as_secs_f64() + c.trans_to_d.as_secs_f64();
-        objective[4 * i + 3] = accesses * c.cost_r.as_secs_f64();
-        // m_i + s_i + d_i + u_i = 1.
-        let mut row = vec![0.0; nv];
-        for k in 0..4 {
-            row[4 * i + k] = 1.0;
-        }
-        constraints.push(Constraint::eq(row, 1.0));
-        // audit: allow(float-cast) byte sizes are < 2^53 and exactly representable
-        cap_row[4 * i] = c.size.as_bytes() as f64;
-        // audit: allow(float-cast) byte sizes are < 2^53 and exactly representable
-        cap_row[4 * i + 1] = c.ser_size.as_bytes() as f64;
-    }
-    // audit: allow(float-cast) byte sizes are < 2^53 and exactly representable
-    constraints.push(Constraint::le(cap_row, capacity.as_bytes() as f64));
-    // Expand previous picks to (m, s, d, u): in-memory picks take their
-    // column; out picks take whichever of d/u has the lower objective
-    // coefficient (a feasible completion — the bound only has to be valid).
-    let warm = warm_picks.filter(|w| w.len() == n).map(|w| {
-        let mut x = vec![false; nv];
-        for (i, &pick) in w.iter().enumerate() {
-            match pick {
-                Pick::Mem => x[4 * i] = true,
-                Pick::Ser => x[4 * i + 1] = true,
-                Pick::Out => {
-                    if objective[4 * i + 2] <= objective[4 * i + 3] {
-                        x[4 * i + 2] = true;
-                    } else {
-                        x[4 * i + 3] = true;
-                    }
-                }
-            }
-        }
-        x
-    });
-    IlpProblem { objective, constraints, node_budget: 200_000, warm }
-}
-
-/// Solves either Eq. 5–6 encoding (`vars` binaries per candidate: 3 for
-/// [`eq56_problem`]'s m/d/u, 4 for [`eq56_problem_mc`]'s m/s/d/u); returns
-/// one pick per candidate plus, under `certify`, the program/outcome/proof
-/// payload.
-fn solve_exact(
-    problem: IlpProblem,
-    vars: usize,
-    certify: bool,
-) -> (Vec<Pick>, Option<InstancePayload>) {
-    let n = problem.objective.len() / vars;
-    if n == 0 {
-        return (Vec::new(), None);
-    }
-    // Infeasibility cannot happen (u_i = 1 for all i is feasible) and the
-    // programs are well-formed, but degrade to "evict everything" rather
-    // than panic; under certify the empty certificate then fails to verify.
-    let (outcome, cert) = if certify {
-        let (outcome, cert) = solve_binary_certified(&problem)
-            .unwrap_or_else(|_| (IlpOutcome::Infeasible, Default::default()));
-        (outcome, Some(cert))
-    } else {
-        (solve_binary(&problem).unwrap_or(IlpOutcome::Infeasible), None)
-    };
-    let picks = match &outcome {
-        IlpOutcome::Solved { x, .. } => (0..n)
-            .map(|i| {
-                if x[vars * i] {
-                    Pick::Mem
-                } else if vars == 4 && x[vars * i + 1] {
-                    Pick::Ser
-                } else {
-                    Pick::Out
-                }
-            })
-            .collect(),
-        IlpOutcome::Infeasible => vec![Pick::Out; n],
-    };
-    (picks, cert.map(|cert| InstancePayload::Ilp { problem, outcome, cert }))
 }
 
 #[cfg(test)]
@@ -828,50 +633,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn knapsack_and_exact_ilp_agree() {
-        let candidates = vec![
-            cand(1, 0, 100, 50, 200, true, true),
-            cand(2, 0, 80, 300, 100, true, true),
-            cand(3, 0, 60, 20, 10, true, true),
-            cand(4, 0, 50, 0, 0, false, true),
-        ];
-        for cap_kib in [60u64, 120, 180, 300] {
-            let cap = ByteSize::from_kib(cap_kib);
-            let k = picks(&candidates, cap, SolveStrategy::Knapsack, false);
-            let e = picks(&candidates, cap, SolveStrategy::ExactIlp, false);
-            let value = |sel: &[Pick]| -> f64 {
-                sel.iter()
-                    .zip(&candidates)
-                    .filter(|(s, _)| **s == Pick::Mem)
-                    .map(
-                        |(_, c)| {
-                            if c.referenced {
-                                c.cost_d.min(c.cost_r).as_secs_f64()
-                            } else {
-                                0.0
-                            }
-                        },
-                    )
-                    .sum()
-            };
-            assert!(
-                (value(&k) - value(&e)).abs() < 1e-9,
-                "strategies disagree at cap {cap_kib}: knapsack {k:?} vs exact {e:?}"
-            );
-            // Both must respect capacity.
-            for sel in [&k, &e] {
-                let w: u64 = sel
-                    .iter()
-                    .zip(&candidates)
-                    .filter(|(s, _)| **s == Pick::Mem)
-                    .map(|(_, c)| c.size.as_bytes())
-                    .sum();
-                assert!(w <= cap.as_bytes());
-            }
-        }
-    }
-
     /// An mc-space candidate with explicit s-state pricing.
     #[allow(clippy::too_many_arguments)]
     fn cand_mc(
@@ -900,44 +661,6 @@ mod tests {
         }
     }
 
-    /// The options a pick vector chooses under the mc group pricing.
-    fn mc_options(candidates: &[Candidate], picks: &[Pick]) -> Vec<MckpOption> {
-        let choice = choice_of_picks(picks, TIER_LAYOUT);
-        tier_groups(candidates).iter().zip(choice).map(|(g, c)| g.options[c]).collect()
-    }
-
-    /// Objective value of a pick vector under the mc group pricing.
-    fn mc_value(candidates: &[Candidate], picks: &[Pick]) -> f64 {
-        mc_options(candidates, picks).iter().map(|o| o.value).sum()
-    }
-
-    fn mc_weight(candidates: &[Candidate], picks: &[Pick]) -> u64 {
-        mc_options(candidates, picks).iter().map(|o| o.weight).sum()
-    }
-
-    #[test]
-    fn mc_knapsack_and_exact_ilp_agree() {
-        let m = PartitionState::Memory(ExecutorId(0));
-        let candidates = vec![
-            cand_mc(1, 100, 60, 50, 200, 5, m),
-            cand_mc(2, 80, 30, 300, 100, 40, m),
-            cand_mc(3, 60, 50, 20, 10, 1, m),
-            cand_mc(4, 50, 20, 400, 500, 2, PartitionState::Disk(ExecutorId(0))),
-        ];
-        for cap_kib in [40u64, 90, 150, 300] {
-            let cap = ByteSize::from_kib(cap_kib);
-            let k = picks(&candidates, cap, SolveStrategy::Knapsack, true);
-            let e = picks(&candidates, cap, SolveStrategy::ExactIlp, true);
-            assert!(
-                (mc_value(&candidates, &k) - mc_value(&candidates, &e)).abs() < 1e-9,
-                "mc strategies disagree at cap {cap_kib}: knapsack {k:?} vs exact {e:?}"
-            );
-            for picks in [&k, &e] {
-                assert!(mc_weight(&candidates, picks) <= cap.as_bytes());
-            }
-        }
-    }
-
     #[test]
     fn mc_picks_serialized_when_only_the_packed_form_fits() {
         // Full size 100 KiB, packed 50 KiB, capacity 60 KiB: m does not fit,
@@ -945,7 +668,7 @@ mod tests {
         // disk (400 ms), so s wins over out.
         let candidates =
             vec![cand_mc(1, 100, 50, 400, 500, 5, PartitionState::Memory(ExecutorId(0)))];
-        for strategy in [SolveStrategy::Knapsack, SolveStrategy::ExactIlp, SolveStrategy::Greedy] {
+        for strategy in [SolveStrategy::Knapsack, SolveStrategy::Greedy] {
             let chosen = picks(&candidates, ByteSize::from_kib(60), strategy, true);
             assert_eq!(chosen, vec![Pick::Ser], "{strategy:?} must choose the s state");
         }
@@ -972,9 +695,7 @@ mod tests {
         ];
         for (ser_tier, candidates) in [(false, &binary), (true, &multi)] {
             let n = candidates.len();
-            for strategy in
-                [SolveStrategy::Knapsack, SolveStrategy::ExactIlp, SolveStrategy::Greedy]
-            {
+            for strategy in [SolveStrategy::Knapsack, SolveStrategy::Greedy] {
                 for cap_kib in [60u64, 120, 300] {
                     let cap = ByteSize::from_kib(cap_kib);
                     let cold = solve_instance(candidates, cap, strategy, ser_tier, None, false);
@@ -1031,7 +752,7 @@ mod tests {
         // zero refs everywhere.
         let ctx = blaze_dataflow::Context::new(blaze_dataflow::runner::LocalRunner::new());
         let refs = crate::refs::JobRefs::build(&ctx.plan().read(), &[]);
-        let cmds = emit_commands(&solved, &refs, 0, &OptimizerConfig::default());
+        let cmds = emit_commands(&solved, &refs, 0);
         let a = candidates[0].id;
         let b = candidates[1].id;
         let c = candidates[2].id;
@@ -1052,13 +773,6 @@ mod tests {
             vec![cand(1, 0, 100, 500, 900, true, true), cand(2, 0, 100, 0, 0, false, true)];
         let keep = picks(&candidates, ByteSize::from_kib(100), SolveStrategy::Knapsack, false);
         assert_eq!(keep, vec![Pick::Mem, Pick::Out]);
-    }
-
-    #[test]
-    fn exact_ilp_empty_instance() {
-        for ser_tier in [false, true] {
-            assert!(picks(&[], ByteSize::from_kib(1), SolveStrategy::ExactIlp, ser_tier).is_empty());
-        }
     }
 
     /// Builds a two-dataset lineage (a -> b, both single-partition), marks
@@ -1112,28 +826,28 @@ mod tests {
 
     #[test]
     fn ladder_without_deadline_never_degrades() {
-        let cfg = OptimizerConfig { strategy: SolveStrategy::ExactIlp, ..Default::default() };
-        let mut ladder = SolveLadder::new(&cfg);
+        let mut ladder = SolveLadder::new(&OptimizerConfig::default());
         for _ in 0..100 {
-            assert_eq!(ladder.pick(50), Some(SolveStrategy::ExactIlp));
+            assert_eq!(ladder.pick(50), Some(SolveStrategy::Knapsack));
         }
         let report = ladder.report();
         assert!(!report.any());
-        assert_eq!(report.lowest, Some(SolveRung::ExactIlp));
+        assert_eq!(report.lowest, Some(SolveRung::Knapsack));
     }
 
     #[test]
     fn ladder_steps_down_and_then_passes_through() {
-        // Budget fits exactly one knapsack solve of 4 candidates; the exact
-        // ILP is over budget from the start.
-        let budget = estimate_solve_ns(SolveStrategy::Knapsack, 4);
+        // Budget fits exactly one knapsack solve of 4 candidates and then
+        // one greedy solve.
+        let budget = estimate_solve_ns(SolveStrategy::Knapsack, 4)
+            + estimate_solve_ns(SolveStrategy::Greedy, 4);
         let cfg = OptimizerConfig {
-            strategy: SolveStrategy::ExactIlp,
             solve_deadline: Some(SimDuration::from_nanos(budget)),
             ..Default::default()
         };
         let mut ladder = SolveLadder::new(&cfg);
         assert_eq!(ladder.pick(4), Some(SolveStrategy::Knapsack));
+        assert_eq!(ladder.pick(4), Some(SolveStrategy::Greedy));
         // Budget drained: not even greedy fits now.
         assert_eq!(ladder.pick(4), None);
         let report = ladder.report();
@@ -1145,10 +859,6 @@ mod tests {
     #[test]
     fn estimate_orders_the_rungs() {
         for n in [1usize, 4, 16, 64] {
-            assert!(
-                estimate_solve_ns(SolveStrategy::ExactIlp, n)
-                    > estimate_solve_ns(SolveStrategy::Knapsack, n)
-            );
             assert!(
                 estimate_solve_ns(SolveStrategy::Knapsack, n)
                     > estimate_solve_ns(SolveStrategy::Greedy, n)
@@ -1165,29 +875,5 @@ mod tests {
         assert!(cmds.is_empty(), "passthrough must not emit commands: {cmds:?}");
         assert_eq!(report.passthrough, 1);
         assert_eq!(report.lowest, Some(SolveRung::Passthrough));
-    }
-
-    #[test]
-    fn disk_capacity_extension_degrades_spills_to_unpersists() {
-        let (mut cl, refs, _a, b_block) = small_world();
-        // Make the evicted block strongly prefer disk: enormous compute.
-        cl.record_metrics(b_block, ByteSize::from_kib(64), SimDuration::from_secs(100));
-        // Give b a future reference so the spill path is even considered:
-        // reuse refs where only `a` is referenced — so instead check the
-        // constrained case directly against the unconstrained one.
-        let (unconstrained, _) =
-            decide(&mut cl, &refs, ByteSize::from_kib(64), 0, &OptimizerConfig::default());
-        let (constrained, _) = decide(
-            &mut cl,
-            &refs,
-            ByteSize::from_kib(64),
-            0,
-            &OptimizerConfig { disk_capacity: Some(ByteSize::ZERO), ..Default::default() },
-        );
-        let spills = |cmds: &[StateCommand]| {
-            cmds.iter().filter(|c| matches!(c, StateCommand::SpillToDisk(_))).count()
-        };
-        assert!(spills(&constrained) == 0, "zero disk budget must forbid spills");
-        assert!(spills(&unconstrained) >= spills(&constrained));
     }
 }

@@ -138,8 +138,9 @@ pub struct CtrlCtx {
     pub hardware: HardwareModel,
     /// Per-executor memory-store capacity.
     pub memory_capacity: ByteSize,
-    /// Per-executor disk-store capacity ("abundant" in the paper's setup,
-    /// but the Eq. 6 extension constrains it).
+    /// Per-executor disk-store capacity ("abundant" in the paper's setup;
+    /// the engine refuses a spill into a full disk and records
+    /// `CacheDecision::SpillRefused`).
     pub disk_capacity: ByteSize,
     /// Number of executors.
     pub executors: usize,

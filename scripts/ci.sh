@@ -65,10 +65,11 @@ run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_decision -- \
 # (--quick skips the wall-clock thread sweep, keeps both floors).
 run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_engine -- \
     --quick --check
-# Decision certificates: every workload x strategy combo must emit
-# certificates that verify clean (--all, implied), and each seeded corruption
-# must trip its BA5xx check (--mutate) — proving the verifier has teeth, not
-# just that the solvers are honest.
+# Decision certificates: every workload under both strategies (knapsack,
+# greedy), plus the serialized-tier leg, must emit certificates that verify
+# clean (--all, implied), and each seeded corruption must trip its BA5xx
+# check (--mutate) — proving the verifier has teeth, not just that the
+# solvers are honest.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-certify -- \
     --quick --mutate --all
 # Layer-2 static analysis: the determinism source lint (including the

@@ -286,7 +286,7 @@ fn ba505_fires_on_a_retained_stale_memo_entry() {
 #[test]
 fn inline_certify_mode_accepts_every_strategy() {
     let spec = AppSpec::evaluation(App::PageRank).scaled(0.2);
-    for strategy in [SolveStrategy::Knapsack, SolveStrategy::ExactIlp, SolveStrategy::Greedy] {
+    for strategy in [SolveStrategy::Knapsack, SolveStrategy::Greedy] {
         let mut cfg = BlazeConfig { certify: true, ..BlazeConfig::full() };
         cfg.optimizer.strategy = strategy;
         Session::builder()

@@ -119,14 +119,12 @@ proptest! {
             1..8,
         ),
         capacity_kib in 8u64..128,
-        strategy_pick in 0usize..3,
+        strategy_pick in 0usize..2,
     ) {
         const PARTS: u32 = 3;
         let ctx = Context::new(LocalRunner::new());
         let rdds = build_random_plan(&ctx, &shape, PARTS as usize);
-        let strategy =
-            [SolveStrategy::Knapsack, SolveStrategy::Greedy, SolveStrategy::ExactIlp]
-                [strategy_pick];
+        let strategy = [SolveStrategy::Knapsack, SolveStrategy::Greedy][strategy_pick];
         let config = OptimizerConfig { strategy, ..OptimizerConfig::default() };
         let hardware = HardwareModel::default();
         let capacity = ByteSize::from_kib(capacity_kib);

@@ -504,8 +504,8 @@ fn fetch_retries_back_off_then_escalate() {
 /// degradation is visible in the event trace as a `solver-degrade` record.
 #[test]
 fn solver_deadline_degrades_and_traces_the_ladder() {
-    // Exact ILP costs >= 70 us per instance under the ladder's estimates;
-    // 5 us fits only greedy rungs, and only a few of them.
+    // The knapsack costs >= 11 us per instance under the ladder's
+    // estimates; 5 us fits only greedy rungs, and only a few of them.
     let mut cfg = BlazeConfig::full();
     cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(5_000));
     cfg.validate().expect("deadline above the ladder floor");
