@@ -4,7 +4,7 @@
 //! Runs evaluation-scale workloads at several `worker_threads` settings and
 //! records, for each run, the *real* elapsed time next to the *simulated*
 //! ACT. The simulated ACT must be identical across thread counts (that is
-//! the determinism contract pinned by `tests/parallel_determinism.rs`);
+//! the determinism contract pinned by `tests/differential.rs`);
 //! wall-clock time is what the thread pool improves, and scales with the
 //! host's core count.
 //!

@@ -28,11 +28,11 @@ run cargo build --release $OFFLINE --workspace
 # and not in the outside driver.
 run cargo build --release $OFFLINE --manifest-path benchmark/Cargo.toml
 run cargo test -q $OFFLINE --workspace
-# Chaos step: replay the fault-injection suite over a wider seed matrix
-# than the default `cargo test` run. Override the seeds (comma-separated
-# u64s) by exporting BLAZE_CHAOS_SEEDS yourself.
+# Chaos step: replay the differential harness with its fixed-schedule
+# chaos seed matrix wider than the default `cargo test` run. Override the
+# seeds (comma-separated u64s) by exporting BLAZE_CHAOS_SEEDS yourself.
 run env BLAZE_CHAOS_SEEDS="${BLAZE_CHAOS_SEEDS:-11,23,37,41,53}" \
-    cargo test -q $OFFLINE --test fault_injection
+    cargo test -q $OFFLINE --test differential
 # Trace validation: the structured event log must pass its self-audit
 # (span nesting, metrics reconciliation, cache-event pairing) and be
 # byte-identical across worker-thread counts. One memory-pressured and one

@@ -100,8 +100,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Same pipeline builder as `caching_properties.rs`: shuffles are cached
-/// and counted (iterative style), narrow chains run uncached.
+/// The `tests/common` pipeline shape without its `Hot` and `Unpersist`
+/// steps: shuffles are cached and counted (iterative style), narrow chains
+/// run uncached.
 fn apply(ctx: &Context, elems: u64, keys: u64, parts: usize, steps: &[Step]) {
     let mut data: Dataset<(u64, u64)> =
         ctx.parallelize((0..elems).map(|i| (i % keys, i)).collect::<Vec<_>>(), parts);

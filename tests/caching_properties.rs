@@ -1,92 +1,10 @@
-//! Property-based tests over randomly generated dataflow programs.
-//!
-//! Strategy: generate a random pipeline of keyed transformations and a
-//! random (tiny) memory capacity, run it under a caching engine and under
-//! the cache-less reference runner, and require identical results. This
-//! exercises the full caching/eviction/recovery surface with shapes no
-//! hand-written test would cover.
-
-mod common;
+//! Free-memory dominance on the evaluation workloads: with a store that
+//! holds everything, profiled Blaze recomputes nothing and finishes with
+//! MEM+DISK. Random pipelines go through `tests/differential.rs`.
 
 use blaze::common::ByteSize;
-use blaze::dataflow::{runner::LocalRunner, Context};
-use blaze::engine::{Cluster, ClusterConfig, FaultPlan};
+use blaze::engine::FaultPlan;
 use blaze::workloads::{run_spec_serial, App, AppSpec, SystemKind};
-use common::{apply, step_strategy};
-use proptest::prelude::*;
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Random pipelines produce identical results with and without caching,
-    /// across random memory capacities, controllers and worker-thread counts
-    /// (both backends run the same pipeline at the same thread count).
-    #[test]
-    fn caching_is_semantically_transparent(
-        elems in 100u64..2_000,
-        keys in 1u64..64,
-        parts in 1usize..6,
-        steps in prop::collection::vec(step_strategy(), 1..6),
-        capacity_kib in 1u64..64,
-        system_pick in 0usize..4,
-        worker_threads in 1usize..5,
-    ) {
-        let reference = apply(
-            &Context::new(LocalRunner::new().with_threads(worker_threads)),
-            elems, keys, parts, &steps,
-        ).expect("reference run");
-        let system = [
-            SystemKind::SparkMemOnly,
-            SystemKind::SparkMemDisk,
-            SystemKind::Lrc,
-            SystemKind::BlazeNoProfile,
-        ][system_pick];
-        let cluster = Cluster::new(
-            ClusterConfig {
-                executors: 2,
-                slots_per_executor: 1,
-                memory_capacity: ByteSize::from_kib(capacity_kib),
-                worker_threads,
-                ..Default::default()
-            },
-            system.make_controller(None),
-        ).unwrap();
-        let got = apply(&Context::new(cluster), elems, keys, parts, &steps).expect("cluster run");
-        prop_assert_eq!(got, reference);
-    }
-
-    /// Simulated time and task counts are positive and consistent.
-    #[test]
-    fn metrics_are_internally_consistent(
-        elems in 100u64..1_000,
-        steps in prop::collection::vec(step_strategy(), 1..4),
-    ) {
-        let cluster = Cluster::new(
-            ClusterConfig {
-                executors: 2,
-                slots_per_executor: 2,
-                memory_capacity: ByteSize::from_kib(32),
-                ..Default::default()
-            },
-            SystemKind::SparkMemDisk.make_controller(None),
-        ).unwrap();
-        let ctx = Context::new(cluster.clone());
-        apply(&ctx, elems, 16, 4, &steps).expect("pipeline run");
-        let m = cluster.metrics();
-        prop_assert!(m.tasks > 0);
-        prop_assert!(m.jobs > 0);
-        prop_assert!(m.completion_time.as_nanos() > 0);
-        // Accumulated task time across slots cannot be less than the
-        // longest single component of the ACT... but it must be at least
-        // the ACT divided by total slots.
-        let slots = 4.0;
-        prop_assert!(
-            m.accumulated.total().as_secs_f64() >= m.completion_time.as_secs_f64() / slots - 1e-9
-        );
-        // Eviction split adds up.
-        prop_assert_eq!(m.evictions, m.evictions_discard + m.evictions_to_disk);
-    }
-}
 
 /// The profiled Blaze variants: everything that decides from the extracted
 /// references rather than from recency alone.
@@ -106,7 +24,7 @@ const PROFILED_BLAZE: [SystemKind; 5] = [
 /// ConnectedComponents is the one recorded exception, measured rather than
 /// skipped: the real run converges at a different superstep than the sample
 /// run, the profile diverges, and the relearned references unpersist
-/// `pregel_edges` inside a job that then recomputes it (ROADMAP item 5). Its
+/// `pregel_edges` inside a job that then recomputes it (ROADMAP item 4(b)). Its
 /// arm asserts that the exception is still real, so a fix has to delete it.
 #[test]
 fn profiled_blaze_with_free_memory_matches_mem_disk() {

@@ -1,16 +1,15 @@
 //! Shared generators and fixtures of the integration tests: the one
-//! random-pipeline generator ([`Step`] / [`step_strategy`] / [`apply`]), the
-//! fault schedules the properties sweep ([`fault_variant`]) and the
-//! two-executor fixture of the hand-written pipelines ([`small_cluster`],
-//! [`reference`]).
+//! random-pipeline generator ([`Step`] / [`step_strategy`] / [`source`] /
+//! [`apply`]) and the two-executor fixture of the hand-written pipelines
+//! ([`small_cluster`], [`reference`]).
 //!
 //! Every test binary compiles this module for itself and uses a subset.
 #![allow(dead_code)]
 
 use blaze::common::error::Result;
-use blaze::common::{ByteSize, SimDuration, SimTime};
+use blaze::common::ByteSize;
 use blaze::dataflow::{runner::LocalRunner, Context, CostSpec, Dataset};
-use blaze::engine::{ClusterConfig, ExecutorCrash, FaultPlan};
+use blaze::engine::{ClusterConfig, FaultPlan};
 use proptest::prelude::*;
 
 /// One step of a random pipeline.
@@ -29,30 +28,41 @@ pub enum Step {
         cost: u32,
         ser: u32,
     },
+    /// The user-unpersist dimension: `unpersist()`s the most recently cached
+    /// dataset still cached, then counts it again (through lineage).
+    Unpersist,
 }
 
 pub fn step_strategy() -> impl Strategy<Value = Step> {
+    let hot = || (1u32..2_000, 1u32..7).prop_map(|(cost, ser)| Step::Hot { cost, ser });
+    // `Hot` is drawn twice as often as each other step: it alone makes
+    // cached datasets compete for the store.
     prop_oneof![
         (1u64..100).prop_map(Step::MapAdd),
         (2u64..7).prop_map(Step::FilterMod),
         Just(Step::ReduceByKey),
         Just(Step::GroupCount),
-        (1u32..2_000, 1u32..7).prop_map(|(cost, ser)| Step::Hot { cost, ser }),
+        hot(),
+        hot(),
+        Just(Step::Unpersist),
     ]
 }
 
-/// Applies the pipeline, caching after every shuffle (iterative style), and
-/// returns the sorted result.
-pub fn apply(
-    ctx: &Context,
-    elems: u64,
-    keys: u64,
-    parts: usize,
-    steps: &[Step],
-) -> Result<Vec<(u64, u64)>> {
-    let mut data: Dataset<(u64, u64)> =
-        ctx.parallelize((0..elems).map(|i| (i % keys, i)).collect::<Vec<_>>(), parts);
+/// The pipeline input: `elems` records over `keys` keys in `parts`
+/// partitions, annotated for caching. The applications of a multi-app run
+/// share one input, declared once and rebound into each app's context.
+pub fn source(ctx: &Context, elems: u64, keys: u64, parts: usize) -> Dataset<(u64, u64)> {
+    let data = ctx.parallelize((0..elems).map(|i| (i % keys, i)).collect::<Vec<_>>(), parts);
+    data.cache();
+    data
+}
+
+/// Applies the pipeline to `input`, caching after every shuffle (iterative
+/// style), and returns the sorted result.
+pub fn apply(input: Dataset<(u64, u64)>, parts: usize, steps: &[Step]) -> Result<Vec<(u64, u64)>> {
+    let mut cached = vec![input.clone()];
     let mut hot: Vec<Dataset<(u64, u64)>> = Vec::new();
+    let mut data = input;
     for step in steps {
         data = match *step {
             Step::MapAdd(k) => data.map_values(move |v| v.wrapping_add(k)),
@@ -61,12 +71,14 @@ pub fn apply(
                 let d = data.reduce_by_key(parts, |a, b| a.wrapping_add(*b));
                 d.cache();
                 d.count()?;
+                cached.push(d.clone());
                 d
             }
             Step::GroupCount => {
                 let d = data.group_by_key(parts).map_values(|vs| vs.len() as u64);
                 d.cache();
                 d.count()?;
+                cached.push(d.clone());
                 d
             }
             Step::Hot { cost, ser } => {
@@ -80,8 +92,16 @@ pub fn apply(
                     earlier.count()?;
                 }
                 d.count()?;
+                cached.push(d.clone());
                 hot.push(d.clone());
                 d
+            }
+            Step::Unpersist => {
+                if let Some(d) = cached.pop() {
+                    d.unpersist();
+                    d.count()?;
+                }
+                data
             }
         };
     }
@@ -91,25 +111,6 @@ pub fn apply(
     }
     out.sort();
     Ok(out)
-}
-
-/// The deterministic fault schedule variants swept by the properties.
-pub fn fault_variant(pick: usize, seed: u64) -> FaultPlan {
-    match pick {
-        0 => FaultPlan::default(),
-        1 => FaultPlan { seed, task_failure_rate: 0.05, max_task_retries: 4, ..Default::default() },
-        _ => FaultPlan {
-            seed,
-            task_failure_rate: 0.03,
-            max_task_retries: 4,
-            crashes: vec![ExecutorCrash {
-                at: SimTime::ZERO + SimDuration::from_micros(40),
-                executor: 0,
-            }],
-            external_shuffle_service: false,
-            ..Default::default()
-        },
-    }
 }
 
 /// The two-executor, two-slot cluster the hand-written pipelines run on.

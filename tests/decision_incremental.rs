@@ -10,25 +10,21 @@
 //! the lineage got into its current state. Everything the retained state
 //! does (memo invalidation, instance reuse, warm bounds, append-only refs
 //! extension) is off in that reference. These tests attack the contract
-//! from four sides:
+//! from three sides (random pipelines, warm vs cold under every drawn
+//! configuration, are contract 5 of `tests/differential.rs`):
 //!
 //! 1. a core-level differential property — random plans plus random
 //!    job/state/metric churn, every round checked against a reset driver fed
 //!    freshly built references, under every solver strategy;
-//! 2. an engine-level differential property — random pipelines run twice
-//!    under profiled Blaze (retaining vs forgetting before every job), with
-//!    and without deterministic fault injection, requiring identical
-//!    results, metrics, and a byte-identical Chrome trace;
-//! 3. the same at engine level on fan-in lineage — generations of cached
+//! 2. an engine-level property on fan-in lineage — generations of cached
 //!    siblings zipped pairwise, the store a fraction of one generation — so
-//!    admissions reach the ancestor arm of the value weight;
-//! 4. golden runs — evaluation workloads at `worker_threads` ∈ {1, 2, 4},
+//!    admissions reach the ancestor arm of the value weight, run warm and
+//!    cold with identical results, metrics and Chrome trace;
+//! 3. golden runs — evaluation workloads at `worker_threads` ∈ {1, 2, 4},
 //!    with and without a fault plan, with and without the serialized tier,
 //!    warm vs cold, all traces byte-identical.
 //!
 //! [`StateCommand`]: blaze::engine::StateCommand
-
-mod common;
 
 use blaze::common::ids::{BlockId, ExecutorId, RddId};
 use blaze::common::{ByteSize, SimDuration, SimTime};
@@ -47,7 +43,6 @@ use blaze::workloads::{App, AppSpec, Session};
 // controller's own cold reference — and it mirrors `decision_stats()` out
 // of the cluster the controller is moved into.
 use blaze_bench::harness::{DecisionProbe, ProbeReadout};
-use common::{apply, fault_variant, step_strategy, Step};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -189,75 +184,6 @@ fn install(inner: BlazeController, cold: bool) -> Box<dyn CacheController> {
         Box::new(DecisionProbe::new(inner, true, Arc::default()))
     } else {
         Box::new(inner)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Engine-level differential property
-// ---------------------------------------------------------------------------
-
-/// Runs the pipeline under profiled Blaze — retaining decision state, or
-/// (`cold`) forgetting it before every job — with tracing on, and returns
-/// (results, metrics, trace).
-fn run_blaze_pipeline(
-    elems: u64,
-    parts: usize,
-    steps: &[Step],
-    capacity_kib: u64,
-    cold: bool,
-    fault: FaultPlan,
-) -> (Vec<(u64, u64)>, Metrics, TraceLog) {
-    let profile_steps = steps.to_vec();
-    let profile = extract_dependencies(
-        move |ctx| apply(ctx, elems, 16, parts, &profile_steps).map(|_| ()),
-        0,
-    )
-    .expect("profiling run failed");
-    let cluster = Cluster::new(
-        ClusterConfig {
-            executors: 2,
-            slots_per_executor: 2,
-            memory_capacity: ByteSize::from_kib(capacity_kib),
-            worker_threads: 2,
-            tracing: true,
-            fault,
-            ..Default::default()
-        },
-        install(BlazeController::new(BlazeConfig::full(), Some(profile)), cold),
-    )
-    .unwrap();
-    let ctx = Context::new(cluster.clone());
-    let out = apply(&ctx, elems, 16, parts, steps).expect("pipeline run failed");
-    let trace = cluster.trace().expect("tracing was enabled");
-    (out, cluster.metrics(), trace)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// Random pipelines under profiled Blaze — with and without fault
-    /// injection — produce identical results, metrics, and a byte-identical
-    /// Chrome trace whether the controller retains its decision state or
-    /// forgets it before every job.
-    #[test]
-    fn engine_runs_are_identical_warm_or_cold(
-        elems in 100u64..600,
-        parts in 1usize..5,
-        steps in prop::collection::vec(step_strategy(), 1..5),
-        capacity_kib in 1u64..48,
-        fault_pick in 0usize..3,
-        seed in 0u64..1_000,
-    ) {
-        let fault = fault_variant(fault_pick, seed);
-        let (out_inc, m_inc, t_inc) =
-            run_blaze_pipeline(elems, parts, &steps, capacity_kib, false, fault.clone());
-        let (out_scr, m_scr, t_scr) =
-            run_blaze_pipeline(elems, parts, &steps, capacity_kib, true, fault);
-        prop_assert_eq!(out_inc, out_scr);
-        prop_assert_eq!(m_inc.jobs, m_scr.jobs);
-        prop_assert_eq!(m_inc.tasks, m_scr.tasks);
-        prop_assert_eq!(m_inc.completion_time, m_scr.completion_time);
-        prop_assert_eq!(t_inc.chrome_json(), t_scr.chrome_json());
     }
 }
 

@@ -5,7 +5,8 @@
 //! 1. **N = 1 is the legacy serial path** — running any of the six
 //!    workloads through the session scheduler with one app produces
 //!    byte-identical chrome traces (and metrics) to the pre-session serial
-//!    runner, for every system (proptest sweeps the space).
+//!    runner (every system on random pipelines is contract 6 of
+//!    `tests/differential.rs`).
 //! 2. **Multi-app determinism** — a co-running session's trace is a pure
 //!    function of (apps, policy, seed): byte-identical across
 //!    `worker_threads` ∈ {1, 2, 4} and across repeated runs, for both
@@ -21,7 +22,6 @@ use blaze::engine::{Cluster, ClusterConfig, FaultPlan, SchedPolicy, SchedulerCon
 use blaze::policies::{EvictMode, LruController};
 use blaze::workloads::{runner::run_spec_serial, App, AppSpec, Session, SystemKind};
 use parking_lot::RwLock;
-use proptest::prelude::*;
 use std::sync::Arc;
 
 /// One traced single-app run through the session scheduler.
@@ -85,37 +85,6 @@ fn multi_app_traces_are_byte_identical_across_worker_threads() {
                 );
             }
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    /// N = 1 through the scheduler is metric-identical to the legacy serial
-    /// path across apps, systems, scales and thread counts.
-    #[test]
-    fn n1_session_equals_serial_path(
-        app_idx in 0usize..6,
-        system_idx in 0usize..4,
-        threads in prop_oneof![Just(1usize), Just(2), Just(4)],
-        scale in prop_oneof![Just(0.4f64), Just(0.7), Just(1.0)],
-    ) {
-        let app = App::all()[app_idx];
-        let system = [
-            SystemKind::SparkMemOnly,
-            SystemKind::SparkMemDisk,
-            SystemKind::Mrd,
-            SystemKind::Blaze,
-        ][system_idx];
-        let spec = AppSpec::evaluation(app).scaled(scale).with_worker_threads(threads);
-        let legacy = run_spec_serial(&spec, system, FaultPlan::default(), false)
-            .expect("serial run failed");
-        let session = Session::builder()
-            .app(spec)
-            .system(system)
-            .run()
-            .expect("session run failed");
-        prop_assert_eq!(legacy.metrics, session.metrics);
     }
 }
 

@@ -17,28 +17,17 @@
 //!    multi-choice decision certificate. (That the driver's retained state
 //!    never changes a multi-choice decision is pinned, with the 0/1 path,
 //!    by the warm-vs-cold trace identity in `tests/decision_incremental.rs`.)
-//! 5. **The random generator gets there too** — the shared random-pipeline
-//!    generator (`tests/common`), profiled and under memory pressure, makes
-//!    the solver pick the s-state in at least one generated case per run,
-//!    and every case stays result-transparent with a clean trace audit.
-//! 6. **A job's read of its own target is a reference** — the same
-//!    generated pipelines, with a store that holds everything, never
-//!    recompute a block in a job whose target is that block's dataset: the
-//!    generator's `count()`s on earlier cached datasets sit behind skipped
-//!    shuffle stages, and completing those must not auto-unpersist what the
-//!    result stage is about to read.
+//!
+//! Random pipelines with the tier drawn on or off, under every fault
+//! schedule, are `tests/differential.rs`'s; its coverage floor requires a
+//! case that picks the s-state.
 
 mod common;
 
-use blaze::common::ByteSize;
 use blaze::core::{extract_dependencies, BlazeConfig, BlazeController};
-use blaze::dataflow::{planner::plan_job, Context, CostSpec, Plan};
-use blaze::engine::{
-    CacheDecision, Cluster, ClusterConfig, FaultPlan, Metrics, TraceEvent, TraceLog,
-};
-use common::{apply, small_cluster, step_strategy};
-use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use blaze::dataflow::{Context, CostSpec};
+use blaze::engine::{Cluster, ClusterConfig, FaultPlan, Metrics, TraceLog};
+use common::small_cluster;
 
 /// How expensive this workload's element type is to (de)serialize,
 /// relative to the hardware model's baseline. High, like the paper's
@@ -129,7 +118,7 @@ fn run(
 }
 
 /// [`run`] traced, returning the Chrome trace JSON. The trace must pass its
-/// own audit (the random audit in `trace_properties` never engages the tier).
+/// own audit.
 fn run_traced(
     cfg: BlazeConfig,
     fault: FaultPlan,
@@ -215,95 +204,4 @@ fn ser_tier_certified_run_verifies_inline() {
     let (out, m, _) = run_traced(cfg, FaultPlan::default(), 2);
     assert_eq!(out, reference(), "certified ser-tier run must compute the right answer");
     assert!(m.ser_transitions > 0, "certified run must exercise the multi-choice payloads");
-}
-
-/// `ser_transitions` summed over the cases of [`pressured_pipeline_case`].
-static GENERATED_SER_TRANSITIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Cases of [`pressured_pipeline_case`] with a job of the contract-6 shape.
-static CASES_READING_A_CACHED_TARGET: AtomicU64 = AtomicU64::new(0);
-
-/// Whether some job of `trace` looked its own target up in the cache with at
-/// least one stage ahead of its result stage (the contract-6 shape), and the
-/// lookups of that kind that missed.
-fn reads_of_cached_targets(trace: &TraceLog, plan: &Plan) -> (bool, Vec<String>) {
-    let (mut reached, mut missed) = (false, Vec::new());
-    let mut target = None;
-    for ev in trace.events() {
-        match ev {
-            TraceEvent::JobStarted { target: t, .. } => {
-                let staged = plan_job(plan, *t).expect("the job ran").stages.len() > 1;
-                target = staged.then_some(*t);
-            }
-            TraceEvent::Cache(r) if Some(r.id.rdd) == target => match r.decision {
-                CacheDecision::HitMemory
-                | CacheDecision::HitSerializedMemory
-                | CacheDecision::HitDisk => reached = true,
-                CacheDecision::MissRecompute => {
-                    reached = true;
-                    missed.push(format!("{} at {}", r.id, r.at));
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-    }
-    (reached, missed)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// One generated pipeline under profiled ser-tier Blaze, the store sized
-    /// as a percentage of one un-reduced dataset's per-executor bytes:
-    /// results equal the local runner's and the trace audit finds no error. Not a
-    /// `#[test]` of its own — contract 5 needs every case to have run.
-    fn pressured_pipeline_case(
-        elems in 400u64..2_000,
-        steps in prop::collection::vec(step_strategy(), 2..6),
-        pressure_pct in 35u64..130,
-    ) {
-        let run_on = |ctx: &Context| apply(ctx, elems, 16, 4, &steps);
-        // One traced run under profiled ser-tier Blaze at a given store size.
-        let run_with = |memory_capacity: ByteSize| {
-            let profile =
-                extract_dependencies(|ctx| run_on(ctx).map(|_| ()), 0).expect("profiling run");
-            let config = ClusterConfig {
-                memory_capacity,
-                tracing: true,
-                ..cluster_config(FaultPlan::default())
-            };
-            let controller = BlazeController::new(BlazeConfig::full_ser_tier(), Some(profile));
-            let cluster = Cluster::new(config, Box::new(controller)).expect("valid config");
-            let ctx = Context::new(cluster.clone());
-            let got = run_on(&ctx).expect("cluster run");
-            (got, cluster.metrics(), cluster.trace().expect("tracing was enabled"), ctx)
-        };
-        let (got, metrics, trace, _) =
-            run_with(ByteSize::from_bytes(elems * 16 / 2 * pressure_pct / 100));
-        prop_assert_eq!(got, common::reference(|ctx| run_on(ctx).expect("reference run")));
-        let report = trace.validate(&metrics);
-        prop_assert!(report.passes(), "trace audit failed: {:?}", report.diagnostics);
-        GENERATED_SER_TRANSITIONS.fetch_add(metrics.ser_transitions, Ordering::Relaxed);
-
-        // Contract 6: the same pipeline and profile, nothing forced out.
-        let (_, _, trace, ctx) = run_with(ByteSize::from_mib(64));
-        let (reached, missed) = reads_of_cached_targets(&trace, &ctx.plan().read());
-        prop_assert!(missed.is_empty(), "a job recomputed its own cached target: {:?}", missed);
-        CASES_READING_A_CACHED_TARGET.fetch_add(u64::from(reached), Ordering::Relaxed);
-    }
-}
-
-/// Contract 5: the generated cases reach the serialized tier.
-#[test]
-fn random_pressured_pipelines_reach_the_s_tier() {
-    pressured_pipeline_case();
-    assert!(
-        GENERATED_SER_TRANSITIONS.load(Ordering::Relaxed) > 0,
-        "no generated case made the multi-choice solver pick an s-state"
-    );
-    // Contract 6 is only as good as the cases that reach its shape.
-    let reached = CASES_READING_A_CACHED_TARGET.load(Ordering::Relaxed);
-    println!("{reached} generated cases read a cached job target behind an earlier stage");
-    assert!(reached > 0, "no generated case read a cached job target behind an earlier stage");
 }
