@@ -241,9 +241,10 @@ fn check_mutations() {
         ],
     };
     let dirty = [BlockId::new(RddId(0), 0)];
+    let memoized: Vec<BlockId> = (0..3).map(|r| BlockId::new(RddId(r), 0)).collect();
     let retained = [BlockId::new(RddId(2), 0)];
     assert_fires(
-        &check_dirty_closure(&view, &dirty, &retained),
+        &check_dirty_closure(&view, &dirty, &memoized, &retained),
         "BA505",
         "a retained stale memo entry",
     );

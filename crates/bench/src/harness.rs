@@ -7,7 +7,7 @@ use blaze_core::{BlazeController, DecisionStats};
 use blaze_dataflow::{JobPlan, Plan};
 use blaze_engine::{
     Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote, Metrics, PartitionEvent,
-    StateCommand, StoreTier, VictimAction,
+    Residency, StateCommand, StoreTier, VictimAction,
 };
 use blaze_workloads::{run_app, App, RunOutcome, SystemKind};
 use std::collections::BTreeMap;
@@ -46,7 +46,7 @@ pub fn breakdown_secs(m: &Metrics) -> (f64, f64, f64) {
 }
 
 /// What a [`DecisionProbe`] mirrors out of the cluster that owns it.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone)]
 pub struct ProbeReadout {
     /// The wrapped controller's `decision_stats()` after the latest job
     /// submission.
@@ -57,6 +57,9 @@ pub struct ProbeReadout {
     pub hook_time: Duration,
     /// Calls of the decision hooks.
     pub hook_calls: u64,
+    /// Per job submission, the bytes the controller believed on disk when
+    /// the job was submitted.
+    pub believed_on_disk: Vec<ByteSize>,
 }
 
 /// The harness's one delegating wrapper around a [`BlazeController`]
@@ -151,6 +154,10 @@ impl CacheController for DecisionProbe {
         self.inner.on_evicted(ctx, id);
     }
 
+    fn residency_mismatch(&self, stores: &Residency) -> Option<String> {
+        self.inner.residency_mismatch(stores)
+    }
+
     fn on_partition_computed(&mut self, ctx: &CtrlCtx, event: &PartitionEvent) {
         self.inner.on_partition_computed(ctx, event);
     }
@@ -162,8 +169,10 @@ impl CacheController for DecisionProbe {
         job_plan: &JobPlan,
         plan: &Plan,
     ) -> Vec<StateCommand> {
+        // Outside the timed region.
+        let believed = self.inner.lineage().blocks_on_disk().into_iter().map(|(_, b)| b).sum();
+        self.readout.lock().expect("a probe reader panicked").believed_on_disk.push(believed);
         if self.cold {
-            // Outside the timed region.
             self.inner.forget_decision_state();
         }
         self.timed(|inner| inner.on_job_submit(ctx, job, job_plan, plan))

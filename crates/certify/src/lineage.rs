@@ -1,18 +1,23 @@
 //! Incremental-invalidation soundness: dirty-closure verification.
 //!
 //! The incremental optimizer keeps a per-block cost memo and, on each
-//! change, drops every entry in the *narrow forward closure* of the dirty
-//! blocks (same-partition reachability through non-shuffle children — a
-//! shuffle child's recovery cost re-fetches shuffle outputs and never
-//! recurses into its parents, see `CostLineage::narrow_children`). For that
-//! to be sound, the closure must **over-approximate** the truly affected
-//! set: no retained memo entry may be reachable from a dirty block.
+//! change, drops the entries a dirty block can have priced: its own and those
+//! of its *narrow forward closure* (same-partition reachability through
+//! non-shuffle children — a shuffle child's recovery cost re-fetches shuffle
+//! outputs and never recurses into its parents, see
+//! `CostLineage::narrow_children`). An entry can only have been priced
+//! through a block that was itself memoized (pricing a block memoizes every
+//! parent it recurses into), so the closure only passes through entries the
+//! memo held before the invalidation. For the invalidation to be sound it
+//! must **over-approximate** that set: no retained memo entry may be
+//! reachable from a dirty block through memoized blocks.
 //!
 //! This module checks exactly that, statically: it rebuilds the child
 //! adjacency *independently* from the parent lists in a [`LineageView`]
 //! snapshot (rather than trusting the optimizer's own `narrow_children`
-//! index), walks the partition-aligned forward closure of the dirty set,
-//! and reports any retained entry inside it as `BA505`.
+//! index), walks the partition-aligned forward closure of the dirty set
+//! through the previously memoized keys, and reports any retained entry
+//! inside it as `BA505`.
 
 use blaze_audit::diagnostic::{DiagCode, Diagnostic};
 use blaze_common::ids::{BlockId, RddId};
@@ -62,7 +67,10 @@ impl LineageView {
 }
 
 /// Checks that `retained` (the memo keys that survived invalidation) is
-/// disjoint from the partition-aligned narrow forward closure of `dirty`.
+/// disjoint from the partition-aligned narrow forward closure of `dirty`
+/// through `memoized` (the memo keys before invalidation): a block is in the
+/// closure if it is dirty or a narrow child of a closure member that was
+/// memoized.
 ///
 /// Every violation — a retained entry whose cost the dirty change can have
 /// altered — is reported as a `BA505` diagnostic naming the stale block and
@@ -70,9 +78,11 @@ impl LineageView {
 pub fn check_dirty_closure(
     view: &LineageView,
     dirty: &[BlockId],
+    memoized: &[BlockId],
     retained: &[BlockId],
 ) -> Vec<Diagnostic> {
     let children = view.narrow_children_index();
+    let memoized: BTreeSet<BlockId> = memoized.iter().copied().collect();
 
     // Forward closure of the dirty set, remembering which dirty block each
     // member was reached from (for the report).
@@ -85,6 +95,10 @@ pub fn check_dirty_closure(
         }
     }
     while let Some(b) = stack.pop() {
+        if !memoized.contains(&b) {
+            // Nothing was priced through a block without an entry.
+            continue;
+        }
         let from = origin.get(&b).copied().unwrap_or(b);
         if let Some(kids) = children.get(&b.rdd) {
             for &child in kids {
@@ -143,19 +157,32 @@ mod tests {
                 node(3, &[], false),
             ],
         };
-        let findings = check_dirty_closure(&view, &[b(0, 0)], &[b(2, 1), b(3, 0)]);
+        let memoized = [b(0, 0), b(1, 0), b(2, 0), b(2, 1), b(3, 0)];
+        let findings = check_dirty_closure(&view, &[b(0, 0)], &memoized, &[b(2, 1), b(3, 0)]);
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    fn chain() -> LineageView {
+        LineageView { nodes: vec![node(0, &[], false), node(1, &[0], false), node(2, &[1], false)] }
     }
 
     #[test]
     fn retained_descendant_fires_ba505() {
-        let view = LineageView {
-            nodes: vec![node(0, &[], false), node(1, &[0], false), node(2, &[1], false)],
-        };
-        let findings = check_dirty_closure(&view, &[b(0, 0)], &[b(2, 0)]);
+        let memoized = [b(0, 0), b(1, 0), b(2, 0)];
+        let findings = check_dirty_closure(&chain(), &[b(0, 0)], &memoized, &[b(2, 0)]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].code, DiagCode::UnderApproximatedDirtyClosure);
         assert!(findings[0].message.contains("rdd-2[0]"));
+    }
+
+    /// A memoized grandchild behind an unmemoized child (a `Memory`-state
+    /// grandchild costs nothing, so pricing it never recursed into the
+    /// child): nothing priced through the dirty block reaches it, and
+    /// retaining it is sound.
+    #[test]
+    fn an_unmemoized_block_shields_what_lies_below_it() {
+        let findings = check_dirty_closure(&chain(), &[b(0, 0)], &[b(0, 0), b(2, 0)], &[b(2, 0)]);
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
@@ -163,14 +190,15 @@ mod tests {
         // 0 -> 1 where 1 reads a shuffle: 1's cost never recurses into 0,
         // so retaining 1[0] across a change to 0[0] is sound.
         let view = LineageView { nodes: vec![node(0, &[], false), node(1, &[0], true)] };
-        let findings = check_dirty_closure(&view, &[b(0, 0)], &[b(1, 0)]);
+        let memoized = [b(0, 0), b(1, 0)];
+        let findings = check_dirty_closure(&view, &[b(0, 0)], &memoized, &[b(1, 0)]);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn dirty_block_itself_must_not_be_retained() {
         let view = LineageView { nodes: vec![node(0, &[], false)] };
-        let findings = check_dirty_closure(&view, &[b(0, 2)], &[b(0, 2)]);
+        let findings = check_dirty_closure(&view, &[b(0, 2)], &[b(0, 2)], &[b(0, 2)]);
         assert_eq!(findings.len(), 1);
     }
 }

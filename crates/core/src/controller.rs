@@ -15,11 +15,11 @@ use crate::refs::JobRefs;
 use blaze_common::error::{BlazeError, Result};
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
-use blaze_common::ByteSize;
+use blaze_common::{ByteSize, SimDuration};
 use blaze_dataflow::{JobPlan, Plan};
 use blaze_engine::{
-    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote,
-    PartitionEvent, StateCommand, StoreTier, VictimAction,
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote, HardwareModel,
+    PartitionEvent, Residency, StateCommand, StoreTier, VictimAction,
 };
 
 /// How much of the decision layer is on: the paper's §7.3 ablation ladder.
@@ -218,6 +218,49 @@ fn walk_finds_ancestor(lineage: &CostLineage, anc: RddId, desc: RddId) -> bool {
         }
     }
     false
+}
+
+/// An admission's pricing: the controller's one retained memo, checked out
+/// for the call. Debug builds price every block a second time through a
+/// per-call model with an empty memo — the pricing the retained memo
+/// replaced — and panic on any difference.
+struct AdmissionPrices<'a> {
+    model: CostModel<'a>,
+    #[cfg(debug_assertions)]
+    fresh: CostModel<'a>,
+}
+
+impl<'a> AdmissionPrices<'a> {
+    fn new(
+        lineage: &'a CostLineage,
+        hw: &'a HardwareModel,
+        pattern: Option<IterationPattern>,
+        memo: CostMemo,
+    ) -> Self {
+        Self {
+            model: CostModel::with_memo(lineage, hw, pattern, memo),
+            #[cfg(debug_assertions)]
+            fresh: CostModel::new(lineage, hw, pattern),
+        }
+    }
+
+    fn cost(&mut self, id: BlockId) -> SimDuration {
+        let cost = self.model.cost(id);
+        #[cfg(debug_assertions)]
+        assert_eq!(cost, self.fresh.cost(id), "retained memo priced {id} stale");
+        cost
+    }
+
+    fn prefers_disk(&mut self, id: BlockId) -> bool {
+        let to_disk = self.model.prefers_disk(id);
+        #[cfg(debug_assertions)]
+        assert_eq!(to_disk, self.fresh.prefers_disk(id), "retained memo priced {id} stale");
+        to_disk
+    }
+
+    fn into_memo(self) -> CostMemo {
+        self.model.into_memo()
+    }
 }
 
 impl BlazeController {
@@ -538,10 +581,8 @@ impl CacheController for BlazeController {
                 .collect();
         }
         self.ensure_ancestors(incoming.id.rdd);
-        // Pricing a resident memoizes its parents' recovery costs: sized up
-        // front, the memo does not rehash its way up on every admission.
-        let memo = CostMemo::with_capacity_and_hasher(2 * resident.len(), Default::default());
-        let mut model = CostModel::with_memo(&self.lineage, &hw, self.pattern, memo);
+        let memo = self.incr.checkout_memo(&mut self.lineage, self.pattern);
+        let mut prices = AdmissionPrices::new(&self.lineage, &hw, self.pattern, memo);
 
         // Full Blaze (§4.1/§4.2): victims ordered by effective potential
         // recovery cost (zero for unreferenced data); caching proceeds only
@@ -549,7 +590,7 @@ impl CacheController for BlazeController {
         let picked = victims_by_key(resident, needed, |b| {
             let w = self.value_weight(b.id.rdd, Some(incoming.id.rdd));
             if w > 0.0 {
-                model.cost(b.id).as_secs_f64() * w
+                prices.cost(b.id).as_secs_f64() * w
             } else {
                 0.0
             }
@@ -557,23 +598,26 @@ impl CacheController for BlazeController {
         let victims_value: f64 = picked.iter().map(|&(_, v)| v).sum();
         let iw = self.value_weight(incoming.id.rdd, None);
         let incoming_value =
-            if iw > 0.0 { model.cost(incoming.id).as_secs_f64() * iw } else { 0.0 };
-        if victims_value >= incoming_value {
-            // Caching the incoming block would evict more valuable data:
-            // decline (the engine falls back to on_admission_failure).
-            return Vec::new();
-        }
-        picked
-            .into_iter()
-            .map(|(id, _)| {
-                let action = if self.cfg.use_disk && model.prefers_disk(id) {
-                    VictimAction::ToDisk
-                } else {
-                    VictimAction::Discard
-                };
-                (id, action)
-            })
-            .collect()
+            if iw > 0.0 { prices.cost(incoming.id).as_secs_f64() * iw } else { 0.0 };
+        // Caching the incoming block would evict more valuable data:
+        // decline (the engine falls back to on_admission_failure).
+        let victims = if victims_value >= incoming_value {
+            Vec::new()
+        } else {
+            picked
+                .into_iter()
+                .map(|(id, _)| {
+                    let action = if self.cfg.use_disk && prices.prefers_disk(id) {
+                        VictimAction::ToDisk
+                    } else {
+                        VictimAction::Discard
+                    };
+                    (id, action)
+                })
+                .collect()
+        };
+        self.incr.checkin_memo(prices.into_memo());
+        victims
     }
 
     fn on_admission_failure(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
@@ -585,8 +629,11 @@ impl CacheController for BlazeController {
             return Admission::Disk;
         }
         let hw = ctx.hardware;
-        let mut model = CostModel::new(&self.lineage, &hw, self.pattern);
-        if model.prefers_disk(block.id) {
+        let memo = self.incr.checkout_memo(&mut self.lineage, self.pattern);
+        let mut prices = AdmissionPrices::new(&self.lineage, &hw, self.pattern, memo);
+        let to_disk = prices.prefers_disk(block.id);
+        self.incr.checkin_memo(prices.into_memo());
+        if to_disk {
             Admission::Disk
         } else {
             Admission::Skip
@@ -624,9 +671,13 @@ impl CacheController for BlazeController {
 
     fn on_evicted(&mut self, _ctx: &CtrlCtx, id: BlockId) {
         self.recency.remove(&id);
-        // The block left memory; if it is being spilled, the follow-up
-        // on_inserted(to_disk = true) will set the disk state.
+        // The block left its tier; a spill's follow-up on_inserted(Disk)
+        // sets the disk state.
         self.lineage.set_state(id, PartitionState::None);
+    }
+
+    fn residency_mismatch(&self, stores: &Residency) -> Option<String> {
+        self.lineage.residency_mismatch(stores)
     }
 
     fn explain_block(&self, id: BlockId) -> Option<String> {

@@ -27,13 +27,58 @@ use blaze_common::ids::BlockId;
 use blaze_common::{ByteSize, SimDuration};
 use blaze_engine::HardwareModel;
 
-/// A memoized Eq. 4 recovery value plus a flag recording whether any metric
-/// feeding it was *inducted* rather than observed. Inducted values depend on
-/// congruent blocks elsewhere in the lineage, so flagged entries are only
-/// valid while [`CostLineage::metrics_rev`] and the iteration pattern are
-/// unchanged; unflagged entries survive until a block in their recursion
-/// support is dirtied.
-pub type CostMemo = FxHashMap<BlockId, (SimDuration, bool)>;
+/// Memoized Eq. 4 recovery values, each with a flag recording whether any
+/// metric feeding it was *inducted* rather than observed. Inducted values
+/// depend on congruent blocks elsewhere in the lineage, so flagged entries
+/// are only valid while [`CostLineage::metrics_rev`] and the iteration
+/// pattern are unchanged; unflagged entries survive until a block in their
+/// recursion support is dirtied.
+///
+/// Pricing a block in state `None` prices — and so memoizes — every parent
+/// it recurses into: a memoized `None`-state block always has its narrow
+/// parents memoized. Invalidation relies on that (see
+/// [`crate::incremental`]). Flagged keys are also listed as they are
+/// inserted, so a flush visits them without scanning the memo.
+#[derive(Debug, Default)]
+pub struct CostMemo {
+    entries: FxHashMap<BlockId, (SimDuration, bool)>,
+    inducted: Vec<BlockId>,
+}
+
+impl CostMemo {
+    fn get(&self, id: BlockId) -> Option<(SimDuration, bool)> {
+        self.entries.get(&id).copied()
+    }
+
+    fn insert(&mut self, id: BlockId, value: (SimDuration, bool)) {
+        if value.1 {
+            self.inducted.push(id);
+        }
+        self.entries.insert(id, value);
+    }
+
+    /// Drops `id`'s entry; true if there was one.
+    pub(crate) fn remove(&mut self, id: BlockId) -> bool {
+        self.entries.remove(&id).is_some()
+    }
+
+    /// Takes the list of keys inserted with the inducted flag since the last
+    /// call (some may have been removed or re-priced since).
+    pub(crate) fn take_inducted(&mut self) -> Vec<BlockId> {
+        std::mem::take(&mut self.inducted)
+    }
+
+    /// The memoized blocks, in no particular order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.entries.keys().copied()
+    }
+
+    /// Drops every entry.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.inducted.clear();
+    }
+}
 
 /// The potential-recovery-cost estimator.
 pub struct CostModel<'a> {
@@ -170,7 +215,7 @@ impl<'a> CostModel<'a> {
     /// (the `(1 - m_k) · cost(p_k, t)` term of Eq. 4): free from memory, a
     /// disk read when spilled, a recursive recomputation otherwise.
     fn recovery_inner(&mut self, id: BlockId, depth: usize) -> (SimDuration, bool) {
-        if let Some(&c) = self.memo.get(&id) {
+        if let Some(c) = self.memo.get(id) {
             return c;
         }
         let c = match self.lineage.state(id) {

@@ -22,6 +22,7 @@ use blaze_common::fxhash::{FxHashMap, FxHashSet};
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_dataflow::Plan;
+use blaze_engine::{Residency, StoreTier};
 use std::collections::BTreeSet;
 
 /// Where a partition currently lives.
@@ -357,6 +358,33 @@ impl CostLineage {
         };
         scan(PartitionState::in_memory) == self.in_memory
             && scan(PartitionState::on_disk) == self.on_disk
+    }
+
+    /// Debug cross-check of the belief against the engine's stores: every
+    /// block the stores hold must be believed in the tier a read finds it in
+    /// (memory form included), and every block believed resident must be
+    /// held. Returns the first few disagreements, or `None`.
+    pub fn residency_mismatch(&self, stores: &Residency) -> Option<String> {
+        let believed = |id| match self.state(id) {
+            PartitionState::None => None,
+            PartitionState::Memory(_) => Some(StoreTier::Memory),
+            PartitionState::SerializedMemory(_) => Some(StoreTier::SerializedMemory),
+            PartitionState::Disk(_) => Some(StoreTier::Disk),
+        };
+        let held = stores.iter().filter(|&(&id, &tier)| believed(id) != Some(tier));
+        let phantom =
+            self.in_memory.iter().chain(&self.on_disk).filter(|id| !stores.contains_key(id));
+        let diffs: Vec<String> = held
+            .map(|(&id, &tier)| format!("{id} held in {tier:?}, believed {:?}", self.state(id)))
+            .chain(phantom.map(|&id| format!("{id} believed {:?}, not held", self.state(id))))
+            .collect();
+        (!diffs.is_empty()).then(|| {
+            format!(
+                "{} blocks disagree, first: {}",
+                diffs.len(),
+                diffs[..diffs.len().min(4)].join("; ")
+            )
+        })
     }
 
     /// Verifies that this CostLineage still mirrors `plan` (`BA201`): every

@@ -8,15 +8,19 @@
 //! submissions and re-derives only what a change could have affected:
 //!
 //! - **Cost memo** — the Eq. 4 recovery memo ([`crate::cost::CostMemo`]) is
-//!   retained across solves. [`CostLineage`] marks blocks dirty on every
-//!   metric/state change; a dirty block invalidates its own entry and those
-//!   of its *narrow descendants on the same partition index* (shuffle
-//!   children re-fetch their own outputs and never recurse into parents, and
-//!   narrow dependencies are partition-aligned — see
-//!   [`CostLineage::narrow_children`]). Entries that consumed *inducted*
-//!   metrics are additionally flushed whenever
-//!   [`CostLineage::metrics_rev`] or the iteration pattern changes, because
-//!   induction reads congruent blocks anywhere in the lineage.
+//!   the controller's only one: retained across solves and lent to every
+//!   admission through [`IncrementalOptimizer::checkout_memo`].
+//!   [`CostLineage`] marks blocks dirty on every metric/state change; a
+//!   dirty block invalidates its own entry and, through every entry actually
+//!   removed, those of its *narrow descendants on the same partition index*
+//!   (shuffle children re-fetch their own outputs and never recurse into
+//!   parents, narrow dependencies are partition-aligned — see
+//!   [`CostLineage::narrow_children`] — and a memoized `None`-state block
+//!   always has its parents memoized, so a block without an entry shields
+//!   everything below it). Entries that consumed *inducted* metrics are
+//!   additionally flushed whenever [`CostLineage::metrics_rev`] or the
+//!   iteration pattern changes, because induction reads congruent blocks
+//!   anywhere in the lineage.
 //! - **Solution reuse** — per executor, if the candidate vector (ids, sizes,
 //!   costs, reference flags, states) and capacity are unchanged, the
 //!   previous picks are returned without solving: the solvers are
@@ -47,7 +51,7 @@ use blaze_certify::{
     LineageView,
 };
 // audit: allow(decision-hash) keyed lookups only; every iteration below sorts keys first
-use blaze_common::fxhash::{FxHashMap, FxHashSet};
+use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::ByteSize;
 use blaze_engine::{HardwareModel, StateCommand};
@@ -62,7 +66,8 @@ pub struct DecisionStats {
     pub reused: u64,
     /// Dirty blocks drained from the lineage.
     pub dirty_drained: u64,
-    /// Memo entries invalidated by dirty-set propagation.
+    /// Memo entries invalidated: by dirty-set propagation and by flushes of
+    /// inducted entries.
     pub invalidated: u64,
     /// Decision certificates emitted and inline-verified (certify mode).
     pub certified: u64,
@@ -71,6 +76,8 @@ pub struct DecisionStats {
     pub degraded: u64,
     /// Instances the ladder skipped entirely (LRU passthrough).
     pub passthrough: u64,
+    /// The most candidates one job submission gathered, over all executors.
+    pub peak_candidates: u64,
 }
 
 /// One executor's retained solve: the instance it answered and the answer.
@@ -103,8 +110,8 @@ pub struct IncrementalOptimizer {
     /// Ladder report of the most recent [`Self::optimize`] call.
     last_ladder: LadderReport,
     /// Certify mode: emit a decision certificate for every actual solve,
-    /// verify it inline (panicking on any finding), and check every dirty
-    /// invalidation's closure for BA505 soundness. A debugging harness —
+    /// verify it inline (panicking on any finding), and check each job
+    /// submission's dirty invalidation for BA505 soundness. A debugging harness —
     /// certified solvers return byte-identical answers, so flipping this
     /// cannot change decisions, only validate them.
     certify: bool,
@@ -140,36 +147,84 @@ impl IncrementalOptimizer {
         self.certify = on;
     }
 
-    /// Removes memo entries that a dirty block could have contributed to:
-    /// the block itself and its narrow descendants on the same partition.
-    fn invalidate_dirty(&mut self, lineage: &CostLineage, dirty: &[BlockId]) {
-        // audit: allow(decision-hash) membership set only; traversal order comes from the stack
-        let mut visited: FxHashSet<BlockId> = FxHashSet::default();
-        let mut stack: Vec<BlockId> = Vec::new();
-        for &b in dirty {
-            if visited.insert(b) {
-                stack.push(b);
-            }
+    /// Lends the retained memo out, brought up to date with `lineage`. Every
+    /// pricing the controller does — job submission and admissions alike —
+    /// goes through this one step: drain the dirty set; on a metrics-revision
+    /// or pattern change, flush the inducted entries; invalidate. Hand the
+    /// memo back with [`Self::checkin_memo`].
+    ///
+    /// Certify mode checks the invalidation (BA505) at job submissions only:
+    /// its independent closure costs a lineage snapshot, too much for every
+    /// admission. Admissions are checked in debug builds instead, each price
+    /// against a model priced afresh.
+    pub fn checkout_memo(
+        &mut self,
+        lineage: &mut CostLineage,
+        pattern: Option<IterationPattern>,
+    ) -> CostMemo {
+        self.checkout(lineage, pattern, false)
+    }
+
+    fn checkout(
+        &mut self,
+        lineage: &mut CostLineage,
+        pattern: Option<IterationPattern>,
+        certify: bool,
+    ) -> CostMemo {
+        let dirty = lineage.take_dirty();
+        self.stats.dirty_drained += dirty.len() as u64;
+        // Induction-dependent entries are only valid within one metrics
+        // revision and pattern; flush them when either moved.
+        if pattern != self.pattern || lineage.metrics_rev() != self.metrics_rev {
+            let inducted = self.memo.take_inducted();
+            self.invalidate(lineage, &inducted);
+            self.pattern = pattern;
+            self.metrics_rev = lineage.metrics_rev();
         }
+        let memoized = certify.then(|| self.memo.keys().collect::<Vec<_>>());
+        self.invalidate(lineage, &dirty);
+        if let Some(memoized) = memoized {
+            self.check_invalidation_soundness(lineage, &dirty, &memoized);
+        }
+        std::mem::take(&mut self.memo)
+    }
+
+    /// Takes back the memo [`Self::checkout_memo`] lent out, with whatever
+    /// the pricing added to it.
+    pub fn checkin_memo(&mut self, memo: CostMemo) {
+        self.memo = memo;
+    }
+
+    /// Removes the memo entries a change to `seeds` could have altered: a
+    /// seed's own entry and, through every entry actually removed, those of
+    /// its narrow children on the same partition. The walk goes on only
+    /// through removed entries: a memoized block in state `None` always has
+    /// its parents memoized ([`CostMemo`]), so no entry below a block without
+    /// one was priced through it.
+    fn invalidate(&mut self, lineage: &CostLineage, seeds: &[BlockId]) {
+        let mut stack = seeds.to_vec();
         while let Some(b) = stack.pop() {
-            if self.memo.remove(&b).is_some() {
-                self.stats.invalidated += 1;
+            if !self.memo.remove(b) {
+                continue;
             }
-            for &child in lineage.narrow_children(b.rdd) {
-                let cb = BlockId::new(child, b.partition);
-                if visited.insert(cb) {
-                    stack.push(cb);
-                }
-            }
+            self.stats.invalidated += 1;
+            stack.extend(
+                lineage.narrow_children(b.rdd).iter().map(|&c| BlockId::new(c, b.partition)),
+            );
         }
     }
 
-    /// BA505: after [`Self::invalidate_dirty`], no retained memo entry may
-    /// be narrow-reachable from a dirty block. The closure is recomputed by
-    /// `blaze-certify` from a plain-data lineage snapshot (independent of
-    /// [`CostLineage::narrow_children`]), so an under-approximating
-    /// invalidation cannot vouch for itself.
-    fn check_invalidation_soundness(&self, lineage: &CostLineage, dirty: &[BlockId]) {
+    /// BA505: after [`Self::invalidate`], no retained memo entry may be
+    /// reachable from a dirty block through entries `memoized` before it.
+    /// The closure is recomputed by `blaze-certify` from a plain-data
+    /// lineage snapshot (independent of [`CostLineage::narrow_children`]),
+    /// so an under-approximating invalidation cannot vouch for itself.
+    fn check_invalidation_soundness(
+        &self,
+        lineage: &CostLineage,
+        dirty: &[BlockId],
+        memoized: &[BlockId],
+    ) {
         let view = LineageView {
             nodes: lineage
                 .iter()
@@ -180,9 +235,9 @@ impl IncrementalOptimizer {
                 })
                 .collect(),
         };
-        let mut retained: Vec<BlockId> = self.memo.keys().copied().collect();
+        let mut retained: Vec<BlockId> = self.memo.keys().collect();
         retained.sort();
-        let findings = check_dirty_closure(&view, dirty, &retained);
+        let findings = check_dirty_closure(&view, dirty, memoized, &retained);
         assert!(findings.is_empty(), "dirty-closure certification failed (BA505): {findings:?}");
     }
 
@@ -203,25 +258,13 @@ impl IncrementalOptimizer {
         current_job: usize,
         config: &OptimizerConfig,
     ) -> Vec<StateCommand> {
-        // Induction-dependent entries are only valid within one metrics
-        // revision and pattern; flush them when either moved.
-        if pattern != self.pattern || lineage.metrics_rev() != self.metrics_rev {
-            self.memo.retain(|_, &mut (_, inducted)| !inducted);
-            self.pattern = pattern;
-            self.metrics_rev = lineage.metrics_rev();
-        }
-        let dirty = lineage.take_dirty();
-        self.stats.dirty_drained += dirty.len() as u64;
-        self.invalidate_dirty(lineage, &dirty);
-        if self.certify {
-            self.check_invalidation_soundness(lineage, &dirty);
-        }
-
-        let mut model =
-            CostModel::with_memo(lineage, hardware, pattern, std::mem::take(&mut self.memo));
+        let memo = self.checkout(lineage, pattern, self.certify);
+        let mut model = CostModel::with_memo(lineage, hardware, pattern, memo);
         let mut per_exec =
             gather_candidates(lineage, refs, hardware, current_job, config, &mut model);
-        self.memo = model.into_memo();
+        self.checkin_memo(model.into_memo());
+        let gathered = per_exec.values().map(Vec::len).sum::<usize>() as u64;
+        self.stats.peak_candidates = self.stats.peak_candidates.max(gathered);
 
         let mut execs: Vec<ExecutorId> = per_exec.keys().copied().collect();
         execs.sort();

@@ -556,11 +556,19 @@ impl ClusterState {
 
     /// The stage-completion hook (auto-caching / prefetch), the state
     /// transitions it asks for, and then the stage's record: a stage that
-    /// ran samples the disk residency the hook left behind.
+    /// ran samples the disk residency the hook left behind. Debug builds
+    /// then hold the controller's residency belief against the stores.
     fn stage_completed(&mut self, run: &StageRun<'_>, at: SimTime, skipped: bool) {
         let ctx = self.ctrl_ctx(at);
         let cmds = self.controller.on_stage_complete(&ctx, run.output, run.job, run.plan);
         self.apply_commands(at, cmds);
+        #[cfg(debug_assertions)]
+        if let Some(why) = self.controller.residency_mismatch(&self.stores.residency()) {
+            panic!(
+                "residency belief of {} diverged from the stores: {why}",
+                self.controller.name()
+            );
+        }
         let disk_resident = (!skipped).then(|| self.stores.disk.iter().map(BlockStore::used).sum());
         self.emit(TraceEvent::StageCompleted {
             at,

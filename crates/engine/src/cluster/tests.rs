@@ -647,3 +647,47 @@ fn trace_validates_under_faults() {
     let report = trace.validate(&metrics);
     assert!(report.is_clean(), "{:?}", report.diagnostics);
 }
+
+/// Under the store-global serialized memory of Spark+Alluxio
+/// (`serialized_in_memory`), every memory hit reads serialized bytes: a hit
+/// on the block's home executor from another executor pays the network
+/// transfer *and* the same deserialization as a local hit.
+#[test]
+fn a_remote_memory_hit_deserializes_like_a_local_one_under_alluxio() {
+    struct AlluxioMode;
+    impl CacheController for AlluxioMode {
+        fn name(&self) -> String {
+            "AlluxioMode".into()
+        }
+        fn serialized_in_memory(&self) -> bool {
+            true
+        }
+    }
+    let (ctx, cluster) = cluster(Box::new(AlluxioMode));
+    // One partition: computed, cached and homed on executor 0.
+    let cached = ctx.range(0..2_048, 1).map(|x| x + 1);
+    cached.cache();
+    cached.count().unwrap();
+    let reader = cached.map(|x| x * 2);
+
+    let st = cluster.state.lock();
+    let plan_lock = ctx.plan();
+    let plan = plan_lock.read();
+    let run = StageRun {
+        plan: &plan,
+        job: JobId(1),
+        output: reader.id(),
+        index: 0,
+        consumers: &[],
+        fault_on: false,
+        start: SimTime::ZERO,
+        placements: Vec::new(),
+        outputs: Vec::new(),
+    };
+    let view = st.exec_view(&run);
+    let read_on = |exec| crate::exec::execute_task(&view, 0, ExecutorId(exec), 0).unwrap().charge;
+    let (local, remote) = (read_on(0), read_on(1));
+    assert!(!local.external_store_io.is_zero(), "a local hit deserializes");
+    assert_eq!(remote.external_store_io, local.external_store_io);
+    assert!(remote.shuffle_fetch > local.shuffle_fetch, "a remote hit also crosses the network");
+}

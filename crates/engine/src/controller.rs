@@ -12,7 +12,7 @@ use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration, SimTime};
 use blaze_dataflow::{JobPlan, Plan};
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Metadata of one materialized partition, as seen by controllers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,7 +89,7 @@ pub enum StateCommand {
     PromoteToSerializedMemory(BlockId),
 }
 
-/// Which tier of an executor's store a block entered, as reported to
+/// Which tier of an executor's store a block is in, as reported to
 /// [`CacheController::on_inserted`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreTier {
@@ -108,6 +108,11 @@ impl StoreTier {
         matches!(self, StoreTier::Memory | StoreTier::SerializedMemory)
     }
 }
+
+/// Every cached block and the tier a read finds it in: a memory store (in
+/// that copy's form) if any executor's memory holds it, else a disk store.
+/// What [`CacheController::residency_mismatch`] checks a belief against.
+pub type Residency = BTreeMap<BlockId, StoreTier>;
 
 /// What the solver degradation ladder did for one job's decision solve
 /// (see `OptimizerConfig::solve_deadline` in `blaze-core`): which rung actually
@@ -155,9 +160,13 @@ pub struct CtrlCtx {
 ///   incoming block (Spark never evicts the RDD being written);
 /// - commands returned from `on_stage_complete` / `on_job_submit` are applied
 ///   best-effort (e.g. a promotion that no longer fits is skipped);
-/// - every memory/disk insert and removal is reported via `on_inserted` /
-///   `on_evicted`, including those triggered by [`StateCommand`]s, so the
-///   controller's view of residency can be kept consistent.
+/// - every store mutation that changes where a block is — admission, spill,
+///   promotion, in-place (de)serialization, unpersist, quarantine, executor
+///   loss, including those triggered by [`StateCommand`]s — is reported via
+///   `on_inserted` (the block is now in that tier) or `on_evicted` (it left
+///   the memory or the disk tier), so a controller's residency belief can be
+///   a fold of those two calls (checked in debug builds through
+///   [`CacheController::residency_mismatch`]).
 pub trait CacheController: Send {
     /// Short system name used in reports (e.g. `"Spark (MEM_ONLY)"`).
     fn name(&self) -> String;
@@ -226,11 +235,21 @@ pub trait CacheController: Send {
         None
     }
 
-    /// A block entered a store at the given tier.
+    /// A block is now in the given tier of `info.executor`'s stores: it
+    /// entered it, or changed form in place within memory (m ↔ s).
     fn on_inserted(&mut self, _ctx: &CtrlCtx, _info: &BlockInfo, _tier: StoreTier) {}
 
-    /// A block left the memory store (evicted, spilled or unpersisted).
+    /// A block left the memory tier (evicted, spilled or unpersisted) or the
+    /// disk tier (unpersisted, quarantined or lost). A spill reports the
+    /// disk insert next; a promotion out of disk is one `on_inserted`.
     fn on_evicted(&mut self, _ctx: &CtrlCtx, _id: BlockId) {}
+
+    /// Debug builds only: called at every stage completion with the stores'
+    /// [`Residency`]. A controller that keeps a residency belief returns how
+    /// it disagrees, and the engine panics with that; the default keeps none.
+    fn residency_mismatch(&self, _stores: &Residency) -> Option<String> {
+        None
+    }
 
     /// A partition was computed (the profiling feed; called for *every*
     /// materialized partition, cached or not).
@@ -443,5 +462,6 @@ mod tests {
             .is_empty());
         assert!(c.take_degradation().is_none());
         assert!(c.preflight_diagnostics().is_empty());
+        assert!(c.residency_mismatch(&Residency::new()).is_none());
     }
 }

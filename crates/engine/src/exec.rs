@@ -204,12 +204,13 @@ impl<'a> TaskCtx<'a> {
             return Ok(self.mem_hit(id, sb));
         }
 
-        // 1b. Remote memory hit on the block's home executor.
+        // 1b. Remote memory hit on the block's home executor: the network
+        // transfer, then the same deserialization a local hit pays.
         let meta = view.stores.meta(id);
         let home = meta.home.filter(|&h| h != exec);
         if let Some(sb) = home.and_then(|h| view.stores.mem[h.raw() as usize].get(id)) {
             self.charge.shuffle_fetch += hw.network_time(sb.logical_bytes);
-            if sb.serialized {
+            if view.serialized_in_memory || sb.serialized {
                 self.charge.external_store_io += hw.deser_time(sb.logical_bytes, sb.ser_factor);
             }
             return Ok(self.mem_hit(id, sb));

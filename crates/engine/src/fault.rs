@@ -416,8 +416,7 @@ impl ClusterState {
             // residency belief; clearing `materialized` keeps the later
             // rebuild classified as recovery work rather than a
             // policy-caused recomputation.
-            let ctx = self.ctrl_ctx(self.clock_floor);
-            self.controller.on_evicted(&ctx, id);
+            self.report_residency(id, None);
             let meta = self.stores.meta_mut(id);
             (meta.home, meta.materialized, meta.lost) = (None, false, true);
             self.emit_cache(at, exec, id, bytes, decision, None);
@@ -610,6 +609,7 @@ impl ClusterState {
         if self.stores.disk[exec.raw() as usize].remove(id).is_none() {
             return;
         }
+        self.report_residency(id, None);
         self.emit(TraceEvent::SpillQuarantined { at, executor: exec, id, bytes });
     }
 }

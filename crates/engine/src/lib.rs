@@ -52,7 +52,7 @@ pub use cluster::Cluster;
 pub use config::{ClusterConfig, HardwareModel, SchedPolicy, SchedulerConfig};
 pub use controller::{
     victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote,
-    NoCacheController, PartitionEvent, StateCommand, StoreTier, VictimAction,
+    NoCacheController, PartitionEvent, Residency, StateCommand, StoreTier, VictimAction,
 };
 pub use fault::{ExecutorCrash, FaultCause, FaultPlan};
 pub use metrics::{

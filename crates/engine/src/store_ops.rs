@@ -74,9 +74,68 @@ impl Stores {
     pub(crate) fn holder(tier: &[BlockStore], id: BlockId) -> Option<usize> {
         tier.iter().position(|store| store.contains(id))
     }
+
+    /// The copy of `id` that [`Self::residency`] reports: the lowest-indexed
+    /// memory copy (in its form), else the lowest-indexed disk copy.
+    fn first_copy(&self, id: BlockId) -> Option<(BlockInfo, StoreTier)> {
+        let copy = |tier: &[BlockStore]| {
+            tier.iter().enumerate().find_map(|(e, store)| {
+                let sb = store.get(id)?;
+                let executor = ExecutorId(e as u32);
+                Some((
+                    BlockInfo { id, bytes: sb.logical_bytes, ser_factor: sb.ser_factor, executor },
+                    sb.serialized,
+                ))
+            })
+        };
+        match copy(&self.mem) {
+            Some((info, true)) => Some((info, StoreTier::SerializedMemory)),
+            Some((info, false)) => Some((info, StoreTier::Memory)),
+            None => copy(&self.disk).map(|(info, _)| (info, StoreTier::Disk)),
+        }
+    }
+
+    /// Where a read finds each cached block: the lowest-indexed memory copy
+    /// (in its form), else disk. Debug cross-checks only: it scans every
+    /// store.
+    #[cfg(debug_assertions)]
+    pub(crate) fn residency(&self) -> crate::controller::Residency {
+        let mut out = crate::controller::Residency::new();
+        for (id, _) in self.disk.iter().flat_map(BlockStore::iter) {
+            out.insert(*id, StoreTier::Disk);
+        }
+        for (id, sb) in self.mem.iter().rev().flat_map(BlockStore::iter) {
+            let form = if sb.serialized { StoreTier::SerializedMemory } else { StoreTier::Memory };
+            out.insert(*id, form);
+        }
+        out
+    }
 }
 
 impl ClusterState {
+    /// Reports a store mutation of `id` to the controller, once the stores
+    /// hold its result: `Some((info, tier))` — the block is now in `tier` on
+    /// `info.executor` — or `None` — it left the tier it was in. The one way
+    /// store mutations reach the controller. When another executor's copy
+    /// makes the stores' [`Residency`](crate::controller::Residency) of the
+    /// block differ from that report (a removal leaves a copy behind, a disk
+    /// write lands beside a memory copy), the copy a read finds first is
+    /// restated, so a belief folded from the reports equals the stores.
+    pub(crate) fn report_residency(&mut self, id: BlockId, now: Option<(&BlockInfo, StoreTier)>) {
+        let ctx = self.ctrl_ctx(self.clock_floor);
+        match now {
+            Some((info, tier)) => self.controller.on_inserted(&ctx, info, tier),
+            None => self.controller.on_evicted(&ctx, id),
+        }
+        let first = self.stores.first_copy(id);
+        if first.map(|(_, tier)| tier) != now.map(|(_, tier)| tier) {
+            match first {
+                Some((copy, tier)) => self.controller.on_inserted(&ctx, &copy, tier),
+                None => self.controller.on_evicted(&ctx, id),
+            }
+        }
+    }
+
     // ---- Cache placement --------------------------------------------------
 
     /// Tries to place `block` in the memory store of `info.executor`,
@@ -136,8 +195,7 @@ impl ClusterState {
         );
         debug_assert!(ok);
         self.stores.meta_mut(info.id).home = Some(exec);
-        let ctx = self.ctrl_ctx(self.clock_floor);
-        self.controller.on_inserted(&ctx, info, StoreTier::Memory);
+        self.report_residency(info.id, Some((info, StoreTier::Memory)));
         if fresh {
             let why =
                 if self.trace.is_some() { self.controller.explain_block(info.id) } else { None };
@@ -215,8 +273,7 @@ impl ClusterState {
             CacheDecision::EvictDiscard
         };
         self.emit_cache(trace_at, exec, vid, sb.logical_bytes, decision, why);
-        let ctx = self.ctrl_ctx(self.clock_floor);
-        self.controller.on_evicted(&ctx, vid);
+        self.report_residency(vid, None);
         if action == VictimAction::ToDisk {
             // An s-state victim is already in serialized form: spilling it
             // pays only the raw disk write, not a second serialization.
@@ -233,8 +290,7 @@ impl ClusterState {
             );
             if inserted {
                 let info = BlockInfo { id: vid, bytes: logical, ser_factor: 1.0, executor: exec };
-                let ctx = self.ctrl_ctx(self.clock_floor);
-                self.controller.on_inserted(&ctx, &info, StoreTier::Disk);
+                self.report_residency(vid, Some((&info, StoreTier::Disk)));
             } else {
                 let refused = CacheDecision::SpillRefused;
                 self.emit_cache(trace_at, exec, vid, logical, refused, None);
@@ -267,8 +323,7 @@ impl ClusterState {
         if self.stores.disk[e].insert(info.id, stored) {
             charge.disk_cache_write += self.config.hardware.spill_time(info.bytes, info.ser_factor);
             self.stores.meta_mut(info.id).home = Some(exec);
-            let ctx = self.ctrl_ctx(self.clock_floor);
-            self.controller.on_inserted(&ctx, info, StoreTier::Disk);
+            self.report_residency(info.id, Some((info, StoreTier::Disk)));
             self.emit_cache(trace_at, exec, info.id, info.bytes, CacheDecision::AdmitDisk, None);
         }
     }
@@ -309,22 +364,27 @@ impl ClusterState {
         }
         let hw = self.config.hardware;
         let logical = sb.logical_bytes;
-        let (stored_bytes, io, decision) = if serialize {
+        let (stored_bytes, io, tier, decision) = if serialize {
             // Shrinking never fails the capacity check.
             let scaled = logical.scale(hw.ser_footprint);
-            (scaled, hw.ser_time(logical, sb.ser_factor), CacheDecision::SerializeInMemory)
+            let io = hw.ser_time(logical, sb.ser_factor);
+            (scaled, io, StoreTier::SerializedMemory, CacheDecision::SerializeInMemory)
         } else {
             // Best effort: expanding back to the full footprint must fit
             // (the replacement frees the scaled bytes first).
             if self.stores.mem[e].free() + sb.stored_bytes < logical {
                 return;
             }
-            (logical, hw.deser_time(logical, sb.ser_factor), CacheDecision::DeserializeInMemory)
+            let io = hw.deser_time(logical, sb.ser_factor);
+            (logical, io, StoreTier::Memory, CacheDecision::DeserializeInMemory)
         };
+        let ser_factor = sb.ser_factor;
         let ok = self.stores.mem[e]
             .insert(id, StoredBlock { stored_bytes, serialized: serialize, ..sb });
         debug_assert!(ok);
         let exec = ExecutorId(e as u32);
+        let info = BlockInfo { id, bytes: logical, ser_factor, executor: exec };
+        self.report_residency(id, Some((&info, tier)));
         self.emit_cache(at, exec, id, logical, decision, None);
         self.memory_grew(at);
         self.charge_migration(exec, TaskCharge { external_store_io: io, ..Default::default() }, at);
@@ -373,8 +433,7 @@ impl ClusterState {
         let ok = self.stores.mem[e]
             .insert(id, StoredBlock { stored_bytes, serialized, checksum: None, ..sb });
         debug_assert!(ok);
-        let ctx = self.ctrl_ctx(self.clock_floor);
-        self.controller.on_inserted(&ctx, &info, tier);
+        self.report_residency(id, Some((&info, tier)));
         if fresh {
             self.emit_cache(at, exec, id, info.bytes, decision, None);
         }
@@ -397,42 +456,36 @@ impl ClusterState {
     /// Drops every block of `rdd` everywhere (the `unpersist()` API, or a
     /// controller's `UnpersistRdd`); `at` stamps the records.
     pub(crate) fn unpersist_rdd(&mut self, rdd: RddId, at: SimTime) {
-        for e in 0..self.config.executors {
-            let from_memory = self.stores.mem[e].remove_rdd(rdd);
-            let from_disk = self.stores.disk[e].remove_rdd(rdd);
-            self.dropped(at, e, from_memory, from_disk);
-        }
+        let removed = (0..self.config.executors)
+            .map(|e| [self.stores.mem[e].remove_rdd(rdd), self.stores.disk[e].remove_rdd(rdd)])
+            .collect();
+        self.dropped(at, removed);
     }
 
     /// Drops one block wherever it is (a controller's `UnpersistBlock`).
     fn unpersist_block(&mut self, id: BlockId, at: SimTime) {
-        for e in 0..self.config.executors {
-            let from_memory = self.stores.mem[e].remove(id).map(|sb| (id, sb));
-            let from_disk = self.stores.disk[e].remove(id).map(|sb| (id, sb));
-            self.dropped(at, e, from_memory, from_disk);
-        }
+        let removed = (0..self.config.executors)
+            .map(|e| {
+                [&mut self.stores.mem[e], &mut self.stores.disk[e]]
+                    .map(|store| store.remove(id).map(|sb| (id, sb)).into_iter().collect())
+            })
+            .collect();
+        self.dropped(at, removed);
     }
 
-    /// Reports blocks an unpersist took out of executor `e`'s two tiers:
-    /// one eviction notification per memory removal, one record per removal.
-    /// The fold attributes each record to the app that owns the block.
-    fn dropped(
-        &mut self,
-        at: SimTime,
-        e: usize,
-        from_memory: impl IntoIterator<Item = (BlockId, StoredBlock)>,
-        from_disk: impl IntoIterator<Item = (BlockId, StoredBlock)>,
-    ) {
-        let exec = ExecutorId(e as u32);
-        for (id, sb) in from_memory {
-            let ctx = self.ctrl_ctx(self.clock_floor);
-            self.controller.on_evicted(&ctx, id);
-            let unpersist = CacheDecision::UnpersistMemory;
-            self.emit_cache(at, exec, id, sb.logical_bytes, unpersist, None);
-        }
-        for (id, sb) in from_disk {
-            let unpersist = CacheDecision::UnpersistDisk;
-            self.emit_cache(at, exec, id, sb.logical_bytes, unpersist, None);
+    /// Reports what an unpersist took out of every executor's memory and disk
+    /// store, once it is gone from all of them: one eviction notification
+    /// and one record per removal, in executor order, memory first. The fold
+    /// attributes each record to the app that owns the block.
+    fn dropped(&mut self, at: SimTime, removed: Vec<[Vec<(BlockId, StoredBlock)>; 2]>) {
+        for (e, [from_memory, from_disk]) in removed.into_iter().enumerate() {
+            let exec = ExecutorId(e as u32);
+            let from_memory = from_memory.into_iter().map(|r| (r, CacheDecision::UnpersistMemory));
+            let from_disk = from_disk.into_iter().map(|r| (r, CacheDecision::UnpersistDisk));
+            for ((id, sb), unpersist) in from_memory.chain(from_disk) {
+                self.report_residency(id, None);
+                self.emit_cache(at, exec, id, sb.logical_bytes, unpersist, None);
+            }
         }
     }
 }

@@ -264,8 +264,9 @@ fn ba504_fires_on_an_understated_greedy_gap() {
 
 #[test]
 fn ba505_fires_on_a_retained_stale_memo_entry() {
-    // a -> b -> c, all narrow: dirtying a[0] forward-dirties c[0], so a memo
-    // entry for c[0] claimed as retained is stale.
+    // a -> b -> c, all narrow, all memoized: dirtying a[0] forward-dirties
+    // c[0] through b[0], so a memo entry for c[0] claimed as retained is
+    // stale.
     let view = LineageView {
         nodes: vec![
             LineageNodeView { rdd: RddId(0), parents: vec![], is_shuffle: false },
@@ -274,10 +275,12 @@ fn ba505_fires_on_a_retained_stale_memo_entry() {
         ],
     };
     let dirty = [BlockId::new(RddId(0), 0)];
+    let memoized: Vec<BlockId> =
+        (0..3).flat_map(|r| (0..2).map(move |p| BlockId::new(RddId(r), p))).collect();
     let clean_retained = [BlockId::new(RddId(0), 1)];
-    assert!(check_dirty_closure(&view, &dirty, &clean_retained).is_empty());
+    assert!(check_dirty_closure(&view, &dirty, &memoized, &clean_retained).is_empty());
     let stale_retained = [BlockId::new(RddId(2), 0)];
-    let findings = check_dirty_closure(&view, &dirty, &stale_retained);
+    let findings = check_dirty_closure(&view, &dirty, &memoized, &stale_retained);
     assert!(fires(&findings, DiagCode::UnderApproximatedDirtyClosure), "{findings:?}");
 }
 

@@ -211,10 +211,12 @@ type ZipParents = (RddId, [RddId; 2]);
 /// siblings of the previous generation — the diamond-rich lineage the chain
 /// generator of `tests/common` cannot produce. One job per generation folds
 /// every sibling into per-partition checksums, then the previous generation
-/// is unpersisted. Returns the checksums and every zipped dataset's parents.
+/// is unpersisted; `before_job` runs ahead of each job. Returns the
+/// checksums and every zipped dataset's parents.
 fn sibling_zip(
     ctx: &Context,
     shape: &SiblingZip,
+    before_job: &mut dyn FnMut(),
 ) -> blaze::common::error::Result<(Vec<u64>, Vec<ZipParents>)> {
     let checksum =
         |part: &[u64]| part.iter().fold(part.len() as u64, |acc, x| acc.rotate_left(5) ^ x);
@@ -242,6 +244,7 @@ fn sibling_zip(
             folded = folded
                 .zip_partitions(d, move |acc, part| vec![acc[0].rotate_left(7) ^ checksum(part)]);
         }
+        before_job();
         checksums.extend(folded.collect()?);
         for d in &generation {
             d.unpersist();
@@ -258,24 +261,32 @@ fn run_sibling_zip(
     pressure_pct: u64,
     cold: bool,
 ) -> (Vec<u64>, Metrics, TraceLog) {
-    let profiled = shape.clone();
-    let profile = extract_dependencies(move |ctx| sibling_zip(ctx, &profiled).map(|_| ()), 0)
-        .expect("profiling run failed");
-    let generation_bytes = shape.width as u64 * shape.elems * 8;
-    let cluster = Cluster::new(
-        ClusterConfig {
-            executors: 2,
-            slots_per_executor: 2,
-            memory_capacity: ByteSize::from_bytes(generation_bytes / 2 * pressure_pct / 100),
-            worker_threads: 2,
-            tracing: true,
-            ..Default::default()
-        },
-        install(BlazeController::new(BlazeConfig::full(), Some(profile)), cold),
-    )
-    .unwrap();
-    let (out, _) = sibling_zip(&Context::new(cluster.clone()), shape).expect("pipeline run failed");
+    let controller = install(BlazeController::new(BlazeConfig::full(), Some(profile(shape))), cold);
+    let cluster = Cluster::new(pressured(shape, pressure_pct), controller).unwrap();
+    let (out, _) = sibling_zip(&Context::new(cluster.clone()), shape, &mut || {})
+        .expect("pipeline run failed");
     (out, cluster.metrics(), cluster.trace().expect("tracing was enabled"))
+}
+
+/// The dependency-extraction run of a sibling-zip pipeline.
+fn profile(shape: &SiblingZip) -> blaze::core::ProfileResult {
+    let profiled = shape.clone();
+    extract_dependencies(move |ctx| sibling_zip(ctx, &profiled, &mut || {}).map(|_| ()), 0)
+        .expect("profiling run failed")
+}
+
+/// Two executors whose stores hold `pressure_pct` of one generation's
+/// per-executor bytes, traced.
+fn pressured(shape: &SiblingZip, pressure_pct: u64) -> ClusterConfig {
+    let generation_bytes = shape.width as u64 * shape.elems * 8;
+    ClusterConfig {
+        executors: 2,
+        slots_per_executor: 2,
+        memory_capacity: ByteSize::from_bytes(generation_bytes / 2 * pressure_pct / 100),
+        worker_threads: 2,
+        tracing: true,
+        ..Default::default()
+    }
 }
 
 /// Admissions that evicted a block of one of the incoming dataset's own
@@ -332,8 +343,8 @@ proptest! {
         pressure_pct in 30u64..151,
     ) {
         let shape = SiblingZip { elems, width, generations, picks };
-        let (want, parents) =
-            sibling_zip(&Context::new(LocalRunner::new()), &shape).expect("reference run failed");
+        let (want, parents) = sibling_zip(&Context::new(LocalRunner::new()), &shape, &mut || {})
+            .expect("reference run failed");
         let (out_warm, m_warm, t_warm) = run_sibling_zip(&shape, pressure_pct, false);
         let (out_cold, m_cold, t_cold) = run_sibling_zip(&shape, pressure_pct, true);
         prop_assert_eq!(&out_warm, &want);
@@ -354,6 +365,42 @@ fn fan_in_lineage_is_identical_warm_or_cold_under_pressure() {
     assert!(
         ZIP_PARENT_EVICTIONS.load(Ordering::Relaxed) > 0,
         "no generated case evicted an incoming block's own parent"
+    );
+}
+
+/// The residency belief follows the per-generation `unpersist()` of a
+/// sibling-zip pipeline: at every job submission Blaze believes on disk no
+/// more than the disk stores hold — the blocks an unpersist took out of the
+/// disk tier are gone from the belief too — and so the instance it prices
+/// never outgrows the two generations that can be cached at once.
+#[test]
+fn belief_follows_per_generation_unpersist() {
+    let shape = SiblingZip { elems: 2048, width: 8, generations: 12, picks: (0..16).collect() };
+    let readout = Arc::new(Mutex::new(ProbeReadout::default()));
+    let probe = DecisionProbe::new(
+        BlazeController::new(BlazeConfig::full(), Some(profile(&shape))),
+        false,
+        Arc::clone(&readout),
+    );
+    let cluster = Cluster::new(pressured(&shape, 60), Box::new(probe)).unwrap();
+    let mut held = Vec::new();
+    let stores = cluster.clone();
+    sibling_zip(&Context::new(cluster), &shape, &mut || {
+        held.push(stores.disk_used().into_iter().sum::<ByteSize>());
+    })
+    .expect("pipeline run failed");
+
+    let readout = readout.lock().unwrap();
+    assert_eq!(readout.believed_on_disk.len(), shape.generations);
+    assert!(held.iter().any(|b| !b.is_zero()), "no generation spilled: {held:?}");
+    for (job, (believed, held)) in readout.believed_on_disk.iter().zip(&held).enumerate() {
+        assert!(believed <= held, "job {job}: {believed} believed on disk, {held} held");
+    }
+    let two_generations = (2 * shape.width * ZIP_PARTS) as u64;
+    assert!(
+        readout.stats.peak_candidates <= two_generations,
+        "{} candidates at one submission, two generations are {two_generations}",
+        readout.stats.peak_candidates
     );
 }
 
