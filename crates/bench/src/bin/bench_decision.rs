@@ -49,7 +49,6 @@ use blaze_certify::{verify_mckp, verify_mckp_greedy};
 use blaze_common::error::Result;
 use blaze_common::ids::{AppId, JobId};
 use blaze_common::ids::{BlockId, ExecutorId, RddId};
-use blaze_common::SimTime;
 use blaze_common::{ByteSize, SimDuration};
 use blaze_core::costlineage::CostLineage;
 use blaze_core::{
@@ -473,12 +472,9 @@ fn bench_admission(quick: bool) -> Vec<AdmissionSample> {
     let plan_lock = dctx.plan();
     let plan = plan_lock.read();
     let ctx = CtrlCtx {
-        now: SimTime::ZERO,
         app: AppId(0),
         hardware: HardwareModel::default(),
         memory_capacity: ByteSize::from_kib(96),
-        disk_capacity: ByteSize::from_gib(1),
-        executors: 1,
     };
     let info = |rdd: RddId, part: u32| BlockInfo {
         id: BlockId::new(rdd, part),

@@ -47,42 +47,25 @@ enum Mode {
     Diff(SystemKind),
 }
 
-fn usage() -> &'static str {
-    "usage: blaze-trace [--validate | --timeline <path> | --ledger | \
-     --explain <rdd[:part]> | --diff <system>]\n\
-     \x20      [--apps <a,b,..>] [--system <name>] [--threads <1,2,..>] [--faults]\n\
-     apps:    pagerank cc lr kmeans gbt svdpp (default: all)\n\
-     systems: blaze blaze_no_profile blaze_ser_tier spark_mem_only spark_mem_disk alluxio \
-     lrc mrd autocache costaware\n\
-     threads: worker-thread counts swept by --validate (default: 1,2,4)"
+fn usage() -> String {
+    format!(
+        "usage: blaze-trace [--validate | --timeline <path> | --ledger | \
+         --explain <rdd[:part]> | --diff <system>]\n\
+         \x20      [--apps <a,b,..>] [--system <name>] [--threads <1,2,..>] [--faults]\n\
+         apps:    {} (default: all)\n\
+         systems: {}\n\
+         threads: worker-thread counts swept by --validate (default: 1,2,4)",
+        App::all().map(|a| a.key()).join(" "),
+        SystemKind::all().map(|k| k.key()).join(" "),
+    )
 }
 
 fn parse_app(s: &str) -> Result<App, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "pagerank" | "pr" => Ok(App::PageRank),
-        "cc" | "connectedcomponents" => Ok(App::ConnectedComponents),
-        "lr" | "logreg" | "logisticregression" => Ok(App::LogisticRegression),
-        "kmeans" | "km" => Ok(App::KMeans),
-        "gbt" => Ok(App::Gbt),
-        "svdpp" | "svd" => Ok(App::Svdpp),
-        other => Err(format!("unknown app `{other}`")),
-    }
+    App::from_name(s).ok_or_else(|| format!("unknown app `{s}`"))
 }
 
 fn parse_system(s: &str) -> Result<SystemKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "blaze" => Ok(SystemKind::Blaze),
-        "blaze_no_profile" => Ok(SystemKind::BlazeNoProfile),
-        "blaze_ser_tier" => Ok(SystemKind::BlazeSerTier),
-        "spark_mem_only" => Ok(SystemKind::SparkMemOnly),
-        "spark_mem_disk" => Ok(SystemKind::SparkMemDisk),
-        "alluxio" => Ok(SystemKind::SparkAlluxio),
-        "lrc" => Ok(SystemKind::Lrc),
-        "mrd" => Ok(SystemKind::Mrd),
-        "autocache" => Ok(SystemKind::AutoCache),
-        "costaware" => Ok(SystemKind::CostAware),
-        other => Err(format!("unknown system `{other}`")),
-    }
+    SystemKind::from_name(s).ok_or_else(|| format!("unknown system `{s}`"))
 }
 
 fn parse_block(s: &str) -> Result<BlockId, String> {
@@ -157,17 +140,6 @@ fn fault_plan() -> FaultPlan {
     }
 }
 
-fn app_key(app: App) -> &'static str {
-    match app {
-        App::PageRank => "pagerank",
-        App::ConnectedComponents => "cc",
-        App::LogisticRegression => "lr",
-        App::KMeans => "kmeans",
-        App::Gbt => "gbt",
-        App::Svdpp => "svdpp",
-    }
-}
-
 fn run(opts: &Options, app: App, system: SystemKind, threads: usize, tracing: bool) -> RunOutcome {
     let spec = AppSpec::evaluation(app).with_worker_threads(threads);
     let fault = if opts.faults { fault_plan() } else { FaultPlan::default() };
@@ -181,7 +153,7 @@ fn run(opts: &Options, app: App, system: SystemKind, threads: usize, tracing: bo
     match run {
         Ok(out) => out,
         Err(e) => {
-            eprintln!("blaze-trace: {} under {system:?} failed: {e}", app_key(app));
+            eprintln!("blaze-trace: {} under {system:?} failed: {e}", app.key());
             std::process::exit(2);
         }
     }
@@ -212,14 +184,14 @@ fn validate(opts: &Options) -> usize {
             let report = trace.validate(&out.metrics);
             if !report.passes() {
                 failures += 1;
-                eprintln!("FAIL {} threads={t}: trace audit found:", app_key(app));
+                eprintln!("FAIL {} threads={t}: trace audit found:", app.key());
                 for d in report.errors() {
                     eprintln!("  {d}");
                 }
             }
             if out.metrics != untraced {
                 failures += 1;
-                eprintln!("FAIL {} threads={t}: traced and untraced metrics differ", app_key(app));
+                eprintln!("FAIL {} threads={t}: traced and untraced metrics differ", app.key());
             }
             let json = trace.chrome_json();
             let metrics = format!("{:?}", out.metrics);
@@ -230,21 +202,21 @@ fn validate(opts: &Options) -> usize {
                         failures += 1;
                         eprintln!(
                             "FAIL {}: trace differs between threads={t0} and threads={t}",
-                            app_key(app)
+                            app.key()
                         );
                     }
                     if *metrics0 != metrics {
                         failures += 1;
                         eprintln!(
                             "FAIL {}: metrics differ between threads={t0} and threads={t}",
-                            app_key(app)
+                            app.key()
                         );
                     }
                 }
             }
             println!(
                 "ok {:9} threads={t} events={} act={:.4}s ba404={}",
-                app_key(app),
+                app.key(),
                 trace.events().len(),
                 out.metrics.completion_time.as_secs_f64(),
                 report.warnings().count()
@@ -283,7 +255,7 @@ fn main() -> ExitCode {
                 eprintln!("blaze-trace: writing {path}: {e}");
                 return ExitCode::FAILURE;
             }
-            println!("wrote {} events for {} to {path}", trace.events().len(), app_key(app));
+            println!("wrote {} events for {} to {path}", trace.events().len(), app.key());
         }
         Mode::Ledger => {
             let app = opts.apps[0];

@@ -11,15 +11,8 @@ use blaze_core::extract_dependencies;
 use blaze_workloads::{App, AppSpec};
 
 fn parse_app(s: &str) -> App {
-    match s {
-        "pr" => App::PageRank,
-        "cc" => App::ConnectedComponents,
-        "lr" => App::LogisticRegression,
-        "km" | "kmeans" => App::KMeans,
-        "gbt" => App::Gbt,
-        "svd" | "svdpp" => App::Svdpp,
-        other => panic!("unknown app {other:?} (pr|cc|lr|km|gbt|svd)"),
-    }
+    App::from_name(s)
+        .unwrap_or_else(|| panic!("unknown app {s:?} ({})", App::all().map(|a| a.key()).join("|")))
 }
 
 fn main() {

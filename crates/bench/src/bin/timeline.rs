@@ -6,30 +6,17 @@
 //! ```
 
 use blaze_bench::table::{secs, Table};
-use blaze_workloads::{run_app, App, SystemKind};
+use blaze_workloads::{run_app, App, AppSpec, SystemKind};
 
 fn parse_app(s: &str) -> App {
-    match s {
-        "pr" => App::PageRank,
-        "cc" => App::ConnectedComponents,
-        "lr" => App::LogisticRegression,
-        "km" | "kmeans" => App::KMeans,
-        "gbt" => App::Gbt,
-        "svd" | "svdpp" => App::Svdpp,
-        other => panic!("unknown app {other:?} (pr|cc|lr|km|gbt|svd)"),
-    }
+    App::from_name(s)
+        .unwrap_or_else(|| panic!("unknown app {s:?} ({})", App::all().map(|a| a.key()).join("|")))
 }
 
 fn parse_system(s: &str) -> SystemKind {
-    match s {
-        "mem" => SystemKind::SparkMemOnly,
-        "memdisk" => SystemKind::SparkMemDisk,
-        "alluxio" => SystemKind::SparkAlluxio,
-        "lrc" => SystemKind::Lrc,
-        "mrd" => SystemKind::Mrd,
-        "blaze" => SystemKind::Blaze,
-        other => panic!("unknown system {other:?} (mem|memdisk|alluxio|lrc|mrd|blaze)"),
-    }
+    SystemKind::from_name(s).unwrap_or_else(|| {
+        panic!("unknown system {s:?} ({})", SystemKind::all().map(|k| k.key()).join("|"))
+    })
 }
 
 fn main() {
@@ -50,7 +37,7 @@ fn main() {
     // Per-executor utilization.
     let mut busy: Vec<_> = m.busy_time_per_executor().into_iter().collect();
     busy.sort_by_key(|(e, _)| *e);
-    let slots = 2.0; // Matches AppSpec::evaluation.
+    let slots = AppSpec::evaluation(app).slots as f64;
     let mut t = Table::new(["executor", "busy", "utilization"]);
     for (exec, b) in busy {
         t.row([

@@ -16,20 +16,6 @@ pub fn nz(v: f64) -> f64 {
     }
 }
 
-/// True when a run asks for more worker threads than the host has cores —
-/// its wall-clock numbers measure oversubscription, not scaling. Logs a
-/// warning to stderr the first time it trips for a given pair.
-pub fn oversubscribed(worker_threads: usize, host_cpus: usize) -> bool {
-    let over = worker_threads > host_cpus;
-    if over {
-        eprintln!(
-            "warning: worker_threads={worker_threads} exceeds host_cpus={host_cpus}; \
-             wall-clock samples measure oversubscription, not scaling"
-        );
-    }
-    over
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -40,12 +26,5 @@ mod tests {
         assert_eq!(format!("{:.3}", nz(0.0)), "0.000");
         assert_eq!(format!("{:.3}", nz(-1.5)), "-1.500");
         assert_eq!(format!("{:.3}", nz(2.25)), "2.250");
-    }
-
-    #[test]
-    fn oversubscription_is_detected() {
-        assert!(oversubscribed(8, 4));
-        assert!(!oversubscribed(4, 4));
-        assert!(!oversubscribed(1, 4));
     }
 }

@@ -40,6 +40,10 @@ pub enum BlazeLevel {
     Unified,
 }
 
+/// How many future jobs an induced iteration pattern extends the
+/// reference window by when running without profiling.
+const INDUCE_HORIZON: usize = 4;
+
 /// Configuration of the Blaze controller.
 #[derive(Debug, Clone, Copy)]
 pub struct BlazeConfig {
@@ -51,8 +55,6 @@ pub struct BlazeConfig {
     /// disk budget, solve deadline ([`OptimizerConfig::solve_deadline`]) and
     /// the serialized in-memory tier ([`OptimizerConfig::ser_tier`]).
     pub optimizer: OptimizerConfig,
-    /// How many future jobs to induce when running without profiling.
-    pub induce_horizon: usize,
     /// Certify mode: every solver emits a machine-checkable decision
     /// certificate, verified inline by `blaze-certify` at each job
     /// submission (BA501–BA505; any finding panics). Decision-identical by
@@ -68,7 +70,6 @@ impl BlazeConfig {
             level: BlazeLevel::Unified,
             use_disk: true,
             optimizer: OptimizerConfig::default(),
-            induce_horizon: 4,
             certify: false,
         }
     }
@@ -396,7 +397,7 @@ impl BlazeController {
             self.refs_seq_rev = seq;
         }
         if let Some(p) = self.pattern {
-            self.refs.extend_induced(p, self.cfg.induce_horizon);
+            self.refs.extend_induced(p, INDUCE_HORIZON);
         }
     }
 
@@ -707,7 +708,7 @@ impl CacheController for BlazeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blaze_common::{SimDuration, SimTime};
+    use blaze_common::SimDuration;
     use blaze_engine::HardwareModel;
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -717,14 +718,7 @@ mod tests {
     }
 
     fn ctrl_ctx_for(app: AppId) -> CtrlCtx {
-        CtrlCtx {
-            now: SimTime::ZERO,
-            hardware: HardwareModel::default(),
-            memory_capacity: ByteSize::from_mib(4),
-            disk_capacity: ByteSize::from_gib(1),
-            executors: 2,
-            app,
-        }
+        CtrlCtx { hardware: HardwareModel::default(), memory_capacity: ByteSize::from_mib(4), app }
     }
 
     fn info(rdd: u32, part: u32, kib: u64) -> BlockInfo {
@@ -1160,6 +1154,6 @@ mod tests {
         assert_eq!(p.stride, 3);
         // The induced tail (predicting app 1's next iterations) was appended
         // on top of the six captured jobs.
-        assert_eq!(ctl.refs.num_jobs(), 6 + BlazeConfig::full().induce_horizon);
+        assert_eq!(ctl.refs.num_jobs(), 6 + INDUCE_HORIZON);
     }
 }

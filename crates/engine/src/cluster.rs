@@ -303,14 +303,11 @@ impl ClusterState {
         }
     }
 
-    pub(crate) fn ctrl_ctx(&self, now: SimTime) -> CtrlCtx {
+    pub(crate) fn ctrl_ctx(&self) -> CtrlCtx {
         CtrlCtx {
-            now,
             app: self.current_app,
             hardware: self.config.hardware,
             memory_capacity: self.config.memory_capacity,
-            disk_capacity: self.config.disk_capacity,
-            executors: self.config.executors,
         }
     }
 
@@ -481,7 +478,7 @@ impl ClusterState {
 
         // Give the controller a chance to restate partitions for this job
         // (Blaze's ILP trigger, §5.6).
-        let ctx = self.ctrl_ctx(self.clock_floor);
+        let ctx = self.ctrl_ctx();
         let cmds = self.controller.on_job_submit(&ctx, job, &job_plan, plan);
         self.apply_commands(self.clock_floor, cmds);
         // If the controller's decision path stepped down its solver
@@ -559,7 +556,7 @@ impl ClusterState {
     /// ran samples the disk residency the hook left behind. Debug builds
     /// then hold the controller's residency belief against the stores.
     fn stage_completed(&mut self, run: &StageRun<'_>, at: SimTime, skipped: bool) {
-        let ctx = self.ctrl_ctx(at);
+        let ctx = self.ctrl_ctx();
         let cmds = self.controller.on_stage_complete(&ctx, run.output, run.job, run.plan);
         self.apply_commands(at, cmds);
         #[cfg(debug_assertions)]

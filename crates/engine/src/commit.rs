@@ -159,7 +159,7 @@ impl ClusterState {
     }
 
     fn replay_mem_hit(&mut self, replay: &Replay, id: BlockId, bytes: ByteSize, serialized: bool) {
-        let ctx = self.ctrl_ctx(self.clock_floor);
+        let ctx = self.ctrl_ctx();
         self.controller.on_access(&ctx, id);
         let decision =
             if serialized { CacheDecision::HitSerializedMemory } else { CacheDecision::HitMemory };
@@ -168,12 +168,11 @@ impl ClusterState {
 
     fn replay_disk_hit(&mut self, replay: &mut Replay, info: BlockInfo, block: Block) {
         let t0 = replay.t0;
-        let ctx = self.ctrl_ctx(self.clock_floor);
+        let ctx = self.ctrl_ctx();
         self.controller.on_access(&ctx, info.id);
         self.emit_cache(t0, info.executor, info.id, info.bytes, CacheDecision::HitDisk, None);
         // Optional promotion back into memory (paper §2.3: recovered data
         // can be cached again).
-        let ctx = self.ctrl_ctx(self.clock_floor);
         if self.controller.readmit_after_disk_read(&ctx, &info) != Admission::Memory {
             return;
         }
@@ -221,16 +220,14 @@ impl ClusterState {
         if recovered {
             self.emit(TraceEvent::BlockRecovered { at: t0, id: info.id });
         }
-        let ctx = self.ctrl_ctx(self.clock_floor);
+        let ctx = self.ctrl_ctx();
         let event = PartitionEvent { info, edge_compute: edge, job, recomputed };
         self.controller.on_partition_computed(&ctx, &event);
 
         // Unified caching decision (paper §4.1).
-        let ctx = self.ctrl_ctx(self.clock_floor);
         if !self.controller.should_cache(&ctx, &info, annotated) {
             return;
         }
-        let ctx = self.ctrl_ctx(self.clock_floor);
         match self.controller.admit(&ctx, &info) {
             Admission::Memory => {
                 let admit = CacheDecision::AdmitMemory;

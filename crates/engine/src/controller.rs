@@ -9,7 +9,7 @@
 
 use crate::config::HardwareModel;
 use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
-use blaze_common::{ByteSize, SimDuration, SimTime};
+use blaze_common::{ByteSize, SimDuration};
 use blaze_dataflow::{JobPlan, Plan};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
@@ -132,8 +132,6 @@ pub struct DegradationNote {
 /// Read-only context handed to controller callbacks.
 #[derive(Debug, Clone, Copy)]
 pub struct CtrlCtx {
-    /// Current simulated time.
-    pub now: SimTime,
     /// The application the engine is currently executing on behalf of.
     /// Always `app-0` outside a multi-app session, so single-app
     /// controllers can ignore it; partition-aware policies use it to
@@ -143,12 +141,6 @@ pub struct CtrlCtx {
     pub hardware: HardwareModel,
     /// Per-executor memory-store capacity.
     pub memory_capacity: ByteSize,
-    /// Per-executor disk-store capacity ("abundant" in the paper's setup;
-    /// the engine refuses a spill into a full disk and records
-    /// `CacheDecision::SpillRefused`).
-    pub disk_capacity: ByteSize,
-    /// Number of executors.
-    pub executors: usize,
 }
 
 /// The unified decision interface for caching, eviction and recovery.
@@ -437,14 +429,7 @@ mod tests {
     fn defaults_are_conservative() {
         let mut c = NoCacheController;
         let hw = HardwareModel::default();
-        let ctx = CtrlCtx {
-            now: SimTime::ZERO,
-            app: AppId(0),
-            hardware: hw,
-            memory_capacity: ByteSize::from_mib(1),
-            disk_capacity: ByteSize::from_gib(1),
-            executors: 2,
-        };
+        let ctx = CtrlCtx { app: AppId(0), hardware: hw, memory_capacity: ByteSize::from_mib(1) };
         let info = BlockInfo {
             id: BlockId::new(RddId(1), 0),
             bytes: ByteSize::from_kib(1),

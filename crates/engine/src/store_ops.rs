@@ -122,7 +122,7 @@ impl ClusterState {
     /// write lands beside a memory copy), the copy a read finds first is
     /// restated, so a belief folded from the reports equals the stores.
     pub(crate) fn report_residency(&mut self, id: BlockId, now: Option<(&BlockInfo, StoreTier)>) {
-        let ctx = self.ctrl_ctx(self.clock_floor);
+        let ctx = self.ctrl_ctx();
         match now {
             Some((info, tier)) => self.controller.on_inserted(&ctx, info, tier),
             None => self.controller.on_evicted(&ctx, id),
@@ -165,7 +165,7 @@ impl ClusterState {
         }
 
         if !self.stores.mem[e].fits(footprint) {
-            let ctx = self.ctrl_ctx(self.clock_floor);
+            let ctx = self.ctrl_ctx();
             if self.controller.on_admission_failure(&ctx, info) == Admission::Disk {
                 self.spill_to_disk(info, block, charge, trace_at);
             }
@@ -240,7 +240,7 @@ impl ClusterState {
                 executor: exec,
             })
             .collect();
-        let ctx = self.ctrl_ctx(self.clock_floor);
+        let ctx = self.ctrl_ctx();
         let victims = self.controller.choose_victims(&ctx, exec, needed, incoming, &resident);
         for (vid, action) in victims {
             if vid.rdd == incoming.id.rdd {

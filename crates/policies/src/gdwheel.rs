@@ -100,16 +100,12 @@ impl CacheController for GdWheelController {
 mod tests {
     use super::*;
     use blaze_common::ids::{AppId, RddId};
-    use blaze_common::SimTime;
     use blaze_engine::HardwareModel;
 
     fn ctx() -> CtrlCtx {
         CtrlCtx {
-            now: SimTime::ZERO,
             hardware: HardwareModel::default(),
             memory_capacity: ByteSize::from_mib(1),
-            disk_capacity: ByteSize::from_gib(1),
-            executors: 1,
             app: AppId(0),
         }
     }

@@ -120,17 +120,13 @@ impl CacheController for LrcController {
 mod tests {
     use super::*;
     use blaze_common::ids::AppId;
-    use blaze_common::SimTime;
     use blaze_dataflow::{runner::LocalRunner, Context};
     use blaze_engine::HardwareModel;
 
     fn ctx() -> CtrlCtx {
         CtrlCtx {
-            now: SimTime::ZERO,
             hardware: HardwareModel::default(),
             memory_capacity: ByteSize::from_mib(1),
-            disk_capacity: ByteSize::from_gib(1),
-            executors: 1,
             app: AppId(0),
         }
     }

@@ -12,8 +12,8 @@ use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::ByteSize;
 use blaze_dataflow::{JobPlan, Plan};
 use blaze_engine::{
-    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StateCommand, StoreTier,
-    VictimAction,
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, Residency, StateCommand,
+    StoreTier, VictimAction,
 };
 
 const INFINITE_DISTANCE: i64 = i64::MAX / 2;
@@ -155,23 +155,48 @@ impl CacheController for MrdController {
             self.on_disk.remove(&info.id);
         }
     }
+
+    fn on_evicted(&mut self, _ctx: &CtrlCtx, id: BlockId) {
+        // Off disk (unpersisted, quarantined or lost) there is nothing left
+        // to prefetch; off memory, a spill reports its disk insert next.
+        self.on_disk.remove(&id);
+    }
+
+    fn residency_mismatch(&self, stores: &Residency) -> Option<String> {
+        let held: FxHashSet<BlockId> = stores
+            .iter()
+            .filter(|&(_, &tier)| tier == StoreTier::Disk)
+            .map(|(&id, _)| id)
+            .collect();
+        let mut diffs: Vec<String> = held
+            .difference(&self.on_disk)
+            .map(|id| format!("{id} on disk, not believed"))
+            .chain(
+                self.on_disk.difference(&held).map(|id| format!("{id} believed on disk, not held")),
+            )
+            .collect();
+        diffs.sort();
+        (!diffs.is_empty()).then(|| {
+            format!(
+                "{} blocks disagree, first: {}",
+                diffs.len(),
+                diffs[..diffs.len().min(4)].join("; ")
+            )
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use blaze_common::ids::AppId;
-    use blaze_common::SimTime;
     use blaze_dataflow::{runner::LocalRunner, Context};
     use blaze_engine::HardwareModel;
 
     fn ctx() -> CtrlCtx {
         CtrlCtx {
-            now: SimTime::ZERO,
             hardware: HardwareModel::default(),
             memory_capacity: ByteSize::from_mib(1),
-            disk_capacity: ByteSize::from_gib(1),
-            executors: 1,
             app: AppId(0),
         }
     }
@@ -253,5 +278,24 @@ mod tests {
             "expected prefetch of r1, got {cmds:?}"
         );
         let _ = base;
+    }
+
+    #[test]
+    fn a_block_unpersisted_from_disk_leaves_the_disk_belief() {
+        let c = ctx();
+        let mut mrd = MrdController::new(EvictMode::MemDisk);
+        let b = info(RddId(7), 4);
+        // Cached, then spilled: the engine reports the memory removal and
+        // the disk insert.
+        mrd.on_inserted(&c, &b, StoreTier::Memory);
+        mrd.on_evicted(&c, b.id);
+        mrd.on_inserted(&c, &b, StoreTier::Disk);
+        let on_disk = Residency::from([(b.id, StoreTier::Disk)]);
+        assert_eq!(mrd.residency_mismatch(&on_disk), None);
+        // Unpersisted from disk: no copy is left to prefetch.
+        mrd.on_evicted(&c, b.id);
+        assert!(mrd.on_disk.is_empty(), "phantom disk blocks: {:?}", mrd.on_disk);
+        assert_eq!(mrd.residency_mismatch(&Residency::new()), None);
+        assert!(mrd.residency_mismatch(&on_disk).is_some());
     }
 }

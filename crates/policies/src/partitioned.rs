@@ -150,16 +150,12 @@ impl CacheController for IsolatedLruController {
 mod tests {
     use super::*;
     use blaze_common::ids::RddId;
-    use blaze_common::SimTime;
     use blaze_engine::HardwareModel;
 
     fn ctx(app: u32) -> CtrlCtx {
         CtrlCtx {
-            now: SimTime::ZERO,
             hardware: HardwareModel::default(),
             memory_capacity: ByteSize::from_kib(16),
-            disk_capacity: ByteSize::from_gib(1),
-            executors: 1,
             app: AppId(app),
         }
     }

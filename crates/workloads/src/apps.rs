@@ -62,6 +62,31 @@ impl App {
             App::Svdpp => "SVD++",
         }
     }
+
+    /// The command-line names of the application, canonical first: the
+    /// canonical name is what tools print and put into file names, the rest
+    /// are accepted aliases. The one table every binary parses apps with.
+    pub fn names(&self) -> &'static [&'static str] {
+        match self {
+            App::PageRank => &["pagerank", "pr"],
+            App::ConnectedComponents => &["cc", "connectedcomponents"],
+            App::LogisticRegression => &["lr", "logreg", "logisticregression"],
+            App::KMeans => &["kmeans", "km"],
+            App::Gbt => &["gbt"],
+            App::Svdpp => &["svdpp", "svd"],
+        }
+    }
+
+    /// The canonical command-line name (the first of [`App::names`]).
+    pub fn key(&self) -> &'static str {
+        self.names()[0]
+    }
+
+    /// The application one of [`App::names`] denotes (ASCII
+    /// case-insensitive), if any.
+    pub fn from_name(name: &str) -> Option<App> {
+        Self::all().into_iter().find(|a| a.names().iter().any(|n| n.eq_ignore_ascii_case(name)))
+    }
 }
 
 /// A fully configured application: drivers plus cluster sizing.

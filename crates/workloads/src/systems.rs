@@ -59,6 +59,32 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
+    /// Every system, in declaration order.
+    pub fn all() -> [SystemKind; 20] {
+        [
+            SystemKind::SparkMemOnly,
+            SystemKind::SparkMemDisk,
+            SystemKind::SparkAlluxio,
+            SystemKind::Lrc,
+            SystemKind::Mrd,
+            SystemKind::Blaze,
+            SystemKind::BlazeSerTier,
+            SystemKind::BlazeNoProfile,
+            SystemKind::AutoCache,
+            SystemKind::CostAware,
+            SystemKind::LrcMemOnly,
+            SystemKind::MrdMemOnly,
+            SystemKind::BlazeMemOnly,
+            SystemKind::Fifo,
+            SystemKind::Lfu,
+            SystemKind::Lfuda,
+            SystemKind::TinyLfu,
+            SystemKind::LeCaR,
+            SystemKind::GdWheel,
+            SystemKind::IsolatedLru,
+        ]
+    }
+
     /// The systems of the paper's headline comparison (Fig. 9/10), in order.
     pub fn headline() -> [SystemKind; 6] {
         [
@@ -174,6 +200,45 @@ impl SystemKind {
             SystemKind::IsolatedLru => "Isolated LRU",
         }
     }
+
+    /// The command-line names of the system, canonical first: the canonical
+    /// name is what tools print and put into file names, the rest are
+    /// accepted aliases. The one table every binary parses systems with.
+    pub fn names(&self) -> &'static [&'static str] {
+        match self {
+            SystemKind::SparkMemOnly => &["spark_mem_only", "mem"],
+            SystemKind::SparkMemDisk => &["spark_mem_disk", "memdisk"],
+            SystemKind::SparkAlluxio => &["alluxio"],
+            SystemKind::Lrc => &["lrc"],
+            SystemKind::Mrd => &["mrd"],
+            SystemKind::Blaze => &["blaze"],
+            SystemKind::BlazeSerTier => &["blaze_ser_tier"],
+            SystemKind::BlazeNoProfile => &["blaze_no_profile"],
+            SystemKind::AutoCache => &["autocache"],
+            SystemKind::CostAware => &["costaware"],
+            SystemKind::LrcMemOnly => &["lrc_mem_only"],
+            SystemKind::MrdMemOnly => &["mrd_mem_only"],
+            SystemKind::BlazeMemOnly => &["blaze_mem_only"],
+            SystemKind::Fifo => &["fifo"],
+            SystemKind::Lfu => &["lfu"],
+            SystemKind::Lfuda => &["lfuda"],
+            SystemKind::TinyLfu => &["tinylfu"],
+            SystemKind::LeCaR => &["lecar"],
+            SystemKind::GdWheel => &["gdwheel"],
+            SystemKind::IsolatedLru => &["isolated_lru"],
+        }
+    }
+
+    /// The canonical command-line name (the first of [`SystemKind::names`]).
+    pub fn key(&self) -> &'static str {
+        self.names()[0]
+    }
+
+    /// The system one of [`SystemKind::names`] denotes (ASCII
+    /// case-insensitive), if any.
+    pub fn from_name(name: &str) -> Option<SystemKind> {
+        Self::all().into_iter().find(|k| k.names().iter().any(|n| n.eq_ignore_ascii_case(name)))
+    }
 }
 
 #[cfg(test)]
@@ -182,32 +247,30 @@ mod tests {
 
     #[test]
     fn controller_factory_builds_every_system() {
-        let all = [
-            SystemKind::SparkMemOnly,
-            SystemKind::SparkMemDisk,
-            SystemKind::SparkAlluxio,
-            SystemKind::Lrc,
-            SystemKind::Mrd,
-            SystemKind::Blaze,
-            SystemKind::BlazeSerTier,
-            SystemKind::BlazeNoProfile,
-            SystemKind::AutoCache,
-            SystemKind::CostAware,
-            SystemKind::LrcMemOnly,
-            SystemKind::MrdMemOnly,
-            SystemKind::BlazeMemOnly,
-            SystemKind::Fifo,
-            SystemKind::Lfu,
-            SystemKind::Lfuda,
-            SystemKind::TinyLfu,
-            SystemKind::LeCaR,
-            SystemKind::GdWheel,
-            SystemKind::IsolatedLru,
-        ];
-        for kind in all {
+        for kind in SystemKind::all() {
             let c = kind.make_controller(None);
             assert!(!c.name().is_empty());
         }
+    }
+
+    #[test]
+    fn every_cli_name_parses_back_to_its_system() {
+        let mut seen = std::collections::BTreeSet::new();
+        for kind in SystemKind::all() {
+            for &name in kind.names() {
+                assert!(seen.insert(name), "{name} names two systems");
+                assert_eq!(SystemKind::from_name(name), Some(kind));
+                assert_eq!(SystemKind::from_name(&name.to_ascii_uppercase()), Some(kind));
+            }
+        }
+        for app in crate::App::all() {
+            for &name in app.names() {
+                assert!(seen.insert(name), "{name} names an app and a system or two apps");
+                assert_eq!(crate::App::from_name(name), Some(app));
+            }
+        }
+        assert_eq!(SystemKind::from_name("nope"), None);
+        assert_eq!(crate::App::from_name("nope"), None);
     }
 
     #[test]

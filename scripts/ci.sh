@@ -61,10 +61,10 @@ run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_decision -- \
 # pick s-states (ser_transitions > 0 somewhere), tier-off runs must keep
 # their ser counters at exactly zero, and the co-run session (PageRank +
 # KMeans, both scheduler policies) must show shared-cache Blaze spending
-# strictly less total recompute than isolated per-app LRU partitions
-# (--quick skips the wall-clock thread sweep, keeps both floors).
-run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_engine -- \
-    --quick --check
+# strictly less total recompute than isolated per-app LRU partitions, and
+# the committed BENCH_engine.json (simulated numbers only) must be exactly
+# what the code renders.
+run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_engine -- --check
 # Decision certificates: every workload under both strategies (knapsack,
 # greedy), plus the serialized-tier leg, must emit certificates that verify
 # clean (--all, implied), and each seeded corruption must trip its BA5xx
