@@ -18,8 +18,8 @@
 //! - `BA504` — a greedy gap exceeds its declared bound,
 //! - `BA505` — the dirty closure missed an affected entry.
 //!
-//! There is one tree replay for the state search ([`mckp`]; the 0/1
-//! keep-in-memory program is its two-option case) and one for the 0/1 ILP
+//! There is one tree replay for the state search ([`mckp`]; the tier-off
+//! program is its two-option case) and one for the 0/1 ILP
 //! ([`ilp`]), which no decision runs: it checks the literal Eq. 5–6
 //! program that `blaze-core`'s test oracle solves, and the benchmark drill.
 //!
@@ -78,8 +78,8 @@ pub enum InstancePayload {
     },
     /// A branch-and-bound solve of the state search
     /// ([`blaze_solver::mckp`]): one group of options per candidate — two
-    /// for the 0/1 keep-in-memory program, three for the m/s/d/u choice of
-    /// the serialized in-memory tier.
+    /// (out, mem) with the serialized in-memory tier off, three (out, ser,
+    /// mem) with it on.
     MultiChoice {
         /// The option groups of the instance (one per candidate).
         groups: Vec<MckpGroup>,

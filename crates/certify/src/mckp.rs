@@ -2,8 +2,8 @@
 //! certificates.
 //!
 //! The decision path solves one multi-choice knapsack per executor (each
-//! candidate picks one option of its group; the 0/1 keep-in-memory program
-//! is the two-option case) and its optimality proof is a DFS-preorder
+//! candidate picks one option of its group; with the serialized tier off
+//! every group has two options) and its optimality proof is a DFS-preorder
 //! replay of the recorded tree. The verifier works from the search rule
 //! `blaze_solver::mckp` publishes, not from its code. It re-derives the
 //! per-group LP-dominance frontiers, upper convex hulls and hull increments

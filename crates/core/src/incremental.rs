@@ -22,7 +22,7 @@
 //!   iteration pattern changes, because induction reads congruent blocks
 //!   anywhere in the lineage.
 //! - **Solution reuse** — per executor, if the candidate vector (ids, sizes,
-//!   costs, reference flags, states) and capacity are unchanged, the
+//!   costs, reference counts, states) and capacity are unchanged, the
 //!   previous picks are returned without solving: the solvers are
 //!   deterministic functions of exactly that data.
 //! - **Warm-started solves** — otherwise the previous solution warm-starts
@@ -42,7 +42,7 @@ use crate::cost::{CostMemo, CostModel};
 use crate::costlineage::CostLineage;
 use crate::optimize::{
     emit_commands, gather_candidates, solve_instance, Candidate, LadderReport, OptimizerConfig,
-    Pick, SolveLadder, SolveStrategy,
+    Pick, SolveLadder, SolveStrategy, Tiers,
 };
 use crate::pattern::IterationPattern;
 use crate::refs::JobRefs;
@@ -85,9 +85,9 @@ pub struct DecisionStats {
 struct PrevSolve {
     capacity: ByteSize,
     strategy: SolveStrategy,
-    /// Whether the solve ran in the enlarged m/s/d/u space — a 0/1 answer
-    /// must never be reused for a multi-choice instance or vice versa.
-    ser_tier: bool,
+    /// The states the solve could choose: an answer must never be reused
+    /// for an instance priced with other tiers.
+    tiers: Tiers,
     candidates: Vec<Candidate>,
     picks: Vec<Pick>,
 }
@@ -288,7 +288,7 @@ impl IncrementalOptimizer {
                 candidates.clone(),
                 memory_capacity,
                 strategy,
-                config.ser_tier,
+                Tiers { ser: config.ser_tier, disk: config.use_disk },
             );
             solved.push((exec, candidates, picks));
         }
@@ -296,7 +296,7 @@ impl IncrementalOptimizer {
         self.stats.degraded += report.degraded;
         self.stats.passthrough += report.passthrough;
         self.last_ladder = report;
-        emit_commands(&solved, refs, current_job)
+        emit_commands(&solved)
     }
 
     /// Solves one executor's instance, reusing or warm-starting the previous
@@ -307,16 +307,16 @@ impl IncrementalOptimizer {
         candidates: Vec<Candidate>,
         capacity: ByteSize,
         strategy: SolveStrategy,
-        ser_tier: bool,
+        tiers: Tiers,
     ) -> Vec<Pick> {
         if let Some(p) = self.prev.get(&exec) {
             if p.capacity == capacity
                 && p.strategy == strategy
-                && p.ser_tier == ser_tier
+                && p.tiers == tiers
                 && p.candidates == candidates
             {
                 // Identical instance: the solver is a deterministic function
-                // of (candidates, capacity, strategy), so the previous
+                // of (candidates, capacity, strategy, tiers), so the previous
                 // answer *is* the answer.
                 self.stats.reused += 1;
                 return p.picks.clone();
@@ -325,11 +325,11 @@ impl IncrementalOptimizer {
         self.stats.solves += 1;
         // Re-align the previous solve (taken out: it is unconditionally
         // re-inserted below) to the current slots as the warm hint.
-        let warm = self.prev.remove(&exec).filter(|p| p.ser_tier == ser_tier).map(|p| {
+        let warm = self.prev.remove(&exec).filter(|p| p.tiers == tiers).map(|p| {
             // audit: allow(decision-hash) keyed index, never iterated
             let index_of: FxHashMap<BlockId, usize> =
                 candidates.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
-            let mut picks = vec![Pick::Out; candidates.len()];
+            let mut picks = vec![Pick::Unpersist; candidates.len()];
             for (c, &pick) in p.candidates.iter().zip(&p.picks) {
                 if let Some(&i) = index_of.get(&c.id) {
                     picks[i] = pick;
@@ -337,20 +337,14 @@ impl IncrementalOptimizer {
             }
             picks
         });
-        let solved = solve_instance(
-            &candidates,
-            capacity,
-            strategy,
-            ser_tier,
-            warm.as_deref(),
-            self.certify,
-        );
+        let solved =
+            solve_instance(&candidates, capacity, strategy, tiers, warm.as_deref(), self.certify);
         if let Some(payload) = solved.payload {
             self.verify_inline(exec, payload);
         }
         self.prev.insert(
             exec,
-            PrevSolve { capacity, strategy, ser_tier, candidates, picks: solved.picks.clone() },
+            PrevSolve { capacity, strategy, tiers, candidates, picks: solved.picks.clone() },
         );
         solved.picks
     }

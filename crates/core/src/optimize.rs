@@ -20,21 +20,21 @@
 //! - [`SolveStrategy::Greedy`] — the same search cut off at its root (a
 //!   time-budget fallback).
 //!
-//! Where the reduction equals Eq. 5–6 is checked, not asserted: the
-//! test-only `oracle` module builds the literal program over `(m, d, u)` /
+//! One function prices every state of a candidate ([`objectives`]): `m`,
+//! `s` with the serialized tier on, `d` with the disk allowed, and `u`.
+//! The knapsack groups are built from it (`[out, ser, mem]` with the tier
+//! on, `[out, mem]` with it off), and so is every out-of-memory pick: `d`
+//! when its objective is strictly below `u`'s, `u` otherwise. Where the
+//! reduction equals Eq. 5–6 is checked, not asserted: the test-only
+//! `oracle` module builds the literal program over `(m, d, u)` /
 //! `(m, s, d, u)` binaries, solves it with the solver crate's 0/1 ILP
-//! branch and bound and compares optima. With the serialized tier on ([`tier_groups`]) the two
-//! optima are equal on every instance. With it off ([`binary_groups`]) they
-//! are equal unless a memory resident carries a spill transition: the 0/1
-//! pricing credits the avoided spill to keeping it in memory, while Eq. 5–6
-//! charges the spill only to `d` and leaves `u` free.
+//! branch and bound, and compares optima on seeded instances for both tier
+//! settings.
 //!
 //! This module holds the pieces of one decision: the degradation ladder,
-//! candidate gathering, the two pricings of the program as option groups
-//! (`[out, mem]`, and `[out, ser, mem]` with the serialized tier on), the
-//! single [`solve_instance`] entry into the solver crate, and command
-//! emission. The loop that runs them per executor at each job submission is
-//! [`crate::incremental`].
+//! candidate gathering, the pricing, the single [`solve_instance`] entry
+//! into the solver crate, and command emission. The loop that runs them per
+//! executor at each job submission is [`crate::incremental`].
 
 use crate::cost::CostModel;
 use crate::costlineage::{CostLineage, PartitionState};
@@ -46,7 +46,8 @@ use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_engine::{HardwareModel, StateCommand};
 use blaze_solver::mckp::{
-    greedy_mckp_certificate, solve_mckp_certified, solve_mckp_warm, MckpGroup, MckpOption, MckpWarm,
+    greedy_mckp_certificate, solve_mckp_certified, solve_mckp_warm, MckpGroup, MckpOption,
+    MckpSolution, MckpWarm,
 };
 
 #[cfg(test)]
@@ -79,9 +80,13 @@ pub struct OptimizerConfig {
     pub solve_deadline: Option<SimDuration>,
     /// Enables the serialized in-memory tier as a first-class decision
     /// state: each candidate's option group is `[out, ser, mem]` instead of
-    /// the keep-in-memory reduction's `[out, mem]`. With the flag off (the
-    /// default) decisions are byte-identical to the pre-s-tier solver's.
+    /// `[out, mem]`. Off by default; the two settings price `m`, `d` and `u`
+    /// alike.
     pub ser_tier: bool,
+    /// Whether the disk state `d` is allowed at all (false = the Fig. 12
+    /// memory-only configuration): without it the only way out of memory
+    /// is `u`.
+    pub use_disk: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -91,8 +96,17 @@ impl Default for OptimizerConfig {
             strategy: SolveStrategy::Knapsack,
             solve_deadline: None,
             ser_tier: false,
+            use_disk: true,
         }
     }
+}
+
+/// The states a decision may choose besides `m` and `u`: serialized in
+/// memory, and disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tiers {
+    pub(crate) ser: bool,
+    pub(crate) disk: bool,
 }
 
 /// One rung of the solver degradation ladder, ordered from least to most
@@ -234,17 +248,14 @@ pub(crate) struct Candidate {
     pub(crate) size: ByteSize,
     pub(crate) cost_d: SimDuration,
     pub(crate) cost_r: SimDuration,
-    /// Cost of moving this block out of / into memory from its current
-    /// state (a spill for memory residents, a disk read for disk residents).
-    /// Including it in the objective keeps the solution *stable*: without
-    /// transition costs the solver oscillates between equal-value subsets,
-    /// paying real I/O every job (§4.3's chain reactions, in miniature).
-    pub(crate) transition: SimDuration,
-    /// Full m/s/d transition row from the current state (`trans_to_<x>` is
-    /// the one-off cost of moving there now). Deterministic functions of
+    /// The m/s/d transition row from the current state (`trans_to_<x>` is
+    /// the one-off cost of moving there now: a spill for a memory resident
+    /// going to disk, a disk read for a disk resident promoted). Pricing
+    /// transitions keeps the solution *stable*: without them the solver
+    /// oscillates between equal-value subsets, paying real I/O every job
+    /// (§4.3's chain reactions, in miniature). Deterministic functions of
     /// the fields above plus the hardware model, so `PartialEq`-based
-    /// incremental reuse stays sound; only consulted when
-    /// [`OptimizerConfig::ser_tier`] is on.
+    /// incremental reuse stays sound.
     pub(crate) trans_to_m: SimDuration,
     pub(crate) trans_to_s: SimDuration,
     pub(crate) trans_to_d: SimDuration,
@@ -253,12 +264,12 @@ pub(crate) struct Candidate {
     pub(crate) deser_access: SimDuration,
     /// Footprint-scaled stored size the s state charges against memory.
     pub(crate) ser_size: ByteSize,
-    pub(crate) referenced: bool,
-    /// Number of references to this block within the decision window.
-    /// The multi-choice pricing multiplies per-access costs (deser for s,
-    /// recovery for d/u) by this count — what makes the s state's
-    /// pay-per-read trade-off visible at all. The legacy 0/1 path keeps
-    /// its historical binary `referenced` weighting.
+    /// Number of references to this block within the decision window, the
+    /// weight [`objectives`] multiplies per-access costs (deser for s,
+    /// recovery for d/u) by — what makes the s state's pay-per-read
+    /// trade-off visible at all. A block with no reference in the window
+    /// but one later counts as one reference: leaving it costs its next
+    /// read.
     pub(crate) window_refs: u32,
     pub(crate) state: PartitionState,
 }
@@ -287,8 +298,10 @@ pub(crate) fn gather_candidates(
         .collect();
     for (id, state) in cached {
         let Some(exec) = state.executor() else { continue };
-        let window_refs = refs.refs_in_window(id.rdd, current_job, config.horizon_jobs);
-        let referenced = window_refs > 0;
+        let window_refs = match refs.refs_in_window(id.rdd, current_job, config.horizon_jobs) {
+            0 => u32::from(refs.future_refs(id.rdd, current_job) > 0),
+            n => n,
+        };
         let size = model.size(id);
         let ser = 1.0f64.max(lineage.node(id.rdd).map(|n| n.ser_factor).unwrap_or(1.0));
         // Transition row from the current state. m->s and s->m convert in
@@ -308,27 +321,16 @@ pub(crate) fn gather_candidates(
             ),
             PartitionState::None => (SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO),
         };
-        // The legacy scalar keeps its historical form (the 0/1 path must
-        // stay byte-identical): leaving memory pays the spill, leaving disk
-        // pays the promotion read. SerializedMemory cannot occur with the
-        // s tier off; its scalar is the deserialization leg.
-        let transition = match state {
-            PartitionState::Memory(_) => trans_to_d,
-            PartitionState::SerializedMemory(_) | PartitionState::Disk(_) => trans_to_m,
-            PartitionState::None => SimDuration::ZERO,
-        };
         let candidate = Candidate {
             id,
             size,
             cost_d: model.cost_d(id),
             cost_r: model.cost_r(id),
-            transition,
             trans_to_m,
             trans_to_s,
             trans_to_d,
             deser_access: model.cost_s(id),
             ser_size: size.scale(hardware.ser_footprint),
-            referenced,
             window_refs,
             state,
         };
@@ -340,17 +342,56 @@ pub(crate) fn gather_candidates(
     per_exec
 }
 
-/// The solver's verdict for one candidate: deserialized in memory (m),
-/// serialized in memory (s), or out of memory (d/u — [`emit_commands`]
-/// picks between disk and unpersist per §4.2).
+/// The decision for one candidate: deserialized in memory (m), serialized
+/// in memory (s), on disk (d) or unpersisted (u).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pick {
     /// Keep (or promote) deserialized in memory.
     Mem,
     /// Keep (or move) serialized in memory.
     Ser,
-    /// Out of memory: spill, leave on disk, or unpersist.
-    Out,
+    /// Out of memory onto disk: spill, or stay on disk.
+    Disk,
+    /// Out of memory and off disk.
+    Unpersist,
+}
+
+/// The Eq. 5–6 objective of each state one candidate may take, in seconds
+/// over the decision window; `None` for a state the tiers do not allow.
+#[derive(Debug, Clone, Copy)]
+struct Objectives {
+    m: f64,
+    s: Option<f64>,
+    d: Option<f64>,
+    u: f64,
+}
+
+impl Objectives {
+    /// The cheapest way out of memory: `d` only when strictly cheaper than
+    /// `u`, so a block with nothing ahead of it leaves through `u`.
+    fn out(&self) -> (Pick, f64) {
+        match self.d {
+            Some(d) if d < self.u => (Pick::Disk, d),
+            _ => (Pick::Unpersist, self.u),
+        }
+    }
+}
+
+/// The one pricing of a candidate: per-access costs (recovery for d and u,
+/// deserialization for s) weighted by the window's reference count, plus
+/// the one-off transition from the current state.
+fn objectives(c: &Candidate, tiers: Tiers) -> Objectives {
+    // Per-access costs are paid on every read in the window: without the
+    // multiplier, the s state's recurring deser charge would tie with the
+    // one-off s -> m deserialization and a packed block could never
+    // profitably be unpacked again.
+    let per_access = |cost: SimDuration| f64::from(c.window_refs) * cost.as_secs_f64();
+    Objectives {
+        m: c.trans_to_m.as_secs_f64(),
+        s: tiers.ser.then(|| per_access(c.deser_access) + c.trans_to_s.as_secs_f64()),
+        d: tiers.disk.then(|| per_access(c.cost_d) + c.trans_to_d.as_secs_f64()),
+        u: per_access(c.cost_r),
+    }
 }
 
 /// Translates per-executor picks into state commands.
@@ -360,8 +401,6 @@ pub(crate) enum Pick {
 /// unpersists, and in-place serializations) before promotions consume it.
 pub(crate) fn emit_commands(
     solved: &[(ExecutorId, Vec<Candidate>, Vec<Pick>)],
-    refs: &JobRefs,
-    current_job: usize,
 ) -> Vec<StateCommand> {
     let mut commands = Vec::new();
     let mut promotions = Vec::new();
@@ -380,22 +419,17 @@ pub(crate) fn emit_commands(
             match (c.state, pick) {
                 (PartitionState::Memory(_), Pick::Mem)
                 | (PartitionState::SerializedMemory(_), Pick::Ser)
+                | (PartitionState::Disk(_), Pick::Disk)
                 | (PartitionState::None, _) => {}
                 (PartitionState::Memory(_), Pick::Ser) => {
                     // m -> s in place: shrinks the stored footprint without
                     // disk I/O, so it goes with the space-freeing commands.
                     commands.push(StateCommand::SerializeInMemory(c.id));
                 }
-                (PartitionState::Memory(_) | PartitionState::SerializedMemory(_), Pick::Out) => {
-                    // m/s -> d or -> u: pick the cheaper recovery (§4.2),
-                    // considering any reference later in the application.
-                    let used_later = refs.future_refs(c.id.rdd, current_job) > 0;
-                    if used_later && c.cost_d < c.cost_r {
-                        commands.push(StateCommand::SpillToDisk(c.id));
-                    } else {
-                        commands.push(StateCommand::UnpersistBlock(c.id));
-                    }
+                (PartitionState::Memory(_) | PartitionState::SerializedMemory(_), Pick::Disk) => {
+                    commands.push(StateCommand::SpillToDisk(c.id));
                 }
+                (_, Pick::Unpersist) => commands.push(StateCommand::UnpersistBlock(c.id)),
                 (PartitionState::SerializedMemory(_), Pick::Mem) => {
                     // s -> m grows the stored footprint; run it with the
                     // space-consuming promotions.
@@ -407,13 +441,6 @@ pub(crate) fn emit_commands(
                 (PartitionState::Disk(_), Pick::Ser) => {
                     promotions.push(StateCommand::PromoteToSerializedMemory(c.id));
                 }
-                (PartitionState::Disk(_), Pick::Out) => {
-                    // d -> u when recomputing beats re-reading, or when the
-                    // data has no references in the window and none later.
-                    if !c.referenced && refs.future_refs(c.id.rdd, current_job) == 0 {
-                        commands.push(StateCommand::UnpersistBlock(c.id));
-                    }
-                }
             }
         }
     }
@@ -421,96 +448,80 @@ pub(crate) fn emit_commands(
     commands
 }
 
-/// The option layout of [`binary_groups`]: out of memory, or in it.
-const BINARY_LAYOUT: &[Pick] = &[Pick::Out, Pick::Mem];
-/// The option layout of [`tier_groups`].
-const TIER_LAYOUT: &[Pick] = &[Pick::Out, Pick::Ser, Pick::Mem];
-
 const ZERO_OPTION: MckpOption = MckpOption { value: 0.0, weight: 0 };
 
-/// The keep-in-memory pricing of one executor's instance: each candidate
-/// becomes the group `[zero, mem]` ([`BINARY_LAYOUT`]) with saved recovery
-/// cost as value and partition size as weight — a 0/1 knapsack.
-///
-/// It departs from Eq. 5–6 on one input: a memory resident's spill
-/// `transition` is added to the value of staying, as if leaving memory
-/// always paid the spill, although `u` leaves for free. The oracle's
-/// `zero_one_pricing_credits_a_spill_that_eq56_leaves_free` pins an
-/// instance where the two keep different blocks.
-fn binary_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
+/// The in-memory pick of each option of [`groups`]' layout; option 0 is
+/// out of memory.
+fn layout(tiers: Tiers) -> &'static [Option<Pick>] {
+    if tiers.ser {
+        &[None, Some(Pick::Ser), Some(Pick::Mem)]
+    } else {
+        &[None, Some(Pick::Mem)]
+    }
+}
+
+/// One executor's instance as knapsack groups, one per candidate:
+/// `[out, ser, mem]` with the serialized tier on, `[out, mem]` with it off
+/// ([`layout`]). Option 0 — out of memory — is the feasibility anchor; every
+/// other option is valued at what it saves against the cheapest way out,
+/// `out_best - obj`, and weighs what it occupies in memory (the s option
+/// its footprint-scaled size). Maximizing summed savings under the memory
+/// capacity is then exactly the Eq. 5–6 minimization: the knapsack optimum
+/// is `Σ out_best` minus the program's optimum, which the test oracle
+/// checks on seeded random instances.
+fn groups(candidates: &[Candidate], tiers: Tiers) -> Vec<MckpGroup> {
     candidates
         .iter()
         .map(|c| {
-            // Saved recovery cost if kept in memory (Eq. 2); only
-            // referenced partitions contribute to the Eq. 5 window.
-            let mut value = if c.referenced { c.cost_d.min(c.cost_r).as_secs_f64() } else { 0.0 };
-            // Transition costs: a memory resident avoids a spill by
-            // staying; a disk resident pays a read to be promoted.
-            match c.state {
-                // SerializedMemory is unreachable with the s tier off (the
-                // only mode this pricing runs in); like a memory resident,
-                // staying in memory avoids its exit transition.
-                PartitionState::Memory(_) | PartitionState::SerializedMemory(_) => {
-                    value += c.transition.as_secs_f64()
-                }
-                PartitionState::Disk(_) => value -= c.transition.as_secs_f64(),
-                PartitionState::None => {}
+            let obj = objectives(c, tiers);
+            let (_, out_best) = obj.out();
+            let mut options = vec![ZERO_OPTION];
+            if let Some(s) = obj.s {
+                options.push(MckpOption { value: out_best - s, weight: c.ser_size.as_bytes() });
             }
-            let mem = MckpOption { value: value.max(0.0), weight: c.size.as_bytes() };
-            MckpGroup { options: vec![ZERO_OPTION, mem] }
+            options.push(MckpOption { value: out_best - obj.m, weight: c.size.as_bytes() });
+            MckpGroup { options }
         })
         .collect()
 }
 
-/// The pricing of one executor's instance with the s tier enabled. Each
-/// candidate becomes one group `[zero, ser, mem]` ([`TIER_LAYOUT`]):
-///
-/// - option 0 (zero) — out of memory, the feasibility anchor;
-/// - option 1 (ser) — serialized in memory at footprint-scaled weight,
-///   valued at `out_best - (ref·deser_access + trans_to_s)`;
-/// - option 2 (mem) — deserialized in memory at full weight, valued at
-///   `out_best - trans_to_m`;
-///
-/// where `out_best = min(ref·cost_d + trans_to_d, ref·cost_r)` is the
-/// cheapest out-of-memory objective. Maximizing summed savings under the
-/// memory capacity is then exactly the Eq. 5–6 minimization enlarged to
-/// m/s/d/u: the knapsack optimum is `Σ out_best` minus the program's
-/// optimum, which the test oracle checks on seeded random instances.
-fn tier_groups(candidates: &[Candidate]) -> Vec<MckpGroup> {
-    candidates
-        .iter()
-        .map(|c| {
-            // Per-access costs are paid on every read in the window:
-            // without the multiplier, the s state's recurring deser charge
-            // would tie with the one-off s -> m deserialization and a
-            // packed block could never profitably be unpacked again.
-            let per_access = |cost: SimDuration| f64::from(c.window_refs) * cost.as_secs_f64();
-            let obj_m = c.trans_to_m.as_secs_f64();
-            let obj_s = per_access(c.deser_access) + c.trans_to_s.as_secs_f64();
-            let obj_d = per_access(c.cost_d) + c.trans_to_d.as_secs_f64();
-            let obj_u = per_access(c.cost_r);
-            let out_best = obj_d.min(obj_u);
-            MckpGroup {
-                options: vec![
-                    ZERO_OPTION,
-                    MckpOption { value: out_best - obj_s, weight: c.ser_size.as_bytes() },
-                    MckpOption { value: out_best - obj_m, weight: c.size.as_bytes() },
-                ],
-            }
-        })
-        .collect()
+/// Ties between keeping and leaving go to the current state. The search
+/// never takes an option of value zero, so a resident whose current state
+/// saves exactly nothing over its cheapest way out would leave even with
+/// room to spare; this puts it back, in candidate order, while it fits.
+/// Only zero-valued options are added, so the solution's value — and with
+/// it every certificate — is unchanged.
+fn keep_ties(
+    candidates: &[Candidate],
+    groups: &[MckpGroup],
+    layout: &[Option<Pick>],
+    capacity: u64,
+    solution: &mut MckpSolution,
+) {
+    for (i, c) in candidates.iter().enumerate() {
+        let current = match c.state {
+            PartitionState::Memory(_) => Pick::Mem,
+            PartitionState::SerializedMemory(_) => Pick::Ser,
+            PartitionState::Disk(_) | PartitionState::None => continue,
+        };
+        let Some(o) = layout.iter().position(|&l| l == Some(current)) else { continue };
+        let option = groups[i].options[o];
+        if solution.choice[i] == 0
+            && option.value == 0.0
+            && solution.weight + option.weight <= capacity
+        {
+            solution.choice[i] = o;
+            solution.weight += option.weight;
+        }
+    }
 }
 
-/// Maps a per-group option choice to picks under the groups' `layout`.
-fn picks_of_choice(choice: &[usize], layout: &[Pick]) -> Vec<Pick> {
-    choice.iter().map(|&c| layout[c]).collect()
-}
-
-/// The inverse of [`picks_of_choice`], used to re-price a previous solve as
-/// a warm bound. A pick the layout has no option for (a previous s state
-/// after the tier was switched off) is out of memory.
-fn choice_of_picks(picks: &[Pick], layout: &[Pick]) -> Vec<usize> {
-    picks.iter().map(|p| layout.iter().position(|l| l == p).unwrap_or(0)).collect()
+/// The inverse of the option-to-pick mapping, used to re-price a previous
+/// solve as a warm bound. A pick the layout has no option for (out of
+/// memory, or a previous s state after the tier was switched off) is
+/// option 0.
+fn choice_of_picks(picks: &[Pick], layout: &[Option<Pick>]) -> Vec<usize> {
+    picks.iter().map(|&p| layout.iter().position(|&l| l == Some(p)).unwrap_or(0)).collect()
 }
 
 /// The answer to one executor's instance.
@@ -526,42 +537,47 @@ pub(crate) struct Solved {
 
 /// Solves one executor's instance — the only place `core` calls a solver.
 ///
-/// `ser_tier` picks the pricing (keep-in-memory vs one of m/s/d/u per
-/// candidate) and `certify` switches to the certificate-emitting solver
-/// entry points, which only append to side vectors: the picks are a
-/// function of `(candidates, capacity, strategy, ser_tier)` alone.
+/// `tiers` picks the groups and the out-of-memory states, and `certify`
+/// switches to the certificate-emitting solver entry points, which only
+/// append to side vectors: the picks are a function of `(candidates,
+/// capacity, strategy, tiers)` alone. Every candidate the knapsack leaves
+/// out of memory takes the cheaper of `d` and `u` under the same
+/// [`objectives`] that priced its group.
 ///
 /// `warm` is the previous solve of the same executor re-aligned to the
 /// current candidate slots (vanished blocks drop out, new blocks default to
-/// [`Pick::Out`] — a feasible completion, so the bound stays valid). The
-/// search uses it as a *pruning-only* hint — never installed as an
+/// [`Pick::Unpersist`] — a feasible completion, so the bound stays valid).
+/// The search uses it as a *pruning-only* hint — never installed as an
 /// incumbent — so the returned picks, tie-breaks included, are the ones a
 /// cold solve finds (see `MckpWarm`).
 pub(crate) fn solve_instance(
     candidates: &[Candidate],
     capacity: ByteSize,
     strategy: SolveStrategy,
-    ser_tier: bool,
+    tiers: Tiers,
     warm: Option<&[Pick]>,
     certify: bool,
 ) -> Solved {
-    let (groups, layout) = if ser_tier {
-        (tier_groups(candidates), TIER_LAYOUT)
-    } else {
-        (binary_groups(candidates), BINARY_LAYOUT)
-    };
+    let groups = groups(candidates, tiers);
+    let layout = layout(tiers);
     let cap = capacity.as_bytes();
     let greedy = strategy == SolveStrategy::Greedy;
     // The greedy rung is the branch-and-bound search cut off at its root.
     let budget = usize::from(greedy);
     let warm = warm.map(|picks| MckpWarm { choice: choice_of_picks(picks, layout) });
-    let (solution, cert) = if certify && !greedy {
+    let (mut solution, cert) = if certify && !greedy {
         let (s, c) = solve_mckp_certified(&groups, cap, budget, warm.as_ref());
         (s, Some(c))
     } else {
         (solve_mckp_warm(&groups, cap, budget, warm.as_ref()), None)
     };
-    let picks = picks_of_choice(&solution.choice, layout);
+    keep_ties(candidates, &groups, layout, cap, &mut solution);
+    let picks = solution
+        .choice
+        .iter()
+        .zip(candidates)
+        .map(|(&o, c)| layout[o].unwrap_or_else(|| objectives(c, tiers).out().0))
+        .collect();
     let payload = certify.then(|| match cert {
         Some(cert) => InstancePayload::MultiChoice { groups, capacity: cap, solution, cert },
         None => {
@@ -579,14 +595,18 @@ mod tests {
     use crate::incremental::IncrementalOptimizer;
     use blaze_common::ids::RddId;
 
+    /// The tiers with the disk allowed: serialized tier off and on.
+    const OFF: Tiers = Tiers { ser: false, disk: true };
+    const ON: Tiers = Tiers { ser: true, disk: true };
+
     /// A cold, uncertified solve's picks.
     fn picks(
         candidates: &[Candidate],
         capacity: ByteSize,
         strategy: SolveStrategy,
-        ser_tier: bool,
+        tiers: Tiers,
     ) -> Vec<Pick> {
-        solve_instance(candidates, capacity, strategy, ser_tier, None, false).picks
+        solve_instance(candidates, capacity, strategy, tiers, None, false).picks
     }
 
     /// One submission through a driver with nothing retained.
@@ -617,13 +637,11 @@ mod tests {
             size: ByteSize::from_kib(size_kib),
             cost_d: SimDuration::from_millis(cost_d_ms),
             cost_r: SimDuration::from_millis(cost_r_ms),
-            transition: SimDuration::ZERO,
             trans_to_m: SimDuration::ZERO,
             trans_to_s: SimDuration::ZERO,
             trans_to_d: SimDuration::ZERO,
             deser_access: SimDuration::ZERO,
             ser_size: ByteSize::from_kib(size_kib).scale(0.6),
-            referenced,
             window_refs: u32::from(referenced),
             state: if in_memory {
                 PartitionState::Memory(ExecutorId(exec))
@@ -649,13 +667,11 @@ mod tests {
             size: ByteSize::from_kib(size_kib),
             cost_d: SimDuration::from_millis(cost_d_ms),
             cost_r: SimDuration::from_millis(cost_r_ms),
-            transition: SimDuration::ZERO,
             trans_to_m: SimDuration::ZERO,
             trans_to_s: SimDuration::ZERO,
             trans_to_d: SimDuration::ZERO,
             deser_access: SimDuration::from_millis(deser_ms),
             ser_size: ByteSize::from_kib(ser_kib),
-            referenced: true,
             window_refs: 1,
             state,
         }
@@ -669,7 +685,7 @@ mod tests {
         let candidates =
             vec![cand_mc(1, 100, 50, 400, 500, 5, PartitionState::Memory(ExecutorId(0)))];
         for strategy in [SolveStrategy::Knapsack, SolveStrategy::Greedy] {
-            let chosen = picks(&candidates, ByteSize::from_kib(60), strategy, true);
+            let chosen = picks(&candidates, ByteSize::from_kib(60), strategy, ON);
             assert_eq!(chosen, vec![Pick::Ser], "{strategy:?} must choose the s state");
         }
     }
@@ -693,16 +709,16 @@ mod tests {
             cand_mc(3, 60, 50, 20, 10, 1, PartitionState::SerializedMemory(e)),
             cand_mc(4, 50, 20, 400, 500, 2, PartitionState::Disk(e)),
         ];
-        for (ser_tier, candidates) in [(false, &binary), (true, &multi)] {
+        for (tiers, candidates) in [(OFF, &binary), (ON, &multi)] {
             let n = candidates.len();
             for strategy in [SolveStrategy::Knapsack, SolveStrategy::Greedy] {
                 for cap_kib in [60u64, 120, 300] {
                     let cap = ByteSize::from_kib(cap_kib);
-                    let cold = solve_instance(candidates, cap, strategy, ser_tier, None, false);
+                    let cold = solve_instance(candidates, cap, strategy, tiers, None, false);
                     assert!(cold.payload.is_none());
                     let hints = [
                         None,
-                        Some(vec![Pick::Out; n]),
+                        Some(vec![Pick::Unpersist; n]),
                         Some(vec![Pick::Ser; n]),
                         // Infeasible at the small capacities: must be ignored.
                         Some(vec![Pick::Mem; n]),
@@ -711,14 +727,13 @@ mod tests {
                     for (h, warm) in hints.iter().enumerate() {
                         for certify in [false, true] {
                             let case = format!(
-                                "{strategy:?} ser_tier={ser_tier} cap={cap_kib} hint={h} \
-                                 certify={certify}"
+                                "{strategy:?} {tiers:?} cap={cap_kib} hint={h} certify={certify}"
                             );
                             let got = solve_instance(
                                 candidates,
                                 cap,
                                 strategy,
-                                ser_tier,
+                                tiers,
                                 warm.as_deref(),
                                 certify,
                             );
@@ -747,12 +762,7 @@ mod tests {
             cand_mc(4, 10, 6, 10, 500, 1, PartitionState::SerializedMemory(e)),
         ];
         let picks = vec![Pick::Ser, Pick::Mem, Pick::Ser, Pick::Ser];
-        let solved = vec![(e, candidates.clone(), picks)];
-        // References are irrelevant for these arms; an empty plan yields
-        // zero refs everywhere.
-        let ctx = blaze_dataflow::Context::new(blaze_dataflow::runner::LocalRunner::new());
-        let refs = crate::refs::JobRefs::build(&ctx.plan().read(), &[]);
-        let cmds = emit_commands(&solved, &refs, 0);
+        let cmds = emit_commands(&[(e, candidates.clone(), picks)]);
         let a = candidates[0].id;
         let b = candidates[1].id;
         let c = candidates[2].id;
@@ -771,8 +781,54 @@ mod tests {
     fn unreferenced_partitions_are_never_kept_over_referenced() {
         let candidates =
             vec![cand(1, 0, 100, 500, 900, true, true), cand(2, 0, 100, 0, 0, false, true)];
-        let keep = picks(&candidates, ByteSize::from_kib(100), SolveStrategy::Knapsack, false);
-        assert_eq!(keep, vec![Pick::Mem, Pick::Out]);
+        let keep = picks(&candidates, ByteSize::from_kib(100), SolveStrategy::Knapsack, OFF);
+        assert_eq!(keep, vec![Pick::Mem, Pick::Unpersist]);
+    }
+
+    /// A memory resident that saves nothing by staying — an empty block
+    /// reads back from disk for free — ties keeping with leaving, and the
+    /// tie goes to its current state: with room to spare it gets no
+    /// command, under both tier settings and in memory-only mode, and the
+    /// certificate of the answer verifies.
+    #[test]
+    fn an_empty_memory_resident_with_room_to_spare_gets_no_command() {
+        let e = ExecutorId(0);
+        let empty = cand(1, 0, 0, 0, 5, true, true);
+        for tiers in [OFF, ON, Tiers { ser: false, disk: false }] {
+            for strategy in [SolveStrategy::Knapsack, SolveStrategy::Greedy] {
+                let cap = ByteSize::from_mib(64);
+                let solved = solve_instance(&[empty], cap, strategy, tiers, None, true);
+                let payload = solved.payload.expect("certified");
+                let cert = blaze_certify::InstanceCertificate { executor: e, payload };
+                assert!(blaze_certify::verify_instance(&cert).is_empty(), "{tiers:?}");
+                let cmds = emit_commands(&[(e, vec![empty], solved.picks)]);
+                assert!(cmds.is_empty(), "{tiers:?} {strategy:?}: {cmds:?}");
+            }
+        }
+    }
+
+    /// Every out-of-memory pick is the cheaper of d and u under the same
+    /// objective that priced the knapsack: d only when strictly cheaper.
+    #[test]
+    fn out_of_memory_picks_are_the_cheaper_of_disk_and_unpersist() {
+        let spilling = |spill_ms, referenced| Candidate {
+            trans_to_d: SimDuration::from_millis(spill_ms),
+            ..cand(1, 0, 100, 10, 20, referenced, true)
+        };
+        let out = |c: Candidate, tiers| picks(&[c], ByteSize::ZERO, SolveStrategy::Knapsack, tiers);
+        // 10 ms read + 5 ms spill < 20 ms recompute.
+        assert_eq!(out(spilling(5, true), OFF), [Pick::Disk]);
+        assert_eq!(out(spilling(5, true), ON), [Pick::Disk]);
+        // 10 ms read + 10 ms spill ties the recompute: u.
+        assert_eq!(out(spilling(10, true), OFF), [Pick::Unpersist]);
+        // Nothing ahead: leaving through d would pay the spill for nothing.
+        assert_eq!(out(spilling(5, false), OFF), [Pick::Unpersist]);
+        // Without the disk the only way out is u.
+        assert_eq!(out(spilling(5, true), Tiers { ser: false, disk: false }), [Pick::Unpersist]);
+        // A disk resident stays where it is while a read beats a recompute.
+        assert_eq!(out(cand(1, 0, 100, 10, 20, true, false), OFF), [Pick::Disk]);
+        assert_eq!(out(cand(1, 0, 100, 20, 10, true, false), OFF), [Pick::Unpersist]);
+        assert_eq!(out(cand(1, 0, 100, 10, 20, false, false), OFF), [Pick::Unpersist]);
     }
 
     /// Builds a two-dataset lineage (a -> b, both single-partition), marks

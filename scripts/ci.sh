@@ -65,6 +65,25 @@ run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_decision -- \
 # the committed BENCH_engine.json (simulated numbers only) must be exactly
 # what the code renders.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_engine -- --check
+# Committed results are what the code renders: re-run the twelve
+# results/*.txt generators, with the three CSVs they write through
+# BLAZE_CSV_DIR, into a temporary directory and compare every file with the
+# committed one. A decision-moving change regenerates results/ in the same
+# commit (the loop in the verify recipe).
+results=$(mktemp -d)
+trap 'rm -rf "$results"' EXIT
+for bin in fig3_eviction_skew fig4_disk_breakdown fig5_recomp_growth \
+    fig9_end_to_end fig10_cost_breakdown fig11_ablation fig12_mem_only \
+    fig13_profiling ablation_horizon ablation_solver extra_policies scale_sweep; do
+    echo "ci: results/$bin.txt"
+    BLAZE_CSV_DIR="$results/csv" cargo run -q $OFFLINE --release -p blaze-bench --bin "$bin" \
+        >"$results/$bin.txt" 2>"$results/$bin.log" || { cat "$results/$bin.log"; exit 1; }
+    cmp "$results/$bin.txt" "results/$bin.txt"
+done
+for csv in results/csv/*.csv "$results"/csv/*.csv; do
+    name=$(basename "$csv")
+    cmp "$results/csv/$name" "results/csv/$name"
+done
 # Decision certificates: every workload under both strategies (knapsack,
 # greedy), plus the serialized-tier leg, must emit certificates that verify
 # clean (--all, implied), and each seeded corruption must trip its BA5xx

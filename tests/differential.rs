@@ -137,7 +137,8 @@ fn blaze_strategy() -> impl Strategy<Value = Controller> {
     // the solver's ladder at the exact rung.
     (level, (odds(4), odds(2), odds(4)), deadline, (odds(2), odds(4))).prop_map(
         |(level, (use_disk, ser_tier, exact), solve_deadline, (certify, profiled))| {
-            let mut cfg = BlazeConfig { level, use_disk, certify, ..BlazeConfig::full() };
+            let mut cfg = BlazeConfig { level, certify, ..BlazeConfig::full() };
+            cfg.optimizer.use_disk = use_disk;
             cfg.optimizer.ser_tier = ser_tier;
             cfg.optimizer.strategy =
                 if exact { SolveStrategy::Knapsack } else { SolveStrategy::Greedy };
@@ -391,7 +392,8 @@ struct Outcome {
     /// Decision counters of the primary run, with the certified count of
     /// whichever run had certify mode on.
     stats: DecisionStats,
-    own_target: OwnTargetReads,
+    /// The own-target contract was asserted and a job reached its shape.
+    own_target_reached: bool,
 }
 
 fn check(case: &Case) -> Result<Outcome, TestCaseError> {
@@ -463,8 +465,8 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
     }
 
     check_accounting(case, &base.metrics)?;
-    let own_target = check_own_target_reads(case, &base)?;
-    Ok(Outcome { metrics: base.metrics, stats, own_target })
+    let own_target_reached = check_own_target_reads(case, &base)?;
+    Ok(Outcome { metrics: base.metrics, stats, own_target_reached })
 }
 
 /// The first line at which two renderings differ, for a readable failure.
@@ -496,15 +498,6 @@ fn check_accounting(case: &Case, m: &Metrics) -> TestCaseResult {
     Ok(())
 }
 
-/// What [`check_own_target_reads`] saw of a case.
-#[derive(Debug, Default, Clone, Copy)]
-struct OwnTargetReads {
-    /// The case asserted the contract and a job reached its shape.
-    reached: bool,
-    /// Misses of the recorded memory-only exception.
-    empty_block_misses: u64,
-}
-
 /// A job's read of its own target is a reference. With an ample store
 /// nothing is forced out, so a job that looks its own cached target up
 /// behind an earlier stage must hit: completing that stage may not
@@ -512,18 +505,12 @@ struct OwnTargetReads {
 /// case with an ample store, except where losing the target is the case's
 /// point: a crash destroys blocks, and Blaze without a profile unpersists on
 /// guessed references (BA404). A target the user unpersisted is no longer
-/// cached.
-///
-/// One recorded exception, counted rather than skipped (ROADMAP item 4(e)):
-/// memory-only Blaze prices a block's way out of memory with a disk state it
-/// does not have. An empty block costs nothing to spill or to read back, so
-/// keeping it ties with the spill, the spill wins the tie, and `use_disk =
-/// false` turns it into an unpersist that the same job then recomputes.
-fn check_own_target_reads(case: &Case, run: &Run) -> Result<OwnTargetReads, TestCaseError> {
+/// cached. Returns whether the case asserted the contract and a job
+/// reached its shape.
+fn check_own_target_reads(case: &Case, run: &Run) -> Result<bool, TestCaseError> {
     let plan = run.plan.read();
     let mut open: BTreeMap<AppId, (JobId, RddId)> = BTreeMap::new();
-    let (mut reached, mut missed, mut empty_misses) = (false, Vec::new(), 0);
-    let memory_only = matches!(case.controller, Controller::Blaze { cfg, .. } if !cfg.use_disk);
+    let (mut reached, mut missed) = (false, Vec::new());
     for ev in run.trace.as_ref().expect("traced").events() {
         match ev {
             TraceEvent::JobStarted { app, job, target, .. } => {
@@ -540,10 +527,6 @@ fn check_own_target_reads(case: &Case, run: &Run) -> Result<OwnTargetReads, Test
                     CacheDecision::HitMemory
                     | CacheDecision::HitSerializedMemory
                     | CacheDecision::HitDisk => reached = true,
-                    CacheDecision::MissRecompute if memory_only && r.bytes.is_zero() => {
-                        reached = true;
-                        empty_misses += 1;
-                    }
                     CacheDecision::MissRecompute => {
                         reached = true;
                         missed
@@ -559,10 +542,10 @@ fn check_own_target_reads(case: &Case, run: &Run) -> Result<OwnTargetReads, Test
         && case.fault.crashes.is_empty()
         && !matches!(case.controller, Controller::Blaze { profiled: false, .. });
     if !asserted {
-        return Ok(OwnTargetReads::default());
+        return Ok(false);
     }
     prop_assert!(missed.is_empty(), "a job recomputed its own cached target: {:?}", missed);
-    Ok(OwnTargetReads { reached, empty_block_misses: empty_misses })
+    Ok(reached)
 }
 
 // ---------------------------------------------------------------------------
@@ -587,7 +570,6 @@ struct Coverage {
     certified_solves: u64,
     cross_app_hits: u64,
     own_target_reads: u64,
-    empty_block_misses: u64,
 }
 
 impl Coverage {
@@ -611,8 +593,7 @@ impl Coverage {
             self.cross_app_hits +=
                 m.per_app.values().map(|a| a.cross_mem_hits + a.cross_disk_hits).sum::<u64>();
         }
-        self.own_target_reads += u64::from(out.own_target.reached);
-        self.empty_block_misses += out.own_target.empty_block_misses;
+        self.own_target_reads += u64::from(out.own_target_reached);
     }
 }
 
@@ -717,31 +698,6 @@ fn chaos_seed_matrix_preserves_results() {
             assert_eq!(out.metrics.recovery.executor_crashes, 1, "seed {seed}: crash did not fire");
         }
     }
-}
-
-/// The recorded exception of [`check_own_target_reads`], pinned at the
-/// inputs the property first drew it on (reduced to the default memory-only
-/// configuration): one key over four partitions leaves three empty reduce
-/// blocks, and memory-only Blaze recomputes them in the job that collects
-/// the reduction, with 64 MiB free. Fails on purpose once the pricing
-/// is fixed: delete the exception arm and this test then.
-#[test]
-fn memory_only_blaze_recomputes_empty_target_blocks() {
-    let case = Case {
-        elems: 757,
-        keys: 1,
-        parts: 4,
-        apps: vec![vec![Step::ReduceByKey]],
-        executors: 1,
-        slots: 2,
-        memory: AMPLE,
-        threads: 2,
-        controller: Controller::Blaze { cfg: BlazeConfig::full_mem_only(), profiled: true },
-        fault: FaultPlan::default(),
-        scheduler: SchedulerConfig::default(),
-    };
-    let out = check(&case).unwrap_or_else(|e| panic!("{case:?}: {e}"));
-    assert_eq!(out.own_target.empty_block_misses, 3, "memory-only Blaze kept its empty blocks");
 }
 
 // ---------------------------------------------------------------------------

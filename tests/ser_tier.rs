@@ -3,9 +3,8 @@
 //! Contracts pinned here:
 //!
 //! 1. **Off means off** — with `OptimizerConfig::ser_tier = false` (the
-//!    default) the serialized-tier counters stay exactly zero and the
-//!    decision path is the legacy 0/1 knapsack (byte-identity of metrics
-//!    and traces to pre-tier builds is by construction; the counters are
+//!    default) the serialized-tier counters stay exactly zero: the decision
+//!    path prices the same groups without the s option (the counters are
 //!    the observable witness).
 //! 2. **The tier engages** — under memory pressure with a
 //!    serialization-heavy iterative workload, the multi-choice solver
@@ -15,8 +14,9 @@
 //!    trace JSON are byte-identical across `worker_threads` {1, 2, 4}.
 //! 4. **Certified runs agree** — certify mode inline-verifies every
 //!    multi-choice decision certificate. (That the driver's retained state
-//!    never changes a multi-choice decision is pinned, with the 0/1 path,
-//!    by the warm-vs-cold trace identity in `tests/decision_incremental.rs`.)
+//!    never changes a multi-choice decision is pinned, with the tier off
+//!    too, by the warm-vs-cold trace identity in
+//!    `tests/decision_incremental.rs`.)
 //!
 //! Random pipelines with the tier drawn on or off, under every fault
 //! schedule, are `tests/differential.rs`'s; its coverage floor requires a
