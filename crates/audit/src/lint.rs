@@ -7,12 +7,11 @@
 //!   `policies` or `core`: iteration order is seeded per process, so any
 //!   decision derived from it diverges across runs. Use `FxHashMap` /
 //!   `FxHashSet` (fixed-state hashing) or `BTreeMap`.
-//! - `wall-clock` — `Instant::now` / `SystemTime` everywhere but the two
-//!   bench-crate files whose output is host time (`bench_decision.rs`'s
-//!   stress timings and `harness.rs`'s hook probe): simulated time must
-//!   come from the deterministic clock, never the host. Figure generators,
-//!   fault injection, trace tooling and `bench_engine` must replay
-//!   byte-identically; host-time measurement belongs in `benchmark/`.
+//! - `wall-clock` — `Instant::now` / `SystemTime` in every file, with no
+//!   path exempt: simulated time must come from the deterministic clock,
+//!   never the host. Figure generators, fault injection, trace tooling and
+//!   the `BENCH_*.json` generators must replay byte-identically; host-time
+//!   measurement belongs in `benchmark/`, outside the linted crates.
 //! - `unwrap` — `.unwrap()` / `.expect(..)` in `crates/engine` without an
 //!   explicit `// audit: allow(unwrap)` justification: the engine is the
 //!   fallible substrate everything runs on; failures must surface as
@@ -93,14 +92,13 @@ impl fmt::Display for LintViolation {
     }
 }
 
-/// Which rule groups apply to a file, derived from its workspace path.
+/// Which path-scoped rule groups apply to a file, derived from its
+/// workspace path. `wall-clock` and `thread-rng` apply to every file and
+/// have no field here.
 #[derive(Debug, Clone, Copy)]
 struct Scope {
     /// `std::collections` hash containers banned (engine/policies/core).
     std_hash: bool,
-    /// Wall-clock reads banned (everywhere but the bench crate's two
-    /// host-time files).
-    wall_clock: bool,
     /// Bare `.unwrap()`/`.expect()` banned (`crates/engine`).
     unwrap: bool,
     /// Decision-path hardening: hash containers and bare float casts
@@ -121,13 +119,8 @@ struct Scope {
 fn scope_of(path: &str) -> Scope {
     let p = path.replace('\\', "/");
     let in_crate = |name: &str| p.contains(&format!("crates/{name}/"));
-    // The only sources whose output *is* host time: the decision-path
-    // stress timings and the probe that times controller hooks.
-    let host_timer = in_crate("bench")
-        && matches!(p.rsplit('/').next(), Some("bench_decision.rs" | "harness.rs"));
     Scope {
         std_hash: in_crate("engine") || in_crate("policies") || in_crate("core"),
-        wall_clock: !host_timer,
         unwrap: in_crate("engine"),
         decision: p.ends_with("core/src/optimize.rs")
             || p.ends_with("core/src/incremental.rs")
@@ -192,9 +185,8 @@ pub fn lint_source(path: &str, content: &str) -> Vec<LintViolation> {
                     .into(),
             });
         }
-        if scope.wall_clock
-            && (code_match(line, PAT_INSTANT_NOW).is_some()
-                || code_match(line, PAT_SYSTEM_TIME).is_some())
+        if (code_match(line, PAT_INSTANT_NOW).is_some()
+            || code_match(line, PAT_SYSTEM_TIME).is_some())
             && !allowed(line, prev, "wall-clock")
         {
             out.push(LintViolation {
@@ -358,13 +350,14 @@ mod tests {
     }
 
     #[test]
-    fn flags_wall_clock_outside_host_timers() {
+    fn flags_wall_clock_in_every_crate_file() {
         let src = join(&["fn f() { let t = std::time::Instant::now(); }"]);
         assert_eq!(lint_source("crates/dataflow/src/x.rs", &src).len(), 1);
-        assert!(lint_source("crates/bench/src/harness.rs", &src).is_empty());
-        assert!(lint_source("crates/bench/src/bin/bench_decision.rs", &src).is_empty());
         assert_eq!(lint_source("crates/bench/src/x.rs", &src).len(), 1);
-        // The exemption is by path, not by file name alone.
+        // No path is exempt, not even the bench crate's.
+        assert_eq!(lint_source("crates/bench/src/harness.rs", &src)[0].code, "wall-clock");
+        let old_timer = lint_source("crates/bench/src/bin/bench_decision.rs", &src);
+        assert_eq!(old_timer[0].code, "wall-clock");
         assert_eq!(lint_source("crates/core/src/harness.rs", &src).len(), 1);
         let sys = join(&["use std::time::SystemTime;"]);
         assert_eq!(lint_source("crates/workloads/src/x.rs", &sys)[0].code, "wall-clock");
@@ -403,7 +396,7 @@ mod tests {
         ]);
         assert!(lint_source("crates/engine/src/x.rs", &above).is_empty());
         // The wrong code does not suppress.
-        let wrong = join(&["let v = x.unwrap(); // audit: allow(wall-clock)"]);
+        let wrong = join(&["let v = x.unwrap(); // audit: allow(thread-rng)"]);
         assert_eq!(lint_source("crates/engine/src/x.rs", &wrong).len(), 1);
     }
 

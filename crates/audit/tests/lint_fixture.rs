@@ -72,7 +72,7 @@ fn annotated_and_clean_sources_pass() {
 #[test]
 fn rules_are_path_scoped() {
     // The same unwrap outside `crates/engine/` is not a violation (wall-clock
-    // and thread-rng remain banned everywhere / outside bench).
+    // and thread-rng remain banned everywhere).
     let tree = fixture_tree("scoped");
     fs::create_dir_all(tree.join("crates/policies/src")).expect("create tree");
     let source = format!("fn f() {{ Some(1).{}(); }}\n", "unwrap");

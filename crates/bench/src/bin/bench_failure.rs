@@ -20,15 +20,12 @@
 //!    solver must step down its ladder (and the run still complete) when
 //!    the exact rungs no longer fit.
 //!
-//! Everything here runs on the simulated clock: this file is fault-
-//! injection code, so `blaze-lint`'s wall-clock rule applies to it even
-//! though it lives in the bench crate. Results go to `BENCH_failure.json`
-//! at the repository root.
-//!
-//! Flags: `--quick` (CI-sized run: KMeans only, no JSON), `--check` (exit
-//! non-zero unless speculation wins races and shortens the makespan on
+//! Every number is simulated, so `BENCH_failure.json` (at the repository
+//! root) is a pure function of the code. A plain run rewrites it; `--check`
+//! leaves it alone and exits non-zero if it differs from what the code
+//! renders, or unless speculation wins races and shortens the makespan on
 //! every sample, at least one spill is quarantined, and the capped solver
-//! actually degrades).
+//! actually degrades.
 
 use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use blaze_bench::json::nz;
@@ -36,6 +33,7 @@ use blaze_common::{SimDuration, SimTime};
 use blaze_core::BlazeConfig;
 use blaze_engine::{ExecutorCrash, FaultPlan};
 use blaze_workloads::{App, AppSpec, RunOutcome, Session, SystemKind};
+use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
 /// One faulted (or clean, with the default plan) run through the session API.
@@ -152,19 +150,14 @@ fn straggler_plan(speculation: bool) -> FaultPlan {
 /// (and, once the budget drains, to LRU passthrough) on each submission.
 const SOLVE_DEADLINE_NS: u64 = 8_000;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
+fn main() -> ExitCode {
+    let check = std::env::args().skip(1).any(|a| a == "--check");
 
     // Crash times sit inside every system's simulated run for the workload
     // (clean ACTs: PageRank ~0.7–2.3 s across systems, KMeans ~0.10–0.32 s),
     // early enough that every system is still in its iteration ramp-up.
-    let cases: &[(App, &'static str, f64)] = if quick {
-        &[(App::KMeans, "kmeans", 0.05)]
-    } else {
-        &[(App::PageRank, "pagerank", 0.15), (App::KMeans, "kmeans", 0.05)]
-    };
+    let cases: &[(App, &'static str, f64)] =
+        &[(App::PageRank, "pagerank", 0.15), (App::KMeans, "kmeans", 0.05)];
 
     let mut samples: Vec<Sample> = Vec::new();
     for &(app, label, crash_at_s) in cases {
@@ -302,14 +295,12 @@ fn main() {
         degrad_samples.push(s);
     }
 
-    if !quick {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_failure.json");
-        std::fs::write(path, render_json(&samples, &spec_samples, &quar_samples, &degrad_samples))
-            .expect("write BENCH_failure.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_failure.json");
+    let json = render_json(&samples, &spec_samples, &quar_samples, &degrad_samples);
+    if !check {
+        std::fs::write(path, &json).expect("write BENCH_failure.json");
         println!("wrote {} samples to {path}", samples.len());
-    }
-
-    if check {
+    } else {
         let mut failures: Vec<String> = Vec::new();
         for s in &spec_samples {
             if s.wins == 0 {
@@ -336,14 +327,21 @@ fn main() {
                 ));
             }
         }
+        if std::fs::read_to_string(path).ok().as_deref() != Some(json.as_str()) {
+            failures.push(format!(
+                "{path} differs from what the code renders; rerun bench_failure without \
+                 --check and commit the file"
+            ));
+        }
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("bench_failure --check: {f}");
             }
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
-        println!("bench_failure --check: all degradation floors hold");
+        println!("bench_failure --check: all degradation floors hold; {path} is current");
     }
+    ExitCode::SUCCESS
 }
 
 /// Hand-rolled JSON writer (the workspace deliberately has no serde).

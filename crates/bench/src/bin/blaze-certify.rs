@@ -289,22 +289,3 @@ fn main() {
         check_all(if quick { 0.3 } else { 1.0 });
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use blaze_common::SimDuration;
-    use blaze_core::BlazeController;
-    use blaze_engine::CacheController;
-
-    /// The shim must not swallow the wrapped controller's preflight: a
-    /// deadline below the ladder floor is BA304 with or without it.
-    #[test]
-    fn the_counting_shim_forwards_the_preflight_diagnostics() {
-        let mut cfg = BlazeConfig::full();
-        cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(1));
-        let shim = DecisionProbe::new(BlazeController::new(cfg, None), false, Arc::default());
-        let codes: Vec<_> = shim.preflight_diagnostics().iter().map(|d| d.code.as_str()).collect();
-        assert_eq!(codes, ["BA304"]);
-    }
-}

@@ -12,7 +12,6 @@ use blaze_engine::{
 use blaze_workloads::{run_app, App, RunOutcome, SystemKind};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Runs every (app, system) pair and returns outcomes keyed by both.
 pub fn run_matrix(
@@ -48,15 +47,9 @@ pub fn breakdown_secs(m: &Metrics) -> (f64, f64, f64) {
 /// What a [`DecisionProbe`] mirrors out of the cluster that owns it.
 #[derive(Debug, Default, Clone)]
 pub struct ProbeReadout {
-    /// The wrapped controller's `decision_stats()` after the latest job
-    /// submission.
+    /// The wrapped controller's `decision_stats()` after the latest
+    /// decision hook (`on_job_submit` or `on_stage_complete`).
     pub stats: DecisionStats,
-    /// Host time spent inside the decision hooks (`on_job_submit` and
-    /// `on_stage_complete`): the decision path runs in the engine's serial
-    /// phases, so this directly caps parallel speedup.
-    pub hook_time: Duration,
-    /// Calls of the decision hooks.
-    pub hook_calls: u64,
     /// Per job submission, the bytes the controller believed on disk when
     /// the job was submitted.
     pub believed_on_disk: Vec<ByteSize>,
@@ -65,8 +58,8 @@ pub struct ProbeReadout {
 /// The harness's one delegating wrapper around a [`BlazeController`]
 /// (install it with `Session::instrument`). The controller is moved into
 /// the cluster, so whatever a harness wants to know about its decision path
-/// must escape through a shim: this one times the two decision hooks and
-/// mirrors `decision_stats()` into a shared [`ProbeReadout`], and — `cold` —
+/// must escape through a shim: this one mirrors `decision_stats()` and the
+/// bytes believed on disk into a shared [`ProbeReadout`], and — `cold` —
 /// makes the controller forget its retained decision state before every job
 /// submission (the "from scratch" reference). Every `CacheController`
 /// method forwards; instrumentation never changes simulated behaviour.
@@ -82,18 +75,14 @@ impl DecisionProbe {
         Self { inner, cold, readout }
     }
 
-    /// Runs one decision hook on the wrapped controller, timed.
-    fn timed(
+    /// Runs one decision hook on the wrapped controller and mirrors its
+    /// `decision_stats()` afterwards.
+    fn mirrored(
         &mut self,
         hook: impl FnOnce(&mut BlazeController) -> Vec<StateCommand>,
     ) -> Vec<StateCommand> {
-        let start = Instant::now();
         let out = hook(&mut self.inner);
-        let spent = start.elapsed();
-        let mut readout = self.readout.lock().expect("a probe reader panicked");
-        readout.stats = self.inner.decision_stats();
-        readout.hook_time += spent;
-        readout.hook_calls += 1;
+        self.readout.lock().expect("a probe reader panicked").stats = self.inner.decision_stats();
         out
     }
 }
@@ -169,13 +158,12 @@ impl CacheController for DecisionProbe {
         job_plan: &JobPlan,
         plan: &Plan,
     ) -> Vec<StateCommand> {
-        // Outside the timed region.
         let believed = self.inner.lineage().blocks_on_disk().into_iter().map(|(_, b)| b).sum();
         self.readout.lock().expect("a probe reader panicked").believed_on_disk.push(believed);
         if self.cold {
             self.inner.forget_decision_state();
         }
-        self.timed(|inner| inner.on_job_submit(ctx, job, job_plan, plan))
+        self.mirrored(|inner| inner.on_job_submit(ctx, job, job_plan, plan))
     }
 
     fn on_stage_complete(
@@ -185,7 +173,7 @@ impl CacheController for DecisionProbe {
         job: JobId,
         plan: &Plan,
     ) -> Vec<StateCommand> {
-        self.timed(|inner| inner.on_stage_complete(ctx, stage_output, job, plan))
+        self.mirrored(|inner| inner.on_stage_complete(ctx, stage_output, job, plan))
     }
 
     fn take_degradation(&mut self) -> Option<DegradationNote> {
@@ -212,5 +200,16 @@ mod tests {
         assert!(act_secs(blaze) > 0.0);
         let (d, e, c) = breakdown_secs(&mem.metrics);
         assert!(d >= 0.0 && e >= 0.0 && c > 0.0);
+    }
+
+    /// The probe must not swallow the wrapped controller's preflight: a
+    /// deadline below the ladder floor is BA304 with or without it.
+    #[test]
+    fn the_probe_forwards_the_preflight_diagnostics() {
+        let mut cfg = blaze_core::BlazeConfig::full();
+        cfg.optimizer.solve_deadline = Some(blaze_common::SimDuration::from_nanos(1));
+        let probe = DecisionProbe::new(BlazeController::new(cfg, None), false, Arc::default());
+        let codes: Vec<_> = probe.preflight_diagnostics().iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(codes, ["BA304"]);
     }
 }

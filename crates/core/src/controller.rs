@@ -413,8 +413,8 @@ impl BlazeController {
     /// the ancestor sets — so the next submission prices, solves and derives
     /// references cold.
     /// Retained state never influences a decision; the differential tests
-    /// and `bench_decision` call this before every submission to obtain the
-    /// reference that proves it.
+    /// call this before every submission to obtain the reference that
+    /// proves it.
     pub fn forget_decision_state(&mut self) {
         self.incr.reset();
         self.refs_seq_rev = u64::MAX;

@@ -56,8 +56,8 @@ use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::ByteSize;
 use blaze_engine::{HardwareModel, StateCommand};
 
-/// Counters describing how much work the driver did and avoided; exported
-/// by the decision benchmark.
+/// Counters describing how much work the driver did and avoided; the
+/// repository benchmark reports them as its `core.*` counts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecisionStats {
     /// Executor instances solved (cold or warm-started).

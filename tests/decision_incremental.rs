@@ -10,29 +10,33 @@
 //! the lineage got into its current state. Everything the retained state
 //! does (memo invalidation, instance reuse, warm bounds, append-only refs
 //! extension) is off in that reference. These tests attack the contract
-//! from three sides (random pipelines, warm vs cold under every drawn
+//! from four sides (random pipelines, warm vs cold under every drawn
 //! configuration, are contract 5 of `tests/differential.rs`):
 //!
 //! 1. a core-level differential property — random plans plus random
 //!    job/state/metric churn, every round checked against a reset driver fed
 //!    freshly built references, under every solver strategy;
-//! 2. an engine-level property on fan-in lineage — generations of cached
+//! 2. stress shapes — the same round-by-round check on the lineages where
+//!    retained state does the most work (`wide` siblings, a `deep` chain, a
+//!    `churn`ing job sequence), with the reuse counters showing it did;
+//! 3. an engine-level property on fan-in lineage — generations of cached
 //!    siblings zipped pairwise, the store a fraction of one generation — so
 //!    admissions reach the ancestor arm of the value weight, run warm and
 //!    cold with identical results, metrics and Chrome trace;
-//! 3. golden runs — evaluation workloads at `worker_threads` ∈ {1, 2, 4},
+//! 4. golden runs — evaluation workloads at `worker_threads` ∈ {1, 2, 4},
 //!    with and without a fault plan, with and without the serialized tier,
-//!    warm vs cold, all traces byte-identical.
+//!    warm vs cold, all traces byte-identical, and all six applications
+//!    warm vs cold under full Blaze.
 //!
 //! [`StateCommand`]: blaze::engine::StateCommand
 
 use blaze::common::ids::{BlockId, ExecutorId, RddId};
 use blaze::common::{ByteSize, SimDuration, SimTime};
 use blaze::core::{
-    extract_dependencies, BlazeConfig, BlazeController, CostLineage, IncrementalOptimizer, JobRefs,
-    OptimizerConfig, PartitionState, SolveStrategy,
+    extract_dependencies, BlazeConfig, BlazeController, CostLineage, DecisionStats,
+    IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState, SolveStrategy,
 };
-use blaze::dataflow::{runner::LocalRunner, Context, Dataset};
+use blaze::dataflow::{runner::LocalRunner, Context, Dataset, Plan};
 use blaze::engine::{
     CacheController, CacheDecision, Cluster, ClusterConfig, ExecutorCrash, FaultPlan,
     HardwareModel, Metrics, TraceEvent, TraceLog,
@@ -172,6 +176,201 @@ proptest! {
         }
         prop_assert_eq!(cold.stats().reused, 0, "a reset driver has nothing to reuse");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Stress shapes
+// ---------------------------------------------------------------------------
+
+/// A lineage plus a retaining driver with its append-only references,
+/// stepped round by round against a reset driver fed freshly built
+/// references; the command streams must be equal every round.
+struct StressRig {
+    lineage: CostLineage,
+    inc: IncrementalOptimizer,
+    inc_refs: JobRefs,
+    cold: IncrementalOptimizer,
+    capacity: ByteSize,
+}
+
+impl StressRig {
+    fn new(capacity: ByteSize) -> Self {
+        Self {
+            lineage: CostLineage::new(),
+            inc: IncrementalOptimizer::new(),
+            inc_refs: JobRefs::default(),
+            cold: IncrementalOptimizer::new(),
+            capacity,
+        }
+    }
+
+    /// Runs both drivers on the current round. The retaining driver goes
+    /// first: it drains the lineage's dirty set, which the reset driver
+    /// (empty memo, nothing to invalidate) never needs.
+    fn step(&mut self, plan: &Plan, targets: &[RddId], round: usize) {
+        let (hardware, config) = (HardwareModel::default(), OptimizerConfig::default());
+        let captured = self.inc_refs.captured_jobs();
+        self.inc_refs.extend_build(plan, &targets[captured..]);
+        let fast = self.inc.optimize(
+            &mut self.lineage,
+            &self.inc_refs,
+            None,
+            &hardware,
+            self.capacity,
+            round,
+            &config,
+        );
+        self.cold.reset();
+        let scratch_refs = JobRefs::build(plan, targets);
+        let scratch = self.cold.optimize(
+            &mut self.lineage,
+            &scratch_refs,
+            None,
+            &hardware,
+            self.capacity,
+            round,
+            &config,
+        );
+        assert_eq!(fast, scratch, "round {round}: retained state changed the decision");
+        assert!(self.lineage.residency_consistent(), "round {round}: residency index corrupted");
+    }
+
+    /// Checks that the reset driver never reused a solve; returns the
+    /// retaining driver's counters.
+    fn finish(&self) -> DecisionStats {
+        assert_eq!(self.cold.stats().reused, 0, "the reset driver must never reuse a solve");
+        self.inc.stats()
+    }
+}
+
+fn record_all(lineage: &mut CostLineage, rdd: RddId, parts: u32, kib: u64, ms: u64) {
+    for p in 0..parts {
+        lineage.record_metrics(
+            BlockId::new(rdd, p),
+            ByteSize::from_kib(kib),
+            SimDuration::from_millis(ms),
+        );
+    }
+}
+
+/// `wide`: one source fanned out into 96 cached sibling datasets; every
+/// round dirties a single block, so the reset driver re-prices every
+/// sibling while the retaining one reuses the executors the block does not
+/// reach.
+#[test]
+fn wide_siblings_retaining_driver_matches_reset_driver() {
+    const SIBLINGS: usize = 96;
+    const PARTS: u32 = 16;
+    let ctx = Context::new(LocalRunner::new());
+    let base = ctx.parallelize((0..256u64).collect::<Vec<_>>(), PARTS as usize);
+    let siblings: Vec<Dataset<u64>> =
+        (0..SIBLINGS as u64).map(|k| base.map(move |x| x + k)).collect();
+    let targets = [siblings[SIBLINGS - 1].id()];
+
+    let mut rig = StressRig::new(ByteSize::from_kib(1024));
+    let plan_lock = ctx.plan();
+    let plan = plan_lock.read();
+    rig.lineage.merge_plan(&plan);
+    record_all(&mut rig.lineage, base.id(), PARTS, 64, 3);
+    for (k, s) in siblings.iter().enumerate() {
+        record_all(&mut rig.lineage, s.id(), PARTS, 48 + (k as u64 % 16), 2 + (k as u64 % 5));
+        for p in 0..PARTS {
+            rig.lineage
+                .set_state(BlockId::new(s.id(), p), PartitionState::Memory(ExecutorId(p % 4)));
+        }
+    }
+    for round in 0..30 {
+        let victim = siblings[round % SIBLINGS].id();
+        rig.lineage.record_metrics(
+            BlockId::new(victim, (round as u32) % PARTS),
+            ByteSize::from_kib(40 + (round as u64 % 32)),
+            SimDuration::from_millis(1 + (round as u64 % 9)),
+        );
+        rig.step(&plan, &targets, 0);
+    }
+    assert!(rig.finish().reused > 0, "the retaining driver never reused a solve on `wide`");
+}
+
+/// `deep`: a 440-dataset narrow chain with a cached tail of 8; every round
+/// dirties a block just below the tail, so the reset driver re-prices the
+/// whole chain (Eq. 4 recursion) while the retaining one re-derives only
+/// the invalidated suffix and reuses the executors it does not reach.
+#[test]
+fn deep_chain_retaining_driver_matches_reset_driver() {
+    const DEPTH: usize = 440;
+    const PARTS: u32 = 8;
+    const CACHED_TAIL: usize = 8;
+    let ctx = Context::new(LocalRunner::new());
+    let mut cur = ctx.parallelize((0..64u64).collect::<Vec<_>>(), PARTS as usize);
+    let mut chain = vec![cur.id()];
+    for _ in 0..DEPTH {
+        cur = cur.map(|x| x + 1);
+        chain.push(cur.id());
+    }
+    let targets = [cur.id()];
+
+    let mut rig = StressRig::new(ByteSize::from_kib(256));
+    let plan_lock = ctx.plan();
+    let plan = plan_lock.read();
+    rig.lineage.merge_plan(&plan);
+    for (i, &rdd) in chain.iter().enumerate() {
+        record_all(&mut rig.lineage, rdd, PARTS, 32 + (i as u64 % 8), 1 + (i as u64 % 4));
+    }
+    for &rdd in &chain[chain.len() - CACHED_TAIL..] {
+        for p in 0..PARTS {
+            rig.lineage.set_state(BlockId::new(rdd, p), PartitionState::Memory(ExecutorId(p % 2)));
+        }
+    }
+    let dirty_rdd = chain[chain.len() - CACHED_TAIL - 8];
+    for round in 0..20 {
+        rig.lineage.record_metrics(
+            BlockId::new(dirty_rdd, (round as u32) % PARTS),
+            ByteSize::from_kib(24 + (round as u64 % 16)),
+            SimDuration::from_millis(1 + (round as u64 % 6)),
+        );
+        rig.step(&plan, &targets, 0);
+    }
+    assert!(rig.finish().reused > 0, "the retaining driver never reused a solve on `deep`");
+}
+
+/// `churn`: the job sequence grows by one target per round (an iterative
+/// driver) over a sliding window of 8 cached datasets. The retaining
+/// driver's win here is the append-only reference extension (one job per
+/// round instead of rebuilding all of them), which no counter records: every
+/// round changes the instance, so nothing is reused and only equality is
+/// asserted.
+#[test]
+fn growing_job_sequence_retaining_driver_matches_reset_driver() {
+    const PARTS: u32 = 4;
+    const WINDOW: usize = 8;
+    let ctx = Context::new(LocalRunner::new());
+    let mut cur = ctx.parallelize((0..64u64).collect::<Vec<_>>(), PARTS as usize);
+    let mut chain = vec![cur.id()];
+    let mut targets: Vec<RddId> = Vec::new();
+    let mut rig = StressRig::new(ByteSize::from_kib(512));
+    for round in 0..200 {
+        cur = cur.map(|x| x + 1);
+        chain.push(cur.id());
+        targets.push(cur.id());
+        let plan_lock = ctx.plan();
+        let plan = plan_lock.read();
+        rig.lineage.merge_plan(&plan);
+        record_all(&mut rig.lineage, cur.id(), PARTS, 48 + (round as u64 % 24), 2);
+        for p in 0..PARTS {
+            rig.lineage
+                .set_state(BlockId::new(cur.id(), p), PartitionState::Memory(ExecutorId(p % 2)));
+        }
+        // Datasets older than the window leave the store, as auto-unpersist
+        // does in the engine.
+        if chain.len() > WINDOW + 1 {
+            let old = chain[chain.len() - WINDOW - 1];
+            for p in 0..PARTS {
+                rig.lineage.set_state(BlockId::new(old, p), PartitionState::None);
+            }
+        }
+        rig.step(&plan, &targets, round);
+    }
+    rig.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -466,16 +665,21 @@ fn golden_traces_are_byte_identical_under_fault_injection() {
     assert_eq!(warm, cold, "faulted trace diverged between warm and cold");
 }
 
-/// Full workloads under both encodings: the memory-pressured PageRank on
-/// the 0/1 path, and SVD++ under tightened memory with the serialized tier
-/// on (so the multi-choice solver really picks s-states). Warm and cold
-/// traces must be byte-identical.
+/// Full workloads under both tier settings: the memory-pressured PageRank,
+/// ConnectedComponents, LogisticRegression and GBT under full Blaze, and
+/// SVD++ under tightened memory with the serialized tier on (so the solver
+/// really picks s-states). With KMeans in the golden runs above, every
+/// evaluation application is covered. Warm and cold traces must be
+/// byte-identical, so the simulated ACT and the job count are too.
 #[test]
 fn warm_and_cold_traces_are_identical_on_full_workloads() {
     let mut svdpp = AppSpec::evaluation(App::Svdpp);
     svdpp.memory_capacity = svdpp.memory_capacity.scale(0.55);
     let inputs = [
         (AppSpec::evaluation(App::PageRank), BlazeConfig::full()),
+        (AppSpec::evaluation(App::ConnectedComponents), BlazeConfig::full()),
+        (AppSpec::evaluation(App::LogisticRegression), BlazeConfig::full()),
+        (AppSpec::evaluation(App::Gbt), BlazeConfig::full()),
         (svdpp, BlazeConfig::full_ser_tier()),
     ];
     for (spec, cfg) in inputs {
