@@ -114,7 +114,7 @@ pub enum DiagCode {
     /// committed outside an open job span.
     TraceSpanNesting,
     /// BA402: summing the trace's event durations/counts does not reproduce
-    /// the run's [`Metrics`] aggregates (busy time, hit/eviction counters,
+    /// the run's `Metrics` aggregates (busy time, hit/eviction counters,
     /// recompute-by-job, recovery totals).
     TraceAggregateMismatch,
     /// BA403: a cache event is unpaired — an eviction, spill or unpersist

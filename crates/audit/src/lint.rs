@@ -27,7 +27,7 @@
 //!   reuse deliberately perturbs. Keyed lookups need an explicit
 //!   justification; ordered iteration belongs in `BTreeMap`/sorted vecs.
 //! - `record-order` — *any* hash container in the operator kernels
-//!   (`dataflow/src/{pair,dataset,extra_ops}.rs`): the order of records
+//!   (`dataflow/src/{pair,dataset}.rs`): the order of records
 //!   inside a block is a documented rule (first occurrence in input order),
 //!   and a block collected from a hash container would have the order of
 //!   that container's layout — toolchain-dependent — instead. A container
@@ -107,7 +107,7 @@ struct Scope {
     /// deterministic as the solvers they check).
     decision: bool,
     /// Hash containers banned in the operator kernels
-    /// (`dataflow/src/{pair,dataset,extra_ops}.rs`): nothing whose iteration
+    /// (`dataflow/src/{pair,dataset}.rs`): nothing whose iteration
     /// order is a table layout may become a block.
     record_order: bool,
     /// Host thread-timing primitives banned in the multi-app scheduler
@@ -126,9 +126,7 @@ fn scope_of(path: &str) -> Scope {
             || p.ends_with("core/src/incremental.rs")
             || p.contains("solver/src/")
             || p.contains("certify/src/"),
-        record_order: p.ends_with("dataflow/src/pair.rs")
-            || p.ends_with("dataflow/src/dataset.rs")
-            || p.ends_with("dataflow/src/extra_ops.rs"),
+        record_order: p.ends_with("dataflow/src/pair.rs") || p.ends_with("dataflow/src/dataset.rs"),
         host_sched: p.ends_with("engine/src/session.rs"),
     }
 }
@@ -456,25 +454,22 @@ mod tests {
             "let mut merged: FxHashMap<K, V> = FxHashMap::default();",
             "Ok(Block::from_vec(merged.into_iter().collect::<Vec<(K, V)>>()))",
         ]);
-        for kernel in ["pair", "dataset", "extra_ops"] {
+        for kernel in ["pair", "dataset"] {
             let hits = lint_source(&format!("crates/dataflow/src/{kernel}.rs"), &fold);
             assert_eq!(hits.len(), 1, "{kernel}");
             assert_eq!((hits[0].code, hits[0].line), ("record-order", 1));
         }
         let set = join(&["let seen: FxHashSet<K> = FxHashSet::default();"]);
-        assert_eq!(lint_source("crates/dataflow/src/extra_ops.rs", &set)[0].code, "record-order");
+        assert_eq!(lint_source("crates/dataflow/src/dataset.rs", &set)[0].code, "record-order");
         // The planner and the runner's memo are not kernels.
         assert!(lint_source("crates/dataflow/src/planner.rs", &fold).is_empty());
         assert!(lint_source("crates/dataflow/src/runner.rs", &fold).is_empty());
-        // The two containers pair.rs keeps, justified.
+        // The container pair.rs keeps, justified.
         let kept = join(&[
             "struct ProbeIndex<'a, K, W> {",
             "    // audit: allow(record-order) lookup only: probed per left record",
             "    first: FxHashMap<&'a K, usize>,",
             "}",
-            "/// Counts values per key on the driver.",
-            "// audit: allow(record-order) driver side: a map for the caller, never a block",
-            "pub fn count_by_key(&self) -> Result<FxHashMap<K, u64>> {",
         ]);
         assert!(lint_source("crates/dataflow/src/pair.rs", &kept).is_empty());
         // Another rule's justification does not cover this one.

@@ -20,7 +20,7 @@
 //! cross-checks that optimum by actually solving the relaxation with
 //! `blaze_solver::lp`.
 //!
-//! The replay recomputes bounds through a [`BoundOracle`]: a sum tree over
+//! The replay recomputes bounds through a `BoundOracle`: a sum tree over
 //! the increment order in which the increments of already-decided groups
 //! are switched off as the replay moves, so one bound costs `O(log n)`
 //! plus the switches — amortised `O(k log n)` per replayed node for `k`

@@ -5,60 +5,6 @@
 //! iterations" (paper §5.3). [`LinearRegression`] is that model; it is also
 //! used to extrapolate partition sizes and compute times for iterations that
 //! were not captured during the dependency-extraction phase.
-//!
-//! [`OnlineStats`] provides streaming mean/variance (Welford) used by the
-//! engine's profilers (e.g. the runtime disk-throughput estimate, §5.3).
-
-/// Streaming mean and variance (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Returns the number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Returns the running mean, or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Returns the population variance, or 0.0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Returns the population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
 
 /// An ordinary-least-squares fit of `y = intercept + slope * x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,16 +72,11 @@ impl LinearRegression {
     }
 }
 
-/// Extrapolates the next value of a sequence.
+/// Extrapolates the value of a sequence at arbitrary index `idx`.
 ///
 /// Uses a linear fit over the observed values indexed by position; falls back
 /// to the last observation (or zero when empty) when a fit is unavailable.
 /// This is the induction primitive used for future-iteration metrics.
-pub fn extrapolate_next(values: &[f64]) -> f64 {
-    extrapolate_at(values, values.len())
-}
-
-/// Extrapolates the value of a sequence at arbitrary index `idx`.
 pub fn extrapolate_at(values: &[f64], idx: usize) -> f64 {
     match values.len() {
         0 => 0.0,
@@ -154,25 +95,6 @@ pub fn extrapolate_at(values: &[f64], idx: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_mean_and_variance() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn online_stats_empty_is_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
 
     #[test]
     fn regression_recovers_exact_line() {
@@ -208,13 +130,13 @@ mod tests {
     fn extrapolation_follows_trend() {
         // Sizes growing by 10 per iteration, like intermediate data growth.
         let v = [100.0, 110.0, 120.0, 130.0];
-        assert!((extrapolate_next(&v) - 140.0).abs() < 1e-9);
+        assert!((extrapolate_at(&v, v.len()) - 140.0).abs() < 1e-9);
         assert!((extrapolate_at(&v, 6) - 160.0).abs() < 1e-9);
     }
 
     #[test]
     fn extrapolation_degenerate_inputs() {
-        assert_eq!(extrapolate_next(&[]), 0.0);
-        assert_eq!(extrapolate_next(&[42.0]), 42.0);
+        assert_eq!(extrapolate_at(&[], 0), 0.0);
+        assert_eq!(extrapolate_at(&[42.0], 1), 42.0);
     }
 }

@@ -29,7 +29,7 @@
 //!   the search: it prunes with the previous assignment's value at current
 //!   prices. The bound is *pruning-only* — never installed as an incumbent
 //!   — so the returned selection, tie-breaks included, is the one a cold
-//!   solve finds (see [`crate::optimize::solve_instance`]).
+//!   solve finds (see `optimize::solve_instance`).
 //!
 //! None of the retained state may influence a decision. The reference that
 //! pins this is *the same driver with nothing retained*

@@ -20,7 +20,7 @@
 //! - [`SolveStrategy::Greedy`] — the same search cut off at its root (a
 //!   time-budget fallback).
 //!
-//! One function prices every state of a candidate ([`objectives`]): `m`,
+//! One function prices every state of a candidate (`objectives`): `m`,
 //! `s` with the serialized tier on, `d` with the disk allowed, and `u`.
 //! The knapsack groups are built from it (`[out, ser, mem]` with the tier
 //! on, `[out, mem]` with it off), and so is every out-of-memory pick: `d`
@@ -32,7 +32,7 @@
 //! settings.
 //!
 //! This module holds the pieces of one decision: the degradation ladder,
-//! candidate gathering, the pricing, the single [`solve_instance`] entry
+//! candidate gathering, the pricing, the single `solve_instance` entry
 //! into the solver crate, and command emission. The loop that runs them per
 //! executor at each job submission is [`crate::incremental`].
 

@@ -5,7 +5,7 @@ use crate::dataset::Dataset;
 use crate::plan::{Compute, CostSpec, Plan, RddNode};
 use crate::runner::JobRunner;
 use blaze_common::error::Result;
-use blaze_common::ids::{JobId, RddId};
+use blaze_common::ids::RddId;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -136,11 +136,6 @@ impl Context {
     /// Returns the number of jobs submitted so far.
     pub fn jobs_submitted(&self) -> u32 {
         self.inner.next_job.load(Ordering::Relaxed)
-    }
-
-    /// Returns the id the next submitted job will get.
-    pub fn next_job_id(&self) -> JobId {
-        JobId(self.inner.next_job.load(Ordering::Relaxed))
     }
 
     /// Marks `rdd` as cache-annotated.

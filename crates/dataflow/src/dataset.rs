@@ -110,7 +110,9 @@ impl<T: Data> Dataset<T> {
 
     // ---- Narrow transformations ----------------------------------------
 
-    fn narrow_node<U: Data>(
+    /// Appends a narrow node over `deps`; with `keep_partitioner` it carries
+    /// this dataset's partitioner over.
+    pub(crate) fn narrow_node<U: Data>(
         &self,
         name: &str,
         deps: Vec<RddId>,
@@ -235,11 +237,6 @@ impl<T: Data> Dataset<T> {
             let right = inputs[1].as_slice::<U>(&ctx)?;
             Ok(Block::from_vec(f(left, right)))
         })
-    }
-
-    /// Pairs every element with a key computed by `f`.
-    pub fn key_by<K: Data>(&self, f: impl Fn(&T) -> K + Send + Sync + 'static) -> Dataset<(K, T)> {
-        self.map(move |t| (f(t), t.clone())).named("key_by")
     }
 
     // ---- Actions --------------------------------------------------------

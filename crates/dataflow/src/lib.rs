@@ -9,9 +9,9 @@
 //!
 //! - A [`Dataset<T>`] is a handle to a logical RDD: a set of partitions of
 //!   `T` values produced by an operator over parent RDDs.
-//! - Transformations (`map`, `filter`, `reduce_by_key`, `join`, ...) are lazy:
-//!   they only append nodes to the shared lineage plan.
-//! - Actions (`collect`, `count`, `reduce`) submit a *job* through the
+//! - Every transformation (`map`, `filter`, `reduce_by_key`, `join`, ...) is
+//!   lazy: it only appends nodes to the shared lineage plan.
+//! - Only actions (`collect`, `count`, `reduce`, ...) submit a *job* through the
 //!   [`runner::JobRunner`] installed in the [`Context`]; in iterative
 //!   workloads each iteration triggers one job over an identically shaped
 //!   sub-DAG.
@@ -37,7 +37,6 @@
 pub mod block;
 pub mod context;
 pub mod dataset;
-pub mod extra_ops;
 pub mod pair;
 pub mod partitioner;
 pub mod plan;

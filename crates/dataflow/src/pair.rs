@@ -1,4 +1,4 @@
-//! Key-value operations: shuffles, joins and co-grouping.
+//! Key-value operations: shuffles and joins.
 //!
 //! These are the operators that create stage boundaries (paper §2.2): the
 //! map side buckets records by key hash, and reduce tasks aggregate the
@@ -12,15 +12,11 @@ use crate::dataset::Dataset;
 use crate::partitioner::HashPartitioner;
 use crate::plan::{Compute, CostSpec, Dep, MapSideFn, RddNode, ShuffleAggFn};
 use blaze_common::error::{BlazeError, Result};
-// audit: allow(record-order) for the two below: `ProbeIndex` and `count_by_key`
+// audit: allow(record-order) for `ProbeIndex` only: a lookup table, never a block
 use blaze_common::fxhash::{hash_one, FxHashMap};
 use std::borrow::Cow;
 use std::hash::Hash;
 use std::sync::Arc;
-
-/// Result of [`Dataset::cogroup`]: for every key, the values seen on the
-/// left and on the right side.
-pub type CoGrouped<K, V, W> = Dataset<(K, (Vec<V>, Vec<W>))>;
 
 /// The map side of every shuffle: splits one partition's records into `n`
 /// buckets, `dest` naming each record's bucket.
@@ -28,7 +24,7 @@ pub type CoGrouped<K, V, W> = Dataset<(K, (Vec<V>, Vec<W>))>;
 /// Records keep their relative order within a bucket. Owned records are
 /// moved, borrowed ones cloned. Every bucket is allocated once at its exact
 /// size: the outer capacity of a block is memory no size estimate sees.
-pub(crate) fn write_buckets<T: Data>(
+fn write_buckets<T: Data>(
     records: Cow<'_, [T]>,
     n: usize,
     dest: impl Fn(&T) -> usize,
@@ -68,9 +64,9 @@ fn hash_buckets<K: Data + Hash, V: Data>(pairs: Cow<'_, [(K, V)]>, n: usize) -> 
     write_buckets(pairs, n, |(k, _)| partitioner.partition(k))
 }
 
-/// The one keyed accumulator, behind `reduce_by_key`, `combine_by_key`,
-/// `group_by_key` and `cogroup`: one entry per key in **first-occurrence
-/// order**, found through an open-addressing table of `index + 1` (0 = free).
+/// The one keyed accumulator, behind `reduce_by_key` and `group_by_key`: one
+/// entry per key in **first-occurrence order**, found through an
+/// open-addressing table of `index + 1` (0 = free).
 ///
 /// `entries` is the operator's output, so record order inside a block is a
 /// rule — keys in the order the input first shows them, a reduce task reading
@@ -149,12 +145,6 @@ fn group_of<V: Clone>(v: &V) -> Vec<V> {
     group
 }
 
-/// Accumulators merged by value live in the fold as `Some`; this takes them
-/// out as the block is built.
-fn unwrapped<K, C>(entries: Vec<(K, Option<C>)>) -> Vec<(K, C)> {
-    entries.into_iter().map(|(k, c)| (k, c.expect("taken only inside a merge"))).collect()
-}
-
 /// A borrowed probe index over the right side of a co-partitioned join: the
 /// first position of every key and, per position, the next one holding the
 /// same key. Probing yields a key's values in right-side order and allocates
@@ -200,7 +190,6 @@ where
         &self,
         name: &str,
         num_partitions: usize,
-        cost: CostSpec,
         map_side: MapSideFn,
         agg: ShuffleAggFn,
     ) -> Dataset<U> {
@@ -212,7 +201,7 @@ where
             num_partitions,
             deps: vec![Dep::Shuffle { parent, map_side }],
             compute: Compute::ShuffleAgg(agg),
-            cost,
+            cost: CostSpec::SHUFFLE_AGG,
             ser_factor: 1.0,
             partitioner: Some(HashPartitioner::new(num_partitions)),
             cache_annotated: false,
@@ -262,82 +251,7 @@ where
             }
             Ok(exact_block(merged.entries))
         });
-        self.shuffle_node("reduce_by_key", num_partitions, CostSpec::SHUFFLE_AGG, map_side, agg)
-    }
-
-    /// The general combiner (Spark's `combineByKey`): creates a per-key
-    /// accumulator of type `C` with `create`, folds values in map-side with
-    /// `merge_value`, and merges accumulators across map tasks with
-    /// `merge_combiners`. `reduce_by_key` and `group_by_key` are special
-    /// cases of this operator.
-    pub fn combine_by_key<C: Data>(
-        &self,
-        num_partitions: usize,
-        create: impl Fn(&V) -> C + Send + Sync + 'static,
-        merge_value: impl Fn(C, &V) -> C + Send + Sync + 'static,
-        merge_combiners: impl Fn(C, C) -> C + Send + Sync + 'static,
-    ) -> Dataset<(K, C)> {
-        let create = Arc::new(create);
-        let merge_value = Arc::new(merge_value);
-        let merge_combiners = Arc::new(merge_combiners);
-        let (mk, mv) = (Arc::clone(&create), Arc::clone(&merge_value));
-        let map_side: MapSideFn = Arc::new(move |block, n| {
-            let pairs = block.as_slice::<(K, V)>("combine_by_key map-side")?;
-            let mut combined = KeyedFold::for_records(pairs.len())?;
-            for (k, v) in pairs {
-                combined.upsert(k, || Some(mk(v)), |acc| *acc = acc.take().map(|c| mv(c, v)));
-            }
-            Ok(hash_buckets(Cow::Owned(unwrapped(combined.entries)), n))
-        });
-        let mc = Arc::clone(&merge_combiners);
-        let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
-            let ctx = format!("combine_by_key agg@{p}");
-            let mut merged = fold_over(&per_dep[0])?;
-            for block in &per_dep[0] {
-                for (k, c) in block.as_slice::<(K, C)>(&ctx)? {
-                    let own = || c.clone();
-                    merged.upsert(k, || Some(own()), |acc| *acc = acc.take().map(|a| mc(a, own())));
-                }
-            }
-            Ok(Block::from_vec(unwrapped(merged.entries)))
-        });
-        self.shuffle_node("combine_by_key", num_partitions, CostSpec::SHUFFLE_AGG, map_side, agg)
-    }
-
-    /// Folds values per key starting from `zero` (Spark's `foldByKey`).
-    pub fn fold_by_key(
-        &self,
-        num_partitions: usize,
-        zero: V,
-        f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
-    ) -> Dataset<(K, V)> {
-        let f = Arc::new(f);
-        let (fa, fb, z) = (Arc::clone(&f), Arc::clone(&f), zero);
-        self.combine_by_key(
-            num_partitions,
-            move |v| fa(&z, v),
-            move |acc, v| fb(&acc, v),
-            move |a, b| f(&a, &b),
-        )
-    }
-
-    /// Aggregates values per key into a different type (Spark's
-    /// `aggregateByKey`).
-    pub fn aggregate_by_key<C: Data>(
-        &self,
-        num_partitions: usize,
-        zero: C,
-        seq: impl Fn(C, &V) -> C + Send + Sync + 'static,
-        comb: impl Fn(C, C) -> C + Send + Sync + 'static,
-    ) -> Dataset<(K, C)> {
-        let seq = Arc::new(seq);
-        let sq = Arc::clone(&seq);
-        self.combine_by_key(
-            num_partitions,
-            move |v| sq(zero.clone(), v),
-            move |acc, v| seq(acc, v),
-            comb,
-        )
+        self.shuffle_node("reduce_by_key", num_partitions, map_side, agg)
     }
 
     /// Groups all values per key, shuffling into `num_partitions` hash
@@ -357,7 +271,7 @@ where
             }
             Ok(exact_block(groups.entries))
         });
-        self.shuffle_node("group_by_key", num_partitions, CostSpec::SHUFFLE_AGG, map_side, agg)
+        self.shuffle_node("group_by_key", num_partitions, map_side, agg)
     }
 
     /// Hash-partitions the dataset by key into `num_partitions` partitions.
@@ -381,7 +295,7 @@ where
             }
             Ok(Block::from_vec(out))
         });
-        self.shuffle_node("partition_by", num_partitions, CostSpec::SHUFFLE_AGG, map_side, agg)
+        self.shuffle_node("partition_by", num_partitions, map_side, agg)
     }
 
     /// Applies `f` to every value, keeping keys (and partitioning).
@@ -390,7 +304,7 @@ where
         f: impl Fn(&V) -> W + Send + Sync + 'static,
     ) -> Dataset<(K, W)> {
         let id = self.id();
-        self.narrow_keyed("map_values", vec![id], move |p, inputs| {
+        self.narrow_node("map_values", vec![id], CostSpec::NARROW, true, move |p, inputs| {
             let ctx = format!("map_values@{p}");
             let v: Vec<(K, W)> = inputs[0]
                 .as_slice::<(K, V)>(&ctx)?
@@ -399,51 +313,6 @@ where
                 .collect();
             Ok(Block::from_vec(v))
         })
-    }
-
-    /// Applies `f` to every value and flattens, keeping keys (and
-    /// partitioning).
-    pub fn flat_map_values<W: Data, I>(
-        &self,
-        f: impl Fn(&V) -> I + Send + Sync + 'static,
-    ) -> Dataset<(K, W)>
-    where
-        I: IntoIterator<Item = W>,
-    {
-        let id = self.id();
-        self.narrow_keyed("flat_map_values", vec![id], move |p, inputs| {
-            let ctx = format!("flat_map_values@{p}");
-            let mut out: Vec<(K, W)> = Vec::new();
-            for (k, v) in inputs[0].as_slice::<(K, V)>(&ctx)? {
-                out.extend(f(v).into_iter().map(|w| (k.clone(), w)));
-            }
-            Ok(Block::from_vec(out))
-        })
-    }
-
-    /// A narrow keyed operator that preserves the known partitioner.
-    fn narrow_keyed<U: Data>(
-        &self,
-        name: &str,
-        deps: Vec<blaze_common::ids::RddId>,
-        f: impl Fn(usize, &[Block]) -> Result<Block> + Send + Sync + 'static,
-    ) -> Dataset<U> {
-        let parts = self.num_partitions();
-        let name = name.to_string();
-        let partitioner = self.context().plan().read().node(self.id()).expect("own id").partitioner;
-        let id = self.context().add_node(|id| RddNode {
-            id,
-            name,
-            num_partitions: parts,
-            deps: deps.into_iter().map(Dep::Narrow).collect(),
-            compute: Compute::Narrow(Arc::new(f)),
-            cost: CostSpec::NARROW,
-            ser_factor: 1.0,
-            partitioner,
-            cache_annotated: false,
-            unpersist_requested: false,
-        });
-        Dataset::new(self.context().clone(), id, parts)
     }
 
     /// Returns the keys.
@@ -503,36 +372,6 @@ where
         })
         .named("left_outer_join")
         .assume_partitioned(num_partitions)
-    }
-
-    /// Groups both datasets by key into aligned `(values_left, values_right)`
-    /// lists.
-    pub fn cogroup<W: Data>(
-        &self,
-        other: &Dataset<(K, W)>,
-        num_partitions: usize,
-    ) -> CoGrouped<K, V, W> {
-        let left = self.partition_by(num_partitions);
-        let right = other.partition_by(num_partitions);
-        left.narrow_keyed("cogroup", vec![left.id(), right.id()], move |p, inputs| {
-            let ctx = format!("cogroup@{p}");
-            let mut table: KeyedFold<K, (Vec<V>, Vec<W>)> = fold_over(inputs)?;
-            for (k, v) in inputs[0].as_slice::<(K, V)>(&ctx)? {
-                table.upsert(k, || (group_of(v), Vec::new()), |g| g.0.push(v.clone()));
-            }
-            for (k, w) in inputs[1].as_slice::<(K, W)>(&ctx)? {
-                table.upsert(k, || (Vec::new(), group_of(w)), |g| g.1.push(w.clone()));
-            }
-            Ok(exact_block(table.entries))
-        })
-        .assume_partitioned(num_partitions)
-    }
-
-    /// Counts values per key on the driver.
-    // audit: allow(record-order) driver side: a map for the caller, never a block
-    pub fn count_by_key(&self) -> Result<FxHashMap<K, u64>> {
-        let counted = self.map_values(|_| 1u64).reduce_by_key(self.num_partitions(), |a, b| a + b);
-        Ok(counted.collect()?.into_iter().collect())
     }
 }
 
@@ -624,84 +463,12 @@ mod tests {
     }
 
     #[test]
-    fn cogroup_aligns_both_sides() {
-        let ctx = ctx();
-        let left = ctx.parallelize(vec![(1u32, 1u8), (1, 2), (2, 3)], 2);
-        let right = ctx.parallelize(vec![(2u32, 9u8), (3, 8)], 2);
-        let mut out = left.cogroup(&right, 2).collect().unwrap();
-        out.sort_by_key(|(k, _)| *k);
-        for (_, (l, r)) in out.iter_mut() {
-            l.sort();
-            r.sort();
-        }
-        assert_eq!(
-            out,
-            vec![(1, (vec![1, 2], vec![])), (2, (vec![3], vec![9])), (3, (vec![], vec![8])),]
-        );
-    }
-
-    #[test]
     fn distinct_deduplicates() {
         let ctx = ctx();
         let ds = ctx.parallelize(vec![1u32, 2, 2, 3, 3, 3], 3).distinct(2);
         let mut out = ds.collect().unwrap();
         out.sort();
         assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn count_by_key_counts() {
-        let ctx = ctx();
-        let ds = ctx.parallelize(vec![("a", 1u8), ("b", 2), ("a", 3)], 2);
-        let ds = ds.map(|(k, v)| (k.to_string(), *v));
-        let counts = ds.count_by_key().unwrap();
-        assert_eq!(counts.get("a"), Some(&2));
-        assert_eq!(counts.get("b"), Some(&1));
-    }
-
-    #[test]
-    fn combine_by_key_builds_arbitrary_accumulators() {
-        let ctx = ctx();
-        let pairs: Vec<(u32, u32)> = vec![(1, 5), (2, 7), (1, 3), (1, 2), (2, 1)];
-        // Accumulate (count, max) per key.
-        let ds = ctx.parallelize(pairs, 3).combine_by_key(
-            2,
-            |v| (1u32, *v),
-            |(n, m), v| (n + 1, m.max(*v)),
-            |(n1, m1), (n2, m2)| (n1 + n2, m1.max(m2)),
-        );
-        let mut out = ds.collect().unwrap();
-        out.sort();
-        assert_eq!(out, vec![(1, (3, 5)), (2, (2, 7))]);
-    }
-
-    #[test]
-    fn fold_by_key_matches_reduce_by_key_for_monoids() {
-        let ctx = ctx();
-        let pairs: Vec<(u32, u64)> = (0..60).map(|i| (i % 4, i as u64)).collect();
-        let folded = ctx.parallelize(pairs.clone(), 4).fold_by_key(2, 0, |a, b| a + b);
-        let reduced = ctx.parallelize(pairs, 4).reduce_by_key(2, |a, b| a + b);
-        let mut f = folded.collect().unwrap();
-        let mut r = reduced.collect().unwrap();
-        f.sort();
-        r.sort();
-        assert_eq!(f, r);
-    }
-
-    #[test]
-    fn aggregate_by_key_changes_the_value_type() {
-        let ctx = ctx();
-        let pairs: Vec<(u32, u32)> = vec![(1, 10), (1, 20), (2, 5)];
-        // Average per key via (sum, count).
-        let ds = ctx.parallelize(pairs, 2).aggregate_by_key(
-            2,
-            (0u64, 0u64),
-            |(s, n), v| (s + *v as u64, n + 1),
-            |(s1, n1), (s2, n2)| (s1 + s2, n1 + n2),
-        );
-        let mut out = ds.collect().unwrap();
-        out.sort();
-        assert_eq!(out, vec![(1, (30, 2)), (2, (5, 1))]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A partitioner assigns each record key to one of `n` reduce partitions.
 //! Datasets shuffled with the same partitioner and partition count are
-//! *co-partitioned*, which lets `join`/`cogroup` run as narrow (in-stage)
+//! *co-partitioned*, which lets `join`/`left_outer_join` run as narrow (in-stage)
 //! operators over aligned partitions — the same optimization Spark applies.
 
 use blaze_common::fxhash::hash_one;

@@ -47,19 +47,17 @@ fn mix(a: &u32, b: &u32) -> u32 {
 }
 
 fn check<K: Data + Hash + Eq + std::fmt::Debug>(
-    left: Vec<(K, u32)>,
-    right: Vec<(K, u32)>,
+    records: Vec<(K, u32)>,
     in_parts: usize,
     parts: usize,
 ) -> Result<(), TestCaseError> {
     let ctx = Context::new(LocalRunner::new());
-    let input = ctx.parallelize(left, in_parts);
+    let input = ctx.parallelize(records, in_parts);
     let maps = partitions(&input);
-    let reduce_tasks = |maps: &[Vec<(K, Vec<u32>)>]| -> Vec<Vec<(K, Vec<u32>)>> {
-        (0..parts)
-            .map(|p| scan(fetched(maps, parts, p), |c| c, |acc: &mut Vec<u32>, c| acc.extend(c)))
-            .collect()
-    };
+
+    // partition_by: reduce task `p` holds its keys' records in map order.
+    let routed: Vec<Vec<(K, u32)>> = (0..parts).map(|p| fetched(&maps, parts, p)).collect();
+    prop_assert_eq!(partitions(&input.partition_by(parts)), routed.clone());
 
     // reduce_by_key and distinct: combined per map task, then per reduce task.
     let combined: Vec<Vec<(K, u32)>> =
@@ -72,50 +70,10 @@ fn check<K: Data + Hash + Eq + std::fmt::Debug>(
         reduced.iter().map(|part| part.iter().map(|(k, _)| k.clone()).collect()).collect();
     prop_assert_eq!(partitions(&input.keys().distinct(parts)), keys);
 
-    // combine_by_key: the same two levels with by-value merges.
-    let listed: Vec<Vec<(K, Vec<u32>)>> =
-        maps.iter().map(|m| scan(m.clone(), |v| vec![v], |acc, v| acc.push(v))).collect();
-    let lists = input.combine_by_key(
-        parts,
-        |v| vec![*v],
-        |mut acc, v| {
-            acc.push(*v);
-            acc
-        },
-        |mut a, b| {
-            a.extend(b);
-            a
-        },
-    );
-    prop_assert_eq!(partitions(&lists), reduce_tasks(&listed));
-
     // group_by_key: no map-side combine, so a reduce task sees every record.
-    let single: Vec<Vec<(K, Vec<u32>)>> =
-        maps.iter().map(|m| m.iter().map(|(k, v)| (k.clone(), vec![*v])).collect()).collect();
-    prop_assert_eq!(partitions(&input.group_by_key(parts)), reduce_tasks(&single));
-
-    // cogroup: per aligned partition, the left records and then the right.
-    let l = input.partition_by(parts);
-    let r = ctx.parallelize(right, 2).partition_by(parts);
-    let cogrouped: Vec<_> = partitions(&l)
-        .into_iter()
-        .zip(partitions(&r))
-        .map(|(lp, rp)| {
-            let sides = lp
-                .into_iter()
-                .map(|(k, v)| (k, (Some(v), None)))
-                .chain(rp.into_iter().map(|(k, w)| (k, (None, Some(w)))));
-            scan(
-                sides,
-                |(v, w): (Option<u32>, Option<u32>)| (Vec::from_iter(v), Vec::from_iter(w)),
-                |acc, (v, w)| {
-                    acc.0.extend(v);
-                    acc.1.extend(w);
-                },
-            )
-        })
-        .collect();
-    prop_assert_eq!(partitions(&l.cogroup(&r, parts)), cogrouped);
+    let grouped: Vec<Vec<(K, Vec<u32>)>> =
+        routed.into_iter().map(|task| scan(task, |v| vec![v], |acc, v| acc.push(v))).collect();
+    prop_assert_eq!(partitions(&input.group_by_key(parts)), grouped);
     Ok(())
 }
 
@@ -123,7 +81,7 @@ fn check<K: Data + Hash + Eq + std::fmt::Debug>(
 /// map task and across them, and with up to 9 output partitions some stay
 /// empty; with up to 5 input partitions and as few as no records, so do some
 /// map tasks.
-fn side() -> impl Strategy<Value = Vec<(u8, u32)>> {
+fn records() -> impl Strategy<Value = Vec<(u8, u32)>> {
     prop::collection::vec((0u8..12, 0u32..1000), 0..60)
 }
 
@@ -132,14 +90,13 @@ proptest! {
 
     #[test]
     fn keyed_operators_emit_first_occurrence_order(
-        left in side(),
-        right in side(),
+        records in records(),
         in_parts in 1usize..6,
         parts in 1usize..10,
     ) {
-        let wide = |side: &[(u8, u32)]| side.iter().map(|&(k, v)| (k as u64 * 977, v)).collect();
-        check::<u64>(wide(&left), wide(&right), in_parts, parts)?;
-        let named = |side: &[(u8, u32)]| side.iter().map(|&(k, v)| (format!("key-{k}"), v)).collect();
-        check::<String>(named(&left), named(&right), in_parts, parts)?;
+        let wide = records.iter().map(|&(k, v)| (k as u64 * 977, v)).collect();
+        check::<u64>(wide, in_parts, parts)?;
+        let named = records.iter().map(|&(k, v)| (format!("key-{k}"), v)).collect();
+        check::<String>(named, in_parts, parts)?;
     }
 }

@@ -84,11 +84,6 @@ impl Cluster {
         self.state.lock().metrics.clone()
     }
 
-    /// Returns the installed controller's name.
-    pub fn controller_name(&self) -> String {
-        self.state.lock().controller.name()
-    }
-
     /// Returns the cluster configuration.
     pub fn config(&self) -> ClusterConfig {
         self.state.lock().config.clone()

@@ -7,7 +7,7 @@
 //! inline statistics) and the application completion time (Fig. 9).
 //!
 //! [`Metrics`] is a fold over the engine's event stream: every field is
-//! written by [`Metrics::apply`] and nowhere else, whether or not the events
+//! written by `Metrics::apply` and nowhere else, whether or not the events
 //! are also retained in a [`crate::tracing::TraceLog`] — so
 //! `Metrics::from_events(log) == metrics` holds for a whole run, which is
 //! what the trace audit's BA402 checks.

@@ -10,19 +10,15 @@
 //!   one job per iteration, with the GraphX-style cache/unpersist pattern;
 //! - [`cc`] — ConnectedComponents as a Pregel min-label propagation;
 //! - [`svdpp`] — SVD++-style matrix factorization with implicit feedback on
-//!   the user-item bipartite graph (the paper's recommendation workload);
-//! - [`graph`] — a GraphX-style property [`Graph`] wrapper for building new
-//!   graph computations.
+//!   the user-item bipartite graph (the paper's recommendation workload).
 
 #![warn(missing_docs)]
 
 pub mod cc;
 pub mod datagen;
-pub mod graph;
 pub mod pagerank;
 pub mod pregel;
 pub mod svdpp;
 pub mod types;
 
-pub use graph::Graph;
 pub use types::{Edge, VertexId};

@@ -290,42 +290,19 @@ impl AppSpec {
     /// dependency-extraction phase (< 1 MB of input, §5.1 ①). The code path
     /// (and therefore the RDD id sequence) is identical to [`AppSpec::drive`].
     pub fn drive_sample(&self, ctx: &Context) -> Result<()> {
-        match self.app {
-            App::PageRank => {
-                let cfg = PageRankConfig {
-                    graph: blaze_graph::datagen::sample_config(&self.pr.graph),
-                    ..self.pr
-                };
-                pagerank::run(ctx, &cfg).map(|_| ())
-            }
-            App::ConnectedComponents => {
-                let cfg = CcConfig {
-                    graph: blaze_graph::datagen::sample_config(&self.cc.graph),
-                    ..self.cc
-                };
-                cc::run(ctx, &cfg).map(|_| ())
-            }
-            App::LogisticRegression => {
-                let mut cfg = self.lr;
-                cfg.data.points = cfg.data.points.clamp(1, 512);
-                logreg::run(ctx, &cfg).map(|_| ())
-            }
-            App::KMeans => {
-                let mut cfg = self.km;
-                cfg.data.points = cfg.data.points.clamp(1, 512);
-                kmeans::run(ctx, &cfg).map(|_| ())
-            }
-            App::Gbt => {
-                let mut cfg = self.gbt;
-                cfg.data.points = cfg.data.points.clamp(1, 512);
-                gbt::run(ctx, &cfg).map(|_| ())
-            }
-            App::Svdpp => {
-                let mut cfg = self.svd;
-                cfg.users = cfg.users.clamp(1, 256);
-                svdpp::run(ctx, &cfg).map(|_| ())
-            }
-        }
+        self.sample_scale().drive(ctx)
+    }
+
+    /// This spec with every workload's input cut to the sample scale.
+    fn sample_scale(&self) -> Self {
+        let mut s = *self;
+        s.pr.graph = blaze_graph::datagen::sample_config(&s.pr.graph);
+        s.cc.graph = blaze_graph::datagen::sample_config(&s.cc.graph);
+        s.lr.data.points = s.lr.data.points.clamp(1, 512);
+        s.km.data.points = s.km.data.points.clamp(1, 512);
+        s.gbt.data.points = s.gbt.data.points.clamp(1, 512);
+        s.svd.users = s.svd.users.clamp(1, 256);
+        s
     }
 }
 

@@ -1,7 +1,7 @@
 //! One-call execution of (application × system) pairs.
 //!
 //! [`run_app`] is shorthand for the unified
-//! [`Session`](crate::session::Session) builder, which everything else
+//! [`Session`] builder, which everything else
 //! should use directly. [`run_spec_serial`] is the single-app reference path
 //! (no scheduler layer at all) that the session API is differential-tested
 //! against.

@@ -20,7 +20,7 @@
 use crate::apps::{App, AppSpec};
 use crate::runner::RunOutcome;
 use crate::systems::SystemKind;
-use blaze_audit::{AuditReport, DiagCode, Diagnostic, Severity};
+use blaze_audit::{AuditReport, DiagCode, Diagnostic};
 use blaze_common::error::{BlazeError, Result};
 use blaze_common::ids::AppId;
 use blaze_common::SimDuration;
@@ -374,12 +374,6 @@ impl SessionOutcome {
             trace: self.trace,
         }
     }
-}
-
-/// True when the report contains any finding at or above `min`.
-/// Convenience for harness assertions.
-pub fn has_finding(report: &AuditReport, min: Severity) -> bool {
-    report.diagnostics.iter().any(|d| d.severity >= min)
 }
 
 #[cfg(test)]

@@ -92,6 +92,9 @@ run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-certify -- \
 # the (slower) clippy pass runs.
 run cargo run -q $OFFLINE -p blaze-audit --bin blaze-lint
 run cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
+# Rustdoc: every intra-doc link must resolve to a public item, so a doc that
+# names a deleted or private item fails here instead of rotting.
+run env RUSTDOCFLAGS="-D warnings" cargo doc $OFFLINE --workspace --no-deps --lib
 run cargo fmt --all -- --check
 
 echo "ci: all checks passed"

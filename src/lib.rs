@@ -10,7 +10,7 @@
 //! - [`policies`] — baseline cache controllers (LRU, LRC, MRD, Alluxio, ...).
 //! - [`solver`] — the LP/ILP solver backing Blaze's optimization.
 //! - [`core`] — the Blaze mechanism itself (CostLineage, cost model, UDL).
-//! - [`graph`] — property graphs, Pregel, PageRank, ConnectedComponents, SVD++.
+//! - [`graph`] — Pregel, PageRank, ConnectedComponents, SVD++.
 //! - [`ml`] — logistic regression, KMeans, gradient boosted trees.
 //! - [`workloads`] — the six configured evaluation applications and systems.
 
