@@ -257,13 +257,6 @@ impl<T: Data> Dataset<T> {
         Ok(blocks.iter().map(|b| b.len() as u64).sum())
     }
 
-    /// Materializes the dataset without transferring results (like
-    /// `foreach(_ => ())`); used to drive iterations.
-    pub fn materialize(&self) -> Result<()> {
-        self.ctx.run_job(self.id)?;
-        Ok(())
-    }
-
     /// Reduces all elements with `f`; `None` for an empty dataset.
     pub fn reduce(&self, f: impl Fn(&T, &T) -> T + Send + Sync + 'static) -> Result<Option<T>> {
         // Partial-reduce inside each partition, final reduce on the driver,

@@ -320,11 +320,6 @@ where
         self.map(|(k, _)| k.clone()).named("keys")
     }
 
-    /// Returns the values.
-    pub fn values(&self) -> Dataset<V> {
-        self.map(|(_, v)| v.clone()).named("values")
-    }
-
     /// Inner join on key, shuffling both sides into `num_partitions`
     /// co-partitioned partitions (no shuffle for already-partitioned sides).
     pub fn join<W: Data>(
@@ -472,15 +467,12 @@ mod tests {
     }
 
     #[test]
-    fn keys_and_values_project() {
+    fn keys_project() {
         let ctx = ctx();
         let ds = ctx.parallelize(vec![(1u32, 10u32), (2, 20)], 1);
         let mut ks = ds.keys().collect().unwrap();
         ks.sort();
         assert_eq!(ks, vec![1, 2]);
-        let mut vs = ds.values().collect().unwrap();
-        vs.sort();
-        assert_eq!(vs, vec![10, 20]);
     }
 
     #[test]

@@ -28,6 +28,11 @@ run cargo build --release $OFFLINE --workspace
 # and not in the outside driver.
 run cargo build --release $OFFLINE --manifest-path benchmark/Cargo.toml
 run cargo test -q $OFFLINE --workspace
+# Examples: clippy compiles them, this runs them, so a panic in one (such as
+# kmeans_pipeline, the KMeans kernel under Blaze with profiling) fails here.
+for example in examples/*.rs; do
+    run cargo run -q $OFFLINE --release --example "$(basename "$example" .rs)"
+done
 # Chaos step: replay the differential harness with its fixed-schedule
 # chaos seed matrix wider than the default `cargo test` run. Override the
 # seeds (comma-separated u64s) by exporting BLAZE_CHAOS_SEEDS yourself.
