@@ -105,10 +105,6 @@ pub enum DiagCode {
     /// zero capacity — no block can ever be spilled, so the corruption
     /// (and the quarantine path it exercises) cannot occur.
     CorruptionWithoutDiskTier,
-    /// BA304: the configured solver deadline is below the cost of the
-    /// cheapest degradation-ladder rung — every decision solve would be
-    /// skipped (LRU passthrough), silently disabling the optimizer.
-    SolveDeadlineTooSmall,
     /// BA401: the event trace violates span nesting — a task span with
     /// `end < start`, overlapping spans on one executor slot, or a task
     /// committed outside an open job span.
@@ -137,9 +133,6 @@ pub enum DiagCode {
     /// unreachable from the root, or a take-branch was skipped without
     /// static justification.
     UncoveredBranchLeaf,
-    /// BA504: a greedy solution's distance to the LP relaxation bound
-    /// exceeds the approximation gap its certificate declares.
-    GreedyGapExceeded,
     /// BA505: the incremental optimizer's dirty closure under-approximates
     /// the set of cost entries actually affected by a change — a stale memo
     /// entry survived invalidation.
@@ -150,7 +143,7 @@ impl DiagCode {
     /// Every diagnostic code, in code order. This is the single registry the
     /// `blaze-audit` CLI lists and explains from; adding a variant without
     /// extending it fails the registry unit test.
-    pub const ALL: [DiagCode; 29] = [
+    pub const ALL: [DiagCode; 27] = [
         DiagCode::CycleOrForwardRef,
         DiagCode::DanglingParent,
         DiagCode::ZeroPartitions,
@@ -170,7 +163,6 @@ impl DiagCode {
         DiagCode::UnrecoverableLineage,
         DiagCode::StragglerBudgetExceeded,
         DiagCode::CorruptionWithoutDiskTier,
-        DiagCode::SolveDeadlineTooSmall,
         DiagCode::TraceSpanNesting,
         DiagCode::TraceAggregateMismatch,
         DiagCode::TraceUnpairedCacheEvent,
@@ -178,7 +170,6 @@ impl DiagCode {
         DiagCode::InfeasibleIncumbent,
         DiagCode::UnsoundPruneBound,
         DiagCode::UncoveredBranchLeaf,
-        DiagCode::GreedyGapExceeded,
         DiagCode::UnderApproximatedDirtyClosure,
     ];
 
@@ -204,7 +195,6 @@ impl DiagCode {
             DiagCode::UnrecoverableLineage => "BA301",
             DiagCode::StragglerBudgetExceeded => "BA302",
             DiagCode::CorruptionWithoutDiskTier => "BA303",
-            DiagCode::SolveDeadlineTooSmall => "BA304",
             DiagCode::TraceSpanNesting => "BA401",
             DiagCode::TraceAggregateMismatch => "BA402",
             DiagCode::TraceUnpairedCacheEvent => "BA403",
@@ -212,7 +202,6 @@ impl DiagCode {
             DiagCode::InfeasibleIncumbent => "BA501",
             DiagCode::UnsoundPruneBound => "BA502",
             DiagCode::UncoveredBranchLeaf => "BA503",
-            DiagCode::GreedyGapExceeded => "BA504",
             DiagCode::UnderApproximatedDirtyClosure => "BA505",
         }
     }
@@ -244,7 +233,6 @@ impl DiagCode {
             DiagCode::UnrecoverableLineage => "lineage too deep for bounded retries",
             DiagCode::StragglerBudgetExceeded => "large straggler slowdown without speculation",
             DiagCode::CorruptionWithoutDiskTier => "spill corruption injected with no disk tier",
-            DiagCode::SolveDeadlineTooSmall => "solver deadline below the cheapest ladder rung",
             DiagCode::TraceSpanNesting => "event-trace span nesting violation",
             DiagCode::TraceAggregateMismatch => "trace aggregates disagree with metrics",
             DiagCode::TraceUnpairedCacheEvent => "unpaired cache admit/evict event",
@@ -252,7 +240,6 @@ impl DiagCode {
             DiagCode::InfeasibleIncumbent => "certificate incumbent infeasible or mispriced",
             DiagCode::UnsoundPruneBound => "certificate prune bound not justified",
             DiagCode::UncoveredBranchLeaf => "certificate tree misses part of the search space",
-            DiagCode::GreedyGapExceeded => "greedy gap to LP relaxation exceeds declared bound",
             DiagCode::UnderApproximatedDirtyClosure => "dirty closure missed an affected entry",
         }
     }
@@ -353,12 +340,6 @@ impl DiagCode {
                  quarantine path it is meant to exercise) cannot occur. The knob is dead \
                  configuration."
             }
-            DiagCode::SolveDeadlineTooSmall => {
-                "The configured solver deadline is below the estimated cost of the \
-                 cheapest degradation-ladder rung, so every decision solve would step all \
-                 the way down to LRU passthrough — the optimizer is silently disabled \
-                 rather than gracefully degraded."
-            }
             DiagCode::TraceSpanNesting => {
                 "The event trace violates span nesting: a task span ends before it starts, \
                  spans overlap on one executor slot, or a task commits outside an open job."
@@ -400,11 +381,6 @@ impl DiagCode {
                  justification, or the proven-optimal flag disagrees with tree \
                  completeness. The claimed optimum might live in the uncovered region."
             }
-            DiagCode::GreedyGapExceeded => {
-                "A greedy solution's distance to the LP relaxation optimum exceeds the \
-                 approximation gap its certificate declares, so the solution is worse than \
-                 the declared quality bound."
-            }
             DiagCode::UnderApproximatedDirtyClosure => {
                 "The incremental optimizer retained a memoized cost entry that is reachable \
                  from a dirty lineage node, i.e. the dirty closure under-approximated the \
@@ -434,7 +410,6 @@ impl DiagCode {
             | DiagCode::InfeasibleIncumbent
             | DiagCode::UnsoundPruneBound
             | DiagCode::UncoveredBranchLeaf
-            | DiagCode::GreedyGapExceeded
             | DiagCode::UnderApproximatedDirtyClosure => Severity::Error,
             DiagCode::DuplicateAppSpec
             | DiagCode::AppsExceedSlots
@@ -443,7 +418,6 @@ impl DiagCode {
             | DiagCode::CacheOvercommit
             | DiagCode::StragglerBudgetExceeded
             | DiagCode::CorruptionWithoutDiskTier
-            | DiagCode::SolveDeadlineTooSmall
             | DiagCode::PrematureUnpersist => Severity::Warning,
         }
     }
@@ -574,7 +548,6 @@ mod tests {
             DiagCode::InfeasibleIncumbent,
             DiagCode::UnsoundPruneBound,
             DiagCode::UncoveredBranchLeaf,
-            DiagCode::GreedyGapExceeded,
             DiagCode::UnderApproximatedDirtyClosure,
         ] {
             assert_eq!(code.default_severity(), Severity::Error);

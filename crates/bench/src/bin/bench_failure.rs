@@ -1,6 +1,6 @@
 //! Recovery-cost benchmark under deterministic fault injection.
 //!
-//! Four sections, all on the simulated clock:
+//! Three sections, all on the simulated clock:
 //!
 //! 1. **Recovery** — replays the *same* seeded duress schedule — transient
 //!    task failures, one mid-run executor crash, shuffle-output loss (no
@@ -16,25 +16,18 @@
 //! 3. **Quarantine** — a corrupted-spill schedule on the memory+disk
 //!    baseline: checksum verification must quarantine bad reads and the
 //!    run must complete through lineage recompute.
-//! 4. **Degradation** — full Blaze with a `solve_deadline` budget: the
-//!    solver must step down its ladder (and the run still complete) when
-//!    the exact rungs no longer fit.
 //!
 //! Every number is simulated, so `BENCH_failure.json` (at the repository
 //! root) is a pure function of the code. A plain run rewrites it; `--check`
 //! leaves it alone and exits non-zero if it differs from what the code
 //! renders, or unless speculation wins races and shortens the makespan on
-//! every sample, at least one spill is quarantined, and the capped solver
-//! actually degrades.
+//! every sample and at least one spill is quarantined.
 
-use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use blaze_bench::json::nz;
 use blaze_common::{SimDuration, SimTime};
-use blaze_core::BlazeConfig;
 use blaze_engine::{ExecutorCrash, FaultPlan};
 use blaze_workloads::{App, AppSpec, RunOutcome, Session, SystemKind};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
 
 /// One faulted (or clean, with the default plan) run through the session API.
 fn run_one(spec: &AppSpec, system: SystemKind, fault: FaultPlan) -> RunOutcome {
@@ -99,16 +92,6 @@ struct QuarSample {
     lineage_replay_s: f64,
 }
 
-/// One solver-degradation run (full Blaze, capped solve budget).
-struct DegradSample {
-    workload: &'static str,
-    deadline_ns: u64,
-    act_full: f64,
-    act_capped: f64,
-    degraded: u64,
-    passthrough: u64,
-}
-
 /// The shared duress schedule for one workload: a modest transient-failure
 /// rate, one executor crash at a fixed simulated time, no external shuffle
 /// service (so the crash also destroys that executor's shuffle outputs,
@@ -144,11 +127,6 @@ fn straggler_plan(speculation: bool) -> FaultPlan {
         ..Default::default()
     }
 }
-
-/// The capped solve budget for the degradation section: below the knapsack
-/// rung's fixed cost, so every per-executor instance steps down to greedy
-/// (and, once the budget drains, to LRU passthrough) on each submission.
-const SOLVE_DEADLINE_NS: u64 = 8_000;
 
 fn main() -> ExitCode {
     let check = std::env::args().skip(1).any(|a| a == "--check");
@@ -257,46 +235,8 @@ fn main() -> ExitCode {
         quar_samples.push(s);
     }
 
-    // Section 4: solver degradation ladder under a capped solve budget.
-    let mut degrad_samples: Vec<DegradSample> = Vec::new();
-    for &(app, label, _) in cases {
-        let spec = AppSpec::evaluation(app);
-        let full = Session::builder()
-            .app(spec)
-            .blaze(BlazeConfig::full())
-            .run()
-            .expect("uncapped run")
-            .into_outcome();
-        let readout = Arc::new(Mutex::new(ProbeReadout::default()));
-        let mirror = Arc::clone(&readout);
-        let mut cfg = BlazeConfig::full();
-        cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(SOLVE_DEADLINE_NS));
-        cfg.validate().expect("deadline above the ladder floor");
-        let capped = Session::builder()
-            .app(spec)
-            .blaze(cfg)
-            .instrument(move |inner| Box::new(DecisionProbe::new(inner, false, mirror)))
-            .run()
-            .expect("capped Blaze run")
-            .into_outcome();
-        let stats = readout.lock().expect("the probe panicked").stats;
-        let s = DegradSample {
-            workload: label,
-            deadline_ns: SOLVE_DEADLINE_NS,
-            act_full: full.metrics.completion_time.as_secs_f64(),
-            act_capped: capped.metrics.completion_time.as_secs_f64(),
-            degraded: stats.degraded,
-            passthrough: stats.passthrough,
-        };
-        eprintln!(
-            "{label:9} degradation act {:.4}s -> {:.4}s  (degraded {}, passthrough {})",
-            s.act_full, s.act_capped, s.degraded, s.passthrough,
-        );
-        degrad_samples.push(s);
-    }
-
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_failure.json");
-    let json = render_json(&samples, &spec_samples, &quar_samples, &degrad_samples);
+    let json = render_json(&samples, &spec_samples, &quar_samples);
     if !check {
         std::fs::write(path, &json).expect("write BENCH_failure.json");
         println!("wrote {} samples to {path}", samples.len());
@@ -319,14 +259,6 @@ fn main() -> ExitCode {
         if quar_samples.iter().all(|s| s.spills_quarantined == 0) {
             failures.push("quarantine: no corrupted spill was ever caught".into());
         }
-        for s in &degrad_samples {
-            if s.degraded == 0 && s.passthrough == 0 {
-                failures.push(format!(
-                    "{}: a {} ns solve deadline never degraded the solver",
-                    s.workload, s.deadline_ns
-                ));
-            }
-        }
         if std::fs::read_to_string(path).ok().as_deref() != Some(json.as_str()) {
             failures.push(format!(
                 "{path} differs from what the code renders; rerun bench_failure without \
@@ -339,7 +271,7 @@ fn main() -> ExitCode {
             }
             return ExitCode::FAILURE;
         }
-        println!("bench_failure --check: all degradation floors hold; {path} is current");
+        println!("bench_failure --check: all floors hold; {path} is current");
     }
     ExitCode::SUCCESS
 }
@@ -349,7 +281,6 @@ fn render_json(
     samples: &[Sample],
     spec_samples: &[SpecSample],
     quar_samples: &[QuarSample],
-    degrad_samples: &[DegradSample],
 ) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"fault_plan\": {\"seed\": 725550, \"task_failure_rate\": 0.02, ");
@@ -427,21 +358,6 @@ fn render_json(
             r.spills_quarantined,
             nz(r.lineage_replay_s),
             if i + 1 < quar_samples.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"degradation\": [\n");
-    for (i, r) in degrad_samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"deadline_ns\": {}, \"act_full\": {:.6}, \
-             \"act_capped\": {:.6}, \"degraded\": {}, \"passthrough\": {}}}{}\n",
-            r.workload,
-            r.deadline_ns,
-            nz(r.act_full),
-            nz(r.act_capped),
-            r.degraded,
-            r.passthrough,
-            if i + 1 < degrad_samples.len() { "," } else { "" }
         ));
     }
     s.push_str("  ]\n}\n");

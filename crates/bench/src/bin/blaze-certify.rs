@@ -3,71 +3,71 @@
 //! Two modes, combinable:
 //!
 //! - `--all` (default): runs every evaluation workload under full Blaze with
-//!   `BlazeConfig::certify` on, under both [`SolveStrategy`] variants,
-//!   plus a serialized-tier leg (the high-`ser_factor` workloads under tightened memory with
-//!   `ser_tier` on, so multi-choice certificates with real s-state picks
-//!   are emitted and verified). Certify mode makes every
-//!   per-executor solve emit a machine-checkable certificate and verifies it
-//!   inline (BA501–BA505), panicking on any finding — so a clean exit *is*
-//!   the proof that every decision taken across the sweep verified. Use
-//!   `--quick` to rescale the workloads for CI.
+//!   `BlazeConfig::certify` on, plus a serialized-tier leg (the
+//!   high-`ser_factor` workloads under tightened memory with `ser_tier` on,
+//!   so multi-choice certificates with real s-state picks are emitted and
+//!   verified). Certify mode makes every per-executor solve emit a
+//!   machine-checkable certificate and verifies it inline (the BA5xx codes),
+//!   panicking on any finding — so a clean exit *is* the proof that every
+//!   decision taken across the sweep verified. Each run must certify every
+//!   solve it made, and make at least one. Use `--quick` to rescale the
+//!   workloads for CI.
 //! - `--mutate`: the negative control. Seeded corruptions of otherwise-valid
 //!   certificates (mispriced incumbent, inflated prune bound, shuffled
-//!   increment order, truncated search tree, understated greedy gap,
-//!   under-approximated dirty closure) must each trigger exactly the
-//!   matching diagnostic code — once for the one tree certificate, once for
-//!   the one greedy certificate, once for the ILP's. A verifier that
-//!   accepts everything would pass `--all` trivially; this mode proves the
-//!   checks have teeth.
+//!   increment order, truncated search tree, under-approximated dirty
+//!   closure) must each trigger the matching diagnostic code — for the one
+//!   tree certificate and for the ILP's. The codes the mutations trip must
+//!   be every `BA5xx` code there is, so a code no mutation reaches fails
+//!   the run. A verifier that accepts everything would pass `--all`
+//!   trivially; this mode proves the checks have teeth.
 
+use blaze_audit::diagnostic::{DiagCode, Diagnostic};
 use blaze_bench::harness::{DecisionProbe, ProbeReadout};
-use blaze_certify::{
-    check_dirty_closure, verify_greedy_relaxation, verify_ilp, verify_mckp, verify_mckp_greedy,
-    LineageNodeView, LineageView,
-};
+use blaze_certify::{check_dirty_closure, verify_ilp, verify_mckp, LineageNodeView, LineageView};
 use blaze_common::ids::{BlockId, RddId};
-use blaze_core::{BlazeConfig, SolveStrategy};
+use blaze_core::BlazeConfig;
 use blaze_solver::cert::McNode;
 use blaze_solver::ilp::{solve_binary_certified, IlpProblem};
-use blaze_solver::mckp::{greedy_mckp_certificate, solve_mckp_certified, MckpGroup, MckpOption};
+use blaze_solver::mckp::{solve_mckp_certified, MckpGroup, MckpOption};
 use blaze_workloads::{App, AppSpec, Session};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-fn strategy_label(s: SolveStrategy) -> &'static str {
-    match s {
-        SolveStrategy::Knapsack => "knapsack",
-        SolveStrategy::Greedy => "greedy",
-    }
+/// Runs one workload in certify mode and returns how many certificates it
+/// verified: every solve of the run, and at least one.
+fn certified_run(app: App, spec: AppSpec, cfg: BlazeConfig, leg: &str) -> u64 {
+    let readout = Arc::new(Mutex::new(ProbeReadout::default()));
+    let mirror = Arc::clone(&readout);
+    let out = Session::builder()
+        .app(spec)
+        .blaze(BlazeConfig { certify: true, ..cfg })
+        .instrument(move |inner| Box::new(DecisionProbe::new(inner, false, mirror)))
+        .run()
+        .expect("certified workload run failed")
+        .into_outcome();
+    let stats = readout.lock().expect("the probe panicked").stats;
+    eprintln!(
+        "{:7} jobs={:3} solves={} certificates={}{leg}",
+        app.label(),
+        out.metrics.jobs,
+        stats.solves,
+        stats.certified,
+    );
+    assert!(
+        stats.solves > 0 && stats.certified == stats.solves,
+        "{app:?}{leg}: {} of {} solves certified",
+        stats.certified,
+        stats.solves
+    );
+    stats.certified
 }
 
 /// Runs the full sweep; any certificate failure panics inside the run.
 fn check_all(scale: f64) {
-    let strategies = [SolveStrategy::Knapsack, SolveStrategy::Greedy];
     let mut total = 0u64;
     for app in App::all() {
         let spec = AppSpec::evaluation(app).scaled(scale);
-        for strategy in strategies {
-            let mut cfg = BlazeConfig { certify: true, ..BlazeConfig::full() };
-            cfg.optimizer.strategy = strategy;
-            let readout = Arc::new(Mutex::new(ProbeReadout::default()));
-            let mirror = Arc::clone(&readout);
-            let out = Session::builder()
-                .app(spec)
-                .blaze(cfg)
-                .instrument(move |inner| Box::new(DecisionProbe::new(inner, false, mirror)))
-                .run()
-                .expect("certified workload run failed")
-                .into_outcome();
-            let n = readout.lock().expect("the probe panicked").stats.certified;
-            total += n;
-            eprintln!(
-                "{:7} strategy={:9} jobs={:3} certificates={n}",
-                app.label(),
-                strategy_label(strategy),
-                out.metrics.jobs,
-            );
-            assert!(n > 0, "{app:?}/{strategy:?}: no certificates were emitted");
-        }
+        total += certified_run(app, spec, BlazeConfig::full(), "");
     }
     // Serialized-tier leg: the high-ser_factor workloads under tightened
     // memory, so the multi-choice certificates actually contain s-state
@@ -76,28 +76,7 @@ fn check_all(scale: f64) {
         let mut spec = AppSpec::evaluation(app).scaled(scale);
         spec.memory_capacity =
             spec.memory_capacity.scale(if app == App::Svdpp { 0.55 } else { 0.4 });
-        for strategy in strategies {
-            let mut cfg = BlazeConfig { certify: true, ..BlazeConfig::full_ser_tier() };
-            cfg.optimizer.strategy = strategy;
-            let readout = Arc::new(Mutex::new(ProbeReadout::default()));
-            let mirror = Arc::clone(&readout);
-            let out = Session::builder()
-                .app(spec)
-                .blaze(cfg)
-                .instrument(move |inner| Box::new(DecisionProbe::new(inner, false, mirror)))
-                .run()
-                .expect("certified ser-tier run failed")
-                .into_outcome();
-            let n = readout.lock().expect("the probe panicked").stats.certified;
-            total += n;
-            eprintln!(
-                "{:7} strategy={:9} jobs={:3} certificates={n} [ser-tier]",
-                app.label(),
-                strategy_label(strategy),
-                out.metrics.jobs,
-            );
-            assert!(n > 0, "{app:?}/{strategy:?} [ser-tier]: no certificates were emitted");
-        }
+        total += certified_run(app, spec, BlazeConfig::full_ser_tier(), " [ser-tier]");
     }
     println!("blaze-certify: {total} certificates emitted and verified clean across the sweep");
 }
@@ -133,19 +112,21 @@ fn mutation_groups() -> Vec<MckpGroup> {
         .collect()
 }
 
-fn assert_fires(findings: &[blaze_audit::diagnostic::Diagnostic], code: &str, what: &str) {
-    assert!(
-        findings.iter().any(|d| d.code.as_str() == code),
-        "{what}: expected {code} to fire, got {findings:?}"
-    );
+/// Asserts that `code` is among `findings` and records it as tripped.
+fn assert_fires(tripped: &mut BTreeSet<DiagCode>, findings: &[Diagnostic], code: &str, what: &str) {
+    let hit = findings.iter().find(|d| d.code.as_str() == code);
+    let Some(d) = hit else { panic!("{what}: expected {code} to fire, got {findings:?}") };
+    tripped.insert(d.code);
     println!("blaze-certify: {code} fires on {what}");
 }
 
-/// Seeded corruptions: each BA5xx code must fire on its matching mutation.
+/// Seeded corruptions: each BA5xx code must fire on its matching mutation,
+/// and every BA5xx code must have one.
 fn check_mutations() {
+    let mut tripped = BTreeSet::new();
     let groups = mutation_groups();
-    // The odd offset keeps the capacity off every hull-increment boundary
-    // so the greedy fill ends on a fractional break item (declared_gap > 0).
+    // A third of the heaviest options' total weight, plus 7: tight enough
+    // that the search prunes, which the inflated-bound mutation needs.
     let capacity: u64 =
         groups.iter().map(|g| g.options.iter().map(|o| o.weight).max().unwrap_or(0)).sum::<u64>()
             / 3
@@ -156,7 +137,12 @@ fn check_mutations() {
     let (mut sol, cert) = solve();
     assert!(verify_mckp(&groups, capacity, &sol, &cert).is_empty(), "baseline must verify");
     sol.value += 1.0;
-    assert_fires(&verify_mckp(&groups, capacity, &sol, &cert), "BA501", "a mispriced incumbent");
+    assert_fires(
+        &mut tripped,
+        &verify_mckp(&groups, capacity, &sol, &cert),
+        "BA501",
+        "a mispriced incumbent",
+    );
 
     // BA502 — inflated prune bound (claims to dominate more than it does).
     let (sol, mut cert) = solve();
@@ -166,12 +152,18 @@ fn check_mutations() {
         .find_map(|n| if let McNode::Pruned { bound } = n { Some(bound) } else { None })
         .expect("instance must produce at least one pruned node");
     *pruned += 100.0;
-    assert_fires(&verify_mckp(&groups, capacity, &sol, &cert), "BA502", "an inflated bound");
+    assert_fires(
+        &mut tripped,
+        &verify_mckp(&groups, capacity, &sol, &cert),
+        "BA502",
+        "an inflated bound",
+    );
 
     // BA502 — the claimed increment order is not the published one.
     let (sol, mut cert) = solve();
     cert.order.swap(0, 1);
     assert_fires(
+        &mut tripped,
         &verify_mckp(&groups, capacity, &sol, &cert),
         "BA502",
         "an out-of-order increment list",
@@ -180,40 +172,11 @@ fn check_mutations() {
     // BA503 — truncated search tree (a subtree silently dropped).
     let (sol, mut cert) = solve();
     cert.nodes.pop();
-    assert_fires(&verify_mckp(&groups, capacity, &sol, &cert), "BA503", "a truncated tree");
-
-    // BA504 — understated greedy approximation gap.
-    let (gsol, _) = solve_mckp_certified(&groups, capacity, 1, None);
-    let mut gcert = greedy_mckp_certificate(&groups, capacity, &gsol);
-    assert!(
-        verify_mckp_greedy(&groups, capacity, &gsol, &gcert).is_empty(),
-        "greedy baseline must verify"
-    );
-    assert!(
-        verify_greedy_relaxation(&groups, capacity, &gcert).is_empty(),
-        "LP cross-check must agree with the hull relaxation bound"
-    );
-    assert!(gcert.declared_gap > 0.0, "instance must have a fractional hull break");
-    gcert.declared_gap = 0.0;
     assert_fires(
-        &verify_mckp_greedy(&groups, capacity, &gsol, &gcert),
-        "BA504",
-        "an understated gap",
-    );
-
-    // BA502 (greedy flavour) — an inflated relaxation bound must be caught
-    // by the independent LP solve as well as the fast hull recompute.
-    let mut lcert = greedy_mckp_certificate(&groups, capacity, &gsol);
-    lcert.relaxation_bound += 100.0;
-    assert_fires(
-        &verify_mckp_greedy(&groups, capacity, &gsol, &lcert),
-        "BA502",
-        "an inflated relaxation bound",
-    );
-    assert_fires(
-        &verify_greedy_relaxation(&groups, capacity, &lcert),
-        "BA502",
-        "an inflated relaxation bound (LP cross-check)",
+        &mut tripped,
+        &verify_mckp(&groups, capacity, &sol, &cert),
+        "BA503",
+        "a truncated tree",
     );
 
     // BA502 (ILP flavour) — certified exact solve, then inflate a bound so
@@ -230,7 +193,12 @@ fn check_mutations() {
         })
         .expect("instance must produce at least one pruned ILP node");
     *bound += 100.0;
-    assert_fires(&verify_ilp(&problem, &outcome, &icert), "BA502", "an inflated ILP bound");
+    assert_fires(
+        &mut tripped,
+        &verify_ilp(&problem, &outcome, &icert),
+        "BA502",
+        "an inflated ILP bound",
+    );
 
     // BA505 — memo entry retained inside the dirty closure.
     let view = LineageView {
@@ -244,12 +212,16 @@ fn check_mutations() {
     let memoized: Vec<BlockId> = (0..3).map(|r| BlockId::new(RddId(r), 0)).collect();
     let retained = [BlockId::new(RddId(2), 0)];
     assert_fires(
+        &mut tripped,
         &check_dirty_closure(&view, &dirty, &memoized, &retained),
         "BA505",
         "a retained stale memo entry",
     );
 
-    println!("blaze-certify: every corruption was caught");
+    let certificate_codes: BTreeSet<DiagCode> =
+        DiagCode::ALL.into_iter().filter(|c| c.as_str().starts_with("BA5")).collect();
+    assert_eq!(tripped, certificate_codes, "every BA5xx code needs a mutation that trips it");
+    println!("blaze-certify: every corruption was caught, covering every BA5xx code");
 }
 
 /// The instance as a 0/1 program: one binary per non-zero option, at most

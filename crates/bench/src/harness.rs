@@ -6,8 +6,8 @@ use blaze_common::ByteSize;
 use blaze_core::{BlazeController, DecisionStats};
 use blaze_dataflow::{JobPlan, Plan};
 use blaze_engine::{
-    Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote, Metrics, PartitionEvent,
-    Residency, StateCommand, StoreTier, VictimAction,
+    Admission, BlockInfo, CacheController, CtrlCtx, Metrics, PartitionEvent, Residency,
+    StateCommand, StoreTier, VictimAction,
 };
 use blaze_workloads::{run_app, App, RunOutcome, SystemKind};
 use std::collections::BTreeMap;
@@ -175,14 +175,6 @@ impl CacheController for DecisionProbe {
     ) -> Vec<StateCommand> {
         self.mirrored(|inner| inner.on_stage_complete(ctx, stage_output, job, plan))
     }
-
-    fn take_degradation(&mut self) -> Option<DegradationNote> {
-        self.inner.take_degradation()
-    }
-
-    fn preflight_diagnostics(&self) -> Vec<blaze_audit::Diagnostic> {
-        self.inner.preflight_diagnostics()
-    }
 }
 
 #[cfg(test)]
@@ -200,16 +192,5 @@ mod tests {
         assert!(act_secs(blaze) > 0.0);
         let (d, e, c) = breakdown_secs(&mem.metrics);
         assert!(d >= 0.0 && e >= 0.0 && c > 0.0);
-    }
-
-    /// The probe must not swallow the wrapped controller's preflight: a
-    /// deadline below the ladder floor is BA304 with or without it.
-    #[test]
-    fn the_probe_forwards_the_preflight_diagnostics() {
-        let mut cfg = blaze_core::BlazeConfig::full();
-        cfg.optimizer.solve_deadline = Some(blaze_common::SimDuration::from_nanos(1));
-        let probe = DecisionProbe::new(BlazeController::new(cfg, None), false, Arc::default());
-        let codes: Vec<_> = probe.preflight_diagnostics().iter().map(|d| d.code.as_str()).collect();
-        assert_eq!(codes, ["BA304"]);
     }
 }

@@ -6,8 +6,8 @@
 //! certificate against the original instance **without executing the
 //! search** — it replays recorded branch-and-bound trees checking coverage
 //! and bound soundness, validates LP bounds through weak duality and Farkas
-//! rays, certifies greedy answers against the LP relaxation, and checks
-//! that incremental invalidation over-approximated the truly affected set.
+//! rays, and checks that incremental invalidation over-approximated the
+//! truly affected set.
 //!
 //! Verification failures are reported as `BA5xx` [`Diagnostic`]s through
 //! the `blaze-audit` machinery:
@@ -15,11 +15,12 @@
 //! - `BA501` — incumbent infeasible or mispriced,
 //! - `BA502` — a prune bound is not justified,
 //! - `BA503` — the tree does not cover the search space,
-//! - `BA504` — a greedy gap exceeds its declared bound,
 //! - `BA505` — the dirty closure missed an affected entry.
 //!
 //! There is one tree replay for the state search ([`mckp`]; the tier-off
-//! program is its two-option case) and one for the 0/1 ILP
+//! program is its two-option case, and a search its node budget cut short
+//! is checked for dominance over the greedy hull fill) and one for the 0/1
+//! ILP
 //! ([`ilp`]), which no decision runs: it checks the literal Eq. 5–6
 //! program that `blaze-core`'s test oracle solves, and the benchmark drill.
 //!
@@ -41,11 +42,11 @@ pub mod mckp;
 
 pub use ilp::verify_ilp;
 pub use lineage::{check_dirty_closure, LineageNodeView, LineageView};
-pub use mckp::{verify_greedy_relaxation, verify_mckp, verify_mckp_greedy};
+pub use mckp::verify_mckp;
 
 use blaze_audit::diagnostic::Diagnostic;
 use blaze_common::ids::ExecutorId;
-use blaze_solver::cert::{GreedyCertificate, IlpCertificate, MckpCertificate};
+use blaze_solver::cert::{IlpCertificate, MckpCertificate};
 use blaze_solver::ilp::{IlpOutcome, IlpProblem};
 use blaze_solver::knapsack::{two_option_groups, KnapsackItem};
 use blaze_solver::mckp::{MckpGroup, MckpSolution};
@@ -90,18 +91,6 @@ pub enum InstancePayload {
         /// The certificate emitted alongside it.
         cert: MckpCertificate,
     },
-    /// A greedy (node-budget-1) solve of the same search, certified against
-    /// the hull relaxation.
-    Greedy {
-        /// The option groups of the instance (one per candidate).
-        groups: Vec<MckpGroup>,
-        /// The memory capacity (bytes).
-        capacity: u64,
-        /// The greedy solution returned to the decision path.
-        solution: MckpSolution,
-        /// The relaxation-gap certificate emitted alongside it.
-        cert: GreedyCertificate,
-    },
 }
 
 /// A decision certificate for one per-executor solve.
@@ -122,9 +111,6 @@ pub fn verify_instance(cert: &InstanceCertificate) -> Vec<Diagnostic> {
         }
         InstancePayload::MultiChoice { groups, capacity, solution, cert } => {
             verify_mckp(groups, *capacity, solution, cert)
-        }
-        InstancePayload::Greedy { groups, capacity, solution, cert } => {
-            verify_mckp_greedy(groups, *capacity, solution, cert)
         }
         InstancePayload::Ilp { problem, outcome, cert } => verify_ilp(problem, outcome, cert),
     }

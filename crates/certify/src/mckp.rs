@@ -1,5 +1,4 @@
-//! Verification of the state search's branch-and-bound and greedy
-//! certificates.
+//! Verification of the state search's branch-and-bound certificates.
 //!
 //! The decision path solves one multi-choice knapsack per executor (each
 //! candidate picks one option of its group; with the serialized tier off
@@ -15,10 +14,8 @@
 //! (Zemel/Dantzig) bound it recomputes itself, every skipped child must be
 //! statically excluded under the published rule, and the claimed optimum
 //! must equal the best value any replayed node (or the greedy hull fill)
-//! reached. Greedy answers are certified against the hull relaxation
-//! optimum with an explicit gap, and [`verify_greedy_relaxation`]
-//! cross-checks that optimum by actually solving the relaxation with
-//! `blaze_solver::lp`.
+//! reached. A search its node budget cut short carries no tree; its answer
+//! must still dominate the greedy hull fill.
 //!
 //! The replay recomputes bounds through a `BoundOracle`: a sum tree over
 //! the increment order in which the increments of already-decided groups
@@ -27,8 +24,7 @@
 //! increments per group — where the search scans `O(n)`.
 
 use blaze_audit::diagnostic::{DiagCode, Diagnostic};
-use blaze_solver::cert::{GreedyCertificate, McNode, MckpCertificate};
-use blaze_solver::lp::{solve as solve_lp, Constraint, LinearProgram, LpOutcome};
+use blaze_solver::cert::{McNode, MckpCertificate};
 use blaze_solver::mckp::{MckpGroup, MckpOption, MckpSolution, PRUNE_EPS, WARM_EPS};
 use std::cmp::Ordering;
 
@@ -637,121 +633,10 @@ pub fn verify_mckp(
     Vec::new()
 }
 
-/// Verifies a greedy solution against its hull-relaxation certificate.
-///
-/// Recomputes the root hull bound — the optimum of the LP relaxation of the
-/// multi-choice knapsack (Zemel) — from its own hulls over the checked
-/// increment order, checks the certificate's `relaxation_bound` against it
-/// (`BA502`), and checks that the greedy value is within the declared gap
-/// of that bound (`BA504`). Solution feasibility and pricing are checked as
-/// for any incumbent (`BA501`). [`verify_greedy_relaxation`] is the slow
-/// cross-check that validates the hull-equals-LP shortcut itself.
-pub fn verify_mckp_greedy(
-    groups: &[MckpGroup],
-    capacity: u64,
-    solution: &MckpSolution,
-    cert: &GreedyCertificate,
-) -> Vec<Diagnostic> {
-    let instance = match Instance::new(groups, capacity, &cert.order) {
-        Ok(instance) => instance,
-        Err(finding) => return vec![finding],
-    };
-    if let Err(finding) = check_solution(groups, capacity, solution) {
-        return vec![finding];
-    }
-    // Zemel's reduction: LP-dominated options take value zero in every
-    // optimal LP solution, so the relaxation optimum is the root fractional
-    // fill over the hull increments.
-    let lp_opt = BoundOracle::new(&instance.incs).bound(0, capacity, 0.0);
-    if (lp_opt - cert.relaxation_bound).abs() > tol(lp_opt) {
-        return vec![diag(
-            DiagCode::UnsoundPruneBound,
-            format!(
-                "declared relaxation bound {} differs from the recomputed hull relaxation \
-                 optimum {lp_opt}",
-                cert.relaxation_bound
-            ),
-        )];
-    }
-    if cert.declared_gap < -tol(cert.declared_gap) {
-        return vec![diag(
-            DiagCode::GreedyGapExceeded,
-            format!("declared gap {} is negative", cert.declared_gap),
-        )];
-    }
-    if solution.value < cert.relaxation_bound - cert.declared_gap - tol(cert.relaxation_bound) {
-        return vec![diag(
-            DiagCode::GreedyGapExceeded,
-            format!(
-                "greedy value {} is more than the declared gap {} below the relaxation \
-                 bound {}",
-                solution.value, cert.declared_gap, cert.relaxation_bound
-            ),
-        )];
-    }
-    Vec::new()
-}
-
-/// Cross-checks a greedy certificate's `relaxation_bound` by actually
-/// solving the LP relaxation of the multi-choice program with
-/// `blaze_solver::lp` (`BA502` on disagreement):
-///
-/// ```text
-/// max Σ v_go·x_go   s.t.  Σ w_go·x_go ≤ capacity,  Σ_o x_go ≤ 1 per group,  x ≥ 0
-/// ```
-///
-/// over the non-zero options (the zero option is each group row's slack).
-/// [`verify_mckp_greedy`] recomputes the bound as a fill over hull
-/// increments, which equals the LP optimum *by theorem*; this function
-/// validates that the two independent implementations (simplex in
-/// `blaze-solver`, hulls and sum tree here) agree on concrete instances. It
-/// costs a full LP solve, so it backs the `blaze-certify` mutation harness
-/// and the property tests rather than the per-certificate hot path.
-pub fn verify_greedy_relaxation(
-    groups: &[MckpGroup],
-    capacity: u64,
-    cert: &GreedyCertificate,
-) -> Vec<Diagnostic> {
-    let vars: usize = groups.iter().map(|g| g.options.len().saturating_sub(1)).sum();
-    let mut objective = Vec::with_capacity(vars);
-    let mut cap_row = Vec::with_capacity(vars);
-    let mut constraints = Vec::with_capacity(groups.len() + 1);
-    for g in groups {
-        let mut row = vec![0.0; vars];
-        for opt in g.options.iter().skip(1) {
-            row[objective.len()] = 1.0;
-            objective.push(-opt.value);
-            cap_row.push(opt.weight as f64); // audit: allow(float-cast) byte counts < 2^53
-        }
-        constraints.push(Constraint::le(row, 1.0));
-    }
-    // audit: allow(float-cast) byte counts < 2^53
-    constraints.push(Constraint::le(cap_row, capacity as f64));
-    let lp_opt = match solve_lp(&LinearProgram { objective, constraints }) {
-        Ok(LpOutcome::Optimal { objective, .. }) => -objective,
-        other => {
-            return vec![diag(
-                DiagCode::UnsoundPruneBound,
-                format!("hull relaxation failed to solve: {other:?}"),
-            )];
-        }
-    };
-    if (lp_opt - cert.relaxation_bound).abs() > tol(lp_opt) {
-        return vec![diag(
-            DiagCode::UnsoundPruneBound,
-            format!(
-                "declared relaxation bound {} differs from the LP optimum {lp_opt}",
-                cert.relaxation_bound
-            ),
-        )];
-    }
-    Vec::new()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blaze_solver::mckp::{greedy_mckp_certificate, solve_mckp, solve_mckp_certified, MckpWarm};
+    use blaze_solver::mckp::{solve_mckp, solve_mckp_certified, MckpWarm};
 
     fn zero() -> MckpOption {
         MckpOption { value: 0.0, weight: 0 }
@@ -902,56 +787,6 @@ mod tests {
             (sol.value, sol.weight) = (0.0, 0);
             let findings = verify_mckp(&groups, cap, &sol, &cert);
             assert!(fires(&findings, DiagCode::InfeasibleIncumbent), "{findings:?}");
-        }
-    }
-
-    #[test]
-    fn greedy_certificates_verify_and_mutations_fire() {
-        for (groups, cap) in
-            [(tiers(), 13), (binary(&[(60.0, 10), (50.0, 9), (50.0, 9), (3.0, 1)]), 18)]
-        {
-            let sol = solve_mckp(&groups, cap, 1); // Budget 1 = greedy only.
-            assert!(!sol.proven_optimal);
-            let cert = greedy_mckp_certificate(&groups, cap, &sol);
-            let findings = verify_mckp_greedy(&groups, cap, &sol, &cert);
-            assert!(findings.is_empty(), "{findings:?}");
-
-            // Understating the gap must fire BA504.
-            let mut bad = cert.clone();
-            bad.declared_gap = 0.0;
-            let findings = verify_mckp_greedy(&groups, cap, &sol, &bad);
-            assert!(fires(&findings, DiagCode::GreedyGapExceeded), "{findings:?}");
-            bad.declared_gap = -1.0;
-            let findings = verify_mckp_greedy(&groups, cap, &sol, &bad);
-            assert!(fires(&findings, DiagCode::GreedyGapExceeded), "{findings:?}");
-            // Corrupting the bound or its increment order must fire BA502.
-            let mut bad = cert.clone();
-            bad.relaxation_bound += 50.0;
-            let findings = verify_mckp_greedy(&groups, cap, &sol, &bad);
-            assert!(fires(&findings, DiagCode::UnsoundPruneBound), "{findings:?}");
-            let mut bad = cert.clone();
-            bad.order.reverse();
-            let findings = verify_mckp_greedy(&groups, cap, &sol, &bad);
-            assert!(fires(&findings, DiagCode::UnsoundPruneBound), "{findings:?}");
-        }
-    }
-
-    #[test]
-    fn lp_cross_check_agrees_with_the_hull_shortcut() {
-        // verify_mckp_greedy trusts hull fill == LP optimum; this exercises
-        // the slow path that proves the two implementations agree — on the
-        // tiers, and on 0/1 items with a free and a worthless one.
-        let items = [(60.0, 10), (50.0, 9), (50.0, 9), (3.0, 1), (7.0, 0), (-2.0, 4)];
-        for (groups, cap) in [(tiers(), 13), (binary(&items), 18)] {
-            let sol = solve_mckp(&groups, cap, 1);
-            let cert = greedy_mckp_certificate(&groups, cap, &sol);
-            let findings = verify_greedy_relaxation(&groups, cap, &cert);
-            assert!(findings.is_empty(), "{findings:?}");
-
-            let mut bad = cert.clone();
-            bad.relaxation_bound += 50.0;
-            let findings = verify_greedy_relaxation(&groups, cap, &bad);
-            assert!(fires(&findings, DiagCode::UnsoundPruneBound), "{findings:?}");
         }
     }
 

@@ -8,7 +8,7 @@
 use crate::cost::{CostMemo, CostModel};
 use crate::costlineage::{CostLineage, PartitionState};
 use crate::incremental::{DecisionStats, IncrementalOptimizer};
-use crate::optimize::{min_ladder_cost_ns, OptimizerConfig};
+use crate::optimize::OptimizerConfig;
 use crate::pattern::{detect, IterationPattern};
 use crate::profiler::ProfileResult;
 use crate::refs::JobRefs;
@@ -18,8 +18,8 @@ use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_dataflow::{JobPlan, Plan};
 use blaze_engine::{
-    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote, HardwareModel,
-    PartitionEvent, Residency, StateCommand, StoreTier, VictimAction,
+    victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, HardwareModel, PartitionEvent,
+    Residency, StateCommand, StoreTier, VictimAction,
 };
 
 /// How much of the decision layer is on: the paper's §7.3 ablation ladder.
@@ -49,14 +49,14 @@ const INDUCE_HORIZON: usize = 4;
 pub struct BlazeConfig {
     /// The ablation level.
     pub level: BlazeLevel,
-    /// Everything the decisions read: window, strategy, solve deadline
-    /// ([`OptimizerConfig::solve_deadline`]), the serialized in-memory tier
+    /// Everything the decisions read: the window
+    /// ([`OptimizerConfig::horizon_jobs`]), the serialized in-memory tier
     /// ([`OptimizerConfig::ser_tier`]) and whether disk states are allowed
     /// at all ([`OptimizerConfig::use_disk`], off in Fig. 12 mode).
     pub optimizer: OptimizerConfig,
     /// Certify mode: every solver emits a machine-checkable decision
     /// certificate, verified inline by `blaze-certify` at each job
-    /// submission (BA501–BA505; any finding panics). Decision-identical by
+    /// submission (the BA5xx codes; any finding panics). Decision-identical by
     /// construction — certified solvers only append to side vectors — so
     /// this is a debugging harness, not a production setting.
     pub certify: bool,
@@ -92,10 +92,9 @@ impl BlazeConfig {
         Self { level: BlazeLevel::CostAware, ..Self::full() }
     }
 
-    /// Runs the controller's preflight checks eagerly, turning every
-    /// error-or-warning finding the engine would otherwise surface at job
-    /// submission ([`CacheController::preflight_diagnostics`]) into a
-    /// construction-time [`BlazeError::Audit`].
+    /// Rejects a configuration no decision can run under: a window of zero
+    /// jobs ([`OptimizerConfig::horizon_jobs`]), which would leave out even
+    /// the submitted job. `Session` calls it before building the controller.
     pub fn validate(&self) -> Result<()> {
         if self.optimizer.horizon_jobs == 0 {
             return Err(BlazeError::Config(
@@ -104,30 +103,7 @@ impl BlazeConfig {
                     .into(),
             ));
         }
-        match self.deadline_diagnostic() {
-            Some(d) => Err(BlazeError::Audit { code: d.code.as_str().into(), message: d.message }),
-            None => Ok(()),
-        }
-    }
-
-    /// BA304: a deadline below the cheapest rung's modeled cost cannot run
-    /// *any* solver — every job becomes an LRU passthrough, which is almost
-    /// never what a configured deadline intends.
-    fn deadline_diagnostic(&self) -> Option<blaze_audit::Diagnostic> {
-        let deadline = self.optimizer.solve_deadline?;
-        let floor = min_ladder_cost_ns();
-        (deadline.as_nanos() < floor).then(|| {
-            blaze_audit::Diagnostic::new(
-                blaze_audit::DiagCode::SolveDeadlineTooSmall,
-                None,
-                format!(
-                    "solve_deadline of {} ns is below the cheapest ladder rung (~{floor} ns): \
-                     every decision solve will degrade straight to LRU passthrough",
-                    deadline.as_nanos()
-                ),
-                "raise solve_deadline above the greedy rung's cost, or unset it".into(),
-            )
-        })
+        Ok(())
     }
 }
 
@@ -157,9 +133,6 @@ pub struct BlazeController {
     /// scratch; a bump means the target sequence was truncated and the
     /// append-only reference extension is no longer sound.
     refs_seq_rev: u64,
-    /// Degradation note of the most recent job submit, drained by the
-    /// engine via [`CacheController::take_degradation`].
-    pending_degradation: Option<DegradationNote>,
     /// Per-application job-target sequences. Under a multi-app session the
     /// *global* sequence interleaves several drivers' iterations and has no
     /// constant stride; each app's own sequence keeps the §5.3 pattern
@@ -289,7 +262,6 @@ impl BlazeController {
             recency: FxHashMap::default(),
             incr,
             refs_seq_rev: u64::MAX,
-            pending_degradation: None,
             targets_by_app: FxHashMap::default(),
             ancestors: FxHashMap::default(),
         }
@@ -480,7 +452,7 @@ impl CacheController for BlazeController {
             return Vec::new();
         }
         // The ILP trigger (§5.6): restate cached partitions for the window.
-        let commands = self.incr.optimize(
+        self.incr.optimize(
             &mut self.lineage,
             &self.refs,
             self.pattern,
@@ -488,16 +460,7 @@ impl CacheController for BlazeController {
             ctx.memory_capacity,
             self.current_idx,
             &self.cfg.optimizer,
-        );
-        let ladder = self.incr.last_ladder_report();
-        if ladder.any() {
-            self.pending_degradation = Some(DegradationNote {
-                rung: ladder.lowest.map_or("lru-passthrough", |r| r.label()),
-                degraded: ladder.degraded,
-                passthrough: ladder.passthrough,
-            });
-        }
-        commands
+        )
     }
 
     fn on_stage_complete(
@@ -685,14 +648,6 @@ impl CacheController for BlazeController {
     fn on_partition_computed(&mut self, _ctx: &CtrlCtx, event: &PartitionEvent) {
         // The profiling feed (§5.3): sizes and edge-compute times.
         self.lineage.record_metrics(event.info.id, event.info.bytes, event.edge_compute);
-    }
-
-    fn take_degradation(&mut self) -> Option<DegradationNote> {
-        self.pending_degradation.take()
-    }
-
-    fn preflight_diagnostics(&self) -> Vec<blaze_audit::Diagnostic> {
-        self.cfg.deadline_diagnostic().into_iter().collect()
     }
 }
 
@@ -1077,18 +1032,10 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_what_the_preflight_would() {
+    fn validate_rejects_an_empty_window() {
         let mut cfg = BlazeConfig::full_ser_tier();
         cfg.optimizer.use_disk = false;
         cfg.validate().unwrap();
-
-        // BA304 at construction time instead of a per-job warning.
-        cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(1));
-        let err = cfg.validate();
-        assert!(
-            matches!(err, Err(BlazeError::Audit { ref code, .. }) if code == "BA304"),
-            "{err:?}"
-        );
 
         let optimizer = OptimizerConfig { horizon_jobs: 0, ..OptimizerConfig::default() };
         let err = BlazeConfig { optimizer, ..BlazeConfig::full() }.validate();

@@ -1,5 +1,5 @@
-//! The decision driver: one loop over executors → degradation ladder →
-//! solve → command emission, run at every job submission (§5.5).
+//! The decision driver: one loop over executors → solve → command emission,
+//! run at every job submission (§5.5).
 //!
 //! The loop runs in the engine's *serial* plan/commit phase, so its latency
 //! directly caps parallel speedup. Re-deriving every cached partition's
@@ -41,8 +41,7 @@
 use crate::cost::{CostMemo, CostModel};
 use crate::costlineage::CostLineage;
 use crate::optimize::{
-    emit_commands, gather_candidates, solve_instance, Candidate, LadderReport, OptimizerConfig,
-    Pick, SolveLadder, SolveStrategy, Tiers,
+    emit_commands, gather_candidates, solve_instance, Candidate, OptimizerConfig, Pick, Tiers,
 };
 use crate::pattern::IterationPattern;
 use crate::refs::JobRefs;
@@ -71,11 +70,6 @@ pub struct DecisionStats {
     pub invalidated: u64,
     /// Decision certificates emitted and inline-verified (certify mode).
     pub certified: u64,
-    /// Instances the degradation ladder stepped down to a cheaper rung
-    /// (see [`OptimizerConfig::solve_deadline`]).
-    pub degraded: u64,
-    /// Instances the ladder skipped entirely (LRU passthrough).
-    pub passthrough: u64,
     /// The most candidates one job submission gathered, over all executors.
     pub peak_candidates: u64,
 }
@@ -84,7 +78,6 @@ pub struct DecisionStats {
 #[derive(Debug, Clone)]
 struct PrevSolve {
     capacity: ByteSize,
-    strategy: SolveStrategy,
     /// The states the solve could choose: an answer must never be reused
     /// for an instance priced with other tiers.
     tiers: Tiers,
@@ -107,8 +100,6 @@ pub struct IncrementalOptimizer {
     // audit: allow(decision-hash) keyed per-executor lookup, retained/drained by sorted key
     prev: FxHashMap<ExecutorId, PrevSolve>,
     stats: DecisionStats,
-    /// Ladder report of the most recent [`Self::optimize`] call.
-    last_ladder: LadderReport,
     /// Certify mode: emit a decision certificate for every actual solve,
     /// verify it inline (panicking on any finding), and check each job
     /// submission's dirty invalidation for BA505 soundness. A debugging harness —
@@ -127,12 +118,6 @@ impl IncrementalOptimizer {
     /// Work-avoidance counters accumulated so far.
     pub fn stats(&self) -> DecisionStats {
         self.stats
-    }
-
-    /// What the degradation ladder did during the most recent
-    /// [`Self::optimize`] call (all-zero when no deadline is configured).
-    pub fn last_ladder_report(&self) -> LadderReport {
-        self.last_ladder
     }
 
     /// Drops all retained state (counters excepted); the next call prices
@@ -272,30 +257,13 @@ impl IncrementalOptimizer {
         // retained solutions so the map stays bounded by live executors.
         self.prev.retain(|e, _| per_exec.contains_key(e));
 
+        let tiers = Tiers { ser: config.ser_tier, disk: config.use_disk };
         let mut solved = Vec::with_capacity(execs.len());
-        let mut ladder = SolveLadder::new(config);
         for exec in execs {
             let candidates = per_exec.remove(&exec).unwrap_or_default();
-            // The ladder deducts its estimate *before* the reuse check so
-            // that a driver with nothing retained (which never reuses) walks
-            // the budget identically and picks the same rungs. Passthrough:
-            // the instance is skipped, no commands are emitted for this
-            // executor, and its blocks stay where they are (the engine's
-            // recency eviction is the fallback policy under pressure).
-            let Some(strategy) = ladder.pick(candidates.len()) else { continue };
-            let picks = self.solve_with_reuse(
-                exec,
-                candidates.clone(),
-                memory_capacity,
-                strategy,
-                Tiers { ser: config.ser_tier, disk: config.use_disk },
-            );
+            let picks = self.solve_with_reuse(exec, candidates.clone(), memory_capacity, tiers);
             solved.push((exec, candidates, picks));
         }
-        let report = ladder.report();
-        self.stats.degraded += report.degraded;
-        self.stats.passthrough += report.passthrough;
-        self.last_ladder = report;
         emit_commands(&solved)
     }
 
@@ -306,17 +274,12 @@ impl IncrementalOptimizer {
         exec: ExecutorId,
         candidates: Vec<Candidate>,
         capacity: ByteSize,
-        strategy: SolveStrategy,
         tiers: Tiers,
     ) -> Vec<Pick> {
         if let Some(p) = self.prev.get(&exec) {
-            if p.capacity == capacity
-                && p.strategy == strategy
-                && p.tiers == tiers
-                && p.candidates == candidates
-            {
+            if p.capacity == capacity && p.tiers == tiers && p.candidates == candidates {
                 // Identical instance: the solver is a deterministic function
-                // of (candidates, capacity, strategy, tiers), so the previous
+                // of (candidates, capacity, tiers), so the previous
                 // answer *is* the answer.
                 self.stats.reused += 1;
                 return p.picks.clone();
@@ -337,15 +300,12 @@ impl IncrementalOptimizer {
             }
             picks
         });
-        let solved =
-            solve_instance(&candidates, capacity, strategy, tiers, warm.as_deref(), self.certify);
+        let solved = solve_instance(&candidates, capacity, tiers, warm.as_deref(), self.certify);
         if let Some(payload) = solved.payload {
             self.verify_inline(exec, payload);
         }
-        self.prev.insert(
-            exec,
-            PrevSolve { capacity, strategy, tiers, candidates, picks: solved.picks.clone() },
-        );
+        self.prev
+            .insert(exec, PrevSolve { capacity, tiers, candidates, picks: solved.picks.clone() });
         solved.picks
     }
 
@@ -456,44 +416,5 @@ mod tests {
         let b = inc.optimize(&mut cl, &refs, None, &hw, cap, 0, &cfg);
         assert_eq!(a, b);
         assert!(inc.stats().reused > 0, "second solve should reuse: {:?}", inc.stats());
-    }
-
-    #[test]
-    fn degraded_ladder_matches_cold_reference() {
-        let (mut cl, refs) = world(6);
-        let hw = HardwareModel::default();
-        let cap = blaze_common::ByteSize::from_kib(200);
-        // Each executor instance has 7 candidates: the first knapsack (59k
-        // units) fits, the second (59k > the 41k left) steps down to greedy
-        // (3.4k).
-        let cfg = OptimizerConfig {
-            strategy: SolveStrategy::Knapsack,
-            solve_deadline: Some(SimDuration::from_nanos(100_000)),
-            ..Default::default()
-        };
-        let mut inc = IncrementalOptimizer::new();
-        for job in 0..4 {
-            cl.set_state(BlockId::new(RddId(job as u32), 0), PartitionState::Disk(ExecutorId(0)));
-            let fast = inc.optimize(&mut cl, &refs, None, &hw, cap, job, &cfg);
-            let (slow, fresh) = cold(&mut cl, &refs, cap, job, &cfg);
-            assert_eq!(fast, slow, "degraded ladder diverged at job {job}");
-            assert_eq!(inc.last_ladder_report(), fresh.last_ladder_report());
-        }
-        assert!(inc.stats().degraded > 0, "ladder never degraded: {:?}", inc.stats());
-        assert!(inc.last_ladder_report().any());
-    }
-
-    #[test]
-    fn passthrough_ladder_emits_nothing_warm_or_cold() {
-        let (mut cl, refs) = world(4);
-        let hw = HardwareModel::default();
-        let cap = blaze_common::ByteSize::from_kib(100);
-        let cfg = OptimizerConfig { solve_deadline: Some(SimDuration::ZERO), ..Default::default() };
-        let mut inc = IncrementalOptimizer::new();
-        let fast = inc.optimize(&mut cl, &refs, None, &hw, cap, 0, &cfg);
-        let (slow, _) = cold(&mut cl, &refs, cap, 0, &cfg);
-        assert_eq!(fast, slow);
-        assert!(fast.is_empty());
-        assert_eq!(inc.stats().passthrough, 2, "both executors pass through");
     }
 }

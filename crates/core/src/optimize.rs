@@ -14,11 +14,9 @@
 //! frozen at time `t`, an out-of-memory partition independently takes its
 //! cheapest out-of-memory state, so choosing what stays in memory is a
 //! multi-choice knapsack over saved recovery cost, solved by
-//! [`blaze_solver::mckp`]'s branch and bound. Two strategies run it:
-//!
-//! - [`SolveStrategy::Knapsack`] — the exact search (the default);
-//! - [`SolveStrategy::Greedy`] — the same search cut off at its root (a
-//!   time-budget fallback).
+//! [`blaze_solver::mckp`]'s branch and bound. The search has one bound, its
+//! default node budget: an instance too hard to close within it keeps the
+//! best selection found, which still dominates the greedy hull fill.
 //!
 //! One function prices every state of a candidate (`objectives`): `m`,
 //! `s` with the serialized tier on, `d` with the disk allowed, and `u`.
@@ -31,9 +29,9 @@
 //! branch and bound, and compares optima on seeded instances for both tier
 //! settings.
 //!
-//! This module holds the pieces of one decision: the degradation ladder,
-//! candidate gathering, the pricing, the single `solve_instance` entry
-//! into the solver crate, and command emission. The loop that runs them per
+//! This module holds the pieces of one decision: candidate gathering, the
+//! pricing, the single `solve_instance` entry into the solver crate, and
+//! command emission. The loop that runs them per
 //! executor at each job submission is [`crate::incremental`].
 
 use crate::cost::CostModel;
@@ -46,23 +44,11 @@ use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_engine::{HardwareModel, StateCommand};
 use blaze_solver::mckp::{
-    greedy_mckp_certificate, solve_mckp_certified, solve_mckp_warm, MckpGroup, MckpOption,
-    MckpSolution, MckpWarm,
+    solve_mckp_certified, solve_mckp_warm, MckpGroup, MckpOption, MckpSolution, MckpWarm,
 };
 
 #[cfg(test)]
 mod oracle;
-
-/// How the per-executor state program is solved — also the rungs of the
-/// degradation ladder, best first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveStrategy {
-    /// Exact knapsack branch and bound over saved recovery costs (default).
-    #[default]
-    Knapsack,
-    /// Greedy density heuristic (no optimality guarantee).
-    Greedy,
-}
 
 /// Optimizer configuration.
 #[derive(Debug, Clone, Copy)]
@@ -70,14 +56,6 @@ pub struct OptimizerConfig {
     /// Jobs ahead (including the submitted one) whose references count into
     /// the objective — the paper's `J` window (§5.5 uses 2).
     pub horizon_jobs: usize,
-    /// Solve strategy.
-    pub strategy: SolveStrategy,
-    /// Simulated-time budget for one job's decision solve (all per-executor
-    /// instances together). When the modeled cost of the requested strategy
-    /// would blow the remaining budget, the ladder steps down
-    /// `Knapsack -> Greedy -> LRU passthrough` per instance.
-    /// `None` (the default) never degrades.
-    pub solve_deadline: Option<SimDuration>,
     /// Enables the serialized in-memory tier as a first-class decision
     /// state: each candidate's option group is `[out, ser, mem]` instead of
     /// `[out, mem]`. Off by default; the two settings price `m`, `d` and `u`
@@ -91,13 +69,7 @@ pub struct OptimizerConfig {
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        Self {
-            horizon_jobs: 2,
-            strategy: SolveStrategy::Knapsack,
-            solve_deadline: None,
-            ser_tier: false,
-            use_disk: true,
-        }
+        Self { horizon_jobs: 2, ser_tier: false, use_disk: true }
     }
 }
 
@@ -107,134 +79,6 @@ impl Default for OptimizerConfig {
 pub(crate) struct Tiers {
     pub(crate) ser: bool,
     pub(crate) disk: bool,
-}
-
-/// One rung of the solver degradation ladder, ordered from least to most
-/// degraded. `Passthrough` means the instance was not solved at all: the
-/// executor keeps its current state and the engine's recency eviction acts
-/// as the fallback policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SolveRung {
-    /// The knapsack search ran.
-    Knapsack,
-    /// The greedy density heuristic ran.
-    Greedy,
-    /// Nothing ran; LRU passthrough.
-    Passthrough,
-}
-
-impl SolveRung {
-    /// Short label for traces and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            SolveRung::Knapsack => "knapsack",
-            SolveRung::Greedy => "greedy",
-            SolveRung::Passthrough => "lru-passthrough",
-        }
-    }
-
-    fn of(strategy: SolveStrategy) -> Self {
-        match strategy {
-            SolveStrategy::Knapsack => SolveRung::Knapsack,
-            SolveStrategy::Greedy => SolveRung::Greedy,
-        }
-    }
-}
-
-/// What the degradation ladder did across one job's per-executor solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LadderReport {
-    /// Instances solved on a lower rung than the requested strategy.
-    pub degraded: u64,
-    /// Instances skipped entirely (LRU passthrough).
-    pub passthrough: u64,
-    /// Most degraded rung observed, `None` when no instance was solved.
-    pub lowest: Option<SolveRung>,
-}
-
-impl LadderReport {
-    /// True when at least one instance was stepped down or skipped.
-    pub fn any(&self) -> bool {
-        self.degraded + self.passthrough > 0
-    }
-}
-
-/// Modeled solve cost of one instance, in deadline nanoseconds. Integer-only
-/// coefficients fitted to the relative order of the two rungs (the knapsack
-/// is a branch and bound whose every node scans an `O(n)` bound; greedy is a
-/// sort). The absolute scale only matters relative to
-/// [`OptimizerConfig::solve_deadline`], which is expressed in the same units.
-pub fn estimate_solve_ns(strategy: SolveStrategy, n: usize) -> u64 {
-    let n = n as u64;
-    match strategy {
-        SolveStrategy::Knapsack => 10_000 + 1_000 * n * n,
-        SolveStrategy::Greedy => 2_000 + 200 * n,
-    }
-}
-
-/// Cheapest possible modeled cost of any non-passthrough rung (a one-item
-/// greedy solve). Deadlines below this cannot run anything — the BA304
-/// preflight warns about them.
-pub fn min_ladder_cost_ns() -> u64 {
-    estimate_solve_ns(SolveStrategy::Greedy, 1)
-}
-
-/// The per-job degradation ladder: tracks the remaining deadline budget
-/// across an ascending-executor sequence of solves and picks, for each
-/// instance, the highest rung whose modeled cost still fits.
-///
-/// Estimates are deducted unconditionally — independently of whether the
-/// driver later reuses a previous solution — so the rungs picked for given
-/// inputs never depend on retained state (the warm-vs-cold invariant).
-pub(crate) struct SolveLadder {
-    requested: SolveStrategy,
-    /// Remaining budget in estimate units; `None` = no deadline.
-    remaining: Option<u64>,
-    report: LadderReport,
-}
-
-impl SolveLadder {
-    pub(crate) fn new(config: &OptimizerConfig) -> Self {
-        Self {
-            requested: config.strategy,
-            remaining: config.solve_deadline.map(|d| d.as_nanos()),
-            report: LadderReport::default(),
-        }
-    }
-
-    /// Picks the strategy for an instance of `n` candidates and deducts its
-    /// modeled cost. `None` means LRU passthrough: skip the solve entirely.
-    pub(crate) fn pick(&mut self, n: usize) -> Option<SolveStrategy> {
-        let note = |report: &mut LadderReport, rung: SolveRung| {
-            report.lowest = Some(report.lowest.map_or(rung, |l| l.max(rung)));
-        };
-        let Some(remaining) = &mut self.remaining else {
-            note(&mut self.report, SolveRung::of(self.requested));
-            return Some(self.requested);
-        };
-        let rungs: &[SolveStrategy] = match self.requested {
-            SolveStrategy::Knapsack => &[SolveStrategy::Knapsack, SolveStrategy::Greedy],
-            SolveStrategy::Greedy => &[SolveStrategy::Greedy],
-        };
-        for (step, &strategy) in rungs.iter().enumerate() {
-            let cost = estimate_solve_ns(strategy, n);
-            if cost <= *remaining {
-                *remaining -= cost;
-                if step > 0 {
-                    self.report.degraded += 1;
-                }
-                note(&mut self.report, SolveRung::of(strategy));
-                return Some(strategy);
-            }
-        }
-        self.report.passthrough += 1;
-        note(&mut self.report, SolveRung::Passthrough);
-        None
-    }
-
-    pub(crate) fn report(&self) -> LadderReport {
-        self.report
-    }
 }
 
 /// One candidate partition of one executor's optimization instance.
@@ -540,7 +384,7 @@ pub(crate) struct Solved {
 /// `tiers` picks the groups and the out-of-memory states, and `certify`
 /// switches to the certificate-emitting solver entry points, which only
 /// append to side vectors: the picks are a function of `(candidates,
-/// capacity, strategy, tiers)` alone. Every candidate the knapsack leaves
+/// capacity, tiers)` alone. Every candidate the knapsack leaves
 /// out of memory takes the cheaper of `d` and `u` under the same
 /// [`objectives`] that priced its group.
 ///
@@ -553,7 +397,6 @@ pub(crate) struct Solved {
 pub(crate) fn solve_instance(
     candidates: &[Candidate],
     capacity: ByteSize,
-    strategy: SolveStrategy,
     tiers: Tiers,
     warm: Option<&[Pick]>,
     certify: bool,
@@ -561,15 +404,13 @@ pub(crate) fn solve_instance(
     let groups = groups(candidates, tiers);
     let layout = layout(tiers);
     let cap = capacity.as_bytes();
-    let greedy = strategy == SolveStrategy::Greedy;
-    // The greedy rung is the branch-and-bound search cut off at its root.
-    let budget = usize::from(greedy);
     let warm = warm.map(|picks| MckpWarm { choice: choice_of_picks(picks, layout) });
-    let (mut solution, cert) = if certify && !greedy {
-        let (s, c) = solve_mckp_certified(&groups, cap, budget, warm.as_ref());
+    // Budget 0 is the search's default node budget.
+    let (mut solution, cert) = if certify {
+        let (s, c) = solve_mckp_certified(&groups, cap, 0, warm.as_ref());
         (s, Some(c))
     } else {
-        (solve_mckp_warm(&groups, cap, budget, warm.as_ref()), None)
+        (solve_mckp_warm(&groups, cap, 0, warm.as_ref()), None)
     };
     keep_ties(candidates, &groups, layout, cap, &mut solution);
     let picks = solution
@@ -578,13 +419,8 @@ pub(crate) fn solve_instance(
         .zip(candidates)
         .map(|(&o, c)| layout[o].unwrap_or_else(|| objectives(c, tiers).out().0))
         .collect();
-    let payload = certify.then(|| match cert {
-        Some(cert) => InstancePayload::MultiChoice { groups, capacity: cap, solution, cert },
-        None => {
-            let cert = greedy_mckp_certificate(&groups, cap, &solution);
-            InstancePayload::Greedy { groups, capacity: cap, solution, cert }
-        }
-    });
+    let payload =
+        cert.map(|cert| InstancePayload::MultiChoice { groups, capacity: cap, solution, cert });
     Solved { picks, payload }
 }
 
@@ -600,13 +436,8 @@ mod tests {
     const ON: Tiers = Tiers { ser: true, disk: true };
 
     /// A cold, uncertified solve's picks.
-    fn picks(
-        candidates: &[Candidate],
-        capacity: ByteSize,
-        strategy: SolveStrategy,
-        tiers: Tiers,
-    ) -> Vec<Pick> {
-        solve_instance(candidates, capacity, strategy, tiers, None, false).picks
+    fn picks(candidates: &[Candidate], capacity: ByteSize, tiers: Tiers) -> Vec<Pick> {
+        solve_instance(candidates, capacity, tiers, None, false).picks
     }
 
     /// One submission through a driver with nothing retained.
@@ -616,11 +447,17 @@ mod tests {
         capacity: ByteSize,
         current_job: usize,
         config: &OptimizerConfig,
-    ) -> (Vec<StateCommand>, LadderReport) {
-        let mut driver = IncrementalOptimizer::new();
+    ) -> Vec<StateCommand> {
         let hw = HardwareModel::default();
-        let cmds = driver.optimize(lineage, refs, None, &hw, capacity, current_job, config);
-        (cmds, driver.last_ladder_report())
+        IncrementalOptimizer::new().optimize(
+            lineage,
+            refs,
+            None,
+            &hw,
+            capacity,
+            current_job,
+            config,
+        )
     }
 
     fn cand(
@@ -684,14 +521,11 @@ mod tests {
         // disk (400 ms), so s wins over out.
         let candidates =
             vec![cand_mc(1, 100, 50, 400, 500, 5, PartitionState::Memory(ExecutorId(0)))];
-        for strategy in [SolveStrategy::Knapsack, SolveStrategy::Greedy] {
-            let chosen = picks(&candidates, ByteSize::from_kib(60), strategy, ON);
-            assert_eq!(chosen, vec![Pick::Ser], "{strategy:?} must choose the s state");
-        }
+        assert_eq!(picks(&candidates, ByteSize::from_kib(60), ON), vec![Pick::Ser]);
     }
 
-    /// Warm hints and certification never change the answer: for every
-    /// strategy × tier, every (warm, certify) combination returns the cold
+    /// Warm hints and certification never change the answer: for both tier
+    /// settings, every (warm, certify) combination returns the cold
     /// uncertified picks, and every emitted certificate verifies.
     #[test]
     fn solve_instance_is_identical_warm_or_cold_certified_or_not() {
@@ -711,40 +545,28 @@ mod tests {
         ];
         for (tiers, candidates) in [(OFF, &binary), (ON, &multi)] {
             let n = candidates.len();
-            for strategy in [SolveStrategy::Knapsack, SolveStrategy::Greedy] {
-                for cap_kib in [60u64, 120, 300] {
-                    let cap = ByteSize::from_kib(cap_kib);
-                    let cold = solve_instance(candidates, cap, strategy, tiers, None, false);
-                    assert!(cold.payload.is_none());
-                    let hints = [
-                        None,
-                        Some(vec![Pick::Unpersist; n]),
-                        Some(vec![Pick::Ser; n]),
-                        // Infeasible at the small capacities: must be ignored.
-                        Some(vec![Pick::Mem; n]),
-                        Some(cold.picks.clone()),
-                    ];
-                    for (h, warm) in hints.iter().enumerate() {
-                        for certify in [false, true] {
-                            let case = format!(
-                                "{strategy:?} {tiers:?} cap={cap_kib} hint={h} certify={certify}"
-                            );
-                            let got = solve_instance(
-                                candidates,
-                                cap,
-                                strategy,
-                                tiers,
-                                warm.as_deref(),
-                                certify,
-                            );
-                            assert_eq!(got.picks, cold.picks, "{case}: picks moved");
-                            assert_eq!(got.payload.is_some(), certify, "{case}");
-                            if let Some(payload) = got.payload {
-                                let cert =
-                                    blaze_certify::InstanceCertificate { executor: e, payload };
-                                let findings = blaze_certify::verify_instance(&cert);
-                                assert!(findings.is_empty(), "{case}: {findings:?}");
-                            }
+            for cap_kib in [60u64, 120, 300] {
+                let cap = ByteSize::from_kib(cap_kib);
+                let cold = solve_instance(candidates, cap, tiers, None, false);
+                assert!(cold.payload.is_none());
+                let hints = [
+                    None,
+                    Some(vec![Pick::Unpersist; n]),
+                    Some(vec![Pick::Ser; n]),
+                    // Infeasible at the small capacities: must be ignored.
+                    Some(vec![Pick::Mem; n]),
+                    Some(cold.picks.clone()),
+                ];
+                for (h, warm) in hints.iter().enumerate() {
+                    for certify in [false, true] {
+                        let case = format!("{tiers:?} cap={cap_kib} hint={h} certify={certify}");
+                        let got = solve_instance(candidates, cap, tiers, warm.as_deref(), certify);
+                        assert_eq!(got.picks, cold.picks, "{case}: picks moved");
+                        assert_eq!(got.payload.is_some(), certify, "{case}");
+                        if let Some(payload) = got.payload {
+                            let cert = blaze_certify::InstanceCertificate { executor: e, payload };
+                            let findings = blaze_certify::verify_instance(&cert);
+                            assert!(findings.is_empty(), "{case}: {findings:?}");
                         }
                     }
                 }
@@ -781,7 +603,7 @@ mod tests {
     fn unreferenced_partitions_are_never_kept_over_referenced() {
         let candidates =
             vec![cand(1, 0, 100, 500, 900, true, true), cand(2, 0, 100, 0, 0, false, true)];
-        let keep = picks(&candidates, ByteSize::from_kib(100), SolveStrategy::Knapsack, OFF);
+        let keep = picks(&candidates, ByteSize::from_kib(100), OFF);
         assert_eq!(keep, vec![Pick::Mem, Pick::Unpersist]);
     }
 
@@ -795,15 +617,12 @@ mod tests {
         let e = ExecutorId(0);
         let empty = cand(1, 0, 0, 0, 5, true, true);
         for tiers in [OFF, ON, Tiers { ser: false, disk: false }] {
-            for strategy in [SolveStrategy::Knapsack, SolveStrategy::Greedy] {
-                let cap = ByteSize::from_mib(64);
-                let solved = solve_instance(&[empty], cap, strategy, tiers, None, true);
-                let payload = solved.payload.expect("certified");
-                let cert = blaze_certify::InstanceCertificate { executor: e, payload };
-                assert!(blaze_certify::verify_instance(&cert).is_empty(), "{tiers:?}");
-                let cmds = emit_commands(&[(e, vec![empty], solved.picks)]);
-                assert!(cmds.is_empty(), "{tiers:?} {strategy:?}: {cmds:?}");
-            }
+            let solved = solve_instance(&[empty], ByteSize::from_mib(64), tiers, None, true);
+            let payload = solved.payload.expect("certified");
+            let cert = blaze_certify::InstanceCertificate { executor: e, payload };
+            assert!(blaze_certify::verify_instance(&cert).is_empty(), "{tiers:?}");
+            let cmds = emit_commands(&[(e, vec![empty], solved.picks)]);
+            assert!(cmds.is_empty(), "{tiers:?}: {cmds:?}");
         }
     }
 
@@ -815,7 +634,7 @@ mod tests {
             trans_to_d: SimDuration::from_millis(spill_ms),
             ..cand(1, 0, 100, 10, 20, referenced, true)
         };
-        let out = |c: Candidate, tiers| picks(&[c], ByteSize::ZERO, SolveStrategy::Knapsack, tiers);
+        let out = |c: Candidate, tiers| picks(&[c], ByteSize::ZERO, tiers);
         // 10 ms read + 5 ms spill < 20 ms recompute.
         assert_eq!(out(spilling(5, true), OFF), [Pick::Disk]);
         assert_eq!(out(spilling(5, true), ON), [Pick::Disk]);
@@ -860,8 +679,7 @@ mod tests {
         let (mut cl, refs, a_block, b_block) = small_world();
         // Capacity fits exactly one 64 KiB block: `b` (never referenced
         // after job 0; the window starts at job 1) must go.
-        let (cmds, _) =
-            decide(&mut cl, &refs, ByteSize::from_kib(64), 1, &OptimizerConfig::default());
+        let cmds = decide(&mut cl, &refs, ByteSize::from_kib(64), 1, &OptimizerConfig::default());
         assert!(
             cmds.iter().any(|c| matches!(c,
                 StateCommand::UnpersistBlock(id) | StateCommand::SpillToDisk(id) if *id == b_block)),
@@ -875,61 +693,7 @@ mod tests {
     #[test]
     fn driver_is_a_noop_when_everything_fits() {
         let (mut cl, refs, _a, _b) = small_world();
-        let (cmds, _) =
-            decide(&mut cl, &refs, ByteSize::from_mib(10), 1, &OptimizerConfig::default());
+        let cmds = decide(&mut cl, &refs, ByteSize::from_mib(10), 1, &OptimizerConfig::default());
         assert!(cmds.is_empty(), "no pressure, no commands: {cmds:?}");
-    }
-
-    #[test]
-    fn ladder_without_deadline_never_degrades() {
-        let mut ladder = SolveLadder::new(&OptimizerConfig::default());
-        for _ in 0..100 {
-            assert_eq!(ladder.pick(50), Some(SolveStrategy::Knapsack));
-        }
-        let report = ladder.report();
-        assert!(!report.any());
-        assert_eq!(report.lowest, Some(SolveRung::Knapsack));
-    }
-
-    #[test]
-    fn ladder_steps_down_and_then_passes_through() {
-        // Budget fits exactly one knapsack solve of 4 candidates and then
-        // one greedy solve.
-        let budget = estimate_solve_ns(SolveStrategy::Knapsack, 4)
-            + estimate_solve_ns(SolveStrategy::Greedy, 4);
-        let cfg = OptimizerConfig {
-            solve_deadline: Some(SimDuration::from_nanos(budget)),
-            ..Default::default()
-        };
-        let mut ladder = SolveLadder::new(&cfg);
-        assert_eq!(ladder.pick(4), Some(SolveStrategy::Knapsack));
-        assert_eq!(ladder.pick(4), Some(SolveStrategy::Greedy));
-        // Budget drained: not even greedy fits now.
-        assert_eq!(ladder.pick(4), None);
-        let report = ladder.report();
-        assert_eq!(report.degraded, 1);
-        assert_eq!(report.passthrough, 1);
-        assert_eq!(report.lowest, Some(SolveRung::Passthrough));
-    }
-
-    #[test]
-    fn estimate_orders_the_rungs() {
-        for n in [1usize, 4, 16, 64] {
-            assert!(
-                estimate_solve_ns(SolveStrategy::Knapsack, n)
-                    > estimate_solve_ns(SolveStrategy::Greedy, n)
-            );
-        }
-        assert_eq!(min_ladder_cost_ns(), estimate_solve_ns(SolveStrategy::Greedy, 1));
-    }
-
-    #[test]
-    fn zero_deadline_emits_no_commands() {
-        let (mut cl, refs, _a, _b) = small_world();
-        let cfg = OptimizerConfig { solve_deadline: Some(SimDuration::ZERO), ..Default::default() };
-        let (cmds, report) = decide(&mut cl, &refs, ByteSize::from_kib(64), 1, &cfg);
-        assert!(cmds.is_empty(), "passthrough must not emit commands: {cmds:?}");
-        assert_eq!(report.passthrough, 1);
-        assert_eq!(report.lowest, Some(SolveRung::Passthrough));
     }
 }

@@ -383,19 +383,7 @@ impl ClusterState {
                 spill_corruption_rate: fault.spill_corruption_rate,
             }),
         };
-        let mut report = blaze_audit::audit_job(plan, target, &self.job_targets, &audit_config);
-        // Controllers contribute their own preflight findings (e.g. BA304
-        // when a solve deadline cannot fit even the cheapest ladder rung),
-        // subject to the same strict-mode promotion.
-        let extra = self.controller.preflight_diagnostics();
-        if !extra.is_empty() {
-            let mut diags = report.diagnostics;
-            diags.extend(extra);
-            report = blaze_audit::AuditReport::new(diags);
-            if self.config.strict_audit {
-                report = report.promoted();
-            }
-        }
+        let report = blaze_audit::audit_job(plan, target, &self.job_targets, &audit_config);
         if let Some(d) = report.errors().next() {
             return Err(BlazeError::Audit {
                 code: d.code.as_str().into(),
@@ -476,23 +464,6 @@ impl ClusterState {
         let ctx = self.ctrl_ctx();
         let cmds = self.controller.on_job_submit(&ctx, job, &job_plan, plan);
         self.apply_commands(self.clock_floor, cmds);
-        // If the controller's decision path stepped down its solver
-        // degradation ladder during this submit, ledger the rung: "why did
-        // the solver not run at full strength here?" must be answerable
-        // from the trace alone.
-        if let Some(note) = self.controller.take_degradation() {
-            self.emit_cache(
-                self.clock_floor,
-                ExecutorId(0),
-                BlockId::new(RddId(u32::MAX), 0),
-                ByteSize::ZERO,
-                CacheDecision::SolverDegrade,
-                Some(format!(
-                    "ladder: {} ({} degraded, {} passthrough)",
-                    note.rung, note.degraded, note.passthrough
-                )),
-            );
-        }
 
         let stage_done = vec![self.clock_floor; job_plan.stages.len()];
         Ok(JobTicket {

@@ -114,18 +114,17 @@ impl StoreTier {
 /// What [`CacheController::residency_mismatch`] checks a belief against.
 pub type Residency = BTreeMap<BlockId, StoreTier>;
 
-/// What the solver degradation ladder did for one job's decision solve
-/// (see `OptimizerConfig::solve_deadline` in `blaze-core`): which rung actually
-/// ran and how many per-executor instances were stepped down or skipped.
+/// The payload of [`CacheController::take_degradation`]. Nothing in the
+/// workspace produces or reads one: it is kept only because the
+/// repository benchmark's forwarding controller names it, and goes when
+/// that forwarder does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradationNote {
-    /// Short label of the most degraded rung that ran (e.g. `"greedy"`,
-    /// `"lru-passthrough"`).
+    /// A short label.
     pub rung: &'static str,
-    /// Per-executor instances solved on a lower rung than requested.
+    /// A count of per-executor instances.
     pub degraded: u64,
-    /// Per-executor instances skipped entirely (LRU passthrough: the
-    /// engine's recency eviction is the fallback policy).
+    /// A count of per-executor instances.
     pub passthrough: u64,
 }
 
@@ -272,19 +271,18 @@ pub trait CacheController: Send {
         Vec::new()
     }
 
-    /// Drained by the engine right after [`CacheController::on_job_submit`]:
-    /// when the controller's decision path stepped down its solver
-    /// degradation ladder during that submit, the note is recorded into the
-    /// trace ledger as a `solver-degrade` cache decision. Controllers
-    /// without a deadline (the default) never degrade.
+    /// No caller: the engine never drains it and no controller in the
+    /// workspace overrides it. Kept with its default body only because the
+    /// repository benchmark's forwarding controller overrides it by name;
+    /// it goes when that forwarder does.
     fn take_degradation(&mut self) -> Option<DegradationNote> {
         None
     }
 
-    /// Extra preflight diagnostics contributed by the controller, merged
-    /// into the engine's plan audit before the first job runs (e.g. BA304
-    /// when the configured solve deadline cannot fit even the cheapest
-    /// rung). The default contributes nothing.
+    /// No caller: the engine's preflight audit does not read it and no
+    /// controller in the workspace overrides it. Kept with its default body
+    /// only because the repository benchmark's forwarding controller
+    /// overrides it by name; it goes when that forwarder does.
     fn preflight_diagnostics(&self) -> Vec<blaze_audit::Diagnostic> {
         Vec::new()
     }

@@ -474,8 +474,7 @@ impl Metrics {
             CacheDecision::AdmitMemory
             | CacheDecision::PromoteToMemory
             | CacheDecision::LostMemory
-            | CacheDecision::LostDisk
-            | CacheDecision::SolverDegrade => {}
+            | CacheDecision::LostDisk => {}
         }
     }
 
@@ -838,7 +837,6 @@ mod tests {
             cache(0, 0, 0, 1, D::UnpersistDisk),
             cache(0, 0, 0, 1, D::LostMemory),
             cache(0, 0, 0, 1, D::LostDisk),
-            cache(0, 0, 0, 0, D::SolverDegrade),
             recompute(0, 0, 5, 2),
             retry(FaultCause::Transient, dur(1)),
             retry(FaultCause::ExecutorLost, dur(2)),

@@ -91,11 +91,6 @@ pub enum CacheDecision {
     LostMemory,
     /// Destroyed in a disk store by an executor loss.
     LostDisk,
-    /// The decision path overran its `solve_deadline` budget and stepped
-    /// down the solver degradation ladder for this job (no block moved;
-    /// the record's id is a synthetic marker and its rationale names the
-    /// rung that actually ran).
-    SolverDegrade,
 }
 
 impl CacheDecision {
@@ -119,7 +114,6 @@ impl CacheDecision {
             CacheDecision::UnpersistDisk => "unpersist-disk",
             CacheDecision::LostMemory => "lost-mem",
             CacheDecision::LostDisk => "lost-disk",
-            CacheDecision::SolverDegrade => "solver-degrade",
         }
     }
 

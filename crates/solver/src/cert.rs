@@ -9,22 +9,6 @@
 //! append-only: recording a certificate never changes which nodes the
 //! search visits or which solution it returns.
 
-/// Certificate for a greedy (budget-1) solve: the solution is not claimed
-/// optimal, but it is claimed to be within `declared_gap` of the LP
-/// relaxation optimum `relaxation_bound`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct GreedyCertificate {
-    /// Hull bound at the root = the fractional-relaxation optimum, an
-    /// upper bound on any integral solution.
-    pub relaxation_bound: f64,
-    /// Declared approximation gap: the greedy value is guaranteed
-    /// `>= relaxation_bound - declared_gap`.
-    pub declared_gap: f64,
-    /// The increment order the bound was filled in; see
-    /// [`MckpCertificate::order`].
-    pub order: Vec<(usize, usize)>,
-}
-
 /// One node of the branch-and-bound tree, recorded in DFS preorder
 /// (children in the group's canonical option order: value descending, then
 /// option index ascending).

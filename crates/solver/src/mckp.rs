@@ -44,7 +44,7 @@
 //! of rule 5 can start at the branch position's own first increment and
 //! usually stops after a handful of entries.
 
-use crate::cert::{GreedyCertificate, McNode, MckpCertificate, MckpWarmEvidence};
+use crate::cert::{McNode, MckpCertificate, MckpWarmEvidence};
 use std::cmp::Ordering;
 
 /// Margin below a warm lower bound at which subtrees are pruned. Wider than
@@ -487,25 +487,6 @@ fn solve_mckp_inner(
     (sol, cert)
 }
 
-/// Builds the [`GreedyCertificate`] for a greedy (budget-1) solve: the root
-/// hull bound — the LP-relaxation optimum — and what the integer fill
-/// leaves of it as the declared gap.
-pub fn greedy_mckp_certificate(
-    groups: &[MckpGroup],
-    capacity: u64,
-    solution: &MckpSolution,
-) -> GreedyCertificate {
-    let incs = global_increments(groups);
-    let scan: Vec<ScanInc> =
-        incs.iter().map(|inc| ScanInc { pos: 0, dw: inc.dw, dv: inc.dv }).collect();
-    let bound = hull_bound(&scan, 0, capacity, 0, 0.0);
-    GreedyCertificate {
-        relaxation_bound: bound,
-        declared_gap: bound - solution.value,
-        order: order_of(&incs),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,21 +698,6 @@ mod tests {
             assert!(tight.value <= full.value + 1e-9);
             assert!(tight.value >= greedy.value && greedy.value > 0.0);
         }
-    }
-
-    #[test]
-    fn greedy_certificate_gap_holds() {
-        let groups = [
-            group(&[(8.0, 6), (10.0, 10)]),
-            group(&[(5.0, 6), (9.0, 10)]),
-            group(&[(2.0, 3), (3.0, 5)]),
-        ];
-        let s = solve_mckp(&groups, 13, 1); // Budget 1 = greedy only.
-        let cert = greedy_mckp_certificate(&groups, 13, &s);
-        assert!(s.value >= cert.relaxation_bound - cert.declared_gap - 1e-9);
-        // The relaxation bound dominates the true optimum.
-        let full = solve_mckp(&groups, 13, 0);
-        assert!(cert.relaxation_bound >= full.value - 1e-9);
     }
 
     #[test]

@@ -242,6 +242,7 @@ impl Session {
             || wrap.is_some()
         {
             let cfg = blaze.unwrap_or_else(BlazeConfig::full);
+            cfg.validate()?;
             let profile = if n == 1 { Some(profile_for(&specs[0])?) } else { None };
             let ctl = BlazeController::new(cfg, profile);
             let boxed = match wrap {
@@ -408,6 +409,15 @@ mod tests {
             BlazeError::Audit { code, .. } => assert_eq!(code, "BA011"),
             other => panic!("expected BA011 audit error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_custom_blaze_config_is_validated() {
+        let spec = AppSpec::evaluation(App::PageRank).scaled(0.2);
+        let mut cfg = BlazeConfig::full();
+        cfg.optimizer.horizon_jobs = 0;
+        let err = Session::builder().app(spec).blaze(cfg).run().unwrap_err();
+        assert!(matches!(err, BlazeError::Config(_)), "{err:?}");
     }
 
     #[test]

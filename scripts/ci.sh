@@ -50,12 +50,11 @@ run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
     --validate --apps pagerank,kmeans --threads 1,2,4
 run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
     --validate --apps cc,lr,gbt,svdpp --threads 1
-# Graceful degradation: under duress (stragglers, corrupted spills, capped
-# solver) speculation must win races and shorten the makespan, at least one
-# corrupted spill must be caught and quarantined, the capped solver must
-# actually step down its ladder (--check floors), and the committed
-# BENCH_failure.json (simulated numbers only) must be exactly what the code
-# renders.
+# Graceful degradation: under duress (stragglers, corrupted spills)
+# speculation must win races and shorten the makespan, at least one
+# corrupted spill must be caught and quarantined (--check floors), and the
+# committed BENCH_failure.json (simulated numbers only) must be exactly what
+# the code renders.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_failure -- --check
 # Serialized-tier and multi-app smoke: on the high-ser_factor workloads
 # (SVD++/LR) under tightened memory the multi-choice solver must actually
@@ -66,7 +65,7 @@ run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_failure -- --chec
 # the committed BENCH_engine.json (simulated numbers only) must be exactly
 # what the code renders.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_engine -- --check
-# Committed results are what the code renders: re-run the twelve
+# Committed results are what the code renders: re-run the eleven
 # results/*.txt generators, with the three CSVs they write through
 # BLAZE_CSV_DIR, into a temporary directory and compare every file with the
 # committed one. A decision-moving change regenerates results/ in the same
@@ -75,7 +74,7 @@ results=$(mktemp -d)
 trap 'rm -rf "$results"' EXIT
 for bin in fig3_eviction_skew fig4_disk_breakdown fig5_recomp_growth \
     fig9_end_to_end fig10_cost_breakdown fig11_ablation fig12_mem_only \
-    fig13_profiling ablation_horizon ablation_solver extra_policies scale_sweep; do
+    fig13_profiling ablation_horizon extra_policies scale_sweep; do
     echo "ci: results/$bin.txt"
     BLAZE_CSV_DIR="$results/csv" cargo run -q $OFFLINE --release -p blaze-bench --bin "$bin" \
         >"$results/$bin.txt" 2>"$results/$bin.log" || { cat "$results/$bin.log"; exit 1; }
@@ -85,11 +84,11 @@ for csv in results/csv/*.csv "$results"/csv/*.csv; do
     name=$(basename "$csv")
     cmp "$results/csv/$name" "results/csv/$name"
 done
-# Decision certificates: every workload under both strategies (knapsack,
-# greedy), plus the serialized-tier leg, must emit certificates that verify
-# clean (--all, implied), and each seeded corruption must trip its BA5xx
-# check (--mutate) — proving the verifier has teeth, not just that the
-# solvers are honest.
+# Decision certificates: every workload, plus the serialized-tier leg, must
+# certify every solve it makes, and every certificate must verify clean
+# (--all); each seeded corruption must trip its BA5xx check, and the
+# mutations together must trip every BA5xx code there is (--mutate) —
+# proving the verifier has teeth, not just that the solvers are honest.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-certify -- \
     --quick --mutate --all
 # Layer-2 static analysis: the determinism source lint (including the

@@ -12,18 +12,13 @@
 //!   accepts everything would pass the first half trivially.
 
 use blaze::audit::diagnostic::{DiagCode, Diagnostic};
-use blaze::certify::{
-    check_dirty_closure, verify_greedy_relaxation, verify_ilp, verify_mckp, verify_mckp_greedy,
-    LineageNodeView, LineageView,
-};
+use blaze::certify::{check_dirty_closure, verify_ilp, verify_mckp, LineageNodeView, LineageView};
 use blaze::common::ids::{BlockId, RddId};
-use blaze::core::{BlazeConfig, SolveStrategy};
+use blaze::core::BlazeConfig;
 use blaze::solver::cert::{IlpNodeKind, McNode};
 use blaze::solver::ilp::{solve_binary, solve_binary_certified, IlpOutcome, IlpProblem};
 use blaze::solver::lp::Constraint;
-use blaze::solver::mckp::{
-    greedy_mckp_certificate, solve_mckp, solve_mckp_certified, MckpGroup, MckpOption, MckpWarm,
-};
+use blaze::solver::mckp::{solve_mckp, solve_mckp_certified, MckpGroup, MckpOption, MckpWarm};
 use blaze::workloads::{App, AppSpec, Session};
 use proptest::prelude::*;
 
@@ -107,26 +102,6 @@ proptest! {
         prop_assert!(cert.warm.is_some(), "a full-length in-range hint at capacity is feasible");
         let findings = verify_mckp(&groups, cap, &sol, &cert);
         prop_assert!(findings.is_empty(), "{:?}", findings);
-    }
-
-    /// Greedy certificates verify through the fast hull recompute AND the
-    /// independent LP solve (the cross-implementation check).
-    #[test]
-    fn greedy_certificates_verify_against_the_relaxation(
-        values in prop::collection::vec(0.1f64..50.0, 1..14),
-        weights in prop::collection::vec(1u64..40, 1..14),
-        ser in prop::collection::vec(0.3f64..1.1, 0..14),
-    ) {
-        let n = values.len().min(weights.len());
-        let groups = groups_from(&values[..n], &weights[..n], &ser);
-        let cap: u64 = weights[..n].iter().sum::<u64>() / 2 + 1;
-
-        let sol = solve_mckp(&groups, cap, 1);
-        let cert = greedy_mckp_certificate(&groups, cap, &sol);
-        let findings = verify_mckp_greedy(&groups, cap, &sol, &cert);
-        prop_assert!(findings.is_empty(), "{:?}", findings);
-        let findings = verify_greedy_relaxation(&groups, cap, &cert);
-        prop_assert!(findings.is_empty(), "lp cross-check: {:?}", findings);
     }
 
     /// Cold and warm exact-ILP tree certificates verify, and certification
@@ -231,35 +206,12 @@ fn ba502_fires_on_an_inflated_ilp_prune_bound() {
 }
 
 #[test]
-fn ba502_fires_on_an_inflated_relaxation_bound() {
-    let (groups, cap) = mutation_groups();
-    let sol = solve_mckp(&groups, cap, 1);
-    let mut cert = greedy_mckp_certificate(&groups, cap, &sol);
-    cert.relaxation_bound += 100.0;
-    let findings = verify_mckp_greedy(&groups, cap, &sol, &cert);
-    assert!(fires(&findings, DiagCode::UnsoundPruneBound), "{findings:?}");
-    let findings = verify_greedy_relaxation(&groups, cap, &cert);
-    assert!(fires(&findings, DiagCode::UnsoundPruneBound), "lp cross-check: {findings:?}");
-}
-
-#[test]
 fn ba503_fires_on_a_truncated_tree() {
     let (groups, cap) = mutation_groups();
     let (sol, mut cert) = solve_mckp_certified(&groups, cap, 0, None);
     cert.nodes.pop();
     let findings = verify_mckp(&groups, cap, &sol, &cert);
     assert!(fires(&findings, DiagCode::UncoveredBranchLeaf), "{findings:?}");
-}
-
-#[test]
-fn ba504_fires_on_an_understated_greedy_gap() {
-    let (groups, cap) = mutation_groups();
-    let sol = solve_mckp(&groups, cap, 1);
-    let mut cert = greedy_mckp_certificate(&groups, cap, &sol);
-    assert!(cert.declared_gap > 0.0, "instance must have a fractional break item");
-    cert.declared_gap = 0.0;
-    let findings = verify_mckp_greedy(&groups, cap, &sol, &cert);
-    assert!(fires(&findings, DiagCode::GreedyGapExceeded), "{findings:?}");
 }
 
 #[test]
@@ -285,17 +237,10 @@ fn ba505_fires_on_a_retained_stale_memo_entry() {
 }
 
 /// End-to-end: `BlazeConfig::certify` verifies every decision inline
-/// (panicking on any finding) across all strategies on a real workload run.
+/// (panicking on any finding) on a real workload run.
 #[test]
-fn inline_certify_mode_accepts_every_strategy() {
+fn inline_certify_mode_accepts_a_full_run() {
     let spec = AppSpec::evaluation(App::PageRank).scaled(0.2);
-    for strategy in [SolveStrategy::Knapsack, SolveStrategy::Greedy] {
-        let mut cfg = BlazeConfig { certify: true, ..BlazeConfig::full() };
-        cfg.optimizer.strategy = strategy;
-        Session::builder()
-            .app(spec)
-            .blaze(cfg)
-            .run()
-            .unwrap_or_else(|e| panic!("{strategy:?}: {e:?}"));
-    }
+    let cfg = BlazeConfig { certify: true, ..BlazeConfig::full() };
+    Session::builder().app(spec).blaze(cfg).run().unwrap();
 }

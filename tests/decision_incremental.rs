@@ -15,7 +15,7 @@
 //!
 //! 1. a core-level differential property — random plans plus random
 //!    job/state/metric churn, every round checked against a reset driver fed
-//!    freshly built references, under every solver strategy;
+//!    freshly built references;
 //! 2. stress shapes — the same round-by-round check on the lineages where
 //!    retained state does the most work (`wide` siblings, a `deep` chain, a
 //!    `churn`ing job sequence), with the reuse counters showing it did;
@@ -34,7 +34,7 @@ use blaze::common::ids::{BlockId, ExecutorId, RddId};
 use blaze::common::{ByteSize, SimDuration, SimTime};
 use blaze::core::{
     extract_dependencies, BlazeConfig, BlazeController, CostLineage, DecisionStats,
-    IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState, SolveStrategy,
+    IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState,
 };
 use blaze::dataflow::{runner::LocalRunner, Context, Dataset, Plan};
 use blaze::engine::{
@@ -109,7 +109,7 @@ proptest! {
 
     /// On random plans under random job/state/metric churn, the retaining
     /// driver emits exactly the reset driver's command stream every round,
-    /// under every solver strategy, and never corrupts the residency index.
+    /// and never corrupts the residency index.
     #[test]
     fn retaining_driver_matches_reset_driver_on_random_churn(
         shape in prop::collection::vec(0u8..255, 1..8),
@@ -118,13 +118,11 @@ proptest! {
             1..8,
         ),
         capacity_kib in 8u64..128,
-        strategy_pick in 0usize..2,
     ) {
         const PARTS: u32 = 3;
         let ctx = Context::new(LocalRunner::new());
         let rdds = build_random_plan(&ctx, &shape, PARTS as usize);
-        let strategy = [SolveStrategy::Knapsack, SolveStrategy::Greedy][strategy_pick];
-        let config = OptimizerConfig { strategy, ..OptimizerConfig::default() };
+        let config = OptimizerConfig::default();
         let hardware = HardwareModel::default();
         let capacity = ByteSize::from_kib(capacity_kib);
 
@@ -168,10 +166,7 @@ proptest! {
                 &mut lineage, &scratch_refs, None, &hardware, capacity, round, &config,
             );
 
-            prop_assert_eq!(
-                &fast, &scratch,
-                "round {} under {:?} diverged", round, strategy
-            );
+            prop_assert_eq!(&fast, &scratch, "round {} diverged", round);
             prop_assert!(lineage.residency_consistent());
         }
         prop_assert_eq!(cold.stats().reused, 0, "a reset driver has nothing to reuse");

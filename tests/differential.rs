@@ -11,7 +11,7 @@
 //! - a `ClusterConfig`: executors, slots, a memory store from one byte to
 //!   ample, and worker threads;
 //! - a controller: any non-Blaze [`SystemKind`], or a drawn [`BlazeConfig`]
-//!   (level, `use_disk`, `ser_tier`, strategy, `solve_deadline`, `certify`),
+//!   (level, `use_disk`, `ser_tier`, `certify`),
 //!   with or without a profile;
 //! - a `FaultPlan`: off, transient failures, a crash, map-output loss with
 //!   or without the external shuffle service, stragglers with or without
@@ -42,10 +42,7 @@ mod common;
 use blaze::common::error::Result as BlazeResult;
 use blaze::common::ids::{AppId, JobId, RddId};
 use blaze::common::{ByteSize, SimDuration, SimTime};
-use blaze::core::optimize::min_ladder_cost_ns;
-use blaze::core::{
-    extract_dependencies, BlazeConfig, BlazeController, BlazeLevel, DecisionStats, SolveStrategy,
-};
+use blaze::core::{extract_dependencies, BlazeConfig, BlazeController, BlazeLevel, DecisionStats};
 use blaze::dataflow::planner::plan_job;
 use blaze::dataflow::{runner::LocalRunner, Context, Dataset, Plan};
 use blaze::engine::{
@@ -127,22 +124,13 @@ fn blaze_strategy() -> impl Strategy<Value = Controller> {
     // Only the unified level runs the solver, so it is drawn four times as
     // often as each ablation level.
     let level = (0usize..6).prop_map(move |i| levels[i.min(2)]);
-    let deadline = prop_oneof![
-        Just(None),
-        Just(None),
-        (min_ladder_cost_ns()..60_000).prop_map(|ns| Some(SimDuration::from_nanos(ns))),
-    ];
     // Three of four runs are profiled (without references Blaze caches
-    // nothing on these aperiodic pipelines), may use the disk, and start
-    // the solver's ladder at the exact rung.
-    (level, (odds(4), odds(2), odds(4)), deadline, (odds(2), odds(4))).prop_map(
-        |(level, (use_disk, ser_tier, exact), solve_deadline, (certify, profiled))| {
+    // nothing on these aperiodic pipelines) and may use the disk.
+    (level, (odds(4), odds(2)), (odds(2), odds(4))).prop_map(
+        |(level, (use_disk, ser_tier), (certify, profiled))| {
             let mut cfg = BlazeConfig { level, certify, ..BlazeConfig::full() };
             cfg.optimizer.use_disk = use_disk;
             cfg.optimizer.ser_tier = ser_tier;
-            cfg.optimizer.strategy =
-                if exact { SolveStrategy::Knapsack } else { SolveStrategy::Greedy };
-            cfg.optimizer.solve_deadline = solve_deadline;
             Controller::Blaze { cfg, profiled }
         },
     )
@@ -566,7 +554,6 @@ struct Coverage {
     speculation_wins: u64,
     quarantined_spills: u64,
     fetch_retries: u64,
-    degraded_solves: u64,
     certified_solves: u64,
     cross_app_hits: u64,
     own_target_reads: u64,
@@ -587,7 +574,6 @@ impl Coverage {
         self.speculation_wins += m.speculation.wins;
         self.quarantined_spills += m.recovery.spills_quarantined;
         self.fetch_retries += m.recovery.fetch_retries;
-        self.degraded_solves += out.stats.degraded;
         self.certified_solves += out.stats.certified;
         if case.apps.len() == 2 {
             self.cross_app_hits +=
@@ -630,7 +616,6 @@ fn random_cases_pass_every_check_and_reach_every_dimension() {
     assert!(c.speculation_wins > 0, "no speculative copy won its race");
     assert!(c.quarantined_spills > 0, "no corrupted spill was caught");
     assert!(c.fetch_retries > 0, "no shuffle fetch was retried");
-    assert!(c.degraded_solves > 0, "no solve stepped down the degradation ladder");
     assert!(c.certified_solves > 0, "no decision certificate was verified");
     assert!(c.cross_app_hits > 0, "no two-app case read the other app's blocks");
     assert!(c.own_target_reads > 0, "no case read a cached job target behind an earlier stage");

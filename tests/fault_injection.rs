@@ -213,10 +213,8 @@ fn deep_uncached_lineage_fails_the_ba301_preflight() {
 
 // ---------------------------------------------------------------------------
 // 5. Graceful degradation under duress: stragglers + speculation, corrupted
-//    spills, flaky fetches, and the solver degradation ladder.
+//    spills and flaky fetches.
 // ---------------------------------------------------------------------------
-
-use blaze::core::{BlazeConfig, BlazeController};
 
 /// Runs [`pipeline`] with tracing on, returning results, metrics and the
 /// rendered Chrome trace (the byte-identity witness across thread counts).
@@ -366,31 +364,6 @@ fn fetch_retries_back_off_then_escalate() {
     );
 }
 
-/// A tight (but not absurd) solve deadline steps the Blaze solver down the
-/// degradation ladder. The run still computes the right answer, and the
-/// degradation is visible in the event trace as a `solver-degrade` record.
-#[test]
-fn solver_deadline_degrades_and_traces_the_ladder() {
-    // The knapsack costs >= 11 us per instance under the ladder's
-    // estimates; 5 us fits only greedy rungs, and only a few of them.
-    let mut cfg = BlazeConfig::full();
-    cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(5_000));
-    cfg.validate().expect("deadline above the ladder floor");
-    let cluster = Cluster::new(
-        ClusterConfig { tracing: true, ..cluster_config(FaultPlan::default()) },
-        Box::new(BlazeController::new(cfg, None)),
-    )
-    .expect("valid config");
-    let ctx = Context::new(cluster.clone());
-    let out = pipeline(&ctx);
-    assert_eq!(out, reference(), "a degraded solver must not change results");
-    let trace = cluster.trace().expect("tracing was enabled").chrome_json();
-    assert!(
-        trace.contains("solver-degrade"),
-        "a 5 us deadline must degrade the exact solver and be recorded in the trace"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // 6. Mutation checks: each degradation diagnostic actually fires.
 // ---------------------------------------------------------------------------
@@ -433,22 +406,6 @@ fn corruption_without_a_disk_tier_fires_ba303() {
     let ctx = Context::new(cluster);
     let err = ctx.range(0..100, 2).count().expect_err("BA303 must abort under strict audit");
     assert!(err.to_string().contains("BA303"), "expected BA303, got: {err}");
-}
-
-/// BA304: a solve deadline below the cheapest ladder rung means every
-/// solve passes through; strict audit refuses to run such a config.
-#[test]
-fn sub_floor_solve_deadline_fires_ba304() {
-    // Not validated here: `BlazeConfig::validate` refuses a sub-floor
-    // deadline itself, and this test is about the preflight audit.
-    let mut cfg = BlazeConfig::full();
-    cfg.optimizer.solve_deadline = Some(SimDuration::from_nanos(1));
-    let config = ClusterConfig { strict_audit: true, ..cluster_config(FaultPlan::default()) };
-    let cluster =
-        Cluster::new(config, Box::new(BlazeController::new(cfg, None))).expect("valid config");
-    let ctx = Context::new(cluster);
-    let err = ctx.range(0..100, 2).count().expect_err("BA304 must abort under strict audit");
-    assert!(err.to_string().contains("BA304"), "expected BA304, got: {err}");
 }
 
 /// BA008: `assume_partitioned` with a layout that does not hold fails
