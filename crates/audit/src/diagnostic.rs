@@ -370,9 +370,9 @@ impl DiagCode {
             DiagCode::UnsoundPruneBound => {
                 "A branch-and-bound prune recorded in a decision certificate is not \
                  justified: the recorded relaxation bound is not dominated by the final \
-                 answer, its dual evidence fails weak-duality validation, or a warm-start \
-                 prune's evidence does not actually bound the optimum. An unsound prune \
-                 could have cut the true optimum."
+                 answer, its dual evidence fails weak-duality validation, or an ILP \
+                 warm-start prune's evidence does not actually bound the optimum. An unsound \
+                 prune could have cut the true optimum."
             }
             DiagCode::UncoveredBranchLeaf => {
                 "The branch-and-bound tree in a decision certificate does not cover the \

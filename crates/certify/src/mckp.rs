@@ -25,7 +25,7 @@
 
 use blaze_audit::diagnostic::{DiagCode, Diagnostic};
 use blaze_solver::cert::{McNode, MckpCertificate};
-use blaze_solver::mckp::{MckpGroup, MckpOption, MckpSolution, PRUNE_EPS, WARM_EPS};
+use blaze_solver::mckp::{MckpGroup, MckpOption, MckpSolution, PRUNE_EPS};
 use std::cmp::Ordering;
 
 /// Scaled comparison tolerance for recomputed float quantities.
@@ -364,7 +364,6 @@ struct Replay<'a> {
     first_child: Vec<usize>,
     children: Vec<(u64, f64)>,
     oracle: BoundOracle,
-    warm_value: Option<f64>,
     final_value: f64,
     cursor: usize,
     /// Best entry value any replayed node reached.
@@ -373,12 +372,7 @@ struct Replay<'a> {
 }
 
 impl<'a> Replay<'a> {
-    fn new(
-        nodes: &'a [McNode],
-        instance: &'a Instance<'a>,
-        warm_value: Option<f64>,
-        final_value: f64,
-    ) -> Self {
+    fn new(nodes: &'a [McNode], instance: &'a Instance<'a>, final_value: f64) -> Self {
         // The child order (value descending, then option index ascending;
         // non-zero options of non-positive value can never beat the
         // always-feasible zero option and are excluded) is re-derived here
@@ -405,7 +399,6 @@ impl<'a> Replay<'a> {
             first_child,
             children,
             oracle: BoundOracle::new(&instance.incs),
-            warm_value,
             final_value,
             cursor: 0,
             max_entry: f64::NEG_INFINITY,
@@ -464,15 +457,15 @@ impl<'a> Replay<'a> {
                     format!("leaf at position {pos} leaves {} groups undecided", n - pos),
                 ));
             }
-            McNode::Pruned { bound } | McNode::PrunedWarm { bound } => {
+            McNode::Pruned { bound } => {
                 let recomputed = self.recomputed_bound(pos, weight, value);
+                let slack = PRUNE_EPS + tol(self.final_value);
                 let unsound = if (recomputed - bound).abs() > tol(bound) {
                     Some(format!(
                         "recorded prune bound {bound} != recomputed hull bound {recomputed} at \
                          position {pos}"
                     ))
-                } else if matches!(node, McNode::Pruned { .. }) {
-                    let slack = PRUNE_EPS + tol(self.final_value);
+                } else {
                     (recomputed > self.final_value + slack).then(|| {
                         format!(
                             "prune bound {recomputed} exceeds the final value {} — the cut \
@@ -480,18 +473,6 @@ impl<'a> Replay<'a> {
                             self.final_value
                         )
                     })
-                } else {
-                    match self.warm_value {
-                        Some(wv) if recomputed <= wv - WARM_EPS + tol(wv) => None,
-                        Some(wv) => Some(format!(
-                            "warm prune bound {recomputed} is not below the warm value {wv} by \
-                             the required margin"
-                        )),
-                        None => Some(
-                            "warm prune recorded but the certificate carries no warm evidence"
-                                .into(),
-                        ),
-                    }
                 };
                 self.findings.extend(unsound.map(|m| diag(DiagCode::UnsoundPruneBound, m)));
             }
@@ -515,8 +496,8 @@ impl<'a> Replay<'a> {
 ///
 /// Checks, in order: group well-formedness (`BA503`) and the claimed
 /// increment order (`BA502`), solution feasibility and pricing (`BA501`),
-/// warm-evidence soundness (`BA502`), and — for complete searches — a full
-/// preorder replay of the recorded tree: coverage of the search space
+/// and — for complete searches — a full preorder replay of the recorded
+/// tree: coverage of the search space
 /// (`BA503`), recomputed hull-bound justification of every cut (`BA502`),
 /// and agreement of the claimed optimum with the best replayed value
 /// (`BA501`). Incomplete (budget-exhausted) solves carry no tree and are
@@ -527,47 +508,12 @@ pub fn verify_mckp(
     solution: &MckpSolution,
     cert: &MckpCertificate,
 ) -> Vec<Diagnostic> {
-    let n = groups.len();
     let instance = match Instance::new(groups, capacity, &cert.order) {
         Ok(instance) => instance,
         Err(finding) => return vec![finding],
     };
     if let Err(finding) = check_solution(groups, capacity, solution) {
         return vec![finding];
-    }
-
-    // BA502: warm evidence must itself be feasible and correctly priced,
-    // and (for complete solves) dominated by the final answer.
-    let mut warm_value = None;
-    if let Some(w) = &cert.warm {
-        let totals = if w.choice.len() == n { choice_totals(groups, &w.choice) } else { None };
-        let Some((wv, ww)) = totals else {
-            return vec![diag(
-                DiagCode::UnsoundPruneBound,
-                format!("warm evidence is not one valid option per group: {:?}", w.choice),
-            )];
-        };
-        if ww > capacity || (wv - w.value).abs() > tol(wv) {
-            return vec![diag(
-                DiagCode::UnsoundPruneBound,
-                format!(
-                    "warm evidence recomputes to value {wv} / weight {ww} (capacity \
-                     {capacity}), recorded value {}",
-                    w.value
-                ),
-            )];
-        }
-        if cert.complete && solution.value < w.value - WARM_EPS - tol(w.value) {
-            return vec![diag(
-                DiagCode::UnsoundPruneBound,
-                format!(
-                    "final value {} is below the warm lower bound {} — warm prunes could \
-                     have cut the optimum",
-                    solution.value, w.value
-                ),
-            )];
-        }
-        warm_value = Some(w.value);
     }
 
     // BA503: the proven flag must match tree completeness.
@@ -603,7 +549,7 @@ pub fn verify_mckp(
             "complete certificate carries no tree nodes".into(),
         )];
     }
-    let mut replay = Replay::new(&cert.nodes, &instance, warm_value, solution.value);
+    let mut replay = Replay::new(&cert.nodes, &instance, solution.value);
     replay.walk();
     if !replay.findings.is_empty() {
         return replay.findings;
@@ -636,7 +582,7 @@ pub fn verify_mckp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blaze_solver::mckp::{solve_mckp, solve_mckp_certified, MckpWarm};
+    use blaze_solver::mckp::solve_mckp_certified;
 
     fn zero() -> MckpOption {
         MckpOption { value: 0.0, weight: 0 }
@@ -683,19 +629,6 @@ mod tests {
                 let findings = verify_mckp(&groups, cap, &sol, &cert);
                 assert!(findings.is_empty(), "{findings:?}");
             }
-        }
-    }
-
-    #[test]
-    fn warm_certificates_verify() {
-        for (groups, cap) in shapes() {
-            let cold = solve_mckp(&groups, cap, 0);
-            let warm = MckpWarm { choice: cold.choice.clone() };
-            let (sol, cert) = solve_mckp_certified(&groups, cap, 0, Some(&warm));
-            assert_eq!(sol.choice, cold.choice);
-            assert!(cert.warm.is_some());
-            let findings = verify_mckp(&groups, cap, &sol, &cert);
-            assert!(findings.is_empty(), "{findings:?}");
         }
     }
 

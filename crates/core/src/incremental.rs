@@ -24,12 +24,8 @@
 //! - **Solution reuse** — per executor, if the candidate vector (ids, sizes,
 //!   costs, reference counts, states) and capacity are unchanged, the
 //!   previous picks are returned without solving: the solvers are
-//!   deterministic functions of exactly that data.
-//! - **Warm-started solves** — otherwise the previous solution warm-starts
-//!   the search: it prunes with the previous assignment's value at current
-//!   prices. The bound is *pruning-only* — never installed as an incumbent
-//!   — so the returned selection, tie-breaks included, is the one a cold
-//!   solve finds (see `optimize::solve_instance`).
+//!   deterministic functions of exactly that data. Any other instance is
+//!   solved from scratch (`optimize::solve_instance`).
 //!
 //! None of the retained state may influence a decision. The reference that
 //! pins this is *the same driver with nothing retained*
@@ -59,7 +55,7 @@ use blaze_engine::{HardwareModel, StateCommand};
 /// repository benchmark reports them as its `core.*` counts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecisionStats {
-    /// Executor instances solved (cold or warm-started).
+    /// Executor instances solved (not answered by solution reuse).
     pub solves: u64,
     /// Executor instances whose previous solution was reused outright.
     pub reused: u64,
@@ -267,8 +263,8 @@ impl IncrementalOptimizer {
         emit_commands(&solved)
     }
 
-    /// Solves one executor's instance, reusing or warm-starting the previous
-    /// solution where provably safe.
+    /// Solves one executor's instance, reusing the previous solution when
+    /// the instance is unchanged.
     fn solve_with_reuse(
         &mut self,
         exec: ExecutorId,
@@ -286,21 +282,7 @@ impl IncrementalOptimizer {
             }
         }
         self.stats.solves += 1;
-        // Re-align the previous solve (taken out: it is unconditionally
-        // re-inserted below) to the current slots as the warm hint.
-        let warm = self.prev.remove(&exec).filter(|p| p.tiers == tiers).map(|p| {
-            // audit: allow(decision-hash) keyed index, never iterated
-            let index_of: FxHashMap<BlockId, usize> =
-                candidates.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
-            let mut picks = vec![Pick::Unpersist; candidates.len()];
-            for (c, &pick) in p.candidates.iter().zip(&p.picks) {
-                if let Some(&i) = index_of.get(&c.id) {
-                    picks[i] = pick;
-                }
-            }
-            picks
-        });
-        let solved = solve_instance(&candidates, capacity, tiers, warm.as_deref(), self.certify);
+        let solved = solve_instance(&candidates, capacity, tiers, self.certify);
         if let Some(payload) = solved.payload {
             self.verify_inline(exec, payload);
         }

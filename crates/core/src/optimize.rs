@@ -43,9 +43,7 @@ use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_engine::{HardwareModel, StateCommand};
-use blaze_solver::mckp::{
-    solve_mckp_certified, solve_mckp_warm, MckpGroup, MckpOption, MckpSolution, MckpWarm,
-};
+use blaze_solver::mckp::{solve_mckp, solve_mckp_certified, MckpGroup, MckpOption, MckpSolution};
 
 #[cfg(test)]
 mod oracle;
@@ -360,14 +358,6 @@ fn keep_ties(
     }
 }
 
-/// The inverse of the option-to-pick mapping, used to re-price a previous
-/// solve as a warm bound. A pick the layout has no option for (out of
-/// memory, or a previous s state after the tier was switched off) is
-/// option 0.
-fn choice_of_picks(picks: &[Pick], layout: &[Option<Pick>]) -> Vec<usize> {
-    picks.iter().map(|&p| layout.iter().position(|&l| l == Some(p)).unwrap_or(0)).collect()
-}
-
 /// The answer to one executor's instance.
 #[derive(Debug)]
 pub(crate) struct Solved {
@@ -387,30 +377,21 @@ pub(crate) struct Solved {
 /// capacity, tiers)` alone. Every candidate the knapsack leaves
 /// out of memory takes the cheaper of `d` and `u` under the same
 /// [`objectives`] that priced its group.
-///
-/// `warm` is the previous solve of the same executor re-aligned to the
-/// current candidate slots (vanished blocks drop out, new blocks default to
-/// [`Pick::Unpersist`] — a feasible completion, so the bound stays valid).
-/// The search uses it as a *pruning-only* hint — never installed as an
-/// incumbent — so the returned picks, tie-breaks included, are the ones a
-/// cold solve finds (see `MckpWarm`).
 pub(crate) fn solve_instance(
     candidates: &[Candidate],
     capacity: ByteSize,
     tiers: Tiers,
-    warm: Option<&[Pick]>,
     certify: bool,
 ) -> Solved {
     let groups = groups(candidates, tiers);
     let layout = layout(tiers);
     let cap = capacity.as_bytes();
-    let warm = warm.map(|picks| MckpWarm { choice: choice_of_picks(picks, layout) });
     // Budget 0 is the search's default node budget.
     let (mut solution, cert) = if certify {
-        let (s, c) = solve_mckp_certified(&groups, cap, 0, warm.as_ref());
+        let (s, c) = solve_mckp_certified(&groups, cap, 0, None);
         (s, Some(c))
     } else {
-        (solve_mckp_warm(&groups, cap, 0, warm.as_ref()), None)
+        (solve_mckp(&groups, cap, 0), None)
     };
     keep_ties(candidates, &groups, layout, cap, &mut solution);
     let picks = solution
@@ -437,7 +418,7 @@ mod tests {
 
     /// A cold, uncertified solve's picks.
     fn picks(candidates: &[Candidate], capacity: ByteSize, tiers: Tiers) -> Vec<Pick> {
-        solve_instance(candidates, capacity, tiers, None, false).picks
+        solve_instance(candidates, capacity, tiers, false).picks
     }
 
     /// One submission through a driver with nothing retained.
@@ -524,11 +505,11 @@ mod tests {
         assert_eq!(picks(&candidates, ByteSize::from_kib(60), ON), vec![Pick::Ser]);
     }
 
-    /// Warm hints and certification never change the answer: for both tier
-    /// settings, every (warm, certify) combination returns the cold
-    /// uncertified picks, and every emitted certificate verifies.
+    /// Certification never changes the answer: for both tier settings the
+    /// certified solve returns the uncertified picks, and every emitted
+    /// certificate verifies.
     #[test]
-    fn solve_instance_is_identical_warm_or_cold_certified_or_not() {
+    fn solve_instance_is_identical_certified_or_not() {
         let e = ExecutorId(0);
         let m = PartitionState::Memory(e);
         let binary = vec![
@@ -544,32 +525,17 @@ mod tests {
             cand_mc(4, 50, 20, 400, 500, 2, PartitionState::Disk(e)),
         ];
         for (tiers, candidates) in [(OFF, &binary), (ON, &multi)] {
-            let n = candidates.len();
             for cap_kib in [60u64, 120, 300] {
+                let case = format!("{tiers:?} cap={cap_kib}");
                 let cap = ByteSize::from_kib(cap_kib);
-                let cold = solve_instance(candidates, cap, tiers, None, false);
-                assert!(cold.payload.is_none());
-                let hints = [
-                    None,
-                    Some(vec![Pick::Unpersist; n]),
-                    Some(vec![Pick::Ser; n]),
-                    // Infeasible at the small capacities: must be ignored.
-                    Some(vec![Pick::Mem; n]),
-                    Some(cold.picks.clone()),
-                ];
-                for (h, warm) in hints.iter().enumerate() {
-                    for certify in [false, true] {
-                        let case = format!("{tiers:?} cap={cap_kib} hint={h} certify={certify}");
-                        let got = solve_instance(candidates, cap, tiers, warm.as_deref(), certify);
-                        assert_eq!(got.picks, cold.picks, "{case}: picks moved");
-                        assert_eq!(got.payload.is_some(), certify, "{case}");
-                        if let Some(payload) = got.payload {
-                            let cert = blaze_certify::InstanceCertificate { executor: e, payload };
-                            let findings = blaze_certify::verify_instance(&cert);
-                            assert!(findings.is_empty(), "{case}: {findings:?}");
-                        }
-                    }
-                }
+                let plain = solve_instance(candidates, cap, tiers, false);
+                assert!(plain.payload.is_none(), "{case}");
+                let certified = solve_instance(candidates, cap, tiers, true);
+                assert_eq!(certified.picks, plain.picks, "{case}: picks moved");
+                let payload = certified.payload.expect("certified");
+                let cert = blaze_certify::InstanceCertificate { executor: e, payload };
+                let findings = blaze_certify::verify_instance(&cert);
+                assert!(findings.is_empty(), "{case}: {findings:?}");
             }
         }
     }
@@ -617,7 +583,7 @@ mod tests {
         let e = ExecutorId(0);
         let empty = cand(1, 0, 0, 0, 5, true, true);
         for tiers in [OFF, ON, Tiers { ser: false, disk: false }] {
-            let solved = solve_instance(&[empty], ByteSize::from_mib(64), tiers, None, true);
+            let solved = solve_instance(&[empty], ByteSize::from_mib(64), tiers, true);
             let payload = solved.payload.expect("certified");
             let cert = blaze_certify::InstanceCertificate { executor: e, payload };
             assert!(blaze_certify::verify_instance(&cert).is_empty(), "{tiers:?}");

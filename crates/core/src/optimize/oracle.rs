@@ -79,12 +79,14 @@ fn solve_exact(candidates: &[Candidate], capacity: ByteSize, ser_tier: bool) -> 
 /// The value of the decision path's knapsack answer under the pricing it
 /// solved, checked against the capacity.
 fn knapsack_optimum(candidates: &[Candidate], capacity: ByteSize, tiers: Tiers) -> f64 {
-    let picks = solve_instance(candidates, capacity, tiers, None, false).picks;
+    let picks = solve_instance(candidates, capacity, tiers, false).picks;
     let groups = groups(candidates, tiers);
-    let chosen: Vec<MckpOption> = choice_of_picks(&picks, layout(tiers))
+    let layout = layout(tiers);
+    // A pick the layout has no option for (out of memory) is option 0.
+    let chosen: Vec<MckpOption> = picks
         .iter()
         .zip(&groups)
-        .map(|(&o, g)| g.options[o])
+        .map(|(&p, g)| g.options[layout.iter().position(|&l| l == Some(p)).unwrap_or(0)])
         .collect();
     assert!(chosen.iter().map(|o| o.weight).sum::<u64>() <= capacity.as_bytes());
     chosen.iter().map(|o| o.value).sum()
@@ -192,7 +194,7 @@ fn both_tier_settings_keep_what_eq56_keeps_when_leaving_is_free() {
         assert_eq!(exact, [Pick::Unpersist, Pick::Mem], "ser_tier={ser}");
         assert_eq!(optimum, 0.0);
         let tiers = Tiers { ser, disk: true };
-        let knapsack = solve_instance(&candidates, capacity, tiers, None, false);
+        let knapsack = solve_instance(&candidates, capacity, tiers, false);
         // A leaves through u: nothing reads it, so the spill buys nothing.
         assert_eq!(knapsack.picks, [Pick::Unpersist, Pick::Mem], "ser_tier={ser}");
     }

@@ -26,24 +26,8 @@ pub enum McNode {
         /// The fractional hull upper bound computed at this node.
         bound: f64,
     },
-    /// The subtree was cut against the warm-start bound: `bound <= warm
-    /// value - WARM_EPS`. Sound because the warm choice is feasible, so the
-    /// true optimum is at least its value.
-    PrunedWarm {
-        /// The fractional hull upper bound computed at this node.
-        bound: f64,
-    },
     /// Every group was decided (or the position ran past the end).
     Leaf,
-}
-
-/// Feasibility evidence for a warm-start bound used by `PrunedWarm` cuts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MckpWarmEvidence {
-    /// The warm per-group option choice, aligned with the current groups.
-    pub choice: Vec<usize>,
-    /// Total value of the warm choice (the bound warm prunes cut against).
-    pub value: f64,
 }
 
 /// Certificate of one branch-and-bound solve ([`crate::mckp`]).
@@ -52,8 +36,6 @@ pub struct MckpCertificate {
     /// The explored tree in DFS preorder. Empty when the node budget was
     /// exhausted (the tree is then not a proof of anything).
     pub nodes: Vec<McNode>,
-    /// Evidence for the warm bound, present iff warm pruning was armed.
-    pub warm: Option<MckpWarmEvidence>,
     /// True iff the search ran to completion within its node budget.
     pub complete: bool,
     /// The global hull-increment order the search ran under, as `(group,

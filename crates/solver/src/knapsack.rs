@@ -3,9 +3,7 @@
 //! the one search. Nothing else calls them.
 
 use crate::cert::MckpCertificate;
-use crate::mckp::{
-    solve_mckp, solve_mckp_certified, MckpGroup, MckpOption, MckpSolution, MckpWarm,
-};
+use crate::mckp::{solve_mckp, solve_mckp_certified, MckpGroup, MckpOption, MckpSolution};
 
 /// One candidate item.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,14 +28,15 @@ pub fn solve_knapsack(items: &[KnapsackItem], capacity: u64, node_budget: usize)
     solve_mckp(&two_option_groups(items), capacity, node_budget)
 }
 
-/// [`solve_mckp_certified`] over [`two_option_groups`].
+/// [`solve_mckp_certified`] over [`two_option_groups`]. `_pinned` takes
+/// only `None`, as there; ROADMAP item 1 removes it.
 pub fn solve_knapsack_certified(
     items: &[KnapsackItem],
     capacity: u64,
     node_budget: usize,
-    warm: Option<&MckpWarm>,
+    _pinned: Option<std::convert::Infallible>,
 ) -> (MckpSolution, MckpCertificate) {
-    solve_mckp_certified(&two_option_groups(items), capacity, node_budget, warm)
+    solve_mckp_certified(&two_option_groups(items), capacity, node_budget, None)
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //!
 //! - [`lp`] — a dense two-phase primal simplex solver.
 //! - [`ilp`] — branch-and-bound 0/1 integer programming on top of the LP
-//!   relaxation, with a greedy fallback under a node budget.
+//!   relaxation under a node budget (an exhausted search with no incumbent
+//!   returns its warm hint, or `Infeasible`).
 //! - [`mckp`] — the one branch-and-bound search on Blaze's hot path, bounded
 //!   only by its node budget (an exhausted search keeps its best selection,
 //!   which dominates the greedy hull fill): with
@@ -27,17 +28,11 @@ pub mod knapsack;
 pub mod lp;
 pub mod mckp;
 
-pub use cert::{
-    IlpCertificate, IlpNode, IlpNodeKind, IlpWarmEvidence, McNode, MckpCertificate,
-    MckpWarmEvidence,
-};
+pub use cert::{IlpCertificate, IlpNode, IlpNodeKind, IlpWarmEvidence, McNode, MckpCertificate};
 pub use ilp::{solve_binary, solve_binary_certified, IlpOutcome, IlpProblem};
 pub use knapsack::{solve_knapsack, solve_knapsack_certified, KnapsackItem};
 pub use lp::{
     dual_bound, farkas_valid, solve as solve_lp, solve_with_evidence, Constraint, LinearProgram,
     LpEvidence, LpOutcome, Relation,
 };
-pub use mckp::{
-    solve_mckp, solve_mckp_certified, solve_mckp_warm, MckpGroup, MckpOption, MckpSolution,
-    MckpWarm,
-};
+pub use mckp::{solve_mckp, solve_mckp_certified, MckpGroup, MckpOption, MckpSolution};

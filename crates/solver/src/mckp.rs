@@ -32,8 +32,7 @@
 //!    greedy fill of the remaining capacity with the increments of the
 //!    still-undecided groups in increment order, the first increment that
 //!    does not fit contributing fractionally. A node is cut when the bound
-//!    is within [`PRUNE_EPS`] of the incumbent, or [`WARM_EPS`] below a
-//!    feasible warm-start value.
+//!    is within [`PRUNE_EPS`] of the incumbent.
 //! 6. **Incumbent.** The search starts from the integer greedy fill over
 //!    the increment order (an increment is taken when the level below it
 //!    was and it fits); any node's partial assignment is feasible, because
@@ -44,15 +43,8 @@
 //! of rule 5 can start at the branch position's own first increment and
 //! usually stops after a handful of entries.
 
-use crate::cert::{McNode, MckpCertificate, MckpWarmEvidence};
+use crate::cert::{McNode, MckpCertificate};
 use std::cmp::Ordering;
-
-/// Margin below a warm lower bound at which subtrees are pruned. Wider than
-/// the incumbent epsilon so that the warm bound — computed as a flat sum,
-/// not along the DFS accumulation order — can never prune a subtree the
-/// cold search would have taken its final answer from. Public so the
-/// certificate verifier can replay prune checks with the same margin.
-pub const WARM_EPS: f64 = 1e-9;
 
 /// Margin the incumbent prune uses (`ub <= best + PRUNE_EPS`). Public for
 /// the certificate verifier.
@@ -92,17 +84,6 @@ pub struct MckpSolution {
     pub weight: u64,
     /// True if the solution is provably optimal.
     pub proven_optimal: bool,
-}
-
-/// Warm-start hint from a previous solve of a perturbed instance: the
-/// previous per-group choice, re-priced against the current groups. If it
-/// is still feasible, its value is a proven lower bound on the optimum,
-/// used purely as an extra pruning bound — never installed as an incumbent,
-/// so the returned choice is the one the cold search would find.
-#[derive(Debug, Clone, Default)]
-pub struct MckpWarm {
-    /// A previously chosen option index per group.
-    pub choice: Vec<usize>,
 }
 
 /// One point of a group's hull: weight, value, and the option realising it.
@@ -201,32 +182,23 @@ fn global_increments(groups: &[MckpGroup]) -> Vec<Inc> {
 /// assert_eq!(s.value, 15.0);
 /// ```
 pub fn solve_mckp(groups: &[MckpGroup], capacity: u64, node_budget: usize) -> MckpSolution {
-    solve_mckp_warm(groups, capacity, node_budget, None)
+    solve_mckp_inner(groups, capacity, node_budget, false).0
 }
 
-/// [`solve_mckp`] with a warm-start hint from a previous solve.
-/// Decision-identical to the cold solve: the warm value only prunes
-/// subtrees strictly below the optimum.
-pub fn solve_mckp_warm(
-    groups: &[MckpGroup],
-    capacity: u64,
-    node_budget: usize,
-    warm: Option<&MckpWarm>,
-) -> MckpSolution {
-    solve_mckp_inner(groups, capacity, node_budget, warm, false).0
-}
-
-/// [`solve_mckp_warm`], additionally recording a [`MckpCertificate`] of the
+/// [`solve_mckp`], additionally recording a [`MckpCertificate`] of the
 /// explored tree. The solution is byte-identical to the uncertified solve —
 /// recording only appends to a side vector and never influences which nodes
 /// the search visits.
+///
+/// `_pinned` takes only `None`: it keeps the four-argument signature the
+/// repository benchmark calls, and ROADMAP item 1 removes it.
 pub fn solve_mckp_certified(
     groups: &[MckpGroup],
     capacity: u64,
     node_budget: usize,
-    warm: Option<&MckpWarm>,
+    _pinned: Option<std::convert::Infallible>,
 ) -> (MckpSolution, MckpCertificate) {
-    let (sol, cert) = solve_mckp_inner(groups, capacity, node_budget, warm, true);
+    let (sol, cert) = solve_mckp_inner(groups, capacity, node_budget, true);
     (sol, cert.unwrap_or_default())
 }
 
@@ -298,9 +270,6 @@ struct Search<'a> {
     capacity: u64,
     best_value: f64,
     best_choice: Vec<usize>,
-    /// Extra pruning bound from a warm start; subtrees provably below it
-    /// cannot contain the optimum (`None` disables).
-    warm_bound: Option<f64>,
     nodes: usize,
     budget: usize,
     exhausted: bool,
@@ -341,14 +310,6 @@ impl Search<'_> {
             self.set_node(slot, McNode::Pruned { bound: ub });
             return;
         }
-        // Warm prune: the optimum is at least `warm_bound`, so subtrees
-        // bounded strictly (by more than WARM_EPS) below it can neither
-        // contain the final answer nor an incumbent the cold search would
-        // keep — skipping them cannot change the result.
-        if self.warm_bound.is_some_and(|wb| ub <= wb - WARM_EPS) {
-            self.set_node(slot, McNode::PrunedWarm { bound: ub });
-            return;
-        }
         self.set_node(slot, McNode::Branch);
         let Position { group, first_child, .. } = self.positions[pos];
         for c in first_child..self.positions[pos + 1].first_child {
@@ -370,7 +331,6 @@ fn solve_mckp_inner(
     groups: &[MckpGroup],
     capacity: u64,
     node_budget: usize,
-    warm: Option<&MckpWarm>,
     record: bool,
 ) -> (MckpSolution, Option<MckpCertificate>) {
     let n = groups.len();
@@ -423,21 +383,6 @@ fn solve_mckp_inner(
     }
     positions[n].first_child = children.len();
 
-    // A still-feasible previous choice, valued at current prices, lower
-    // bounds the optimum.
-    let warm_bound = warm.and_then(|w| {
-        if w.choice.len() != n {
-            return None;
-        }
-        let (mut v, mut wt) = (0.0f64, 0u64);
-        for (g, &c) in w.choice.iter().enumerate() {
-            let opt = groups[g].options.get(c)?;
-            v += opt.value;
-            wt = wt.saturating_add(opt.weight);
-        }
-        (wt <= capacity).then_some(v)
-    });
-
     // Rule 6: the greedy incumbent.
     let mut greedy_level = vec![0usize; n];
     let mut greedy_choice = vec![0usize; n];
@@ -458,7 +403,6 @@ fn solve_mckp_inner(
         capacity,
         best_value: gv,
         best_choice: greedy_choice,
-        warm_bound,
         nodes: 0,
         budget: if node_budget == 0 { DEFAULT_NODE_BUDGET } else { node_budget },
         exhausted: false,
@@ -470,9 +414,6 @@ fn solve_mckp_inner(
         // An exhausted tree proves nothing — drop it rather than let the
         // verifier chase a truncated replay.
         nodes: if search.exhausted { vec![] } else { nodes },
-        warm: warm
-            .zip(warm_bound)
-            .map(|(w, value)| MckpWarmEvidence { choice: w.choice.clone(), value }),
         complete: !search.exhausted,
         order: order_of(&incs),
     });
@@ -658,21 +599,6 @@ mod tests {
             let best = brute_force(&groups, cap);
             assert!((s.value - best).abs() < 1e-9, "got {}, brute force {best}", s.value);
         }
-    }
-
-    #[test]
-    fn warm_start_is_decision_identical() {
-        let groups = [
-            group(&[(8.0, 6), (10.0, 10)]),
-            group(&[(5.0, 6), (9.0, 10)]),
-            group(&[(2.0, 3), (3.0, 5)]),
-        ];
-        let cold = solve_mckp(&groups, 16, 0);
-        let warm = solve_mckp_warm(&groups, 16, 0, Some(&MckpWarm { choice: cold.choice.clone() }));
-        assert_eq!(cold, warm);
-        // A garbage warm hint is ignored, not trusted.
-        let junk = solve_mckp_warm(&groups, 16, 0, Some(&MckpWarm { choice: vec![9, 9, 9] }));
-        assert_eq!(cold, junk);
     }
 
     #[test]

@@ -25,8 +25,10 @@ run() {
 run cargo build --release $OFFLINE --workspace
 # The repository benchmark is a package of its own outside the workspace,
 # pinned to the crates' public API; build it so an API break surfaces here
-# and not in the outside driver.
+# and not in the outside driver. Its unit tests (BENCHMARK.json matches
+# spec.rs, verdicts, statistics) run here too.
 run cargo build --release $OFFLINE --manifest-path benchmark/Cargo.toml
+run cargo test -q $OFFLINE --manifest-path benchmark/Cargo.toml
 run cargo test -q $OFFLINE --workspace
 # Examples: clippy compiles them, this runs them, so a panic in one (such as
 # kmeans_pipeline, the KMeans kernel under Blaze with profiling) fails here.

@@ -8,8 +8,8 @@
 //! engine level — and same lineage, same job references, same configuration
 //! must yield byte-for-byte the same [`StateCommand`] stream, no matter how
 //! the lineage got into its current state. Everything the retained state
-//! does (memo invalidation, instance reuse, warm bounds, append-only refs
-//! extension) is off in that reference. These tests attack the contract
+//! does (memo invalidation, instance reuse, append-only refs extension) is
+//! off in that reference. These tests attack the contract
 //! from four sides (random pipelines, warm vs cold under every drawn
 //! configuration, are contract 5 of `tests/differential.rs`):
 //!

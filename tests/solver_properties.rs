@@ -2,7 +2,7 @@
 
 use blaze::solver::ilp::{solve_binary, IlpOutcome, IlpProblem};
 use blaze::solver::lp::{solve as solve_lp, Constraint, LinearProgram, LpOutcome};
-use blaze::solver::mckp::{solve_mckp, solve_mckp_warm, MckpGroup, MckpOption, MckpWarm};
+use blaze::solver::mckp::{solve_mckp, MckpGroup, MckpOption};
 use proptest::prelude::*;
 
 /// Builds groups from raw `(value, weight)` rows, prepending the mandatory
@@ -219,34 +219,5 @@ proptest! {
             }
             IlpOutcome::Infeasible => prop_assert!(false, "eq-row MCKP is always feasible"),
         }
-    }
-
-    /// A warm-start hint — valid or stale — never changes the decision:
-    /// the warm solve returns the exact choice of the cold solve.
-    #[test]
-    fn mckp_warm_start_is_decision_identical(
-        raw in prop::collection::vec(
-            prop::collection::vec((0.1f64..20.0, 0u64..25), 1..4), 1..6),
-        picks in prop::collection::vec(0usize..4, 1..6),
-    ) {
-        let groups = mckp_groups(&raw);
-        let cap = mckp_capacity(&raw);
-        let cold = solve_mckp(&groups, cap, 0);
-        // Clamp the random hint into each group's option range; also try a
-        // length-mismatched (stale) hint, which must be ignored.
-        let choice: Vec<usize> = groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| picks.get(i).copied().unwrap_or(0).min(g.options.len() - 1))
-            .collect();
-        for warm in [
-            MckpWarm { choice: choice.clone() },
-            MckpWarm { choice: cold.choice.clone() },
-            MckpWarm { choice: vec![0; groups.len() + 1] },
-        ] {
-            let warmed = solve_mckp_warm(&groups, cap, 0, Some(&warm));
-            prop_assert_eq!(&warmed.choice, &cold.choice, "warm hint changed the decision");
-            prop_assert!((warmed.value - cold.value).abs() < 1e-12);
-        }
-    }
+   }
 }
