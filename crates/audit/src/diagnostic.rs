@@ -32,8 +32,8 @@ impl fmt::Display for Severity {
 
 /// Stable identifier of one auditor check.
 ///
-/// `BA00x` codes are structural plan invariants (errors), `BA01x` codes are
-/// multi-app session admission checks, `BA1xx` codes are
+/// `BA00x` codes are structural plan invariants (errors), `BA010` is the
+/// session's one-application check, `BA1xx` codes are
 /// caching anti-patterns (warnings), `BA2xx` codes are cross-structure
 /// consistency checks (emitted by `blaze-core`), `BA3xx` codes are
 /// recoverability checks against a configured fault plan, and `BA4xx` codes
@@ -70,16 +70,9 @@ pub enum DiagCode {
     /// negative value would produce negative (de)serialization costs and an
     /// s-state footprint below zero; clamping it silently would hide the bug.
     NegativeSerFactor,
-    /// BA010: a multi-app session was built with zero applications — there
-    /// is nothing to schedule and the run would be an empty no-op.
-    NoAppsAdmitted,
-    /// BA011: the same application spec was admitted more than once into one
-    /// session; the copies contend for the shared cache against themselves.
-    DuplicateAppSpec,
-    /// BA012: more applications were admitted than the cluster has task
-    /// slots; some app always waits a whole scheduling turn with zero
-    /// achievable parallelism.
-    AppsExceedSlots,
+    /// BA010: a session was built with zero or several applications; a
+    /// session runs exactly one application.
+    NotExactlyOneApp,
     /// BA101: a dataset is consumed by two or more downstream stages but is
     /// not cache-annotated — every consuming stage recomputes its lineage
     /// (the "recompute bomb" of LRC-style reference-count analysis).
@@ -143,7 +136,7 @@ impl DiagCode {
     /// Every diagnostic code, in code order. This is the single registry the
     /// `blaze-audit` CLI lists and explains from; adding a variant without
     /// extending it fails the registry unit test.
-    pub const ALL: [DiagCode; 27] = [
+    pub const ALL: [DiagCode; 25] = [
         DiagCode::CycleOrForwardRef,
         DiagCode::DanglingParent,
         DiagCode::ZeroPartitions,
@@ -153,9 +146,7 @@ impl DiagCode {
         DiagCode::ComputeShapeMismatch,
         DiagCode::PartitionerHoldViolation,
         DiagCode::NegativeSerFactor,
-        DiagCode::NoAppsAdmitted,
-        DiagCode::DuplicateAppSpec,
-        DiagCode::AppsExceedSlots,
+        DiagCode::NotExactlyOneApp,
         DiagCode::RecomputeBomb,
         DiagCode::UnreachableCache,
         DiagCode::CacheOvercommit,
@@ -185,9 +176,7 @@ impl DiagCode {
             DiagCode::ComputeShapeMismatch => "BA007",
             DiagCode::PartitionerHoldViolation => "BA008",
             DiagCode::NegativeSerFactor => "BA009",
-            DiagCode::NoAppsAdmitted => "BA010",
-            DiagCode::DuplicateAppSpec => "BA011",
-            DiagCode::AppsExceedSlots => "BA012",
+            DiagCode::NotExactlyOneApp => "BA010",
             DiagCode::RecomputeBomb => "BA101",
             DiagCode::UnreachableCache => "BA102",
             DiagCode::CacheOvercommit => "BA103",
@@ -223,9 +212,7 @@ impl DiagCode {
             DiagCode::ComputeShapeMismatch => "compute kind and dependency shape disagree",
             DiagCode::PartitionerHoldViolation => "assumed partitioner does not hold for the data",
             DiagCode::NegativeSerFactor => "negative or non-finite serialization factor",
-            DiagCode::NoAppsAdmitted => "session admits zero applications",
-            DiagCode::DuplicateAppSpec => "same application admitted twice into one session",
-            DiagCode::AppsExceedSlots => "more co-running apps than cluster task slots",
+            DiagCode::NotExactlyOneApp => "a session runs exactly one application",
             DiagCode::RecomputeBomb => "multi-consumer dataset not cache-annotated",
             DiagCode::UnreachableCache => "cache-annotated dataset is never read back",
             DiagCode::CacheOvercommit => "annotated bytes exceed memory capacity",
@@ -290,21 +277,11 @@ impl DiagCode {
                  would happily spill everything; the engine used to clamp it silently, \
                  which only hid the broken plan."
             }
-            DiagCode::NoAppsAdmitted => {
-                "A multi-app session was built with zero applications. There is nothing to \
-                 schedule, no job will ever be submitted, and the run would silently \
-                 produce empty metrics; admit at least one application spec."
-            }
-            DiagCode::DuplicateAppSpec => {
-                "The same application spec was admitted more than once into one session. \
-                 The copies submit identical job sequences that contend for the shared \
-                 cache against themselves, which is almost always a harness bug rather \
-                 than an intended co-running mix."
-            }
-            DiagCode::AppsExceedSlots => {
-                "More applications were admitted than the cluster has task slots in total, \
-                 so at least one app always waits through a whole scheduling turn with no \
-                 achievable parallelism; grow the cluster or shrink the co-running mix."
+            DiagCode::NotExactlyOneApp => {
+                "A session runs exactly one application on one cluster, but it was built \
+                 with zero applications or with several. With none there is nothing to run \
+                 and the metrics would silently be empty; with several there is no single \
+                 application for Blaze to decide for. Call SessionBuilder::app exactly once."
             }
             DiagCode::RecomputeBomb => {
                 "A dataset is consumed by two or more downstream stages but is not \
@@ -401,7 +378,7 @@ impl DiagCode {
             | DiagCode::ComputeShapeMismatch
             | DiagCode::PartitionerHoldViolation
             | DiagCode::NegativeSerFactor
-            | DiagCode::NoAppsAdmitted
+            | DiagCode::NotExactlyOneApp
             | DiagCode::LineageMismatch
             | DiagCode::UnrecoverableLineage
             | DiagCode::TraceSpanNesting
@@ -411,9 +388,7 @@ impl DiagCode {
             | DiagCode::UnsoundPruneBound
             | DiagCode::UncoveredBranchLeaf
             | DiagCode::UnderApproximatedDirtyClosure => Severity::Error,
-            DiagCode::DuplicateAppSpec
-            | DiagCode::AppsExceedSlots
-            | DiagCode::RecomputeBomb
+            DiagCode::RecomputeBomb
             | DiagCode::UnreachableCache
             | DiagCode::CacheOvercommit
             | DiagCode::StragglerBudgetExceeded

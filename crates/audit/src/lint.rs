@@ -37,12 +37,6 @@
 //!   modules: silent precision loss in a cost or weight changes solver
 //!   tie-breaks. Each cast site must carry a justification that the value
 //!   is exactly representable (or the loss is intended).
-//! - `host-sched` — host thread-timing primitives (`thread::sleep`,
-//!   `yield_now`, `wait_timeout`, `park_timeout`) in the multi-app
-//!   scheduler module (`engine/src/session.rs`): the turnstile's
-//!   interleaving must be a pure function of the scheduler policy and the
-//!   simulated clock. Any host-timing wait would let OS scheduling leak
-//!   into the grant order and break byte-identical multi-app traces.
 //!
 //! A finding on line `n` is suppressed by `// audit: allow(<code>)` on line
 //! `n` or `n - 1`. Doc comments, comment text and `#[cfg(test)]` modules
@@ -68,10 +62,6 @@ const PAT_CFG_TEST: &str = concat!("#[cfg(", "test)]");
 // Leading space keeps `.as_secs_f64()` and friends from matching.
 const PAT_AS_F64: &str = concat!(" as ", "f64");
 const PAT_AS_F32: &str = concat!(" as ", "f32");
-const PAT_THREAD_SLEEP: &str = concat!("thread::", "sleep");
-const PAT_YIELD_NOW: &str = concat!("yield", "_now");
-const PAT_WAIT_TIMEOUT: &str = concat!("wait_", "timeout");
-const PAT_PARK_TIMEOUT: &str = concat!("park_", "timeout");
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,10 +100,6 @@ struct Scope {
     /// (`dataflow/src/{pair,dataset}.rs`): nothing whose iteration
     /// order is a table layout may become a block.
     record_order: bool,
-    /// Host thread-timing primitives banned in the multi-app scheduler
-    /// module (`engine/src/session.rs`): grant order must never depend on
-    /// OS scheduling or wall time.
-    host_sched: bool,
 }
 
 fn scope_of(path: &str) -> Scope {
@@ -127,7 +113,6 @@ fn scope_of(path: &str) -> Scope {
             || p.contains("solver/src/")
             || p.contains("certify/src/"),
         record_order: p.ends_with("dataflow/src/pair.rs") || p.ends_with("dataflow/src/dataset.rs"),
-        host_sched: p.ends_with("engine/src/session.rs"),
     }
 }
 
@@ -243,23 +228,6 @@ pub fn lint_source(path: &str, content: &str) -> Vec<LintViolation> {
                 message: "bare float casts silently lose precision and change solver \
                           tie-breaks; justify exact representability with \
                           `// audit: allow(float-cast)`"
-                    .into(),
-            });
-        }
-        if scope.host_sched
-            && (code_match(line, PAT_THREAD_SLEEP).is_some()
-                || code_match(line, PAT_YIELD_NOW).is_some()
-                || code_match(line, PAT_WAIT_TIMEOUT).is_some()
-                || code_match(line, PAT_PARK_TIMEOUT).is_some())
-            && !allowed(line, prev, "host-sched")
-        {
-            out.push(LintViolation {
-                file: path.into(),
-                line: n,
-                code: "host-sched",
-                message: "the turnstile schedule must be a pure function of policy and \
-                          simulated time; host thread-timing waits leak OS scheduling into \
-                          the grant order"
                     .into(),
             });
         }
@@ -501,35 +469,6 @@ mod tests {
         assert_eq!(lint_source("crates/certify/src/mckp.rs", &cast)[0].code, "float-cast");
         let map = join(&["use rustc_hash::FxHashMap;"]);
         assert_eq!(lint_source("crates/certify/src/lineage.rs", &map)[0].code, "decision-hash");
-    }
-
-    #[test]
-    fn flags_host_timing_in_the_scheduler_module_only() {
-        let sleep = join(&["fn f() { std::thread::sleep(d); }"]);
-        let hits = lint_source("crates/engine/src/session.rs", &sleep);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].code, "host-sched");
-        // The rule is scoped to the scheduler module, not the whole engine.
-        assert!(lint_source("crates/engine/src/cluster.rs", &sleep).is_empty());
-        let yield_now = join(&["fn f() { std::thread::yield_now(); }"]);
-        assert_eq!(lint_source("crates/engine/src/session.rs", &yield_now)[0].code, "host-sched");
-        let timed = join(&["fn f() { let _ = cv.wait_timeout(g, d); }"]);
-        assert_eq!(lint_source("crates/engine/src/session.rs", &timed)[0].code, "host-sched");
-        let allowed = join(&[
-            "// audit: allow(host-sched) test-only pacing",
-            "fn f() { std::thread::sleep(d); }",
-        ]);
-        assert!(lint_source("crates/engine/src/session.rs", &allowed).is_empty());
-    }
-
-    #[test]
-    fn scheduler_module_inherits_the_engine_wide_rules() {
-        // session.rs is inside crates/engine, so the unwrap and std-hash
-        // rules cover the scheduler too (this pins the path scoping).
-        let src = join(&["fn f() { x.unwrap(); }"]);
-        assert_eq!(lint_source("crates/engine/src/session.rs", &src)[0].code, "unwrap");
-        let map = join(&["use std::collections::HashMap;"]);
-        assert_eq!(lint_source("crates/engine/src/session.rs", &map)[0].code, "std-hash");
     }
 
     #[test]

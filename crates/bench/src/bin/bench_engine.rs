@@ -1,5 +1,4 @@
-//! The serialized-tier and multi-app engagement tables, on the simulated
-//! clock only.
+//! The serialized-tier engagement table, on the simulated clock only.
 //!
 //! The ser-tier section runs the paper's high-`ser_factor` workloads
 //! (SVD++ and LogisticRegression, §7.2) under tightened memory with the
@@ -9,20 +8,12 @@
 //! at least one workload (`ser_transitions > 0`) and the tier-off runs kept
 //! their ser counters at exactly zero.
 //!
-//! The multi-app section co-runs PageRank and KMeans in one session over
-//! the shared store, once under shared-cache Blaze and once under the
-//! isolated per-app LRU partition baseline, for both scheduler policies.
-//! With `--check` the run fails unless shared-cache Blaze spends strictly
-//! less total recompute time than the isolated partitions under every
-//! policy — the holistic-cache dividend of sharing one store.
-//!
 //! Every number is simulated, so `BENCH_engine.json` is a pure function of
 //! the code: the same file on every host, run and worker-thread count. A
 //! plain run rewrites it; `--check` leaves it alone and fails if it differs
 //! from what the code renders. Host time is measured by `benchmark/`.
 
 use blaze_bench::json::nz;
-use blaze_engine::{SchedPolicy, SchedulerConfig};
 use blaze_workloads::{App, AppSpec, Session, SystemKind};
 use std::process::ExitCode;
 
@@ -51,12 +42,7 @@ struct Sample {
 }
 
 fn run_sample(spec: &AppSpec, app_label: &'static str, system: SystemKind) -> Sample {
-    let out = Session::builder()
-        .app(*spec)
-        .system(system)
-        .run()
-        .expect("benchmark run failed")
-        .into_outcome();
+    let out = Session::builder().app(*spec).system(system).run().expect("benchmark run failed");
     let m = &out.metrics;
     let act = m.completion_time.as_secs_f64();
     eprintln!(
@@ -128,13 +114,11 @@ fn main() -> ExitCode {
         eprintln!("bench_engine --check: ser tier engaged on {engaged}/2 workloads; floors hold");
     }
 
-    let multi = run_multi_app_section(check);
-
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    let json = render_json(&samples, &multi);
+    let json = render_json(&samples);
     if !check {
         std::fs::write(path, &json).expect("write BENCH_engine.json");
-        println!("wrote {} + {} rows to {path}", samples.len(), multi.len());
+        println!("wrote {} rows to {path}", samples.len());
     } else if std::fs::read_to_string(path).ok().as_deref() != Some(json.as_str()) {
         eprintln!(
             "bench_engine --check: {path} differs from what the code renders; \
@@ -147,82 +131,8 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One co-run of the multi-app session (two apps, one shared store).
-struct MultiSample {
-    system: &'static str,
-    policy: &'static str,
-    apps: usize,
-    sim_act: f64,
-    recompute_s: f64,
-    cross_mem_hits: u64,
-    cross_disk_hits: u64,
-    evictions: u64,
-}
-
-/// The multi-app comparison: shared-cache Blaze vs isolated per-app LRU
-/// partitions, both over the *same* total store capacity. PageRank and
-/// KMeans co-run in one session under each system and scheduler policy.
-fn run_multi_app_section(check: bool) -> Vec<MultiSample> {
-    let mut multi = Vec::new();
-    for policy in [SchedPolicy::RoundRobin, SchedPolicy::FairShare] {
-        let policy_label = match policy {
-            SchedPolicy::RoundRobin => "round_robin",
-            SchedPolicy::FairShare => "fair_share",
-        };
-        let mut recompute = Vec::new();
-        for (system, sys_label) in
-            [(SystemKind::Blaze, "blaze_shared"), (SystemKind::IsolatedLru, "isolated_lru")]
-        {
-            let out = Session::builder()
-                .app(AppSpec::evaluation(App::PageRank))
-                .app(AppSpec::evaluation(App::KMeans))
-                .system(system)
-                .scheduler(SchedulerConfig { policy, seed: 0xA11 })
-                .run()
-                .expect("multi-app run failed");
-            let m = &out.metrics;
-            let per_app = m.per_app_sorted();
-            let (cross_mem, cross_disk) = per_app
-                .iter()
-                .fold((0, 0), |(a, b), (_, pm)| (a + pm.cross_mem_hits, b + pm.cross_disk_hits));
-            let rec = m.total_recompute_time().as_secs_f64();
-            eprintln!(
-                "multi-app {sys_label:12} {policy_label:11} apps={} sim_act={:.4}s \
-                 recompute={rec:.4}s evictions={}",
-                per_app.len(),
-                m.completion_time.as_secs_f64(),
-                m.evictions,
-            );
-            recompute.push(rec);
-            multi.push(MultiSample {
-                system: sys_label,
-                policy: policy_label,
-                apps: per_app.len(),
-                sim_act: m.completion_time.as_secs_f64(),
-                recompute_s: rec,
-                cross_mem_hits: cross_mem,
-                cross_disk_hits: cross_disk,
-                evictions: m.evictions,
-            });
-        }
-        if check {
-            assert!(
-                recompute[0] < recompute[1],
-                "--check floor [{policy_label}]: shared-cache Blaze must recompute less \
-                 ({:.4}s) than isolated per-app LRU partitions ({:.4}s)",
-                recompute[0],
-                recompute[1],
-            );
-        }
-    }
-    if check {
-        eprintln!("bench_engine --check: shared cache beats isolated partitions; floors hold");
-    }
-    multi
-}
-
 /// Hand-rolled JSON writer (the workspace deliberately has no serde).
-fn render_json(samples: &[Sample], multi: &[MultiSample]) -> String {
+fn render_json(samples: &[Sample]) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"ser_tier\": [\n");
     for (i, r) in samples.iter().enumerate() {
@@ -247,24 +157,6 @@ fn render_json(samples: &[Sample], multi: &[MultiSample]) -> String {
             r.ser_mem_hits,
             r.ser_transitions,
             if i + 1 < samples.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"multi_app\": [\n");
-    for (i, r) in multi.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"system\": \"{}\", \"policy\": \"{}\", \"apps\": {}, \
-             \"sim_act\": {:.6}, \"recompute_s\": {:.6}, \
-             \"cross_mem_hits\": {}, \"cross_disk_hits\": {}, \"evictions\": {}}}{}\n",
-            r.system,
-            r.policy,
-            r.apps,
-            nz(r.sim_act),
-            nz(r.recompute_s),
-            r.cross_mem_hits,
-            r.cross_disk_hits,
-            r.evictions,
-            if i + 1 < multi.len() { "," } else { "" }
         ));
     }
     s.push_str("  ]\n}\n");

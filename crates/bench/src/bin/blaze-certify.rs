@@ -43,8 +43,7 @@ fn certified_run(app: App, spec: AppSpec, cfg: BlazeConfig, leg: &str) -> u64 {
         .blaze(BlazeConfig { certify: true, ..cfg })
         .instrument(move |inner| Box::new(DecisionProbe::new(inner, false, mirror)))
         .run()
-        .expect("certified workload run failed")
-        .into_outcome();
+        .expect("certified workload run failed");
     let stats = readout.lock().expect("the probe panicked").stats;
     eprintln!(
         "{:7} jobs={:3} solves={} certificates={}{leg}",

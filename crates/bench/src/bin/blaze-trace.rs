@@ -143,13 +143,7 @@ fn fault_plan() -> FaultPlan {
 fn run(opts: &Options, app: App, system: SystemKind, threads: usize, tracing: bool) -> RunOutcome {
     let spec = AppSpec::evaluation(app).with_worker_threads(threads);
     let fault = if opts.faults { fault_plan() } else { FaultPlan::default() };
-    let run = Session::builder()
-        .app(spec)
-        .system(system)
-        .fault(fault)
-        .tracing(tracing)
-        .run()
-        .map(|o| o.into_outcome());
+    let run = Session::builder().app(spec).system(system).fault(fault).tracing(tracing).run();
     match run {
         Ok(out) => out,
         Err(e) => {

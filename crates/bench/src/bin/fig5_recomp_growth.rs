@@ -14,8 +14,8 @@ fn main() {
     let per_job = out.metrics.recompute_by_job();
 
     let mut t = Table::new(["iteration (job)", "recompute time", "top RDD", "top RDD time"]);
-    for ((app, job), time) in &per_job {
-        let top = out.metrics.top_recompute_rdd(*app, *job);
+    for (job, time) in &per_job {
+        let top = out.metrics.top_recompute_rdd(*job);
         let (top_rdd, top_time) = match top {
             Some((rdd, t)) => (rdd.to_string(), secs(t.as_secs_f64())),
             None => ("-".into(), "-".into()),

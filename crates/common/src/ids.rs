@@ -50,12 +50,9 @@ define_id!(
     "job"
 );
 define_id!(
-    /// Identifier of one application admitted to a multi-app session.
-    ///
-    /// Jobs are numbered per application (each driver owns its own counter,
-    /// like a `SparkContext`), so a bare [`JobId`] collides as soon as two
-    /// applications run concurrently; per-job accounting is keyed by
-    /// `(AppId, JobId)`.
+    /// Identifier of an application. One cluster runs one application, so
+    /// the engine stamps every trace event `app-0`; the field stays in the
+    /// trace format (chrome `args.app`, the ledger's `app-0/job-N`).
     AppId,
     "app"
 );

@@ -14,7 +14,7 @@ use crate::profiler::ProfileResult;
 use crate::refs::JobRefs;
 use blaze_common::error::{BlazeError, Result};
 use blaze_common::fxhash::{FxHashMap, FxHashSet};
-use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
+use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_dataflow::{JobPlan, Plan};
 use blaze_engine::{
@@ -133,11 +133,6 @@ pub struct BlazeController {
     /// scratch; a bump means the target sequence was truncated and the
     /// append-only reference extension is no longer sound.
     refs_seq_rev: u64,
-    /// Per-application job-target sequences. Under a multi-app session the
-    /// *global* sequence interleaves several drivers' iterations and has no
-    /// constant stride; each app's own sequence keeps the §5.3 pattern
-    /// intact, so detection runs on the submitting app's slice.
-    targets_by_app: FxHashMap<AppId, Vec<RddId>>,
     /// Incoming RDD -> its lineage ancestors that hold an in-job reference
     /// ([`bounded_ancestors`] restricted to the keys of `remaining`, sorted),
     /// built on the first admission of that RDD's partitions in a job.
@@ -262,7 +257,6 @@ impl BlazeController {
             recency: FxHashMap::default(),
             incr,
             refs_seq_rev: u64::MAX,
-            targets_by_app: FxHashMap::default(),
             ancestors: FxHashMap::default(),
         }
     }
@@ -349,19 +343,9 @@ impl BlazeController {
     /// [`JobRefs::extend_build`]) and only the induced tail is re-derived. A
     /// [`CostLineage::sequence_rev`] bump (target truncation) invalidates
     /// the append-only assumption and forces a full build.
-    fn relearn_refs(&mut self, plan: &Plan, app: AppId) {
+    fn relearn_refs(&mut self, plan: &Plan) {
         let targets = self.lineage.job_targets().to_vec();
-        // Pattern detection is per application. With one app the global
-        // sequence *is* that app's sequence (the legacy path, byte for
-        // byte); with several, the interleaved global sequence garbles the
-        // per-driver stride, so detect on the submitting app's own targets.
-        // References still build over the global sequence: the Eq. 5–6
-        // window spans every live app's jobs against the shared store.
-        self.pattern = if self.targets_by_app.len() > 1 {
-            self.targets_by_app.get(&app).and_then(|t| detect(t))
-        } else {
-            detect(&targets)
-        };
+        self.pattern = detect(&targets);
         let seq = self.lineage.sequence_rev();
         if seq == self.refs_seq_rev && self.refs.captured_jobs() <= targets.len() {
             self.refs.retract_induced();
@@ -421,12 +405,11 @@ impl CacheController for BlazeController {
             self.lineage.check_consistency(plan).diagnostics
         );
         self.current_idx = self.lineage.observe_job(job, job_plan.target);
-        self.targets_by_app.entry(ctx.app).or_default().push(job_plan.target);
         if self.profiled && self.lineage.diverged() {
             self.profiled = false;
         }
         if !self.profiled {
-            self.relearn_refs(plan, ctx.app);
+            self.relearn_refs(plan);
         }
         // Reference budget of this job: every dependency edge of every stage
         // counts once and is consumed when its stage completes. The action
@@ -659,11 +642,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn ctrl_ctx() -> CtrlCtx {
-        ctrl_ctx_for(AppId(0))
-    }
-
-    fn ctrl_ctx_for(app: AppId) -> CtrlCtx {
-        CtrlCtx { hardware: HardwareModel::default(), memory_capacity: ByteSize::from_mib(4), app }
+        CtrlCtx { hardware: HardwareModel::default(), memory_capacity: ByteSize::from_mib(4) }
     }
 
     fn info(rdd: u32, part: u32, kib: u64) -> BlockInfo {
@@ -1040,43 +1019,5 @@ mod tests {
         let optimizer = OptimizerConfig { horizon_jobs: 0, ..OptimizerConfig::default() };
         let err = BlazeConfig { optimizer, ..BlazeConfig::full() }.validate();
         assert!(matches!(err, Err(BlazeError::Config(_))), "{err:?}");
-    }
-
-    #[test]
-    fn multi_app_pattern_detection_survives_interleaving() {
-        use blaze_dataflow::{planner::plan_job, runner::LocalRunner, Context};
-        // Two drivers grow one shared plan: app 0 allocates one RDD per
-        // iteration, app 1 two, so the *global* interleaved target sequence
-        // alternates strides (aperiodic) while each app's own slice has a
-        // constant stride of 3.
-        let dctx = Context::new(LocalRunner::new());
-        let a0 = dctx.parallelize((0..8u64).collect::<Vec<_>>(), 1);
-        let b0 = dctx.parallelize((0..8u64).collect::<Vec<_>>(), 1);
-        let mut a = a0.map(|x| x + 1);
-        let mut b = b0.map(|x| x + 1).map(|x| x + 1);
-        let (mut a_targets, mut b_targets) = (Vec::new(), Vec::new());
-        for _ in 0..3 {
-            a_targets.push(a.id());
-            b_targets.push(b.id());
-            a = a.map(|x| x + 1);
-            b = b.map(|x| x + 1).map(|x| x + 1);
-        }
-
-        let mut ctl = BlazeController::new(BlazeConfig::full(), None);
-        let plan_lock = dctx.plan();
-        let plan = plan_lock.read();
-        for (i, (&ta, &tb)) in a_targets.iter().zip(&b_targets).enumerate() {
-            let jp = plan_job(&plan, ta).unwrap();
-            ctl.on_job_submit(&ctrl_ctx_for(AppId(0)), JobId(i as u32), &jp, &plan);
-            let jp = plan_job(&plan, tb).unwrap();
-            ctl.on_job_submit(&ctrl_ctx_for(AppId(1)), JobId(i as u32), &jp, &plan);
-        }
-
-        assert!(detect(ctl.lineage.job_targets()).is_none(), "interleave must look aperiodic");
-        let p = ctl.pattern.expect("per-app slice must still carry the stride");
-        assert_eq!(p.stride, 3);
-        // The induced tail (predicting app 1's next iterations) was appended
-        // on top of the six captured jobs.
-        assert_eq!(ctl.refs.num_jobs(), 6 + INDUCE_HORIZON);
     }
 }

@@ -50,26 +50,6 @@ impl<T: Data> Dataset<T> {
         self.num_partitions
     }
 
-    /// Re-binds this handle to another context sharing the *same* plan.
-    ///
-    /// In a multi-app session every application's [`Context`] grows one
-    /// shared plan; `rebind` lets one app act on a dataset another app
-    /// built (e.g. to demonstrate cross-app cache hits) while submitting
-    /// the job as itself. Type safety is preserved — the lineage node is
-    /// unchanged, only the submitting identity differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` does not share this dataset's plan: a handle into a
-    /// foreign plan would reference an arbitrary (or missing) node.
-    pub fn rebind(&self, ctx: &Context) -> Self {
-        assert!(
-            Arc::ptr_eq(self.ctx.plan(), ctx.plan()),
-            "rebind requires a context sharing the same plan"
-        );
-        Self::new(ctx.clone(), self.id, self.num_partitions)
-    }
-
     // ---- Metadata -------------------------------------------------------
 
     /// Sets the human-readable operator name (lineage displays, figures).

@@ -47,14 +47,14 @@ use crate::commit::TaskCoords;
 use crate::config::ClusterConfig;
 use crate::controller::{CacheController, CtrlCtx};
 use crate::exec::{execute_stage, ExecView, TaskOutput};
-use crate::metrics::{Metrics, OpenJobs};
+use crate::metrics::Metrics;
 use crate::storage::BlockStore;
 use crate::store_ops::Stores;
 use crate::tracing::{CacheDecision, CacheRecord, TraceEvent, TraceLog};
 use blaze_common::error::{BlazeError, Result};
 use blaze_common::fxhash::{FxHashMap, FxHashSet};
 use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
-use blaze_common::{ByteSize, SimDuration, SimTime};
+use blaze_common::{ByteSize, SimTime};
 use blaze_dataflow::plan::Dep;
 use blaze_dataflow::runner::JobRunner;
 use blaze_dataflow::{Block, Plan};
@@ -126,36 +126,6 @@ impl Cluster {
         st.wipe_executor(e, at);
         Ok(())
     }
-
-    /// Admits one job on behalf of `app` and returns its ticket. Session
-    /// layer only: the legacy [`JobRunner`] path stays on `run_job`.
-    pub(crate) fn begin_job_for(
-        &self,
-        app: AppId,
-        plan: &Plan,
-        target: RddId,
-    ) -> Result<JobTicket> {
-        self.state.lock().begin_job(app, plan, target)
-    }
-
-    /// Runs the ticket's next stage. The lock is held only for the stage,
-    /// so a session scheduler can interleave stages of different apps.
-    pub(crate) fn run_next_stage_for(&self, ticket: &mut JobTicket, plan: &Plan) -> Result<()> {
-        self.state.lock().run_next_stage(ticket, plan)
-    }
-
-    /// Completes a ticket whose stages have all run.
-    pub(crate) fn finish_job_for(&self, ticket: JobTicket) -> Result<Vec<Block>> {
-        self.state.lock().finish_job(ticket)
-    }
-
-    /// Unpersist on behalf of a specific app (owner attribution).
-    pub(crate) fn unpersist_for(&self, app: AppId, rdd: RddId) {
-        let mut st = self.state.lock();
-        st.current_app = app;
-        let at = st.clock_floor;
-        st.unpersist_rdd(rdd, at);
-    }
 }
 
 impl JobRunner for Cluster {
@@ -194,23 +164,14 @@ pub(crate) struct ClusterState {
     // -- Accounting: written through `emit`, from the serial phases only.
     /// The fold of every emitted event ([`Self::emit`]), every field.
     pub(crate) metrics: Metrics,
-    /// The metrics fold's private state.
-    open_jobs: OpenJobs,
     /// The retained event stream, present only when
     /// [`ClusterConfig::tracing`] is on. Written by [`Self::emit`] alone.
     pub(crate) trace: Option<TraceLog>,
 
     // -- Job driver (this module).
-    /// Per-application job counters: each admitted app numbers its own
-    /// jobs from zero (like a `SparkContext` does), so all per-job
-    /// accounting downstream is keyed by `(AppId, JobId)`.
-    job_counters: FxHashMap<AppId, u32>,
-    /// The application the engine is currently executing on behalf of.
-    /// Always `app-0` on the legacy single-app path; the multi-app
-    /// session layer sets it at every job/stage/unpersist entry point
-    /// (all of which run under the scheduler turnstile, so the field is
-    /// never observed concurrently).
-    pub(crate) current_app: AppId,
+    /// The id the next admitted job gets (jobs number from zero, like a
+    /// `SparkContext`'s).
+    next_job: u32,
     /// Simulated time at which the next job may start.
     pub(crate) clock_floor: SimTime,
     /// Every action target submitted so far (preflight audit context).
@@ -219,25 +180,26 @@ pub(crate) struct ClusterState {
     seen_audit: FxHashSet<(blaze_audit::DiagCode, Option<RddId>)>,
 }
 
-/// One admitted job's in-flight execution state, detached from the engine
-/// so the session scheduler can interleave stages of different apps.
+/// The application every event is stamped with. One cluster runs one
+/// application; the trace format keeps the field (chrome `args.app`, the
+/// ledger's `app-0/job-N`).
+pub(crate) const APP: AppId = AppId(0);
+
+/// One admitted job's in-flight execution state, between the phases of
+/// [`ClusterState::run_job`].
 ///
 /// Produced by [`ClusterState::begin_job`]; each [`ClusterState::run_next_stage`]
 /// call advances it by one stage; [`ClusterState::finish_job`] consumes it.
 /// The ticket owns its stage plan and dependency clocks (`stage_done` floors
-/// at `job_floor`, the global clock floor at admission), so interleaving
-/// never perturbs a job's internal timing — N=1 runs are byte-identical to
-/// the legacy serial path.
-pub(crate) struct JobTicket {
-    app: AppId,
+/// at `job_floor`, the global clock floor at admission).
+struct JobTicket {
     job: JobId,
     job_plan: blaze_dataflow::planner::JobPlan,
     /// Which shuffles each map stage feeds within this job.
     consumers: FxHashMap<RddId, Vec<(RddId, usize)>>,
     /// Per-stage completion times, seeded with `job_floor`.
     stage_done: Vec<SimTime>,
-    /// Global clock floor snapshotted at admission; all stage starts fold
-    /// from here, never from the live (cross-app) clock floor.
+    /// Global clock floor at admission; all stage starts fold from here.
     job_floor: SimTime,
     /// Result-stage blocks accumulated so far.
     results: Vec<Block>,
@@ -245,16 +207,8 @@ pub(crate) struct JobTicket {
 }
 
 impl JobTicket {
-    pub(crate) fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.next_stage >= self.job_plan.stages.len()
-    }
-
-    /// Simulated time this job has consumed so far (latest stage completion
-    /// relative to the job's admission floor). The fair-share scheduler
-    /// charges the per-stage delta of this to the owning app.
-    pub(crate) fn sim_cost(&self) -> SimDuration {
-        let latest = self.stage_done.iter().copied().max().unwrap_or(self.job_floor);
-        latest.since(self.job_floor)
     }
 }
 
@@ -285,9 +239,7 @@ impl ClusterState {
             stores: Stores::new(&config),
             slots: vec![vec![SimTime::ZERO; config.slots_per_executor]; config.executors],
             metrics: Metrics::new(),
-            open_jobs: OpenJobs::default(),
-            job_counters: FxHashMap::default(),
-            current_app: AppId(0),
+            next_job: 0,
             clock_floor: SimTime::ZERO,
             job_targets: Vec::new(),
             seen_audit: FxHashSet::default(),
@@ -299,11 +251,7 @@ impl ClusterState {
     }
 
     pub(crate) fn ctrl_ctx(&self) -> CtrlCtx {
-        CtrlCtx {
-            app: self.current_app,
-            hardware: self.config.hardware,
-            memory_capacity: self.config.memory_capacity,
-        }
+        CtrlCtx { hardware: self.config.hardware, memory_capacity: self.config.memory_capacity }
     }
 
     /// The frozen view `stage`'s tasks execute against, as of now.
@@ -325,14 +273,13 @@ impl ClusterState {
     /// and, when tracing is on, retains it in the log. Only called from the
     /// serial engine phases, so both are identical across `worker_threads`.
     pub(crate) fn emit(&mut self, ev: TraceEvent) {
-        self.metrics.apply(&mut self.open_jobs, &ev);
+        self.metrics.apply(&ev);
         if let Some(tr) = self.trace.as_mut() {
             tr.record(ev);
         }
     }
 
-    /// Emits one cache decision made on behalf of the current app, stamped
-    /// with the block's owner (its first producer).
+    /// Emits one cache decision.
     pub(crate) fn emit_cache(
         &mut self,
         at: SimTime,
@@ -342,9 +289,7 @@ impl ClusterState {
         decision: CacheDecision,
         rationale: Option<String>,
     ) {
-        let app = self.current_app;
-        let owner = self.stores.meta(id).owner.unwrap_or(app);
-        let record = CacheRecord { at, app, owner, executor, id, bytes, decision, rationale };
+        let record = CacheRecord { at, app: APP, executor, id, bytes, decision, rationale };
         self.emit(TraceEvent::Cache(record));
     }
 
@@ -392,8 +337,8 @@ impl ClusterState {
         }
         for d in report.warnings() {
             if self.seen_audit.insert((d.code, d.rdd)) {
-                let (at, app) = (self.clock_floor, self.current_app);
-                self.emit(TraceEvent::AuditWarning { at, app, code: d.code, rdd: d.rdd });
+                let at = self.clock_floor;
+                self.emit(TraceEvent::AuditWarning { at, app: APP, code: d.code, rdd: d.rdd });
             }
         }
         Ok(())
@@ -414,29 +359,22 @@ impl ClusterState {
         );
     }
 
+    /// Runs one job: admit it, run its stages in order, finish it.
     fn run_job(&mut self, plan: &Plan, target: RddId) -> Result<Vec<Block>> {
-        // The legacy serial path is the scheduler path degenerated to one
-        // app: begin, run every stage back-to-back, finish. Keeping it as
-        // this exact composition is what makes N=1 session traces
-        // byte-identical to historical single-app runs.
-        let mut ticket = self.begin_job(AppId(0), plan, target)?;
+        let mut ticket = self.begin_job(plan, target)?;
         while !ticket.done() {
             self.run_next_stage(&mut ticket, plan)?;
         }
         self.finish_job(ticket)
     }
 
-    /// Admits one job of `app`: preflight audit, per-app job numbering,
-    /// fault housekeeping, controller submit hook, and stage planning.
-    /// The returned [`JobTicket`] carries everything the per-stage
-    /// execution needs, so the session layer can interleave stages of
-    /// different apps between calls.
-    fn begin_job(&mut self, app: AppId, plan: &Plan, target: RddId) -> Result<JobTicket> {
-        self.current_app = app;
+    /// Admits one job: preflight audit, job numbering, fault housekeeping,
+    /// controller submit hook, and stage planning. The returned
+    /// [`JobTicket`] carries everything the per-stage execution needs.
+    fn begin_job(&mut self, plan: &Plan, target: RddId) -> Result<JobTicket> {
         self.preflight_audit(plan, target)?;
-        let counter = self.job_counters.entry(app).or_insert(0);
-        let job = JobId(*counter);
-        *counter += 1;
+        let job = JobId(self.next_job);
+        self.next_job += 1;
         let job_plan = blaze_dataflow::planner::plan_job(plan, target)?;
 
         // All fault paths hang off this one gate: with the default
@@ -445,7 +383,7 @@ impl ClusterState {
             self.fire_idle_crashes(self.clock_floor);
             self.inject_map_output_loss(job);
         }
-        self.emit(TraceEvent::JobStarted { at: self.clock_floor, app, job, target });
+        self.emit(TraceEvent::JobStarted { at: self.clock_floor, app: APP, job, target });
 
         // Which shuffles does each map stage feed within this job?
         let mut consumers: FxHashMap<RddId, Vec<(RddId, usize)>> = FxHashMap::default();
@@ -467,7 +405,6 @@ impl ClusterState {
 
         let stage_done = vec![self.clock_floor; job_plan.stages.len()];
         Ok(JobTicket {
-            app,
             job,
             job_floor: self.clock_floor,
             job_plan,
@@ -479,11 +416,8 @@ impl ClusterState {
     }
 
     /// Runs the ticket's next stage end to end: skip check, plan, execute,
-    /// commit. Stage starts floor at the ticket's own `job_floor`, not the
-    /// global clock floor, so another app finishing a job mid-flight never
-    /// shifts this job's dependency-driven stage times.
+    /// commit. Stage starts floor at the ticket's own `job_floor`.
     fn run_next_stage(&mut self, ticket: &mut JobTicket, plan: &Plan) -> Result<()> {
-        self.current_app = ticket.app;
         let stage = &ticket.job_plan.stages[ticket.next_stage];
         ticket.next_stage += 1;
         let is_result = stage.index == ticket.job_plan.stages.len() - 1;
@@ -535,7 +469,7 @@ impl ClusterState {
         let disk_resident = (!skipped).then(|| self.stores.disk.iter().map(BlockStore::used).sum());
         self.emit(TraceEvent::StageCompleted {
             at,
-            app: self.current_app,
+            app: APP,
             job: run.job,
             stage_output: run.output,
             disk_resident,
@@ -555,7 +489,7 @@ impl ClusterState {
         if run.fault_on && run.consumers.iter().any(|&s| shuffle.any_lost(s)) {
             self.emit(TraceEvent::StageResubmitted {
                 at: run.start,
-                app: self.current_app,
+                app: APP,
                 job: run.job,
                 stage_output: run.output,
             });
@@ -573,7 +507,7 @@ impl ClusterState {
         for (p, &executor) in run.placements.iter().enumerate() {
             self.emit(TraceEvent::TaskPlanned {
                 at: run.start,
-                app: self.current_app,
+                app: APP,
                 job: run.job,
                 stage_output: run.output,
                 partition: p as u32,
@@ -625,15 +559,13 @@ impl ClusterState {
     }
 
     /// Completes a job whose stages have all run: advances the global
-    /// clock floor (monotonically — another app may already have pushed
-    /// it past this job's end) and returns the result blocks.
+    /// clock floor (monotonically) and returns the result blocks.
     fn finish_job(&mut self, ticket: JobTicket) -> Result<Vec<Block>> {
         debug_assert!(ticket.done(), "finish_job called with stages still pending");
-        self.current_app = ticket.app;
         let last_stage = ticket.job_plan.stages.len() - 1;
         let end = ticket.stage_done[last_stage];
         self.clock_floor = self.clock_floor.max(end);
-        self.emit(TraceEvent::JobCompleted { at: end, app: ticket.app, job: ticket.job });
+        self.emit(TraceEvent::JobCompleted { at: end, app: APP, job: ticket.job });
         Ok(ticket.results)
     }
 }

@@ -2,6 +2,7 @@ use super::*;
 use crate::controller::{
     victims_by_key, Admission, BlockInfo, NoCacheController, StateCommand, StoreTier, VictimAction,
 };
+use blaze_common::SimDuration;
 use blaze_dataflow::Context;
 
 fn cluster(controller: Box<dyn CacheController>) -> (Context, Cluster) {

@@ -9,7 +9,7 @@
 //!
 //! [`CacheController`]: crate::controller::CacheController
 
-use crate::cluster::ClusterState;
+use crate::cluster::{ClusterState, APP};
 use crate::controller::{Admission, BlockInfo, PartitionEvent};
 use crate::exec::{ComputedBlock, TaskEvent, TaskOutput};
 use crate::fault::FaultCause;
@@ -53,7 +53,7 @@ impl ClusterState {
     /// add cache-write charges), and emits the accounting events.
     /// Returns the task's simulated end time.
     pub(crate) fn commit_task(&mut self, task: TaskCoords, output: TaskOutput) -> SimTime {
-        let app = self.current_app;
+        let app = APP;
         let TaskCoords { job, stage_output, part, exec, start } = task;
         let e = exec.raw() as usize;
         let slot = Self::earliest_slot(&self.slots[e]);
@@ -94,7 +94,7 @@ impl ClusterState {
 
     /// Replays one logged event: one handler per [`TaskEvent`] kind.
     fn replay_event(&mut self, replay: &mut Replay, event: TaskEvent) {
-        let (at, app, job) = (replay.t0, self.current_app, replay.task.job);
+        let (at, app, job) = (replay.t0, APP, replay.task.job);
         match event {
             TaskEvent::Failed { attempt, cause, wasted } => {
                 self.replay_failed_attempt(replay, attempt, cause, wasted);
@@ -148,7 +148,7 @@ impl ClusterState {
         replay.charge.fault_wasted += wasted;
         self.emit(TraceEvent::TaskRetry {
             at: replay.t0,
-            app: self.current_app,
+            app: APP,
             job: replay.task.job,
             stage_output: replay.task.stage_output,
             partition: replay.task.part as u32,
@@ -193,17 +193,15 @@ impl ClusterState {
 
     fn replay_computed(&mut self, replay: &mut Replay, computed: ComputedBlock) {
         let ComputedBlock { info, edge, recomputed, annotated, depth, block } = computed;
-        let (app, job, t0) = (self.current_app, replay.task.job, replay.t0);
+        let (app, job, t0) = (APP, replay.task.job, replay.t0);
         // One probe of the block's record: it has now been materialized and
         // is no longer lost; even an uncached production sets the home hint
         // (the producing executor is where recomputation is cheapest next
-        // time) and the first producer owns the block for cross-app
-        // attribution. A cache write below moves the home.
+        // time). A cache write below moves the home.
         let meta = self.stores.meta_mut(info.id);
         meta.materialized = true;
         let recovered = std::mem::take(&mut meta.lost);
         meta.home.get_or_insert(info.executor);
-        meta.owner.get_or_insert(app);
         if recomputed {
             let miss = CacheDecision::MissRecompute;
             self.emit_cache(t0, info.executor, info.id, info.bytes, miss, None);
@@ -337,7 +335,7 @@ impl ClusterState {
                 (end, delay, race)
             }
         };
-        let (at, app, partition) = (t0_orig, self.current_app, part as u32);
+        let (at, app, partition) = (t0_orig, APP, part as u32);
         self.emit(TraceEvent::Straggler { at, app, job, stage_output, partition, delay });
         if let Some((copy_executor, copy_won, wasted)) = race {
             self.emit(TraceEvent::Speculation {

@@ -98,31 +98,6 @@ impl HardwareModel {
     }
 }
 
-/// How a multi-app session interleaves the stages of its applications
-/// (see `blaze_engine::session`). Like `FaultPlan`, everything is a pure
-/// function of the seed and the simulated clock, so multi-app traces are
-/// byte-identical across `worker_threads` and repeated runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Cycle through the live applications in a seeded permutation of their
-    /// admission order.
-    #[default]
-    RoundRobin,
-    /// Hand the turn to the live application with the least accumulated
-    /// simulated stage time (outstanding-cost fair share); ties break
-    /// toward the smallest application id.
-    FairShare,
-}
-
-/// Deterministic multi-app scheduling configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedulerConfig {
-    /// Interleaving policy at stage/job boundaries.
-    pub policy: SchedPolicy,
-    /// Seed for the round-robin permutation (ignored by fair share).
-    pub seed: u64,
-}
-
 /// Configuration of the simulated cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -158,10 +133,6 @@ pub struct ClusterConfig {
     /// the same events and folds them into [`crate::metrics::Metrics`]
     /// either way; only the policy rationale strings are skipped when off.
     pub tracing: bool,
-    /// Multi-app interleaving policy and seed (see
-    /// [`crate::session::Turnstile`]). Irrelevant when a single
-    /// application drives the cluster.
-    pub scheduler: SchedulerConfig,
 }
 
 impl Default for ClusterConfig {
@@ -176,7 +147,6 @@ impl Default for ClusterConfig {
             strict_audit: false,
             fault: FaultPlan::default(),
             tracing: false,
-            scheduler: SchedulerConfig::default(),
         }
     }
 }

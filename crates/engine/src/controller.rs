@@ -8,7 +8,7 @@
 //! decision layer, §5.6) plug into the same engine.
 
 use crate::config::HardwareModel;
-use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
+use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_dataflow::{JobPlan, Plan};
 use std::cmp::{Ordering, Reverse};
@@ -131,11 +131,6 @@ pub struct DegradationNote {
 /// Read-only context handed to controller callbacks.
 #[derive(Debug, Clone, Copy)]
 pub struct CtrlCtx {
-    /// The application the engine is currently executing on behalf of.
-    /// Always `app-0` outside a multi-app session, so single-app
-    /// controllers can ignore it; partition-aware policies use it to
-    /// attribute accesses and scope victim choice per application.
-    pub app: AppId,
     /// Hardware model (for disk-cost estimation, Eq. 3).
     pub hardware: HardwareModel,
     /// Per-executor memory-store capacity.
@@ -427,7 +422,7 @@ mod tests {
     fn defaults_are_conservative() {
         let mut c = NoCacheController;
         let hw = HardwareModel::default();
-        let ctx = CtrlCtx { app: AppId(0), hardware: hw, memory_capacity: ByteSize::from_mib(1) };
+        let ctx = CtrlCtx { hardware: hw, memory_capacity: ByteSize::from_mib(1) };
         let info = BlockInfo {
             id: BlockId::new(RddId(1), 0),
             bytes: ByteSize::from_kib(1),

@@ -11,7 +11,8 @@
 //! - [`config::ClusterConfig`] / [`config::HardwareModel`] — the topology and
 //!   throughput constants of the simulated cluster.
 //! - [`cluster::Cluster`] — the engine; implements
-//!   [`blaze_dataflow::runner::JobRunner`].
+//!   [`blaze_dataflow::runner::JobRunner`]. One cluster runs one
+//!   application: its jobs run one after another, numbered from zero.
 //! - [`controller::CacheController`] — the unified decision surface for
 //!   caching, eviction and recovery; implemented by every baseline policy in
 //!   `blaze-policies` and by Blaze itself in `blaze-core`.
@@ -42,21 +43,17 @@ pub mod controller;
 mod exec;
 pub mod fault;
 pub mod metrics;
-pub mod session;
 pub mod shuffle;
 pub mod storage;
 mod store_ops;
 pub mod tracing;
 
 pub use cluster::Cluster;
-pub use config::{ClusterConfig, HardwareModel, SchedPolicy, SchedulerConfig};
+pub use config::{ClusterConfig, HardwareModel};
 pub use controller::{
     victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, DegradationNote,
     NoCacheController, PartitionEvent, Residency, StateCommand, StoreTier, VictimAction,
 };
 pub use fault::{ExecutorCrash, FaultCause, FaultPlan};
-pub use metrics::{
-    AppMetrics, Metrics, RecoveryMetrics, SpeculationMetrics, TaskCharge, TaskTrace,
-};
-pub use session::{AppSession, Turnstile};
+pub use metrics::{Metrics, RecoveryMetrics, SpeculationMetrics, TaskCharge, TaskTrace};
 pub use tracing::{CacheDecision, CacheRecord, TraceEvent, TraceLog};

@@ -22,10 +22,10 @@ use blaze_common::{ByteSize, SimDuration, SimTime};
 /// payload of [`TraceEvent::TaskCommitted`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskTrace {
-    /// Application the task belonged to (`app-0` outside multi-app runs).
+    /// Application the task belonged to (always `app-0`: one cluster runs
+    /// one application).
     pub app: AppId,
-    /// Job the task belonged to. Job ids are numbered per application, so
-    /// only the `(app, job)` pair is unique within a run.
+    /// Job the task belonged to.
     pub job: JobId,
     /// The RDD the task's stage materialized.
     pub stage_output: RddId,
@@ -189,10 +189,6 @@ pub struct RecoveryMetrics {
     /// Simulated time spent replaying lineage to re-produce lost data
     /// (recompute edges below a lost block, plus map-output regeneration).
     pub lineage_replay_time: SimDuration,
-    /// Total recovery time (wasted + replay) attributed per `(app, job)`.
-    /// Job ids are per-application counters, so keying by bare [`JobId`]
-    /// would collide as soon as two applications run concurrently.
-    pub recovery_time_by_job: FxHashMap<(AppId, JobId), SimDuration>,
 }
 
 impl RecoveryMetrics {
@@ -201,54 +197,7 @@ impl RecoveryMetrics {
     pub fn total_recovery_time(&self) -> SimDuration {
         self.wasted_time + self.lineage_replay_time + self.fetch_backoff_time
     }
-
-    /// Recovery time per `(app, job)`, sorted by key.
-    pub fn recovery_by_job(&self) -> Vec<((AppId, JobId), SimDuration)> {
-        let mut v: Vec<_> = self.recovery_time_by_job.iter().map(|(&k, &t)| (k, t)).collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
-
-    /// Attributes recovery time to `job` of `app`; zero time leaves no entry.
-    fn add_job_recovery(&mut self, app: AppId, job: JobId, time: SimDuration) {
-        if time > SimDuration::ZERO {
-            *self.recovery_time_by_job.entry((app, job)).or_default() += time;
-        }
-    }
 }
-
-/// Per-application attribution of shared-cluster activity. All zero outside
-/// multi-app sessions except the `app-0` entry, which then mirrors the
-/// single application's share of the global counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AppMetrics {
-    /// Jobs this application submitted.
-    pub jobs: u64,
-    /// Memory hits served to this application's tasks.
-    pub mem_hits: u64,
-    /// Disk hits served to this application's tasks.
-    pub disk_hits: u64,
-    /// Memory hits this application served from a block *produced by
-    /// another application* (the shared-cache dividend: zero under
-    /// isolated per-app partitions).
-    pub cross_mem_hits: u64,
-    /// Disk hits served from another application's block.
-    pub cross_disk_hits: u64,
-    /// Memory evictions of blocks this application produced.
-    pub evictions: u64,
-    /// Unpersists (automatic or user) of blocks this application produced.
-    pub unpersists: u64,
-    /// Recomputation time charged to this application's jobs.
-    pub recompute_time: SimDuration,
-    /// Completion time of this application's last job.
-    pub completion_time: SimTime,
-}
-
-/// The private state of the [`Metrics::apply`] fold: each application's
-/// open job, which attributes serialized-memory hits per `(app, job)`
-/// (cache records carry the app but not the job).
-#[derive(Debug, Default)]
-pub(crate) struct OpenJobs(FxHashMap<AppId, JobId>);
 
 /// Aggregated metrics of one application run.
 ///
@@ -291,18 +240,14 @@ pub struct Metrics {
     pub disk_samples: u64,
     /// Peak bytes resident in memory stores (cluster-wide).
     pub memory_bytes_peak: ByteSize,
-    /// Recomputation time per (app, job, RDD) (Figs. 5 and 12b). Job ids
-    /// are per-application, so the app id is part of the key.
-    pub recompute_by_job_rdd: FxHashMap<(AppId, JobId, RddId), SimDuration>,
+    /// Recomputation time per (job, RDD) (Figs. 5 and 12b).
+    pub recompute_by_job_rdd: FxHashMap<(JobId, RddId), SimDuration>,
     /// Cache hits served from memory.
     pub mem_hits: u64,
     /// Memory hits served from a serialized-in-memory block (the decision
     /// layer's s-state, `ser_tier`; a subset of `mem_hits`). Always zero
     /// when the serialized tier is disabled.
     pub ser_mem_hits: u64,
-    /// Serialized-memory hits attributed per `(app, job)` (empty whenever
-    /// `ser_mem_hits` is zero).
-    pub ser_mem_hits_by_job: FxHashMap<(AppId, JobId), u64>,
     /// In-place serialized-tier transitions applied (m -> s serializations,
     /// s -> m deserializations and d -> s promotions together). Always zero
     /// when the serialized tier is disabled.
@@ -321,12 +266,6 @@ pub struct Metrics {
     /// Straggler and speculative-execution attribution (all zero without
     /// injected stragglers).
     pub speculation: SpeculationMetrics,
-    /// Speculative copies launched, attributed per `(app, job)` (empty
-    /// whenever `speculation.launched` is zero).
-    pub speculation_by_job: FxHashMap<(AppId, JobId), u64>,
-    /// Per-application attribution of the shared cluster's activity. Keyed
-    /// by application; single-app runs have exactly the `app-0` entry.
-    pub per_app: FxHashMap<AppId, AppMetrics>,
     /// The simulated application completion time (Fig. 9's ACT).
     pub completion_time: SimTime,
     /// Every executed task, in execution order (timeline reconstruction).
@@ -340,45 +279,34 @@ impl Metrics {
     }
 
     /// Folds one engine event into the aggregates: the only writer of every
-    /// field. `open` is the fold's private state and must be the same value
-    /// across one event stream.
-    pub(crate) fn apply(&mut self, open: &mut OpenJobs, ev: &TraceEvent) {
+    /// field.
+    pub(crate) fn apply(&mut self, ev: &TraceEvent) {
         match ev {
-            TraceEvent::JobStarted { app, job, .. } => {
-                open.0.insert(*app, *job);
-            }
-            TraceEvent::JobCompleted { at, app, .. } => {
+            TraceEvent::JobStarted { .. } | TraceEvent::TaskPlanned { .. } => {}
+            TraceEvent::JobCompleted { at, .. } => {
                 self.jobs += 1;
-                // With co-running apps the last *recorded* completion need
-                // not be the latest on the sim clock.
+                // A stream edited outside the engine may record completions
+                // out of sim-clock order; the run ends at the latest.
                 self.completion_time = self.completion_time.max(*at);
-                let per_app = self.per_app.entry(*app).or_default();
-                per_app.jobs += 1;
-                per_app.completion_time = *at;
-                open.0.remove(app);
             }
-            TraceEvent::TaskPlanned { .. } => {}
             TraceEvent::TaskCommitted(task) => {
                 self.accumulated.merge(&task.charge);
                 self.tasks += 1;
                 self.task_traces.push(*task);
             }
-            TraceEvent::Cache(r) => self.apply_cache(open, r),
-            TraceEvent::Recompute { app, job, id, duration, .. } => {
-                *self.recompute_by_job_rdd.entry((*app, *job, id.rdd)).or_default() += *duration;
-                self.per_app.entry(*app).or_default().recompute_time += *duration;
+            TraceEvent::Cache(r) => self.apply_cache(r),
+            TraceEvent::Recompute { job, id, duration, .. } => {
+                *self.recompute_by_job_rdd.entry((*job, id.rdd)).or_default() += *duration;
             }
-            TraceEvent::TaskRetry { app, job, cause, wasted, .. } => {
+            TraceEvent::TaskRetry { cause, wasted, .. } => {
                 match cause {
                     FaultCause::Transient => self.recovery.task_retries += 1,
                     FaultCause::ExecutorLost => self.recovery.tasks_lost_to_crash += 1,
                 }
                 self.recovery.wasted_time += *wasted;
-                self.recovery.add_job_recovery(*app, *job, *wasted);
             }
-            TraceEvent::RecoveryReplay { app, job, duration, .. } => {
+            TraceEvent::RecoveryReplay { duration, .. } => {
                 self.recovery.lineage_replay_time += *duration;
-                self.recovery.add_job_recovery(*app, *job, *duration);
             }
             TraceEvent::ExecutorCrashed { blocks_lost, bytes_lost, .. } => {
                 // Map-output losses are counted from the per-output events
@@ -395,11 +323,10 @@ impl Metrics {
                 self.speculation.stragglers += 1;
                 self.speculation.straggler_delay += *delay;
             }
-            TraceEvent::Speculation { app, job, copy_won, wasted, .. } => {
+            TraceEvent::Speculation { copy_won, wasted, .. } => {
                 self.speculation.launched += 1;
                 self.speculation.wins += u64::from(*copy_won);
                 self.speculation.wasted += *wasted;
-                *self.speculation_by_job.entry((*app, *job)).or_default() += 1;
             }
             TraceEvent::SpillQuarantined { .. } => self.recovery.spills_quarantined += 1,
             TraceEvent::FetchRetry { backoff, .. } => {
@@ -422,36 +349,20 @@ impl Metrics {
         }
     }
 
-    /// The cache-decision arm of [`Self::apply`]. Hits attribute to the
-    /// reading app (`r.app`), evictions and unpersists to the block's owner.
-    fn apply_cache(&mut self, open: &OpenJobs, r: &CacheRecord) {
+    /// The cache-decision arm of [`Self::apply`].
+    fn apply_cache(&mut self, r: &CacheRecord) {
         match r.decision {
-            CacheDecision::HitMemory | CacheDecision::HitSerializedMemory => {
+            CacheDecision::HitMemory => self.mem_hits += 1,
+            CacheDecision::HitSerializedMemory => {
                 self.mem_hits += 1;
-                let per_app = self.per_app.entry(r.app).or_default();
-                per_app.mem_hits += 1;
-                per_app.cross_mem_hits += u64::from(r.owner != r.app);
-                if r.decision == CacheDecision::HitSerializedMemory {
-                    // Hits only happen while the reading app has a job
-                    // open, which attributes the per-job counter.
-                    self.ser_mem_hits += 1;
-                    if let Some(job) = open.0.get(&r.app) {
-                        *self.ser_mem_hits_by_job.entry((r.app, *job)).or_default() += 1;
-                    }
-                }
+                self.ser_mem_hits += 1;
             }
-            CacheDecision::HitDisk => {
-                self.disk_hits += 1;
-                let per_app = self.per_app.entry(r.app).or_default();
-                per_app.disk_hits += 1;
-                per_app.cross_disk_hits += u64::from(r.owner != r.app);
-            }
+            CacheDecision::HitDisk => self.disk_hits += 1,
             CacheDecision::MissRecompute => self.recompute_misses += 1,
             CacheDecision::EvictToDisk => {
                 self.evictions += 1;
                 self.evictions_to_disk += 1;
                 *self.spilled_bytes_per_executor.entry(r.executor).or_default() += r.bytes;
-                self.per_app.entry(r.owner).or_default().evictions += 1;
                 self.disk_bytes_written += r.bytes;
             }
             // Still an eviction to disk; only the write did not happen.
@@ -463,15 +374,13 @@ impl Metrics {
                 self.evictions += 1;
                 self.evictions_discard += 1;
                 *self.discarded_bytes_per_executor.entry(r.executor).or_default() += r.bytes;
-                self.per_app.entry(r.owner).or_default().evictions += 1;
             }
             CacheDecision::SerializeInMemory
             | CacheDecision::DeserializeInMemory
             | CacheDecision::PromoteToSerializedMemory => self.ser_transitions += 1,
-            CacheDecision::UnpersistMemory | CacheDecision::UnpersistDisk => {
-                self.per_app.entry(r.owner).or_default().unpersists += 1;
-            }
-            CacheDecision::AdmitMemory
+            CacheDecision::UnpersistMemory
+            | CacheDecision::UnpersistDisk
+            | CacheDecision::AdmitMemory
             | CacheDecision::PromoteToMemory
             | CacheDecision::LostMemory
             | CacheDecision::LostDisk => {}
@@ -482,9 +391,8 @@ impl Metrics {
     /// [`Metrics`] hold after emitting `events`.
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let mut metrics = Self::default();
-        let mut open = OpenJobs::default();
         for ev in events {
-            metrics.apply(&mut open, ev);
+            metrics.apply(ev);
         }
         metrics
     }
@@ -499,13 +407,12 @@ impl Metrics {
     }
 
     /// The `n` longest tasks (stragglers), longest first. Ties are ordered
-    /// by (app, job, stage output, partition) ascending — a total order, so the
+    /// by (job, stage output, partition) ascending — a total order, so the
     /// answer does not depend on trace recording order. Only the selected
     /// `n` traces are copied out, not the whole trace vector.
     pub fn slowest_tasks(&self, n: usize) -> Vec<TaskTrace> {
-        let key = |t: &TaskTrace| {
-            (std::cmp::Reverse(t.duration()), t.app, t.job, t.stage_output, t.partition)
-        };
+        let key =
+            |t: &TaskTrace| (std::cmp::Reverse(t.duration()), t.job, t.stage_output, t.partition);
         let mut idx: Vec<usize> = (0..self.task_traces.len()).collect();
         if n == 0 {
             return Vec::new();
@@ -526,13 +433,6 @@ impl Metrics {
             *out.entry(e).or_default() += b;
         }
         out
-    }
-
-    /// Per-application attribution entries, sorted by application id.
-    pub fn per_app_sorted(&self) -> Vec<(AppId, AppMetrics)> {
-        let mut v: Vec<_> = self.per_app.iter().map(|(&a, &m)| (a, m)).collect();
-        v.sort_by_key(|(a, _)| *a);
-        v
     }
 
     /// The first field, in declaration order, in which `self` and `other`
@@ -568,15 +468,12 @@ impl Metrics {
             recompute_by_job_rdd,
             mem_hits,
             ser_mem_hits,
-            ser_mem_hits_by_job,
             ser_transitions,
             disk_hits,
             recompute_misses,
             audit_warnings,
             recovery,
             speculation,
-            speculation_by_job,
-            per_app,
             completion_time,
             task_traces
         )
@@ -595,25 +492,25 @@ impl Metrics {
         self.recompute_by_job_rdd.values().copied().sum()
     }
 
-    /// Recomputation time aggregated per `(app, job)`, sorted by key.
-    pub fn recompute_by_job(&self) -> Vec<((AppId, JobId), SimDuration)> {
-        let mut per_job: FxHashMap<(AppId, JobId), SimDuration> = FxHashMap::default();
-        for (&(app, job, _), &t) in &self.recompute_by_job_rdd {
-            *per_job.entry((app, job)).or_default() += t;
+    /// Recomputation time aggregated per job, sorted by job.
+    pub fn recompute_by_job(&self) -> Vec<(JobId, SimDuration)> {
+        let mut per_job: FxHashMap<JobId, SimDuration> = FxHashMap::default();
+        for (&(job, _), &t) in &self.recompute_by_job_rdd {
+            *per_job.entry(job).or_default() += t;
         }
         let mut v: Vec<_> = per_job.into_iter().collect();
         v.sort_by_key(|(k, _)| *k);
         v
     }
 
-    /// The RDD with the highest recomputation time within `job` of `app`,
-    /// if any. Ties break toward the smallest `RddId` — a total order, so
-    /// the answer never depends on hash-map iteration order.
-    pub fn top_recompute_rdd(&self, app: AppId, job: JobId) -> Option<(RddId, SimDuration)> {
+    /// The RDD with the highest recomputation time within `job`, if any.
+    /// Ties break toward the smallest `RddId` — a total order, so the
+    /// answer never depends on hash-map iteration order.
+    pub fn top_recompute_rdd(&self, job: JobId) -> Option<(RddId, SimDuration)> {
         self.recompute_by_job_rdd
             .iter()
-            .filter(|((a, j, _), _)| *a == app && *j == job)
-            .map(|((_, _, r), t)| (*r, *t))
+            .filter(|((j, _), _)| *j == job)
+            .map(|((_, r), t)| (*r, *t))
             .max_by_key(|&(r, t)| (t, std::cmp::Reverse(r)))
     }
 }
@@ -637,11 +534,10 @@ mod tests {
 
     // Event builders: the tests below drive the fold, the only writer.
 
-    fn cache(app: u32, owner: u32, exec: u32, mib: u64, decision: CacheDecision) -> TraceEvent {
+    fn cache(exec: u32, mib: u64, decision: CacheDecision) -> TraceEvent {
         TraceEvent::Cache(CacheRecord {
             at: SimTime::ZERO,
-            app: AppId(app),
-            owner: AppId(owner),
+            app: AppId(0),
             executor: ExecutorId(exec),
             id: BlockId::new(RddId(1), 0),
             bytes: ByteSize::from_mib(mib),
@@ -650,10 +546,10 @@ mod tests {
         })
     }
 
-    fn recompute(app: u32, job: u32, rdd: u32, secs: u64) -> TraceEvent {
+    fn recompute(job: u32, rdd: u32, secs: u64) -> TraceEvent {
         TraceEvent::Recompute {
             at: SimTime::ZERO,
-            app: AppId(app),
+            app: AppId(0),
             job: JobId(job),
             id: BlockId::new(RddId(rdd), 0),
             executor: ExecutorId(0),
@@ -662,10 +558,10 @@ mod tests {
         }
     }
 
-    fn replay(app: u32, job: u32, secs: u64) -> TraceEvent {
+    fn replay(job: u32, secs: u64) -> TraceEvent {
         TraceEvent::RecoveryReplay {
             at: SimTime::ZERO,
-            app: AppId(app),
+            app: AppId(0),
             job: JobId(job),
             stage_output: RddId(1),
             partition: 0,
@@ -689,9 +585,9 @@ mod tests {
         // per-executor map, so disk-pressure reporting could not tell a
         // 4 MiB spill from a 4 MiB discard.
         let m = Metrics::from_events(&[
-            cache(0, 0, 0, 4, CacheDecision::EvictToDisk),
-            cache(0, 0, 0, 2, CacheDecision::EvictDiscard),
-            cache(0, 0, 1, 1, CacheDecision::EvictDiscard),
+            cache(0, 4, CacheDecision::EvictToDisk),
+            cache(0, 2, CacheDecision::EvictDiscard),
+            cache(1, 1, CacheDecision::EvictDiscard),
         ]);
         assert_eq!(m.evictions, 3);
         assert_eq!(m.evictions_to_disk, 1);
@@ -708,53 +604,14 @@ mod tests {
 
     #[test]
     fn recompute_attribution_per_job_and_rdd() {
-        let a = AppId(0);
-        let m = Metrics::from_events(&[
-            recompute(0, 1, 7, 2),
-            recompute(0, 1, 9, 5),
-            recompute(0, 2, 9, 1),
-        ]);
+        let m = Metrics::from_events(&[recompute(1, 7, 2), recompute(1, 9, 5), recompute(2, 9, 1)]);
         assert_eq!(m.total_recompute_time(), SimDuration::from_secs(8));
         assert_eq!(
             m.recompute_by_job(),
-            vec![
-                ((a, JobId(1)), SimDuration::from_secs(7)),
-                ((a, JobId(2)), SimDuration::from_secs(1)),
-            ]
+            vec![(JobId(1), SimDuration::from_secs(7)), (JobId(2), SimDuration::from_secs(1))]
         );
-        assert_eq!(m.top_recompute_rdd(a, JobId(1)), Some((RddId(9), SimDuration::from_secs(5))));
-        assert_eq!(m.top_recompute_rdd(a, JobId(3)), None);
-        assert_eq!(m.per_app[&a].recompute_time, SimDuration::from_secs(8));
-    }
-
-    #[test]
-    fn job_keys_do_not_collide_across_apps() {
-        // Two applications both submit job-1; per-job attribution must keep
-        // them apart (job ids are per-application counters).
-        let m = Metrics::from_events(&[
-            recompute(0, 1, 7, 2),
-            recompute(1, 1, 7, 5),
-            replay(0, 0, 1),
-            replay(1, 0, 3),
-        ]);
-        assert_eq!(
-            m.recompute_by_job(),
-            vec![
-                ((AppId(0), JobId(1)), SimDuration::from_secs(2)),
-                ((AppId(1), JobId(1)), SimDuration::from_secs(5)),
-            ]
-        );
-        assert_eq!(
-            m.top_recompute_rdd(AppId(1), JobId(1)),
-            Some((RddId(7), SimDuration::from_secs(5)))
-        );
-        assert_eq!(
-            m.recovery.recovery_by_job(),
-            vec![
-                ((AppId(0), JobId(0)), SimDuration::from_secs(1)),
-                ((AppId(1), JobId(0)), SimDuration::from_secs(3)),
-            ]
-        );
+        assert_eq!(m.top_recompute_rdd(JobId(1)), Some((RddId(9), SimDuration::from_secs(5))));
+        assert_eq!(m.top_recompute_rdd(JobId(3)), None);
     }
 
     fn stage(disk_resident_mib: Option<u64>) -> TraceEvent {
@@ -788,8 +645,7 @@ mod tests {
 
     /// The fold's whole contract in one place: a log holding every
     /// [`TraceEvent`] variant and every [`CacheDecision`] folds to exactly
-    /// this literal. Two apps, so owner-vs-reader attribution shows. The
-    /// literal names every field, so a field added without a fold arm
+    /// this literal. The literal names every field, so a field added without a fold arm
     /// fails to compile here.
     #[test]
     fn from_events_folds_every_event_kind() {
@@ -798,7 +654,7 @@ mod tests {
         fn map<K: std::hash::Hash + Eq, V, const N: usize>(kv: [(K, V); N]) -> FxHashMap<K, V> {
             kv.into_iter().collect()
         }
-        let (at, app, a1, job) = (SimTime::ZERO, AppId(0), AppId(1), JobId(0));
+        let (at, app, job, job1) = (SimTime::ZERO, AppId(0), JobId(0), JobId(1));
         let (stage_output, partition, executor, attempt) = (RddId(1), 0, ExecutorId(0), 0);
         let (child, dep_idx, map_part, reduce_part) = (RddId(1), 0, 0, 0);
         let (id, bytes, dur) =
@@ -817,30 +673,29 @@ mod tests {
         };
         let events = [
             E::JobStarted { at, app, job, target: RddId(1) },
-            E::JobStarted { at, app: a1, job, target: RddId(1) },
             E::TaskPlanned { at, app, job, stage_output, partition, executor },
-            cache(0, 0, 0, 1, D::AdmitMemory),
-            cache(0, 0, 0, 1, D::AdmitDisk),
-            cache(1, 0, 0, 1, D::HitMemory), // app-1 reads app-0's block
-            cache(0, 0, 0, 1, D::HitSerializedMemory),
-            cache(0, 1, 0, 1, D::HitDisk), // app-0 reads app-1's block
-            cache(0, 0, 0, 1, D::MissRecompute),
-            cache(0, 1, 0, 4, D::EvictToDisk), // app-0 evicts app-1's block
+            cache(0, 1, D::AdmitMemory),
+            cache(0, 1, D::AdmitDisk),
+            cache(0, 1, D::HitMemory),
+            cache(0, 1, D::HitSerializedMemory),
+            cache(0, 1, D::HitDisk),
+            cache(0, 1, D::MissRecompute),
+            cache(0, 4, D::EvictToDisk),
             // Not the spill's 4 MiB, so each disk-write arm shows in the sum.
-            cache(0, 1, 0, 3, D::SpillRefused),
-            cache(0, 0, 1, 2, D::EvictDiscard),
-            cache(0, 0, 0, 1, D::PromoteToMemory),
-            cache(0, 0, 0, 1, D::SerializeInMemory),
-            cache(0, 0, 0, 1, D::DeserializeInMemory),
-            cache(0, 0, 0, 1, D::PromoteToSerializedMemory),
-            cache(0, 1, 0, 1, D::UnpersistMemory),
-            cache(0, 0, 0, 1, D::UnpersistDisk),
-            cache(0, 0, 0, 1, D::LostMemory),
-            cache(0, 0, 0, 1, D::LostDisk),
-            recompute(0, 0, 5, 2),
+            cache(0, 3, D::SpillRefused),
+            cache(1, 2, D::EvictDiscard),
+            cache(0, 1, D::PromoteToMemory),
+            cache(0, 1, D::SerializeInMemory),
+            cache(0, 1, D::DeserializeInMemory),
+            cache(0, 1, D::PromoteToSerializedMemory),
+            cache(0, 1, D::UnpersistMemory),
+            cache(0, 1, D::UnpersistDisk),
+            cache(0, 1, D::LostMemory),
+            cache(0, 1, D::LostDisk),
+            recompute(0, 5, 2),
             retry(FaultCause::Transient, dur(1)),
             retry(FaultCause::ExecutorLost, dur(2)),
-            replay(1, 0, 4),
+            replay(0, 4),
             // `map_outputs_lost` is not folded: the per-output events are.
             E::ExecutorCrashed {
                 at,
@@ -875,12 +730,11 @@ mod tests {
             E::MemoryPeak { at, bytes: ByteSize::from_mib(5) }, // a peak never falls
             E::OffTaskCharge { at, executor, charge: off_task },
             E::TaskCommitted(task),
-            // App-1 finishes first on the clock but is recorded last.
             E::JobCompleted { at: ms(40), app, job },
-            E::JobCompleted { at: ms(20), app: a1, job },
-            // A serialized hit outside any job of its app has no job to
-            // attribute to.
-            cache(1, 1, 0, 1, D::HitSerializedMemory),
+            // Recorded after job 0 but earlier on the clock: the run still
+            // ends at the latest completion.
+            E::JobStarted { at, app, job: job1, target: RddId(1) },
+            E::JobCompleted { at: ms(20), app, job: job1 },
         ];
         let expected = Metrics {
             // The task's charge plus the off-task prefetch read.
@@ -900,10 +754,9 @@ mod tests {
             disk_bytes_sampled_sum: ByteSize::from_mib(8),
             disk_samples: 2,
             memory_bytes_peak: ByteSize::from_mib(8),
-            recompute_by_job_rdd: map([((app, job, RddId(5)), SimDuration::from_secs(2))]),
-            mem_hits: 3,
-            ser_mem_hits: 2,
-            ser_mem_hits_by_job: map([((app, job), 1)]),
+            recompute_by_job_rdd: map([((job, RddId(5)), SimDuration::from_secs(2))]),
+            mem_hits: 2,
+            ser_mem_hits: 1,
             ser_transitions: 3,
             disk_hits: 1,
             recompute_misses: 1,
@@ -924,10 +777,6 @@ mod tests {
                 fetch_escalations: 1,
                 wasted_time: dur(3),
                 lineage_replay_time: SimDuration::from_secs(4),
-                recovery_time_by_job: map([
-                    ((app, job), dur(3)),
-                    ((a1, job), SimDuration::from_secs(4)),
-                ]),
             },
             speculation: SpeculationMetrics {
                 stragglers: 1,
@@ -936,37 +785,6 @@ mod tests {
                 wins: 1,
                 wasted: dur(5),
             },
-            speculation_by_job: map([((app, job), 1)]),
-            per_app: map([
-                (
-                    app,
-                    AppMetrics {
-                        jobs: 1,
-                        mem_hits: 1,
-                        disk_hits: 1,
-                        cross_mem_hits: 0,
-                        cross_disk_hits: 1,
-                        evictions: 1,
-                        unpersists: 1,
-                        recompute_time: SimDuration::from_secs(2),
-                        completion_time: ms(40),
-                    },
-                ),
-                (
-                    a1,
-                    AppMetrics {
-                        jobs: 1,
-                        mem_hits: 2,
-                        disk_hits: 0,
-                        cross_mem_hits: 1,
-                        cross_disk_hits: 0,
-                        evictions: 1,
-                        unpersists: 1,
-                        recompute_time: SimDuration::ZERO,
-                        completion_time: ms(20),
-                    },
-                ),
-            ]),
             completion_time: ms(40),
             task_traces: vec![task],
         };
@@ -974,19 +792,10 @@ mod tests {
     }
 
     #[test]
-    fn recovery_time_aggregates_per_job() {
-        let a = AppId(0);
-        // Job 1's zero-time replay must leave no entry.
-        let events = [replay(0, 2, 1), replay(0, 0, 2), replay(0, 2, 3), replay(0, 1, 0)];
+    fn recovery_time_adds_replay_and_wasted_time() {
+        let events = [replay(2, 1), replay(0, 2), replay(2, 3), replay(1, 0)];
         let mut r = Metrics::from_events(&events).recovery;
         assert_eq!(r.lineage_replay_time, SimDuration::from_secs(6));
-        assert_eq!(
-            r.recovery_by_job(),
-            vec![
-                ((a, JobId(0)), SimDuration::from_secs(2)),
-                ((a, JobId(2)), SimDuration::from_secs(4))
-            ]
-        );
         r.wasted_time = SimDuration::from_secs(1);
         assert_eq!(r.total_recovery_time(), SimDuration::from_secs(7));
     }
@@ -997,19 +806,18 @@ mod tests {
         // which is a function of the hash — not of anything meaningful.
         // With many equal-time RDDs the winner must be the smallest id,
         // whatever order the entries were recorded in.
-        let a = AppId(0);
         let t = SimDuration::from_secs(3);
-        let mut events: Vec<TraceEvent> = (1..=16).map(|r| recompute(0, 0, r, 3)).collect();
+        let mut events: Vec<TraceEvent> = (1..=16).map(|r| recompute(0, r, 3)).collect();
         let forward = Metrics::from_events(&events);
         events.reverse();
         let backward = Metrics::from_events(&events);
-        assert_eq!(forward.top_recompute_rdd(a, JobId(0)), Some((RddId(1), t)));
-        assert_eq!(backward.top_recompute_rdd(a, JobId(0)), Some((RddId(1), t)));
+        assert_eq!(forward.top_recompute_rdd(JobId(0)), Some((RddId(1), t)));
+        assert_eq!(backward.top_recompute_rdd(JobId(0)), Some((RddId(1), t)));
         // A strictly larger time still wins regardless of id.
-        events.push(recompute(0, 0, 9, 1));
+        events.push(recompute(0, 9, 1));
         let forward = Metrics::from_events(&events);
         assert_eq!(
-            forward.top_recompute_rdd(a, JobId(0)),
+            forward.top_recompute_rdd(JobId(0)),
             Some((RddId(9), SimDuration::from_secs(4)))
         );
     }

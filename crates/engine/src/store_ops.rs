@@ -12,7 +12,7 @@ use crate::shuffle::ShuffleStore;
 use crate::storage::{spill_checksum, BlockStore, StoredBlock};
 use crate::tracing::{CacheDecision, TraceEvent};
 use blaze_common::fxhash::FxHashMap;
-use blaze_common::ids::{AppId, BlockId, ExecutorId, RddId};
+use blaze_common::ids::{BlockId, ExecutorId, RddId};
 use blaze_common::{ByteSize, SimTime};
 use blaze_dataflow::Block;
 
@@ -29,9 +29,6 @@ pub(crate) struct BlockMeta {
     /// work ([`crate::metrics::RecoveryMetrics`]). Never set on a
     /// failure-free run.
     pub(crate) lost: bool,
-    /// First application that materialized the block, for cross-app
-    /// hit/eviction attribution against the shared stores.
-    pub(crate) owner: Option<AppId>,
     /// Spills so far, the sequence number of the corruption coin stream
     /// ([`crate::fault::FaultPlan::spill_corruption_rate`]); only counted
     /// while corruption injection is on, so a respilled block draws a
@@ -475,8 +472,7 @@ impl ClusterState {
 
     /// Reports what an unpersist took out of every executor's memory and disk
     /// store, once it is gone from all of them: one eviction notification
-    /// and one record per removal, in executor order, memory first. The fold
-    /// attributes each record to the app that owns the block.
+    /// and one record per removal, in executor order, memory first.
     fn dropped(&mut self, at: SimTime, removed: Vec<[Vec<(BlockId, StoredBlock)>; 2]>) {
         for (e, [from_memory, from_disk]) in removed.into_iter().enumerate() {
             let exec = ExecutorId(e as u32);

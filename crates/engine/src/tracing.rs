@@ -146,15 +146,9 @@ impl CacheDecision {
 pub struct CacheRecord {
     /// Simulated time of the decision.
     pub at: SimTime,
-    /// The application on whose behalf the engine was executing when the
-    /// decision was made (`app-0` outside multi-app sessions). For hits
-    /// this is the *reader*, so a hit recorded under a different app than
-    /// the one that produced the block is a cross-app hit.
+    /// The application the decision was made for (always `app-0`: one
+    /// cluster runs one application).
     pub app: AppId,
-    /// The application that first materialized the block (`app` itself when
-    /// nobody has yet). Evictions and unpersists are attributed to it, not
-    /// to the app that forced them; no exporter prints it.
-    pub owner: AppId,
     /// Executor whose store the decision concerns (for hits: the reader).
     pub executor: ExecutorId,
     /// The block decided about.
@@ -571,25 +565,23 @@ impl TraceLog {
     }
 
     /// Renders the per-job cache-decision ledger: one line per decision,
-    /// grouped under the job of the app that was running when it was made
-    /// (decisions outside any of that app's jobs are attributed to the
-    /// preceding job boundary). With co-running apps each app has its own
-    /// open job, so attribution follows the record's `app` field.
+    /// grouped under the job that was open when it was made (decisions
+    /// between jobs are marked as such).
     pub fn ledger(&self) -> String {
         let mut out = String::new();
-        let mut open: FxHashMap<AppId, JobId> = FxHashMap::default();
+        let mut open: Option<JobId> = None;
         for ev in &self.events {
             match ev {
                 TraceEvent::JobStarted { at, app, job, target } => {
-                    open.insert(*app, *job);
+                    open = Some(*job);
                     let _ = writeln!(out, "{app}/{job} (target {target}) started at {at}:");
                 }
                 TraceEvent::JobCompleted { at, app, job } => {
                     let _ = writeln!(out, "{app}/{job} completed at {at}");
-                    open.remove(app);
+                    open = None;
                 }
                 TraceEvent::Cache(r) => {
-                    let scope = match open.get(&r.app) {
+                    let scope = match open {
                         Some(j) => format!("{}/{j}", r.app),
                         None => format!("{}/between-jobs", r.app),
                     };
@@ -709,9 +701,8 @@ impl TraceLog {
     }
 
     fn check_spans(&self, ds: &mut Vec<Diagnostic>) {
-        // Each app has at most one open job at a time; co-running apps may
-        // overlap, so the open set is keyed by app rather than a scalar.
-        let mut open_jobs: FxHashMap<AppId, JobId> = FxHashMap::default();
+        // At most one job is open at a time.
+        let mut open_job: Option<(AppId, JobId)> = None;
         let mut slot_frontier: FxHashMap<(ExecutorId, u32), SimTime> = FxHashMap::default();
         let err = |msg: String| {
             Diagnostic::new(
@@ -725,20 +716,18 @@ impl TraceLog {
         for ev in &self.events {
             match ev {
                 TraceEvent::JobStarted { app, job, .. } => {
-                    if let Some(open) = open_jobs.get(app) {
+                    if let Some((open_app, open)) = open_job {
                         ds.push(err(format!(
-                            "{app}/{job} started while {app}/{open} is still open"
+                            "{app}/{job} started while {open_app}/{open} is still open"
                         )));
                     }
-                    open_jobs.insert(*app, *job);
+                    open_job = Some((*app, *job));
                 }
                 TraceEvent::JobCompleted { app, job, .. } => {
-                    if open_jobs.get(app) != Some(job) {
-                        ds.push(err(format!(
-                            "{app}/{job} completed but was not the app's open job"
-                        )));
+                    if open_job != Some((*app, *job)) {
+                        ds.push(err(format!("{app}/{job} completed but was not the open job")));
                     }
-                    open_jobs.remove(app);
+                    open_job = None;
                 }
                 TraceEvent::TaskCommitted(TaskTrace {
                     app,
@@ -757,7 +746,7 @@ impl TraceLog {
                             "task {task} ends at {end}, before its start {start}"
                         )));
                     }
-                    if open_jobs.get(app) != Some(job) {
+                    if open_job != Some((*app, *job)) {
                         ds.push(err(format!("task {task} committed outside its job span")));
                     }
                     let frontier = slot_frontier.entry((*executor, *slot)).or_default();
@@ -772,9 +761,7 @@ impl TraceLog {
                 _ => {}
             }
         }
-        let mut still_open: Vec<_> = open_jobs.into_iter().collect();
-        still_open.sort_unstable();
-        for (app, open) in still_open {
+        if let Some((app, open)) = open_job {
             ds.push(err(format!("{app}/{open} never completed")));
         }
     }
@@ -850,28 +837,24 @@ impl TraceLog {
     /// The records of a command-driven unpersist and of the user's
     /// `unpersist()` are the same; what tells them apart is where they sit:
     /// commands are applied at job submission and at stage completion, so
-    /// inside an open job of the recording app, while the driver can only
-    /// call `unpersist()` between its jobs.
+    /// inside an open job, while the driver can only call `unpersist()`
+    /// between its jobs.
     fn check_premature_unpersists(&self, ds: &mut Vec<Diagnostic>) {
-        let mut open_jobs: FxHashMap<AppId, JobId> = FxHashMap::default();
+        let mut open_job: Option<JobId> = None;
         let mut dropped_in: FxHashMap<BlockId, (AppId, JobId)> = FxHashMap::default();
         for ev in &self.events {
             match ev {
-                TraceEvent::JobStarted { app, job, .. } => {
-                    open_jobs.insert(*app, *job);
-                }
-                TraceEvent::JobCompleted { app, .. } => {
-                    open_jobs.remove(app);
-                }
+                TraceEvent::JobStarted { job, .. } => open_job = Some(*job),
+                TraceEvent::JobCompleted { .. } => open_job = None,
                 TraceEvent::Cache(r) => match r.decision {
                     CacheDecision::UnpersistMemory | CacheDecision::UnpersistDisk => {
-                        if let Some(&job) = open_jobs.get(&r.app) {
+                        if let Some(job) = open_job {
                             dropped_in.insert(r.id, (r.app, job));
                         }
                     }
                     CacheDecision::MissRecompute => {
                         let Some((app, job)) = dropped_in.remove(&r.id) else { continue };
-                        let by = open_jobs.get(&r.app).map_or("no job".into(), |j| j.to_string());
+                        let by = open_job.map_or("no job".into(), |j| j.to_string());
                         ds.push(Diagnostic::new(
                             DiagCode::PrematureUnpersist,
                             Some(r.id.rdd),
@@ -1049,7 +1032,6 @@ mod tests {
         TraceEvent::Cache(CacheRecord {
             at: SimTime::ZERO + SimDuration::from_millis(at_ms),
             app: AppId(0),
-            owner: AppId(0),
             executor: ExecutorId(exec),
             id: BlockId::new(RddId(rdd), part),
             bytes: ByteSize::from_kib(4),
@@ -1059,21 +1041,8 @@ mod tests {
     }
 
     fn task(job: u32, part: u32, exec: u32, slot: u32, start_ms: u64, end_ms: u64) -> TraceEvent {
-        task_of(0, job, part, exec, slot, start_ms, end_ms)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn task_of(
-        app: u32,
-        job: u32,
-        part: u32,
-        exec: u32,
-        slot: u32,
-        start_ms: u64,
-        end_ms: u64,
-    ) -> TraceEvent {
         TraceEvent::TaskCommitted(TaskTrace {
-            app: AppId(app),
+            app: AppId(0),
             job: JobId(job),
             stage_output: RddId(1),
             partition: part,
@@ -1085,29 +1054,29 @@ mod tests {
         })
     }
 
-    fn job_started(at_ms: u64, app: u32, job: u32) -> TraceEvent {
+    fn job_started(at_ms: u64, job: u32) -> TraceEvent {
         TraceEvent::JobStarted {
             at: SimTime::ZERO + SimDuration::from_millis(at_ms),
-            app: AppId(app),
+            app: AppId(0),
             job: JobId(job),
             target: RddId(1),
         }
     }
 
-    fn job_completed(at_ms: u64, app: u32, job: u32) -> TraceEvent {
+    fn job_completed(at_ms: u64, job: u32) -> TraceEvent {
         TraceEvent::JobCompleted {
             at: SimTime::ZERO + SimDuration::from_millis(at_ms),
-            app: AppId(app),
+            app: AppId(0),
             job: JobId(job),
         }
     }
 
     fn minimal_log() -> (TraceLog, Metrics) {
         let mut log = TraceLog::new();
-        log.record(job_started(0, 0, 0));
+        log.record(job_started(0, 0));
         log.record(task(0, 0, 0, 0, 0, 10));
         log.record(task(0, 1, 0, 0, 10, 25));
-        log.record(job_completed(25, 0, 0));
+        log.record(job_completed(25, 0));
         let m = Metrics::from_events(log.events());
         (log, m)
     }
@@ -1129,46 +1098,19 @@ mod tests {
 
         // Overlapping spans on the same slot.
         let mut log = TraceLog::new();
-        log.record(job_started(0, 0, 0));
+        log.record(job_started(0, 0));
         log.record(task(0, 0, 0, 0, 0, 10));
         log.record(task(0, 1, 0, 0, 5, 15)); // starts before the previous ends
-        log.record(job_completed(15, 0, 0));
+        log.record(job_completed(15, 0));
         assert!(log.validate(&Metrics::new()).has(DiagCode::TraceSpanNesting));
     }
 
     #[test]
-    fn interleaved_app_jobs_validate_cleanly() {
-        // Two apps with concurrently open jobs: legal under the per-app
-        // open-job set, and each app's tasks attribute to its own job.
+    fn a_second_open_job_is_ba401() {
         let mut log = TraceLog::new();
-        log.record(job_started(0, 0, 0));
-        log.record(job_started(0, 1, 0));
-        log.record(task_of(0, 0, 0, 0, 0, 0, 10));
-        log.record(task_of(1, 0, 0, 0, 0, 10, 30));
-        log.record(job_completed(10, 0, 0));
-        log.record(job_completed(30, 1, 0));
-        let report = log.validate(&Metrics::from_events(log.events()));
-        assert!(report.is_clean(), "{:?}", report.diagnostics);
-
-        // A second job from an app whose first is still open stays a BA401.
-        let mut bad = TraceLog::new();
-        bad.record(job_started(0, 0, 0));
-        bad.record(job_started(5, 0, 1));
-        assert!(bad.validate(&Metrics::new()).has(DiagCode::TraceSpanNesting));
-    }
-
-    #[test]
-    fn multi_app_completion_is_the_max_not_the_last() {
-        // App 1 finishes before app 0 but its completion is recorded
-        // later; the run completes at the max.
-        let mut log = TraceLog::new();
-        log.record(job_started(0, 0, 0));
-        log.record(job_started(0, 1, 0));
-        log.record(job_completed(40, 0, 0));
-        log.record(job_completed(20, 1, 0));
-        let m = Metrics::from_events(log.events());
-        assert_eq!(m.completion_time, SimTime::ZERO + SimDuration::from_millis(40));
-        assert!(log.validate(&m).is_clean());
+        log.record(job_started(0, 0));
+        log.record(job_started(5, 1));
+        assert!(log.validate(&Metrics::new()).has(DiagCode::TraceSpanNesting));
     }
 
     /// BA402 is one whole-struct equality: metrics folded from a log with
@@ -1223,25 +1165,25 @@ mod tests {
     #[test]
     fn a_command_dropped_block_recomputed_later_is_ba404() {
         let mut log = TraceLog::new();
-        log.record(job_started(0, 0, 0));
+        log.record(job_started(0, 0));
         log.record(cache(1, 0, 5, 0, CacheDecision::AdmitMemory));
         log.record(cache(1, 0, 6, 0, CacheDecision::AdmitMemory));
         log.record(cache(1, 0, 7, 0, CacheDecision::AdmitMemory));
-        log.record(job_completed(2, 0, 0));
+        log.record(job_completed(2, 0));
         // Between jobs only the driver can drop a block: rdd-5 goes by the
         // user's `unpersist()`, which is theirs to get wrong.
         log.record(cache(2, 0, 5, 0, CacheDecision::UnpersistMemory));
-        log.record(job_started(3, 0, 1));
+        log.record(job_started(3, 1));
         // Inside a job it is a controller command: rdd-6 and rdd-7 go.
         log.record(cache(3, 0, 6, 0, CacheDecision::UnpersistMemory));
         log.record(cache(3, 0, 7, 0, CacheDecision::UnpersistMemory));
         log.record(cache(4, 0, 5, 0, CacheDecision::MissRecompute));
         log.record(cache(4, 0, 6, 0, CacheDecision::MissRecompute));
-        log.record(job_completed(5, 0, 1));
-        log.record(job_started(5, 0, 2));
+        log.record(job_completed(5, 1));
+        log.record(job_started(5, 2));
         // One report per drop: the second miss of rdd-6 has no drop before it.
         log.record(cache(6, 0, 6, 0, CacheDecision::MissRecompute));
-        log.record(job_completed(7, 0, 2));
+        log.record(job_completed(7, 2));
 
         let report = log.validate(&Metrics::from_events(log.events()));
         let found: Vec<_> =
@@ -1276,46 +1218,21 @@ mod tests {
     #[test]
     fn ledger_groups_by_job_and_shows_rationale() {
         let (mut log, _) = minimal_log();
-        log.record(job_started(25, 0, 1));
+        log.record(job_started(25, 1));
         log.record(TraceEvent::Cache(CacheRecord {
             at: SimTime::ZERO + SimDuration::from_millis(26),
             app: AppId(0),
-            owner: AppId(0),
             executor: ExecutorId(1),
             id: BlockId::new(RddId(5), 2),
             bytes: ByteSize::from_kib(8),
             decision: CacheDecision::EvictDiscard,
             rationale: Some("refcount=0".into()),
         }));
-        log.record(job_completed(30, 0, 1));
+        log.record(job_completed(30, 1));
         let ledger = log.ledger();
         assert!(ledger.contains("[app-0/job-1]"));
         assert!(ledger.contains("evict-discard"));
         assert!(ledger.contains("why: refcount=0"));
-    }
-
-    #[test]
-    fn ledger_attributes_by_the_records_app() {
-        // App 1 has no open job when app 0's decision lands; attribution
-        // follows the record's app, not whichever job opened last.
-        let mut log = TraceLog::new();
-        log.record(job_started(0, 0, 0));
-        log.record(job_started(1, 1, 0));
-        log.record(TraceEvent::Cache(CacheRecord {
-            at: SimTime::ZERO + SimDuration::from_millis(2),
-            app: AppId(0),
-            owner: AppId(0),
-            executor: ExecutorId(0),
-            id: BlockId::new(RddId(5), 0),
-            bytes: ByteSize::from_kib(4),
-            decision: CacheDecision::AdmitMemory,
-            rationale: None,
-        }));
-        log.record(job_completed(3, 1, 0));
-        log.record(job_completed(4, 0, 0));
-        let ledger = log.ledger();
-        assert!(ledger.contains("[app-0/job-0]"));
-        assert!(!ledger.contains("[app-1/job-0]"));
     }
 
     #[test]
@@ -1340,7 +1257,7 @@ mod tests {
         b.record(cache(30, 0, 5, 0, CacheDecision::AdmitMemory));
         assert!(a.diff(&b).contains("lengths diverge"));
         let mut c = TraceLog::new();
-        c.record(job_started(0, 0, 7));
+        c.record(job_started(0, 7));
         c.record(task(0, 0, 0, 0, 0, 10));
         assert!(a.diff(&c).contains("diverge at event 0"));
     }

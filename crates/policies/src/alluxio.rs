@@ -113,15 +113,11 @@ impl CacheController for AlluxioController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blaze_common::ids::{AppId, RddId};
+    use blaze_common::ids::RddId;
     use blaze_engine::HardwareModel;
 
     fn ctx() -> CtrlCtx {
-        CtrlCtx {
-            hardware: HardwareModel::default(),
-            memory_capacity: ByteSize::from_mib(1),
-            app: AppId(0),
-        }
+        CtrlCtx { hardware: HardwareModel::default(), memory_capacity: ByteSize::from_mib(1) }
     }
 
     #[test]

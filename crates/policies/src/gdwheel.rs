@@ -99,15 +99,11 @@ impl CacheController for GdWheelController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blaze_common::ids::{AppId, RddId};
+    use blaze_common::ids::RddId;
     use blaze_engine::HardwareModel;
 
     fn ctx() -> CtrlCtx {
-        CtrlCtx {
-            hardware: HardwareModel::default(),
-            memory_capacity: ByteSize::from_mib(1),
-            app: AppId(0),
-        }
+        CtrlCtx { hardware: HardwareModel::default(), memory_capacity: ByteSize::from_mib(1) }
     }
 
     fn info(rdd: u32, kib: u64, ser: f64) -> BlockInfo {

@@ -178,16 +178,12 @@ impl CacheController for LeCaRController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blaze_common::ids::{AppId, RddId};
+    use blaze_common::ids::RddId;
     use blaze_common::SimDuration;
     use blaze_engine::{HardwareModel, PartitionEvent};
 
     fn ctx() -> CtrlCtx {
-        CtrlCtx {
-            hardware: HardwareModel::default(),
-            memory_capacity: ByteSize::from_mib(1),
-            app: AppId(0),
-        }
+        CtrlCtx { hardware: HardwareModel::default(), memory_capacity: ByteSize::from_mib(1) }
     }
 
     fn info(rdd: u32, kib: u64) -> BlockInfo {

@@ -37,7 +37,6 @@ pub mod lrc;
 pub mod lru;
 pub mod mode;
 pub mod mrd;
-pub mod partitioned;
 pub mod tinylfu;
 
 pub use alluxio::AlluxioController;
@@ -49,5 +48,4 @@ pub use lrc::LrcController;
 pub use lru::LruController;
 pub use mode::EvictMode;
 pub use mrd::MrdController;
-pub use partitioned::IsolatedLruController;
 pub use tinylfu::TinyLfuController;

@@ -189,16 +189,11 @@ impl CacheController for MrdController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blaze_common::ids::AppId;
     use blaze_dataflow::{runner::LocalRunner, Context};
     use blaze_engine::HardwareModel;
 
     fn ctx() -> CtrlCtx {
-        CtrlCtx {
-            hardware: HardwareModel::default(),
-            memory_capacity: ByteSize::from_mib(1),
-            app: AppId(0),
-        }
+        CtrlCtx { hardware: HardwareModel::default(), memory_capacity: ByteSize::from_mib(1) }
     }
 
     fn info(rdd: RddId, kib: u64) -> BlockInfo {

@@ -17,6 +17,6 @@ pub mod session;
 pub mod systems;
 
 pub use apps::{App, AppSpec};
-pub use runner::{run_app, run_spec_serial, RunOutcome};
-pub use session::{RunOptions, Session, SessionBuilder, SessionOutcome};
+pub use runner::{run_app, RunOutcome};
+pub use session::{RunOptions, Session, SessionBuilder};
 pub use systems::SystemKind;

@@ -1,19 +1,14 @@
 //! One-call execution of (application × system) pairs.
 //!
-//! [`run_app`] is shorthand for the unified
-//! [`Session`] builder, which everything else
-//! should use directly. [`run_spec_serial`] is the single-app reference path
-//! (no scheduler layer at all) that the session API is differential-tested
-//! against.
+//! [`run_app`] is shorthand for the unified [`Session`] builder, which
+//! everything else should use directly.
 
 use crate::apps::{App, AppSpec};
 use crate::session::Session;
 use crate::systems::SystemKind;
 use blaze_common::error::Result;
 use blaze_common::SimDuration;
-use blaze_core::extract_dependencies;
-use blaze_dataflow::Context;
-use blaze_engine::{Cluster, FaultPlan, Metrics, TraceLog};
+use blaze_engine::{Metrics, TraceLog};
 
 /// The outcome of one evaluation run.
 #[derive(Debug, Clone)]
@@ -44,33 +39,7 @@ impl RunOutcome {
 /// reported by the Fig. 13 harness separately.
 pub fn run_app(app: App, system: SystemKind) -> Result<RunOutcome> {
     let spec = AppSpec::evaluation(app);
-    Session::builder().app(spec).system(system).run().map(|o| o.into_outcome())
-}
-
-/// Runs a spec on the **legacy single-app serial path**: a fresh context
-/// directly over the cluster, no turnstile scheduler in the loop. The
-/// reference implementation that `Session`-with-one-app is
-/// differential-tested against (byte-identical metrics and traces).
-pub fn run_spec_serial(
-    spec: &AppSpec,
-    system: SystemKind,
-    fault: FaultPlan,
-    tracing: bool,
-) -> Result<RunOutcome> {
-    let profile = if system.needs_profile() {
-        let s = *spec;
-        Some(extract_dependencies(move |ctx| s.drive_sample(ctx), 0)?)
-    } else {
-        None
-    };
-    let controller = system.make_controller(profile);
-    let mut config = spec.cluster_config();
-    config.fault = fault;
-    config.tracing = tracing;
-    let cluster = Cluster::new(config, controller)?;
-    let ctx = Context::new(cluster.clone());
-    spec.drive(&ctx)?;
-    Ok(RunOutcome { app: spec.app, system, metrics: cluster.metrics(), trace: cluster.trace() })
+    Session::builder().app(spec).system(system).run()
 }
 
 #[cfg(test)]

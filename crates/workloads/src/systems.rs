@@ -3,8 +3,8 @@
 use blaze_core::{BlazeConfig, BlazeController, ProfileResult};
 use blaze_engine::CacheController;
 use blaze_policies::{
-    AlluxioController, EvictMode, FifoController, IsolatedLruController, LeCaRController,
-    LfuController, LrcController, LruController, MrdController, TinyLfuController,
+    AlluxioController, EvictMode, FifoController, LeCaRController, LfuController, LrcController,
+    LruController, MrdController, TinyLfuController,
 };
 
 /// One of the systems compared in the evaluation.
@@ -50,17 +50,11 @@ pub enum SystemKind {
     LeCaR,
     /// GDWheel-style cost-aware baseline.
     GdWheel,
-    /// Statically partitioned per-app LRU (MEM_ONLY, so every miss is paid
-    /// in recomputation — the paper's recompute currency): the multi-app
-    /// *isolation* baseline the shared holistic cache is compared against.
-    /// The store is split evenly across the admitted apps and no app may
-    /// evict (or reuse) another's blocks.
-    IsolatedLru,
 }
 
 impl SystemKind {
     /// Every system, in declaration order.
-    pub fn all() -> [SystemKind; 20] {
+    pub fn all() -> [SystemKind; 19] {
         [
             SystemKind::SparkMemOnly,
             SystemKind::SparkMemDisk,
@@ -81,7 +75,6 @@ impl SystemKind {
             SystemKind::TinyLfu,
             SystemKind::LeCaR,
             SystemKind::GdWheel,
-            SystemKind::IsolatedLru,
         ]
     }
 
@@ -124,21 +117,8 @@ impl SystemKind {
         )
     }
 
-    /// Builds the controller (a fresh instance per run). Partitioned
-    /// systems default to a two-way split; sessions that know their app
-    /// count use [`SystemKind::make_controller_scaled`].
+    /// Builds the controller (a fresh instance per run).
     pub fn make_controller(&self, profile: Option<ProfileResult>) -> Box<dyn CacheController> {
-        self.make_controller_scaled(profile, 2)
-    }
-
-    /// Builds the controller for a session admitting `apps` applications.
-    /// Only partitioned systems ([`SystemKind::IsolatedLru`]) depend on the
-    /// count; every other system ignores it.
-    pub fn make_controller_scaled(
-        &self,
-        profile: Option<ProfileResult>,
-        apps: u32,
-    ) -> Box<dyn CacheController> {
         match self {
             SystemKind::SparkMemOnly => Box::new(LruController::new(EvictMode::MemOnly)),
             SystemKind::SparkMemDisk => Box::new(LruController::new(EvictMode::MemDisk)),
@@ -169,9 +149,6 @@ impl SystemKind {
             SystemKind::GdWheel => {
                 Box::new(blaze_policies::GdWheelController::new(EvictMode::MemDisk))
             }
-            SystemKind::IsolatedLru => {
-                Box::new(IsolatedLruController::new(EvictMode::MemOnly, apps.max(1)))
-            }
         }
     }
 
@@ -197,7 +174,6 @@ impl SystemKind {
             SystemKind::TinyLfu => "TinyLFU",
             SystemKind::LeCaR => "LeCaR",
             SystemKind::GdWheel => "GDWheel",
-            SystemKind::IsolatedLru => "Isolated LRU",
         }
     }
 
@@ -225,7 +201,6 @@ impl SystemKind {
             SystemKind::TinyLfu => &["tinylfu"],
             SystemKind::LeCaR => &["lecar"],
             SystemKind::GdWheel => &["gdwheel"],
-            SystemKind::IsolatedLru => &["isolated_lru"],
         }
     }
 
@@ -271,12 +246,6 @@ mod tests {
         }
         assert_eq!(SystemKind::from_name("nope"), None);
         assert_eq!(crate::App::from_name("nope"), None);
-    }
-
-    #[test]
-    fn isolated_lru_scales_its_partition_count() {
-        let c = SystemKind::IsolatedLru.make_controller_scaled(None, 3);
-        assert_eq!(c.name(), "IsolatedLRU/3 (MEM_ONLY)");
     }
 
     #[test]

@@ -58,14 +58,11 @@ run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
 # committed BENCH_failure.json (simulated numbers only) must be exactly what
 # the code renders.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_failure -- --check
-# Serialized-tier and multi-app smoke: on the high-ser_factor workloads
-# (SVD++/LR) under tightened memory the multi-choice solver must actually
-# pick s-states (ser_transitions > 0 somewhere), tier-off runs must keep
-# their ser counters at exactly zero, and the co-run session (PageRank +
-# KMeans, both scheduler policies) must show shared-cache Blaze spending
-# strictly less total recompute than isolated per-app LRU partitions, and
-# the committed BENCH_engine.json (simulated numbers only) must be exactly
-# what the code renders.
+# Serialized-tier smoke: on the high-ser_factor workloads (SVD++/LR) under
+# tightened memory the multi-choice solver must actually pick s-states
+# (ser_transitions > 0 somewhere), tier-off runs must keep their ser
+# counters at exactly zero, and the committed BENCH_engine.json (simulated
+# numbers only) must be exactly what the code renders.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_engine -- --check
 # Committed results are what the code renders: re-run the eleven
 # results/*.txt generators, with the three CSVs they write through

@@ -3,8 +3,7 @@
 //! MEM+DISK. Random pipelines go through `tests/differential.rs`.
 
 use blaze::common::ByteSize;
-use blaze::engine::FaultPlan;
-use blaze::workloads::{run_spec_serial, App, AppSpec, SystemKind};
+use blaze::workloads::{App, AppSpec, Session, SystemKind};
 
 /// The profiled Blaze variants: everything that decides from the extracted
 /// references rather than from recency alone.
@@ -31,7 +30,7 @@ fn profiled_blaze_with_free_memory_matches_mem_disk() {
     for app in App::all() {
         let mut spec = AppSpec::evaluation(app);
         spec.memory_capacity = ByteSize::from_mib(256);
-        let run = |system| run_spec_serial(&spec, system, FaultPlan::default(), false).unwrap();
+        let run = |system| Session::builder().app(spec).system(system).run().unwrap();
         let base = run(SystemKind::SparkMemDisk);
         assert_eq!(base.metrics.evictions, 0, "{app:?}: 256 MiB must hold everything");
         for system in PROFILED_BLAZE {

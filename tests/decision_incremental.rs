@@ -618,8 +618,7 @@ fn trace_workload(
         .fault(fault)
         .tracing(true)
         .run()
-        .expect("workload run failed")
-        .into_outcome();
+        .expect("workload run failed");
     (out.trace.expect("tracing was enabled").chrome_json(), out.metrics)
 }
 

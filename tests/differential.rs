@@ -6,8 +6,7 @@
 //! computes (§4–§5.6), and this reproduction adds contracts of its own on
 //! top. Each case of [`differential_case`] draws
 //!
-//! - one pipeline per application (the `tests/common` generator) over one
-//!   shared, cached input;
+//! - one pipeline (the `tests/common` generator) over a cached input;
 //! - a `ClusterConfig`: executors, slots, a memory store from one byte to
 //!   ample, and worker threads;
 //! - a controller: any non-Blaze [`SystemKind`], or a drawn [`BlazeConfig`]
@@ -15,20 +14,17 @@
 //!   with or without a profile;
 //! - a `FaultPlan`: off, transient failures, a crash, map-output loss with
 //!   or without the external shuffle service, stragglers with or without
-//!   speculation, spill corruption, or fetch failures;
-//! - N ∈ {1, 2} applications through a [`Turnstile`],
+//!   speculation, spill corruption, or fetch failures,
 //!
-//! and checks six contracts on every case:
+//! and checks five contracts on every case:
 //!
-//! 1. each app's result and job count equal its `LocalRunner` answer;
+//! 1. the result and job count equal the `LocalRunner` answer;
 //! 2. `TraceLog::validate` passes;
 //! 3. traced metrics == untraced metrics == `Metrics::from_events`;
 //! 4. the Chrome trace and `Metrics` are byte-identical at one worker thread
 //!    and at the drawn count;
 //! 5. for Blaze, warm == cold (through [`DecisionProbe`]) and certified ==
 //!    uncertified, byte for byte;
-//! 6. for N = 1, the run through the turnstile == the same run on
-//!    `Context::new(cluster)`;
 //!
 //! plus the accounting identities of [`check_accounting`] and, with an
 //! ample store, that no job recomputes its own cached target
@@ -40,21 +36,20 @@
 mod common;
 
 use blaze::common::error::Result as BlazeResult;
-use blaze::common::ids::{AppId, JobId, RddId};
+use blaze::common::ids::{JobId, RddId};
 use blaze::common::{ByteSize, SimDuration, SimTime};
 use blaze::core::{extract_dependencies, BlazeConfig, BlazeController, BlazeLevel, DecisionStats};
 use blaze::dataflow::planner::plan_job;
 use blaze::dataflow::{runner::LocalRunner, Context, Dataset, Plan};
 use blaze::engine::{
-    AppSession, CacheController, CacheDecision, Cluster, ClusterConfig, ExecutorCrash, FaultPlan,
-    Metrics, SchedPolicy, SchedulerConfig, TraceEvent, TraceLog, Turnstile,
+    CacheController, CacheDecision, Cluster, ClusterConfig, ExecutorCrash, FaultPlan, Metrics,
+    TraceEvent, TraceLog,
 };
 use blaze::workloads::{App, AppSpec, Session, SystemKind};
 use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use common::{apply, source, step_strategy, Step};
 use parking_lot::RwLock;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
@@ -63,7 +58,7 @@ use std::sync::{Arc, Mutex};
 
 /// Every [`SystemKind`] that is not a preset of [`BlazeConfig`] (those are
 /// drawn as configurations instead).
-const SYSTEMS: [SystemKind; 14] = [
+const SYSTEMS: [SystemKind; 13] = [
     SystemKind::SparkMemOnly,
     SystemKind::SparkMemDisk,
     SystemKind::SparkAlluxio,
@@ -77,7 +72,6 @@ const SYSTEMS: [SystemKind; 14] = [
     SystemKind::TinyLfu,
     SystemKind::LeCaR,
     SystemKind::GdWheel,
-    SystemKind::IsolatedLru,
 ];
 
 /// A store that holds every dataset a case caches: nothing is forced out.
@@ -91,7 +85,7 @@ const CRASH_US: u64 = 400;
 enum Controller {
     System(SystemKind),
     /// Blaze under a drawn configuration. `profiled` runs dependency
-    /// extraction first, which (as in `Session`) only single-app runs have.
+    /// extraction first.
     Blaze {
         cfg: BlazeConfig,
         profiled: bool,
@@ -103,15 +97,13 @@ struct Case {
     elems: u64,
     keys: u64,
     parts: usize,
-    /// One pipeline per application: N is `apps.len()`.
-    apps: Vec<Vec<Step>>,
+    steps: Vec<Step>,
     executors: usize,
     slots: usize,
     memory: ByteSize,
     threads: usize,
     controller: Controller,
     fault: FaultPlan,
-    scheduler: SchedulerConfig,
 }
 
 /// True with probability `(n - 1) / n`.
@@ -179,14 +171,8 @@ fn fault_strategy() -> impl Strategy<Value = FaultPlan> {
 }
 
 fn case_strategy() -> impl Strategy<Value = Case> {
-    // One case in three co-runs two applications.
-    let steps = || prop::collection::vec(step_strategy(), 1..6);
-    let apps = prop_oneof![
-        prop::collection::vec(steps(), 1),
-        prop::collection::vec(steps(), 1),
-        prop::collection::vec(steps(), 2),
-    ];
-    let pipeline = (100u64..1_500, 1u64..64, 1usize..6, apps);
+    let steps = prop::collection::vec(step_strategy(), 1..6);
+    let pipeline = (100u64..1_500, 1u64..64, 1usize..6, steps);
     // The store as a percentage of one executor's share of the input (the
     // size of one un-reduced cached dataset), half the time; one byte (no
     // block ever fits) and ample otherwise.
@@ -196,17 +182,12 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         (0..SYSTEMS.len()).prop_map(|i| Controller::System(SYSTEMS[i])),
         blaze_strategy(),
     ];
-    let scheduler = (odds(2), 0u64..1_000).prop_map(|(fair, seed)| SchedulerConfig {
-        policy: if fair { SchedPolicy::FairShare } else { SchedPolicy::RoundRobin },
-        seed,
-    });
-    (pipeline, cluster, controller, fault_strategy(), scheduler).prop_map(
+    (pipeline, cluster, controller, fault_strategy()).prop_map(
         |(
-            (elems, keys, parts, apps),
+            (elems, keys, parts, steps),
             (executors, slots, memory_pct, threads),
             controller,
             fault,
-            scheduler,
         )| {
             // A crash needs a survivor to reschedule onto.
             let executors = if fault.crashes.is_empty() { executors } else { executors.max(2) };
@@ -214,43 +195,25 @@ fn case_strategy() -> impl Strategy<Value = Case> {
                 u64::MAX => AMPLE,
                 pct => ByteSize::from_bytes((elems * 16 / executors as u64 * pct / 100).max(1)),
             };
-            let controller = match controller {
-                Controller::Blaze { cfg, profiled } => {
-                    Controller::Blaze { cfg, profiled: profiled && apps.len() == 1 }
-                }
-                system => system,
-            };
-            Case {
-                elems,
-                keys,
-                parts,
-                apps,
-                executors,
-                slots,
-                memory,
-                threads,
-                controller,
-                fault,
-                scheduler,
-            }
+            Case { elems, keys, parts, steps, executors, slots, memory, threads, controller, fault }
         },
     )
 }
 
 impl Case {
-    /// Builds app `app`'s pipeline on `ctx`, input included, and runs it.
-    fn drive(&self, ctx: &Context, app: usize) -> BlazeResult<Vec<(u64, u64)>> {
-        apply(source(ctx, self.elems, self.keys, self.parts), self.parts, &self.apps[app])
+    /// Builds the pipeline on `ctx`, input included, and runs it.
+    fn drive(&self, ctx: &Context) -> BlazeResult<Vec<(u64, u64)>> {
+        apply(source(ctx, self.elems, self.keys, self.parts), self.parts, &self.steps)
     }
 
     fn is_blaze(&self) -> bool {
         matches!(self.controller, Controller::Blaze { .. })
     }
 
-    /// The drawn case as it is run first: traced, warm, through the turnstile.
+    /// The drawn case as it is run first: traced and warm.
     fn primary(&self) -> Knobs {
         let certify = matches!(self.controller, Controller::Blaze { cfg, .. } if cfg.certify);
-        Knobs { threads: self.threads, tracing: true, cold: false, certify, direct: false }
+        Knobs { threads: self.threads, tracing: true, cold: false, certify }
     }
 }
 
@@ -267,14 +230,12 @@ struct Knobs {
     cold: bool,
     /// Blaze: emit and inline-verify a decision certificate per solve.
     certify: bool,
-    /// N = 1: drive the app on `Context::new(cluster)`, no turnstile.
-    direct: bool,
 }
 
 /// What one run leaves behind.
 struct Run {
-    /// Each app's sorted result.
-    results: Vec<Vec<(u64, u64)>>,
+    /// The sorted result.
+    result: Vec<(u64, u64)>,
     metrics: Metrics,
     trace: Option<TraceLog>,
     /// The Blaze controller's decision counters (zero for other systems).
@@ -283,13 +244,12 @@ struct Run {
 }
 
 fn run(case: &Case, knobs: Knobs) -> Result<Run, TestCaseError> {
-    let apps = case.apps.len();
     let readout = Arc::new(Mutex::new(ProbeReadout::default()));
     let controller: Box<dyn CacheController> = match case.controller {
-        Controller::System(kind) => kind.make_controller_scaled(None, apps as u32),
+        Controller::System(kind) => kind.make_controller(None),
         Controller::Blaze { cfg, profiled } => {
             let profile = profiled.then(|| {
-                extract_dependencies(|ctx| case.drive(ctx, 0).map(drop), 0)
+                extract_dependencies(|ctx| case.drive(ctx).map(drop), 0)
                     .expect("dependency extraction")
             });
             let ctl = BlazeController::new(BlazeConfig { certify: knobs.certify, ..cfg }, profile);
@@ -303,71 +263,17 @@ fn run(case: &Case, knobs: Knobs) -> Result<Run, TestCaseError> {
         worker_threads: knobs.threads,
         tracing: knobs.tracing,
         fault: case.fault.clone(),
-        scheduler: case.scheduler,
         ..ClusterConfig::default()
     };
     let cluster = Cluster::new(config, controller)
         .map_err(|e| TestCaseError::fail(format!("invalid drawn config: {e}")))?;
-    let (results, plan) = if knobs.direct {
-        let ctx = Context::new(cluster.clone());
-        (vec![case.drive(&ctx, 0)], Arc::clone(ctx.plan()))
-    } else {
-        let plan = Arc::new(RwLock::new(Plan::new()));
-        (co_run(case, &cluster, &plan), plan)
-    };
-    let results = results
-        .into_iter()
-        .collect::<BlazeResult<Vec<_>>>()
+    let ctx = Context::new(cluster.clone());
+    let result = case
+        .drive(&ctx)
         .map_err(|e| TestCaseError::fail(format!("{knobs:?}: the run failed: {e}")))?;
     let stats = readout.lock().expect("a probe panicked").stats;
-    Ok(Run { results, metrics: cluster.metrics(), trace: cluster.trace(), stats, plan })
-}
-
-/// Drives every app of `case` on its own thread through a turnstile over
-/// `cluster`. The apps grow one shared `plan` and read one input, declared
-/// up front and rebound into each app's context.
-fn co_run(
-    case: &Case,
-    cluster: &Cluster,
-    plan: &Arc<RwLock<Plan>>,
-) -> Vec<BlazeResult<Vec<(u64, u64)>>> {
-    let turnstile = Turnstile::new(case.scheduler, case.apps.len());
-    let apps: Vec<(AppSession, Context)> = (0..case.apps.len())
-        .map(|i| {
-            let session = turnstile.session(AppId(i as u32), cluster.clone());
-            let ctx = Context::with_plan(Arc::clone(plan), session.clone());
-            (session, ctx)
-        })
-        .collect();
-    let input: Dataset<(u64, u64)> = source(&apps[0].1, case.elems, case.keys, case.parts);
-    std::thread::scope(|scope| {
-        let drivers: Vec<_> = apps
-            .iter()
-            .zip(&case.apps)
-            .map(|((session, ctx), steps)| {
-                let input = input.rebind(ctx);
-                scope.spawn(move || {
-                    session.start();
-                    let _finish = Finish(session);
-                    apply(input, case.parts, steps)
-                })
-            })
-            .collect();
-        drivers
-            .into_iter()
-            .map(|d| d.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
-    })
-}
-
-/// Retires an app from the turnstile on every exit path, so an app that
-/// fails never leaves its peer waiting for the turn.
-struct Finish<'a>(&'a AppSession);
-
-impl Drop for Finish<'_> {
-    fn drop(&mut self) {
-        self.0.finish();
-    }
+    let plan = Arc::clone(ctx.plan());
+    Ok(Run { result, metrics: cluster.metrics(), trace: cluster.trace(), stats, plan })
 }
 
 // ---------------------------------------------------------------------------
@@ -389,14 +295,11 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
     let base = run(case, primary)?;
     let trace = base.trace.as_ref().expect("the primary run is traced");
 
-    // 1. Each app computes its local-runner answer with the same jobs.
-    for (i, got) in base.results.iter().enumerate() {
-        let ctx = Context::new(LocalRunner::new().with_threads(case.threads));
-        let want = case.drive(&ctx, i).expect("reference run");
-        prop_assert!(got == &want, "contract 1: app {} computed a different result", i);
-        let jobs = base.metrics.per_app.get(&AppId(i as u32)).map_or(0, |a| a.jobs);
-        prop_assert_eq!(jobs, u64::from(ctx.jobs_submitted()), "contract 1: app {}'s job count", i);
-    }
+    // 1. The run computes the local-runner answer with the same jobs.
+    let ctx = Context::new(LocalRunner::new().with_threads(case.threads));
+    let want = case.drive(&ctx).expect("reference run");
+    prop_assert!(base.result == want, "contract 1: the run computed a different result");
+    prop_assert_eq!(base.metrics.jobs, u64::from(ctx.jobs_submitted()), "contract 1: job count");
 
     // 2. The trace passes its own audit. Errors only: a BA404 warning is a
     //    policy's misprediction, not the engine's bookkeeping.
@@ -417,10 +320,10 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
         first_difference(&format!("{:#?}", untraced.metrics), &format!("{:#?}", base.metrics))
     );
 
-    // 4–6. Runs that may not differ from the primary one by a single byte.
+    // 4–5. Runs that may not differ from the primary one by a single byte.
     let identical = |contract: &str, knobs: Knobs| -> Result<Run, TestCaseError> {
         let other = run(case, knobs)?;
-        prop_assert!(other.results == base.results, "{}: results differ", contract);
+        prop_assert!(other.result == base.result, "{}: results differ", contract);
         let trace = other.trace.as_ref().expect("traced").chrome_json();
         let base_trace = base.trace.as_ref().expect("traced").chrome_json();
         prop_assert!(
@@ -447,9 +350,6 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
             Knobs { certify: !primary.certify, ..primary },
         )?;
         stats.certified += flipped.stats.certified;
-    }
-    if case.apps.len() == 1 {
-        identical("contract 6 (Context::new(cluster))", Knobs { direct: true, ..primary })?;
     }
 
     check_accounting(case, &base.metrics)?;
@@ -497,28 +397,27 @@ fn check_accounting(case: &Case, m: &Metrics) -> TestCaseResult {
 /// reached its shape.
 fn check_own_target_reads(case: &Case, run: &Run) -> Result<bool, TestCaseError> {
     let plan = run.plan.read();
-    let mut open: BTreeMap<AppId, (JobId, RddId)> = BTreeMap::new();
+    let mut open: Option<(JobId, RddId)> = None;
     let (mut reached, mut missed) = (false, Vec::new());
     for ev in run.trace.as_ref().expect("traced").events() {
         match ev {
-            TraceEvent::JobStarted { app, job, target, .. } => {
+            TraceEvent::JobStarted { job, target, .. } => {
                 let staged = plan_job(&plan, *target).expect("the job ran").stages.len() > 1;
                 let cached = !plan.node(*target).expect("in the plan").unpersist_requested;
-                if staged && cached {
-                    open.insert(*app, (*job, *target));
-                } else {
-                    open.remove(app);
-                }
+                open = (staged && cached).then_some((*job, *target));
             }
-            TraceEvent::Cache(r) if open.get(&r.app).is_some_and(|(_, t)| *t == r.id.rdd) => {
+            TraceEvent::Cache(r) => {
+                let Some((job, target)) = open else { continue };
+                if target != r.id.rdd {
+                    continue;
+                }
                 match r.decision {
                     CacheDecision::HitMemory
                     | CacheDecision::HitSerializedMemory
                     | CacheDecision::HitDisk => reached = true,
                     CacheDecision::MissRecompute => {
                         reached = true;
-                        missed
-                            .push(format!("{} in {}/{} at {}", r.id, r.app, open[&r.app].0, r.at));
+                        missed.push(format!("{} in {job} at {}", r.id, r.at));
                     }
                     _ => {}
                 }
@@ -544,7 +443,6 @@ fn check_own_target_reads(case: &Case, run: &Run) -> Result<bool, TestCaseError>
 #[derive(Debug, Default)]
 struct Coverage {
     cases: u64,
-    two_apps: u64,
     blaze: u64,
     profiled: u64,
     spills: u64,
@@ -555,7 +453,6 @@ struct Coverage {
     quarantined_spills: u64,
     fetch_retries: u64,
     certified_solves: u64,
-    cross_app_hits: u64,
     own_target_reads: u64,
 }
 
@@ -563,7 +460,6 @@ impl Coverage {
     fn add(&mut self, case: &Case, out: &Outcome) {
         let m = &out.metrics;
         self.cases += 1;
-        self.two_apps += u64::from(case.apps.len() == 2);
         self.blaze += u64::from(case.is_blaze());
         self.profiled +=
             u64::from(matches!(case.controller, Controller::Blaze { profiled: true, .. }));
@@ -575,10 +471,6 @@ impl Coverage {
         self.quarantined_spills += m.recovery.spills_quarantined;
         self.fetch_retries += m.recovery.fetch_retries;
         self.certified_solves += out.stats.certified;
-        if case.apps.len() == 2 {
-            self.cross_app_hits +=
-                m.per_app.values().map(|a| a.cross_mem_hits + a.cross_disk_hits).sum::<u64>();
-        }
         self.own_target_reads += u64::from(out.own_target_reached);
     }
 }
@@ -617,7 +509,6 @@ fn random_cases_pass_every_check_and_reach_every_dimension() {
     assert!(c.quarantined_spills > 0, "no corrupted spill was caught");
     assert!(c.fetch_retries > 0, "no shuffle fetch was retried");
     assert!(c.certified_solves > 0, "no decision certificate was verified");
-    assert!(c.cross_app_hits > 0, "no two-app case read the other app's blocks");
     assert!(c.own_target_reads > 0, "no case read a cached job target behind an earlier stage");
 }
 
@@ -651,20 +542,19 @@ fn chaos_seed_matrix_preserves_results() {
             elems: 3_000,
             keys: 97,
             parts: 6,
-            apps: vec![vec![
+            steps: vec![
                 Step::ReduceByKey,
                 Step::MapAdd(0x3C),
                 Step::ReduceByKey,
                 Step::MapAdd(0x3C),
                 Step::ReduceByKey,
-            ]],
+            ],
             executors: 2,
             slots: 2,
             memory: ByteSize::from_kib(64),
             threads: 2,
             controller,
             fault: FaultPlan::default(),
-            scheduler: SchedulerConfig::default(),
         };
         let clean = check(&case).unwrap_or_else(|e| panic!("clean run of {case:?}: {e}"));
         let crash_at = SimTime::ZERO
@@ -750,9 +640,7 @@ fn top_recompute_rdd_is_thread_count_invariant() {
         assert!(trace.validate(&metrics).is_clean());
 
         let tops: Vec<Option<(u32, u64)>> = (0..metrics.jobs as u32)
-            .map(|j| {
-                metrics.top_recompute_rdd(AppId(0), JobId(j)).map(|(r, t)| (r.raw(), t.as_nanos()))
-            })
+            .map(|j| metrics.top_recompute_rdd(JobId(j)).map(|(r, t)| (r.raw(), t.as_nanos())))
             .collect();
         assert!(tops.iter().any(|t| t.is_some()), "expected recomputation under a 2 KiB store");
         match &baseline {

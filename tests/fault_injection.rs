@@ -71,23 +71,18 @@ fn crash_mid_run(system: SystemKind, frac: f64) -> SimTime {
 #[test]
 fn disabled_fault_plan_changes_nothing() {
     let spec = AppSpec::evaluation(App::KMeans);
-    let clean = Session::builder()
-        .app(spec)
-        .system(SystemKind::SparkMemDisk)
-        .run()
-        .expect("clean run")
-        .into_outcome();
+    let clean =
+        Session::builder().app(spec).system(SystemKind::SparkMemDisk).run().expect("clean run");
     let seeded_but_off = FaultPlan { seed: 0xFEED, ..FaultPlan::default() };
     assert!(!seeded_but_off.enabled());
-    let with_plan = Session::builder()
+    let seeded = Session::builder()
         .app(spec)
         .system(SystemKind::SparkMemDisk)
         .fault(seeded_but_off)
         .run()
-        .expect("seeded run")
-        .into_outcome();
-    assert_eq!(clean.metrics, with_plan.metrics, "a disabled plan must be invisible");
-    assert_eq!(with_plan.metrics.recovery, RecoveryMetrics::default());
+        .expect("seeded run");
+    assert_eq!(clean.metrics, seeded.metrics, "a disabled plan must be invisible");
+    assert_eq!(seeded.metrics.recovery, RecoveryMetrics::default());
 }
 
 // ---------------------------------------------------------------------------
