@@ -60,9 +60,11 @@ pub struct ProbeReadout {
 /// the cluster, so whatever a harness wants to know about its decision path
 /// must escape through a shim: this one mirrors `decision_stats()` and the
 /// bytes believed on disk into a shared [`ProbeReadout`], and — `cold` —
-/// makes the controller forget its retained decision state before every job
-/// submission (the "from scratch" reference). Every `CacheController`
-/// method forwards; instrumentation never changes simulated behaviour.
+/// makes the controller forget its retained decision state before every
+/// hook that prices blocks: job submission, victim selection and admission
+/// failure (the "from scratch" reference, with no retained recovery value
+/// or admission price). Every `CacheController` method forwards;
+/// instrumentation never changes simulated behaviour.
 pub struct DecisionProbe {
     inner: BlazeController,
     cold: bool,
@@ -108,10 +110,16 @@ impl CacheController for DecisionProbe {
         incoming: &BlockInfo,
         resident: &[BlockInfo],
     ) -> Vec<(BlockId, VictimAction)> {
+        if self.cold {
+            self.inner.forget_decision_state();
+        }
         self.inner.choose_victims(ctx, exec, needed, incoming, resident)
     }
 
     fn on_admission_failure(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
+        if self.cold {
+            self.inner.forget_decision_state();
+        }
         self.inner.on_admission_failure(ctx, block)
     }
 

@@ -369,8 +369,8 @@ impl BlazeController {
     /// the ancestor sets — so the next submission prices, solves and derives
     /// references cold.
     /// Retained state never influences a decision; the differential tests
-    /// call this before every submission to obtain the reference that
-    /// proves it.
+    /// call this before every submission and every admission that prices
+    /// blocks to obtain the reference that proves it.
     pub fn forget_decision_state(&mut self) {
         self.incr.reset();
         self.refs_seq_rev = u64::MAX;

@@ -27,21 +27,28 @@ use blaze_common::ids::BlockId;
 use blaze_common::{ByteSize, SimDuration};
 use blaze_engine::HardwareModel;
 
-/// Memoized Eq. 4 recovery values, each with a flag recording whether any
-/// metric feeding it was *inducted* rather than observed. Inducted values
-/// depend on congruent blocks elsewhere in the lineage, so flagged entries
-/// are only valid while [`CostLineage::metrics_rev`] and the iteration
-/// pattern are unchanged; unflagged entries survive until a block in their
-/// recursion support is dirtied.
+/// Memoized costs for one lineage snapshot, in two maps: the Eq. 4
+/// *recovery* value of a block in its current state (what pricing a child
+/// charges for it) and its Eq. 2 *admission price* (what
+/// [`CostModel::cost`] returns when admissions rank it). An entry is
+/// *inducted* when any metric feeding it was inducted rather than observed;
+/// recovery entries carry that flag, because the prices and recovery values
+/// priced through them inherit it. Inducted values depend on congruent
+/// blocks elsewhere in the lineage, so they are only valid while
+/// [`CostLineage::metrics_rev`] and the iteration pattern are unchanged;
+/// the others survive until a block in their recursion support is dirtied.
 ///
 /// Pricing a block in state `None` prices — and so memoizes — every parent
 /// it recurses into: a memoized `None`-state block always has its narrow
-/// parents memoized. Invalidation relies on that (see
-/// [`crate::incremental`]). Flagged keys are also listed as they are
-/// inserted, so a flush visits them without scanning the memo.
+/// parents' recovery entries. So does an admission price of a block not on
+/// disk, unless it is a shuffle block, whose price reads only its own
+/// metrics. Invalidation relies on that (see [`crate::incremental`]).
+/// Flagged keys of both maps are also listed as they are inserted, so a
+/// flush visits them without scanning the memo.
 #[derive(Debug, Default)]
 pub struct CostMemo {
     entries: FxHashMap<BlockId, (SimDuration, bool)>,
+    prices: FxHashMap<BlockId, SimDuration>,
     inducted: Vec<BlockId>,
 }
 
@@ -57,9 +64,22 @@ impl CostMemo {
         self.entries.insert(id, value);
     }
 
-    /// Drops `id`'s entry; true if there was one.
-    pub(crate) fn remove(&mut self, id: BlockId) -> bool {
-        self.entries.remove(&id).is_some()
+    /// `id`'s memoized admission price, if any.
+    pub(crate) fn price(&self, id: BlockId) -> Option<SimDuration> {
+        self.prices.get(&id).copied()
+    }
+
+    fn insert_price(&mut self, id: BlockId, price: SimDuration, inducted: bool) {
+        if inducted {
+            self.inducted.push(id);
+        }
+        self.prices.insert(id, price);
+    }
+
+    /// Drops both of `id`'s entries; returns whether it had a recovery
+    /// entry and whether it had an admission price.
+    pub(crate) fn remove(&mut self, id: BlockId) -> (bool, bool) {
+        (self.entries.remove(&id).is_some(), self.prices.remove(&id).is_some())
     }
 
     /// Takes the list of keys inserted with the inducted flag since the last
@@ -68,14 +88,16 @@ impl CostMemo {
         std::mem::take(&mut self.inducted)
     }
 
-    /// The memoized blocks, in no particular order.
+    /// The memoized blocks of both maps, in no particular order (a block
+    /// with both entries comes twice).
     pub(crate) fn keys(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.entries.keys().copied()
+        self.entries.keys().chain(self.prices.keys()).copied()
     }
 
     /// Drops every entry.
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
+        self.prices.clear();
         self.inducted.clear();
     }
 }
@@ -85,7 +107,8 @@ pub struct CostModel<'a> {
     lineage: &'a CostLineage,
     hardware: &'a HardwareModel,
     pattern: Option<IterationPattern>,
-    /// Memoized Eq. 2 values for the current snapshot.
+    /// Memoized Eq. 4 recovery values and Eq. 2 admission prices for the
+    /// current snapshot.
     memo: CostMemo,
 }
 
@@ -151,10 +174,19 @@ impl<'a> CostModel<'a> {
         }
     }
 
+    /// The serialization factor of `id`'s RDD (1.0 when unknown).
+    fn ser_factor(&self, id: BlockId) -> f64 {
+        self.lineage.node(id.rdd).map(|n| n.ser_factor).unwrap_or(1.0)
+    }
+
     /// Eq. 3: the potential disk access cost of `p_i`.
     pub fn cost_d(&self, id: BlockId) -> SimDuration {
-        let size = self.size(id);
-        let ser = self.lineage.node(id.rdd).map(|n| n.ser_factor).unwrap_or(1.0);
+        self.disk_round_trip(id, self.size(id))
+    }
+
+    /// Eq. 3 for a partition of `id`'s RDD of the given size.
+    fn disk_round_trip(&self, id: BlockId, size: ByteSize) -> SimDuration {
+        let ser = self.ser_factor(id);
         self.hardware.spill_time(size, ser) + self.hardware.fetch_from_disk_time(size, ser)
     }
 
@@ -171,7 +203,7 @@ impl<'a> CostModel<'a> {
     /// not as a time charge here.
     pub fn cost_s(&self, id: BlockId) -> SimDuration {
         let size = self.size(id);
-        let ser = self.lineage.node(id.rdd).map(|n| n.ser_factor).unwrap_or(1.0);
+        let ser = self.ser_factor(id);
         self.hardware.deser_time(size, ser)
     }
 
@@ -223,12 +255,12 @@ impl<'a> CostModel<'a> {
             crate::costlineage::PartitionState::SerializedMemory(_) => {
                 // Resident but packed: using it costs one deserialization.
                 let (size, inducted) = self.size_tracked(id);
-                let ser = self.lineage.node(id.rdd).map(|n| n.ser_factor).unwrap_or(1.0);
+                let ser = self.ser_factor(id);
                 (self.hardware.deser_time(size, ser), inducted)
             }
             crate::costlineage::PartitionState::Disk(_) => {
                 let (size, inducted) = self.size_tracked(id);
-                let ser = self.lineage.node(id.rdd).map(|n| n.ser_factor).unwrap_or(1.0);
+                let ser = self.ser_factor(id);
                 (self.hardware.fetch_from_disk_time(size, ser), inducted)
             }
             crate::costlineage::PartitionState::None => self.cost_r_inner(id, depth),
@@ -241,13 +273,23 @@ impl<'a> CostModel<'a> {
     /// memory. For an already-spilled partition only the read remains; for
     /// anything else Blaze is free to pick the cheaper of disk and
     /// recomputation.
+    ///
+    /// Memoized as the block's admission price until the block, or a block
+    /// its recovery recursion read, changes (or, for an inducted price, the
+    /// metrics revision or pattern moves).
     pub fn cost(&mut self, id: BlockId) -> SimDuration {
-        if self.lineage.state(id).on_disk() {
-            let size = self.size(id);
-            let ser = self.lineage.node(id.rdd).map(|n| n.ser_factor).unwrap_or(1.0);
-            return self.hardware.fetch_from_disk_time(size, ser);
+        if let Some(c) = self.memo.price(id) {
+            return c;
         }
-        self.cost_d(id).min(self.cost_r(id))
+        let (size, size_inducted) = self.size_tracked(id);
+        let (price, inducted) = if self.lineage.state(id).on_disk() {
+            (self.hardware.fetch_from_disk_time(size, self.ser_factor(id)), size_inducted)
+        } else {
+            let (r, r_inducted) = self.cost_r_inner(id, 0);
+            (self.disk_round_trip(id, size).min(r), size_inducted || r_inducted)
+        };
+        self.memo.insert_price(id, price, inducted);
+        price
     }
 
     /// The recovery state Blaze would pick for an out-of-memory partition:

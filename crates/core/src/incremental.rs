@@ -7,20 +7,21 @@
 //! O(everything); the driver instead keeps its decision state alive between
 //! submissions and re-derives only what a change could have affected:
 //!
-//! - **Cost memo** — the Eq. 4 recovery memo ([`crate::cost::CostMemo`]) is
-//!   the controller's only one: retained across solves and lent to every
-//!   admission through [`IncrementalOptimizer::checkout_memo`].
-//!   [`CostLineage`] marks blocks dirty on every metric/state change; a
-//!   dirty block invalidates its own entry and, through every entry actually
-//!   removed, those of its *narrow descendants on the same partition index*
-//!   (shuffle children re-fetch their own outputs and never recurse into
-//!   parents, narrow dependencies are partition-aligned — see
-//!   [`CostLineage::narrow_children`] — and a memoized `None`-state block
-//!   always has its parents memoized, so a block without an entry shields
-//!   everything below it). Entries that consumed *inducted* metrics are
-//!   additionally flushed whenever [`CostLineage::metrics_rev`] or the
-//!   iteration pattern changes, because induction reads congruent blocks
-//!   anywhere in the lineage.
+//! - **Cost memo** — the memo of Eq. 4 recovery values and Eq. 2 admission
+//!   prices ([`crate::cost::CostMemo`]) is the controller's only one:
+//!   retained across solves and lent to every admission through
+//!   [`IncrementalOptimizer::checkout_memo`]. [`CostLineage`] marks blocks
+//!   dirty on every metric/state change; a dirty block invalidates its own
+//!   entries and, through every block that actually lost one, those of its
+//!   *narrow descendants on the same partition index* (shuffle children
+//!   re-fetch their own outputs and never recurse into parents, narrow
+//!   dependencies are partition-aligned — see
+//!   [`CostLineage::narrow_children`] — and a memoized `None`-state block,
+//!   like a priced narrow block not on disk, always has its parents'
+//!   recovery entries, so a block without an entry shields everything below
+//!   it). Entries that consumed *inducted* metrics are additionally flushed
+//!   whenever [`CostLineage::metrics_rev`] or the iteration pattern changes,
+//!   because induction reads congruent blocks anywhere in the lineage.
 //! - **Solution reuse** — per executor, if the candidate vector (ids, sizes,
 //!   costs, reference counts, states) and capacity are unchanged, the
 //!   previous picks are returned without solving: the solvers are
@@ -61,8 +62,9 @@ pub struct DecisionStats {
     pub reused: u64,
     /// Dirty blocks drained from the lineage.
     pub dirty_drained: u64,
-    /// Memo entries invalidated: by dirty-set propagation and by flushes of
-    /// inducted entries.
+    /// Eq. 4 recovery entries invalidated, by dirty-set propagation and by
+    /// flushes of inducted entries. Admission prices dropped alongside are
+    /// not counted.
     pub invalidated: u64,
     /// Decision certificates emitted and inline-verified (certify mode).
     pub certified: u64,
@@ -177,18 +179,21 @@ impl IncrementalOptimizer {
     }
 
     /// Removes the memo entries a change to `seeds` could have altered: a
-    /// seed's own entry and, through every entry actually removed, those of
-    /// its narrow children on the same partition. The walk goes on only
-    /// through removed entries: a memoized block in state `None` always has
-    /// its parents memoized ([`CostMemo`]), so no entry below a block without
-    /// one was priced through it.
+    /// seed's own entries and, through every block that actually lost one,
+    /// those of its narrow children on the same partition. The walk goes on
+    /// only through removed entries: a memoized block in state `None`, and
+    /// an admission price of a narrow block not on disk, always has its
+    /// parents' recovery entries ([`CostMemo`]), so no entry below a block
+    /// without one was priced through it.
     fn invalidate(&mut self, lineage: &CostLineage, seeds: &[BlockId]) {
         let mut stack = seeds.to_vec();
         while let Some(b) = stack.pop() {
-            if !self.memo.remove(b) {
+            let (recovery, price) = self.memo.remove(b);
+            if recovery {
+                self.stats.invalidated += 1;
+            } else if !price {
                 continue;
             }
-            self.stats.invalidated += 1;
             stack.extend(
                 lineage.narrow_children(b.rdd).iter().map(|&c| BlockId::new(c, b.partition)),
             );
@@ -385,6 +390,129 @@ mod tests {
             assert_eq!(fresh.stats().reused, 0, "the cold reference has nothing to reuse");
         }
         assert!(inc.stats().solves + inc.stats().reused > 0);
+    }
+
+    /// Checks the retained memo out against `cl`, prices `id` through it
+    /// and through a fresh model, and checks it back in. Returns whether the
+    /// checked-out memo still held `id`'s admission price, and the price.
+    fn price_through(
+        inc: &mut IncrementalOptimizer,
+        cl: &mut CostLineage,
+        id: BlockId,
+    ) -> (bool, SimDuration) {
+        let hw = HardwareModel::default();
+        let memo = inc.checkout_memo(cl, None);
+        let retained = memo.price(id).is_some();
+        let mut model = CostModel::with_memo(cl, &hw, None, memo);
+        let price = model.cost(id);
+        assert_eq!(price, CostModel::new(cl, &hw, None).cost(id), "retained price of {id} stale");
+        inc.checkin_memo(model.into_memo());
+        (retained, price)
+    }
+
+    /// Re-records every block of `cl` with `kib` KiB and `ms` of compute.
+    fn record_all(cl: &mut CostLineage, kib: u64, ms: u64) {
+        for rdd in 0..cl.len() as u32 {
+            for part in 0..2u32 {
+                let id = BlockId::new(RddId(rdd), part);
+                cl.record_metrics(id, ByteSize::from_kib(kib), SimDuration::from_millis(ms));
+            }
+        }
+    }
+
+    #[test]
+    fn admission_price_is_dropped_when_the_block_spills() {
+        let (mut cl, _) = world(3);
+        record_all(&mut cl, 1, 2_000); // Tiny data, dear compute: disk wins.
+        let mut inc = IncrementalOptimizer::new();
+        let id = BlockId::new(RddId(3), 0);
+        let (_, in_memory) = price_through(&mut inc, &mut cl, id);
+        assert!(price_through(&mut inc, &mut cl, id).0, "an unchanged block keeps its price");
+
+        cl.set_state(id, PartitionState::Disk(ExecutorId(0)));
+        let (retained, on_disk) = price_through(&mut inc, &mut cl, id);
+        assert!(!retained, "the spill must drop the price");
+        let ser = cl.node(id.rdd).unwrap().ser_factor;
+        let read = HardwareModel::default().fetch_from_disk_time(ByteSize::from_kib(1), ser);
+        assert_eq!(on_disk, read);
+        assert!(on_disk < in_memory, "{on_disk} is not below the round trip {in_memory}");
+    }
+
+    #[test]
+    fn admission_price_rises_when_a_narrow_parent_leaves_memory() {
+        let (mut cl, _) = world(3);
+        record_all(&mut cl, 100 * 1024, 1); // Large data, cheap compute: recompute wins.
+        let mut inc = IncrementalOptimizer::new();
+        let id = BlockId::new(RddId(3), 0);
+        let (_, before) = price_through(&mut inc, &mut cl, id);
+
+        cl.set_state(BlockId::new(RddId(2), 0), PartitionState::None);
+        let (retained, after) = price_through(&mut inc, &mut cl, id);
+        assert!(!retained, "the parent's eviction must drop the child's price");
+        assert!(after > before, "{after} is not above {before}");
+    }
+
+    #[test]
+    fn shuffle_child_price_survives_a_parent_state_change() {
+        let ctx = Context::new(LocalRunner::new());
+        let pairs = ctx.parallelize((0..64u64).map(|i| (i % 4, i)).collect::<Vec<_>>(), 2);
+        let red = pairs.reduce_by_key(2, |a, b| a + b);
+        let mut cl = CostLineage::new();
+        cl.merge_plan(&ctx.plan().read());
+        record_all(&mut cl, 64, 5);
+        for rdd in [pairs.id(), red.id()] {
+            cl.set_state(BlockId::new(rdd, 0), PartitionState::Memory(ExecutorId(0)));
+        }
+        let mut inc = IncrementalOptimizer::new();
+        let id = BlockId::new(red.id(), 0);
+        let (_, before) = price_through(&mut inc, &mut cl, id);
+
+        cl.set_state(BlockId::new(pairs.id(), 0), PartitionState::Disk(ExecutorId(0)));
+        let (retained, after) = price_through(&mut inc, &mut cl, id);
+        assert!(retained, "a shuffle block's price reads none of its parent's state");
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn inducted_price_is_flushed_on_a_metrics_revision() {
+        let ctx = Context::new(LocalRunner::new());
+        let src = ctx.parallelize((0..64u64).collect::<Vec<_>>(), 2);
+        let last = src.map(|x| x + 1).map(|x| x + 1);
+        let mut cl = CostLineage::new();
+        cl.merge_plan(&ctx.plan().read());
+        for rdd in 0..last.id().0 {
+            let id = BlockId::new(RddId(rdd), 0);
+            cl.record_metrics(id, ByteSize::from_kib(64), SimDuration::from_millis(5));
+        }
+        let mut inc = IncrementalOptimizer::new();
+        // Never observed: its size and edge are inducted.
+        let id = BlockId::new(last.id(), 0);
+        price_through(&mut inc, &mut cl, id);
+        assert!(price_through(&mut inc, &mut cl, id).0, "no revision moved: the price stays");
+
+        // A metric on the other partition: the walk from it reaches no
+        // priced block, only the revision moves.
+        cl.record_metrics(BlockId::new(src.id(), 1), ByteSize::from_kib(1), SimDuration::ZERO);
+        let (retained, _) = price_through(&mut inc, &mut cl, id);
+        assert!(!retained, "the revision bump must flush the inducted price");
+    }
+
+    #[test]
+    fn reset_empties_both_maps() {
+        let (mut cl, refs) = world(3);
+        let mut inc = IncrementalOptimizer::new();
+        let hw = HardwareModel::default();
+        let cfg = OptimizerConfig::default();
+        inc.optimize(&mut cl, &refs, None, &hw, ByteSize::from_kib(200), 0, &cfg);
+        let id = BlockId::new(RddId(3), 0);
+        price_through(&mut inc, &mut cl, id);
+
+        inc.reset();
+        let memo = inc.checkout_memo(&mut cl, None);
+        assert_eq!(memo.keys().count(), 0, "reset left entries behind");
+        assert!(memo.price(id).is_none());
+        inc.checkin_memo(memo);
+        assert!(!price_through(&mut inc, &mut cl, id).0);
     }
 
     #[test]

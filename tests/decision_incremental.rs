@@ -4,10 +4,11 @@
 //! previous solves and append-only reference counts between submissions.
 //! None of it may influence a decision: the reference is *the same driver
 //! with nothing retained* — `reset()` before every call at core level,
-//! `BlazeController::forget_decision_state()` before every job submission at
-//! engine level — and same lineage, same job references, same configuration
-//! must yield byte-for-byte the same [`StateCommand`] stream, no matter how
-//! the lineage got into its current state. Everything the retained state
+//! `BlazeController::forget_decision_state()` before every job submission,
+//! victim selection and admission failure at engine level — and same
+//! lineage, same job references, same configuration must yield
+//! byte-for-byte the same [`StateCommand`] stream, no matter how the lineage
+//! got into its current state. Everything the retained state
 //! does (memo invalidation, instance reuse, append-only refs extension) is
 //! off in that reference. These tests attack the contract
 //! from four sides (random pipelines, warm vs cold under every drawn
@@ -43,9 +44,10 @@ use blaze::engine::{
 };
 use blaze::workloads::{App, AppSpec, Session};
 // The one delegating wrapper around a Blaze controller: `cold` makes it
-// forget all retained decision state before every job submission — the
-// controller's own cold reference — and it mirrors `decision_stats()` out
-// of the cluster the controller is moved into.
+// forget all retained decision state before every job submission and every
+// admission that prices blocks — the controller's own cold reference — and
+// it mirrors `decision_stats()` out of the cluster the controller is moved
+// into.
 use blaze_bench::harness::{DecisionProbe, ProbeReadout};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
