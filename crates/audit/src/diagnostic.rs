@@ -32,8 +32,7 @@ impl fmt::Display for Severity {
 
 /// Stable identifier of one auditor check.
 ///
-/// `BA00x` codes are structural plan invariants (errors), `BA010` is the
-/// session's one-application check, `BA1xx` codes are
+/// `BA00x` codes are structural plan invariants (errors), `BA1xx` codes are
 /// caching anti-patterns (warnings), `BA2xx` codes are cross-structure
 /// consistency checks (emitted by `blaze-core`), `BA3xx` codes are
 /// recoverability checks against a configured fault plan, and `BA4xx` codes
@@ -70,9 +69,6 @@ pub enum DiagCode {
     /// negative value would produce negative (de)serialization costs and an
     /// s-state footprint below zero; clamping it silently would hide the bug.
     NegativeSerFactor,
-    /// BA010: a session was built with zero or several applications; a
-    /// session runs exactly one application.
-    NotExactlyOneApp,
     /// BA101: a dataset is consumed by two or more downstream stages but is
     /// not cache-annotated — every consuming stage recomputes its lineage
     /// (the "recompute bomb" of LRC-style reference-count analysis).
@@ -136,7 +132,7 @@ impl DiagCode {
     /// Every diagnostic code, in code order. This is the single registry the
     /// `blaze-audit` CLI lists and explains from; adding a variant without
     /// extending it fails the registry unit test.
-    pub const ALL: [DiagCode; 25] = [
+    pub const ALL: [DiagCode; 24] = [
         DiagCode::CycleOrForwardRef,
         DiagCode::DanglingParent,
         DiagCode::ZeroPartitions,
@@ -146,7 +142,6 @@ impl DiagCode {
         DiagCode::ComputeShapeMismatch,
         DiagCode::PartitionerHoldViolation,
         DiagCode::NegativeSerFactor,
-        DiagCode::NotExactlyOneApp,
         DiagCode::RecomputeBomb,
         DiagCode::UnreachableCache,
         DiagCode::CacheOvercommit,
@@ -176,7 +171,6 @@ impl DiagCode {
             DiagCode::ComputeShapeMismatch => "BA007",
             DiagCode::PartitionerHoldViolation => "BA008",
             DiagCode::NegativeSerFactor => "BA009",
-            DiagCode::NotExactlyOneApp => "BA010",
             DiagCode::RecomputeBomb => "BA101",
             DiagCode::UnreachableCache => "BA102",
             DiagCode::CacheOvercommit => "BA103",
@@ -212,7 +206,6 @@ impl DiagCode {
             DiagCode::ComputeShapeMismatch => "compute kind and dependency shape disagree",
             DiagCode::PartitionerHoldViolation => "assumed partitioner does not hold for the data",
             DiagCode::NegativeSerFactor => "negative or non-finite serialization factor",
-            DiagCode::NotExactlyOneApp => "a session runs exactly one application",
             DiagCode::RecomputeBomb => "multi-consumer dataset not cache-annotated",
             DiagCode::UnreachableCache => "cache-annotated dataset is never read back",
             DiagCode::CacheOvercommit => "annotated bytes exceed memory capacity",
@@ -276,12 +269,6 @@ impl DiagCode {
                  value would make spill and recovery costs negative and the optimizer \
                  would happily spill everything; the engine used to clamp it silently, \
                  which only hid the broken plan."
-            }
-            DiagCode::NotExactlyOneApp => {
-                "A session runs exactly one application on one cluster, but it was built \
-                 with zero applications or with several. With none there is nothing to run \
-                 and the metrics would silently be empty; with several there is no single \
-                 application for Blaze to decide for. Call SessionBuilder::app exactly once."
             }
             DiagCode::RecomputeBomb => {
                 "A dataset is consumed by two or more downstream stages but is not \
@@ -378,7 +365,6 @@ impl DiagCode {
             | DiagCode::ComputeShapeMismatch
             | DiagCode::PartitionerHoldViolation
             | DiagCode::NegativeSerFactor
-            | DiagCode::NotExactlyOneApp
             | DiagCode::LineageMismatch
             | DiagCode::UnrecoverableLineage
             | DiagCode::TraceSpanNesting

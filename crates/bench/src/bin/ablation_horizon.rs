@@ -19,7 +19,7 @@ fn main() {
                 optimizer: OptimizerConfig { horizon_jobs: horizon, ..Default::default() },
                 ..BlazeConfig::full()
             };
-            let out = Session::builder().app(spec).blaze(cfg).run().expect("run failed");
+            let out = Session::builder(spec).blaze(cfg).run().expect("run failed");
             t.row([
                 app.label().to_string(),
                 horizon.to_string(),

@@ -42,7 +42,7 @@ struct Sample {
 }
 
 fn run_sample(spec: &AppSpec, app_label: &'static str, system: SystemKind) -> Sample {
-    let out = Session::builder().app(*spec).system(system).run().expect("benchmark run failed");
+    let out = Session::builder(*spec).system(system).run().expect("benchmark run failed");
     let m = &out.metrics;
     let act = m.completion_time.as_secs_f64();
     eprintln!(

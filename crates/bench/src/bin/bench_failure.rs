@@ -31,7 +31,7 @@ use std::process::ExitCode;
 
 /// One faulted (or clean, with the default plan) run through the session API.
 fn run_one(spec: &AppSpec, system: SystemKind, fault: FaultPlan) -> RunOutcome {
-    Session::builder().app(*spec).system(system).fault(fault).run().expect("run failed")
+    Session::builder(*spec).system(system).fault(fault).run().expect("run failed")
 }
 
 /// One (workload, system) comparison: the clean run and the faulted run.

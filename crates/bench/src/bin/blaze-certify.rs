@@ -38,8 +38,7 @@ use std::sync::{Arc, Mutex};
 fn certified_run(app: App, spec: AppSpec, cfg: BlazeConfig, leg: &str) -> u64 {
     let readout = Arc::new(Mutex::new(ProbeReadout::default()));
     let mirror = Arc::clone(&readout);
-    let out = Session::builder()
-        .app(spec)
+    let out = Session::builder(spec)
         .blaze(BlazeConfig { certify: true, ..cfg })
         .instrument(move |inner| Box::new(DecisionProbe::new(inner, false, mirror)))
         .run()

@@ -1,4 +1,5 @@
-//! `blaze-trace`: inspect and validate structured engine event traces.
+//! `blaze-trace`: inspect and validate structured engine event traces, and
+//! look into one run's task timeline and lineage.
 //!
 //! Runs a workload with tracing enabled and operates on the resulting
 //! [`blaze_engine::TraceLog`]:
@@ -19,18 +20,35 @@
 //!   block, with the deciding policy's rationale.
 //! - `--diff <system>` diffs the trace against a second system's run of
 //!   the same application.
+//! - `--utilization` prints per-executor utilization, task-duration
+//!   percentiles and the ten slowest tasks of one run.
+//! - `--dot` prints the application's profiled lineage (the paper's
+//!   Fig. 1(b)/Fig. 8 view) as Graphviz DOT, with job targets and reused
+//!   datasets marked; it runs only the dependency-extraction pass.
+//!
+//! Every mode but `--validate` runs one application: `--apps` names at most
+//! one there (default: PageRank).
+//!
+//! ```sh
+//! cargo run --release -p blaze-bench --bin blaze-trace -- --utilization --apps pr --system blaze
+//! cargo run --release -p blaze-bench --bin blaze-trace -- --dot --apps pr > pr.dot
+//! dot -Tsvg pr.dot -o pr.svg
+//! ```
 //!
 //! Everything here runs on the simulated clock; this file is trace
 //! tooling, so `blaze-lint`'s wall-clock rule applies to it even though
 //! it lives in the bench crate.
 
+use blaze_bench::table::{secs, Table};
 use blaze_common::ids::{BlockId, RddId};
 use blaze_common::{SimDuration, SimTime};
-use blaze_engine::{ExecutorCrash, FaultPlan, TraceLog};
+use blaze_core::{extract_dependencies, ProfileResult};
+use blaze_engine::{ExecutorCrash, FaultPlan, Metrics, TraceLog};
 use blaze_workloads::{App, AppSpec, RunOutcome, Session, SystemKind};
 use std::process::ExitCode;
 
 /// Parsed command line.
+#[derive(Debug)]
 struct Options {
     mode: Mode,
     apps: Vec<App>,
@@ -39,20 +57,23 @@ struct Options {
     faults: bool,
 }
 
+#[derive(Debug, PartialEq)]
 enum Mode {
     Validate,
     Timeline(String),
     Ledger,
     Explain(BlockId),
     Diff(SystemKind),
+    Utilization,
+    Dot,
 }
 
 fn usage() -> String {
     format!(
         "usage: blaze-trace [--validate | --timeline <path> | --ledger | \
-         --explain <rdd[:part]> | --diff <system>]\n\
+         --explain <rdd[:part]> | --diff <system> | --utilization | --dot]\n\
          \x20      [--apps <a,b,..>] [--system <name>] [--threads <1,2,..>] [--faults]\n\
-         apps:    {} (default: all)\n\
+         apps:    {} (--validate default: all; every other mode runs one, default: pagerank)\n\
          systems: {}\n\
          threads: worker-thread counts swept by --validate (default: 1,2,4)",
         App::all().map(|a| a.key()).join(" "),
@@ -97,6 +118,8 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
             "--ledger" => opts.mode = Mode::Ledger,
             "--explain" => opts.mode = Mode::Explain(parse_block(&need(&mut it, "--explain")?)?),
             "--diff" => opts.mode = Mode::Diff(parse_system(&need(&mut it, "--diff")?)?),
+            "--utilization" => opts.mode = Mode::Utilization,
+            "--dot" => opts.mode = Mode::Dot,
             "--apps" => {
                 opts.apps =
                     need(&mut it, "--apps")?.split(',').map(parse_app).collect::<Result<_, _>>()?;
@@ -113,8 +136,14 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if opts.apps.is_empty() {
-        opts.apps = App::all().to_vec();
+    if opts.mode == Mode::Validate {
+        if opts.apps.is_empty() {
+            opts.apps = App::all().to_vec();
+        }
+    } else if opts.apps.len() > 1 {
+        return Err(format!("this mode runs one application; --apps named {}", opts.apps.len()));
+    } else if opts.apps.is_empty() {
+        opts.apps = vec![App::PageRank];
     }
     if opts.threads.is_empty() {
         return Err("--threads needs at least one count".into());
@@ -143,7 +172,7 @@ fn fault_plan() -> FaultPlan {
 fn run(opts: &Options, app: App, system: SystemKind, threads: usize, tracing: bool) -> RunOutcome {
     let spec = AppSpec::evaluation(app).with_worker_threads(threads);
     let fault = if opts.faults { fault_plan() } else { FaultPlan::default() };
-    let run = Session::builder().app(spec).system(system).fault(fault).tracing(tracing).run();
+    let run = Session::builder(spec).system(system).fault(fault).tracing(tracing).run();
     match run {
         Ok(out) => out,
         Err(e) => {
@@ -267,6 +296,165 @@ fn main() -> ExitCode {
             let (_, b) = traced(&opts, app, *other, opts.threads[0]);
             print!("{}", a.diff(&b));
         }
+        Mode::Utilization => {
+            let app = opts.apps[0];
+            let out = run(&opts, app, opts.system, opts.threads[0], false);
+            utilization(app, opts.system, &out.metrics);
+        }
+        Mode::Dot => {
+            let app = opts.apps[0];
+            let spec = AppSpec::evaluation(app);
+            match extract_dependencies(move |ctx| spec.drive_sample(ctx), 0) {
+                Ok(profile) => lineage_dot(app, &profile),
+                Err(e) => {
+                    eprintln!("blaze-trace: profiling {} failed: {e}", app.key());
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
     }
     ExitCode::SUCCESS
+}
+
+/// `--utilization`: per-executor utilization, task-duration percentiles and
+/// the stragglers of one run.
+fn utilization(app: App, system: SystemKind, m: &Metrics) {
+    let act = m.completion_time.as_secs_f64();
+    println!(
+        "== timeline: {} under {} — ACT {} over {} tasks ==\n",
+        app.label(),
+        system.label(),
+        secs(act),
+        m.tasks
+    );
+
+    let mut busy: Vec<_> = m.busy_time_per_executor().into_iter().collect();
+    busy.sort_by_key(|(e, _)| *e);
+    let slots = AppSpec::evaluation(app).slots as f64;
+    let mut t = Table::new(["executor", "busy", "utilization"]);
+    for (exec, b) in busy {
+        t.row([
+            exec.to_string(),
+            secs(b.as_secs_f64()),
+            format!("{:.0}%", 100.0 * b.as_secs_f64() / (act * slots)),
+        ]);
+    }
+    println!("{}", t.render());
+
+    let mut durations: Vec<f64> =
+        m.task_traces.iter().map(|t| t.duration().as_secs_f64()).collect();
+    durations.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
+    let pct = |p: f64| durations[((durations.len() - 1) as f64 * p) as usize];
+    println!(
+        "task durations: p50 {} | p95 {} | p99 {} | max {}\n",
+        secs(pct(0.50)),
+        secs(pct(0.95)),
+        secs(pct(0.99)),
+        secs(*durations.last().expect("a run commits tasks")),
+    );
+
+    let mut t = Table::new(["task", "stage", "exec/slot", "start", "duration", "dominant cost"]);
+    for trace in m.slowest_tasks(10) {
+        let c = trace.charge;
+        let categories = [
+            ("compute", c.compute),
+            ("recompute", c.recompute),
+            ("shuffle-write", c.shuffle_write),
+            ("shuffle-fetch", c.shuffle_fetch),
+            ("disk-write", c.disk_cache_write),
+            ("disk-read", c.disk_cache_read),
+            ("ext-store", c.external_store_io),
+        ];
+        let dominant = categories.iter().max_by_key(|(_, d)| *d).expect("non-empty");
+        t.row([
+            format!("{}[{}]", trace.job, trace.partition),
+            trace.stage_output.to_string(),
+            format!("{}/{}", trace.executor, trace.slot),
+            secs(trace.start.as_secs_f64()),
+            secs(trace.duration().as_secs_f64()),
+            format!("{} ({})", dominant.0, dominant.1),
+        ]);
+    }
+    println!("slowest tasks:\n{}", t.render());
+}
+
+/// `--dot`: the profiled lineage as Graphviz DOT. Job targets are filled
+/// blue, datasets with more than one future reference yellow, and shuffle
+/// outputs are hexagons.
+fn lineage_dot(app: App, profile: &ProfileResult) {
+    println!("digraph lineage {{");
+    println!("  rankdir=LR;");
+    println!("  node [shape=box, fontsize=10];");
+    println!(
+        "  label=\"{} lineage ({} jobs, pattern {:?})\";",
+        app.label(),
+        profile.job_targets.len(),
+        profile.pattern.map(|p| p.stride)
+    );
+    let mut nodes: Vec<_> = profile.lineage.iter().collect();
+    nodes.sort_by_key(|n| n.rdd);
+    for node in &nodes {
+        let refs = profile.refs.future_refs(node.rdd, 0);
+        let mut attrs =
+            vec![format!("label=\"{}\\n{} (x{})\"", node.rdd, node.name, node.parts.len())];
+        if profile.job_targets.contains(&node.rdd) {
+            attrs.push("style=filled, fillcolor=lightblue".into());
+        } else if refs > 1 {
+            attrs.push("style=filled, fillcolor=lightyellow".into());
+        }
+        if node.is_shuffle {
+            attrs.push("shape=hexagon".into());
+        }
+        println!("  r{} [{}];", node.rdd.raw(), attrs.join(", "));
+    }
+    for node in &nodes {
+        for parent in &node.parents {
+            println!("  r{} -> r{};", parent.raw(), node.rdd.raw());
+        }
+    }
+    println!("}}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn single_run_modes_refuse_several_apps() {
+        for mode in [
+            &["--timeline", "t.json"][..],
+            &["--ledger"],
+            &["--explain", "2:0"],
+            &["--diff", "lrc"],
+            &["--utilization"],
+            &["--dot"],
+        ] {
+            let args = [mode, &["--apps", "pagerank,cc"]].concat();
+            let err = parse(&args).unwrap_err();
+            assert!(err.contains("runs one application"), "{args:?}: {err}");
+            assert!(parse(&[mode, &["--apps", "cc"]].concat()).is_ok(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn single_run_modes_default_to_pagerank_and_validate_to_all() {
+        assert_eq!(parse(&["--ledger"]).unwrap().apps, [App::PageRank]);
+        assert_eq!(parse(&[]).unwrap().apps, App::all());
+        assert_eq!(
+            parse(&["--apps", "pagerank,cc"]).unwrap().apps,
+            [App::PageRank, App::ConnectedComponents]
+        );
+    }
+
+    #[test]
+    fn utilization_and_dot_flags_parse() {
+        let opts = parse(&["--utilization", "--apps", "cc", "--system", "lrc"]).unwrap();
+        assert_eq!(opts.mode, Mode::Utilization);
+        assert_eq!((opts.apps, opts.system), (vec![App::ConnectedComponents], SystemKind::Lrc));
+        assert_eq!(parse(&["--dot"]).unwrap().mode, Mode::Dot);
+    }
 }

@@ -7,7 +7,7 @@ use blaze_bench::table::{secs, speedup, Table};
 use blaze_workloads::{App, AppSpec, RunOutcome, Session, SystemKind};
 
 fn run_one(spec: &AppSpec, system: SystemKind) -> RunOutcome {
-    Session::builder().app(*spec).system(system).run().expect("run failed")
+    Session::builder(*spec).system(system).run().expect("run failed")
 }
 
 fn main() {

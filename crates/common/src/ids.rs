@@ -1,7 +1,7 @@
 //! Strongly typed identifiers for the entities of the dataflow model.
 //!
 //! Using newtypes instead of bare integers prevents the classic bug class of
-//! passing a stage id where a job id is expected, and gives every id a
+//! passing an RDD id where a job id is expected, and gives every id a
 //! uniform, greppable `Display` form (`rdd-12`, `job-3`, ...), mirroring the
 //! `Rx`/`Sx`/`Jobx` labels the paper uses in its lineage figures.
 
@@ -50,23 +50,6 @@ define_id!(
     "job"
 );
 define_id!(
-    /// Identifier of an application. One cluster runs one application, so
-    /// the engine stamps every trace event `app-0`; the field stays in the
-    /// trace format (chrome `args.app`, the ledger's `app-0/job-N`).
-    AppId,
-    "app"
-);
-define_id!(
-    /// Identifier of a stage (a shuffle-free pipeline of operators within a job).
-    StageId,
-    "stage"
-);
-define_id!(
-    /// Identifier of a task (the computation of one partition within a stage).
-    TaskId,
-    "task"
-);
-define_id!(
     /// Identifier of an executor in the simulated cluster.
     ExecutorId,
     "exec"
@@ -106,9 +89,6 @@ mod tests {
     fn display_forms_are_stable() {
         assert_eq!(RddId(12).to_string(), "rdd-12");
         assert_eq!(JobId(3).to_string(), "job-3");
-        assert_eq!(AppId(2).to_string(), "app-2");
-        assert_eq!(StageId(0).to_string(), "stage-0");
-        assert_eq!(TaskId(7).to_string(), "task-7");
         assert_eq!(ExecutorId(1).to_string(), "exec-1");
         assert_eq!(BlockId::new(RddId(5), 2).to_string(), "rdd-5[2]");
     }

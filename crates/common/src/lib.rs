@@ -6,8 +6,8 @@
 //!
 //! # Overview
 //!
-//! - [`ids`] — strongly typed identifiers for RDDs, partitions, blocks, jobs,
-//!   stages, tasks and executors.
+//! - [`ids`] — strongly typed identifiers for RDDs, partitions, blocks, jobs
+//!   and executors.
 //! - [`time`] — [`time::SimTime`] / [`time::SimDuration`],
 //!   the simulated clock used by the execution engine instead of wall time.
 //! - [`bytes`] — [`bytes::ByteSize`] with human-readable display.
@@ -31,6 +31,6 @@ pub mod time;
 
 pub use bytes::ByteSize;
 pub use error::{BlazeError, Result};
-pub use ids::{BlockId, ExecutorId, JobId, RddId, StageId, TaskId};
+pub use ids::{BlockId, ExecutorId, JobId, RddId};
 pub use sizeof::SizeOf;
 pub use time::{SimDuration, SimTime};

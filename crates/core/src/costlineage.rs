@@ -211,11 +211,6 @@ impl CostLineage {
         &self.job_targets
     }
 
-    /// Index of the current job within the sequence (jobs completed so far).
-    pub fn current_job_index(&self) -> usize {
-        self.current_job
-    }
-
     /// Looks up a node.
     pub fn node(&self, rdd: RddId) -> Option<&LineageNode> {
         self.nodes.get(&rdd)
@@ -563,7 +558,6 @@ mod tests {
         // Diverge: runtime submits a different third job.
         assert_eq!(cl.observe_job(JobId(2), RddId(17)), 2);
         assert_eq!(cl.job_targets(), &[RddId(5), RddId(9), RddId(17)]);
-        assert_eq!(cl.current_job_index(), 3);
     }
 
     #[test]

@@ -288,24 +288,6 @@ impl Plan {
         &self.nodes
     }
 
-    /// Number of nodes that consume each node's output (indexed by raw id).
-    /// This is the static reference count LRC-style analyses are built on;
-    /// each consumer is counted once, however many dependency edges it
-    /// declares on the same parent.
-    pub fn consumer_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.nodes.len()];
-        for node in &self.nodes {
-            let mut seen: Vec<RddId> = Vec::with_capacity(node.deps.len());
-            for parent in node.parent_ids() {
-                if !seen.contains(&parent) {
-                    seen.push(parent);
-                    counts[parent.raw() as usize] += 1;
-                }
-            }
-        }
-        counts
-    }
-
     /// Marks an RDD as cache-annotated (the `cache()` user API).
     pub fn mark_cached(&mut self, id: RddId) -> Result<()> {
         let node = self.node_mut(id)?;
@@ -441,12 +423,11 @@ mod tests {
         let b = plan.add_node(|id| narrow_node(id, s, 2)).unwrap();
         let mut join = narrow_node(RddId(3), a, 2);
         join.deps.push(Dep::Narrow(b));
-        // A duplicate edge on the same parent still counts one consumer.
+        // A duplicate edge on the same parent is listed once per edge.
         join.deps.push(Dep::Narrow(a));
         let j = plan.add_node(move |_| join).unwrap();
         assert_eq!(plan.nodes().len(), 4);
-        assert_eq!(plan.node(j).unwrap().parent_ids().collect::<Vec<_>>(), vec![a, b, a],);
-        assert_eq!(plan.consumer_counts(), vec![2, 1, 1, 0]);
+        assert_eq!(plan.node(j).unwrap().parent_ids().collect::<Vec<_>>(), vec![a, b, a]);
     }
 
     #[test]

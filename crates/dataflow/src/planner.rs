@@ -41,11 +41,6 @@ impl JobPlan {
     pub fn result_stage(&self) -> &StagePlan {
         self.stages.last().expect("a job always has at least one stage")
     }
-
-    /// Total number of tasks across all stages.
-    pub fn total_tasks(&self) -> usize {
-        self.stages.iter().map(|s| s.num_partitions).sum()
-    }
 }
 
 /// Plans the stages required to materialize `target`.
@@ -172,7 +167,6 @@ mod tests {
         assert_eq!(jp.stages.len(), 1);
         assert_eq!(jp.result_stage().output, b);
         assert_eq!(jp.result_stage().rdds, vec![s, a, b]);
-        assert_eq!(jp.total_tasks(), 4);
     }
 
     #[test]

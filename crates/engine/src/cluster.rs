@@ -53,7 +53,7 @@ use crate::store_ops::Stores;
 use crate::tracing::{CacheDecision, CacheRecord, TraceEvent, TraceLog};
 use blaze_common::error::{BlazeError, Result};
 use blaze_common::fxhash::{FxHashMap, FxHashSet};
-use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
+use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimTime};
 use blaze_dataflow::plan::Dep;
 use blaze_dataflow::runner::JobRunner;
@@ -180,11 +180,6 @@ pub(crate) struct ClusterState {
     seen_audit: FxHashSet<(blaze_audit::DiagCode, Option<RddId>)>,
 }
 
-/// The application every event is stamped with. One cluster runs one
-/// application; the trace format keeps the field (chrome `args.app`, the
-/// ledger's `app-0/job-N`).
-pub(crate) const APP: AppId = AppId(0);
-
 /// One admitted job's in-flight execution state, between the phases of
 /// [`ClusterState::run_job`].
 ///
@@ -289,7 +284,7 @@ impl ClusterState {
         decision: CacheDecision,
         rationale: Option<String>,
     ) {
-        let record = CacheRecord { at, app: APP, executor, id, bytes, decision, rationale };
+        let record = CacheRecord { at, executor, id, bytes, decision, rationale };
         self.emit(TraceEvent::Cache(record));
     }
 
@@ -338,7 +333,7 @@ impl ClusterState {
         for d in report.warnings() {
             if self.seen_audit.insert((d.code, d.rdd)) {
                 let at = self.clock_floor;
-                self.emit(TraceEvent::AuditWarning { at, app: APP, code: d.code, rdd: d.rdd });
+                self.emit(TraceEvent::AuditWarning { at, code: d.code, rdd: d.rdd });
             }
         }
         Ok(())
@@ -383,7 +378,7 @@ impl ClusterState {
             self.fire_idle_crashes(self.clock_floor);
             self.inject_map_output_loss(job);
         }
-        self.emit(TraceEvent::JobStarted { at: self.clock_floor, app: APP, job, target });
+        self.emit(TraceEvent::JobStarted { at: self.clock_floor, job, target });
 
         // Which shuffles does each map stage feed within this job?
         let mut consumers: FxHashMap<RddId, Vec<(RddId, usize)>> = FxHashMap::default();
@@ -469,7 +464,6 @@ impl ClusterState {
         let disk_resident = (!skipped).then(|| self.stores.disk.iter().map(BlockStore::used).sum());
         self.emit(TraceEvent::StageCompleted {
             at,
-            app: APP,
             job: run.job,
             stage_output: run.output,
             disk_resident,
@@ -489,7 +483,6 @@ impl ClusterState {
         if run.fault_on && run.consumers.iter().any(|&s| shuffle.any_lost(s)) {
             self.emit(TraceEvent::StageResubmitted {
                 at: run.start,
-                app: APP,
                 job: run.job,
                 stage_output: run.output,
             });
@@ -507,7 +500,6 @@ impl ClusterState {
         for (p, &executor) in run.placements.iter().enumerate() {
             self.emit(TraceEvent::TaskPlanned {
                 at: run.start,
-                app: APP,
                 job: run.job,
                 stage_output: run.output,
                 partition: p as u32,
@@ -565,7 +557,7 @@ impl ClusterState {
         let last_stage = ticket.job_plan.stages.len() - 1;
         let end = ticket.stage_done[last_stage];
         self.clock_floor = self.clock_floor.max(end);
-        self.emit(TraceEvent::JobCompleted { at: end, app: APP, job: ticket.job });
+        self.emit(TraceEvent::JobCompleted { at: end, job: ticket.job });
         Ok(ticket.results)
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! [`CacheController`]: crate::controller::CacheController
 
-use crate::cluster::{ClusterState, APP};
+use crate::cluster::ClusterState;
 use crate::controller::{Admission, BlockInfo, PartitionEvent};
 use crate::exec::{ComputedBlock, TaskEvent, TaskOutput};
 use crate::fault::FaultCause;
@@ -53,7 +53,6 @@ impl ClusterState {
     /// add cache-write charges), and emits the accounting events.
     /// Returns the task's simulated end time.
     pub(crate) fn commit_task(&mut self, task: TaskCoords, output: TaskOutput) -> SimTime {
-        let app = APP;
         let TaskCoords { job, stage_output, part, exec, start } = task;
         let e = exec.raw() as usize;
         let slot = Self::earliest_slot(&self.slots[e]);
@@ -68,7 +67,6 @@ impl ClusterState {
             let duration = output.recovery;
             self.emit(TraceEvent::RecoveryReplay {
                 at: t0,
-                app,
                 job,
                 stage_output,
                 partition,
@@ -78,7 +76,6 @@ impl ClusterState {
         let charge = replay.charge;
         let end = t0 + charge.total();
         self.emit(TraceEvent::TaskCommitted(TaskTrace {
-            app,
             job,
             stage_output,
             partition,
@@ -94,7 +91,7 @@ impl ClusterState {
 
     /// Replays one logged event: one handler per [`TaskEvent`] kind.
     fn replay_event(&mut self, replay: &mut Replay, event: TaskEvent) {
-        let (at, app, job) = (replay.t0, APP, replay.task.job);
+        let (at, job) = (replay.t0, replay.task.job);
         match event {
             TaskEvent::Failed { attempt, cause, wasted } => {
                 self.replay_failed_attempt(replay, attempt, cause, wasted);
@@ -117,7 +114,6 @@ impl ClusterState {
                 let dep_idx = dep_idx as u32;
                 self.emit(TraceEvent::FetchRetry {
                     at,
-                    app,
                     job,
                     child,
                     dep_idx,
@@ -128,7 +124,7 @@ impl ClusterState {
             }
             TaskEvent::FetchEscalated { shuffle: (child, dep_idx), reduce_part } => {
                 let dep_idx = dep_idx as u32;
-                self.emit(TraceEvent::FetchEscalated { at, app, job, child, dep_idx, reduce_part });
+                self.emit(TraceEvent::FetchEscalated { at, job, child, dep_idx, reduce_part });
             }
         }
     }
@@ -148,7 +144,6 @@ impl ClusterState {
         replay.charge.fault_wasted += wasted;
         self.emit(TraceEvent::TaskRetry {
             at: replay.t0,
-            app: APP,
             job: replay.task.job,
             stage_output: replay.task.stage_output,
             partition: replay.task.part as u32,
@@ -193,7 +188,7 @@ impl ClusterState {
 
     fn replay_computed(&mut self, replay: &mut Replay, computed: ComputedBlock) {
         let ComputedBlock { info, edge, recomputed, annotated, depth, block } = computed;
-        let (app, job, t0) = (APP, replay.task.job, replay.t0);
+        let (job, t0) = (replay.task.job, replay.t0);
         // One probe of the block's record: it has now been materialized and
         // is no longer lost; even an uncached production sets the home hint
         // (the producing executor is where recomputation is cheapest next
@@ -207,7 +202,6 @@ impl ClusterState {
             self.emit_cache(t0, info.executor, info.id, info.bytes, miss, None);
             self.emit(TraceEvent::Recompute {
                 at: t0,
-                app,
                 job,
                 id: info.id,
                 executor: info.executor,
@@ -335,12 +329,11 @@ impl ClusterState {
                 (end, delay, race)
             }
         };
-        let (at, app, partition) = (t0_orig, APP, part as u32);
-        self.emit(TraceEvent::Straggler { at, app, job, stage_output, partition, delay });
+        let (at, partition) = (t0_orig, part as u32);
+        self.emit(TraceEvent::Straggler { at, job, stage_output, partition, delay });
         if let Some((copy_executor, copy_won, wasted)) = race {
             self.emit(TraceEvent::Speculation {
                 at,
-                app,
                 job,
                 stage_output,
                 partition,

@@ -15,16 +15,13 @@
 use crate::fault::FaultCause;
 use crate::tracing::{CacheDecision, CacheRecord, TraceEvent};
 use blaze_common::fxhash::FxHashMap;
-use blaze_common::ids::{AppId, ExecutorId, JobId, RddId};
+use blaze_common::ids::{ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration, SimTime};
 
 /// One executed task, for timeline reconstruction and skew analysis; the
 /// payload of [`TraceEvent::TaskCommitted`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskTrace {
-    /// Application the task belonged to (always `app-0`: one cluster runs
-    /// one application).
-    pub app: AppId,
     /// Job the task belonged to.
     pub job: JobId,
     /// The RDD the task's stage materialized.
@@ -537,7 +534,6 @@ mod tests {
     fn cache(exec: u32, mib: u64, decision: CacheDecision) -> TraceEvent {
         TraceEvent::Cache(CacheRecord {
             at: SimTime::ZERO,
-            app: AppId(0),
             executor: ExecutorId(exec),
             id: BlockId::new(RddId(1), 0),
             bytes: ByteSize::from_mib(mib),
@@ -549,7 +545,6 @@ mod tests {
     fn recompute(job: u32, rdd: u32, secs: u64) -> TraceEvent {
         TraceEvent::Recompute {
             at: SimTime::ZERO,
-            app: AppId(0),
             job: JobId(job),
             id: BlockId::new(RddId(rdd), 0),
             executor: ExecutorId(0),
@@ -561,7 +556,6 @@ mod tests {
     fn replay(job: u32, secs: u64) -> TraceEvent {
         TraceEvent::RecoveryReplay {
             at: SimTime::ZERO,
-            app: AppId(0),
             job: JobId(job),
             stage_output: RddId(1),
             partition: 0,
@@ -617,7 +611,6 @@ mod tests {
     fn stage(disk_resident_mib: Option<u64>) -> TraceEvent {
         TraceEvent::StageCompleted {
             at: SimTime::ZERO,
-            app: AppId(0),
             job: JobId(0),
             stage_output: RddId(1),
             disk_resident: disk_resident_mib.map(ByteSize::from_mib),
@@ -654,7 +647,7 @@ mod tests {
         fn map<K: std::hash::Hash + Eq, V, const N: usize>(kv: [(K, V); N]) -> FxHashMap<K, V> {
             kv.into_iter().collect()
         }
-        let (at, app, job, job1) = (SimTime::ZERO, AppId(0), JobId(0), JobId(1));
+        let (at, job, job1) = (SimTime::ZERO, JobId(0), JobId(1));
         let (stage_output, partition, executor, attempt) = (RddId(1), 0, ExecutorId(0), 0);
         let (child, dep_idx, map_part, reduce_part) = (RddId(1), 0, 0, 0);
         let (id, bytes, dur) =
@@ -663,7 +656,6 @@ mod tests {
         let off_task = TaskCharge { disk_cache_read: dur(7), ..Default::default() };
         let retry = |cause, wasted| E::TaskRetry {
             at,
-            app,
             job,
             stage_output,
             partition,
@@ -672,8 +664,8 @@ mod tests {
             wasted,
         };
         let events = [
-            E::JobStarted { at, app, job, target: RddId(1) },
-            E::TaskPlanned { at, app, job, stage_output, partition, executor },
+            E::JobStarted { at, job, target: RddId(1) },
+            E::TaskPlanned { at, job, stage_output, partition, executor },
             cache(0, 1, D::AdmitMemory),
             cache(0, 1, D::AdmitDisk),
             cache(0, 1, D::HitMemory),
@@ -707,11 +699,10 @@ mod tests {
             E::MapOutputLost { at, child, dep_idx, map_part },
             E::MapOutputRecovered { at, child, dep_idx, map_part },
             E::BlockRecovered { at, id },
-            E::StageResubmitted { at, app, job, stage_output },
-            E::Straggler { at, app, job, stage_output, partition, delay: dur(3) },
+            E::StageResubmitted { at, job, stage_output },
+            E::Straggler { at, job, stage_output, partition, delay: dur(3) },
             E::Speculation {
                 at,
-                app,
                 job,
                 stage_output,
                 partition,
@@ -720,21 +711,21 @@ mod tests {
                 wasted: dur(5),
             },
             E::SpillQuarantined { at, executor, id, bytes },
-            E::FetchRetry { at, app, job, child, dep_idx, reduce_part, attempt, backoff: dur(6) },
-            E::FetchEscalated { at, app, job, child, dep_idx, reduce_part },
+            E::FetchRetry { at, job, child, dep_idx, reduce_part, attempt, backoff: dur(6) },
+            E::FetchEscalated { at, job, child, dep_idx, reduce_part },
             stage(Some(6)),
             stage(None),
             stage(Some(2)),
-            E::AuditWarning { at, app, code: blaze_audit::DiagCode::RecomputeBomb, rdd: None },
+            E::AuditWarning { at, code: blaze_audit::DiagCode::RecomputeBomb, rdd: None },
             E::MemoryPeak { at, bytes: ByteSize::from_mib(8) },
             E::MemoryPeak { at, bytes: ByteSize::from_mib(5) }, // a peak never falls
             E::OffTaskCharge { at, executor, charge: off_task },
             E::TaskCommitted(task),
-            E::JobCompleted { at: ms(40), app, job },
+            E::JobCompleted { at: ms(40), job },
             // Recorded after job 0 but earlier on the clock: the run still
             // ends at the latest completion.
-            E::JobStarted { at, app, job: job1, target: RddId(1) },
-            E::JobCompleted { at: ms(20), app, job: job1 },
+            E::JobStarted { at, job: job1, target: RddId(1) },
+            E::JobCompleted { at: ms(20), job: job1 },
         ];
         let expected = Metrics {
             // The task's charge plus the off-task prefetch read.
@@ -824,7 +815,6 @@ mod tests {
 
     fn trace_at(job: u32, stage: u32, part: u32, dur_ms: u64) -> TaskTrace {
         TaskTrace {
-            app: AppId(0),
             job: JobId(job),
             stage_output: RddId(stage),
             partition: part,

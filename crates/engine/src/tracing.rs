@@ -31,14 +31,15 @@
 //!
 //! Exports: Chrome trace-event JSON ([`TraceLog::chrome_json`], loadable in
 //! `chrome://tracing` / Perfetto) and a human-readable per-job cache-decision
-//! ledger ([`TraceLog::ledger`]). The `blaze-trace` CLI in `blaze-bench`
+//! ledger ([`TraceLog::ledger`]). One cluster runs one application, so events
+//! name their job (`job-N`) and no application. The `blaze-trace` CLI in `blaze-bench`
 //! renders, explains, validates and diffs these.
 
 use crate::fault::FaultCause;
 use crate::metrics::{Metrics, TaskCharge, TaskTrace};
 use blaze_audit::{AuditReport, DiagCode, Diagnostic};
 use blaze_common::fxhash::FxHashMap;
-use blaze_common::ids::{AppId, BlockId, ExecutorId, JobId, RddId};
+use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration, SimTime};
 use std::fmt::Write as _;
 
@@ -146,9 +147,6 @@ impl CacheDecision {
 pub struct CacheRecord {
     /// Simulated time of the decision.
     pub at: SimTime,
-    /// The application the decision was made for (always `app-0`: one
-    /// cluster runs one application).
-    pub app: AppId,
     /// Executor whose store the decision concerns (for hits: the reader).
     pub executor: ExecutorId,
     /// The block decided about.
@@ -172,8 +170,6 @@ pub enum TraceEvent {
     JobStarted {
         /// Simulated start time (the job's clock floor).
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// The job.
         job: JobId,
         /// The action's target dataset.
@@ -183,8 +179,6 @@ pub enum TraceEvent {
     JobCompleted {
         /// Simulated completion time.
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// The job.
         job: JobId,
     },
@@ -192,8 +186,6 @@ pub enum TraceEvent {
     TaskPlanned {
         /// Time of the placement decision (the stage's earliest start).
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// Job the task belongs to.
         job: JobId,
         /// The RDD the task's stage materializes.
@@ -208,8 +200,6 @@ pub enum TraceEvent {
     TaskRetry {
         /// Commit time of the surviving task that replays this attempt.
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// Job the task belongs to.
         job: JobId,
         /// The RDD the task's stage materializes.
@@ -232,8 +222,6 @@ pub enum TraceEvent {
     Recompute {
         /// Commit time of the recomputing task.
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// Job during which the recomputation ran.
         job: JobId,
         /// The recomputed block.
@@ -251,8 +239,6 @@ pub enum TraceEvent {
     RecoveryReplay {
         /// Commit time of the task.
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// Job the task belonged to.
         job: JobId,
         /// The RDD the task's stage materialized.
@@ -309,8 +295,6 @@ pub enum TraceEvent {
     StageResubmitted {
         /// The stage's start time.
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// Job the stage belongs to.
         job: JobId,
         /// The stage's output RDD.
@@ -322,8 +306,6 @@ pub enum TraceEvent {
     Straggler {
         /// Commit time of the task.
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// Job the task belongs to.
         job: JobId,
         /// The RDD the task's stage materializes.
@@ -338,8 +320,6 @@ pub enum TraceEvent {
     Speculation {
         /// Commit time of the winning attempt.
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// Job the task belongs to.
         job: JobId,
         /// The RDD the task's stage materializes.
@@ -370,8 +350,6 @@ pub enum TraceEvent {
     FetchRetry {
         /// Commit time of the fetching task.
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// Job the fetch belongs to.
         job: JobId,
         /// Consuming RDD of the shuffle.
@@ -391,8 +369,6 @@ pub enum TraceEvent {
     FetchEscalated {
         /// Commit time of the fetching task.
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// Job the fetch belongs to.
         job: JobId,
         /// Consuming RDD of the shuffle.
@@ -407,8 +383,6 @@ pub enum TraceEvent {
     StageCompleted {
         /// The stage's end time (a skipped stage's: its start).
         at: SimTime,
-        /// The application the job belongs to.
-        app: AppId,
         /// Job the stage belongs to.
         job: JobId,
         /// The stage's output RDD.
@@ -423,8 +397,6 @@ pub enum TraceEvent {
     AuditWarning {
         /// Admission time of the job whose preflight found it.
         at: SimTime,
-        /// The application submitting that job.
-        app: AppId,
         /// The diagnostic's code.
         code: DiagCode,
         /// The dataset it concerns, if any.
@@ -523,13 +495,12 @@ impl TraceLog {
                     let _ = write!(
                         out,
                         "{{\"name\":{},\"cat\":\"task\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                         \"pid\":{},\"tid\":{},\"args\":{{\"app\":{},\"job\":{}}}}}",
+                         \"pid\":{},\"tid\":{},\"args\":{{\"job\":{}}}}}",
                         json_string(&format!("{}[{}]", t.stage_output, t.partition)),
                         micros(t.start.as_nanos()),
                         micros(t.duration().as_nanos()),
                         t.executor.raw(),
                         t.slot,
-                        t.app.raw(),
                         t.job.raw(),
                     );
                 }
@@ -537,12 +508,11 @@ impl TraceLog {
                     let _ = write!(
                         out,
                         "{{\"name\":{},\"cat\":\"cache\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{},\
-                         \"pid\":{},\"tid\":0,\"args\":{{\"app\":{},\"block\":{},\"bytes\":{},\
+                         \"pid\":{},\"tid\":0,\"args\":{{\"block\":{},\"bytes\":{},\
                          \"why\":{}}}}}",
                         json_string(r.decision.as_str()),
                         micros(r.at.as_nanos()),
                         r.executor.raw(),
-                        r.app.raw(),
                         json_string(&r.id.to_string()),
                         r.bytes.as_bytes(),
                         json_string(r.rationale.as_deref().unwrap_or("")),
@@ -572,18 +542,18 @@ impl TraceLog {
         let mut open: Option<JobId> = None;
         for ev in &self.events {
             match ev {
-                TraceEvent::JobStarted { at, app, job, target } => {
+                TraceEvent::JobStarted { at, job, target } => {
                     open = Some(*job);
-                    let _ = writeln!(out, "{app}/{job} (target {target}) started at {at}:");
+                    let _ = writeln!(out, "{job} (target {target}) started at {at}:");
                 }
-                TraceEvent::JobCompleted { at, app, job } => {
-                    let _ = writeln!(out, "{app}/{job} completed at {at}");
+                TraceEvent::JobCompleted { at, job } => {
+                    let _ = writeln!(out, "{job} completed at {at}");
                     open = None;
                 }
                 TraceEvent::Cache(r) => {
                     let scope = match open {
-                        Some(j) => format!("{}/{j}", r.app),
-                        None => format!("{}/between-jobs", r.app),
+                        Some(j) => j.to_string(),
+                        None => "between-jobs".to_string(),
                     };
                     let _ = write!(
                         out,
@@ -702,7 +672,7 @@ impl TraceLog {
 
     fn check_spans(&self, ds: &mut Vec<Diagnostic>) {
         // At most one job is open at a time.
-        let mut open_job: Option<(AppId, JobId)> = None;
+        let mut open_job: Option<JobId> = None;
         let mut slot_frontier: FxHashMap<(ExecutorId, u32), SimTime> = FxHashMap::default();
         let err = |msg: String| {
             Diagnostic::new(
@@ -715,22 +685,19 @@ impl TraceLog {
         };
         for ev in &self.events {
             match ev {
-                TraceEvent::JobStarted { app, job, .. } => {
-                    if let Some((open_app, open)) = open_job {
-                        ds.push(err(format!(
-                            "{app}/{job} started while {open_app}/{open} is still open"
-                        )));
+                TraceEvent::JobStarted { job, .. } => {
+                    if let Some(open) = open_job {
+                        ds.push(err(format!("{job} started while {open} is still open")));
                     }
-                    open_job = Some((*app, *job));
+                    open_job = Some(*job);
                 }
-                TraceEvent::JobCompleted { app, job, .. } => {
-                    if open_job != Some((*app, *job)) {
-                        ds.push(err(format!("{app}/{job} completed but was not the open job")));
+                TraceEvent::JobCompleted { job, .. } => {
+                    if open_job != Some(*job) {
+                        ds.push(err(format!("{job} completed but was not the open job")));
                     }
                     open_job = None;
                 }
                 TraceEvent::TaskCommitted(TaskTrace {
-                    app,
                     job,
                     stage_output,
                     partition,
@@ -740,13 +707,13 @@ impl TraceLog {
                     end,
                     ..
                 }) => {
-                    let task = format!("{stage_output}[{partition}] of {app}/{job}");
+                    let task = format!("{stage_output}[{partition}] of {job}");
                     if end < start {
                         ds.push(err(format!(
                             "task {task} ends at {end}, before its start {start}"
                         )));
                     }
-                    if open_job != Some((*app, *job)) {
+                    if open_job != Some(*job) {
                         ds.push(err(format!("task {task} committed outside its job span")));
                     }
                     let frontier = slot_frontier.entry((*executor, *slot)).or_default();
@@ -761,8 +728,8 @@ impl TraceLog {
                 _ => {}
             }
         }
-        if let Some((app, open)) = open_job {
-            ds.push(err(format!("{app}/{open} never completed")));
+        if let Some(open) = open_job {
+            ds.push(err(format!("{open} never completed")));
         }
     }
 
@@ -841,7 +808,7 @@ impl TraceLog {
     /// between its jobs.
     fn check_premature_unpersists(&self, ds: &mut Vec<Diagnostic>) {
         let mut open_job: Option<JobId> = None;
-        let mut dropped_in: FxHashMap<BlockId, (AppId, JobId)> = FxHashMap::default();
+        let mut dropped_in: FxHashMap<BlockId, JobId> = FxHashMap::default();
         for ev in &self.events {
             match ev {
                 TraceEvent::JobStarted { job, .. } => open_job = Some(*job),
@@ -849,19 +816,19 @@ impl TraceLog {
                 TraceEvent::Cache(r) => match r.decision {
                     CacheDecision::UnpersistMemory | CacheDecision::UnpersistDisk => {
                         if let Some(job) = open_job {
-                            dropped_in.insert(r.id, (r.app, job));
+                            dropped_in.insert(r.id, job);
                         }
                     }
                     CacheDecision::MissRecompute => {
-                        let Some((app, job)) = dropped_in.remove(&r.id) else { continue };
+                        let Some(job) = dropped_in.remove(&r.id) else { continue };
                         let by = open_job.map_or("no job".into(), |j| j.to_string());
                         ds.push(Diagnostic::new(
                             DiagCode::PrematureUnpersist,
                             Some(r.id.rdd),
                             format!(
-                                "{} was unpersisted by a controller command in {app}/{job} and \
-                                 recomputed in {}/{by} at {}",
-                                r.id, r.app, r.at
+                                "{} was unpersisted by a controller command in {job} and \
+                                 recomputed in {by} at {}",
+                                r.id, r.at
                             ),
                             "the controller counted no reference where the run made one; see \
                              the block's ledger (`blaze-trace --explain`) for the counts it saw"
@@ -935,24 +902,22 @@ fn event_name(ev: &TraceEvent) -> &'static str {
 
 fn event_detail(ev: &TraceEvent) -> String {
     match ev {
-        TraceEvent::JobStarted { app, job, target, .. } => format!("{app}/{job} -> {target}"),
-        TraceEvent::JobCompleted { app, job, .. } => format!("{app}/{job}"),
-        TraceEvent::TaskPlanned { app, job, stage_output, partition, executor, .. } => {
-            format!("{stage_output}[{partition}] of {app}/{job} on {executor}")
+        TraceEvent::JobStarted { job, target, .. } => format!("{job} -> {target}"),
+        TraceEvent::JobCompleted { job, .. } => job.to_string(),
+        TraceEvent::TaskPlanned { job, stage_output, partition, executor, .. } => {
+            format!("{stage_output}[{partition}] of {job} on {executor}")
         }
-        TraceEvent::TaskRetry {
-            app, job, stage_output, partition, attempt, cause, wasted, ..
-        } => {
+        TraceEvent::TaskRetry { job, stage_output, partition, attempt, cause, wasted, .. } => {
             format!(
-                "{stage_output}[{partition}] of {app}/{job} attempt {attempt} died ({cause:?}), \
+                "{stage_output}[{partition}] of {job} attempt {attempt} died ({cause:?}), \
                  wasted {wasted}"
             )
         }
-        TraceEvent::Recompute { app, job, id, executor, depth, duration, .. } => {
-            format!("{id} in {app}/{job} on {executor}, depth {depth}, {duration}")
+        TraceEvent::Recompute { job, id, executor, depth, duration, .. } => {
+            format!("{id} in {job} on {executor}, depth {depth}, {duration}")
         }
-        TraceEvent::RecoveryReplay { app, job, stage_output, partition, duration, .. } => {
-            format!("{stage_output}[{partition}] of {app}/{job} replayed {duration}")
+        TraceEvent::RecoveryReplay { job, stage_output, partition, duration, .. } => {
+            format!("{stage_output}[{partition}] of {job} replayed {duration}")
         }
         TraceEvent::ExecutorCrashed {
             executor, blocks_lost, bytes_lost, map_outputs_lost, ..
@@ -967,14 +932,13 @@ fn event_detail(ev: &TraceEvent) -> String {
             format!("shuffle ({child}, {dep_idx}) map {map_part}")
         }
         TraceEvent::BlockRecovered { id, .. } => id.to_string(),
-        TraceEvent::StageResubmitted { app, job, stage_output, .. } => {
-            format!("{stage_output} of {app}/{job}")
+        TraceEvent::StageResubmitted { job, stage_output, .. } => {
+            format!("{stage_output} of {job}")
         }
-        TraceEvent::Straggler { app, job, stage_output, partition, delay, .. } => {
-            format!("{stage_output}[{partition}] of {app}/{job} delayed {delay}")
+        TraceEvent::Straggler { job, stage_output, partition, delay, .. } => {
+            format!("{stage_output}[{partition}] of {job} delayed {delay}")
         }
         TraceEvent::Speculation {
-            app,
             job,
             stage_output,
             partition,
@@ -985,36 +949,34 @@ fn event_detail(ev: &TraceEvent) -> String {
         } => {
             let outcome = if *copy_won { "copy won" } else { "copy lost" };
             format!(
-                "{stage_output}[{partition}] of {app}/{job}: copy on {copy_executor} {outcome}, \
+                "{stage_output}[{partition}] of {job}: copy on {copy_executor} {outcome}, \
                  wasted {wasted}"
             )
         }
         TraceEvent::SpillQuarantined { executor, id, bytes, .. } => {
             format!("{id} on {executor} ({bytes})")
         }
-        TraceEvent::FetchRetry {
-            app, job, child, dep_idx, reduce_part, attempt, backoff, ..
-        } => {
+        TraceEvent::FetchRetry { job, child, dep_idx, reduce_part, attempt, backoff, .. } => {
             format!(
-                "shuffle ({child}, {dep_idx}) reduce {reduce_part} of {app}/{job} attempt \
+                "shuffle ({child}, {dep_idx}) reduce {reduce_part} of {job} attempt \
                  {attempt} failed, backing off {backoff}"
             )
         }
-        TraceEvent::FetchEscalated { app, job, child, dep_idx, reduce_part, .. } => {
+        TraceEvent::FetchEscalated { job, child, dep_idx, reduce_part, .. } => {
             format!(
-                "shuffle ({child}, {dep_idx}) reduce {reduce_part} of {app}/{job} exhausted \
+                "shuffle ({child}, {dep_idx}) reduce {reduce_part} of {job} exhausted \
                  its retry budget; parent map outputs regenerated"
             )
         }
-        TraceEvent::StageCompleted { app, job, stage_output, disk_resident, .. } => {
+        TraceEvent::StageCompleted { job, stage_output, disk_resident, .. } => {
             match disk_resident {
-                Some(bytes) => format!("{stage_output} of {app}/{job} ran, {bytes} on disk"),
-                None => format!("{stage_output} of {app}/{job} skipped"),
+                Some(bytes) => format!("{stage_output} of {job} ran, {bytes} on disk"),
+                None => format!("{stage_output} of {job} skipped"),
             }
         }
-        TraceEvent::AuditWarning { app, code, rdd, .. } => match rdd {
-            Some(rdd) => format!("{} on {rdd} in {app}", code.as_str()),
-            None => format!("{} in {app}", code.as_str()),
+        TraceEvent::AuditWarning { code, rdd, .. } => match rdd {
+            Some(rdd) => format!("{} on {rdd}", code.as_str()),
+            None => code.as_str().to_string(),
         },
         TraceEvent::MemoryPeak { bytes, .. } => format!("{bytes} in memory"),
         TraceEvent::OffTaskCharge { executor, charge, .. } => {
@@ -1031,7 +993,6 @@ mod tests {
     fn cache(at_ms: u64, exec: u32, rdd: u32, part: u32, decision: CacheDecision) -> TraceEvent {
         TraceEvent::Cache(CacheRecord {
             at: SimTime::ZERO + SimDuration::from_millis(at_ms),
-            app: AppId(0),
             executor: ExecutorId(exec),
             id: BlockId::new(RddId(rdd), part),
             bytes: ByteSize::from_kib(4),
@@ -1042,7 +1003,6 @@ mod tests {
 
     fn task(job: u32, part: u32, exec: u32, slot: u32, start_ms: u64, end_ms: u64) -> TraceEvent {
         TraceEvent::TaskCommitted(TaskTrace {
-            app: AppId(0),
             job: JobId(job),
             stage_output: RddId(1),
             partition: part,
@@ -1057,7 +1017,6 @@ mod tests {
     fn job_started(at_ms: u64, job: u32) -> TraceEvent {
         TraceEvent::JobStarted {
             at: SimTime::ZERO + SimDuration::from_millis(at_ms),
-            app: AppId(0),
             job: JobId(job),
             target: RddId(1),
         }
@@ -1066,7 +1025,6 @@ mod tests {
     fn job_completed(at_ms: u64, job: u32) -> TraceEvent {
         TraceEvent::JobCompleted {
             at: SimTime::ZERO + SimDuration::from_millis(at_ms),
-            app: AppId(0),
             job: JobId(job),
         }
     }
@@ -1120,7 +1078,6 @@ mod tests {
     fn aggregate_drift_is_ba402() {
         let stage = TraceEvent::StageCompleted {
             at: SimTime::ZERO,
-            app: AppId(0),
             job: JobId(0),
             stage_output: RddId(1),
             disk_resident: Some(ByteSize::ZERO),
@@ -1194,7 +1151,7 @@ mod tests {
         assert_eq!(found[0].rdd, Some(RddId(6)));
         let msg = &found[0].message;
         assert!(msg.contains("rdd-6[0]"), "{msg}");
-        assert!(msg.contains("in app-0/job-1 and recomputed in app-0/job-1"), "{msg}");
+        assert!(msg.contains("in job-1 and recomputed in job-1"), "{msg}");
         // A warning: the audit still passes.
         assert!(report.errors().all(|d| d.code != DiagCode::PrematureUnpersist));
     }
@@ -1213,6 +1170,19 @@ mod tests {
         assert!(a.contains("admit-mem"));
         // Nanosecond-lossless microsecond timestamps.
         assert!(a.contains("\"ts\":10000.000"));
+        // The exact export format of a task span and a cache instant.
+        let lines: Vec<&str> = a.lines().collect();
+        assert_eq!(
+            lines[3],
+            "{\"name\":\"rdd-1[1]\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":10000.000,\
+             \"dur\":15000.000,\"pid\":0,\"tid\":0,\"args\":{\"job\":0}},"
+        );
+        assert_eq!(
+            lines[5],
+            "{\"name\":\"admit-mem\",\"cat\":\"cache\",\"ph\":\"i\",\"s\":\"p\",\
+             \"ts\":5000.000,\"pid\":0,\"tid\":0,\"args\":{\"block\":\"rdd-5[0]\",\
+             \"bytes\":4096,\"why\":\"\"}}"
+        );
     }
 
     #[test]
@@ -1221,7 +1191,6 @@ mod tests {
         log.record(job_started(25, 1));
         log.record(TraceEvent::Cache(CacheRecord {
             at: SimTime::ZERO + SimDuration::from_millis(26),
-            app: AppId(0),
             executor: ExecutorId(1),
             id: BlockId::new(RddId(5), 2),
             bytes: ByteSize::from_kib(8),
@@ -1230,7 +1199,7 @@ mod tests {
         }));
         log.record(job_completed(30, 1));
         let ledger = log.ledger();
-        assert!(ledger.contains("[app-0/job-1]"));
+        assert!(ledger.contains("[job-1]"));
         assert!(ledger.contains("evict-discard"));
         assert!(ledger.contains("why: refcount=0"));
     }

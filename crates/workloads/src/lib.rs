@@ -18,5 +18,5 @@ pub mod systems;
 
 pub use apps::{App, AppSpec};
 pub use runner::{run_app, RunOutcome};
-pub use session::{RunOptions, Session, SessionBuilder};
+pub use session::{Session, SessionBuilder};
 pub use systems::SystemKind;

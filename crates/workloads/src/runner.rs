@@ -39,7 +39,7 @@ impl RunOutcome {
 /// reported by the Fig. 13 harness separately.
 pub fn run_app(app: App, system: SystemKind) -> Result<RunOutcome> {
     let spec = AppSpec::evaluation(app);
-    Session::builder().app(spec).system(system).run()
+    Session::builder(spec).system(system).run()
 }
 
 #[cfg(test)]

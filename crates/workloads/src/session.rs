@@ -1,79 +1,48 @@
 //! The unified run API: one application on one simulated cluster.
 //!
-//! [`Session`] is the one builder every run goes through. A session takes
-//! exactly one [`AppSpec`] (BA010 otherwise), builds the system's
-//! controller — after the dependency-extraction run when the system needs a
-//! profile — and the cluster the spec asks for, and drives the application
-//! on a [`Context`] over that cluster.
+//! [`Session`] is the one builder every run goes through.
+//! [`Session::builder`] takes the one [`AppSpec`] to run; the builder
+//! builds the system's controller — after the dependency-extraction run when
+//! the system needs a profile — and the cluster the spec asks for, and
+//! drives the application on a [`Context`] over that cluster.
 
 use crate::apps::AppSpec;
 use crate::runner::RunOutcome;
 use crate::systems::SystemKind;
-use blaze_audit::DiagCode;
-use blaze_common::error::{BlazeError, Result};
+use blaze_common::error::Result;
 use blaze_core::{extract_dependencies, BlazeConfig, BlazeController};
 use blaze_dataflow::Context;
 use blaze_engine::{CacheController, Cluster, FaultPlan};
-
-/// Run-wide knobs.
-#[derive(Debug, Clone, Default)]
-pub struct RunOptions {
-    /// Deterministic fault-injection schedule (default: disabled).
-    pub fault: FaultPlan,
-    /// Structured event tracing (never changes simulated behaviour).
-    pub tracing: bool,
-    /// Promote preflight audit warnings to errors
-    /// ([`blaze_engine::ClusterConfig::strict_audit`]).
-    pub strict_audit: bool,
-}
 
 type WrapFn = Box<dyn FnOnce(BlazeController) -> Box<dyn CacheController>>;
 
 /// Builder for a [`Session`]. Obtain via [`Session::builder`].
 #[must_use]
 pub struct SessionBuilder {
-    specs: Vec<AppSpec>,
+    spec: AppSpec,
     system: SystemKind,
-    options: RunOptions,
+    fault: FaultPlan,
+    tracing: bool,
     blaze: Option<BlazeConfig>,
     wrap: Option<WrapFn>,
 }
 
 impl SessionBuilder {
-    /// Sets the application to run. Call exactly once: a session with zero
-    /// or several applications is refused with BA010.
-    pub fn app(mut self, spec: AppSpec) -> Self {
-        self.specs.push(spec);
-        self
-    }
-
     /// Selects the system under test (default: [`SystemKind::Blaze`]).
     pub fn system(mut self, system: SystemKind) -> Self {
         self.system = system;
         self
     }
 
-    /// Replaces the full option set at once.
-    pub fn options(mut self, options: RunOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Installs a deterministic fault-injection schedule.
     pub fn fault(mut self, fault: FaultPlan) -> Self {
-        self.options.fault = fault;
+        self.fault = fault;
         self
     }
 
-    /// Enables structured event tracing.
+    /// Enables structured event tracing (never changes simulated behaviour).
     pub fn tracing(mut self, tracing: bool) -> Self {
-        self.options.tracing = tracing;
-        self
-    }
-
-    /// Promotes preflight audit warnings to errors.
-    pub fn strict_audit(mut self, strict: bool) -> Self {
-        self.options.strict_audit = strict;
+        self.tracing = tracing;
         self
     }
 
@@ -101,8 +70,8 @@ impl SessionBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`BlazeError::Audit`] with code BA010 unless exactly one
-    /// application was given, plus any error surfaced by the driver itself.
+    /// Returns a configuration error for an invalid [`BlazeConfig`], plus
+    /// any error surfaced by the driver itself.
     pub fn run(self) -> Result<RunOutcome> {
         Session::launch(self)
     }
@@ -112,28 +81,21 @@ impl SessionBuilder {
 pub struct Session;
 
 impl Session {
-    /// Starts building a session (see the module docs for the full model).
-    pub fn builder() -> SessionBuilder {
+    /// Starts building a session of `spec` (see the module docs for the full
+    /// model).
+    pub fn builder(spec: AppSpec) -> SessionBuilder {
         SessionBuilder {
-            specs: Vec::new(),
+            spec,
             system: SystemKind::Blaze,
-            options: RunOptions::default(),
+            fault: FaultPlan::default(),
+            tracing: false,
             blaze: None,
             wrap: None,
         }
     }
 
     fn launch(builder: SessionBuilder) -> Result<RunOutcome> {
-        let SessionBuilder { specs, system, options, blaze, wrap } = builder;
-        let &[spec] = specs.as_slice() else {
-            return Err(BlazeError::Audit {
-                code: DiagCode::NotExactlyOneApp.as_str().into(),
-                message: format!(
-                    "a session runs exactly one application; {} were given",
-                    specs.len()
-                ),
-            });
-        };
+        let SessionBuilder { spec, system, fault, tracing, blaze, wrap } = builder;
         let profile = || extract_dependencies(move |ctx| spec.drive_sample(ctx), 0);
         let (system, controller): (SystemKind, Box<dyn CacheController>) =
             if blaze.is_some() || wrap.is_some() {
@@ -151,9 +113,8 @@ impl Session {
             };
 
         let mut config = spec.cluster_config();
-        config.fault = options.fault;
-        config.tracing = options.tracing;
-        config.strict_audit = options.strict_audit;
+        config.fault = fault;
+        config.tracing = tracing;
         let cluster = Cluster::new(config, controller)?;
         spec.drive(&Context::new(cluster.clone()))?;
         Ok(RunOutcome { app: spec.app, system, metrics: cluster.metrics(), trace: cluster.trace() })
@@ -164,36 +125,14 @@ impl Session {
 mod tests {
     use super::*;
     use crate::apps::App;
-
-    fn assert_ba010(err: BlazeError) {
-        match err {
-            BlazeError::Audit { code, .. } => assert_eq!(code, "BA010"),
-            other => panic!("expected BA010 audit error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn zero_apps_is_refused_with_ba010() {
-        assert_ba010(Session::builder().run().unwrap_err());
-    }
-
-    #[test]
-    fn two_apps_are_refused_with_ba010() {
-        let err = Session::builder()
-            .app(AppSpec::evaluation(App::KMeans))
-            .app(AppSpec::evaluation(App::PageRank))
-            .system(SystemKind::SparkMemDisk)
-            .run()
-            .unwrap_err();
-        assert_ba010(err);
-    }
+    use blaze_common::error::BlazeError;
 
     #[test]
     fn a_custom_blaze_config_is_validated() {
         let spec = AppSpec::evaluation(App::PageRank).scaled(0.2);
         let mut cfg = BlazeConfig::full();
         cfg.optimizer.horizon_jobs = 0;
-        let err = Session::builder().app(spec).blaze(cfg).run().unwrap_err();
+        let err = Session::builder(spec).blaze(cfg).run().unwrap_err();
         assert!(matches!(err, BlazeError::Config(_)), "{err:?}");
     }
 }

@@ -52,6 +52,14 @@ run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
     --validate --apps pagerank,kmeans --threads 1,2,4
 run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
     --validate --apps cc,lr,gbt,svdpp --threads 1
+# Inspection modes: one PageRank run of each, output discarded, so a mode
+# that panics or errors fails here (about 1.5 s together).
+for mode in --utilization --dot --ledger "--explain 2:0"; do
+    echo "ci: blaze-trace $mode --apps pagerank"
+    # shellcheck disable=SC2086 # "--explain 2:0" splits into flag and value
+    cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
+        $mode --apps pagerank >/dev/null
+done
 # Graceful degradation: under duress (stragglers, corrupted spills)
 # speculation must win races and shorten the makespan, at least one
 # corrupted spill must be caught and quarantined (--check floors), and the

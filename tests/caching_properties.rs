@@ -30,7 +30,7 @@ fn profiled_blaze_with_free_memory_matches_mem_disk() {
     for app in App::all() {
         let mut spec = AppSpec::evaluation(app);
         spec.memory_capacity = ByteSize::from_mib(256);
-        let run = |system| Session::builder().app(spec).system(system).run().unwrap();
+        let run = |system| Session::builder(spec).system(system).run().unwrap();
         let base = run(SystemKind::SparkMemDisk);
         assert_eq!(base.metrics.evictions, 0, "{app:?}: 256 MiB must hold everything");
         for system in PROFILED_BLAZE {

@@ -214,5 +214,5 @@ fn ba505_fires_on_a_retained_stale_memo_entry() {
 fn inline_certify_mode_accepts_a_full_run() {
     let spec = AppSpec::evaluation(App::PageRank).scaled(0.2);
     let cfg = BlazeConfig { certify: true, ..BlazeConfig::full() };
-    Session::builder().app(spec).blaze(cfg).run().unwrap();
+    Session::builder(spec).blaze(cfg).run().unwrap();
 }

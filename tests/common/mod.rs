@@ -49,8 +49,7 @@ pub fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 /// The pipeline input: `elems` records over `keys` keys in `parts`
-/// partitions, annotated for caching. The applications of a multi-app run
-/// share one input, declared once and rebound into each app's context.
+/// partitions, annotated for caching.
 pub fn source(ctx: &Context, elems: u64, keys: u64, parts: usize) -> Dataset<(u64, u64)> {
     let data = ctx.parallelize((0..elems).map(|i| (i % keys, i)).collect::<Vec<_>>(), parts);
     data.cache();

@@ -613,8 +613,7 @@ fn trace_workload(
     cold: bool,
     fault: FaultPlan,
 ) -> (String, Metrics) {
-    let out = Session::builder()
-        .app(spec.with_worker_threads(threads))
+    let out = Session::builder(spec.with_worker_threads(threads))
         .blaze(cfg)
         .instrument(move |inner| install(inner, cold))
         .fault(fault)
@@ -696,8 +695,7 @@ fn cold_reference_reports_zero_reuse() {
     let stats_of = |cold: bool| {
         let readout = Arc::new(Mutex::new(ProbeReadout::default()));
         let mirror = Arc::clone(&readout);
-        Session::builder()
-            .app(AppSpec::evaluation(App::KMeans))
+        Session::builder(AppSpec::evaluation(App::KMeans))
             .instrument(move |inner| Box::new(DecisionProbe::new(inner, cold, mirror)))
             .run()
             .expect("workload run failed");

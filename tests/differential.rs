@@ -587,8 +587,7 @@ fn chaos_seed_matrix_preserves_results() {
 fn worker_threads_do_not_change_any_metric() {
     for system in [SystemKind::Blaze, SystemKind::SparkMemOnly] {
         let run = |threads| {
-            Session::builder()
-                .app(AppSpec::evaluation(App::PageRank).with_worker_threads(threads))
+            Session::builder(AppSpec::evaluation(App::PageRank).with_worker_threads(threads))
                 .system(system)
                 .run()
                 .expect("workload run")

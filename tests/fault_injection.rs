@@ -71,12 +71,10 @@ fn crash_mid_run(system: SystemKind, frac: f64) -> SimTime {
 #[test]
 fn disabled_fault_plan_changes_nothing() {
     let spec = AppSpec::evaluation(App::KMeans);
-    let clean =
-        Session::builder().app(spec).system(SystemKind::SparkMemDisk).run().expect("clean run");
+    let clean = Session::builder(spec).system(SystemKind::SparkMemDisk).run().expect("clean run");
     let seeded_but_off = FaultPlan { seed: 0xFEED, ..FaultPlan::default() };
     assert!(!seeded_but_off.enabled());
-    let seeded = Session::builder()
-        .app(spec)
+    let seeded = Session::builder(spec)
         .system(SystemKind::SparkMemDisk)
         .fault(seeded_but_off)
         .run()
@@ -111,8 +109,7 @@ fn fixed_seed_schedule_replays_identically() {
             .iter()
             .map(|&threads| {
                 let spec = AppSpec::evaluation(App::KMeans).with_worker_threads(threads);
-                Session::builder()
-                    .app(spec)
+                Session::builder(spec)
                     .system(system)
                     .fault(plan.clone())
                     .run()
