@@ -3,7 +3,7 @@
 //! Every check in this crate (and the cost-lineage consistency check in
 //! `blaze-core`) reports findings as [`Diagnostic`] values with a stable
 //! [`DiagCode`], so callers can assert on exact codes, metrics can count
-//! warnings, and strict mode can promote severities uniformly.
+//! warnings, and every code carries one default severity.
 
 use blaze_common::ids::RddId;
 use std::fmt;
@@ -13,10 +13,10 @@ use std::fmt;
 pub enum Severity {
     /// Informational; never blocks execution.
     Info,
-    /// A hazard (e.g. a caching anti-pattern). Logged by default; promoted
-    /// to [`Severity::Error`] under strict mode.
+    /// A hazard (e.g. a caching anti-pattern). Recorded and counted; never
+    /// blocks execution.
     Warning,
-    /// A structural invariant violation. Execution must not proceed.
+    /// An invalid plan or a broken invariant. Execution must not proceed.
     Error,
 }
 
@@ -32,7 +32,7 @@ impl fmt::Display for Severity {
 
 /// Stable identifier of one auditor check.
 ///
-/// `BA00x` codes are structural plan invariants (errors), `BA1xx` codes are
+/// `BA00x` codes are invalid plan values (errors), `BA1xx` codes are
 /// caching anti-patterns (warnings), `BA2xx` codes are cross-structure
 /// consistency checks (emitted by `blaze-core`), `BA3xx` codes are
 /// recoverability checks against a configured fault plan, and `BA4xx` codes
@@ -41,25 +41,11 @@ impl fmt::Display for Severity {
 /// `// audit: allow(..)` annotations refer to codes by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DiagCode {
-    /// BA001: a dependency points at an id not defined before its child
-    /// (forward reference — the only way a cycle can exist in an
-    /// id-ordered DAG).
-    CycleOrForwardRef,
-    /// BA002: a dependency points at an id absent from the plan entirely.
-    DanglingParent,
-    /// BA003: a dataset declares zero partitions.
-    ZeroPartitions,
-    /// BA004: a narrow dependency joins datasets with differing partition
-    /// counts (narrow deps are index-aligned by definition).
-    NarrowPartitionMismatch,
     /// BA005: a dataset's declared partitioner disagrees with its partition
     /// count (co-partitioning claims would be wrong at shuffle boundaries).
     PartitionerMismatch,
     /// BA006: a cost spec contains a negative or non-finite component.
     InvalidCostSpec,
-    /// BA007: compute kind and dependency shape disagree (source with
-    /// deps, operator without deps, narrow compute with shuffle dep, ...).
-    ComputeShapeMismatch,
     /// BA008: a keyed dataset asserted via `assume_partitioned` holds a key
     /// in a partition its claimed hash partitioner would not have placed it
     /// in (detected by the debug-build verification wrapper at runtime).
@@ -132,14 +118,9 @@ impl DiagCode {
     /// Every diagnostic code, in code order. This is the single registry the
     /// `blaze-audit` CLI lists and explains from; adding a variant without
     /// extending it fails the registry unit test.
-    pub const ALL: [DiagCode; 24] = [
-        DiagCode::CycleOrForwardRef,
-        DiagCode::DanglingParent,
-        DiagCode::ZeroPartitions,
-        DiagCode::NarrowPartitionMismatch,
+    pub const ALL: [DiagCode; 19] = [
         DiagCode::PartitionerMismatch,
         DiagCode::InvalidCostSpec,
-        DiagCode::ComputeShapeMismatch,
         DiagCode::PartitionerHoldViolation,
         DiagCode::NegativeSerFactor,
         DiagCode::RecomputeBomb,
@@ -159,16 +140,11 @@ impl DiagCode {
         DiagCode::UnderApproximatedDirtyClosure,
     ];
 
-    /// The stable short code (`BA001`, ...).
+    /// The stable short code (`BA005`, ...).
     pub fn as_str(self) -> &'static str {
         match self {
-            DiagCode::CycleOrForwardRef => "BA001",
-            DiagCode::DanglingParent => "BA002",
-            DiagCode::ZeroPartitions => "BA003",
-            DiagCode::NarrowPartitionMismatch => "BA004",
             DiagCode::PartitionerMismatch => "BA005",
             DiagCode::InvalidCostSpec => "BA006",
-            DiagCode::ComputeShapeMismatch => "BA007",
             DiagCode::PartitionerHoldViolation => "BA008",
             DiagCode::NegativeSerFactor => "BA009",
             DiagCode::RecomputeBomb => "BA101",
@@ -197,13 +173,8 @@ impl DiagCode {
     /// A one-line title for CLI listings.
     pub fn title(self) -> &'static str {
         match self {
-            DiagCode::CycleOrForwardRef => "dependency cycle or forward reference",
-            DiagCode::DanglingParent => "dependency on an undefined dataset",
-            DiagCode::ZeroPartitions => "dataset declares zero partitions",
-            DiagCode::NarrowPartitionMismatch => "narrow dependency partition-count mismatch",
             DiagCode::PartitionerMismatch => "partitioner disagrees with partition count",
             DiagCode::InvalidCostSpec => "negative or non-finite cost component",
-            DiagCode::ComputeShapeMismatch => "compute kind and dependency shape disagree",
             DiagCode::PartitionerHoldViolation => "assumed partitioner does not hold for the data",
             DiagCode::NegativeSerFactor => "negative or non-finite serialization factor",
             DiagCode::RecomputeBomb => "multi-consumer dataset not cache-annotated",
@@ -227,23 +198,6 @@ impl DiagCode {
     /// A paragraph-length explanation for `blaze-audit --explain`.
     pub fn explain(self) -> &'static str {
         match self {
-            DiagCode::CycleOrForwardRef => {
-                "A dependency points at an id not defined before its child. In an id-ordered \
-                 DAG this is the only way a cycle can exist, so the plan is structurally \
-                 invalid and execution would never terminate."
-            }
-            DiagCode::DanglingParent => {
-                "A dependency references a dataset id that is absent from the plan entirely. \
-                 The lineage cannot be replayed through a dataset that does not exist."
-            }
-            DiagCode::ZeroPartitions => {
-                "A dataset declares zero partitions. Every dataset must materialize at least \
-                 one block; zero-partition datasets break scheduling and cost accounting."
-            }
-            DiagCode::NarrowPartitionMismatch => {
-                "A narrow dependency joins datasets with differing partition counts. Narrow \
-                 dependencies are index-aligned by definition, so the counts must match."
-            }
             DiagCode::PartitionerMismatch => {
                 "A dataset's declared partitioner disagrees with its partition count, so \
                  co-partitioning claims at shuffle boundaries would be wrong."
@@ -251,11 +205,6 @@ impl DiagCode {
             DiagCode::InvalidCostSpec => {
                 "A cost spec contains a negative or non-finite component. The optimizer's \
                  objective would be meaningless over such costs."
-            }
-            DiagCode::ComputeShapeMismatch => {
-                "A dataset's compute kind and its dependency shape disagree — e.g. a source \
-                 with parents, an operator without parents, or a narrow compute fed by a \
-                 shuffle dependency."
             }
             DiagCode::PartitionerHoldViolation => {
                 "A keyed dataset asserted via assume_partitioned holds a key in a partition \
@@ -353,16 +302,11 @@ impl DiagCode {
         }
     }
 
-    /// The default severity of this check (before strict-mode promotion).
+    /// The default severity of this check.
     pub fn default_severity(self) -> Severity {
         match self {
-            DiagCode::CycleOrForwardRef
-            | DiagCode::DanglingParent
-            | DiagCode::ZeroPartitions
-            | DiagCode::NarrowPartitionMismatch
-            | DiagCode::PartitionerMismatch
+            DiagCode::PartitionerMismatch
             | DiagCode::InvalidCostSpec
-            | DiagCode::ComputeShapeMismatch
             | DiagCode::PartitionerHoldViolation
             | DiagCode::NegativeSerFactor
             | DiagCode::LineageMismatch
@@ -395,7 +339,8 @@ impl fmt::Display for DiagCode {
 pub struct Diagnostic {
     /// Which check fired.
     pub code: DiagCode,
-    /// Effective severity (after any strict-mode promotion).
+    /// Effective severity (the code's default, except BA103, which reports
+    /// as info while the disk tier can absorb the overcommit).
     pub severity: Severity,
     /// The dataset the finding is about, when attributable to one.
     pub rdd: Option<RddId>,
@@ -467,17 +412,6 @@ impl AuditReport {
     pub fn has(&self, code: DiagCode) -> bool {
         self.diagnostics.iter().any(|d| d.code == code)
     }
-
-    /// Promotes every warning to an error (strict mode).
-    #[must_use]
-    pub fn promoted(mut self) -> Self {
-        for d in &mut self.diagnostics {
-            if d.severity == Severity::Warning {
-                d.severity = Severity::Error;
-            }
-        }
-        Self::new(self.diagnostics)
-    }
 }
 
 #[cfg(test)]
@@ -518,7 +452,8 @@ mod tests {
     #[test]
     fn report_sorts_errors_first() {
         let warn = Diagnostic::new(DiagCode::RecomputeBomb, Some(RddId(9)), "w".into(), "h".into());
-        let err = Diagnostic::new(DiagCode::ZeroPartitions, Some(RddId(1)), "e".into(), "h".into());
+        let err =
+            Diagnostic::new(DiagCode::NegativeSerFactor, Some(RddId(1)), "e".into(), "h".into());
         let report = AuditReport::new(vec![warn.clone(), err.clone()]);
         assert_eq!(report.diagnostics[0], err);
         assert!(!report.is_clean());
@@ -527,22 +462,14 @@ mod tests {
     }
 
     #[test]
-    fn strict_promotion_turns_warnings_into_errors() {
-        let warn = Diagnostic::new(DiagCode::CacheOvercommit, None, "w".into(), "h".into());
-        let report = AuditReport::new(vec![warn]).promoted();
-        assert_eq!(report.errors().count(), 1);
-        assert!(!report.passes());
-    }
-
-    #[test]
     fn display_includes_code_and_hint() {
         let d = Diagnostic::new(
-            DiagCode::DanglingParent,
+            DiagCode::PartitionerMismatch,
             Some(RddId(3)),
-            "missing parent".into(),
-            "rebuild the plan".into(),
+            "wrong partitioner".into(),
+            "repartition".into(),
         );
         let s = d.to_string();
-        assert!(s.contains("BA002") && s.contains("rdd-3") && s.contains("rebuild the plan"));
+        assert!(s.contains("BA005") && s.contains("rdd-3") && s.contains("repartition"));
     }
 }

@@ -7,12 +7,13 @@
 //! §5.2–§5.3). This crate is the correctness-tooling layer that earns that
 //! trust:
 //!
-//! - [`plan_audit`] (layer 1) verifies structural invariants of a plan and
+//! - [`plan_audit`] (layer 1) checks the values of a plan's nodes and
 //!   detects caching anti-patterns before a job runs, reporting
-//!   [`Diagnostic`]s with stable codes. The engine and the reference
-//!   `LocalRunner` run it as a preflight pass; errors abort with a typed
-//!   `BlazeError`, warnings are logged into metrics, and strict mode
-//!   promotes warnings to errors.
+//!   [`Diagnostic`]s with stable codes. The engine runs it as a preflight
+//!   pass on every job submission: errors abort with a typed `BlazeError`,
+//!   warnings are recorded as trace events and counted in metrics. The
+//!   plan's shape needs no check: `Plan::add_node` refuses every malformed
+//!   node.
 //! - [`lint`] (layer 2) is a line-oriented source scanner (`blaze-lint`
 //!   binary) enforcing the deterministic-simulation contract across the
 //!   workspace: no seeded-per-process hash containers in decision-making
@@ -30,26 +31,6 @@ pub mod plan_audit;
 
 pub use diagnostic::{AuditReport, DiagCode, Diagnostic, Severity};
 pub use plan_audit::{
-    audit_application, audit_caching, audit_degradation, audit_job, audit_recovery,
-    audit_structure, extract, AuditConfig, AuditDep, AuditNode, ComputeKind, DegradationAuditInput,
+    audit_application, audit_caching, audit_degradation, audit_job, audit_recovery, audit_values,
+    AuditConfig, DegradationAuditInput,
 };
-
-use blaze_common::error::BlazeError;
-use blaze_dataflow::runner::PreflightFn;
-use std::sync::Arc;
-
-/// Builds a preflight hook for [`blaze_dataflow::runner::LocalRunner`]: a
-/// closure that audits the plan before every job and fails with
-/// [`BlazeError::Audit`] when an error-severity (or, under `strict`, any
-/// warning-severity) diagnostic fires.
-pub fn preflight(strict: bool) -> PreflightFn {
-    Arc::new(move |plan, target| {
-        let config = AuditConfig { strict, ..AuditConfig::default() };
-        let report = audit_job(plan, target, &[target], &config);
-        let first_error = report.errors().next().cloned();
-        match first_error {
-            Some(d) => Err(BlazeError::Audit { code: d.code.as_str().into(), message: d.message }),
-            None => Ok(()),
-        }
-    })
-}

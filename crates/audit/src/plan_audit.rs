@@ -1,99 +1,28 @@
-//! Layer 1: static verification of lineage plans.
+//! Layer 1: the per-job preflight over a lineage [`Plan`].
 //!
-//! The auditor runs over [`AuditNode`]s — a lightweight, data-only view of a
-//! lineage DAG. Real [`Plan`]s are converted with [`extract`]; tests
-//! fabricate views directly, which is what lets every structural check be
-//! exercised with inputs that `Plan::add_node` itself would reject. Checks
-//! come in two groups:
+//! The auditor reads the plan it audits ([`Plan::nodes`], [`Plan::node`]):
+//! no per-job copy, and every parent lookup is an index. The plan's shape —
+//! parents defined before their children, at least one partition,
+//! index-aligned narrow dependencies, compute kind agreeing with the
+//! dependency kinds — is established once by `Plan::add_node` and not
+//! re-checked here. Checks come in three groups:
 //!
-//! - **Structural invariants** (`BA0xx`, errors): acyclicity via id
-//!   ordering, no dangling parents, partition-count agreement across narrow
-//!   dependencies, partitioner agreement, finite non-negative cost specs,
-//!   compute/dependency shape agreement.
+//! - **Value checks** (`BA005`, `BA006`, `BA009`, errors): the metadata the
+//!   `Dataset` setters write after a node exists — partitioner agreement,
+//!   finite non-negative cost specs and serialization factors.
 //! - **Caching anti-patterns** (`BA1xx`, warnings): datasets consumed by
 //!   two or more stages of a job but never cached (the LRC-style
 //!   "recompute bomb"), cached datasets nothing can ever read back, and
 //!   cache footprints that exceed store capacity.
-//! - **Recoverability** (`BA3xx`, errors, only under an active fault
-//!   plan): uncached lineage deeper than bounded task retries can replay.
+//! - **Recoverability** (`BA3xx`, only under an active fault plan):
+//!   uncached lineage deeper than bounded task retries can replay (error),
+//!   and dead or foot-gun degradation knobs (warnings).
 
 use crate::diagnostic::{AuditReport, DiagCode, Diagnostic, Severity};
-use blaze_common::fxhash::{FxHashMap, FxHashSet};
+use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::RddId;
 use blaze_common::ByteSize;
-use blaze_dataflow::plan::{Compute, CostSpec, Plan};
-
-/// The compute shape of a node, as far as the auditor cares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComputeKind {
-    /// Leaf generator (no dependencies allowed).
-    Source,
-    /// Narrow operator (narrow dependencies only).
-    Narrow,
-    /// Shuffle aggregation (shuffle dependencies only).
-    ShuffleAgg,
-}
-
-/// One dependency edge in the audited view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuditDep {
-    /// The parent dataset.
-    pub parent: RddId,
-    /// True for shuffle (stage-boundary) dependencies.
-    pub shuffle: bool,
-}
-
-/// A data-only view of one lineage node: everything the static checks need,
-/// nothing they cannot inspect (no closures).
-#[derive(Debug, Clone)]
-pub struct AuditNode {
-    /// The dataset id.
-    pub id: RddId,
-    /// Operator name, used in messages.
-    pub name: String,
-    /// Declared partition count.
-    pub num_partitions: usize,
-    /// Dependency edges.
-    pub deps: Vec<AuditDep>,
-    /// Compute shape.
-    pub kind: ComputeKind,
-    /// Compute-time model.
-    pub cost: CostSpec,
-    /// Declared serialization factor of the element type.
-    pub ser_factor: f64,
-    /// Declared output partitioner bucket count, if any.
-    pub partitioner_partitions: Option<usize>,
-    /// True if the user annotated the dataset with `cache()`.
-    pub cache_annotated: bool,
-    /// True once `unpersist()` was requested.
-    pub unpersist_requested: bool,
-}
-
-/// Extracts the audited view of a real plan (plan-introspection layer).
-pub fn extract(plan: &Plan) -> Vec<AuditNode> {
-    plan.iter()
-        .map(|n| AuditNode {
-            id: n.id,
-            name: n.name.clone(),
-            num_partitions: n.num_partitions,
-            deps: n
-                .deps
-                .iter()
-                .map(|d| AuditDep { parent: d.parent(), shuffle: d.is_shuffle() })
-                .collect(),
-            kind: match n.compute {
-                Compute::Source(_) => ComputeKind::Source,
-                Compute::Narrow(_) => ComputeKind::Narrow,
-                Compute::ShuffleAgg(_) => ComputeKind::ShuffleAgg,
-            },
-            cost: n.cost,
-            ser_factor: n.ser_factor,
-            partitioner_partitions: n.partitioner.as_ref().map(|p| p.num_partitions()),
-            cache_annotated: n.cache_annotated,
-            unpersist_requested: n.unpersist_requested,
-        })
-        .collect()
-}
+use blaze_dataflow::plan::{Plan, RddNode};
 
 /// Inputs of a capacity-aware audit.
 #[derive(Debug, Clone, Default)]
@@ -104,8 +33,6 @@ pub struct AuditConfig {
     pub total_disk: Option<ByteSize>,
     /// Estimated materialized size per dataset, when observed.
     pub size_estimates: FxHashMap<RddId, ByteSize>,
-    /// Promote warnings to errors.
-    pub strict: bool,
     /// Maximum uncached lineage depth the engine's bounded retries can
     /// replay under the configured fault plan (see
     /// `FaultPlan::max_recoverable_depth` in `blaze-engine`). `None`
@@ -176,26 +103,12 @@ pub fn audit_degradation(config: &AuditConfig) -> AuditReport {
     AuditReport::new(diags)
 }
 
-/// Verifies the structural invariants of a node list (`BA0xx`).
-///
-/// The returned report contains only error-severity findings; a plan built
-/// through [`Plan::add_node`] always passes (defense in depth — this guards
-/// plan sources the constructor cannot, e.g. deserialized or hand-built
-/// DAG views, and pins the constructor's own guarantees).
-pub fn audit_structure(nodes: &[AuditNode]) -> AuditReport {
+/// Checks the values the `Dataset` metadata setters write after a node is
+/// built (`BA005`, `BA006`, `BA009` — errors).
+pub fn audit_values(plan: &Plan) -> AuditReport {
     let mut diags = Vec::new();
-    let ids: FxHashSet<RddId> = nodes.iter().map(|n| n.id).collect();
-
-    for node in nodes {
-        if node.num_partitions == 0 {
-            diags.push(Diagnostic::new(
-                DiagCode::ZeroPartitions,
-                Some(node.id),
-                format!("dataset '{}' declares zero partitions", node.name),
-                "every dataset needs at least one partition".into(),
-            ));
-        }
-        if let Some(parts) = node.partitioner_partitions {
+    for node in plan.nodes() {
+        if let Some(parts) = node.partitioner.as_ref().map(|p| p.num_partitions()) {
             if parts != node.num_partitions {
                 diags.push(Diagnostic::new(
                     DiagCode::PartitionerMismatch,
@@ -226,7 +139,6 @@ pub fn audit_structure(nodes: &[AuditNode]) -> AuditReport {
                 ));
             }
         }
-
         if !node.ser_factor.is_finite() || node.ser_factor < 0.0 {
             diags.push(Diagnostic::new(
                 DiagCode::NegativeSerFactor,
@@ -237,131 +149,67 @@ pub fn audit_structure(nodes: &[AuditNode]) -> AuditReport {
                     .into(),
             ));
         }
-
-        match (node.kind, node.deps.is_empty()) {
-            (ComputeKind::Source, false) => diags.push(Diagnostic::new(
-                DiagCode::ComputeShapeMismatch,
-                Some(node.id),
-                format!("source '{}' declares dependencies", node.name),
-                "sources are leaves; use a narrow operator for derived data".into(),
-            )),
-            (ComputeKind::Narrow | ComputeKind::ShuffleAgg, true) => diags.push(Diagnostic::new(
-                DiagCode::ComputeShapeMismatch,
-                Some(node.id),
-                format!("operator '{}' has no dependencies", node.name),
-                "operators must consume at least one parent".into(),
-            )),
-            _ => {}
-        }
-
-        for dep in &node.deps {
-            if !ids.contains(&dep.parent) {
-                diags.push(Diagnostic::new(
-                    DiagCode::DanglingParent,
-                    Some(node.id),
-                    format!("dataset '{}' depends on undefined {}", node.name, dep.parent),
-                    "rebuild the plan; a dangling parent is unexecutable".into(),
-                ));
-                continue;
-            }
-            if dep.parent.raw() >= node.id.raw() {
-                diags.push(Diagnostic::new(
-                    DiagCode::CycleOrForwardRef,
-                    Some(node.id),
-                    format!(
-                        "dataset '{}' depends on {} which is not defined before it",
-                        node.name, dep.parent
-                    ),
-                    "lineage must be append-only; forward references admit cycles".into(),
-                ));
-                continue;
-            }
-            if dep.shuffle {
-                if node.kind != ComputeKind::ShuffleAgg {
-                    diags.push(Diagnostic::new(
-                        DiagCode::ComputeShapeMismatch,
-                        Some(node.id),
-                        format!("non-shuffle operator '{}' has a shuffle dependency", node.name),
-                        "only shuffle aggregations may read shuffled data".into(),
-                    ));
-                }
-            } else {
-                if node.kind == ComputeKind::ShuffleAgg {
-                    diags.push(Diagnostic::new(
-                        DiagCode::ComputeShapeMismatch,
-                        Some(node.id),
-                        format!("shuffle aggregation '{}' has a narrow dependency", node.name),
-                        "shuffle aggregations read only shuffled data".into(),
-                    ));
-                }
-                if let Some(parent) = nodes.iter().find(|n| n.id == dep.parent) {
-                    if node.kind != ComputeKind::ShuffleAgg
-                        && parent.num_partitions != node.num_partitions
-                    {
-                        diags.push(Diagnostic::new(
-                            DiagCode::NarrowPartitionMismatch,
-                            Some(node.id),
-                            format!(
-                                "narrow dependency of '{}' ({} partitions) on '{}' ({} partitions)",
-                                node.name, node.num_partitions, parent.name, parent.num_partitions
-                            ),
-                            "narrow dependencies are index-aligned; insert a shuffle or \
-                             repartition"
-                                .into(),
-                        ));
-                    }
-                }
-            }
-        }
     }
     AuditReport::new(diags)
 }
 
-/// The stage decomposition of a job over the audited view, mirroring the
-/// planner's shuffle-boundary splitting: each entry is (stage output,
-/// in-stage datasets).
+/// A dataset's position in [`Plan::nodes`] (ids are assigned densely).
+fn ix(id: RddId) -> usize {
+    id.raw() as usize
+}
+
+/// True for a cache annotation that has not been unpersisted.
+fn live_annotation(node: &RddNode) -> bool {
+    node.cache_annotated && !node.unpersist_requested
+}
+
+/// How many stages of the job for `target` compute each dataset (indexed
+/// by id), mirroring the planner's shuffle-boundary splitting.
 ///
-/// Cache-annotated interior nodes terminate the walk: a stage that reads a
-/// cached dataset reads it back instead of recomputing its lineage, so the
-/// lineage above the annotation does not multiply across consuming stages.
-/// A cached *stage output* is still traversed — it must be computed once.
+/// Cache-annotated interior nodes terminate a stage's walk: a stage that
+/// reads a cached dataset reads it back instead of recomputing its lineage,
+/// so the lineage above the annotation does not multiply across consuming
+/// stages. A cached *stage output* is still walked — it must be computed
+/// once.
 ///
 /// The annotation counts even when an unpersist was requested later:
 /// unpersist is a temporal event (the data was resident while the jobs that
 /// needed it ran), and this decomposition is also replayed retrospectively
 /// over finished plans where every stale iteration has been unpersisted.
-fn stages_of(nodes: &FxHashMap<RddId, &AuditNode>, target: RddId) -> Vec<(RddId, Vec<RddId>)> {
-    let mut stages: Vec<(RddId, Vec<RddId>)> = Vec::new();
-    let mut planned: FxHashSet<RddId> = FxHashSet::default();
+fn stage_counts(plan: &Plan, target: RddId) -> Vec<usize> {
+    let nodes = plan.nodes();
+    let mut counts = vec![0usize; nodes.len()];
+    // The stage (numbered from 1) that last walked each dataset; 0 = none.
+    let mut walked_by = vec![0usize; nodes.len()];
+    let mut planned = vec![false; nodes.len()];
     let mut pending = vec![target];
+    let mut stage = 0;
     while let Some(output) = pending.pop() {
-        if !planned.insert(output) {
+        let Ok(out) = plan.node(output) else { continue };
+        if std::mem::replace(&mut planned[ix(output)], true) {
             continue;
         }
-        let mut members = Vec::new();
-        let mut stack = vec![output];
-        let mut seen: FxHashSet<RddId> = FxHashSet::default();
-        while let Some(cur) = stack.pop() {
-            if !seen.insert(cur) {
+        stage += 1;
+        let mut stack = vec![out];
+        while let Some(node) = stack.pop() {
+            let i = ix(node.id);
+            if std::mem::replace(&mut walked_by[i], stage) == stage {
                 continue;
             }
-            members.push(cur);
-            let Some(node) = nodes.get(&cur) else { continue };
-            if cur != output && node.cache_annotated {
+            counts[i] += 1;
+            if node.id != output && node.cache_annotated {
                 continue;
             }
             for dep in &node.deps {
-                if dep.shuffle {
-                    pending.push(dep.parent);
+                if dep.is_shuffle() {
+                    pending.push(dep.parent());
                 } else {
-                    stack.push(dep.parent);
+                    stack.push(&nodes[ix(dep.parent())]);
                 }
             }
         }
-        members.sort_unstable();
-        stages.push((output, members));
     }
-    stages
+    counts
 }
 
 /// Detects caching anti-patterns (`BA1xx`) for the job materializing
@@ -371,34 +219,24 @@ fn stages_of(nodes: &FxHashMap<RddId, &AuditNode>, target: RddId) -> Vec<(RddId,
 /// one); it suppresses the unreachable-cache check for datasets that jobs
 /// read directly.
 pub fn audit_caching(
-    nodes: &[AuditNode],
+    plan: &Plan,
     target: RddId,
     job_targets: &[RddId],
     config: &AuditConfig,
 ) -> AuditReport {
-    let by_id: FxHashMap<RddId, &AuditNode> = nodes.iter().map(|n| (n.id, n)).collect();
+    let nodes = plan.nodes();
     let mut diags = Vec::new();
 
     // BA101 — recompute bomb: a dataset appearing in >= 2 stages of this
     // job is recomputed once per consuming stage unless cached (shuffle
     // outputs persist, so shuffle boundaries do not multiply work).
-    let mut stage_count: FxHashMap<RddId, usize> = FxHashMap::default();
-    for (_, members) in stages_of(&by_id, target) {
-        for rdd in members {
-            *stage_count.entry(rdd).or_insert(0) += 1;
-        }
-    }
-    let mut bombs: Vec<(RddId, usize)> =
-        stage_count.into_iter().filter(|&(_, count)| count >= 2).collect();
-    bombs.sort_unstable();
-    for (rdd, count) in bombs {
-        let Some(node) = by_id.get(&rdd) else { continue };
-        if node.cache_annotated {
+    for (node, count) in nodes.iter().zip(stage_counts(plan, target)) {
+        if count < 2 || node.cache_annotated {
             continue;
         }
         diags.push(Diagnostic::new(
             DiagCode::RecomputeBomb,
-            Some(rdd),
+            Some(node.id),
             format!(
                 "dataset '{}' feeds {count} stages of the job for {target} but is not cached; \
                  each stage recomputes its lineage",
@@ -409,18 +247,14 @@ pub fn audit_caching(
     }
 
     // BA102 — cached but unreachable: an annotation nothing can read back.
-    let mut consumed: FxHashSet<RddId> = FxHashSet::default();
+    let mut consumed = vec![false; nodes.len()];
     for node in nodes {
         for dep in &node.deps {
-            consumed.insert(dep.parent);
+            consumed[ix(dep.parent())] = true;
         }
     }
     for node in nodes {
-        if node.cache_annotated
-            && !node.unpersist_requested
-            && !consumed.contains(&node.id)
-            && !job_targets.contains(&node.id)
-        {
+        if live_annotation(node) && !consumed[ix(node.id)] && !job_targets.contains(&node.id) {
             diags.push(Diagnostic::new(
                 DiagCode::UnreachableCache,
                 Some(node.id),
@@ -442,12 +276,10 @@ pub fn audit_caching(
     if let Some(total_memory) = config.total_memory {
         let mut annotated_bytes = ByteSize::ZERO;
         let mut estimated_all = true;
-        for node in nodes {
-            if node.cache_annotated && !node.unpersist_requested {
-                match config.size_estimates.get(&node.id) {
-                    Some(sz) => annotated_bytes += *sz,
-                    None => estimated_all = false,
-                }
+        for node in nodes.iter().filter(|n| live_annotation(n)) {
+            match config.size_estimates.get(&node.id) {
+                Some(sz) => annotated_bytes += *sz,
+                None => estimated_all = false,
             }
         }
         if estimated_all && annotated_bytes > total_memory {
@@ -471,12 +303,7 @@ pub fn audit_caching(
         }
     }
 
-    let report = AuditReport::new(diags);
-    if config.strict {
-        report.promoted()
-    } else {
-        report
-    }
+    AuditReport::new(diags)
 }
 
 /// Checks that every dataset the job for `target` touches can be rebuilt
@@ -489,61 +316,54 @@ pub fn audit_caching(
 /// recurrence over the id-ordered DAG; if it exceeds
 /// [`AuditConfig::recovery_depth_limit`], one injected failure could strand
 /// the job re-deriving more lineage than its retries can absorb.
-pub fn audit_recovery(nodes: &[AuditNode], target: RddId, config: &AuditConfig) -> AuditReport {
+pub fn audit_recovery(plan: &Plan, target: RddId, config: &AuditConfig) -> AuditReport {
     let Some(limit) = config.recovery_depth_limit else {
         return AuditReport::default();
     };
-    let by_id: FxHashMap<RddId, &AuditNode> = nodes.iter().map(|n| (n.id, n)).collect();
+    let nodes = plan.nodes();
 
     // Depth recurrence in id order (parents always precede children).
-    let mut order: Vec<&AuditNode> = nodes.iter().collect();
-    order.sort_unstable_by_key(|n| n.id);
-    let mut depth: FxHashMap<RddId, usize> = FxHashMap::default();
-    for node in &order {
+    let mut depth = vec![0usize; nodes.len()];
+    for node in nodes {
         let mut above = 0usize;
         for dep in &node.deps {
-            if dep.shuffle && !config.lineage_through_shuffles {
+            if dep.is_shuffle() && !config.lineage_through_shuffles {
                 continue; // Shuffle outputs persist: replay stops here.
             }
-            let anchored =
-                by_id.get(&dep.parent).is_some_and(|p| p.cache_annotated && !p.unpersist_requested);
-            if anchored {
+            let parent = ix(dep.parent());
+            if live_annotation(&nodes[parent]) {
                 continue; // Cached parent: read back, not re-derived.
             }
-            above = above.max(depth.get(&dep.parent).copied().unwrap_or(0));
+            above = above.max(depth[parent]);
         }
-        depth.insert(node.id, above + 1);
+        depth[ix(node.id)] = above + 1;
     }
 
     // Restrict to datasets the job actually executes (the full lineage
     // cone of `target`, crossing every dependency kind).
-    let mut reachable: FxHashSet<RddId> = FxHashSet::default();
+    let mut reachable = vec![false; nodes.len()];
     let mut stack = vec![target];
     while let Some(cur) = stack.pop() {
-        if !reachable.insert(cur) {
-            continue;
-        }
-        if let Some(node) = by_id.get(&cur) {
-            stack.extend(node.deps.iter().map(|d| d.parent));
+        let Ok(node) = plan.node(cur) else { continue };
+        if !std::mem::replace(&mut reachable[ix(cur)], true) {
+            stack.extend(node.parent_ids());
         }
     }
 
-    let mut worst: Option<(RddId, usize)> = None;
-    let mut ids: Vec<RddId> = reachable.into_iter().collect();
-    ids.sort_unstable();
-    for id in ids {
-        let d = depth.get(&id).copied().unwrap_or(0);
-        if d > limit && worst.is_none_or(|(_, w)| d > w) {
-            worst = Some((id, d));
+    let mut worst: Option<&RddNode> = None;
+    for node in nodes.iter().filter(|n| reachable[ix(n.id)]) {
+        let d = depth[ix(node.id)];
+        if d > limit && worst.is_none_or(|w| d > depth[ix(w.id)]) {
+            worst = Some(node);
         }
     }
-    let Some((id, d)) = worst else {
+    let Some(node) = worst else {
         return AuditReport::default();
     };
-    let name = by_id.get(&id).map_or("?", |n| n.name.as_str());
+    let (name, d) = (&node.name, depth[ix(node.id)]);
     AuditReport::new(vec![Diagnostic::new(
         DiagCode::UnrecoverableLineage,
-        Some(id),
+        Some(node.id),
         format!(
             "dataset '{name}' has an uncached lineage replay depth of {d}, beyond the {limit} \
              the fault plan's bounded retries can recover"
@@ -552,49 +372,37 @@ pub fn audit_recovery(nodes: &[AuditNode], target: RddId, config: &AuditConfig) 
     )])
 }
 
-/// Full preflight for one job: structural invariants plus caching
-/// anti-patterns (and, under an active fault plan, recoverability), with
-/// strict-mode promotion applied.
+/// Full preflight for one job: value checks plus caching anti-patterns
+/// (and, under an active fault plan, recoverability and the degradation
+/// knobs).
 pub fn audit_job(
     plan: &Plan,
     target: RddId,
     job_targets: &[RddId],
     config: &AuditConfig,
 ) -> AuditReport {
-    let nodes = extract(plan);
-    let mut diags = audit_structure(&nodes).diagnostics;
-    diags.extend(audit_caching(&nodes, target, job_targets, config).diagnostics);
-    diags.extend(audit_recovery(&nodes, target, config).diagnostics);
+    let mut diags = audit_values(plan).diagnostics;
+    diags.extend(audit_caching(plan, target, job_targets, config).diagnostics);
+    diags.extend(audit_recovery(plan, target, config).diagnostics);
     diags.extend(audit_degradation(config).diagnostics);
-    let report = AuditReport::new(diags);
-    if config.strict {
-        report.promoted()
-    } else {
-        report
-    }
+    AuditReport::new(diags)
 }
 
-/// Retrospective whole-application audit: structural invariants plus
-/// caching anti-patterns for every job target submitted over the
-/// application's lifetime.
+/// Retrospective whole-application audit: value checks plus caching
+/// anti-patterns for every job target submitted over the application's
+/// lifetime.
 pub fn audit_application(plan: &Plan, job_targets: &[RddId], config: &AuditConfig) -> AuditReport {
-    let nodes = extract(plan);
-    let mut diags = audit_structure(&nodes).diagnostics;
+    let mut diags = audit_values(plan).diagnostics;
     for &target in job_targets {
-        for d in audit_caching(&nodes, target, job_targets, config)
+        for d in audit_caching(plan, target, job_targets, config)
             .diagnostics
             .into_iter()
-            .chain(audit_recovery(&nodes, target, config).diagnostics)
+            .chain(audit_recovery(plan, target, config).diagnostics)
         {
             if !diags.contains(&d) {
                 diags.push(d);
             }
         }
     }
-    let report = AuditReport::new(diags);
-    if config.strict {
-        report.promoted()
-    } else {
-        report
-    }
+    AuditReport::new(diags)
 }

@@ -26,8 +26,9 @@
 //!   Fig. 1(b)/Fig. 8 view) as Graphviz DOT, with job targets and reused
 //!   datasets marked; it runs only the dependency-extraction pass.
 //!
-//! Every mode but `--validate` runs one application: `--apps` names at most
-//! one there (default: PageRank).
+//! Every mode but `--validate` runs one application once: `--apps` names at
+//! most one there (default: PageRank), and `--threads` at most one count
+//! (default: 1).
 //!
 //! ```sh
 //! cargo run --release -p blaze-bench --bin blaze-trace -- --utilization --apps pr --system blaze
@@ -75,7 +76,8 @@ fn usage() -> String {
          \x20      [--apps <a,b,..>] [--system <name>] [--threads <1,2,..>] [--faults]\n\
          apps:    {} (--validate default: all; every other mode runs one, default: pagerank)\n\
          systems: {}\n\
-         threads: worker-thread counts swept by --validate (default: 1,2,4)",
+         threads: worker-thread counts swept by --validate (default: 1,2,4); every other mode\n\
+         \x20        runs one (default: 1)",
         App::all().map(|a| a.key()).join(" "),
         SystemKind::all().map(|k| k.key()).join(" "),
     )
@@ -104,7 +106,7 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
         mode: Mode::Validate,
         apps: Vec::new(),
         system: SystemKind::Blaze,
-        threads: vec![1, 2, 4],
+        threads: Vec::new(),
         faults: false,
     };
     let mut it = argv.iter();
@@ -140,13 +142,16 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
         if opts.apps.is_empty() {
             opts.apps = App::all().to_vec();
         }
+        if opts.threads.is_empty() {
+            opts.threads = vec![1, 2, 4];
+        }
     } else if opts.apps.len() > 1 {
         return Err(format!("this mode runs one application; --apps named {}", opts.apps.len()));
-    } else if opts.apps.is_empty() {
-        opts.apps = vec![App::PageRank];
-    }
-    if opts.threads.is_empty() {
-        return Err("--threads needs at least one count".into());
+    } else if opts.threads.len() > 1 {
+        return Err(format!("this mode runs once; --threads named {}", opts.threads.len()));
+    } else {
+        opts.apps.resize(1, App::PageRank);
+        opts.threads.resize(1, 1);
     }
     Ok(opts)
 }
@@ -438,6 +443,19 @@ mod tests {
             assert!(err.contains("runs one application"), "{args:?}: {err}");
             assert!(parse(&[mode, &["--apps", "cc"]].concat()).is_ok(), "{mode:?}");
         }
+    }
+
+    #[test]
+    fn single_run_modes_refuse_several_thread_counts() {
+        for mode in [&["--ledger"][..], &["--utilization"], &["--timeline", "t.json"]] {
+            let args = [mode, &["--threads", "1,4"]].concat();
+            let err = parse(&args).unwrap_err();
+            assert!(err.contains("runs once"), "{args:?}: {err}");
+            assert_eq!(parse(&[mode, &["--threads", "4"]].concat()).unwrap().threads, [4]);
+            assert_eq!(parse(mode).unwrap().threads, [1], "{mode:?}");
+        }
+        assert_eq!(parse(&[]).unwrap().threads, [1, 2, 4]);
+        assert_eq!(parse(&["--validate", "--threads", "1,4"]).unwrap().threads, [1, 4]);
     }
 
     #[test]

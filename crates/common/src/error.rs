@@ -31,7 +31,7 @@ pub enum BlazeError {
     /// The preflight auditor found an error-severity diagnostic (see
     /// `blaze-audit`); the job was aborted before execution.
     Audit {
-        /// The stable diagnostic code (e.g. `BA002`).
+        /// The stable diagnostic code (e.g. `BA009`).
         code: String,
         /// The diagnostic message.
         message: String,
@@ -73,8 +73,8 @@ mod tests {
         assert!(e.to_string().contains("rdd-3[1]"));
         let e = BlazeError::Solver("infeasible".into());
         assert!(e.to_string().contains("infeasible"));
-        let e = BlazeError::Audit { code: "BA002".into(), message: "dangling parent".into() };
-        assert!(e.to_string().contains("BA002") && e.to_string().contains("dangling parent"));
+        let e = BlazeError::Audit { code: "BA009".into(), message: "negative ser_factor".into() };
+        assert!(e.to_string().contains("BA009") && e.to_string().contains("negative ser_factor"));
     }
 
     #[test]

@@ -198,8 +198,14 @@ impl Plan {
 
     /// Appends a node built by `build` (which receives the assigned id).
     ///
-    /// Dependencies must reference existing nodes; this is validated so the
-    /// plan is cycle-free by construction.
+    /// This is where the plan's structural invariants are established, and
+    /// nothing re-checks them: the node carries the assigned id, has at least
+    /// one partition, and depends only on nodes defined before it (so the
+    /// plan is cycle-free by construction); a source has no dependencies and
+    /// an operator at least one; a narrow operator reads only narrow
+    /// dependencies with its own partition count, a shuffle aggregation only
+    /// shuffle dependencies. `Plan::node_mut` is crate-private so that no
+    /// caller can reshape a node after this check.
     pub fn add_node(&mut self, build: impl FnOnce(RddId) -> RddNode) -> Result<RddId> {
         let id = RddId(self.nodes.len() as u32);
         let node = build(id);
@@ -263,8 +269,9 @@ impl Plan {
         self.nodes.get(id.raw() as usize).ok_or_else(|| BlazeError::UnknownRdd(id.to_string()))
     }
 
-    /// Looks up a node mutably.
-    pub fn node_mut(&mut self, id: RddId) -> Result<&mut RddNode> {
+    /// Looks up a node mutably (the `Dataset` metadata setters; they never
+    /// touch the shape [`Plan::add_node`] checked).
+    pub(crate) fn node_mut(&mut self, id: RddId) -> Result<&mut RddNode> {
         self.nodes.get_mut(id.raw() as usize).ok_or_else(|| BlazeError::UnknownRdd(id.to_string()))
     }
 
@@ -386,6 +393,70 @@ mod tests {
         let mut plan = Plan::new();
         let err = plan.add_node(|id| source_node(id, 0)).unwrap_err();
         assert!(matches!(err, BlazeError::InvalidPlan(_)));
+    }
+
+    fn shuffle_dep(parent: RddId) -> Dep {
+        Dep::Shuffle { parent, map_side: Arc::new(|b, n| Ok(vec![b.clone(); n])) }
+    }
+
+    fn shuffle_node(id: RddId, dep: Dep, parts: usize) -> RddNode {
+        RddNode {
+            name: "reduce".into(),
+            deps: vec![dep],
+            compute: Compute::ShuffleAgg(Arc::new(|_, buckets| Ok(buckets[0][0].clone()))),
+            cost: CostSpec::SHUFFLE_AGG,
+            ..narrow_node(id, RddId(0), parts)
+        }
+    }
+
+    fn assert_invalid(plan: &mut Plan, node: RddNode, what: &str) {
+        let len = plan.len();
+        let err = plan.add_node(move |_| node).unwrap_err();
+        assert!(matches!(&err, BlazeError::InvalidPlan(m) if m.contains(what)), "{err}");
+        assert_eq!(plan.len(), len, "a refused node must not be appended");
+    }
+
+    #[test]
+    fn rejects_source_with_deps() {
+        let mut plan = Plan::new();
+        let s = plan.add_node(|id| source_node(id, 2)).unwrap();
+        let bad = RddNode { deps: vec![Dep::Narrow(s)], ..source_node(RddId(1), 2) };
+        assert_invalid(&mut plan, bad, "source with deps");
+    }
+
+    #[test]
+    fn rejects_operators_without_deps() {
+        let mut plan = Plan::new();
+        plan.add_node(|id| source_node(id, 2)).unwrap();
+        let narrow = RddNode { deps: vec![], ..narrow_node(RddId(1), RddId(0), 2) };
+        assert_invalid(&mut plan, narrow, "operator without deps");
+        let shuffle = RddNode { deps: vec![], ..shuffle_node(RddId(1), shuffle_dep(RddId(0)), 2) };
+        assert_invalid(&mut plan, shuffle, "operator without deps");
+    }
+
+    #[test]
+    fn rejects_narrow_compute_with_shuffle_dep() {
+        let mut plan = Plan::new();
+        let s = plan.add_node(|id| source_node(id, 2)).unwrap();
+        let bad = RddNode { deps: vec![shuffle_dep(s)], ..narrow_node(RddId(1), s, 2) };
+        assert_invalid(&mut plan, bad, "narrow compute with shuffle dep");
+    }
+
+    #[test]
+    fn rejects_shuffle_aggregation_with_narrow_dep() {
+        let mut plan = Plan::new();
+        let s = plan.add_node(|id| source_node(id, 2)).unwrap();
+        assert_invalid(&mut plan, shuffle_node(RddId(1), Dep::Narrow(s), 2), "shuffle compute");
+        // The same node through a shuffle dependency is accepted, at any
+        // partition count.
+        plan.add_node(|id| shuffle_node(id, shuffle_dep(s), 3)).unwrap();
+    }
+
+    #[test]
+    fn rejects_a_node_built_with_another_id() {
+        let mut plan = Plan::new();
+        plan.add_node(|id| source_node(id, 2)).unwrap();
+        assert_invalid(&mut plan, source_node(RddId(7), 2), "built with id rdd-7");
     }
 
     #[test]

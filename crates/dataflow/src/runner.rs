@@ -4,7 +4,8 @@
 //! [`JobRunner`] installed in the [`Context`](crate::Context). The simulated
 //! cluster in `blaze-engine` is the production implementation; the
 //! [`LocalRunner`] here is a minimal, cache-everything reference executor
-//! used for functional tests of the operator semantics themselves.
+//! used for functional tests of the operator semantics themselves. It runs
+//! no plan audit: the engine's per-job preflight (`blaze-audit`) does.
 
 use crate::block::Block;
 use crate::plan::{Compute, Dep, Plan};
@@ -23,11 +24,6 @@ pub trait JobRunner: Send + Sync + 'static {
     fn on_unpersist(&self, _rdd: RddId) {}
 }
 
-/// A plan check run before each job executes (e.g. the static auditor in
-/// `blaze-audit`); returning an error aborts the job without running any
-/// task.
-pub type PreflightFn = Arc<dyn Fn(&Plan, RddId) -> Result<()> + Send + Sync>;
-
 /// A reference in-process executor.
 ///
 /// Memoizes every materialized partition (an effectively infinite cache), so
@@ -40,8 +36,6 @@ pub struct LocalRunner {
     /// Map-side shuffle buckets keyed by (consumer RDD, dep index, map task).
     buckets: Mutex<FxHashMap<(RddId, usize, usize), Vec<Block>>>,
     threads: usize,
-    /// Optional preflight check run before each job.
-    preflight: Option<PreflightFn>,
 }
 
 impl Default for LocalRunner {
@@ -53,20 +47,13 @@ impl Default for LocalRunner {
 impl LocalRunner {
     /// Creates a fresh single-threaded runner with empty memo tables.
     pub fn new() -> Self {
-        Self { blocks: Mutex::default(), buckets: Mutex::default(), threads: 1, preflight: None }
+        Self { blocks: Mutex::default(), buckets: Mutex::default(), threads: 1 }
     }
 
     /// Sets the number of worker threads used per job (min 1).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Installs a preflight check run against the plan before each job.
-    #[must_use]
-    pub fn with_preflight(mut self, preflight: PreflightFn) -> Self {
-        self.preflight = Some(preflight);
         self
     }
 
@@ -132,9 +119,6 @@ impl LocalRunner {
 impl JobRunner for LocalRunner {
     fn run_job(&self, plan: &Arc<RwLock<Plan>>, target: RddId) -> Result<Vec<Block>> {
         let plan = plan.read();
-        if let Some(preflight) = &self.preflight {
-            preflight(&plan, target)?;
-        }
         let parts = plan.node(target)?.num_partitions;
         let workers = self.threads.min(parts);
         if workers <= 1 {
@@ -283,6 +267,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn map_side_runs_once_per_map_task() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (plan, target) = mk_plan();
+        let calls = Arc::new(AtomicUsize::new(0));
+        {
+            let mut plan = plan.write();
+            let Dep::Shuffle { map_side, .. } = &mut plan.node_mut(target).unwrap().deps[0] else {
+                panic!("the target reads through a shuffle");
+            };
+            let (inner, calls) = (Arc::clone(map_side), Arc::clone(&calls));
+            *map_side = Arc::new(move |block, n| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                inner(block, n)
+            });
+        }
+        LocalRunner::new().run_job(&plan, target).unwrap();
+        // Two map tasks feed two reducers: the buckets are memoized across
+        // reducers, so each map side runs once.
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -293,8 +293,7 @@ impl ClusterState {
     /// Preflight audit (see `blaze-audit`): error-severity diagnostics
     /// abort the job with [`BlazeError::Audit`] before any task runs;
     /// warning-severity findings are recorded, one [`TraceEvent::AuditWarning`]
-    /// per (code, dataset). [`ClusterConfig::strict_audit`] promotes warnings
-    /// to errors.
+    /// per (code, dataset).
     fn preflight_audit(&mut self, plan: &Plan, target: RddId) -> Result<()> {
         if !self.job_targets.contains(&target) {
             self.job_targets.push(target);
@@ -312,7 +311,6 @@ impl ClusterState {
             total_memory: Some(self.config.total_memory()),
             total_disk: Some(self.config.disk_capacity * self.config.executors as u64),
             size_estimates,
-            strict: self.config.strict_audit,
             recovery_depth_limit: fault.max_recoverable_depth(),
             lineage_through_shuffles: !fault.external_shuffle_service,
             degradation: fault.enabled().then_some(blaze_audit::DegradationAuditInput {

@@ -119,10 +119,6 @@ pub struct ClusterConfig {
     /// the plan/execute/commit pipeline in `cluster.rs`). Defaults to the
     /// host's available parallelism.
     pub worker_threads: usize,
-    /// Strict preflight auditing: warning-severity diagnostics from the
-    /// `blaze-audit` plan auditor (caching anti-patterns) abort the job
-    /// instead of only being counted in [`crate::metrics::Metrics`].
-    pub strict_audit: bool,
     /// Deterministic fault-injection schedule. The default plan is fully
     /// disabled and the engine takes no fault path at all (zero cost;
     /// byte-identical results and metrics to a build without the feature).
@@ -144,7 +140,6 @@ impl Default for ClusterConfig {
             disk_capacity: ByteSize::from_gib(8),
             hardware: HardwareModel::default(),
             worker_threads: default_worker_threads(),
-            strict_audit: false,
             fault: FaultPlan::default(),
             tracing: false,
         }

@@ -98,6 +98,15 @@ done
 # proving the verifier has teeth, not just that the solvers are honest.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-certify -- \
     --quick --mutate --all
+# Diagnostic registry: list every code, then explain each listed one with
+# output discarded, so a registry entry that panics or no longer parses
+# fails here.
+echo "ci: blaze-audit --list, then --explain for every listed code"
+codes=$(cargo run -q $OFFLINE --release -p blaze-audit --bin blaze-audit -- --list | cut -d' ' -f1)
+[ -n "$codes" ]
+for code in $codes; do
+    cargo run -q $OFFLINE --release -p blaze-audit --bin blaze-audit -- --explain "$code" >/dev/null
+done
 # Layer-2 static analysis: the determinism source lint (including the
 # decision-path hash-container and float-cast rules) must be clean before
 # the (slower) clippy pass runs.
