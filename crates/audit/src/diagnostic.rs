@@ -23,9 +23,9 @@ pub enum Severity {
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Severity::Info => f.write_str("info"),
-            Severity::Warning => f.write_str("warning"),
-            Severity::Error => f.write_str("error"),
+            Severity::Info => f.pad("info"),
+            Severity::Warning => f.pad("warning"),
+            Severity::Error => f.pad("error"),
         }
     }
 }
@@ -84,10 +84,6 @@ pub enum DiagCode {
     /// `end < start`, overlapping spans on one executor slot, or a task
     /// committed outside an open job span.
     TraceSpanNesting,
-    /// BA402: summing the trace's event durations/counts does not reproduce
-    /// the run's `Metrics` aggregates (busy time, hit/eviction counters,
-    /// recompute-by-job, recovery totals).
-    TraceAggregateMismatch,
     /// BA403: a cache event is unpaired — an eviction, spill or unpersist
     /// of a block with no earlier admission, or a double admission without
     /// an intervening removal.
@@ -118,7 +114,7 @@ impl DiagCode {
     /// Every diagnostic code, in code order. This is the single registry the
     /// `blaze-audit` CLI lists and explains from; adding a variant without
     /// extending it fails the registry unit test.
-    pub const ALL: [DiagCode; 19] = [
+    pub const ALL: [DiagCode; 18] = [
         DiagCode::PartitionerMismatch,
         DiagCode::InvalidCostSpec,
         DiagCode::PartitionerHoldViolation,
@@ -131,7 +127,6 @@ impl DiagCode {
         DiagCode::StragglerBudgetExceeded,
         DiagCode::CorruptionWithoutDiskTier,
         DiagCode::TraceSpanNesting,
-        DiagCode::TraceAggregateMismatch,
         DiagCode::TraceUnpairedCacheEvent,
         DiagCode::PrematureUnpersist,
         DiagCode::InfeasibleIncumbent,
@@ -155,7 +150,6 @@ impl DiagCode {
             DiagCode::StragglerBudgetExceeded => "BA302",
             DiagCode::CorruptionWithoutDiskTier => "BA303",
             DiagCode::TraceSpanNesting => "BA401",
-            DiagCode::TraceAggregateMismatch => "BA402",
             DiagCode::TraceUnpairedCacheEvent => "BA403",
             DiagCode::PrematureUnpersist => "BA404",
             DiagCode::InfeasibleIncumbent => "BA501",
@@ -185,7 +179,6 @@ impl DiagCode {
             DiagCode::StragglerBudgetExceeded => "large straggler slowdown without speculation",
             DiagCode::CorruptionWithoutDiskTier => "spill corruption injected with no disk tier",
             DiagCode::TraceSpanNesting => "event-trace span nesting violation",
-            DiagCode::TraceAggregateMismatch => "trace aggregates disagree with metrics",
             DiagCode::TraceUnpairedCacheEvent => "unpaired cache admit/evict event",
             DiagCode::PrematureUnpersist => "premature-unpersist: dropped, then recomputed",
             DiagCode::InfeasibleIncumbent => "certificate incumbent infeasible or mispriced",
@@ -257,10 +250,6 @@ impl DiagCode {
                 "The event trace violates span nesting: a task span ends before it starts, \
                  spans overlap on one executor slot, or a task commits outside an open job."
             }
-            DiagCode::TraceAggregateMismatch => {
-                "Summing the trace's event durations and counts does not reproduce the \
-                 run's Metrics aggregates; the trace and the metrics cannot both be right."
-            }
             DiagCode::TraceUnpairedCacheEvent => {
                 "A cache event is unpaired: an eviction, spill or unpersist of a block with \
                  no earlier admission, or a double admission without an intervening removal."
@@ -312,7 +301,6 @@ impl DiagCode {
             | DiagCode::LineageMismatch
             | DiagCode::UnrecoverableLineage
             | DiagCode::TraceSpanNesting
-            | DiagCode::TraceAggregateMismatch
             | DiagCode::TraceUnpairedCacheEvent
             | DiagCode::InfeasibleIncumbent
             | DiagCode::UnsoundPruneBound
@@ -459,6 +447,13 @@ mod tests {
         assert!(!report.is_clean());
         assert!(!report.passes());
         assert_eq!(report.warnings().count(), 1);
+    }
+
+    #[test]
+    fn severity_honours_the_width_of_a_listing_column() {
+        assert_eq!(format!("{:<8}|", Severity::Error), "error   |");
+        assert_eq!(format!("{:<8}|", Severity::Warning), "warning |");
+        assert_eq!(Severity::Info.to_string(), "info");
     }
 
     #[test]

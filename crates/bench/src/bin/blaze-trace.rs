@@ -9,10 +9,10 @@
 //!   self-consistency contract: the Chrome-trace export must be
 //!   byte-identical across thread counts, metrics must match (also against
 //!   one untraced run: tracing only retains events), and the trace's own
-//!   audit (span nesting, aggregate reconciliation, cache event pairing —
-//!   BA401..BA403) must find no error. Its warnings — BA404, blocks a
-//!   controller command dropped and a later task recomputed — are counted
-//!   per run and printed, and do not fail the sweep.
+//!   audit (span nesting and cache event pairing — BA401, BA403) must find
+//!   no error. Its warnings — BA404, blocks a controller command dropped
+//!   and a later task recomputed — are counted per run and printed, and do
+//!   not fail the sweep.
 //! - `--timeline <path>` writes the Chrome trace-event JSON for one run
 //!   (load it in `chrome://tracing` or Perfetto).
 //! - `--ledger` prints the per-job cache-decision ledger.
@@ -21,7 +21,8 @@
 //! - `--diff <system>` diffs the trace against a second system's run of
 //!   the same application.
 //! - `--utilization` prints per-executor utilization, task-duration
-//!   percentiles and the ten slowest tasks of one run.
+//!   percentiles and the ten slowest tasks of one run, read from the
+//!   trace's committed-task spans.
 //! - `--dot` prints the application's profiled lineage (the paper's
 //!   Fig. 1(b)/Fig. 8 view) as Graphviz DOT, with job targets and reused
 //!   datasets marked; it runs only the dependency-extraction pass.
@@ -41,11 +42,12 @@
 //! it lives in the bench crate.
 
 use blaze_bench::table::{secs, Table};
-use blaze_common::ids::{BlockId, RddId};
+use blaze_common::ids::{BlockId, ExecutorId, RddId};
 use blaze_common::{SimDuration, SimTime};
 use blaze_core::{extract_dependencies, ProfileResult};
-use blaze_engine::{ExecutorCrash, FaultPlan, Metrics, TraceLog};
+use blaze_engine::{ExecutorCrash, FaultPlan, Metrics, TaskTrace, TraceEvent, TraceLog};
 use blaze_workloads::{App, AppSpec, RunOutcome, Session, SystemKind};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// Parsed command line.
@@ -209,7 +211,7 @@ fn validate(opts: &Options) -> usize {
         let untraced = run(opts, app, opts.system, opts.threads[0], false).metrics;
         for &t in &opts.threads {
             let (out, trace) = traced(opts, app, opts.system, t);
-            let report = trace.validate(&out.metrics);
+            let report = trace.validate();
             if !report.passes() {
                 failures += 1;
                 eprintln!("FAIL {} threads={t}: trace audit found:", app.key());
@@ -303,8 +305,8 @@ fn main() -> ExitCode {
         }
         Mode::Utilization => {
             let app = opts.apps[0];
-            let out = run(&opts, app, opts.system, opts.threads[0], false);
-            utilization(app, opts.system, &out.metrics);
+            let (out, trace) = traced(&opts, app, opts.system, opts.threads[0]);
+            utilization(app, opts.system, &out.metrics, &task_spans(&trace));
         }
         Mode::Dot => {
             let app = opts.apps[0];
@@ -321,9 +323,40 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The committed-task spans of a run, in commit order.
+fn task_spans(trace: &TraceLog) -> Vec<TaskTrace> {
+    trace
+        .events()
+        .iter()
+        .filter_map(|ev| match ev {
+            TraceEvent::TaskCommitted(t) => Some(*t),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Busy time (the sum of task durations) per executor, by executor.
+fn busy_time_per_executor(spans: &[TaskTrace]) -> BTreeMap<ExecutorId, SimDuration> {
+    let mut busy = BTreeMap::new();
+    for t in spans {
+        *busy.entry(t.executor).or_default() += t.duration();
+    }
+    busy
+}
+
+/// The `n` longest tasks (stragglers), longest first. Ties are ordered by
+/// (job, stage output, partition) ascending — a total order, so the answer
+/// does not depend on the order the spans were committed in.
+fn slowest_tasks(spans: &[TaskTrace], n: usize) -> Vec<TaskTrace> {
+    let mut slowest = spans.to_vec();
+    slowest.sort_by_key(|t| (std::cmp::Reverse(t.duration()), t.job, t.stage_output, t.partition));
+    slowest.truncate(n);
+    slowest
+}
+
 /// `--utilization`: per-executor utilization, task-duration percentiles and
 /// the stragglers of one run.
-fn utilization(app: App, system: SystemKind, m: &Metrics) {
+fn utilization(app: App, system: SystemKind, m: &Metrics, spans: &[TaskTrace]) {
     let act = m.completion_time.as_secs_f64();
     println!(
         "== timeline: {} under {} — ACT {} over {} tasks ==\n",
@@ -333,11 +366,9 @@ fn utilization(app: App, system: SystemKind, m: &Metrics) {
         m.tasks
     );
 
-    let mut busy: Vec<_> = m.busy_time_per_executor().into_iter().collect();
-    busy.sort_by_key(|(e, _)| *e);
     let slots = AppSpec::evaluation(app).slots as f64;
     let mut t = Table::new(["executor", "busy", "utilization"]);
-    for (exec, b) in busy {
+    for (exec, b) in busy_time_per_executor(spans) {
         t.row([
             exec.to_string(),
             secs(b.as_secs_f64()),
@@ -346,8 +377,7 @@ fn utilization(app: App, system: SystemKind, m: &Metrics) {
     }
     println!("{}", t.render());
 
-    let mut durations: Vec<f64> =
-        m.task_traces.iter().map(|t| t.duration().as_secs_f64()).collect();
+    let mut durations: Vec<f64> = spans.iter().map(|t| t.duration().as_secs_f64()).collect();
     durations.sort_by(|a, b| a.partial_cmp(b).expect("finite durations"));
     let pct = |p: f64| durations[((durations.len() - 1) as f64 * p) as usize];
     println!(
@@ -359,7 +389,7 @@ fn utilization(app: App, system: SystemKind, m: &Metrics) {
     );
 
     let mut t = Table::new(["task", "stage", "exec/slot", "start", "duration", "dominant cost"]);
-    for trace in m.slowest_tasks(10) {
+    for trace in slowest_tasks(spans, 10) {
         let c = trace.charge;
         let categories = [
             ("compute", c.compute),
@@ -466,6 +496,34 @@ mod tests {
             parse(&["--apps", "pagerank,cc"]).unwrap().apps,
             [App::PageRank, App::ConnectedComponents]
         );
+    }
+
+    fn span(job: u32, stage: u32, partition: u32, dur_ms: u64) -> TaskTrace {
+        TaskTrace {
+            job: blaze_common::ids::JobId(job),
+            stage_output: RddId(stage),
+            partition,
+            executor: ExecutorId(0),
+            slot: 0,
+            start: SimTime::ZERO,
+            end: SimTime::ZERO + SimDuration::from_millis(dur_ms),
+            charge: Default::default(),
+        }
+    }
+
+    #[test]
+    fn slowest_tasks_orders_ties_by_stage_and_task_id() {
+        // Regression: equal-duration tasks used to surface in push order.
+        // The canonical order is duration desc, then (job, stage, partition)
+        // ascending — independent of recording order.
+        let spans = [span(1, 9, 1, 10), span(0, 7, 3, 10), span(1, 9, 0, 10), span(0, 7, 2, 20)];
+        let top = slowest_tasks(&spans, 3);
+        let key: Vec<(u32, u32, u32)> =
+            top.iter().map(|t| (t.job.raw(), t.stage_output.raw(), t.partition)).collect();
+        assert_eq!(key, vec![(0, 7, 2), (0, 7, 3), (1, 9, 0)]);
+        // n larger than the span count returns everything, still ordered.
+        assert_eq!(slowest_tasks(&spans, 10).len(), 4);
+        assert!(slowest_tasks(&spans, 0).is_empty());
     }
 
     #[test]

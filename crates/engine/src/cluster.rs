@@ -35,7 +35,7 @@
 //!   `fault.rs`): slot assignment on the simulated clocks, replay of the
 //!   event logs through the [`CacheController`] hooks (admissions,
 //!   evictions, promotions, shuffle registration) and accounting: every
-//!   countable thing that happens is one `ClusterState::emit` of a
+//!   countable thing that happens is one `Accounting::emit` of a
 //!   [`TraceEvent`].
 //!
 //! Because every controller decision and every simulated-time composition
@@ -43,6 +43,7 @@
 //! behaviour are bit-identical for any `worker_threads` value; real
 //! parallelism only changes wall-clock time.
 
+use crate::accounting::Accounting;
 use crate::commit::TaskCoords;
 use crate::config::ClusterConfig;
 use crate::controller::{CacheController, CtrlCtx};
@@ -50,10 +51,10 @@ use crate::exec::{execute_stage, ExecView, TaskOutput};
 use crate::metrics::Metrics;
 use crate::storage::BlockStore;
 use crate::store_ops::Stores;
-use crate::tracing::{CacheDecision, CacheRecord, TraceEvent, TraceLog};
+use crate::tracing::{TraceEvent, TraceLog};
 use blaze_common::error::{BlazeError, Result};
 use blaze_common::fxhash::{FxHashMap, FxHashSet};
-use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
+use blaze_common::ids::{ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimTime};
 use blaze_dataflow::plan::Dep;
 use blaze_dataflow::runner::JobRunner;
@@ -81,7 +82,7 @@ impl Cluster {
 
     /// Returns a snapshot of the run metrics so far.
     pub fn metrics(&self) -> Metrics {
-        self.state.lock().metrics.clone()
+        self.state.lock().acct.metrics().clone()
     }
 
     /// Returns the cluster configuration.
@@ -92,7 +93,7 @@ impl Cluster {
     /// Returns a snapshot of the structured event trace, or `None` when
     /// [`ClusterConfig::tracing`] is off.
     pub fn trace(&self) -> Option<TraceLog> {
-        self.state.lock().trace.clone()
+        self.state.lock().acct.trace().cloned()
     }
 
     /// Current bytes resident in each executor's memory store.
@@ -161,12 +162,9 @@ pub(crate) struct ClusterState {
     /// are validated to be time-ordered and fire exactly once).
     pub(crate) next_crash: usize,
 
-    // -- Accounting: written through `emit`, from the serial phases only.
-    /// The fold of every emitted event ([`Self::emit`]), every field.
-    pub(crate) metrics: Metrics,
-    /// The retained event stream, present only when
-    /// [`ClusterConfig::tracing`] is on. Written by [`Self::emit`] alone.
-    pub(crate) trace: Option<TraceLog>,
+    // -- Accounting: the metrics and the retained event stream, written by
+    //    `Accounting::emit` alone, from the serial phases only.
+    pub(crate) acct: Accounting,
 
     // -- Job driver (this module).
     /// The id the next admitted job gets (jobs number from zero, like a
@@ -178,33 +176,6 @@ pub(crate) struct ClusterState {
     job_targets: Vec<RddId>,
     /// Warning diagnostics already counted, per (code, dataset).
     seen_audit: FxHashSet<(blaze_audit::DiagCode, Option<RddId>)>,
-}
-
-/// One admitted job's in-flight execution state, between the phases of
-/// [`ClusterState::run_job`].
-///
-/// Produced by [`ClusterState::begin_job`]; each [`ClusterState::run_next_stage`]
-/// call advances it by one stage; [`ClusterState::finish_job`] consumes it.
-/// The ticket owns its stage plan and dependency clocks (`stage_done` floors
-/// at `job_floor`, the global clock floor at admission).
-struct JobTicket {
-    job: JobId,
-    job_plan: blaze_dataflow::planner::JobPlan,
-    /// Which shuffles each map stage feeds within this job.
-    consumers: FxHashMap<RddId, Vec<(RddId, usize)>>,
-    /// Per-stage completion times, seeded with `job_floor`.
-    stage_done: Vec<SimTime>,
-    /// Global clock floor at admission; all stage starts fold from here.
-    job_floor: SimTime,
-    /// Result-stage blocks accumulated so far.
-    results: Vec<Block>,
-    next_stage: usize,
-}
-
-impl JobTicket {
-    fn done(&self) -> bool {
-        self.next_stage >= self.job_plan.stages.len()
-    }
 }
 
 /// One stage in flight between its plan and commit phases: what runs, where
@@ -233,13 +204,12 @@ impl ClusterState {
         Self {
             stores: Stores::new(&config),
             slots: vec![vec![SimTime::ZERO; config.slots_per_executor]; config.executors],
-            metrics: Metrics::new(),
+            acct: Accounting::new(config.tracing),
             next_job: 0,
             clock_floor: SimTime::ZERO,
             job_targets: Vec::new(),
             seen_audit: FxHashSet::default(),
             next_crash: 0,
-            trace: config.tracing.then(TraceLog::new),
             config,
             controller,
         }
@@ -262,32 +232,6 @@ impl ClusterState {
         }
     }
 
-    // ---- Accounting ------------------------------------------------------
-
-    /// The engine's one accounting statement: folds `ev` into the metrics
-    /// and, when tracing is on, retains it in the log. Only called from the
-    /// serial engine phases, so both are identical across `worker_threads`.
-    pub(crate) fn emit(&mut self, ev: TraceEvent) {
-        self.metrics.apply(&ev);
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record(ev);
-        }
-    }
-
-    /// Emits one cache decision.
-    pub(crate) fn emit_cache(
-        &mut self,
-        at: SimTime,
-        executor: ExecutorId,
-        id: BlockId,
-        bytes: ByteSize,
-        decision: CacheDecision,
-        rationale: Option<String>,
-    ) {
-        let record = CacheRecord { at, executor, id, bytes, decision, rationale };
-        self.emit(TraceEvent::Cache(record));
-    }
-
     // ---- Job execution ---------------------------------------------------
 
     /// Preflight audit (see `blaze-audit`): error-severity diagnostics
@@ -298,14 +242,19 @@ impl ClusterState {
         if !self.job_targets.contains(&target) {
             self.job_targets.push(target);
         }
-        // Size estimates for the capacity check come from blocks the
-        // cluster has already materialized (per-dataset resident bytes).
-        let mut size_estimates: FxHashMap<RddId, ByteSize> = FxHashMap::default();
-        for store in self.stores.mem.iter().chain(self.stores.disk.iter()) {
-            for (id, sb) in store.iter() {
-                *size_estimates.entry(id.rdd).or_insert(ByteSize::ZERO) += sb.logical_bytes;
-            }
-        }
+        // Size estimates for the capacity check (BA103, which reads live
+        // cache annotations only) come from blocks the cluster has already
+        // materialized: per-dataset resident bytes.
+        let stores = || self.stores.mem.iter().chain(&self.stores.disk);
+        let size_estimates: FxHashMap<RddId, ByteSize> = plan
+            .nodes()
+            .iter()
+            .filter(|n| n.cache_annotated && !n.unpersist_requested)
+            .filter_map(|n| {
+                let resident = stores().filter_map(|s| s.rdd_logical_bytes(n.id));
+                Some((n.id, resident.reduce(|a, b| a + b)?))
+            })
+            .collect();
         let fault = &self.config.fault;
         let audit_config = blaze_audit::AuditConfig {
             total_memory: Some(self.config.total_memory()),
@@ -331,7 +280,7 @@ impl ClusterState {
         for d in report.warnings() {
             if self.seen_audit.insert((d.code, d.rdd)) {
                 let at = self.clock_floor;
-                self.emit(TraceEvent::AuditWarning { at, code: d.code, rdd: d.rdd });
+                self.acct.emit(TraceEvent::AuditWarning { at, code: d.code, rdd: d.rdd });
             }
         }
         Ok(())
@@ -352,19 +301,12 @@ impl ClusterState {
         );
     }
 
-    /// Runs one job: admit it, run its stages in order, finish it.
+    /// Runs one job: preflight audit, job numbering, fault housekeeping,
+    /// the controller's submit hook and stage planning, then every stage in
+    /// order. Stage starts floor at the clock floor of the job's admission;
+    /// the job ends with its result stage, and the floor advances
+    /// (monotonically) to that end.
     fn run_job(&mut self, plan: &Plan, target: RddId) -> Result<Vec<Block>> {
-        let mut ticket = self.begin_job(plan, target)?;
-        while !ticket.done() {
-            self.run_next_stage(&mut ticket, plan)?;
-        }
-        self.finish_job(ticket)
-    }
-
-    /// Admits one job: preflight audit, job numbering, fault housekeeping,
-    /// controller submit hook, and stage planning. The returned
-    /// [`JobTicket`] carries everything the per-stage execution needs.
-    fn begin_job(&mut self, plan: &Plan, target: RddId) -> Result<JobTicket> {
         self.preflight_audit(plan, target)?;
         let job = JobId(self.next_job);
         self.next_job += 1;
@@ -376,7 +318,7 @@ impl ClusterState {
             self.fire_idle_crashes(self.clock_floor);
             self.inject_map_output_loss(job);
         }
-        self.emit(TraceEvent::JobStarted { at: self.clock_floor, job, target });
+        self.acct.emit(TraceEvent::JobStarted { at: self.clock_floor, job, target });
 
         // Which shuffles does each map stage feed within this job?
         let mut consumers: FxHashMap<RddId, Vec<(RddId, usize)>> = FxHashMap::default();
@@ -396,52 +338,53 @@ impl ClusterState {
         let cmds = self.controller.on_job_submit(&ctx, job, &job_plan, plan);
         self.apply_commands(self.clock_floor, cmds);
 
-        let stage_done = vec![self.clock_floor; job_plan.stages.len()];
-        Ok(JobTicket {
-            job,
-            job_floor: self.clock_floor,
-            job_plan,
-            consumers,
-            stage_done,
-            results: Vec::new(),
-            next_stage: 0,
-        })
+        let job_floor = self.clock_floor;
+        let last = job_plan.stages.len() - 1;
+        let mut stage_done = vec![job_floor; job_plan.stages.len()];
+        let mut results = Vec::new();
+        for stage in &job_plan.stages {
+            let start = stage.parent_stages.iter().fold(job_floor, |t, &p| t.max(stage_done[p]));
+            let mut run = StageRun {
+                plan,
+                job,
+                output: stage.output,
+                index: stage.index as u32,
+                consumers: consumers.get(&stage.output).map_or(&[][..], Vec::as_slice),
+                fault_on: self.config.fault.enabled(),
+                start,
+                placements: Vec::new(),
+                outputs: Vec::new(),
+            };
+            let sink = (stage.index == last).then_some(&mut results);
+            stage_done[stage.index] = self.run_stage(&mut run, stage.num_partitions, sink)?;
+        }
+        let end = stage_done[last];
+        self.clock_floor = self.clock_floor.max(end);
+        self.acct.emit(TraceEvent::JobCompleted { at: end, job });
+        Ok(results)
     }
 
-    /// Runs the ticket's next stage end to end: skip check, plan, execute,
-    /// commit. Stage starts floor at the ticket's own `job_floor`.
-    fn run_next_stage(&mut self, ticket: &mut JobTicket, plan: &Plan) -> Result<()> {
-        let stage = &ticket.job_plan.stages[ticket.next_stage];
-        ticket.next_stage += 1;
-        let is_result = stage.index == ticket.job_plan.stages.len() - 1;
-        let start =
-            stage.parent_stages.iter().fold(ticket.job_floor, |t, &p| t.max(ticket.stage_done[p]));
-        let mut run = StageRun {
-            plan,
-            job: ticket.job,
-            output: stage.output,
-            index: stage.index as u32,
-            consumers: ticket.consumers.get(&stage.output).map_or(&[][..], Vec::as_slice),
-            fault_on: self.config.fault.enabled(),
-            start,
-            placements: Vec::new(),
-            outputs: Vec::new(),
-        };
-
-        if !is_result && self.skip_check(&run, stage.num_partitions) {
-            ticket.stage_done[stage.index] = start;
+    /// Runs one stage end to end: skip check, plan, execute, commit and the
+    /// completion hook. Returns the stage's end (its start when skipped); a
+    /// result stage, the one given `results`, is never skipped and leaves
+    /// its blocks there.
+    fn run_stage(
+        &mut self,
+        run: &mut StageRun<'_>,
+        num_tasks: usize,
+        results: Option<&mut Vec<Block>>,
+    ) -> Result<SimTime> {
+        if results.is_none() && self.skip_check(run, num_tasks) {
             // Skipped stages still "complete": dependency-aware
             // controllers must see their references consumed.
-            self.stage_completed(&run, start, true);
-            return Ok(());
+            self.stage_completed(run, run.start, true);
+            return Ok(run.start);
         }
-
-        self.plan_and_execute(&mut run, stage.num_partitions)?;
-        let stage_end = self.commit_stage(&mut run, is_result.then_some(&mut ticket.results))?;
-        ticket.stage_done[stage.index] = stage_end;
+        self.plan_and_execute(run, num_tasks)?;
+        let stage_end = self.commit_stage(run, results)?;
         self.debug_check_store_accounting();
-        self.stage_completed(&run, stage_end, false);
-        Ok(())
+        self.stage_completed(run, stage_end, false);
+        Ok(stage_end)
     }
 
     /// The stage-completion hook (auto-caching / prefetch), the state
@@ -460,7 +403,7 @@ impl ClusterState {
             );
         }
         let disk_resident = (!skipped).then(|| self.stores.disk.iter().map(BlockStore::used).sum());
-        self.emit(TraceEvent::StageCompleted {
+        self.acct.emit(TraceEvent::StageCompleted {
             at,
             job: run.job,
             stage_output: run.output,
@@ -479,7 +422,7 @@ impl ClusterState {
             return true;
         }
         if run.fault_on && run.consumers.iter().any(|&s| shuffle.any_lost(s)) {
-            self.emit(TraceEvent::StageResubmitted {
+            self.acct.emit(TraceEvent::StageResubmitted {
                 at: run.start,
                 job: run.job,
                 stage_output: run.output,
@@ -496,7 +439,7 @@ impl ClusterState {
             .map(|p| self.pick_executor(run.plan, run.output, p))
             .collect::<Result<_>>()?;
         for (p, &executor) in run.placements.iter().enumerate() {
-            self.emit(TraceEvent::TaskPlanned {
+            self.acct.emit(TraceEvent::TaskPlanned {
                 at: run.start,
                 job: run.job,
                 stage_output: run.output,
@@ -546,17 +489,6 @@ impl ClusterState {
             stage_end = stage_end.max(end);
         }
         Ok(stage_end)
-    }
-
-    /// Completes a job whose stages have all run: advances the global
-    /// clock floor (monotonically) and returns the result blocks.
-    fn finish_job(&mut self, ticket: JobTicket) -> Result<Vec<Block>> {
-        debug_assert!(ticket.done(), "finish_job called with stages still pending");
-        let last_stage = ticket.job_plan.stages.len() - 1;
-        let end = ticket.stage_done[last_stage];
-        self.clock_floor = self.clock_floor.max(end);
-        self.emit(TraceEvent::JobCompleted { at: end, job: ticket.job });
-        Ok(ticket.results)
     }
 }
 

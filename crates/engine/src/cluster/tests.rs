@@ -2,18 +2,38 @@ use super::*;
 use crate::controller::{
     victims_by_key, Admission, BlockInfo, NoCacheController, StateCommand, StoreTier, VictimAction,
 };
+use crate::metrics::TaskTrace;
+use crate::tracing::{CacheDecision, CacheRecord};
+use blaze_common::ids::BlockId;
 use blaze_common::SimDuration;
 use blaze_dataflow::Context;
 
 fn cluster(controller: Box<dyn CacheController>) -> (Context, Cluster) {
+    traced_cluster(controller, false)
+}
+
+fn traced_cluster(controller: Box<dyn CacheController>, tracing: bool) -> (Context, Cluster) {
     let config = ClusterConfig {
         executors: 2,
         slots_per_executor: 2,
         memory_capacity: ByteSize::from_kib(64),
+        tracing,
         ..Default::default()
     };
     let cluster = Cluster::new(config, controller).unwrap();
     (Context::new(cluster.clone()), cluster)
+}
+
+/// The committed-task spans of a traced run, in commit order.
+fn task_spans(trace: &TraceLog) -> Vec<TaskTrace> {
+    trace
+        .events()
+        .iter()
+        .filter_map(|ev| match ev {
+            TraceEvent::TaskCommitted(t) => Some(*t),
+            _ => None,
+        })
+        .collect()
 }
 
 /// A controller that caches everything it can in memory, LRU-free
@@ -105,19 +125,18 @@ fn shuffle_through_engine_is_correct() {
 
 #[test]
 fn reduce_task_is_charged_for_exactly_the_bytes_it_fetched() {
-    let (ctx, cl) = cluster(Box::new(NoCacheController));
+    let (ctx, cl) = traced_cluster(Box::new(NoCacheController), true);
     let pairs: Vec<(u64, u64)> = (0..1000).map(|i| (i % 37, i)).collect();
     let parted = ctx.parallelize(pairs, 4).partition_by(3);
     let blocks = ctx.run_job(parted.id()).unwrap();
     let hw = ClusterConfig::default().hardware;
-    let m = cl.metrics();
+    let spans = task_spans(&cl.trace().expect("tracing enabled"));
     for (p, block) in blocks.iter().enumerate() {
         // `partition_by` concatenates its buckets unchanged, so a reduce
         // task's output is exactly as large as what it fetched.
         let fetched = block.bytes();
         assert!(!fetched.is_zero());
-        let task = m
-            .task_traces
+        let task = spans
             .iter()
             .find(|t| t.stage_output == parted.id() && t.partition as usize == p)
             .expect("one reduce task per partition");
@@ -343,8 +362,13 @@ fn a_refused_spill_is_recorded_and_writes_nothing() {
         metrics.disk_bytes_written + bytes(refused),
         bytes(spilled) + bytes(records(CacheDecision::AdmitDisk))
     );
-    let report = trace.validate(&metrics);
+    let report = trace.validate();
     assert!(report.is_clean(), "{:?}", report.diagnostics);
+    assert_eq!(
+        Metrics::from_events(trace.events()),
+        metrics,
+        "the metrics are the fold of the log"
+    );
 }
 
 /// Every growth of a memory store can set the memory high-water mark, a
@@ -386,8 +410,14 @@ fn a_promotion_can_set_the_memory_peak() {
     assert!(!in_memory.is_zero() && cl.disk_used().iter().all(|b| b.is_zero()));
     let metrics = cl.metrics();
     assert_eq!(metrics.memory_bytes_peak, in_memory);
-    let report = cl.trace().expect("tracing enabled").validate(&metrics);
+    let trace = cl.trace().expect("tracing enabled");
+    let report = trace.validate();
     assert!(report.is_clean(), "{:?}", report.diagnostics);
+    assert_eq!(
+        Metrics::from_events(trace.events()),
+        metrics,
+        "the metrics are the fold of the log"
+    );
 }
 
 #[test]
@@ -425,18 +455,20 @@ fn skipped_stages_still_notify_the_controller() {
 }
 
 #[test]
-fn task_traces_cover_the_whole_run() {
-    let (ctx, cl) = cluster(Box::new(NoCacheController));
+fn task_spans_cover_the_whole_run() {
+    let (ctx, cl) = traced_cluster(Box::new(NoCacheController), true);
     let ds = ctx.range(0..500, 4).map(|x| x + 1);
     ds.count().unwrap();
     let m = cl.metrics();
-    assert_eq!(m.task_traces.len() as u64, m.tasks);
-    for t in &m.task_traces {
+    let spans = task_spans(&cl.trace().expect("tracing enabled"));
+    assert_eq!(spans.len() as u64, m.tasks);
+    for t in &spans {
         assert!(t.end >= t.start);
+        assert!(t.end <= m.completion_time, "a span outside the run");
         assert_eq!(t.duration(), t.charge.total());
     }
     // Busy time sums to the accumulated task time.
-    let busy: blaze_common::SimDuration = m.busy_time_per_executor().values().copied().sum();
+    let busy: SimDuration = spans.iter().map(TaskTrace::duration).sum();
     assert_eq!(busy, m.accumulated.total());
 }
 
@@ -478,7 +510,7 @@ fn worker_thread_count_does_not_change_metrics() {
 
 /// The tracing contract end to end: with tracing on, a run that caches,
 /// evicts, hits and recomputes yields a log that (a) validates cleanly
-/// against the metrics, (b) is byte-identical across worker_threads,
+/// and folds to the metrics, (b) is byte-identical across worker_threads,
 /// and (c) leaves metrics byte-identical to a tracing-off run.
 #[test]
 fn trace_validates_and_is_thread_count_invariant() {
@@ -506,8 +538,9 @@ fn trace_validates_and_is_thread_count_invariant() {
     let (m1, t1) = run(1, true);
     let t1 = t1.expect("tracing enabled");
     assert!(!t1.events().is_empty());
-    let report = t1.validate(&m1);
+    let report = t1.validate();
     assert!(report.is_clean(), "{:?}", report.diagnostics);
+    assert_eq!(Metrics::from_events(t1.events()), m1, "the metrics are the fold of the log");
     for threads in [2, 4] {
         let (mn, tn) = run(threads, true);
         assert_eq!(m1, mn, "metrics diverged at {threads} threads");
@@ -605,8 +638,13 @@ fn promoting_a_block_already_in_memory_keeps_the_audit_clean() {
     assert!(mem[0] < mem[1], "the promoted block must now be held serialized: {mem:?}");
     assert!(!trace.chrome_json().contains("promote-to-ser"));
     assert_eq!(metrics.ser_transitions, 0);
-    let report = trace.validate(&metrics);
+    let report = trace.validate();
     assert!(report.is_clean(), "{:?}", report.diagnostics);
+    assert_eq!(
+        Metrics::from_events(trace.events()),
+        metrics,
+        "the metrics are the fold of the log"
+    );
     assert_eq!(metrics, run(false).metrics(), "tracing changed the metrics");
 }
 
@@ -640,8 +678,13 @@ fn trace_validates_under_faults() {
     let trace = cl.trace().expect("tracing enabled");
     let metrics = cl.metrics();
     assert!(metrics.recovery.executor_crashes > 0);
-    let report = trace.validate(&metrics);
+    let report = trace.validate();
     assert!(report.is_clean(), "{:?}", report.diagnostics);
+    assert_eq!(
+        Metrics::from_events(trace.events()),
+        metrics,
+        "the metrics are the fold of the log"
+    );
 }
 
 /// Under the store-global serialized memory of Spark+Alluxio

@@ -65,7 +65,7 @@ impl ClusterState {
         let partition = part as u32;
         if output.recovery > SimDuration::ZERO {
             let duration = output.recovery;
-            self.emit(TraceEvent::RecoveryReplay {
+            self.acct.emit(TraceEvent::RecoveryReplay {
                 at: t0,
                 job,
                 stage_output,
@@ -75,7 +75,7 @@ impl ClusterState {
         }
         let charge = replay.charge;
         let end = t0 + charge.total();
-        self.emit(TraceEvent::TaskCommitted(TaskTrace {
+        self.acct.emit(TraceEvent::TaskCommitted(TaskTrace {
             job,
             stage_output,
             partition,
@@ -112,7 +112,7 @@ impl ClusterState {
             }
             TaskEvent::FetchRetry { shuffle: (child, dep_idx), reduce_part, attempt, backoff } => {
                 let dep_idx = dep_idx as u32;
-                self.emit(TraceEvent::FetchRetry {
+                self.acct.emit(TraceEvent::FetchRetry {
                     at,
                     job,
                     child,
@@ -124,7 +124,7 @@ impl ClusterState {
             }
             TaskEvent::FetchEscalated { shuffle: (child, dep_idx), reduce_part } => {
                 let dep_idx = dep_idx as u32;
-                self.emit(TraceEvent::FetchEscalated { at, job, child, dep_idx, reduce_part });
+                self.acct.emit(TraceEvent::FetchEscalated { at, job, child, dep_idx, reduce_part });
             }
         }
     }
@@ -142,7 +142,7 @@ impl ClusterState {
         debug_assert_eq!(attempt, replay.next_attempt, "non-contiguous attempt replay");
         replay.next_attempt = attempt + 1;
         replay.charge.fault_wasted += wasted;
-        self.emit(TraceEvent::TaskRetry {
+        self.acct.emit(TraceEvent::TaskRetry {
             at: replay.t0,
             job: replay.task.job,
             stage_output: replay.task.stage_output,
@@ -158,14 +158,14 @@ impl ClusterState {
         self.controller.on_access(&ctx, id);
         let decision =
             if serialized { CacheDecision::HitSerializedMemory } else { CacheDecision::HitMemory };
-        self.emit_cache(replay.t0, replay.task.exec, id, bytes, decision, None);
+        self.acct.emit_cache(replay.t0, replay.task.exec, id, bytes, decision, None);
     }
 
     fn replay_disk_hit(&mut self, replay: &mut Replay, info: BlockInfo, block: Block) {
         let t0 = replay.t0;
         let ctx = self.ctrl_ctx();
         self.controller.on_access(&ctx, info.id);
-        self.emit_cache(t0, info.executor, info.id, info.bytes, CacheDecision::HitDisk, None);
+        self.acct.emit_cache(t0, info.executor, info.id, info.bytes, CacheDecision::HitDisk, None);
         // Optional promotion back into memory (paper §2.3: recovered data
         // can be cached again).
         if self.controller.readmit_after_disk_read(&ctx, &info) != Admission::Memory {
@@ -199,8 +199,8 @@ impl ClusterState {
         meta.home.get_or_insert(info.executor);
         if recomputed {
             let miss = CacheDecision::MissRecompute;
-            self.emit_cache(t0, info.executor, info.id, info.bytes, miss, None);
-            self.emit(TraceEvent::Recompute {
+            self.acct.emit_cache(t0, info.executor, info.id, info.bytes, miss, None);
+            self.acct.emit(TraceEvent::Recompute {
                 at: t0,
                 job,
                 id: info.id,
@@ -210,7 +210,7 @@ impl ClusterState {
             });
         }
         if recovered {
-            self.emit(TraceEvent::BlockRecovered { at: t0, id: info.id });
+            self.acct.emit(TraceEvent::BlockRecovered { at: t0, id: info.id });
         }
         let ctx = self.ctrl_ctx();
         let event = PartitionEvent { info, edge_compute: edge, job, recomputed };
@@ -244,7 +244,7 @@ impl ClusterState {
         }
         self.stores.shuffle.put_map_output(shuffle, map_part, buckets, replay.task.exec);
         if self.stores.shuffle.mark_recovered(shuffle, map_part) {
-            self.emit(TraceEvent::MapOutputRecovered {
+            self.acct.emit(TraceEvent::MapOutputRecovered {
                 at: replay.t0,
                 child: shuffle.0,
                 dep_idx: shuffle.1 as u32,
@@ -330,9 +330,9 @@ impl ClusterState {
             }
         };
         let (at, partition) = (t0_orig, part as u32);
-        self.emit(TraceEvent::Straggler { at, job, stage_output, partition, delay });
+        self.acct.emit(TraceEvent::Straggler { at, job, stage_output, partition, delay });
         if let Some((copy_executor, copy_won, wasted)) = race {
-            self.emit(TraceEvent::Speculation {
+            self.acct.emit(TraceEvent::Speculation {
                 at,
                 job,
                 stage_output,

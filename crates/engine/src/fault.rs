@@ -419,14 +419,14 @@ impl ClusterState {
             self.report_residency(id, None);
             let meta = self.stores.meta_mut(id);
             (meta.home, meta.materialized, meta.lost) = (None, false, true);
-            self.emit_cache(at, exec, id, bytes, decision, None);
+            self.acct.emit_cache(at, exec, id, bytes, decision, None);
         }
         let mut map_outputs_lost = 0u64;
         if !self.config.fault.external_shuffle_service {
             let lost = self.stores.shuffle.drop_by_producer(exec);
             map_outputs_lost = lost.len() as u64;
             for ((child, dep_idx), map_part) in lost {
-                self.emit(TraceEvent::MapOutputLost {
+                self.acct.emit(TraceEvent::MapOutputLost {
                     at,
                     child,
                     dep_idx: dep_idx as u32,
@@ -436,7 +436,7 @@ impl ClusterState {
         }
         // The fold takes the block and byte tallies from this summary (and
         // the map-output count from the per-output events above).
-        self.emit(TraceEvent::ExecutorCrashed {
+        self.acct.emit(TraceEvent::ExecutorCrashed {
             at,
             executor: exec,
             blocks_lost,
@@ -522,7 +522,7 @@ impl ClusterState {
             if self.config.fault.map_output_lost(job.raw(), child.raw(), dep_idx, map_part)
                 && self.stores.shuffle.drop_map_output((child, dep_idx), map_part)
             {
-                self.emit(TraceEvent::MapOutputLost {
+                self.acct.emit(TraceEvent::MapOutputLost {
                     at: self.clock_floor,
                     child,
                     dep_idx: dep_idx as u32,
@@ -610,7 +610,7 @@ impl ClusterState {
             return;
         }
         self.report_residency(id, None);
-        self.emit(TraceEvent::SpillQuarantined { at, executor: exec, id, bytes });
+        self.acct.emit(TraceEvent::SpillQuarantined { at, executor: exec, id, bytes });
     }
 }
 

@@ -36,6 +36,7 @@
 // `materialize` (`scripts/ci.sh` runs clippy with `-D warnings`).
 #![cfg_attr(not(test), warn(clippy::too_many_lines))]
 
+mod accounting;
 pub mod cluster;
 mod commit;
 pub mod config;

@@ -7,10 +7,12 @@
 //! inline statistics) and the application completion time (Fig. 9).
 //!
 //! [`Metrics`] is a fold over the engine's event stream: every field is
-//! written by `Metrics::apply` and nowhere else, whether or not the events
-//! are also retained in a [`crate::tracing::TraceLog`] — so
-//! `Metrics::from_events(log) == metrics` holds for a whole run, which is
-//! what the trace audit's BA402 checks.
+//! written by `Metrics::apply` and nowhere else, and the engine's only
+//! caller of it is its accounting type, which folds and retains (in a
+//! [`crate::tracing::TraceLog`], when tracing is on) the same event — so
+//! `Metrics::from_events(log) == metrics` holds for a whole run by
+//! construction. The fold keeps counters and sums only: per-task spans live
+//! in the log's [`TraceEvent::TaskCommitted`] events.
 
 use crate::fault::FaultCause;
 use crate::tracing::{CacheDecision, CacheRecord, TraceEvent};
@@ -265,8 +267,6 @@ pub struct Metrics {
     pub speculation: SpeculationMetrics,
     /// The simulated application completion time (Fig. 9's ACT).
     pub completion_time: SimTime,
-    /// Every executed task, in execution order (timeline reconstruction).
-    pub task_traces: Vec<TaskTrace>,
 }
 
 impl Metrics {
@@ -289,7 +289,6 @@ impl Metrics {
             TraceEvent::TaskCommitted(task) => {
                 self.accumulated.merge(&task.charge);
                 self.tasks += 1;
-                self.task_traces.push(*task);
             }
             TraceEvent::Cache(r) => self.apply_cache(r),
             TraceEvent::Recompute { job, id, duration, .. } => {
@@ -394,34 +393,6 @@ impl Metrics {
         metrics
     }
 
-    /// Per-executor busy time (sum of task durations).
-    pub fn busy_time_per_executor(&self) -> FxHashMap<ExecutorId, SimDuration> {
-        let mut out: FxHashMap<ExecutorId, SimDuration> = FxHashMap::default();
-        for t in &self.task_traces {
-            *out.entry(t.executor).or_default() += t.duration();
-        }
-        out
-    }
-
-    /// The `n` longest tasks (stragglers), longest first. Ties are ordered
-    /// by (job, stage output, partition) ascending — a total order, so the
-    /// answer does not depend on trace recording order. Only the selected
-    /// `n` traces are copied out, not the whole trace vector.
-    pub fn slowest_tasks(&self, n: usize) -> Vec<TaskTrace> {
-        let key =
-            |t: &TaskTrace| (std::cmp::Reverse(t.duration()), t.job, t.stage_output, t.partition);
-        let mut idx: Vec<usize> = (0..self.task_traces.len()).collect();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n < idx.len() {
-            idx.select_nth_unstable_by_key(n - 1, |&i| key(&self.task_traces[i]));
-            idx.truncate(n);
-        }
-        idx.sort_unstable_by_key(|&i| key(&self.task_traces[i]));
-        idx.into_iter().map(|i| self.task_traces[i]).collect()
-    }
-
     /// Total bytes evicted from memory per executor, spills and discards
     /// combined (the quantity Fig. 3 plots).
     pub fn evicted_bytes_per_executor(&self) -> FxHashMap<ExecutorId, ByteSize> {
@@ -430,50 +401,6 @@ impl Metrics {
             *out.entry(e).or_default() += b;
         }
         out
-    }
-
-    /// The first field, in declaration order, in which `self` and `other`
-    /// differ (`None` when they are equal): what a BA402 names. The pattern
-    /// lists every field, so a field added to [`Metrics`] does not compile
-    /// until it is listed here too.
-    pub(crate) fn first_difference(&self, other: &Self) -> Option<&'static str> {
-        macro_rules! first_of {
-            ($($field:ident),+) => {{
-                let Self { $($field),+ } = self;
-                $(if *$field != other.$field {
-                    return Some(stringify!($field));
-                })+
-                None
-            }};
-        }
-        first_of!(
-            accumulated,
-            tasks,
-            jobs,
-            stages_run,
-            stages_skipped,
-            evictions,
-            evictions_discard,
-            evictions_to_disk,
-            spilled_bytes_per_executor,
-            discarded_bytes_per_executor,
-            disk_bytes_written,
-            disk_bytes_peak,
-            disk_bytes_sampled_sum,
-            disk_samples,
-            memory_bytes_peak,
-            recompute_by_job_rdd,
-            mem_hits,
-            ser_mem_hits,
-            ser_transitions,
-            disk_hits,
-            recompute_misses,
-            audit_warnings,
-            recovery,
-            speculation,
-            completion_time,
-            task_traces
-        )
     }
 
     /// The average disk-resident cache volume over sampled points.
@@ -777,7 +704,6 @@ mod tests {
                 wasted: dur(5),
             },
             completion_time: ms(40),
-            task_traces: vec![task],
         };
         assert_eq!(Metrics::from_events(&events), expected);
     }
@@ -824,28 +750,6 @@ mod tests {
             end: ms(dur_ms),
             charge: TaskCharge::default(),
         }
-    }
-
-    #[test]
-    fn slowest_tasks_orders_ties_by_stage_and_task_id() {
-        // Regression: equal-duration tasks used to surface in push order.
-        // The canonical order is duration desc, then (job, stage, partition)
-        // ascending — independent of recording order.
-        let events = [
-            trace_at(1, 9, 1, 10),
-            trace_at(0, 7, 3, 10),
-            trace_at(1, 9, 0, 10),
-            trace_at(0, 7, 2, 20),
-        ]
-        .map(TraceEvent::TaskCommitted);
-        let m = Metrics::from_events(&events);
-        let top = m.slowest_tasks(3);
-        let key: Vec<(u32, u32, u32)> =
-            top.iter().map(|t| (t.job.raw(), t.stage_output.raw(), t.partition)).collect();
-        assert_eq!(key, vec![(0, 7, 2), (0, 7, 3), (1, 9, 0)]);
-        // n larger than the trace count returns everything, still ordered.
-        assert_eq!(m.slowest_tasks(10).len(), 4);
-        assert!(m.slowest_tasks(0).is_empty());
     }
 
     #[test]

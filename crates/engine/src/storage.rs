@@ -163,6 +163,13 @@ impl BlockStore {
             .collect()
     }
 
+    /// Total logical bytes of `rdd`'s resident blocks, or `None` when none
+    /// is resident. Served from the per-RDD index.
+    pub fn rdd_logical_bytes(&self, rdd: RddId) -> Option<ByteSize> {
+        let parts = self.by_rdd.get(&rdd)?;
+        Some(parts.iter().map(|&p| self.blocks[&BlockId::new(rdd, p)].logical_bytes).sum())
+    }
+
     /// Iterates over resident blocks.
     pub fn iter(&self) -> impl Iterator<Item = (&BlockId, &StoredBlock)> {
         self.blocks.iter()
@@ -285,6 +292,20 @@ mod tests {
         assert!(s.remove_rdd(RddId(3)).is_empty(), "second removal finds nothing");
         assert!(s.is_empty());
         assert!(s.accounting_consistent());
+    }
+
+    #[test]
+    fn rdd_logical_bytes_sums_one_rdd_and_none_when_absent() {
+        let mut s = BlockStore::new(ByteSize::from_kib(100));
+        s.insert(id(1, 0), sb(4));
+        s.insert(id(1, 3), StoredBlock { stored_bytes: ByteSize::from_kib(1), ..sb(6) });
+        s.insert(id(2, 0), sb(5));
+        // Logical bytes, not the stored footprint, and only rdd-1's blocks.
+        assert_eq!(s.rdd_logical_bytes(RddId(1)), Some(ByteSize::from_kib(10)));
+        assert_eq!(s.rdd_logical_bytes(RddId(2)), Some(ByteSize::from_kib(5)));
+        assert_eq!(s.rdd_logical_bytes(RddId(9)), None);
+        s.remove(id(2, 0));
+        assert_eq!(s.rdd_logical_bytes(RddId(2)), None, "a removed rdd is not resident");
     }
 
     #[test]

@@ -194,9 +194,12 @@ impl ClusterState {
         self.stores.meta_mut(info.id).home = Some(exec);
         self.report_residency(info.id, Some((info, StoreTier::Memory)));
         if fresh {
-            let why =
-                if self.trace.is_some() { self.controller.explain_block(info.id) } else { None };
-            self.emit_cache(trace_at, exec, info.id, info.bytes, decision, why);
+            let why = if self.acct.trace().is_some() {
+                self.controller.explain_block(info.id)
+            } else {
+                None
+            };
+            self.acct.emit_cache(trace_at, exec, info.id, info.bytes, decision, why);
         }
         self.memory_grew(trace_at);
         true
@@ -208,8 +211,8 @@ impl ClusterState {
     /// (de)serialization.
     fn memory_grew(&mut self, at: SimTime) {
         let bytes: ByteSize = self.stores.mem.iter().map(BlockStore::used).sum();
-        if bytes > self.metrics.memory_bytes_peak {
-            self.emit(TraceEvent::MemoryPeak { at, bytes });
+        if bytes > self.acct.metrics().memory_bytes_peak {
+            self.acct.emit(TraceEvent::MemoryPeak { at, bytes });
         }
     }
 
@@ -262,14 +265,15 @@ impl ClusterState {
         trace_at: SimTime,
     ) {
         let e = exec.raw() as usize;
-        let why = if self.trace.is_some() { self.controller.explain_block(vid) } else { None };
+        let why =
+            if self.acct.trace().is_some() { self.controller.explain_block(vid) } else { None };
         let Some(sb) = self.stores.mem[e].remove(vid) else { return };
         let decision = if action == VictimAction::ToDisk {
             CacheDecision::EvictToDisk
         } else {
             CacheDecision::EvictDiscard
         };
-        self.emit_cache(trace_at, exec, vid, sb.logical_bytes, decision, why);
+        self.acct.emit_cache(trace_at, exec, vid, sb.logical_bytes, decision, why);
         self.report_residency(vid, None);
         if action == VictimAction::ToDisk {
             // An s-state victim is already in serialized form: spilling it
@@ -290,7 +294,7 @@ impl ClusterState {
                 self.report_residency(vid, Some((&info, StoreTier::Disk)));
             } else {
                 let refused = CacheDecision::SpillRefused;
-                self.emit_cache(trace_at, exec, vid, logical, refused, None);
+                self.acct.emit_cache(trace_at, exec, vid, logical, refused, None);
             }
         }
     }
@@ -321,7 +325,8 @@ impl ClusterState {
             charge.disk_cache_write += self.config.hardware.spill_time(info.bytes, info.ser_factor);
             self.stores.meta_mut(info.id).home = Some(exec);
             self.report_residency(info.id, Some((info, StoreTier::Disk)));
-            self.emit_cache(trace_at, exec, info.id, info.bytes, CacheDecision::AdmitDisk, None);
+            let admit = CacheDecision::AdmitDisk;
+            self.acct.emit_cache(trace_at, exec, info.id, info.bytes, admit, None);
         }
     }
 
@@ -382,7 +387,7 @@ impl ClusterState {
         let exec = ExecutorId(e as u32);
         let info = BlockInfo { id, bytes: logical, ser_factor, executor: exec };
         self.report_residency(id, Some((&info, tier)));
-        self.emit_cache(at, exec, id, logical, decision, None);
+        self.acct.emit_cache(at, exec, id, logical, decision, None);
         self.memory_grew(at);
         self.charge_migration(exec, TaskCharge { external_store_io: io, ..Default::default() }, at);
     }
@@ -432,13 +437,13 @@ impl ClusterState {
         debug_assert!(ok);
         self.report_residency(id, Some((&info, tier)));
         if fresh {
-            self.emit_cache(at, exec, id, info.bytes, decision, None);
+            self.acct.emit_cache(at, exec, id, info.bytes, decision, None);
         }
         self.memory_grew(at);
         // Prefetch overlaps with computation (MRD's design): record the I/O
         // but do not block a slot.
         let charge = TaskCharge { disk_cache_read: read, ..Default::default() };
-        self.emit(TraceEvent::OffTaskCharge { at, executor: exec, charge });
+        self.acct.emit(TraceEvent::OffTaskCharge { at, executor: exec, charge });
     }
 
     /// Charges a data-movement operation to the executor's least-loaded slot
@@ -447,7 +452,7 @@ impl ClusterState {
         let e = exec.raw() as usize;
         let slot = Self::earliest_slot(&self.slots[e]);
         self.slots[e][slot] = self.slots[e][slot].max(self.clock_floor) + charge.total();
-        self.emit(TraceEvent::OffTaskCharge { at, executor: exec, charge });
+        self.acct.emit(TraceEvent::OffTaskCharge { at, executor: exec, charge });
     }
 
     /// Drops every block of `rdd` everywhere (the `unpersist()` API, or a
@@ -480,7 +485,7 @@ impl ClusterState {
             let from_disk = from_disk.into_iter().map(|r| (r, CacheDecision::UnpersistDisk));
             for ((id, sb), unpersist) in from_memory.chain(from_disk) {
                 self.report_residency(id, None);
-                self.emit_cache(at, exec, id, sb.logical_bytes, unpersist, None);
+                self.acct.emit_cache(at, exec, id, sb.logical_bytes, unpersist, None);
             }
         }
     }

@@ -9,6 +9,9 @@
 //! [`crate::config::ClusterConfig::tracing`] is on, retained in a
 //! [`TraceLog`] — the auditable form of every metric field.
 //!
+//! [`Metrics`]: crate::metrics::Metrics
+//! [`Metrics::from_events`]: crate::metrics::Metrics::from_events
+//!
 //! Three contracts:
 //!
 //! - **One path.** Tracing on or off, the engine emits the same events in
@@ -19,15 +22,13 @@
 //!   phase of the plan/execute/commit pipeline (or in other serial engine
 //!   paths), so the log is byte-identical across `worker_threads` settings
 //!   and repeated runs.
-//! - **Self-checking.** [`TraceLog::validate`] replays the log against a
-//!   [`Metrics`] and reports BA4xx diagnostics when span nesting is
-//!   violated (BA401), folding the events does not reproduce the metrics,
-//!   compared as one whole struct (BA402 — impossible for the engine's own
-//!   log and metrics, so it guards logs edited or produced outside the
-//!   engine, and any accounting that bypasses the events), or a cache
+//! - **Self-checking.** [`TraceLog::validate`] replays the log and reports
+//!   BA4xx diagnostics when span nesting is violated (BA401) or a cache
 //!   event is unpaired — e.g. an eviction with no earlier admission (BA403).
 //!   One finding is about the policy, not the bookkeeping, and is a warning:
 //!   a block a controller command dropped and a later task recomputed (BA404).
+//!   That the metrics are the fold of the log needs no check: the engine's
+//!   accounting type owns both and writes them from the same event.
 //!
 //! Exports: Chrome trace-event JSON ([`TraceLog::chrome_json`], loadable in
 //! `chrome://tracing` / Perfetto) and a human-readable per-job cache-decision
@@ -36,7 +37,7 @@
 //! renders, explains, validates and diffs these.
 
 use crate::fault::FaultCause;
-use crate::metrics::{Metrics, TaskCharge, TaskTrace};
+use crate::metrics::{TaskCharge, TaskTrace};
 use blaze_audit::{AuditReport, DiagCode, Diagnostic};
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
@@ -655,16 +656,13 @@ impl TraceLog {
 
     // ---- Validation --------------------------------------------------------
 
-    /// Validates the log against the run's aggregate metrics: span nesting
-    /// (BA401), aggregate reproduction (BA402) and admit/evict pairing
-    /// (BA403). A report that [`AuditReport::passes`] proves every field of
-    /// the metrics is exactly the fold of the recorded events; the warnings it may
-    /// still carry (BA404) are the controller's mispredictions, not the
-    /// engine's bookkeeping.
-    pub fn validate(&self, metrics: &Metrics) -> AuditReport {
+    /// Validates the log: span nesting (BA401) and admit/evict pairing
+    /// (BA403). The warnings a report that [`AuditReport::passes`] may still
+    /// carry (BA404) are the controller's mispredictions, not the engine's
+    /// bookkeeping.
+    pub fn validate(&self) -> AuditReport {
         let mut ds = Vec::new();
         self.check_spans(&mut ds);
-        self.check_aggregates(metrics, &mut ds);
         self.check_pairing(&mut ds);
         self.check_premature_unpersists(&mut ds);
         AuditReport::new(ds)
@@ -730,33 +728,6 @@ impl TraceLog {
         }
         if let Some(open) = open_job {
             ds.push(err(format!("{open} never completed")));
-        }
-    }
-
-    fn check_aggregates(&self, metrics: &Metrics, ds: &mut Vec<Diagnostic>) {
-        let mismatch = |message: String| {
-            Diagnostic::new(
-                DiagCode::TraceAggregateMismatch,
-                None,
-                message,
-                "these metrics are not the fold of this log; one of them was edited or produced \
-                 outside the engine"
-                    .into(),
-            )
-        };
-        // Every field of the metrics is the fold of the events.
-        if let Some(field) = Metrics::from_events(&self.events).first_difference(metrics) {
-            ds.push(mismatch(format!("`{field}` differs from what the log folds to")));
-        }
-        // The one count the fold does not keep: every miss-recompute record
-        // is followed by its recompute span.
-        let spans =
-            self.events.iter().filter(|ev| matches!(ev, TraceEvent::Recompute { .. })).count();
-        if spans as u64 != metrics.recompute_misses {
-            ds.push(mismatch(format!(
-                "recompute spans: trace says {spans}, metrics say {}",
-                metrics.recompute_misses
-            )));
         }
     }
 
@@ -1029,29 +1000,27 @@ mod tests {
         }
     }
 
-    fn minimal_log() -> (TraceLog, Metrics) {
+    fn minimal_log() -> TraceLog {
         let mut log = TraceLog::new();
         log.record(job_started(0, 0));
         log.record(task(0, 0, 0, 0, 0, 10));
         log.record(task(0, 1, 0, 0, 10, 25));
         log.record(job_completed(25, 0));
-        let m = Metrics::from_events(log.events());
-        (log, m)
+        log
     }
 
     #[test]
     fn clean_log_validates() {
-        let (log, m) = minimal_log();
-        let report = log.validate(&m);
+        let report = minimal_log().validate();
         assert!(report.is_clean(), "{:?}", report.diagnostics);
     }
 
     #[test]
     fn span_violations_are_ba401() {
-        let (mut log, m) = minimal_log();
+        let mut log = minimal_log();
         // A task committed after the job closed.
         log.record(task(0, 2, 0, 0, 25, 30));
-        let report = log.validate(&m);
+        let report = log.validate();
         assert!(report.has(DiagCode::TraceSpanNesting));
 
         // Overlapping spans on the same slot.
@@ -1060,7 +1029,7 @@ mod tests {
         log.record(task(0, 0, 0, 0, 0, 10));
         log.record(task(0, 1, 0, 0, 5, 15)); // starts before the previous ends
         log.record(job_completed(15, 0));
-        assert!(log.validate(&Metrics::new()).has(DiagCode::TraceSpanNesting));
+        assert!(log.validate().has(DiagCode::TraceSpanNesting));
     }
 
     #[test]
@@ -1068,54 +1037,24 @@ mod tests {
         let mut log = TraceLog::new();
         log.record(job_started(0, 0));
         log.record(job_started(5, 1));
-        assert!(log.validate(&Metrics::new()).has(DiagCode::TraceSpanNesting));
-    }
-
-    /// BA402 is one whole-struct equality: metrics folded from a log with
-    /// one more event than the audited one fail it, naming the first field
-    /// that differs — whichever event kind the extra one is.
-    #[test]
-    fn aggregate_drift_is_ba402() {
-        let stage = TraceEvent::StageCompleted {
-            at: SimTime::ZERO,
-            job: JobId(0),
-            stage_output: RddId(1),
-            disk_resident: Some(ByteSize::ZERO),
-        };
-        let peak = TraceEvent::MemoryPeak { at: SimTime::ZERO, bytes: ByteSize::from_kib(4) };
-        let hit = cache(5, 0, 5, 0, CacheDecision::HitMemory);
-        for (extra, field) in
-            [(hit, "mem_hits"), (stage, "stages_run"), (peak, "memory_bytes_peak")]
-        {
-            let (log, _) = minimal_log();
-            let mut drifted = log.events().to_vec();
-            drifted.push(extra);
-            let report = log.validate(&Metrics::from_events(&drifted));
-            let found: Vec<_> = report
-                .diagnostics
-                .iter()
-                .filter(|d| d.code == DiagCode::TraceAggregateMismatch)
-                .collect();
-            assert_eq!(found.len(), 1, "{found:?}");
-            assert!(found[0].message.contains(&format!("`{field}`")), "{}", found[0].message);
-        }
+        assert!(log.validate().has(DiagCode::TraceSpanNesting));
     }
 
     #[test]
     fn unpaired_eviction_is_ba403() {
-        let (mut log, _) = minimal_log();
+        let mut log = minimal_log();
         log.record(cache(25, 0, 5, 0, CacheDecision::EvictDiscard));
-        let report = log.validate(&Metrics::from_events(log.events()));
+        let report = log.validate();
         assert!(report.has(DiagCode::TraceUnpairedCacheEvent));
 
         // Admit then evict pairs cleanly; double admit does not.
-        let (mut log, _) = minimal_log();
+        let mut log = minimal_log();
         log.record(cache(5, 0, 5, 0, CacheDecision::AdmitMemory));
         log.record(cache(25, 0, 5, 0, CacheDecision::EvictDiscard));
-        assert!(log.validate(&Metrics::from_events(log.events())).is_clean());
+        assert!(log.validate().is_clean());
         log.record(cache(26, 0, 6, 0, CacheDecision::AdmitMemory));
         log.record(cache(27, 0, 6, 0, CacheDecision::AdmitMemory));
-        let report = log.validate(&Metrics::from_events(log.events()));
+        let report = log.validate();
         assert!(report.has(DiagCode::TraceUnpairedCacheEvent));
     }
 
@@ -1142,7 +1081,7 @@ mod tests {
         log.record(cache(6, 0, 6, 0, CacheDecision::MissRecompute));
         log.record(job_completed(7, 2));
 
-        let report = log.validate(&Metrics::from_events(log.events()));
+        let report = log.validate();
         let found: Vec<_> =
             report.diagnostics.iter().filter(|d| d.code == DiagCode::PrematureUnpersist).collect();
         // rdd-7 was dropped and never missed: not a misprediction.
@@ -1158,7 +1097,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_shape_and_deterministic() {
-        let (mut log, _) = minimal_log();
+        let mut log = minimal_log();
         log.record(cache(5, 0, 5, 0, CacheDecision::AdmitMemory));
         let a = log.chrome_json();
         let b = log.chrome_json();
@@ -1187,7 +1126,7 @@ mod tests {
 
     #[test]
     fn ledger_groups_by_job_and_shows_rationale() {
-        let (mut log, _) = minimal_log();
+        let mut log = minimal_log();
         log.record(job_started(25, 1));
         log.record(TraceEvent::Cache(CacheRecord {
             at: SimTime::ZERO + SimDuration::from_millis(26),
@@ -1206,7 +1145,7 @@ mod tests {
 
     #[test]
     fn explain_reconstructs_block_history() {
-        let (mut log, _) = minimal_log();
+        let mut log = minimal_log();
         log.record(cache(5, 0, 5, 0, CacheDecision::AdmitMemory));
         log.record(cache(25, 0, 5, 0, CacheDecision::EvictToDisk));
         let text = log.explain(BlockId::new(RddId(5), 0));
@@ -1220,8 +1159,8 @@ mod tests {
 
     #[test]
     fn diff_pinpoints_the_first_divergence() {
-        let (a, _) = minimal_log();
-        let (mut b, _) = minimal_log();
+        let a = minimal_log();
+        let mut b = minimal_log();
         assert!(a.diff(&b).contains("identical"));
         b.record(cache(30, 0, 5, 0, CacheDecision::AdmitMemory));
         assert!(a.diff(&b).contains("lengths diverge"));

@@ -41,7 +41,8 @@ done
 run env BLAZE_CHAOS_SEEDS="${BLAZE_CHAOS_SEEDS:-11,23,37,41,53}" \
     cargo test -q $OFFLINE --test differential
 # Trace validation: the structured event log must pass its self-audit
-# (span nesting, metrics reconciliation, cache-event pairing) and be
+# (span nesting and cache-event pairing, BA401 and BA403), a traced run's
+# metrics must equal an untraced run's, and trace and metrics must be
 # byte-identical across worker-thread counts. One memory-pressured and one
 # compute-bound workload carry the thread sweep; the other four run
 # single-threaded (under a second each), so every run prints all six apps'
@@ -98,8 +99,8 @@ done
 # proving the verifier has teeth, not just that the solvers are honest.
 run cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-certify -- \
     --quick --mutate --all
-# Diagnostic registry: list every code, then explain each listed one with
-# output discarded, so a registry entry that panics or no longer parses
+# Diagnostic registry: list every code (18), then explain each listed one
+# with output discarded, so a registry entry that panics or no longer parses
 # fails here.
 echo "ci: blaze-audit --list, then --explain for every listed code"
 codes=$(cargo run -q $OFFLINE --release -p blaze-audit --bin blaze-audit -- --list | cut -d' ' -f1)

@@ -10,7 +10,7 @@ use blaze::audit::plan_audit::{audit_caching, audit_job, audit_values, AuditConf
 use blaze::audit::{DiagCode, Severity};
 use blaze::common::{BlazeError, ByteSize};
 use blaze::dataflow::{runner::LocalRunner, Context, CostSpec, Dataset};
-use blaze::engine::{Cluster, ClusterConfig, TraceEvent};
+use blaze::engine::{Cluster, ClusterConfig, Metrics, TraceEvent};
 use blaze::workloads::SystemKind;
 
 /// A fresh context on the reference runner.
@@ -183,7 +183,8 @@ fn engine_counts_preflight_warnings_in_metrics() {
                 matches!(ev, TraceEvent::AuditWarning { code: DiagCode::RecomputeBomb, .. })
             });
             assert!(bombs.count() >= 1, "the BA101 warning must be a record");
-            assert!(trace.validate(&m).passes());
+            assert!(trace.validate().passes());
+            assert_eq!(Metrics::from_events(trace.events()), m);
         }
     }
 

@@ -303,7 +303,7 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
 
     // 2. The trace passes its own audit. Errors only: a BA404 warning is a
     //    policy's misprediction, not the engine's bookkeeping.
-    let report = trace.validate(&base.metrics);
+    let report = trace.validate();
     prop_assert!(report.passes(), "contract 2: trace audit failed: {:?}", report.diagnostics);
 
     // 3. Tracing retains the events; it never changes what they fold to.
@@ -311,13 +311,17 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
     prop_assert!(
         folded == base.metrics,
         "contract 3: the event fold differs: {}",
-        first_difference(&format!("{folded:#?}"), &format!("{:#?}", base.metrics))
+        first_diverging_line(&format!("{folded:#?}"), &format!("{:#?}", base.metrics))
     );
+    // The one count the fold does not keep: every miss-recompute record is
+    // followed by its recompute span.
+    let spans = trace.events().iter().filter(|ev| matches!(ev, TraceEvent::Recompute { .. }));
+    prop_assert_eq!(spans.count() as u64, base.metrics.recompute_misses, "contract 3: spans");
     let untraced = run(case, Knobs { tracing: false, ..primary })?;
     prop_assert!(
         untraced.metrics == base.metrics,
         "contract 3: tracing changed the metrics: {}",
-        first_difference(&format!("{:#?}", untraced.metrics), &format!("{:#?}", base.metrics))
+        first_diverging_line(&format!("{:#?}", untraced.metrics), &format!("{:#?}", base.metrics))
     );
 
     // 4–5. Runs that may not differ from the primary one by a single byte.
@@ -330,14 +334,14 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
             trace == base_trace,
             "{}: Chrome trace differs at {}",
             contract,
-            first_difference(&trace, &base_trace)
+            first_diverging_line(&trace, &base_trace)
         );
         let (m, base_m) = (format!("{:#?}", other.metrics), format!("{:#?}", base.metrics));
         prop_assert!(
             m == base_m,
             "{}: metrics differ at {}",
             contract,
-            first_difference(&m, &base_m)
+            first_diverging_line(&m, &base_m)
         );
         Ok(other)
     };
@@ -358,7 +362,7 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
 }
 
 /// The first line at which two renderings differ, for a readable failure.
-fn first_difference(a: &str, b: &str) -> String {
+fn first_diverging_line(a: &str, b: &str) -> String {
     a.lines().zip(b.lines()).enumerate().find(|(_, (x, y))| x != y).map_or_else(
         || format!("the end ({} vs {} lines)", a.lines().count(), b.lines().count()),
         |(i, (x, y))| format!("line {i}: `{x}` vs `{y}`"),
@@ -636,7 +640,8 @@ fn top_recompute_rdd_is_thread_count_invariant() {
         }
         let metrics = cluster.metrics();
         let trace = cluster.trace().expect("tracing was enabled");
-        assert!(trace.validate(&metrics).is_clean());
+        assert!(trace.validate().is_clean());
+        assert_eq!(Metrics::from_events(trace.events()), metrics);
 
         let tops: Vec<Option<(u32, u64)>> = (0..metrics.jobs as u32)
             .map(|j| metrics.top_recompute_rdd(JobId(j)).map(|(r, t)| (r.raw(), t.as_nanos())))

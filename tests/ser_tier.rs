@@ -118,7 +118,7 @@ fn run(
 }
 
 /// [`run`] traced, returning the Chrome trace JSON. The trace must pass its
-/// own audit.
+/// own audit and fold to the metrics.
 fn run_traced(
     cfg: BlazeConfig,
     fault: FaultPlan,
@@ -126,8 +126,13 @@ fn run_traced(
 ) -> (Vec<(u64, u64)>, Metrics, String) {
     let (out, metrics, trace) = run(cfg, fault, worker_threads, true);
     let trace = trace.expect("tracing was enabled");
-    let report = trace.validate(&metrics);
+    let report = trace.validate();
     assert!(report.is_clean(), "trace audit failed: {:?}", report.diagnostics);
+    assert_eq!(
+        Metrics::from_events(trace.events()),
+        metrics,
+        "the metrics are the fold of the log"
+    );
     (out, metrics, trace.chrome_json())
 }
 
