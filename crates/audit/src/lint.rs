@@ -20,8 +20,8 @@
 //!   replay. Use the seeded generators in `blaze-common`.
 //! - `decision-hash` — *any* hash container (`HashMap`/`HashSet`, including
 //!   the Fx variants) in the decision-path modules (`core/src/optimize.rs`,
-//!   `core/src/incremental.rs`, `solver/src/*`, `certify/src/*`): certified
-//!   decisions must
+//!   `core/src/incremental.rs`, `core/src/cost.rs`, `core/src/costlineage.rs`,
+//!   `solver/src/*`, `certify/src/*`): certified decisions must
 //!   be byte-identical functions of their inputs, and hash iteration order
 //!   — even fixed-seed — depends on insertion history, which incremental
 //!   reuse deliberately perturbs. Keyed lookups need an explicit
@@ -92,9 +92,10 @@ struct Scope {
     /// Bare `.unwrap()`/`.expect()` banned (`crates/engine`).
     unwrap: bool,
     /// Decision-path hardening: hash containers and bare float casts
-    /// banned (`core/src/optimize.rs`, `core/src/incremental.rs`,
-    /// `solver/src/*`, `certify/src/*` — the verifiers must be exactly as
-    /// deterministic as the solvers they check).
+    /// banned (`core/src/optimize.rs`, `core/src/incremental.rs`, the cost
+    /// model and the CostLineage it prices from in `core/src/cost.rs` and
+    /// `core/src/costlineage.rs`, `solver/src/*`, `certify/src/*` — the
+    /// verifiers must be exactly as deterministic as the solvers they check).
     decision: bool,
     /// Hash containers banned in the operator kernels
     /// (`dataflow/src/{pair,dataset}.rs`): nothing whose iteration
@@ -110,6 +111,8 @@ fn scope_of(path: &str) -> Scope {
         unwrap: in_crate("engine"),
         decision: p.ends_with("core/src/optimize.rs")
             || p.ends_with("core/src/incremental.rs")
+            || p.ends_with("core/src/cost.rs")
+            || p.ends_with("core/src/costlineage.rs")
             || p.contains("solver/src/")
             || p.contains("certify/src/"),
         record_order: p.ends_with("dataflow/src/pair.rs") || p.ends_with("dataflow/src/dataset.rs"),
@@ -403,6 +406,8 @@ mod tests {
         let src = join(&["use rustc_hash::FxHashMap;", "fn f() {}"]);
         assert_eq!(lint_source("crates/core/src/optimize.rs", &src)[0].code, "decision-hash");
         assert_eq!(lint_source("crates/core/src/incremental.rs", &src).len(), 1);
+        assert_eq!(lint_source("crates/core/src/cost.rs", &src)[0].code, "decision-hash");
+        assert_eq!(lint_source("crates/core/src/costlineage.rs", &src)[0].code, "decision-hash");
         assert_eq!(lint_source("crates/solver/src/mckp.rs", &src).len(), 1);
         // Elsewhere in core the std-hash rule governs, not decision-hash.
         assert!(lint_source("crates/core/src/controller.rs", &src).is_empty());

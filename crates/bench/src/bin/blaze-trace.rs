@@ -426,8 +426,8 @@ fn lineage_dot(app: App, profile: &ProfileResult) {
         profile.job_targets.len(),
         profile.pattern.map(|p| p.stride)
     );
-    let mut nodes: Vec<_> = profile.lineage.iter().collect();
-    nodes.sort_by_key(|n| n.rdd);
+    // The lineage iterates in id order, so nodes and edges print sorted.
+    let nodes: Vec<_> = profile.lineage.iter().collect();
     for node in &nodes {
         let refs = profile.refs.future_refs(node.rdd, 0);
         let mut attrs =

@@ -117,13 +117,17 @@ pub struct BlazeController {
     profiled: bool,
     /// Index of the currently running job in the job sequence.
     current_idx: usize,
-    /// Remaining (unconsumed) references per RDD within the current job;
-    /// decremented as stages complete, the way the paper's anticipated
-    /// future references shrink during execution (§5.6).
-    remaining: FxHashMap<RddId, i64>,
-    /// Stage output -> RDDs whose in-job references that stage consumes.
-    consumed_by_stage: FxHashMap<RddId, Vec<RddId>>,
-    /// LRU clock for cost-agnostic eviction and tie-breaking.
+    /// Remaining (unconsumed) references per RDD within the current job,
+    /// indexed by RDD id; decremented as stages complete, the way the
+    /// paper's anticipated future references shrink during execution
+    /// (§5.6). `None` marks an RDD the job does not reference at all, which
+    /// [`Self::ensure_ancestors`] tells apart from a count consumed to 0.
+    remaining: Vec<Option<i64>>,
+    /// (stage output, RDD one of whose in-job references that stage
+    /// consumes), one pair per reference.
+    consumed_by_stage: Vec<(RddId, RddId)>,
+    /// LRU clock for the cost-agnostic eviction of +AutoCache, the one level
+    /// that reads it (the others never write it).
     tick: u64,
     recency: FxHashMap<BlockId, u64>,
     /// The decision driver and its retained state (memo + previous
@@ -134,7 +138,7 @@ pub struct BlazeController {
     /// append-only reference extension is no longer sound.
     refs_seq_rev: u64,
     /// Incoming RDD -> its lineage ancestors that hold an in-job reference
-    /// ([`bounded_ancestors`] restricted to the keys of `remaining`, sorted),
+    /// ([`bounded_ancestors`] keeping the RDDs with an entry in `remaining`),
     /// built on the first admission of that RDD's partitions in a job.
     /// Lineage and the key set of `remaining` only change at job submission,
     /// which drops every set.
@@ -147,29 +151,48 @@ pub struct BlazeController {
 /// lineage more than this many RDDs deep.
 const ANCESTOR_WALK_POPS: usize = 1024;
 
-/// Every RDD the bounded depth-first walk up from `desc` compares against:
-/// the parents of the first [`ANCESTOR_WALK_POPS`] distinct nodes it pops,
-/// in comparison order, duplicates included.
-fn bounded_ancestors(lineage: &CostLineage, desc: RddId) -> Vec<RddId> {
-    let mut compared = Vec::new();
-    let mut visited = FxHashSet::default();
+/// The RDDs satisfying `keep` that the bounded depth-first walk up from
+/// `desc` compares against — the parents of the first
+/// [`ANCESTOR_WALK_POPS`] distinct nodes it pops — sorted, without
+/// duplicates.
+///
+/// The visited set is a bitmap over the lineage's dense ids. A parent
+/// already visited is not pushed again: its pop would be skipped, so the
+/// pop order is unchanged. Only `desc` can be missing from the lineage
+/// (parents always are mirrored), and it has no parents to walk.
+fn bounded_ancestors(
+    lineage: &CostLineage,
+    desc: RddId,
+    keep: impl Fn(RddId) -> bool,
+) -> Vec<RddId> {
+    let mut found = Vec::new();
+    let mut visited = vec![false; lineage.len()];
+    let mut pops = 0;
     let mut stack = vec![desc];
-    while visited.len() < ANCESTOR_WALK_POPS {
+    while pops < ANCESTOR_WALK_POPS {
         let Some(cur) = stack.pop() else { break };
-        if !visited.insert(cur) {
+        let Some(node) = lineage.node(cur) else { continue };
+        if std::mem::replace(&mut visited[cur.raw() as usize], true) {
             continue;
         }
-        let Some(node) = lineage.node(cur) else { continue };
-        compared.extend_from_slice(&node.parents);
-        stack.extend_from_slice(&node.parents);
+        pops += 1;
+        for &p in &node.parents {
+            if keep(p) {
+                found.push(p);
+            }
+            if !visited[p.raw() as usize] {
+                stack.push(p);
+            }
+        }
     }
-    compared
+    found.sort_unstable();
+    found.dedup();
+    found
 }
 
 /// The per-query walk [`bounded_ancestors`] replaced: true if `anc` is
 /// compared against before the pop guard fires. Kept as the reference the
 /// maintained sets are checked against on every lookup in debug builds.
-#[cfg(any(test, debug_assertions))]
 fn walk_finds_ancestor(lineage: &CostLineage, anc: RddId, desc: RddId) -> bool {
     let mut stack = vec![desc];
     let mut visited = FxHashSet::default();
@@ -251,8 +274,8 @@ impl BlazeController {
             pattern,
             profiled,
             current_idx: 0,
-            remaining: FxHashMap::default(),
-            consumed_by_stage: FxHashMap::default(),
+            remaining: Vec::new(),
+            consumed_by_stage: Vec::new(),
             tick: 0,
             recency: FxHashMap::default(),
             incr,
@@ -266,15 +289,24 @@ impl BlazeController {
         &self.lineage
     }
 
+    /// Refreshes `id`'s recency, which only +AutoCache's eviction reads.
     fn touch(&mut self, id: BlockId) {
-        self.tick += 1;
-        self.recency.insert(id, self.tick);
+        if self.cfg.level == BlazeLevel::AutoCache {
+            self.tick += 1;
+            self.recency.insert(id, self.tick);
+        }
+    }
+
+    /// `rdd`'s unconsumed references in the current job, `None` when the
+    /// job does not reference it.
+    fn in_job_refs(&self, rdd: RddId) -> Option<i64> {
+        self.remaining.get(rdd.raw() as usize).copied().flatten()
     }
 
     /// References still ahead of us: the unconsumed references of the
     /// current job plus everything from future jobs.
     fn effective_future_refs(&self, rdd: RddId) -> i64 {
-        let in_job = self.remaining.get(&rdd).copied().unwrap_or(0).max(0);
+        let in_job = self.in_job_refs(rdd).unwrap_or(0).max(0);
         in_job + self.cross_job_refs(rdd) as i64
     }
 
@@ -297,7 +329,7 @@ impl BlazeController {
     fn value_weight(&self, rdd: RddId, incoming: Option<RddId>) -> f64 {
         if self.cross_job_refs(rdd) > 0 {
             1.0
-        } else if self.remaining.get(&rdd).copied().unwrap_or(0) > 0 {
+        } else if self.in_job_refs(rdd).unwrap_or(0) > 0 {
             match incoming {
                 Some(desc) if self.is_ancestor_of(rdd, desc) => 0.0,
                 _ => 0.5,
@@ -313,11 +345,9 @@ impl BlazeController {
     fn ensure_ancestors(&mut self, desc: RddId) {
         let (lineage, remaining) = (&self.lineage, &self.remaining);
         self.ancestors.entry(desc).or_insert_with(|| {
-            let mut set = bounded_ancestors(lineage, desc);
-            set.retain(|rdd| remaining.contains_key(rdd));
-            set.sort_unstable();
-            set.dedup();
-            set
+            bounded_ancestors(lineage, desc, |rdd| {
+                remaining.get(rdd.raw() as usize).is_some_and(Option::is_some)
+            })
         });
     }
 
@@ -326,7 +356,6 @@ impl BlazeController {
     fn is_ancestor_of(&self, anc: RddId, desc: RddId) -> bool {
         let found = self.ancestors.get(&desc).is_some_and(|set| set.binary_search(&anc).is_ok());
         debug_assert!(self.ancestors.contains_key(&desc), "no ancestor set built for {desc:?}");
-        #[cfg(any(test, debug_assertions))]
         debug_assert_eq!(
             found,
             walk_finds_ancestor(&self.lineage, anc, desc),
@@ -417,16 +446,20 @@ impl CacheController for BlazeController {
         // it there — so the target counts once too, consumed by the final
         // stage, whose output it is.
         self.remaining.clear();
+        self.remaining.resize(self.lineage.len(), None);
         self.consumed_by_stage.clear();
         self.ancestors.clear();
-        self.remaining.insert(job_plan.target, 1);
-        self.consumed_by_stage.insert(job_plan.target, vec![job_plan.target]);
+        let mut count = |rdd: RddId| {
+            *self.remaining[rdd.raw() as usize].get_or_insert(0) += 1;
+        };
+        count(job_plan.target);
+        self.consumed_by_stage.push((job_plan.target, job_plan.target));
         for stage in &job_plan.stages {
             for &rdd in &stage.rdds {
                 if let Ok(node) = plan.node(rdd) {
                     for dep in &node.deps {
-                        *self.remaining.entry(dep.parent()).or_insert(0) += 1;
-                        self.consumed_by_stage.entry(stage.output).or_default().push(dep.parent());
+                        count(dep.parent());
+                        self.consumed_by_stage.push((stage.output, dep.parent()));
                     }
                 }
             }
@@ -454,25 +487,20 @@ impl CacheController for BlazeController {
         _plan: &Plan,
     ) -> Vec<StateCommand> {
         // Consume the references this stage satisfied.
-        if let Some(parents) = self.consumed_by_stage.remove(&stage_output) {
-            for p in parents {
-                if let Some(r) = self.remaining.get_mut(&p) {
-                    *r -= 1;
-                }
+        let remaining = &mut self.remaining;
+        self.consumed_by_stage.retain(|&(output, rdd)| {
+            if output != stage_output {
+                return true;
             }
-        }
+            if let Some(r) = &mut remaining[rdd.raw() as usize] {
+                *r -= 1;
+            }
+            false
+        });
         // Auto-unpersist: drop cached data without future references, to
         // "quickly acquire free space after each stage execution" (§5.6).
-        let mut rdds: Vec<RddId> = self
-            .lineage
-            .blocks_in_memory()
-            .into_iter()
-            .chain(self.lineage.blocks_on_disk())
-            .map(|(id, _)| id.rdd)
-            .collect();
-        rdds.sort();
-        rdds.dedup();
-        rdds.into_iter()
+        self.lineage
+            .resident_rdds()
             .filter(|&rdd| self.effective_future_refs(rdd) == 0)
             .map(StateCommand::UnpersistRdd)
             .collect()
@@ -608,7 +636,9 @@ impl CacheController for BlazeController {
     }
 
     fn on_evicted(&mut self, _ctx: &CtrlCtx, id: BlockId) {
-        self.recency.remove(&id);
+        if self.cfg.level == BlazeLevel::AutoCache {
+            self.recency.remove(&id);
+        }
         // The block left its tier; a spill's follow-up on_inserted(Disk)
         // sets the disk state.
         self.lineage.set_state(id, PartitionState::None);
@@ -620,7 +650,7 @@ impl CacheController for BlazeController {
 
     fn explain_block(&self, id: BlockId) -> Option<String> {
         let rdd = id.rdd;
-        let in_job = self.remaining.get(&rdd).copied().unwrap_or(0).max(0);
+        let in_job = self.in_job_refs(rdd).unwrap_or(0).max(0);
         let cross = self.cross_job_refs(rdd);
         Some(format!(
             "blaze: {in_job} in-job + {cross} cross-job refs, weight {:.1}",
@@ -965,14 +995,14 @@ mod tests {
             let rdds = 0..parents.len() as u32;
             ctl.remaining = rdds
                 .clone()
-                .filter(|&r| referenced[r as usize % referenced.len()] > 0)
-                .map(|r| (RddId(r), 1))
+                .map(|r| (referenced[r as usize % referenced.len()] > 0).then_some(1))
                 .collect();
+            let held = |ctl: &BlazeController, rdd: RddId| ctl.in_job_refs(rdd).is_some();
             for desc in rdds.clone() {
                 ctl.ensure_ancestors(RddId(desc));
                 let set = &ctl.ancestors[&RddId(desc)];
-                prop_assert!(set.iter().all(|a| ctl.remaining.contains_key(a)));
-                for anc in rdds.clone().filter(|&a| ctl.remaining.contains_key(&RddId(a))) {
+                prop_assert!(set.iter().all(|&a| held(&ctl, a)));
+                for anc in rdds.clone().filter(|&a| held(&ctl, RddId(a))) {
                     let walk = walk_finds_ancestor(&ctl.lineage, RddId(anc), RddId(desc));
                     prop_assert_eq!(
                         ctl.is_ancestor_of(RddId(anc), RddId(desc)), walk,
@@ -993,7 +1023,7 @@ mod tests {
             (0..len).map(|i| i.checked_sub(1).into_iter().collect()).collect();
         let mut ctl = BlazeController::new(BlazeConfig::full(), None);
         ctl.lineage = lineage_of(&parents);
-        ctl.remaining = (0..len).map(|r| (RddId(r), 1)).collect();
+        ctl.remaining = vec![Some(1); len as usize];
         let tip = RddId(len - 1);
         ctl.ensure_ancestors(tip);
         for anc in 0..len - 1 {

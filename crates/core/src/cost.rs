@@ -22,12 +22,11 @@
 use crate::costlineage::CostLineage;
 use crate::induct::{induct_edge_compute, induct_size};
 use crate::pattern::IterationPattern;
-use blaze_common::fxhash::FxHashMap;
-use blaze_common::ids::BlockId;
+use blaze_common::ids::{BlockId, RddId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_engine::HardwareModel;
 
-/// Memoized costs for one lineage snapshot, in two maps: the Eq. 4
+/// Memoized costs for one lineage snapshot, two per block: the Eq. 4
 /// *recovery* value of a block in its current state (what pricing a child
 /// charges for it) and its Eq. 2 *admission price* (what
 /// [`CostModel::cost`] returns when admissions rank it). An entry is
@@ -43,43 +42,91 @@ use blaze_engine::HardwareModel;
 /// parents' recovery entries. So does an admission price of a block not on
 /// disk, unless it is a shuffle block, whose price reads only its own
 /// metrics. Invalidation relies on that (see [`crate::incremental`]).
-/// Flagged keys of both maps are also listed as they are inserted, so a
-/// flush visits them without scanning the memo.
+/// Flagged keys are also listed as they are inserted, so a flush visits
+/// them without scanning the memo.
+///
+/// The entries sit in one slot per block, at `rows[rdd][partition]` (RDD
+/// ids and partition indexes are dense). A row is allocated once, at its
+/// RDD's partition count, the first time one of its blocks is memoized.
 #[derive(Debug, Default)]
 pub struct CostMemo {
-    entries: FxHashMap<BlockId, (SimDuration, bool)>,
-    prices: FxHashMap<BlockId, SimDuration>,
+    rows: Vec<Vec<Slot>>,
     inducted: Vec<BlockId>,
 }
 
+/// One block's memoized recovery value and admission price, each valid only
+/// while its bit in `held` is set: a pair of `Option`s would take a third
+/// more memory, and on `wide_decide` the memo holds ≈ 15 k slots.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    recovery: SimDuration,
+    price: SimDuration,
+    held: u8,
+}
+
+impl Slot {
+    const RECOVERY: u8 = 1;
+    /// The recovery value was priced from inducted metrics.
+    const INDUCTED: u8 = 2;
+    const PRICE: u8 = 4;
+}
+
 impl CostMemo {
-    fn get(&self, id: BlockId) -> Option<(SimDuration, bool)> {
-        self.entries.get(&id).copied()
+    fn slot(&self, id: BlockId) -> Option<&Slot> {
+        self.rows.get(id.rdd.raw() as usize)?.get(id.partition as usize)
     }
 
-    fn insert(&mut self, id: BlockId, value: (SimDuration, bool)) {
+    /// `id`'s slot, allocating its row at `parts` slots (or enough to hold
+    /// `id`) if this is the row's first entry.
+    fn slot_mut(&mut self, id: BlockId, parts: usize) -> &mut Slot {
+        let (rdd, part) = (id.rdd.raw() as usize, id.partition as usize);
+        if self.rows.len() <= rdd {
+            self.rows.resize_with(rdd + 1, Vec::new);
+        }
+        let row = &mut self.rows[rdd];
+        if row.len() <= part {
+            row.resize(parts.max(part + 1), Slot::default());
+        }
+        &mut row[part]
+    }
+
+    fn get(&self, id: BlockId) -> Option<(SimDuration, bool)> {
+        let s = self.slot(id)?;
+        (s.held & Slot::RECOVERY != 0).then_some((s.recovery, s.held & Slot::INDUCTED != 0))
+    }
+
+    fn insert(&mut self, id: BlockId, parts: usize, value: (SimDuration, bool)) {
         if value.1 {
             self.inducted.push(id);
         }
-        self.entries.insert(id, value);
+        let s = self.slot_mut(id, parts);
+        s.recovery = value.0;
+        s.held = (s.held & Slot::PRICE) | Slot::RECOVERY | if value.1 { Slot::INDUCTED } else { 0 };
     }
 
     /// `id`'s memoized admission price, if any.
     pub(crate) fn price(&self, id: BlockId) -> Option<SimDuration> {
-        self.prices.get(&id).copied()
+        let s = self.slot(id)?;
+        (s.held & Slot::PRICE != 0).then_some(s.price)
     }
 
-    fn insert_price(&mut self, id: BlockId, price: SimDuration, inducted: bool) {
+    fn insert_price(&mut self, id: BlockId, parts: usize, price: SimDuration, inducted: bool) {
         if inducted {
             self.inducted.push(id);
         }
-        self.prices.insert(id, price);
+        let s = self.slot_mut(id, parts);
+        s.price = price;
+        s.held |= Slot::PRICE;
     }
 
     /// Drops both of `id`'s entries; returns whether it had a recovery
     /// entry and whether it had an admission price.
     pub(crate) fn remove(&mut self, id: BlockId) -> (bool, bool) {
-        (self.entries.remove(&id).is_some(), self.prices.remove(&id).is_some())
+        let row = self.rows.get_mut(id.rdd.raw() as usize);
+        let held = row
+            .and_then(|r| r.get_mut(id.partition as usize))
+            .map_or(0, |s| std::mem::take(&mut s.held));
+        (held & Slot::RECOVERY != 0, held & Slot::PRICE != 0)
     }
 
     /// Takes the list of keys inserted with the inducted flag since the last
@@ -88,16 +135,21 @@ impl CostMemo {
         std::mem::take(&mut self.inducted)
     }
 
-    /// The memoized blocks of both maps, in no particular order (a block
-    /// with both entries comes twice).
+    /// The memoized blocks, in id order: a block with a recovery entry, then
+    /// again if it has an admission price (a block with both comes twice).
     pub(crate) fn keys(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.entries.keys().chain(self.prices.keys()).copied()
+        self.rows.iter().enumerate().flat_map(|(rdd, row)| {
+            row.iter().enumerate().flat_map(move |(part, slot)| {
+                let id = BlockId::new(RddId(rdd as u32), part as u32);
+                let has = |bit| (slot.held & bit != 0).then_some(id);
+                has(Slot::RECOVERY).into_iter().chain(has(Slot::PRICE))
+            })
+        })
     }
 
     /// Drops every entry.
     pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-        self.prices.clear();
+        self.rows.clear();
         self.inducted.clear();
     }
 }
@@ -172,6 +224,12 @@ impl<'a> CostModel<'a> {
             Some(e) => (e, false),
             None => (self.edge_compute(id), true),
         }
+    }
+
+    /// The partition count of `id`'s RDD (0 when unknown): the length a
+    /// memo row is allocated at.
+    fn parts(&self, id: BlockId) -> usize {
+        self.lineage.node(id.rdd).map_or(0, |n| n.parts.len())
     }
 
     /// The serialization factor of `id`'s RDD (1.0 when unknown).
@@ -265,7 +323,7 @@ impl<'a> CostModel<'a> {
             }
             crate::costlineage::PartitionState::None => self.cost_r_inner(id, depth),
         };
-        self.memo.insert(id, c);
+        self.memo.insert(id, self.parts(id), c);
         c
     }
 
@@ -288,7 +346,7 @@ impl<'a> CostModel<'a> {
             let (r, r_inducted) = self.cost_r_inner(id, 0);
             (self.disk_round_trip(id, size).min(r), size_inducted || r_inducted)
         };
-        self.memo.insert_price(id, price, inducted);
+        self.memo.insert_price(id, self.parts(id), price, inducted);
         price
     }
 
@@ -303,7 +361,7 @@ impl<'a> CostModel<'a> {
 mod tests {
     use super::*;
     use crate::costlineage::PartitionState;
-    use blaze_common::ids::{ExecutorId, RddId};
+    use blaze_common::ids::ExecutorId;
     use blaze_dataflow::{runner::LocalRunner, Context};
 
     /// chain: src(0) -> m1(1) -> m2(2) -> m3(3), 1 partition each.
@@ -455,6 +513,41 @@ mod tests {
         assert_eq!(m.cost_s(BlockId::new(RddId(2), 0)), deser);
         // A deser charge is strictly cheaper than the full disk round trip.
         assert!(m.cost_s(BlockId::new(RddId(2), 0)) < m.cost_d(BlockId::new(RddId(2), 0)));
+    }
+
+    /// `keys()` lists exactly the live entries, in id order, whatever ids
+    /// they carry: a profiled lineage runs ahead of the plan, so the memo
+    /// holds blocks of RDDs the plan has not reached, and of RDDs no lineage
+    /// knows (their rows are sized to hold the block).
+    #[test]
+    fn memo_keys_are_exactly_the_live_entries() {
+        let ms = SimDuration::from_millis;
+        let mut memo = CostMemo::default();
+        let a = BlockId::new(RddId(2), 1);
+        let b = BlockId::new(RddId(2), 3);
+        let far = BlockId::new(RddId(900), 40);
+        memo.insert(a, 4, (ms(1), false));
+        memo.insert_price(a, 4, ms(2), true);
+        memo.insert_price(b, 4, ms(3), false);
+        memo.insert(far, 0, (ms(4), true));
+        let keys = |m: &CostMemo| m.keys().collect::<Vec<_>>();
+        assert_eq!(keys(&memo), vec![a, a, b, far]);
+        assert_eq!((memo.get(a), memo.price(a)), (Some((ms(1), false)), Some(ms(2))));
+
+        assert_eq!(memo.remove(a), (true, true));
+        assert_eq!(memo.remove(a), (false, false));
+        assert_eq!(memo.remove(BlockId::new(RddId(5000), 0)), (false, false));
+        assert_eq!(keys(&memo), vec![b, far]);
+        assert_eq!(memo.get(far), Some((ms(4), true)));
+        memo.insert(b, 4, (ms(6), false));
+        assert_eq!((memo.get(b), memo.price(b)), (Some((ms(6), false)), Some(ms(3))));
+        assert_eq!(memo.take_inducted(), vec![a, far], "flagged keys are listed as inserted");
+
+        memo.clear();
+        assert!(keys(&memo).is_empty());
+        assert_eq!((memo.price(b), memo.get(b), memo.get(far)), (None, None, None));
+        memo.insert_price(far, 0, ms(5), false);
+        assert_eq!(keys(&memo), vec![far]);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! is what lets profiled metrics align with the runtime plan.
 
 use blaze_audit::{AuditReport, DiagCode, Diagnostic};
-use blaze_common::fxhash::{FxHashMap, FxHashSet};
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_dataflow::Plan;
@@ -96,12 +95,19 @@ pub struct LineageNode {
     pub ser_factor: f64,
     /// Per-partition metrics.
     pub parts: Vec<PartitionMetrics>,
+    /// How many of `parts` are resident (in memory or on disk).
+    resident: u32,
+    /// Index of this node's partition 0 in the lineage's per-block flags.
+    first_block: u32,
 }
 
 /// The cost-annotated lineage of the whole application.
+///
+/// Every table is indexed by the dense program-order ids: `nodes[i]` mirrors
+/// `RddId(i)` and a block's metrics sit at `nodes[rdd].parts[partition]`.
 #[derive(Debug, Default)]
 pub struct CostLineage {
-    nodes: FxHashMap<RddId, LineageNode>,
+    nodes: Vec<LineageNode>,
     /// Submitted job targets, in order (profiled first, then observed).
     job_targets: Vec<RddId>,
     /// Index of the currently running job within `job_targets`.
@@ -113,7 +119,8 @@ pub struct CostLineage {
     /// outputs, Eq. 4), so a parent's metric/state change can only affect the
     /// recovery cost of its narrow descendants — and narrow dependencies are
     /// partition-aligned, so the change stays on the same partition index.
-    narrow_children: FxHashMap<RddId, Vec<RddId>>,
+    /// Indexed by the parent's id, like `nodes`.
+    narrow_children: Vec<Vec<RddId>>,
     /// Plan-length watermark: nodes at indices below this are absorbed, so
     /// [`Self::merge_plan`] only walks newly appended nodes (ids are dense
     /// and assigned in program order).
@@ -122,10 +129,15 @@ pub struct CostLineage {
     in_memory: BTreeSet<BlockId>,
     /// Sorted residency index of all blocks in [`PartitionState::Disk`].
     on_disk: BTreeSet<BlockId>,
+    /// RDDs with at least one resident block (a non-zero
+    /// [`LineageNode`] resident count), in id order.
+    resident_rdds: BTreeSet<RddId>,
     /// Blocks whose metrics or state changed since the last
     /// [`Self::take_dirty`] drain, in first-touched order.
     dirty: Vec<BlockId>,
-    dirty_set: FxHashSet<BlockId>,
+    /// One flag per block, set while the block is listed in `dirty`. Every
+    /// node's partitions are contiguous, from its `first_block`.
+    listed: Vec<bool>,
     /// Bumped whenever any metric observation changes. Cached costs derived
     /// from *inducted* (unobserved) metrics may depend on congruent blocks
     /// anywhere in the lineage, so they are only valid within one revision.
@@ -150,17 +162,25 @@ impl CostLineage {
     /// call (or seeded by profiling, which assigns the same ids).
     pub fn merge_plan(&mut self, plan: &Plan) {
         for node in plan.iter().skip(self.absorbed) {
-            self.nodes.entry(node.id).or_insert_with(|| LineageNode {
-                rdd: node.id,
-                name: node.name.clone(),
-                parents: node.deps.iter().map(|d| d.parent()).collect(),
-                is_shuffle: node.is_shuffle(),
-                ser_factor: node.ser_factor,
-                parts: vec![PartitionMetrics::default(); node.num_partitions],
-            });
+            // Nodes at or above the watermark are either known from profiling
+            // (same id) or the next id to mirror.
+            if node.id.raw() as usize == self.nodes.len() {
+                self.nodes.push(LineageNode {
+                    rdd: node.id,
+                    name: node.name.clone(),
+                    parents: node.deps.iter().map(|d| d.parent()).collect(),
+                    is_shuffle: node.is_shuffle(),
+                    ser_factor: node.ser_factor,
+                    parts: vec![PartitionMetrics::default(); node.num_partitions],
+                    resident: 0,
+                    first_block: self.listed.len() as u32,
+                });
+                self.narrow_children.push(Vec::new());
+                self.listed.resize(self.listed.len() + node.num_partitions, false);
+            }
             if !node.is_shuffle() {
                 for dep in &node.deps {
-                    let children = self.narrow_children.entry(dep.parent()).or_default();
+                    let children = &mut self.narrow_children[dep.parent().raw() as usize];
                     if !children.contains(&node.id) {
                         children.push(node.id);
                     }
@@ -213,7 +233,7 @@ impl CostLineage {
 
     /// Looks up a node.
     pub fn node(&self, rdd: RddId) -> Option<&LineageNode> {
-        self.nodes.get(&rdd)
+        self.nodes.get(rdd.raw() as usize)
     }
 
     /// Number of mirrored datasets.
@@ -226,17 +246,24 @@ impl CostLineage {
         self.nodes.is_empty()
     }
 
-    /// Iterates over all nodes.
+    /// Iterates over all nodes in id order (the order the plan assigned
+    /// them, so parents come before their children).
     pub fn iter(&self) -> impl Iterator<Item = &LineageNode> {
-        self.nodes.values()
+        self.nodes.iter()
     }
 
     fn part_mut(&mut self, id: BlockId) -> Option<&mut PartitionMetrics> {
-        self.nodes.get_mut(&id.rdd)?.parts.get_mut(id.partition as usize)
+        self.nodes.get_mut(id.rdd.raw() as usize)?.parts.get_mut(id.partition as usize)
+    }
+
+    /// Index of a known block's flag in `listed`.
+    fn flag(&self, id: BlockId) -> usize {
+        self.nodes[id.rdd.raw() as usize].first_block as usize + id.partition as usize
     }
 
     fn mark_dirty(&mut self, id: BlockId) {
-        if self.dirty_set.insert(id) {
+        let flag = self.flag(id);
+        if !std::mem::replace(&mut self.listed[flag], true) {
             self.dirty.push(id);
         }
     }
@@ -256,24 +283,36 @@ impl CostLineage {
 
     /// Updates a partition's state.
     pub fn set_state(&mut self, id: BlockId, state: PartitionState) {
-        if let Some(p) = self.part_mut(id) {
-            let old = p.state;
-            if old == state {
-                return;
-            }
-            p.state = state;
-            if old.in_memory() {
-                self.in_memory.remove(&id);
-            } else if old.on_disk() {
-                self.on_disk.remove(&id);
-            }
-            if state.in_memory() {
-                self.in_memory.insert(id);
-            } else if state.on_disk() {
-                self.on_disk.insert(id);
-            }
-            self.mark_dirty(id);
+        let Some(node) = self.nodes.get_mut(id.rdd.raw() as usize) else { return };
+        let Some(p) = node.parts.get_mut(id.partition as usize) else { return };
+        let old = std::mem::replace(&mut p.state, state);
+        if old == state {
+            return;
         }
+        match (old, state) {
+            (PartitionState::None, _) => {
+                node.resident += 1;
+                self.resident_rdds.insert(id.rdd);
+            }
+            (_, PartitionState::None) => {
+                node.resident -= 1;
+                if node.resident == 0 {
+                    self.resident_rdds.remove(&id.rdd);
+                }
+            }
+            _ => {}
+        }
+        if old.in_memory() {
+            self.in_memory.remove(&id);
+        } else if old.on_disk() {
+            self.on_disk.remove(&id);
+        }
+        if state.in_memory() {
+            self.in_memory.insert(id);
+        } else if state.on_disk() {
+            self.on_disk.insert(id);
+        }
+        self.mark_dirty(id);
     }
 
     /// Drains the set of blocks whose metrics or state changed since the
@@ -281,15 +320,19 @@ impl CostLineage {
     /// blocks *and their narrow descendants on the same partition* (see
     /// [`Self::narrow_children`]) are stale.
     pub fn take_dirty(&mut self) -> Vec<BlockId> {
-        self.dirty_set.clear();
-        std::mem::take(&mut self.dirty)
+        let dirty = std::mem::take(&mut self.dirty);
+        for &id in &dirty {
+            let flag = self.flag(id);
+            self.listed[flag] = false;
+        }
+        dirty
     }
 
     /// Narrow (partition-aligned, non-shuffle) children of `rdd`, in plan
     /// order. Shuffle children are excluded because their recovery cost
     /// never recurses into parents.
     pub fn narrow_children(&self, rdd: RddId) -> &[RddId] {
-        self.narrow_children.get(&rdd).map_or(&[], Vec::as_slice)
+        self.narrow_children.get(rdd.raw() as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Revision counter bumped on every metric change; cached costs derived
@@ -306,7 +349,7 @@ impl CostLineage {
 
     /// Returns a partition's metrics, if the node is known.
     pub fn metrics(&self, id: BlockId) -> Option<&PartitionMetrics> {
-        self.nodes.get(&id.rdd)?.parts.get(id.partition as usize)
+        self.node(id.rdd)?.parts.get(id.partition as usize)
     }
 
     /// Returns a partition's current state (`None` when unknown).
@@ -336,12 +379,26 @@ impl CostLineage {
         self.observed_size(id).unwrap_or(ByteSize::ZERO)
     }
 
-    /// Debug check: the residency indexes must agree with a full scan of the
-    /// per-partition states (used by the differential tests).
+    /// Every RDD with a block in memory or on disk, in id order.
+    ///
+    /// Served from an index [`Self::set_state`] maintains with a per-RDD
+    /// count of resident blocks, so this is O(resident RDDs).
+    pub fn resident_rdds(&self) -> impl Iterator<Item = RddId> + '_ {
+        self.resident_rdds.iter().copied()
+    }
+
+    /// Debug check: the residency indexes and the per-RDD resident counts
+    /// must agree with a full scan of the per-partition states (used by the
+    /// differential tests).
     pub fn residency_consistent(&self) -> bool {
+        let held =
+            |n: &LineageNode| n.parts.iter().filter(|p| p.state != PartitionState::None).count();
+        let counts_agree = self.nodes.iter().all(|n| held(n) == n.resident as usize);
+        let resident_rdds: BTreeSet<RddId> =
+            self.nodes.iter().filter(|n| n.resident > 0).map(|n| n.rdd).collect();
         let scan = |class: fn(PartitionState) -> bool| -> BTreeSet<BlockId> {
             self.nodes
-                .values()
+                .iter()
                 .flat_map(|n| {
                     n.parts
                         .iter()
@@ -351,7 +408,9 @@ impl CostLineage {
                 })
                 .collect()
         };
-        scan(PartitionState::in_memory) == self.in_memory
+        counts_agree
+            && resident_rdds == self.resident_rdds
+            && scan(PartitionState::in_memory) == self.in_memory
             && scan(PartitionState::on_disk) == self.on_disk
     }
 
@@ -393,7 +452,7 @@ impl CostLineage {
     /// later iterations' nodes.
     pub fn check_consistency(&self, plan: &Plan) -> AuditReport {
         let mut diags = Vec::new();
-        for ln in self.nodes.values() {
+        for ln in &self.nodes {
             let Ok(node) = plan.node(ln.rdd) else { continue };
             let plan_parents: Vec<RddId> = node.deps.iter().map(|d| d.parent()).collect();
             if ln.parents != plan_parents {
@@ -504,6 +563,56 @@ mod tests {
         assert!(cl.residency_consistent());
     }
 
+    /// One block walks Memory -> SerializedMemory -> Disk -> None beside a
+    /// second block of the same RDD: the RDD stays in the resident index
+    /// until its last block leaves, and the counts match a scan throughout.
+    #[test]
+    fn resident_rdd_index_follows_the_last_resident_block() {
+        let (ctx, a, b) = small_plan();
+        let mut cl = CostLineage::new();
+        cl.merge_plan(&ctx.plan().read());
+        let (walker, sibling) = (BlockId::new(a, 0), BlockId::new(a, 1));
+        let resident = |cl: &CostLineage| cl.resident_rdds().collect::<Vec<_>>();
+        assert!(resident(&cl).is_empty());
+
+        cl.set_state(sibling, PartitionState::Memory(ExecutorId(1)));
+        assert_eq!(resident(&cl), vec![a]);
+        let e = ExecutorId(0);
+        for state in [
+            PartitionState::Memory(e),
+            PartitionState::SerializedMemory(e),
+            PartitionState::Disk(e),
+            PartitionState::None,
+        ] {
+            cl.set_state(walker, state);
+            assert_eq!(resident(&cl), vec![a], "after {state:?}");
+            assert!(cl.residency_consistent(), "after {state:?}");
+        }
+
+        cl.set_state(BlockId::new(b, 1), PartitionState::Disk(e));
+        assert_eq!(resident(&cl), vec![a, b]);
+        cl.set_state(sibling, PartitionState::None);
+        assert_eq!(resident(&cl), vec![b]);
+        cl.set_state(walker, PartitionState::Disk(e));
+        assert_eq!(resident(&cl), vec![a, b]);
+        assert!(cl.residency_consistent());
+    }
+
+    #[test]
+    fn take_dirty_drains_in_first_touched_order_once() {
+        let (ctx, a, b) = small_plan();
+        let mut cl = CostLineage::new();
+        cl.merge_plan(&ctx.plan().read());
+        let (x, y) = (BlockId::new(b, 1), BlockId::new(a, 0));
+        cl.set_state(x, PartitionState::Memory(ExecutorId(0)));
+        cl.record_metrics(y, ByteSize::from_kib(1), SimDuration::ZERO);
+        cl.set_state(x, PartitionState::Disk(ExecutorId(0)));
+        assert_eq!(cl.take_dirty(), vec![x, y]);
+        assert!(cl.take_dirty().is_empty());
+        cl.set_state(x, PartitionState::None);
+        assert_eq!(cl.take_dirty(), vec![x], "a drained block is listed again");
+    }
+
     #[test]
     fn consistency_check_accepts_a_mirrored_plan() {
         let (ctx, _a, _b) = small_plan();
@@ -520,7 +629,7 @@ mod tests {
         cl.merge_plan(&ctx.plan().read());
 
         // Corrupt the mirrored parents of b.
-        cl.nodes.get_mut(&b).unwrap().parents = vec![RddId(99)];
+        cl.nodes[b.raw() as usize].parents = vec![RddId(99)];
         let report = cl.check_consistency(&ctx.plan().read());
         assert!(report.has(DiagCode::LineageMismatch));
         assert!(!report.passes());
@@ -528,24 +637,24 @@ mod tests {
         // Corrupt the partition count of a.
         let mut cl2 = CostLineage::new();
         cl2.merge_plan(&ctx.plan().read());
-        cl2.nodes.get_mut(&a).unwrap().parts.push(PartitionMetrics::default());
+        cl2.nodes[a.raw() as usize].parts.push(PartitionMetrics::default());
         assert!(cl2.check_consistency(&ctx.plan().read()).has(DiagCode::LineageMismatch));
 
         // A mirrored node the plan does not know yet is tolerated: profiled
         // lineages run ahead of the incrementally-grown runtime plan.
         let mut cl3 = CostLineage::new();
         cl3.merge_plan(&ctx.plan().read());
-        cl3.nodes.insert(
-            RddId(77),
-            LineageNode {
-                rdd: RddId(77),
-                name: "profiled-ahead".into(),
-                parents: vec![],
-                is_shuffle: false,
-                ser_factor: 1.0,
-                parts: vec![],
-            },
-        );
+        let ahead = RddId(cl3.len() as u32);
+        cl3.nodes.push(LineageNode {
+            rdd: ahead,
+            name: "profiled-ahead".into(),
+            parents: vec![b],
+            is_shuffle: false,
+            ser_factor: 1.0,
+            parts: vec![],
+            resident: 0,
+            first_block: 0,
+        });
         assert!(cl3.check_consistency(&ctx.plan().read()).is_clean());
     }
 

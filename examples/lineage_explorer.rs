@@ -27,7 +27,8 @@ fn main() {
     println!("captured {} jobs; targets: {:?}", profile.job_targets.len(), profile.job_targets);
     println!("iteration pattern: {:?}\n", profile.pattern);
 
-    // Pretend runtime observed some metrics, then ask the cost model.
+    // Pretend runtime observed some metrics, then ask the cost model. The
+    // lineage iterates in id order.
     let rdds: Vec<_> = profile.lineage.iter().map(|n| (n.rdd, n.name.clone())).collect();
     for (rdd, _) in &rdds {
         for p in 0..4u32 {
@@ -45,9 +46,7 @@ fn main() {
         "{:<8} {:<18} {:>6} {:>12} {:>12} {:>10}",
         "rdd", "operator", "refs", "cost_d", "cost_r", "prefers"
     );
-    let mut sorted = rdds.clone();
-    sorted.sort_by_key(|(rdd, _)| *rdd);
-    for (rdd, name) in sorted {
+    for (rdd, name) in rdds {
         let refs = profile.refs.future_refs(rdd, 0);
         let id = BlockId::new(rdd, 0);
         let cost_d = model.cost_d(id);
