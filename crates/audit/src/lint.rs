@@ -9,8 +9,8 @@
 //!   `FxHashSet` (fixed-state hashing) or `BTreeMap`.
 //! - `wall-clock` — `Instant::now` / `SystemTime` in every file, with no
 //!   path exempt: simulated time must come from the deterministic clock,
-//!   never the host. Figure generators, fault injection, trace tooling and
-//!   the `BENCH_*.json` generators must replay byte-identically; host-time
+//!   never the host. Figure and table generators (`results/`), fault
+//!   injection and trace tooling must replay byte-identically; host-time
 //!   measurement belongs in `benchmark/`, outside the linted crates.
 //! - `unwrap` — `.unwrap()` / `.expect(..)` in `crates/engine` without an
 //!   explicit `// audit: allow(unwrap)` justification: the engine is the
@@ -335,15 +335,17 @@ mod tests {
     #[test]
     fn fault_injection_files_in_bench_may_not_read_host_time() {
         let src = join(&["fn f() { let t = std::time::Instant::now(); }"]);
-        assert_eq!(lint_source("crates/bench/src/bin/bench_failure.rs", &src).len(), 1);
+        let fault_recovery = lint_source("crates/bench/src/bin/fault_recovery.rs", &src);
+        assert_eq!(fault_recovery[0].code, "wall-clock");
         assert_eq!(lint_source("crates/bench/src/fault_schedule.rs", &src)[0].code, "wall-clock");
         // Trace tooling must replay deterministically too.
         assert_eq!(lint_source("crates/bench/src/bin/blaze-trace.rs", &src)[0].code, "wall-clock");
         // Chaos harnesses and degradation benches are fault-injection code.
         assert_eq!(lint_source("crates/bench/src/bin/bench_chaos.rs", &src)[0].code, "wall-clock");
         assert_eq!(lint_source("crates/bench/src/degradation.rs", &src)[0].code, "wall-clock");
-        // BENCH_engine.json holds simulated numbers only.
-        assert_eq!(lint_source("crates/bench/src/bin/bench_engine.rs", &src)[0].code, "wall-clock");
+        // results/ser_tier_engagement.txt holds simulated numbers only.
+        let ser_tier = lint_source("crates/bench/src/bin/ser_tier_engagement.rs", &src);
+        assert_eq!(ser_tier[0].code, "wall-clock");
     }
 
     #[test]

@@ -160,7 +160,7 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
 
 /// The deterministic fault schedule applied under `--faults`: a modest
 /// transient-failure rate plus one mid-run executor crash without an
-/// external shuffle service (same shape as `bench_failure`).
+/// external shuffle service (same shape as `fault_recovery`'s duress plan).
 fn fault_plan() -> FaultPlan {
     FaultPlan {
         seed: 0xB1A2E,

@@ -61,32 +61,22 @@ for mode in --utilization --dot --ledger "--explain 2:0"; do
     cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
         $mode --apps pagerank >/dev/null
 done
-# Graceful degradation: under duress (stragglers, corrupted spills)
-# speculation must win races and shorten the makespan, at least one
-# corrupted spill must be caught and quarantined (--check floors), and the
-# committed BENCH_failure.json (simulated numbers only) must be exactly what
-# the code renders.
-run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_failure -- --check
-# Serialized-tier smoke: on the high-ser_factor workloads (SVD++/LR) under
-# tightened memory the multi-choice solver must actually pick s-states
-# (ser_transitions > 0 somewhere), tier-off runs must keep their ser
-# counters at exactly zero, and the committed BENCH_engine.json (simulated
-# numbers only) must be exactly what the code renders.
-run cargo run -q $OFFLINE --release -p blaze-bench --bin bench_engine -- --check
-# Committed results are what the code renders: re-run the eleven
-# results/*.txt generators, with the three CSVs they write through
-# BLAZE_CSV_DIR, into a temporary directory and compare every file with the
-# committed one. A decision-moving change regenerates results/ in the same
-# commit (the loop in the verify recipe).
+# Committed results are what the code renders: re-run the generator of
+# every results/*.txt (the binary of the same name), with the CSVs they
+# write through BLAZE_CSV_DIR, into a temporary directory and compare every
+# file with the committed one. Generators assert their own floors (the
+# serialized tier engages, speculation wins races, corrupted spills are
+# quarantined), so a floor that breaks fails here too. A decision-moving
+# change regenerates results/ in the same commit (the loop in the verify
+# recipe).
 results=$(mktemp -d)
 trap 'rm -rf "$results"' EXIT
-for bin in fig3_eviction_skew fig4_disk_breakdown fig5_recomp_growth \
-    fig9_end_to_end fig10_cost_breakdown fig11_ablation fig12_mem_only \
-    fig13_profiling ablation_horizon extra_policies scale_sweep; do
-    echo "ci: results/$bin.txt"
+for f in results/*.txt; do
+    bin=$(basename "$f" .txt)
+    echo "ci: $f"
     BLAZE_CSV_DIR="$results/csv" cargo run -q $OFFLINE --release -p blaze-bench --bin "$bin" \
         >"$results/$bin.txt" 2>"$results/$bin.log" || { cat "$results/$bin.log"; exit 1; }
-    cmp "$results/$bin.txt" "results/$bin.txt"
+    cmp "$results/$bin.txt" "$f"
 done
 for csv in results/csv/*.csv "$results"/csv/*.csv; do
     name=$(basename "$csv")
