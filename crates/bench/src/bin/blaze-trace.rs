@@ -29,7 +29,9 @@
 //!
 //! Every mode but `--validate` runs one application once: `--apps` names at
 //! most one there (default: PageRank), and `--threads` at most one count
-//! (default: 1).
+//! (default: 1). `--faults` runs every application under its duress
+//! schedule, the one `fault_recovery` replays
+//! ([`blaze_bench::harness::duress_plan`]).
 //!
 //! ```sh
 //! cargo run --release -p blaze-bench --bin blaze-trace -- --utilization --apps pr --system blaze
@@ -41,11 +43,12 @@
 //! tooling, so `blaze-lint`'s wall-clock rule applies to it even though
 //! it lives in the bench crate.
 
+use blaze_bench::harness::duress_plan;
 use blaze_bench::table::{secs, Table};
 use blaze_common::ids::{BlockId, ExecutorId, RddId};
-use blaze_common::{SimDuration, SimTime};
+use blaze_common::SimDuration;
 use blaze_core::{extract_dependencies, ProfileResult};
-use blaze_engine::{ExecutorCrash, FaultPlan, Metrics, TaskTrace, TraceEvent, TraceLog};
+use blaze_engine::{FaultPlan, Metrics, TaskTrace, TraceEvent, TraceLog};
 use blaze_workloads::{App, AppSpec, RunOutcome, Session, SystemKind};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -158,27 +161,9 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// The deterministic fault schedule applied under `--faults`: a modest
-/// transient-failure rate plus one mid-run executor crash without an
-/// external shuffle service (same shape as `fault_recovery`'s duress plan).
-fn fault_plan() -> FaultPlan {
-    FaultPlan {
-        seed: 0xB1A2E,
-        task_failure_rate: 0.02,
-        max_task_retries: 3,
-        crashes: vec![ExecutorCrash {
-            at: SimTime::ZERO + SimDuration::from_secs_f64(0.05),
-            executor: 1,
-        }],
-        map_output_loss_rate: 0.0,
-        external_shuffle_service: false,
-        ..Default::default()
-    }
-}
-
 fn run(opts: &Options, app: App, system: SystemKind, threads: usize, tracing: bool) -> RunOutcome {
     let spec = AppSpec::evaluation(app).with_worker_threads(threads);
-    let fault = if opts.faults { fault_plan() } else { FaultPlan::default() };
+    let fault = if opts.faults { duress_plan(app) } else { FaultPlan::default() };
     let run = Session::builder(spec).system(system).fault(fault).tracing(tracing).run();
     match run {
         Ok(out) => out,
@@ -453,6 +438,7 @@ fn lineage_dot(app: App, profile: &ProfileResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blaze_common::SimTime;
 
     fn parse(args: &[&str]) -> Result<Options, String> {
         parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())

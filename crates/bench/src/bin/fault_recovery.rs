@@ -18,40 +18,16 @@
 //!    least one bad read and that the runs complete through lineage
 //!    recompute.
 
+use blaze_bench::harness::duress_plan;
 use blaze_bench::table::Table;
 use blaze_common::{SimDuration, SimTime};
-use blaze_engine::{ExecutorCrash, FaultPlan, Metrics};
+use blaze_engine::{FaultPlan, Metrics};
 use blaze_workloads::{App, AppSpec, Session, SystemKind};
 
 /// One run through the session API; the default plan injects nothing.
 fn run(app: App, system: SystemKind, fault: FaultPlan) -> Metrics {
     let spec = AppSpec::evaluation(app);
     Session::builder(spec).system(system).fault(fault).run().expect("run failed").metrics
-}
-
-/// The shared duress schedule for one workload: a modest transient-failure
-/// rate, one executor crash at a fixed simulated time, no external shuffle
-/// service (so the crash also destroys that executor's shuffle outputs,
-/// forcing lineage-driven parent-stage resubmission), plus light
-/// stragglers, spill corruption and fetch flakiness.
-fn duress_plan(crash_at_s: f64) -> FaultPlan {
-    FaultPlan {
-        seed: 0xB1A2E,
-        task_failure_rate: 0.02,
-        max_task_retries: 3,
-        crashes: vec![ExecutorCrash {
-            at: SimTime::ZERO + SimDuration::from_secs_f64(crash_at_s),
-            executor: 1,
-        }],
-        map_output_loss_rate: 0.0,
-        external_shuffle_service: false,
-        straggler_rate: 0.15,
-        straggler_slowdown: 4.0,
-        speculation: true,
-        spill_corruption_rate: 0.1,
-        fetch_failure_rate: 0.05,
-        ..Default::default()
-    }
 }
 
 /// A stragglers-only schedule for the speculation comparison.
@@ -120,14 +96,11 @@ fn act(m: &Metrics) -> String {
 }
 
 fn main() {
-    // Crash times sit inside every system's simulated run for the workload
-    // (clean ACTs: PageRank ~0.4–2.3 s across systems, KMeans ~0.10–0.32 s),
-    // early enough that every system is still in its iteration ramp-up.
-    let cases = [(App::PageRank, 0.15), (App::KMeans, 0.05)];
+    let cases = [App::PageRank, App::KMeans];
 
     let mut plans: Vec<(String, FaultPlan)> = cases
         .iter()
-        .map(|&(app, crash_at_s)| (format!("recovery ({})", app.label()), duress_plan(crash_at_s)))
+        .map(|&app| (format!("recovery ({})", app.label()), duress_plan(app)))
         .collect();
     plans.push(("speculation off".into(), straggler_plan(false)));
     plans.push(("speculation on".into(), straggler_plan(true)));
@@ -176,10 +149,10 @@ fn main() {
         "fetch backoff (s)",
         "fetch escalations",
     ]);
-    for (app, crash_at_s) in cases {
+    for app in cases {
         for system in SystemKind::headline() {
             let clean = run(app, system, FaultPlan::default());
-            let faulted = run(app, system, duress_plan(crash_at_s));
+            let faulted = run(app, system, duress_plan(app));
             let (rec, spec) = (&faulted.recovery, &faulted.speculation);
             let key = [app.label().to_string(), system.label().to_string()];
             time.row(key.clone().into_iter().chain([
@@ -232,7 +205,7 @@ fn main() {
         "wins",
         "wasted (s)",
     ]);
-    for (app, _) in cases {
+    for app in cases {
         for system in [SystemKind::SparkMemDisk, SystemKind::Blaze] {
             let off = run(app, system, straggler_plan(false));
             let on = run(app, system, straggler_plan(true));
@@ -266,7 +239,7 @@ fn main() {
     // Section 3: corrupted spills on the memory+disk baseline.
     let mut t = Table::new(["app", "system", "ACT (s)", "quarantined", "lineage replay (s)"]);
     let (system, mut quarantined) = (SystemKind::SparkMemDisk, 0);
-    for (app, _) in cases {
+    for app in cases {
         let m = run(app, system, quarantine_plan());
         quarantined += m.recovery.spills_quarantined;
         t.row([

@@ -2,12 +2,12 @@
 
 use blaze_common::error::Result;
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
-use blaze_common::ByteSize;
+use blaze_common::{ByteSize, SimDuration, SimTime};
 use blaze_core::{BlazeController, DecisionStats};
 use blaze_dataflow::{JobPlan, Plan};
 use blaze_engine::{
-    Admission, BlockInfo, CacheController, CtrlCtx, Metrics, PartitionEvent, Residency,
-    StateCommand, StoreTier, VictimAction,
+    Admission, BlockInfo, CacheController, CtrlCtx, ExecutorCrash, FaultPlan, Metrics,
+    PartitionEvent, Residency, StateCommand, StoreTier, VictimAction,
 };
 use blaze_workloads::{run_app, App, RunOutcome, SystemKind};
 use std::collections::BTreeMap;
@@ -42,6 +42,37 @@ pub fn breakdown_secs(m: &Metrics) -> (f64, f64, f64) {
         m.accumulated.external_store_io.as_secs_f64(),
         m.accumulated.computation_and_shuffle().as_secs_f64(),
     )
+}
+
+/// The shared duress schedule for `app`: a modest transient-failure rate,
+/// one executor crash at a fixed simulated time, no external shuffle
+/// service (so the crash also destroys that executor's shuffle outputs,
+/// forcing lineage-driven parent-stage resubmission), plus light
+/// stragglers, spill corruption and fetch flakiness.
+///
+/// The crash sits inside every system's simulated run of the workload
+/// (clean ACTs: PageRank ~0.4–2.3 s across systems, KMeans ~0.10–0.32 s),
+/// early enough that every system is still in its iteration ramp-up: at
+/// 0.15 s for PageRank, at 0.05 s for every other application.
+pub fn duress_plan(app: App) -> FaultPlan {
+    let crash_at_s = if app == App::PageRank { 0.15 } else { 0.05 };
+    FaultPlan {
+        seed: 0xB1A2E,
+        task_failure_rate: 0.02,
+        max_task_retries: 3,
+        crashes: vec![ExecutorCrash {
+            at: SimTime::ZERO + SimDuration::from_secs_f64(crash_at_s),
+            executor: 1,
+        }],
+        map_output_loss_rate: 0.0,
+        external_shuffle_service: false,
+        straggler_rate: 0.15,
+        straggler_slowdown: 4.0,
+        speculation: true,
+        spill_corruption_rate: 0.1,
+        fetch_failure_rate: 0.05,
+        ..Default::default()
+    }
 }
 
 /// What a [`DecisionProbe`] mirrors out of the cluster that owns it.

@@ -7,7 +7,9 @@
 //! - [`table`] — plain-text table rendering for figure output;
 //! - [`paper`] — the values the paper reports, for side-by-side comparison
 //!   (EXPERIMENTS.md is written from these harnesses' output);
-//! - [`harness`] — run helpers collecting the metrics each figure needs;
+//! - [`harness`] — run helpers collecting the metrics each figure needs,
+//!   and the duress fault schedule `fault_recovery` and `blaze-trace
+//!   --faults` share;
 //! - [`csv`] — optional CSV emission (`BLAZE_CSV_DIR`) for re-plotting.
 //!
 //! Absolute numbers are not expected to match the paper (the substrate is a

@@ -133,10 +133,6 @@ pub struct BlazeController {
     /// The decision driver and its retained state (memo + previous
     /// solutions).
     incr: IncrementalOptimizer,
-    /// [`CostLineage::sequence_rev`] at which `refs` was last built from
-    /// scratch; a bump means the target sequence was truncated and the
-    /// append-only reference extension is no longer sound.
-    refs_seq_rev: u64,
     /// Incoming RDD -> its lineage ancestors that hold an in-job reference
     /// ([`bounded_ancestors`] keeping the RDDs with an entry in `remaining`),
     /// built on the first admission of that RDD's partitions in a job.
@@ -279,7 +275,6 @@ impl BlazeController {
             tick: 0,
             recency: FxHashMap::default(),
             incr,
-            refs_seq_rev: u64::MAX,
             ancestors: FxHashMap::default(),
         }
     }
@@ -364,25 +359,14 @@ impl BlazeController {
         found
     }
 
-    /// Rebuilds references from the runtime plan and induces future jobs
-    /// from the detected pattern (the no-profiling path of Fig. 13).
-    ///
-    /// A job submission normally only *appends* one target, so the captured
-    /// counts are extended in place (byte-identical to a rebuild, see
-    /// [`JobRefs::extend_build`]) and only the induced tail is re-derived. A
-    /// [`CostLineage::sequence_rev`] bump (target truncation) invalidates
-    /// the append-only assumption and forces a full build.
+    /// Builds references from the runtime plan and the observed job
+    /// sequence, then induces future jobs from the detected pattern (the
+    /// no-profiling path of Fig. 13, and a run that left its profiled
+    /// sequence). Called at every such job submission.
     fn relearn_refs(&mut self, plan: &Plan) {
-        let targets = self.lineage.job_targets().to_vec();
-        self.pattern = detect(&targets);
-        let seq = self.lineage.sequence_rev();
-        if seq == self.refs_seq_rev && self.refs.captured_jobs() <= targets.len() {
-            self.refs.retract_induced();
-            self.refs.extend_build(plan, &targets[self.refs.captured_jobs()..]);
-        } else {
-            self.refs = JobRefs::build(plan, &targets);
-            self.refs_seq_rev = seq;
-        }
+        let targets = self.lineage.job_targets();
+        self.pattern = detect(targets);
+        self.refs = JobRefs::build(plan, targets);
         if let Some(p) = self.pattern {
             self.refs.extend_induced(p, INDUCE_HORIZON);
         }
@@ -394,15 +378,15 @@ impl BlazeController {
     }
 
     /// Drops everything the decision path retains between submissions — the
-    /// cost memo, the previous solves, the append-only reference counts and
-    /// the ancestor sets — so the next submission prices, solves and derives
-    /// references cold.
+    /// cost memo, the previous solves and the ancestor sets — so the next
+    /// submission prices and solves cold. Reference counts are not among
+    /// them: they come from the profile, or are rebuilt at every submission
+    /// (`relearn_refs`).
     /// Retained state never influences a decision; the differential tests
     /// call this before every submission and every admission that prices
     /// blocks to obtain the reference that proves it.
     pub fn forget_decision_state(&mut self) {
         self.incr.reset();
-        self.refs_seq_rev = u64::MAX;
         self.ancestors.clear();
     }
 }

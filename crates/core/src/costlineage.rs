@@ -142,10 +142,6 @@ pub struct CostLineage {
     /// from *inducted* (unobserved) metrics may depend on congruent blocks
     /// anywhere in the lineage, so they are only valid within one revision.
     metrics_rev: u64,
-    /// Bumped whenever the job-target sequence is truncated (divergence from
-    /// a profiled prefix); incrementally extended reference counts must be
-    /// rebuilt when this changes.
-    sequence_rev: u64,
 }
 
 impl CostLineage {
@@ -205,7 +201,6 @@ impl CostLineage {
         // append the observed target.
         if self.current_job < self.job_targets.len() {
             self.diverged = true;
-            self.sequence_rev += 1;
         }
         self.job_targets.truncate(self.current_job);
         self.job_targets.push(target);
@@ -218,7 +213,6 @@ impl CostLineage {
         self.job_targets = targets;
         self.current_job = 0;
         self.diverged = false;
-        self.sequence_rev += 1;
     }
 
     /// True once the runtime diverged from a profiled job sequence.
@@ -339,12 +333,6 @@ impl CostLineage {
     /// from inducted metrics are valid only within one revision.
     pub fn metrics_rev(&self) -> u64 {
         self.metrics_rev
-    }
-
-    /// Revision counter bumped whenever the job-target sequence is replaced
-    /// or truncated (as opposed to appended to).
-    pub fn sequence_rev(&self) -> u64 {
-        self.sequence_rev
     }
 
     /// Returns a partition's metrics, if the node is known.

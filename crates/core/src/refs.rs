@@ -10,10 +10,10 @@
 //! RDDs; references from jobs beyond the captured sequence are induced by
 //! shifting the last job's references by the detected iteration stride.
 //!
-//! The counts are *maintained* state, the way the paper (and LRC / LERC)
-//! keep per-block reference counts: they change at job submission and are
-//! read on every task, so each RDD's `(job, count)` postings are chained in
-//! job order and a query touches the one or two jobs that reference the RDD
+//! The counts are built in one pass over the job sequence — from the
+//! profile, or at every job submission when there is none — and read on
+//! every task, so each RDD's `(job, count)` postings are chained in job
+//! order and a query touches the one or two jobs that reference the RDD
 //! instead of probing every job of the application.
 
 use crate::pattern::IterationPattern;
@@ -39,39 +39,21 @@ const NONE: u32 = u32::MAX;
 pub struct JobRefs {
     /// Every posting, in job order: the one place the counts live. A job's
     /// postings are contiguous (from `job_start`), which enumerates a job
-    /// for induction and makes the induced tail a suffix to truncate; an
-    /// RDD's postings are chained backwards from `head`, which answers the
-    /// per-RDD queries.
+    /// for induction; an RDD's postings are chained backwards from `head`,
+    /// which answers the per-RDD queries.
     postings: Vec<Posting>,
     /// `head[rdd.raw()]` = index of that RDD's latest posting, or [`NONE`].
     /// RDD ids are dense (assigned in program order).
     head: Vec<u32>,
     /// `job_start[j]` = index of job `j`'s first posting.
     job_start: Vec<u32>,
-    /// Number of *captured* jobs at the head of the sequence; jobs past this
-    /// are induced (see [`JobRefs::extend_induced`]).
-    captured: usize,
-    /// Highest RDD id seen across captured jobs. Persisting this is what
-    /// makes [`JobRefs::extend_build`] produce exactly the refs a full
-    /// rebuild would: the "new RDD" test is a running watermark.
-    max_seen: Option<u32>,
-    /// The per-job scan this structure replaced, fed the same mutations;
+    /// The per-job scan this structure replaced, built and induced alongside;
     /// every query is checked against it in debug builds.
     #[cfg(any(test, debug_assertions))]
     scan: scan::ScanRefs,
 }
 
 impl JobRefs {
-    /// Builds reference counts from a plan and an ordered job-target list.
-    ///
-    /// Targets beyond the plan (predicted future jobs) are skipped here;
-    /// use [`JobRefs::extend_induced`] for those.
-    pub fn build(plan: &Plan, job_targets: &[RddId]) -> Self {
-        let mut refs = Self::default();
-        refs.extend_build(plan, job_targets);
-        refs
-    }
-
     /// Opens the next job: postings go to it until the next call.
     fn begin_job(&mut self) {
         self.job_start.push(self.postings.len() as u32);
@@ -93,66 +75,46 @@ impl JobRefs {
         }
     }
 
-    /// Appends captured jobs for `new_targets`, continuing from the state
-    /// left by previous `build`/`extend_build` calls.
+    /// Builds reference counts from a plan and an ordered job-target list.
     ///
-    /// Because jobs only ever reference RDDs created at or before their own
-    /// submission, appending targets one at a time yields byte-identical
-    /// counts to rebuilding from the full target list — this is the
-    /// O(changed) path the incremental controller uses per job submission.
-    /// Any induced tail must be dropped first ([`Self::retract_induced`]).
-    pub fn extend_build(&mut self, plan: &Plan, new_targets: &[RddId]) {
-        debug_assert_eq!(self.job_start.len(), self.captured, "induced tail not retracted");
-        for &target in new_targets {
-            self.begin_job();
+    /// Targets beyond the plan (predicted future jobs) are skipped here;
+    /// use [`JobRefs::extend_induced`] for those.
+    pub fn build(plan: &Plan, job_targets: &[RddId]) -> Self {
+        let mut refs = Self::default();
+        // Highest RDD id of the jobs so far: an RDD above it is new.
+        let mut max_seen: Option<u32> = None;
+        for &target in job_targets {
+            refs.begin_job();
             if let Ok(jp) = plan_job(plan, target) {
                 for stage in &jp.stages {
                     for &rdd in &stage.rdds {
-                        let is_new = self.max_seen.is_none_or(|m| rdd.raw() > m);
-                        if !is_new {
+                        if max_seen.is_some_and(|m| rdd.raw() <= m) {
                             continue;
                         }
                         if let Ok(node) = plan.node(rdd) {
                             for dep in &node.deps {
-                                self.post(dep.parent(), 1);
+                                refs.post(dep.parent(), 1);
                             }
                         }
                     }
                 }
                 let job_max = jp.stages.iter().flat_map(|s| s.rdds.iter()).map(|r| r.raw()).max();
-                self.max_seen = self.max_seen.max(job_max);
+                max_seen = max_seen.max(job_max);
             }
             // The job materializes its target: that is an access of the
             // target's blocks even when the whole sub-DAG already exists
             // (the `cached.count()` reuse pattern).
-            self.post(target, 1);
-        }
-        self.captured = self.job_start.len();
-        #[cfg(any(test, debug_assertions))]
-        self.scan.extend_build(plan, new_targets);
-    }
-
-    /// Number of captured (non-induced) jobs.
-    pub fn captured_jobs(&self) -> usize {
-        self.captured
-    }
-
-    /// Drops the induced tail, leaving only captured jobs (the inverse of
-    /// [`JobRefs::extend_induced`], applied before re-extending).
-    pub fn retract_induced(&mut self) {
-        if let Some(&cut) = self.job_start.get(self.captured) {
-            // Latest first, so every chain is unwound in order.
-            for p in self.postings.drain(cut as usize..).rev() {
-                self.head[p.rdd.raw() as usize] = p.prev;
-            }
-            self.job_start.truncate(self.captured);
+            refs.post(target, 1);
         }
         #[cfg(any(test, debug_assertions))]
-        self.scan.retract_induced(self.captured);
+        {
+            refs.scan = scan::ScanRefs::build(plan, job_targets);
+        }
+        refs
     }
 
-    /// Appends `extra` induced jobs by shifting the last captured job's
-    /// references forward by the iteration stride (no-profiling mode).
+    /// Appends `extra` induced jobs by shifting the last job's references
+    /// forward by the iteration stride (no-profiling mode).
     ///
     /// Only *periodic* datasets (those allocated during the last captured
     /// iteration) shift; stable datasets created before the periodic phase
@@ -185,7 +147,7 @@ impl JobRefs {
         self.scan.extend_induced(pattern, extra);
     }
 
-    /// Number of jobs covered (captured + induced).
+    /// Number of jobs covered (built + induced).
     pub fn num_jobs(&self) -> usize {
         self.job_start.len()
     }
@@ -250,17 +212,18 @@ mod scan {
     #[derive(Debug, Clone, Default)]
     pub(super) struct ScanRefs {
         per_job: Vec<FxHashMap<RddId, u32>>,
-        max_seen: Option<u32>,
     }
 
     impl ScanRefs {
-        pub(super) fn extend_build(&mut self, plan: &Plan, new_targets: &[RddId]) {
-            for &target in new_targets {
+        pub(super) fn build(plan: &Plan, job_targets: &[RddId]) -> Self {
+            let mut per_job = Vec::with_capacity(job_targets.len());
+            let mut max_seen: Option<u32> = None;
+            for &target in job_targets {
                 let mut refs: FxHashMap<RddId, u32> = FxHashMap::default();
                 if let Ok(jp) = plan_job(plan, target) {
                     for stage in &jp.stages {
                         for &rdd in &stage.rdds {
-                            if self.max_seen.is_some_and(|m| rdd.raw() <= m) {
+                            if max_seen.is_some_and(|m| rdd.raw() <= m) {
                                 continue;
                             }
                             if let Ok(node) = plan.node(rdd) {
@@ -272,15 +235,12 @@ mod scan {
                     }
                     let job_max =
                         jp.stages.iter().flat_map(|s| s.rdds.iter()).map(|r| r.raw()).max();
-                    self.max_seen = self.max_seen.max(job_max);
+                    max_seen = max_seen.max(job_max);
                 }
                 *refs.entry(target).or_insert(0) += 1;
-                self.per_job.push(refs);
+                per_job.push(refs);
             }
-        }
-
-        pub(super) fn retract_induced(&mut self, captured: usize) {
-            self.per_job.truncate(captured);
+            Self { per_job }
         }
 
         pub(super) fn extend_induced(&mut self, pattern: IterationPattern, extra: usize) {
@@ -437,14 +397,12 @@ mod tests {
         sets.iter().map(|d| d.id()).collect()
     }
 
-    /// One mutation of a [`JobRefs`].
+    /// One step of a [`JobRefs`]'s life: a build, or an induced tail
+    /// appended to whatever it holds (an induce may follow an induce).
     #[derive(Debug, Clone)]
     enum Op {
-        /// Rebuild from the first `n` targets.
+        /// Build from the first `n` targets.
         Build(usize),
-        /// Retract, then append the next `n` targets.
-        Extend(usize),
-        Retract,
         Induce {
             stride: u32,
             horizon: usize,
@@ -453,9 +411,7 @@ mod tests {
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
-            (0usize..4).prop_map(Op::Build),
-            (1usize..4).prop_map(Op::Extend),
-            Just(Op::Retract),
+            (0usize..10).prop_map(Op::Build),
             (1u32..6, 0usize..5).prop_map(|(stride, horizon)| Op::Induce { stride, horizon }),
         ]
     }
@@ -488,9 +444,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-        /// Under any interleaving of the four mutations the per-RDD postings
-        /// answer every query as the per-job scan does, and an appended
-        /// sequence equals a rebuilt one.
+        /// Under any interleaving of builds and inductions the per-RDD
+        /// postings answer every query as the per-job scan does.
         #[test]
         fn postings_answer_as_the_per_job_scan(
             shape in prop::collection::vec(0u8..255, 1..10),
@@ -508,22 +463,6 @@ mod tests {
             for op in &ops {
                 match *op {
                     Op::Build(n) => refs = JobRefs::build(&plan, &targets[..n.min(targets.len())]),
-                    Op::Extend(n) => {
-                        refs.retract_induced();
-                        let from = refs.captured_jobs();
-                        let to = (from + n).min(targets.len());
-                        refs.extend_build(&plan, &targets[from..to]);
-                        let rebuilt = JobRefs::build(&plan, &targets[..to]);
-                        for rdd in (0..id_space).map(RddId) {
-                            for job in 0..to + 1 {
-                                prop_assert_eq!(
-                                    refs.refs_in_job(rdd, job),
-                                    rebuilt.refs_in_job(rdd, job)
-                                );
-                            }
-                        }
-                    }
-                    Op::Retract => refs.retract_induced(),
                     Op::Induce { stride, horizon } => refs
                         .extend_induced(IterationPattern { stride, first_periodic_job: 0 }, horizon),
                 }

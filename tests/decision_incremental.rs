@@ -1,7 +1,7 @@
 //! Differential tests for the decision driver's retained state.
 //!
-//! The driver ([`blaze::core::IncrementalOptimizer`]) keeps a cost memo,
-//! previous solves and append-only reference counts between submissions.
+//! The driver ([`blaze::core::IncrementalOptimizer`]) keeps a cost memo and
+//! previous solves between submissions.
 //! None of it may influence a decision: the reference is *the same driver
 //! with nothing retained* — `reset()` before every call at core level,
 //! `BlazeController::forget_decision_state()` before every job submission,
@@ -9,14 +9,13 @@
 //! lineage, same job references, same configuration must yield
 //! byte-for-byte the same [`StateCommand`] stream, no matter how the lineage
 //! got into its current state. Everything the retained state
-//! does (memo invalidation, instance reuse, append-only refs extension) is
-//! off in that reference. These tests attack the contract
+//! does (memo invalidation, instance reuse) is off in that reference. These tests attack the contract
 //! from four sides (random pipelines, warm vs cold under every drawn
 //! configuration, are contract 5 of `tests/differential.rs`):
 //!
 //! 1. a core-level differential property — random plans plus random
 //!    job/state/metric churn, every round checked against a reset driver fed
-//!    freshly built references;
+//!    the same references;
 //! 2. stress shapes — the same round-by-round check on the lineages where
 //!    retained state does the most work (`wide` siblings, a `deep` chain, a
 //!    `churn`ing job sequence), with the reuse counters showing it did;
@@ -144,7 +143,6 @@ proptest! {
         }
 
         let mut inc = IncrementalOptimizer::new();
-        let mut inc_refs = JobRefs::default();
         let mut cold = IncrementalOptimizer::new();
         let mut targets: Vec<RddId> = Vec::new();
         let plan_lock = ctx.plan();
@@ -157,15 +155,13 @@ proptest! {
 
             // The retaining driver goes first: it drains the lineage's
             // dirty set, which a reset driver (empty memo) never needs.
-            let captured = inc_refs.captured_jobs();
-            inc_refs.extend_build(&plan, &targets[captured..]);
+            let refs = JobRefs::build(&plan, &targets);
             let fast = inc.optimize(
-                &mut lineage, &inc_refs, None, &hardware, capacity, round, &config,
+                &mut lineage, &refs, None, &hardware, capacity, round, &config,
             );
             cold.reset();
-            let scratch_refs = JobRefs::build(&plan, &targets);
             let scratch = cold.optimize(
-                &mut lineage, &scratch_refs, None, &hardware, capacity, round, &config,
+                &mut lineage, &refs, None, &hardware, capacity, round, &config,
             );
 
             prop_assert_eq!(&fast, &scratch, "round {} diverged", round);
@@ -179,13 +175,12 @@ proptest! {
 // Stress shapes
 // ---------------------------------------------------------------------------
 
-/// A lineage plus a retaining driver with its append-only references,
-/// stepped round by round against a reset driver fed freshly built
-/// references; the command streams must be equal every round.
+/// A lineage plus a retaining driver, stepped round by round against a
+/// reset driver fed the same references; the command streams must be equal
+/// every round.
 struct StressRig {
     lineage: CostLineage,
     inc: IncrementalOptimizer,
-    inc_refs: JobRefs,
     cold: IncrementalOptimizer,
     capacity: ByteSize,
 }
@@ -195,7 +190,6 @@ impl StressRig {
         Self {
             lineage: CostLineage::new(),
             inc: IncrementalOptimizer::new(),
-            inc_refs: JobRefs::default(),
             cold: IncrementalOptimizer::new(),
             capacity,
         }
@@ -206,11 +200,10 @@ impl StressRig {
     /// (empty memo, nothing to invalidate) never needs.
     fn step(&mut self, plan: &Plan, targets: &[RddId], round: usize) {
         let (hardware, config) = (HardwareModel::default(), OptimizerConfig::default());
-        let captured = self.inc_refs.captured_jobs();
-        self.inc_refs.extend_build(plan, &targets[captured..]);
+        let refs = JobRefs::build(plan, targets);
         let fast = self.inc.optimize(
             &mut self.lineage,
-            &self.inc_refs,
+            &refs,
             None,
             &hardware,
             self.capacity,
@@ -218,10 +211,9 @@ impl StressRig {
             &config,
         );
         self.cold.reset();
-        let scratch_refs = JobRefs::build(plan, targets);
         let scratch = self.cold.optimize(
             &mut self.lineage,
-            &scratch_refs,
+            &refs,
             None,
             &hardware,
             self.capacity,
@@ -331,11 +323,9 @@ fn deep_chain_retaining_driver_matches_reset_driver() {
 }
 
 /// `churn`: the job sequence grows by one target per round (an iterative
-/// driver) over a sliding window of 8 cached datasets. The retaining
-/// driver's win here is the append-only reference extension (one job per
-/// round instead of rebuilding all of them), which no counter records: every
-/// round changes the instance, so nothing is reused and only equality is
-/// asserted.
+/// driver) over a sliding window of 8 cached datasets, so the retained memo
+/// is checked over a growing job sequence. Every round changes the
+/// instance, so nothing is reused and only equality is asserted.
 #[test]
 fn growing_job_sequence_retaining_driver_matches_reset_driver() {
     const PARTS: u32 = 4;
