@@ -26,10 +26,11 @@
 //!   — even fixed-seed — depends on insertion history, which incremental
 //!   reuse deliberately perturbs. Keyed lookups need an explicit
 //!   justification; ordered iteration belongs in `BTreeMap`/sorted vecs.
-//! - `record-order` — *any* hash container in the operator kernels
-//!   (`dataflow/src/{pair,dataset}.rs`): the order of records
-//!   inside a block is a documented rule (first occurrence in input order),
-//!   and a block collected from a hash container would have the order of
+//! - `record-order` — *any* hash container in the operator kernels and the
+//!   reference runner (`dataflow/src/{pair,dataset,runner}.rs`): the order
+//!   of records inside a block is a documented rule (first occurrence in
+//!   input order, a reduce task gathering its buckets in map order), and a
+//!   block collected from a hash container would have the order of
 //!   that container's layout — toolchain-dependent — instead. A container
 //!   that is only probed, or that never becomes a block, says so with
 //!   `// audit: allow(record-order) <why: lookup only / driver side>`.
@@ -97,9 +98,9 @@ struct Scope {
     /// `core/src/costlineage.rs`, `solver/src/*`, `certify/src/*` — the
     /// verifiers must be exactly as deterministic as the solvers they check).
     decision: bool,
-    /// Hash containers banned in the operator kernels
-    /// (`dataflow/src/{pair,dataset}.rs`): nothing whose iteration
-    /// order is a table layout may become a block.
+    /// Hash containers banned in the operator kernels and the reference
+    /// runner (`dataflow/src/{pair,dataset,runner}.rs`): nothing whose
+    /// iteration order is a table layout may become a block.
     record_order: bool,
 }
 
@@ -115,7 +116,9 @@ fn scope_of(path: &str) -> Scope {
             || p.ends_with("core/src/costlineage.rs")
             || p.contains("solver/src/")
             || p.contains("certify/src/"),
-        record_order: p.ends_with("dataflow/src/pair.rs") || p.ends_with("dataflow/src/dataset.rs"),
+        record_order: p.ends_with("dataflow/src/pair.rs")
+            || p.ends_with("dataflow/src/dataset.rs")
+            || p.ends_with("dataflow/src/runner.rs"),
     }
 }
 
@@ -429,16 +432,16 @@ mod tests {
             "let mut merged: FxHashMap<K, V> = FxHashMap::default();",
             "Ok(Block::from_vec(merged.into_iter().collect::<Vec<(K, V)>>()))",
         ]);
-        for kernel in ["pair", "dataset"] {
+        // The runner gathers a reduce task's buckets in map order.
+        for kernel in ["pair", "dataset", "runner"] {
             let hits = lint_source(&format!("crates/dataflow/src/{kernel}.rs"), &fold);
             assert_eq!(hits.len(), 1, "{kernel}");
             assert_eq!((hits[0].code, hits[0].line), ("record-order", 1));
         }
         let set = join(&["let seen: FxHashSet<K> = FxHashSet::default();"]);
         assert_eq!(lint_source("crates/dataflow/src/dataset.rs", &set)[0].code, "record-order");
-        // The planner and the runner's memo are not kernels.
+        // The planner is not a kernel.
         assert!(lint_source("crates/dataflow/src/planner.rs", &fold).is_empty());
-        assert!(lint_source("crates/dataflow/src/runner.rs", &fold).is_empty());
         // The container pair.rs keeps, justified.
         let kept = join(&[
             "struct ProbeIndex<'a, K, W> {",
@@ -447,6 +450,14 @@ mod tests {
             "}",
         ]);
         assert!(lint_source("crates/dataflow/src/pair.rs", &kept).is_empty());
+        // The runner's memo, justified the same way.
+        let memo = join(&[
+            "pub struct LocalRunner {",
+            "    // audit: allow(record-order) lookup only: probed per block",
+            "    blocks: Mutex<FxHashMap<BlockId, Block>>,",
+            "}",
+        ]);
+        assert!(lint_source("crates/dataflow/src/runner.rs", &memo).is_empty());
         // Another rule's justification does not cover this one.
         let wrong = join(&["first: FxHashMap<&'a K, usize>, // audit: allow(decision-hash)"]);
         assert_eq!(lint_source("crates/dataflow/src/pair.rs", &wrong).len(), 1);

@@ -36,6 +36,10 @@ pub fn act_secs(outcome: &RunOutcome) -> f64 {
 
 /// The paper's Fig. 4/10 accumulated-task-time breakdown, in seconds:
 /// (disk I/O for caching, external-store I/O, computation+shuffle).
+///
+/// The middle figure is `TaskCharge::external_store_io`, so under the
+/// serialized tier it also holds that tier's (de)serialization (s-state
+/// hits, m -> s compaction), not only an external store's.
 pub fn breakdown_secs(m: &Metrics) -> (f64, f64, f64) {
     (
         m.accumulated.disk_io_for_caching().as_secs_f64(),

@@ -7,12 +7,16 @@
 //! operators downcast blocks back at the edges; a failed downcast is a
 //! [`BlazeError::TypeMismatch`] rather than a panic.
 //!
+//! A map task's shuffle output crosses the same boundary as [`Buckets`]:
+//! only the buckets that hold records, each tagged with its reducer.
+//!
 //! [`Dataset`]: crate::dataset::Dataset
 
 use blaze_common::error::{BlazeError, Result};
 use blaze_common::sizeof::SizeOf;
 use blaze_common::ByteSize;
 use std::any::{Any, TypeId};
+use std::fmt::Display;
 use std::sync::Arc;
 
 /// Bound for element types storable in datasets.
@@ -84,8 +88,9 @@ impl Block {
     ///
     /// Fails with [`BlazeError::TypeMismatch`] if the block does not hold
     /// elements of type `T`; `context` is included in the error for
-    /// diagnosis.
-    pub fn as_slice<T: Data>(&self, context: &str) -> Result<&[T]> {
+    /// diagnosis. It is formatted only then, so an operator passes
+    /// `format_args!` and a successful read allocates nothing.
+    pub fn as_slice<T: Data>(&self, context: impl Display) -> Result<&[T]> {
         match &self.payload {
             Payload::Empty(elem) => (elem() == TypeId::of::<T>()).then_some(&[][..]),
             Payload::Full(items) => items.downcast_ref::<Vec<T>>().map(Vec::as_slice),
@@ -94,7 +99,7 @@ impl Block {
     }
 
     /// Returns a copy of the typed elements.
-    pub fn to_vec<T: Data>(&self, context: &str) -> Result<Vec<T>> {
+    pub fn to_vec<T: Data>(&self, context: impl Display) -> Result<Vec<T>> {
         Ok(self.as_slice::<T>(context)?.to_vec())
     }
 }
@@ -102,6 +107,67 @@ impl Block {
 impl std::fmt::Debug for Block {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Block").field("len", &self.len).field("bytes", &self.bytes).finish()
+    }
+}
+
+/// One map task's shuffle output: the buckets that hold records, each tagged
+/// with the reduce partition it is addressed to, in ascending reducer order.
+///
+/// A bucket that is absent holds no records. A wide shuffle over small map
+/// tasks leaves most of its buckets empty (`km_tiny_tasks`: 123 of every
+/// 128), so a reduce task gathers only what exists, and no layer holds one
+/// block per (map, reducer) pair. Cloning is one `Arc` bump: a map task, its
+/// commit event and the shuffle store share one list.
+#[derive(Clone, Debug)]
+pub struct Buckets(Arc<[(usize, Block)]>);
+
+impl Buckets {
+    /// The output of a map task for a shuffle into `n` reduce partitions,
+    /// from `(reducer, bucket)` pairs. An empty bucket given here is kept
+    /// and reads like an absent one; `write_buckets` gives none.
+    ///
+    /// Fails with [`BlazeError::Execution`] if a reducer is `>= n` or the
+    /// reducers are not strictly ascending.
+    pub fn new(n: usize, buckets: impl IntoIterator<Item = (usize, Block)>) -> Result<Self> {
+        // Checked while collecting, so an exact-size input is copied once.
+        let (mut next, mut bad) = (0, None);
+        let list = buckets
+            .into_iter()
+            .map(|(r, bucket)| {
+                if bad.is_none() && (r < next || r >= n) {
+                    bad = Some((r, next));
+                }
+                next = r.saturating_add(1);
+                (r, bucket)
+            })
+            .collect();
+        match bad {
+            None => Ok(Self(list)),
+            Some((r, _)) if r >= n => Err(BlazeError::Execution(format!(
+                "map-side output addresses reducer {r} of a shuffle into {n} partitions"
+            ))),
+            Some((r, next)) => Err(BlazeError::Execution(format!(
+                "map-side output addresses reducer {r} after reducer {}; buckets must be in \
+                 ascending reducer order",
+                next - 1
+            ))),
+        }
+    }
+
+    /// The bucket addressed to `reducer`, if it holds records.
+    pub fn get(&self, reducer: usize) -> Option<&Block> {
+        let i = self.0.binary_search_by_key(&reducer, |&(r, _)| r).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// The buckets held, with their reducers, in ascending reducer order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &Block)> {
+        self.0.iter().map(|(r, b)| (*r, b))
+    }
+
+    /// Estimated size of every bucket together.
+    pub fn bytes(&self) -> ByteSize {
+        self.0.iter().map(|(_, b)| b.bytes()).sum()
     }
 }
 
@@ -156,6 +222,37 @@ mod tests {
             let err = b.as_slice::<u64>("rdd-3[0]").unwrap_err();
             assert_eq!(err, BlazeError::TypeMismatch { context: "rdd-3[0]".into() });
         }
+    }
+
+    #[test]
+    fn buckets_hold_the_listed_reducers_and_reject_a_bad_index() {
+        let b = |r: usize| (r, Block::from_vec(vec![r as u64]));
+        let list = Buckets::new(8, [b(1), b(4), b(7)]).unwrap();
+        assert_eq!(list.iter().map(|(r, _)| r).collect::<Vec<_>>(), [1, 4, 7]);
+        assert_eq!(list.get(4).unwrap().as_slice::<u64>("t").unwrap(), &[4]);
+        assert!([0, 5, 8, usize::MAX].iter().all(|&r| list.get(r).is_none()));
+        assert_eq!(list.bytes(), ByteSize::from_bytes(24));
+        assert_eq!(Buckets::new(3, []).unwrap().iter().count(), 0);
+
+        let err = |n: usize, list: Vec<(usize, Block)>| Buckets::new(n, list).unwrap_err();
+        let past = |r: usize, n: usize| {
+            BlazeError::Execution(format!(
+                "map-side output addresses reducer {r} of a shuffle into {n} partitions"
+            ))
+        };
+        assert_eq!(err(8, vec![b(1), b(8)]), past(8, 8));
+        assert_eq!(err(0, vec![b(0)]), past(0, 0));
+        assert_eq!(err(8, vec![b(usize::MAX), b(2)]), past(usize::MAX, 8));
+        let order = |r: usize, prev: usize| {
+            BlazeError::Execution(format!(
+                "map-side output addresses reducer {r} after reducer {prev}; buckets must be in \
+                 ascending reducer order"
+            ))
+        };
+        assert_eq!(err(8, vec![b(4), b(2)]), order(2, 4));
+        assert_eq!(err(8, vec![b(3), b(3)]), order(3, 3));
+        // The first bad index is the one reported.
+        assert_eq!(err(8, vec![b(5), b(1), b(9)]), order(1, 5));
     }
 
     #[test]

@@ -136,8 +136,8 @@ impl<T: Data> Dataset<T> {
     pub fn map<U: Data>(&self, f: impl Fn(&T) -> U + Send + Sync + 'static) -> Dataset<U> {
         let id = self.id;
         self.narrow_node("map", vec![id], CostSpec::NARROW, false, move |p, inputs| {
-            let ctx = format!("map@{p}");
-            let v: Vec<U> = inputs[0].as_slice::<T>(&ctx)?.iter().map(&f).collect();
+            let v: Vec<U> =
+                inputs[0].as_slice::<T>(format_args!("map@{p}"))?.iter().map(&f).collect();
             Ok(Block::from_vec(v))
         })
     }
@@ -156,9 +156,12 @@ impl<T: Data> Dataset<T> {
     pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Dataset<T> {
         let id = self.id;
         self.narrow_node("filter", vec![id], CostSpec::NARROW, true, move |p, inputs| {
-            let ctx = format!("filter@{p}");
-            let v: Vec<T> =
-                inputs[0].as_slice::<T>(&ctx)?.iter().filter(|x| f(x)).cloned().collect();
+            let v: Vec<T> = inputs[0]
+                .as_slice::<T>(format_args!("filter@{p}"))?
+                .iter()
+                .filter(|x| f(x))
+                .cloned()
+                .collect();
             Ok(Block::from_vec(v))
         })
     }
@@ -170,8 +173,11 @@ impl<T: Data> Dataset<T> {
     {
         let id = self.id;
         self.narrow_node("flat_map", vec![id], CostSpec::NARROW, false, move |p, inputs| {
-            let ctx = format!("flat_map@{p}");
-            let v: Vec<U> = inputs[0].as_slice::<T>(&ctx)?.iter().flat_map(&f).collect();
+            let v: Vec<U> = inputs[0]
+                .as_slice::<T>(format_args!("flat_map@{p}"))?
+                .iter()
+                .flat_map(&f)
+                .collect();
             Ok(Block::from_vec(v))
         })
     }
@@ -191,8 +197,7 @@ impl<T: Data> Dataset<T> {
     ) -> Dataset<U> {
         let id = self.id;
         self.narrow_node("map_partitions", vec![id], CostSpec::NARROW, false, move |p, inputs| {
-            let ctx = format!("map_partitions@{p}");
-            Ok(Block::from_vec(f(p, inputs[0].as_slice::<T>(&ctx)?)))
+            Ok(Block::from_vec(f(p, inputs[0].as_slice::<T>(format_args!("map_partitions@{p}"))?)))
         })
     }
 
@@ -212,9 +217,8 @@ impl<T: Data> Dataset<T> {
         );
         let deps = vec![self.id, other.id];
         self.narrow_node("zip_partitions", deps, CostSpec::NARROW, false, move |p, inputs| {
-            let ctx = format!("zip_partitions@{p}");
-            let left = inputs[0].as_slice::<T>(&ctx)?;
-            let right = inputs[1].as_slice::<U>(&ctx)?;
+            let left = inputs[0].as_slice::<T>(format_args!("zip_partitions@{p}"))?;
+            let right = inputs[1].as_slice::<U>(format_args!("zip_partitions@{p}"))?;
             Ok(Block::from_vec(f(left, right)))
         })
     }
@@ -226,7 +230,7 @@ impl<T: Data> Dataset<T> {
         let blocks = self.ctx.run_job(self.id)?;
         let mut out = Vec::new();
         for (p, b) in blocks.iter().enumerate() {
-            out.extend_from_slice(b.as_slice::<T>(&format!("collect {}[{p}]", self.id))?);
+            out.extend_from_slice(b.as_slice::<T>(format_args!("collect {}[{p}]", self.id))?);
         }
         Ok(out)
     }
@@ -348,7 +352,7 @@ where
     V: Data,
 {
     let partitioner = crate::partitioner::HashPartitioner::new(num_partitions);
-    let pairs = block.as_slice::<(K, V)>(&format!("assume_partitioned '{name}'@{part}"))?;
+    let pairs = block.as_slice::<(K, V)>(format_args!("assume_partitioned '{name}'@{part}"))?;
     for (k, _) in pairs {
         let want = partitioner.partition(k);
         if want != part {

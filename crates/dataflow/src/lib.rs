@@ -43,7 +43,7 @@ pub mod plan;
 pub mod planner;
 pub mod runner;
 
-pub use block::{Block, Data};
+pub use block::{Block, Buckets, Data};
 pub use context::Context;
 pub use dataset::Dataset;
 pub use partitioner::HashPartitioner;

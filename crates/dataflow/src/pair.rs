@@ -7,7 +7,7 @@
 //! `partition_by` + iterate produces one shuffle per iteration rather than
 //! two.
 
-use crate::block::{Block, Data};
+use crate::block::{Block, Buckets, Data};
 use crate::dataset::Dataset;
 use crate::partitioner::HashPartitioner;
 use crate::plan::{Compute, CostSpec, Dep, MapSideFn, RddNode, ShuffleAggFn};
@@ -18,48 +18,62 @@ use std::borrow::Cow;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// The map side of every shuffle: splits one partition's records into `n`
-/// buckets, `dest` naming each record's bucket.
+/// The map side of every shuffle: splits one partition's records into
+/// buckets for `n` reducers, `dest` naming each record's reducer, and
+/// returns the buckets that hold records.
 ///
 /// Records keep their relative order within a bucket. Owned records are
-/// moved, borrowed ones cloned. Every bucket is allocated once at its exact
-/// size: the outer capacity of a block is memory no size estimate sees.
+/// moved, borrowed ones cloned. Only a bucket that receives a record is
+/// allocated, once and at its exact size: the outer capacity of a block is
+/// memory no size estimate sees.
 fn write_buckets<T: Data>(
     records: Cow<'_, [T]>,
     n: usize,
     dest: impl Fn(&T) -> usize,
-) -> Vec<Block> {
-    split_exact(records, n, dest).into_iter().map(Block::from_vec).collect()
+) -> Result<Buckets> {
+    let buckets = split_sparse(records, n, dest)?;
+    Buckets::new(n, buckets.into_iter().map(|(r, bucket)| (r, Block::from_vec(bucket))))
 }
 
-fn split_exact<T: Clone>(
+/// The records of every non-empty bucket, in ascending reducer order.
+fn split_sparse<T: Clone>(
     records: Cow<'_, [T]>,
     n: usize,
     dest: impl Fn(&T) -> usize,
-) -> Vec<Vec<T>> {
+) -> Result<Vec<(usize, Vec<T>)>> {
     let dests: Vec<usize> = records.iter().map(dest).collect();
-    let mut counts = vec![0usize; n];
+    // Per reducer, its record count; then, for a non-empty one, its slot.
+    let mut slot_of = vec![0usize; n];
     for &d in &dests {
-        counts[d] += 1;
+        let count = slot_of
+            .get_mut(d)
+            .ok_or_else(|| BlazeError::Execution(format!("record routed to reducer {d} of {n}")))?;
+        *count += 1;
     }
-    let mut buckets: Vec<Vec<T>> = counts.into_iter().map(Vec::with_capacity).collect();
+    let mut buckets = Vec::with_capacity(slot_of.iter().filter(|&&c| c > 0).count());
+    for (r, slot) in slot_of.iter_mut().enumerate() {
+        if *slot > 0 {
+            buckets.push((r, Vec::with_capacity(*slot)));
+            *slot = buckets.len() - 1;
+        }
+    }
     match records {
         Cow::Borrowed(records) => {
             for (record, d) in records.iter().zip(dests) {
-                buckets[d].push(record.clone());
+                buckets[slot_of[d]].1.push(record.clone());
             }
         }
         Cow::Owned(records) => {
             for (record, d) in records.into_iter().zip(dests) {
-                buckets[d].push(record);
+                buckets[slot_of[d]].1.push(record);
             }
         }
     }
-    buckets
+    Ok(buckets)
 }
 
-/// Splits a partition of pairs into `n` buckets by key hash.
-fn hash_buckets<K: Data + Hash, V: Data>(pairs: Cow<'_, [(K, V)]>, n: usize) -> Vec<Block> {
+/// Splits a partition of pairs into buckets for `n` reducers by key hash.
+fn hash_buckets<K: Data + Hash, V: Data>(pairs: Cow<'_, [(K, V)]>, n: usize) -> Result<Buckets> {
     let partitioner = HashPartitioner::new(n);
     write_buckets(pairs, n, |(k, _)| partitioner.partition(k))
 }
@@ -238,14 +252,13 @@ where
             for (k, v) in pairs {
                 combined.upsert(k, || v.clone(), |acc| *acc = map_f(acc, v));
             }
-            Ok(hash_buckets(Cow::Owned(combined.entries), n))
+            hash_buckets(Cow::Owned(combined.entries), n)
         });
         let agg_f = Arc::clone(&f);
         let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
-            let ctx = format!("reduce_by_key agg@{p}");
             let mut merged = fold_over(&per_dep[0])?;
             for block in &per_dep[0] {
-                for (k, v) in block.as_slice::<(K, V)>(&ctx)? {
+                for (k, v) in block.as_slice::<(K, V)>(format_args!("reduce_by_key agg@{p}"))? {
                     merged.upsert(k, || v.clone(), |acc| *acc = agg_f(acc, v));
                 }
             }
@@ -259,13 +272,12 @@ where
     pub fn group_by_key(&self, num_partitions: usize) -> Dataset<(K, Vec<V>)> {
         let map_side: MapSideFn = Arc::new(move |block, n| {
             let pairs = block.as_slice::<(K, V)>("group_by_key map-side")?;
-            Ok(hash_buckets(Cow::Borrowed(pairs), n))
+            hash_buckets(Cow::Borrowed(pairs), n)
         });
         let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
-            let ctx = format!("group_by_key agg@{p}");
             let mut groups = fold_over(&per_dep[0])?;
             for block in &per_dep[0] {
-                for (k, v) in block.as_slice::<(K, V)>(&ctx)? {
+                for (k, v) in block.as_slice::<(K, V)>(format_args!("group_by_key agg@{p}"))? {
                     groups.upsert(k, || group_of(v), |group| group.push(v.clone()));
                 }
             }
@@ -285,13 +297,14 @@ where
         }
         let map_side: MapSideFn = Arc::new(move |block, n| {
             let pairs = block.as_slice::<(K, V)>("partition_by map-side")?;
-            Ok(hash_buckets(Cow::Borrowed(pairs), n))
+            hash_buckets(Cow::Borrowed(pairs), n)
         });
         let agg: ShuffleAggFn = Arc::new(move |p, per_dep| {
-            let ctx = format!("partition_by agg@{p}");
             let mut out: Vec<(K, V)> = Vec::new();
             for block in &per_dep[0] {
-                out.extend_from_slice(block.as_slice::<(K, V)>(&ctx)?);
+                out.extend_from_slice(
+                    block.as_slice::<(K, V)>(format_args!("partition_by agg@{p}"))?,
+                );
             }
             Ok(Block::from_vec(out))
         });
@@ -305,9 +318,8 @@ where
     ) -> Dataset<(K, W)> {
         let id = self.id();
         self.narrow_node("map_values", vec![id], CostSpec::NARROW, true, move |p, inputs| {
-            let ctx = format!("map_values@{p}");
             let v: Vec<(K, W)> = inputs[0]
-                .as_slice::<(K, V)>(&ctx)?
+                .as_slice::<(K, V)>(format_args!("map_values@{p}"))?
                 .iter()
                 .map(|(k, v)| (k.clone(), f(v)))
                 .collect();
@@ -480,18 +492,25 @@ mod tests {
         // (bucket, sequence number): the sequence must survive per bucket.
         let records: Vec<(usize, u32)> = (0..40u32).map(|i| ((i as usize * 7) % 5, i)).collect();
         let n = 8; // buckets 5..8 stay empty
-        let borrowed = split_exact(Cow::Borrowed(&records[..]), n, |r| r.0);
-        let owned = split_exact(Cow::Owned(records.clone()), n, |r| r.0);
+        let borrowed = split_sparse(Cow::Borrowed(&records[..]), n, |r| r.0).unwrap();
+        let owned = split_sparse(Cow::Owned(records.clone()), n, |r| r.0).unwrap();
         assert_eq!(borrowed, owned);
-        assert_eq!(owned.len(), n);
-        for (b, bucket) in owned.iter().enumerate() {
+        assert_eq!(owned.iter().map(|b| b.0).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        for (b, bucket) in &owned {
             assert_eq!(bucket.capacity(), bucket.len(), "bucket {b} over-allocated");
-            let want: Vec<(usize, u32)> = records.iter().filter(|r| r.0 == b).copied().collect();
+            let want: Vec<(usize, u32)> = records.iter().filter(|r| r.0 == *b).copied().collect();
             assert_eq!(bucket, &want, "bucket {b} lost or reordered records");
         }
-        let blocks = write_buckets(Cow::Owned(records), n, |r| r.0);
-        let lens: Vec<usize> = blocks.iter().map(Block::len).collect();
-        assert_eq!(lens, owned.iter().map(Vec::len).collect::<Vec<_>>());
+        let blocks = write_buckets(Cow::Owned(records), n, |r| r.0).unwrap();
+        let lens: Vec<(usize, usize)> = blocks.iter().map(|(r, b)| (r, b.len())).collect();
+        assert_eq!(lens, owned.iter().map(|(r, v)| (*r, v.len())).collect::<Vec<_>>());
+        assert!((5..n).all(|r| blocks.get(r).is_none()));
+    }
+
+    #[test]
+    fn a_record_routed_past_the_last_reducer_is_an_error() {
+        let err = write_buckets(Cow::Owned(vec![1usize, 9]), 4, |&r| r).unwrap_err();
+        assert_eq!(err, BlazeError::Execution("record routed to reducer 9 of 4".into()));
     }
 
     /// Nested vectors are sized with their spare capacity, so block sizes —

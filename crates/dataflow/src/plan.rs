@@ -5,7 +5,7 @@
 //! fault-tolerance path recomputes from it, and Blaze's `CostLineage`
 //! mirrors it with cost metrics attached (paper §5.3).
 
-use crate::block::Block;
+use crate::block::{Block, Buckets};
 use blaze_common::error::{BlazeError, Result};
 use blaze_common::ids::RddId;
 use std::sync::Arc;
@@ -70,8 +70,9 @@ impl Default for CostSpec {
     }
 }
 
-/// Map-side shuffle writer: splits one parent partition into `n` buckets.
-pub type MapSideFn = Arc<dyn Fn(&Block, usize) -> Result<Vec<Block>> + Send + Sync>;
+/// Map-side shuffle writer: splits one parent partition into buckets for `n`
+/// reducers and returns the ones that hold records.
+pub type MapSideFn = Arc<dyn Fn(&Block, usize) -> Result<Buckets> + Send + Sync>;
 
 /// Generator of one source partition (receives the partition index).
 pub type SourceFn = Arc<dyn Fn(usize) -> Result<Block> + Send + Sync>;
@@ -80,8 +81,8 @@ pub type SourceFn = Arc<dyn Fn(usize) -> Result<Block> + Send + Sync>;
 /// (receives the partition index first).
 pub type NarrowFn = Arc<dyn Fn(usize, &[Block]) -> Result<Block> + Send + Sync>;
 
-/// Shuffle aggregator: for each shuffle dependency, receives the buckets
-/// addressed to this reduce partition (one block per map task) and combines
+/// Shuffle aggregator: for each shuffle dependency, receives the non-empty
+/// buckets addressed to this reduce partition, in map order, and combines
 /// them into the output partition (receives the partition index first).
 pub type ShuffleAggFn = Arc<dyn Fn(usize, &[Vec<Block>]) -> Result<Block> + Send + Sync>;
 
@@ -396,7 +397,7 @@ mod tests {
     }
 
     fn shuffle_dep(parent: RddId) -> Dep {
-        Dep::Shuffle { parent, map_side: Arc::new(|b, n| Ok(vec![b.clone(); n])) }
+        Dep::Shuffle { parent, map_side: Arc::new(|b, n| Buckets::new(n, [(0, b.clone())])) }
     }
 
     fn shuffle_node(id: RddId, dep: Dep, parts: usize) -> RddNode {

@@ -106,7 +106,7 @@ impl Planner<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
+    use crate::block::{Block, Buckets};
     use crate::plan::{Compute, CostSpec, RddNode};
     use std::sync::Arc;
 
@@ -150,7 +150,10 @@ mod tests {
             node(
                 id,
                 parts,
-                vec![Dep::Shuffle { parent, map_side: Arc::new(|b, n| Ok(vec![b.clone(); n])) }],
+                vec![Dep::Shuffle {
+                    parent,
+                    map_side: Arc::new(|b, n| Buckets::new(n, [(0, b.clone())])),
+                }],
                 Compute::ShuffleAgg(Arc::new(|_, _| Ok(Block::from_vec(vec![0u8])))),
             )
         })

@@ -7,9 +7,10 @@
 //! used for functional tests of the operator semantics themselves. It runs
 //! no plan audit: the engine's per-job preflight (`blaze-audit`) does.
 
-use crate::block::Block;
-use crate::plan::{Compute, Dep, Plan};
+use crate::block::{Block, Buckets};
+use crate::plan::{Compute, Dep, Plan, RddNode};
 use blaze_common::error::{BlazeError, Result};
+// audit: allow(record-order) for the memo tables only: looked up, never iterated into a block
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, RddId};
 use parking_lot::{Mutex, RwLock};
@@ -32,11 +33,17 @@ pub trait JobRunner: Send + Sync + 'static {
 /// a pure function of the plan and memoization is only an optimization,
 /// results are identical at any thread count.
 pub struct LocalRunner {
+    // audit: allow(record-order) lookup only: a memo probed per block, never iterated into one
     blocks: Mutex<FxHashMap<BlockId, Block>>,
-    /// Map-side shuffle buckets keyed by (consumer RDD, dep index, map task).
-    buckets: Mutex<FxHashMap<(RddId, usize, usize), Vec<Block>>>,
+    /// Per shuffle (consumer RDD, dep index), its map outputs.
+    // audit: allow(record-order) lookup only: probed per shuffle, never iterated
+    shuffles: Mutex<FxHashMap<(RddId, usize), MapOutputs>>,
     threads: usize,
 }
+
+/// One shuffle's map outputs, indexed by map task (`None`: not produced
+/// yet); a reduce task reads its buckets from them in map order.
+type MapOutputs = Vec<Option<Buckets>>;
 
 impl Default for LocalRunner {
     fn default() -> Self {
@@ -47,7 +54,7 @@ impl Default for LocalRunner {
 impl LocalRunner {
     /// Creates a fresh single-threaded runner with empty memo tables.
     pub fn new() -> Self {
-        Self { blocks: Mutex::default(), buckets: Mutex::default(), threads: 1 }
+        Self { blocks: Mutex::default(), shuffles: Mutex::default(), threads: 1 }
     }
 
     /// Sets the number of worker threads used per job (min 1).
@@ -73,46 +80,54 @@ impl LocalRunner {
                 f(part, &inputs)?
             }
             Compute::ShuffleAgg(agg) => {
-                let mut per_dep = Vec::with_capacity(node.deps.len());
-                for (dep_idx, dep) in node.deps.iter().enumerate() {
-                    let Dep::Shuffle { parent, map_side } = dep else {
-                        return Err(BlazeError::InvalidPlan(format!(
-                            "{rdd}: shuffle agg with narrow dep"
-                        )));
-                    };
-                    let num_maps = plan.node(*parent)?.num_partitions;
-                    let mut incoming = Vec::with_capacity(num_maps);
-                    for m in 0..num_maps {
-                        let bucket_key = (rdd, dep_idx, m);
-                        // Only this reduce task's bucket leaves the memo:
-                        // every memoized vector holds `num_partitions` buckets.
-                        let cached = self.buckets.lock().get(&bucket_key).map(|b| b[part].clone());
-                        let bucket = match cached {
-                            Some(bucket) => bucket,
-                            None => {
-                                let input = self.compute(plan, *parent, m)?;
-                                let b = map_side(&input, node.num_partitions)?;
-                                if b.len() != node.num_partitions {
-                                    return Err(BlazeError::Execution(format!(
-                                        "map-side for {rdd} produced {} buckets, expected {}",
-                                        b.len(),
-                                        node.num_partitions
-                                    )));
-                                }
-                                let bucket = b[part].clone();
-                                self.buckets.lock().insert(bucket_key, b);
-                                bucket
-                            }
-                        };
-                        incoming.push(bucket);
-                    }
-                    per_dep.push(incoming);
-                }
+                let per_dep = (0..node.deps.len())
+                    .map(|dep_idx| self.gather(plan, node, (rdd, dep_idx), part))
+                    .collect::<Result<Vec<_>>>()?;
                 agg(part, &per_dep)?
             }
         };
         self.blocks.lock().insert(key, block.clone());
         Ok(block)
+    }
+
+    /// The non-empty buckets a reduce task of `node` reads through
+    /// `shuffle`, in map order. Map outputs not yet produced are computed
+    /// outside the lock (computing them takes it too); a race between two
+    /// workers produces the same buckets, and the first one stays.
+    fn gather(
+        &self,
+        plan: &Plan,
+        node: &RddNode,
+        shuffle: (RddId, usize),
+        part: usize,
+    ) -> Result<Vec<Block>> {
+        let Dep::Shuffle { parent, map_side } = &node.deps[shuffle.1] else {
+            return Err(BlazeError::InvalidPlan(format!(
+                "{}: shuffle agg with narrow dep",
+                shuffle.0
+            )));
+        };
+        let num_maps = plan.node(*parent)?.num_partitions;
+        let missing: Vec<usize> = {
+            let shuffles = self.shuffles.lock();
+            let outputs = shuffles.get(&shuffle);
+            (0..num_maps).filter(|&m| outputs.is_none_or(|o| o[m].is_none())).collect()
+        };
+        let mut produced = Vec::with_capacity(missing.len());
+        for m in missing {
+            let input = self.compute(plan, *parent, m)?;
+            produced.push((m, map_side(&input, node.num_partitions)?));
+        }
+        let mut shuffles = self.shuffles.lock();
+        let outputs = shuffles.entry(shuffle).or_insert_with(|| vec![None; num_maps]);
+        for (m, buckets) in produced {
+            outputs[m].get_or_insert(buckets);
+        }
+        let mut incoming = Vec::with_capacity(num_maps);
+        for buckets in outputs.iter().flatten() {
+            incoming.extend(buckets.get(part).cloned());
+        }
+        Ok(incoming)
     }
 }
 
@@ -214,11 +229,18 @@ mod tests {
                 deps: vec![Dep::Shuffle {
                     parent: doubled,
                     map_side: Arc::new(|block, n| {
-                        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); n];
-                        for &x in block.as_slice::<u64>("t")? {
-                            buckets[(x % n as u64) as usize].push(x);
-                        }
-                        Ok(buckets.into_iter().map(Block::from_vec).collect())
+                        let xs = block.as_slice::<u64>("t")?;
+                        Buckets::new(
+                            n,
+                            (0..n).filter_map(|r| {
+                                let bucket: Vec<u64> = xs
+                                    .iter()
+                                    .copied()
+                                    .filter(|x| x % n as u64 == r as u64)
+                                    .collect();
+                                (!bucket.is_empty()).then(|| (r, Block::from_vec(bucket)))
+                            }),
+                        )
                     }),
                 }],
                 compute: Compute::ShuffleAgg(Arc::new(|_, per_dep| {
@@ -289,6 +311,20 @@ mod tests {
         // Two map tasks feed two reducers: the buckets are memoized across
         // reducers, so each map side runs once.
         assert_eq!(calls.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_map_side_addressing_a_missing_reducer_fails_the_job() {
+        let (plan, target) = mk_plan();
+        {
+            let mut plan = plan.write();
+            let Dep::Shuffle { map_side, .. } = &mut plan.node_mut(target).unwrap().deps[0] else {
+                panic!("the target reads through a shuffle");
+            };
+            *map_side = Arc::new(|block, n| Buckets::new(n, [(n, block.clone())]));
+        }
+        let err = LocalRunner::new().run_job(&plan, target).unwrap_err();
+        assert!(matches!(err, BlazeError::Execution(msg) if msg.contains("reducer 2 of")));
     }
 
     #[test]

@@ -7,9 +7,14 @@
 //! order of nested values do, so partitions are compared exactly, not sorted.
 //! The reference below shares nothing with the kernels' index table: it finds
 //! a key by scanning what it has emitted so far.
+//!
+//! A map task writes only its non-empty buckets; the last property holds the
+//! sparse outputs and the reduce tasks that read them to a dense reference.
 
+use blaze_common::ids::RddId;
+use blaze_dataflow::plan::{MapSideFn, ShuffleAggFn};
 use blaze_dataflow::runner::LocalRunner;
-use blaze_dataflow::{Context, Data, Dataset, HashPartitioner};
+use blaze_dataflow::{Block, Compute, Context, Data, Dataset, Dep, HashPartitioner};
 use proptest::prelude::*;
 use std::hash::Hash;
 
@@ -98,5 +103,91 @@ proptest! {
         check::<u64>(wide, in_parts, parts)?;
         let named = records.iter().map(|&(k, v)| (format!("key-{k}"), v)).collect();
         check::<String>(named, in_parts, parts)?;
+    }
+}
+
+/// The map side and the reduce side of shuffle node `id`, read off the plan.
+fn sides(ctx: &Context, id: RddId) -> (MapSideFn, ShuffleAggFn) {
+    let plan = ctx.plan().read();
+    let node = plan.node(id).unwrap();
+    let (Dep::Shuffle { map_side, .. }, Compute::ShuffleAgg(agg)) = (&node.deps[0], &node.compute)
+    else {
+        panic!("{id} is not a shuffle node");
+    };
+    (map_side.clone(), agg.clone())
+}
+
+/// Checks one shuffle of `out` (into `n` partitions, over `input`) against
+/// a dense reference: `routed(map_records, r)` is what map task `m` writes
+/// for reducer `r`, and every reduce task also runs on one block per map
+/// task, the empty ones included.
+fn check_sparse<T: Data + PartialEq + std::fmt::Debug, U: Data + PartialEq + std::fmt::Debug>(
+    input: &Dataset<(u64, u32)>,
+    out: &Dataset<U>,
+    n: usize,
+    routed: impl Fn(&[(u64, u32)], usize) -> Vec<T>,
+) -> Result<(), TestCaseError> {
+    let ctx = input.context();
+    let (map_side, agg) = sides(ctx, out.id());
+    let mut dense: Vec<Vec<Block>> = Vec::new();
+    for (m, block) in ctx.run_job(input.id()).unwrap().iter().enumerate() {
+        let sparse = map_side(block, n).unwrap();
+        let records = block.as_slice::<(u64, u32)>("input").unwrap();
+        let mut buckets = Vec::with_capacity(n);
+        for r in 0..n {
+            let want = routed(records, r);
+            let got = sparse.get(r).map(|b| b.to_vec::<T>("bucket").unwrap());
+            // Absent means empty, and no empty bucket is written.
+            prop_assert_eq!(
+                got.clone().unwrap_or_default(),
+                want.clone(),
+                "map {} reducer {}",
+                m,
+                r
+            );
+            prop_assert_eq!(got.is_some(), !want.is_empty(), "map {} reducer {}", m, r);
+            buckets.push(Block::from_vec(want));
+        }
+        dense.push(buckets);
+    }
+    for (p, got) in ctx.run_job(out.id()).unwrap().iter().enumerate() {
+        let all: Vec<Block> = dense.iter().map(|buckets| buckets[p].clone()).collect();
+        let want = agg(p, &[all]).unwrap();
+        prop_assert_eq!(got.to_vec::<U>("got").unwrap(), want.to_vec::<U>("want").unwrap());
+        prop_assert_eq!(got.bytes(), want.bytes(), "reduce task {}", p);
+    }
+    Ok(())
+}
+
+/// Up to 200 reducers over fewer records than three per reducer: from every
+/// bucket full down to nearly all of them empty.
+fn sparse_cases() -> impl Strategy<Value = (usize, usize, Vec<(u64, u32)>)> {
+    (1usize..201, 1usize..5).prop_flat_map(|(n, in_parts)| {
+        let records = prop::collection::vec((0u64..400, 0u32..1000), 0..3 * n);
+        (Just(n), Just(in_parts), records)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn sparse_map_outputs_match_a_dense_reference(case in sparse_cases()) {
+        let (n, in_parts, records) = case;
+        let ctx = Context::new(LocalRunner::new());
+        let input = ctx.parallelize(records, in_parts);
+        let partitioner = HashPartitioner::new(n);
+        // Borrowed records are cloned into their buckets.
+        let route = |records: &[(u64, u32)], r: usize| -> Vec<(u64, u32)> {
+            records.iter().filter(|(k, _)| partitioner.partition(k) == r).copied().collect()
+        };
+        check_sparse(&input, &input.partition_by(n), n, route)?;
+        check_sparse(&input, &input.group_by_key(n), n, route)?;
+        // Owned records (the map-side combine's) are moved.
+        let combined = |records: &[(u64, u32)], r: usize| {
+            let merged = scan(records.iter().copied(), |v| v, |acc, v| *acc = mix(acc, &v));
+            route(&merged, r)
+        };
+        check_sparse(&input, &input.reduce_by_key(n, mix), n, combined)?;
     }
 }

@@ -149,13 +149,16 @@ fn reduce_task_is_charged_for_exactly_the_bytes_it_fetched() {
 
 #[test]
 fn wide_shuffle_matches_local_runner_and_runs_each_map_side_once() {
+    use crate::fault::FaultPlan;
     use blaze_dataflow::runner::LocalRunner;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    const P: usize = 64;
-    // The same 64 x 64 shuffle (most buckets empty) on any backend; the
+    const P: usize = 128;
+    // The same 128 x 128 shuffle on any backend, read by two jobs: at most
+    // four records per map task, so nearly every bucket is empty. The
     // shuffle's parent counts how often a map task computes its input.
-    fn run(ctx: &Context) -> (Vec<Vec<(u64, u64)>>, usize) {
-        let pairs: Vec<(u64, u64)> = (0..4000).map(|i| (i % 300, i)).collect();
+    type Partitions = Vec<Vec<(u64, u64)>>;
+    fn run(ctx: &Context) -> (Vec<Partitions>, usize) {
+        let pairs: Vec<(u64, u64)> = (0..500).map(|i| (i % 300, i)).collect();
         let calls = Arc::new(AtomicUsize::new(0));
         let counted = Arc::clone(&calls);
         let summed = ctx
@@ -165,18 +168,45 @@ fn wide_shuffle_matches_local_runner_and_runs_each_map_side_once() {
                 part.to_vec()
             })
             .reduce_by_key(P, |a, b| a + b);
-        let blocks = ctx.run_job(summed.id()).unwrap();
-        let parts = blocks.iter().map(|b| b.to_vec::<(u64, u64)>("t").unwrap()).collect();
-        (parts, calls.load(Ordering::Relaxed))
+        let jobs = (0..2)
+            .map(|_| {
+                let blocks = ctx.run_job(summed.id()).unwrap();
+                blocks.iter().map(|b| b.to_vec::<(u64, u64)>("t").unwrap()).collect()
+            })
+            .collect();
+        (jobs, calls.load(Ordering::Relaxed))
     }
     let (reference, local_calls) = run(&Context::new(LocalRunner::new()));
+    assert_eq!(reference[0].len(), P);
+    assert_eq!(reference[0].iter().map(Vec::len).sum::<usize>(), 300);
+    assert_eq!(reference[0], reference[1]);
+    assert_eq!(local_calls, P, "LocalRunner memoizes a map task's input across reducers");
     let (ctx, _cluster) = cluster(Box::new(NoCacheController));
     let (got, cluster_calls) = run(&ctx);
-    assert_eq!(reference.len(), P);
-    assert_eq!(reference.iter().map(Vec::len).sum::<usize>(), 300);
     assert_eq!(got, reference, "same records in the same order in every partition");
-    assert_eq!(local_calls, P, "LocalRunner memoizes a map task's input across reducers");
     assert_eq!(cluster_calls, P, "the reduce stage reads shuffle output, not the map input");
+
+    // Map outputs lost before the second job: the map stage is resubmitted,
+    // every lost output is regenerated, and the records do not change.
+    let config = ClusterConfig {
+        executors: 2,
+        slots_per_executor: 2,
+        memory_capacity: ByteSize::from_kib(64),
+        fault: FaultPlan {
+            seed: 3,
+            map_output_loss_rate: 0.3,
+            external_shuffle_service: false,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let faulted = Cluster::new(config, Box::new(NoCacheController)).unwrap();
+    let (got, faulted_calls) = run(&Context::new(faulted.clone()));
+    assert_eq!(got, reference, "same records after map-output loss");
+    let recovery = faulted.metrics().recovery;
+    assert!(recovery.map_outputs_lost > 0);
+    assert_eq!(recovery.map_outputs_recovered, recovery.map_outputs_lost);
+    assert_eq!(faulted_calls, 2 * P, "the resubmitted map stage recomputes every input");
 }
 
 #[test]

@@ -21,7 +21,7 @@ use blaze_common::fxhash::FxHashSet;
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration, SimTime};
 use blaze_dataflow::plan::Dep;
-use blaze_dataflow::{Block, Plan};
+use blaze_dataflow::{Block, Buckets, Plan};
 
 /// Which task is committing, where, and no earlier than when.
 #[derive(Clone, Copy)]
@@ -235,7 +235,7 @@ impl ClusterState {
         replay: &Replay,
         shuffle: ShuffleId,
         map_part: usize,
-        buckets: Vec<Block>,
+        buckets: Buckets,
     ) {
         // First writer wins; duplicate regenerations (possible when several
         // tasks recover the same missing shuffle) produce identical buckets.

@@ -12,7 +12,7 @@ use crate::config::ClusterConfig;
 use crate::controller::BlockInfo;
 use crate::fault::FaultCause;
 use crate::metrics::TaskCharge;
-use crate::shuffle::ShuffleId;
+use crate::shuffle::{MapOutput, ShuffleId};
 use crate::storage::{spill_checksum, StoredBlock};
 use crate::store_ops::{BlockMeta, Stores};
 use blaze_common::error::{BlazeError, Result};
@@ -20,7 +20,7 @@ use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration};
 use blaze_dataflow::plan::{Compute, Dep, RddNode};
-use blaze_dataflow::{Block, Plan};
+use blaze_dataflow::{Block, Buckets, Plan};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Frozen, read-only view of the cluster a stage's tasks execute against.
@@ -78,7 +78,7 @@ pub(crate) enum TaskEvent {
     /// Computed (or recomputed) from lineage.
     Computed(ComputedBlock),
     /// Produced map-side shuffle buckets not present in the snapshot.
-    MapOutput { shuffle: ShuffleId, map_part: usize, buckets: Vec<Block> },
+    MapOutput { shuffle: ShuffleId, map_part: usize, buckets: Buckets },
     /// A disk-tier block failed checksum verification: the read was charged
     /// but the data is unusable. Commit quarantines the block (drops it
     /// from the disk store) and the task fell back to the next replica or
@@ -125,7 +125,7 @@ struct TaskCtx<'a> {
     /// Blocks this task computed, so diamond lineage is computed once.
     computed: FxHashMap<BlockId, Block>,
     /// Map outputs this task produced (not yet visible to other tasks).
-    shuffle_overlay: FxHashMap<(ShuffleId, usize), Vec<Block>>,
+    shuffle_overlay: FxHashMap<(ShuffleId, usize), Buckets>,
     /// Depth of the current materialization below a fault-lost block; while
     /// positive, compute edges and map-output writes are recovery work.
     recovery_depth: usize,
@@ -155,14 +155,6 @@ impl<'a> TaskCtx<'a> {
     fn has_map_output(&self, shuffle: ShuffleId, map_part: usize) -> bool {
         self.shuffle_overlay.contains_key(&(shuffle, map_part))
             || self.view.stores.shuffle.has_map_output(shuffle, map_part)
-    }
-
-    fn fetch(&self, shuffle: ShuffleId, map_part: usize, reduce_part: usize) -> Option<Block> {
-        self.shuffle_overlay
-            .get(&(shuffle, map_part))
-            .and_then(|b| b.get(reduce_part))
-            .cloned()
-            .or_else(|| self.view.stores.shuffle.fetch(shuffle, map_part, reduce_part))
     }
 
     /// Materializes one partition against the frozen snapshot, charging
@@ -322,8 +314,9 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// Gathers a shuffle aggregation's inputs: per shuffle dependency, the
-    /// buckets addressed to `part` from every map task. Returns them with
-    /// the element and byte totals the compute edge is priced on.
+    /// non-empty buckets addressed to `part`, in map order. Returns them
+    /// with the element and byte totals the compute edge is priced on (an
+    /// empty bucket adds nothing to either).
     fn shuffle_inputs(
         &mut self,
         rdd: RddId,
@@ -342,15 +335,22 @@ impl<'a> TaskCtx<'a> {
             let num_maps = parent_node.num_partitions;
             self.ensure_map_outputs(shuffle, *parent, num_maps)?;
             self.inject_fetch_failures(shuffle, *parent, num_maps, part as u32)?;
+            let stored = view.stores.shuffle.outputs(shuffle);
             let mut fetched = ByteSize::ZERO;
             let mut incoming = Vec::with_capacity(num_maps);
             for m in 0..num_maps {
-                let b = self.fetch(shuffle, m, part).ok_or_else(|| {
-                    BlazeError::Execution(format!("missing map output {rdd}/{dep_idx}/{m}"))
-                })?;
-                in_elems += b.len() as u64;
-                fetched += b.bytes();
-                incoming.push(b);
+                let buckets = self
+                    .shuffle_overlay
+                    .get(&(shuffle, m))
+                    .or_else(|| stored.get(m)?.as_ref().map(MapOutput::buckets))
+                    .ok_or_else(|| {
+                        BlazeError::Execution(format!("missing map output {rdd}/{dep_idx}/{m}"))
+                    })?;
+                if let Some(b) = buckets.get(part) {
+                    in_elems += b.len() as u64;
+                    fetched += b.bytes();
+                    incoming.push(b.clone());
+                }
             }
             in_bytes += fetched.as_bytes();
             self.charge.shuffle_fetch += view.config.hardware.network_time(fetched)
@@ -466,14 +466,7 @@ impl<'a> TaskCtx<'a> {
             )));
         };
         let buckets = map_side(input, child_node.num_partitions)?;
-        if buckets.len() != child_node.num_partitions {
-            return Err(BlazeError::Execution(format!(
-                "map-side for {child} produced {} buckets, expected {}",
-                buckets.len(),
-                child_node.num_partitions
-            )));
-        }
-        let out_bytes: ByteSize = buckets.iter().map(Block::bytes).sum();
+        let out_bytes = buckets.bytes();
         let parent_ser = plan.node(*parent)?.ser_factor;
         // Shuffle write = serialize + write shuffle files (Spark behaviour);
         // charged to the shuffle category, not to cache disk I/O.

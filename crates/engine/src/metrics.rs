@@ -69,8 +69,9 @@ pub struct TaskCharge {
     pub disk_cache_write: SimDuration,
     /// Reading cached data back from disk (disk read + deserialization).
     pub disk_cache_read: SimDuration,
-    /// Extra in-memory (de)serialization imposed by an external store
-    /// (the Alluxio path, §7.1).
+    /// In-memory (de)serialization: the Alluxio path's store-imposed
+    /// (de)serialization (§7.1), and the serialized tier's — deserializing
+    /// every hit on an s-state block and `reserialize`'s m -> s compaction.
     pub external_store_io: SimDuration,
     /// Slot time burned by failed task attempts (fault injection): the
     /// attempts ran and died, so the slot was occupied, but no category

@@ -14,25 +14,33 @@
 
 use blaze_common::fxhash::{FxHashMap, FxHashSet};
 use blaze_common::ids::{ExecutorId, RddId};
-use blaze_dataflow::Block;
+use blaze_dataflow::Buckets;
 
 /// Identifies one shuffle: the consuming RDD and the index of the shuffle
 /// dependency within its dependency list.
 pub type ShuffleId = (RddId, usize);
 
-/// One registered map output: the per-reducer buckets and the executor
-/// whose (simulated) local disk holds them.
+/// One registered map output: the buckets that hold records and the
+/// executor whose (simulated) local disk holds them.
 #[derive(Debug)]
-struct MapOutput {
-    buckets: Vec<Block>,
+pub struct MapOutput {
+    buckets: Buckets,
     producer: ExecutorId,
+}
+
+impl MapOutput {
+    /// The buckets the map task wrote.
+    pub fn buckets(&self) -> &Buckets {
+        &self.buckets
+    }
 }
 
 /// Global store of map-side shuffle outputs.
 #[derive(Debug, Default)]
 pub struct ShuffleStore {
-    /// (shuffle, map task) -> per-reducer buckets.
-    outputs: FxHashMap<(ShuffleId, usize), MapOutput>,
+    /// Per shuffle, its map outputs indexed by map task (`None`: not
+    /// produced yet, or lost).
+    outputs: FxHashMap<ShuffleId, Vec<Option<MapOutput>>>,
     /// Outputs that were registered once and then destroyed by a fault;
     /// cleared per entry when the output is regenerated. Drives recovery
     /// attribution, never correctness.
@@ -45,14 +53,21 @@ impl ShuffleStore {
         Self::default()
     }
 
+    /// The map outputs of `shuffle`, indexed by map task; shorter than the
+    /// number of map tasks (or empty) while the last ones are missing.
+    pub fn outputs(&self, shuffle: ShuffleId) -> &[Option<MapOutput>] {
+        self.outputs.get(&shuffle).map_or(&[], Vec::as_slice)
+    }
+
     /// Returns true if map task `map_part` of `shuffle` has registered output.
     pub fn has_map_output(&self, shuffle: ShuffleId, map_part: usize) -> bool {
-        self.outputs.contains_key(&(shuffle, map_part))
+        self.outputs(shuffle).get(map_part).is_some_and(Option::is_some)
     }
 
     /// Returns true if all `num_maps` map outputs of `shuffle` exist.
     pub fn is_complete(&self, shuffle: ShuffleId, num_maps: usize) -> bool {
-        (0..num_maps).all(|m| self.has_map_output(shuffle, m))
+        let outputs = self.outputs(shuffle);
+        outputs.len() >= num_maps && outputs[..num_maps].iter().all(Option::is_some)
     }
 
     /// Registers the buckets produced by one map task on `producer`.
@@ -60,25 +75,14 @@ impl ShuffleStore {
         &mut self,
         shuffle: ShuffleId,
         map_part: usize,
-        buckets: Vec<Block>,
+        buckets: Buckets,
         producer: ExecutorId,
     ) {
-        self.outputs.insert((shuffle, map_part), MapOutput { buckets, producer });
-    }
-
-    /// Fetches the bucket addressed to `reduce_part` from one map task.
-    pub fn fetch(&self, shuffle: ShuffleId, map_part: usize, reduce_part: usize) -> Option<Block> {
-        self.outputs.get(&(shuffle, map_part)).and_then(|o| o.buckets.get(reduce_part)).cloned()
-    }
-
-    /// Number of registered map outputs.
-    pub fn len(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Returns true if no map outputs are registered.
-    pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
+        let outputs = self.outputs.entry(shuffle).or_default();
+        if outputs.len() <= map_part {
+            outputs.resize_with(map_part + 1, || None);
+        }
+        outputs[map_part] = Some(MapOutput { buckets, producer });
     }
 
     // ---- Fault-injection surface -------------------------------------------
@@ -86,15 +90,34 @@ impl ShuffleStore {
     /// Every registered output key, sorted. Fault injection iterates this
     /// (never the hash map directly) so loss draws are order-independent.
     pub fn keys_sorted(&self) -> Vec<(ShuffleId, usize)> {
-        let mut keys: Vec<_> = self.outputs.keys().copied().collect();
+        self.sorted_keys(|_| true)
+    }
+
+    /// The registered outputs `keep` selects, sorted by key.
+    fn sorted_keys(&self, keep: impl Fn(&MapOutput) -> bool) -> Vec<(ShuffleId, usize)> {
+        let keep = &keep;
+        let mut keys: Vec<_> =
+            self.outputs
+                .iter()
+                .flat_map(|(&shuffle, outputs)| {
+                    outputs.iter().enumerate().filter_map(move |(m, o)| {
+                        o.as_ref().filter(|o| keep(o)).map(|_| (shuffle, m))
+                    })
+                })
+                .collect();
         keys.sort_unstable();
         keys
+    }
+
+    /// Takes one map output out of the table, if it is registered.
+    fn take(&mut self, shuffle: ShuffleId, map_part: usize) -> Option<MapOutput> {
+        self.outputs.get_mut(&shuffle)?.get_mut(map_part)?.take()
     }
 
     /// Drops one map output, remembering it as lost. Returns true if the
     /// output existed.
     pub fn drop_map_output(&mut self, shuffle: ShuffleId, map_part: usize) -> bool {
-        if self.outputs.remove(&(shuffle, map_part)).is_some() {
+        if self.take(shuffle, map_part).is_some() {
             self.lost.insert((shuffle, map_part));
             true
         } else {
@@ -105,12 +128,10 @@ impl ShuffleStore {
     /// Drops every output produced by `exec` (the no-external-shuffle-service
     /// crash path). Returns the destroyed keys, sorted.
     pub fn drop_by_producer(&mut self, exec: ExecutorId) -> Vec<(ShuffleId, usize)> {
-        let mut dropped: Vec<(ShuffleId, usize)> =
-            self.outputs.iter().filter(|(_, o)| o.producer == exec).map(|(&k, _)| k).collect();
-        dropped.sort_unstable();
-        for key in &dropped {
-            self.outputs.remove(key);
-            self.lost.insert(*key);
+        let dropped = self.sorted_keys(|o| o.producer == exec);
+        for &(shuffle, map_part) in &dropped {
+            self.take(shuffle, map_part);
+            self.lost.insert((shuffle, map_part));
         }
         dropped
     }
@@ -136,9 +157,10 @@ impl ShuffleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blaze_dataflow::Block;
 
-    fn buckets(n: usize, elems_each: usize) -> Vec<Block> {
-        (0..n).map(|_| Block::from_vec(vec![0u64; elems_each])).collect()
+    fn buckets(n: usize, elems_each: usize) -> Buckets {
+        Buckets::new(n, (0..n).map(|r| (r, Block::from_vec(vec![0u64; elems_each])))).unwrap()
     }
 
     const E0: ExecutorId = ExecutorId(0);
@@ -154,9 +176,10 @@ mod tests {
         assert!(s.has_map_output(sh, 0));
         assert!(s.is_complete(sh, 2));
         assert!(!s.is_complete(sh, 3));
-        let b = s.fetch(sh, 1, 2).unwrap();
+        let b = s.outputs(sh)[1].as_ref().unwrap().buckets().get(2).unwrap();
         assert_eq!(b.len(), 2);
-        assert!(s.fetch(sh, 9, 0).is_none());
+        assert!(s.outputs(sh).get(9).is_none());
+        assert!(s.outputs((RddId(6), 0)).is_empty());
     }
 
     #[test]
@@ -189,6 +212,6 @@ mod tests {
         assert!(s.drop_map_output(a, 1));
         assert!(!s.drop_map_output(a, 1));
         assert!(s.was_lost(a, 1));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.keys_sorted(), vec![(b, 0)]);
     }
 }
