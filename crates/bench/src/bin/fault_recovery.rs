@@ -48,7 +48,7 @@ fn quarantine_plan() -> FaultPlan {
 
 /// Every field of `plan`, by name. The destructuring names each field, so
 /// a field added to `FaultPlan` fails to compile here until it is printed.
-fn plan_fields(plan: &FaultPlan) -> [(&'static str, String); 14] {
+fn plan_fields(plan: &FaultPlan) -> [(&'static str, String); 12] {
     let FaultPlan {
         seed,
         task_failure_rate,
@@ -62,8 +62,6 @@ fn plan_fields(plan: &FaultPlan) -> [(&'static str, String); 14] {
         spill_corruption_rate,
         fetch_failure_rate,
         max_fetch_retries,
-        fetch_backoff_base,
-        fetch_backoff_cap,
     } = plan;
     let crashes: Vec<String> =
         crashes.iter().map(|c| format!("executor {} at {}", c.executor, c.at)).collect();
@@ -80,8 +78,6 @@ fn plan_fields(plan: &FaultPlan) -> [(&'static str, String); 14] {
         ("spill_corruption_rate", format!("{spill_corruption_rate:?}")),
         ("fetch_failure_rate", format!("{fetch_failure_rate:?}")),
         ("max_fetch_retries", max_fetch_retries.to_string()),
-        ("fetch_backoff_base", fetch_backoff_base.to_string()),
-        ("fetch_backoff_cap", fetch_backoff_cap.to_string()),
     ]
 }
 

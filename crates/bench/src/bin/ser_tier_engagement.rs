@@ -42,8 +42,10 @@ fn main() {
         "ser transitions",
     ]);
     let mut engaged = 0;
-    // The regime where packing a block (0.6x footprint) keeps a working set
-    // memory-resident that would otherwise thrash to disk.
+    // SVD++ is the regime where packing a block (0.6x footprint) keeps a
+    // working set memory-resident that would otherwise thrash to disk. LR is
+    // the control leg: tier-off Blaze moves no LR block out of memory at any
+    // squeeze from 0.8x to 0.2x, so the tier engages with nothing to save.
     for (app, squeeze) in [(App::Svdpp, 0.55), (App::LogisticRegression, 0.4)] {
         let mut spec = AppSpec::evaluation(app);
         spec.memory_capacity = spec.memory_capacity.scale(squeeze);

@@ -166,10 +166,6 @@ impl CacheController for DecisionProbe {
         self.inner.serialized_in_memory()
     }
 
-    fn memory_footprint_factor(&self) -> f64 {
-        self.inner.memory_footprint_factor()
-    }
-
     fn on_access(&mut self, ctx: &CtrlCtx, id: BlockId) {
         self.inner.on_access(ctx, id);
     }

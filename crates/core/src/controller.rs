@@ -8,11 +8,10 @@
 use crate::cost::{CostMemo, CostModel};
 use crate::costlineage::{CostLineage, PartitionState};
 use crate::incremental::{DecisionStats, IncrementalOptimizer};
-use crate::optimize::OptimizerConfig;
+use crate::optimize::Tiers;
 use crate::pattern::{detect, IterationPattern};
 use crate::profiler::ProfileResult;
 use crate::refs::JobRefs;
-use blaze_common::error::{BlazeError, Result};
 use blaze_common::fxhash::{FxHashMap, FxHashSet};
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration};
@@ -49,11 +48,10 @@ const INDUCE_HORIZON: usize = 4;
 pub struct BlazeConfig {
     /// The ablation level.
     pub level: BlazeLevel,
-    /// Everything the decisions read: the window
-    /// ([`OptimizerConfig::horizon_jobs`]), the serialized in-memory tier
-    /// ([`OptimizerConfig::ser_tier`]) and whether disk states are allowed
-    /// at all ([`OptimizerConfig::use_disk`], off in Fig. 12 mode).
-    pub optimizer: OptimizerConfig,
+    /// The states the decisions may choose besides `m` and `u`: the
+    /// serialized in-memory tier ([`Tiers::ser`]) and the disk
+    /// ([`Tiers::disk`], off in Fig. 12 mode).
+    pub tiers: Tiers,
     /// Certify mode: every solver emits a machine-checkable decision
     /// certificate, verified inline by `blaze-certify` at each job
     /// submission (the BA5xx codes; any finding panics). Decision-identical by
@@ -65,20 +63,20 @@ pub struct BlazeConfig {
 impl BlazeConfig {
     /// Full Blaze.
     pub fn full() -> Self {
-        Self { level: BlazeLevel::Unified, optimizer: OptimizerConfig::default(), certify: false }
+        Self { level: BlazeLevel::Unified, tiers: Tiers::default(), certify: false }
     }
 
     /// Full Blaze with the serialized in-memory tier enabled.
     pub fn full_ser_tier() -> Self {
         let mut cfg = Self::full();
-        cfg.optimizer.ser_tier = true;
+        cfg.tiers.ser = true;
         cfg
     }
 
     /// Full Blaze without disk support (the Fig. 12 configuration).
     pub fn full_mem_only() -> Self {
         let mut cfg = Self::full();
-        cfg.optimizer.use_disk = false;
+        cfg.tiers.disk = false;
         cfg
     }
 
@@ -90,20 +88,6 @@ impl BlazeConfig {
     /// The +CostAware ablation (§7.3).
     pub fn cost_aware() -> Self {
         Self { level: BlazeLevel::CostAware, ..Self::full() }
-    }
-
-    /// Rejects a configuration no decision can run under: a window of zero
-    /// jobs ([`OptimizerConfig::horizon_jobs`]), which would leave out even
-    /// the submitted job. `Session` calls it before building the controller.
-    pub fn validate(&self) -> Result<()> {
-        if self.optimizer.horizon_jobs == 0 {
-            return Err(BlazeError::Config(
-                "optimizer.horizon_jobs must be at least 1 (the window always \
-                 includes the submitted job)"
-                    .into(),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -394,7 +378,7 @@ impl BlazeController {
 impl CacheController for BlazeController {
     fn name(&self) -> String {
         match self.cfg.level {
-            BlazeLevel::Unified if !self.cfg.optimizer.use_disk => "Blaze (MEM_ONLY)".into(),
+            BlazeLevel::Unified if !self.cfg.tiers.disk => "Blaze (MEM_ONLY)".into(),
             BlazeLevel::Unified => "Blaze".into(),
             BlazeLevel::CostAware => "+CostAware".into(),
             BlazeLevel::AutoCache => "+AutoCache".into(),
@@ -459,7 +443,7 @@ impl CacheController for BlazeController {
             &ctx.hardware,
             ctx.memory_capacity,
             self.current_idx,
-            &self.cfg.optimizer,
+            self.cfg.tiers,
         )
     }
 
@@ -507,11 +491,8 @@ impl CacheController for BlazeController {
     ) -> Vec<(BlockId, VictimAction)> {
         if self.cfg.level == BlazeLevel::AutoCache {
             // +AutoCache: cost-agnostic LRU eviction.
-            let action = if self.cfg.optimizer.use_disk {
-                VictimAction::ToDisk
-            } else {
-                VictimAction::Discard
-            };
+            let action =
+                if self.cfg.tiers.disk { VictimAction::ToDisk } else { VictimAction::Discard };
             return victims_by_key(resident, needed, |b| {
                 self.recency.get(&b.id).copied().unwrap_or(0)
             })
@@ -557,7 +538,7 @@ impl CacheController for BlazeController {
             picked
                 .into_iter()
                 .map(|(id, _)| {
-                    let action = if self.cfg.optimizer.use_disk && prices.prefers_disk(id) {
+                    let action = if self.cfg.tiers.disk && prices.prefers_disk(id) {
                         VictimAction::ToDisk
                     } else {
                         VictimAction::Discard
@@ -571,7 +552,7 @@ impl CacheController for BlazeController {
     }
 
     fn on_admission_failure(&mut self, ctx: &CtrlCtx, block: &BlockInfo) -> Admission {
-        if !self.cfg.optimizer.use_disk {
+        if !self.cfg.tiers.disk {
             return Admission::Skip;
         }
         if self.cfg.level < BlazeLevel::Unified {
@@ -1022,16 +1003,5 @@ mod tests {
         let mut ctl = BlazeController::new(BlazeConfig::full_mem_only(), None);
         let ctx = ctrl_ctx();
         assert_eq!(ctl.on_admission_failure(&ctx, &info(1, 0, 1)), Admission::Skip);
-    }
-
-    #[test]
-    fn validate_rejects_an_empty_window() {
-        let mut cfg = BlazeConfig::full_ser_tier();
-        cfg.optimizer.use_disk = false;
-        cfg.validate().unwrap();
-
-        let optimizer = OptimizerConfig { horizon_jobs: 0, ..OptimizerConfig::default() };
-        let err = BlazeConfig { optimizer, ..BlazeConfig::full() }.validate();
-        assert!(matches!(err, Err(BlazeError::Config(_))), "{err:?}");
     }
 }

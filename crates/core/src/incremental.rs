@@ -37,9 +37,7 @@
 
 use crate::cost::{CostMemo, CostModel};
 use crate::costlineage::CostLineage;
-use crate::optimize::{
-    emit_commands, gather_candidates, solve_instance, Candidate, OptimizerConfig, Pick, Tiers,
-};
+use crate::optimize::{emit_commands, gather_candidates, solve_instance, Candidate, Pick, Tiers};
 use crate::pattern::IterationPattern;
 use crate::refs::JobRefs;
 use blaze_certify::{
@@ -242,12 +240,11 @@ impl IncrementalOptimizer {
         hardware: &HardwareModel,
         memory_capacity: ByteSize,
         current_job: usize,
-        config: &OptimizerConfig,
+        tiers: Tiers,
     ) -> Vec<StateCommand> {
         let memo = self.checkout(lineage, pattern, self.certify);
         let mut model = CostModel::with_memo(lineage, hardware, pattern, memo);
-        let mut per_exec =
-            gather_candidates(lineage, refs, hardware, current_job, config, &mut model);
+        let mut per_exec = gather_candidates(lineage, refs, hardware, current_job, &mut model);
         self.checkin_memo(model.into_memo());
         let gathered = per_exec.values().map(Vec::len).sum::<usize>() as u64;
         self.stats.peak_candidates = self.stats.peak_candidates.max(gathered);
@@ -258,7 +255,6 @@ impl IncrementalOptimizer {
         // retained solutions so the map stays bounded by live executors.
         self.prev.retain(|e, _| per_exec.contains_key(e));
 
-        let tiers = Tiers { ser: config.ser_tier, disk: config.use_disk };
         let mut solved = Vec::with_capacity(execs.len());
         for exec in execs {
             let candidates = per_exec.remove(&exec).unwrap_or_default();
@@ -354,10 +350,10 @@ mod tests {
         refs: &JobRefs,
         cap: ByteSize,
         job: usize,
-        cfg: &OptimizerConfig,
+        tiers: Tiers,
     ) -> (Vec<StateCommand>, IncrementalOptimizer) {
         let mut fresh = IncrementalOptimizer::new();
-        let cmds = fresh.optimize(cl, refs, None, &HardwareModel::default(), cap, job, cfg);
+        let cmds = fresh.optimize(cl, refs, None, &HardwareModel::default(), cap, job, tiers);
         (cmds, fresh)
     }
 
@@ -366,7 +362,7 @@ mod tests {
         let (mut cl, refs) = world(6);
         let hw = HardwareModel::default();
         let cap = blaze_common::ByteSize::from_kib(200);
-        let cfg = OptimizerConfig::default();
+        let tiers = Tiers::default();
         let mut inc = IncrementalOptimizer::new();
         for job in 0..6 {
             // Perturb: flip a state and a metric each round.
@@ -384,8 +380,8 @@ mod tests {
                 blaze_common::ByteSize::from_kib(32 * (job as u64 + 1)),
                 SimDuration::from_millis(7),
             );
-            let fast = inc.optimize(&mut cl, &refs, None, &hw, cap, job, &cfg);
-            let (slow, fresh) = cold(&mut cl, &refs, cap, job, &cfg);
+            let fast = inc.optimize(&mut cl, &refs, None, &hw, cap, job, tiers);
+            let (slow, fresh) = cold(&mut cl, &refs, cap, job, tiers);
             assert_eq!(fast, slow, "diverged at job {job}");
             assert_eq!(fresh.stats().reused, 0, "the cold reference has nothing to reuse");
         }
@@ -502,8 +498,8 @@ mod tests {
         let (mut cl, refs) = world(3);
         let mut inc = IncrementalOptimizer::new();
         let hw = HardwareModel::default();
-        let cfg = OptimizerConfig::default();
-        inc.optimize(&mut cl, &refs, None, &hw, ByteSize::from_kib(200), 0, &cfg);
+        let tiers = Tiers::default();
+        inc.optimize(&mut cl, &refs, None, &hw, ByteSize::from_kib(200), 0, tiers);
         let id = BlockId::new(RddId(3), 0);
         price_through(&mut inc, &mut cl, id);
 
@@ -520,10 +516,10 @@ mod tests {
         let (mut cl, refs) = world(4);
         let hw = HardwareModel::default();
         let cap = blaze_common::ByteSize::from_mib(64);
-        let cfg = OptimizerConfig::default();
+        let tiers = Tiers::default();
         let mut inc = IncrementalOptimizer::new();
-        let a = inc.optimize(&mut cl, &refs, None, &hw, cap, 0, &cfg);
-        let b = inc.optimize(&mut cl, &refs, None, &hw, cap, 0, &cfg);
+        let a = inc.optimize(&mut cl, &refs, None, &hw, cap, 0, tiers);
+        let b = inc.optimize(&mut cl, &refs, None, &hw, cap, 0, tiers);
         assert_eq!(a, b);
         assert!(inc.stats().reused > 0, "second solve should reuse: {:?}", inc.stats());
     }

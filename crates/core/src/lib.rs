@@ -66,7 +66,7 @@ pub use controller::{BlazeConfig, BlazeController, BlazeLevel};
 pub use cost::CostModel;
 pub use costlineage::{CostLineage, PartitionState};
 pub use incremental::{DecisionStats, IncrementalOptimizer};
-pub use optimize::OptimizerConfig;
+pub use optimize::Tiers;
 pub use pattern::IterationPattern;
 pub use profiler::{extract_dependencies, ProfileResult};
 pub use refs::JobRefs;

@@ -2,8 +2,9 @@
 //!
 //! At each job submission, Blaze restates the cached partitions of every
 //! executor: minimize the total potential recovery cost of the partitions
-//! referenced within the upcoming-jobs horizon `J` (default: current job and
-//! its successor), subject to the per-executor memory capacity:
+//! referenced within the upcoming-jobs window `J` (`HORIZON_JOBS`: the
+//! current job and its successor), subject to the per-executor memory
+//! capacity:
 //!
 //! ```text
 //! min  Σ_{p_j ∈ J} (d_j · cost_d(p_j, t) + u_j · cost_r(p_j, t))
@@ -48,35 +49,29 @@ use blaze_solver::mckp::{solve_mckp, solve_mckp_certified, MckpGroup, MckpOption
 #[cfg(test)]
 mod oracle;
 
-/// Optimizer configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct OptimizerConfig {
-    /// Jobs ahead (including the submitted one) whose references count into
-    /// the objective — the paper's `J` window (§5.5 uses 2).
-    pub horizon_jobs: usize,
+/// Jobs whose references count into the objective, the submitted one
+/// included: the paper's Eq. 5 window `J` (§5.5), the current job and its
+/// successor.
+const HORIZON_JOBS: usize = 2;
+
+/// The states a decision may choose besides `m` and `u`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tiers {
     /// Enables the serialized in-memory tier as a first-class decision
     /// state: each candidate's option group is `[out, ser, mem]` instead of
     /// `[out, mem]`. Off by default; the two settings price `m`, `d` and `u`
     /// alike.
-    pub ser_tier: bool,
+    pub ser: bool,
     /// Whether the disk state `d` is allowed at all (false = the Fig. 12
     /// memory-only configuration): without it the only way out of memory
     /// is `u`.
-    pub use_disk: bool,
+    pub disk: bool,
 }
 
-impl Default for OptimizerConfig {
+impl Default for Tiers {
     fn default() -> Self {
-        Self { horizon_jobs: 2, ser_tier: false, use_disk: true }
+        Self { ser: false, disk: true }
     }
-}
-
-/// The states a decision may choose besides `m` and `u`: serialized in
-/// memory, and disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Tiers {
-    pub(crate) ser: bool,
-    pub(crate) disk: bool,
 }
 
 /// One candidate partition of one executor's optimization instance.
@@ -126,7 +121,6 @@ pub(crate) fn gather_candidates(
     refs: &JobRefs,
     hardware: &HardwareModel,
     current_job: usize,
-    config: &OptimizerConfig,
     model: &mut CostModel<'_>,
     // audit: allow(decision-hash) per-executor buckets, drained in sorted key order
 ) -> FxHashMap<ExecutorId, Vec<Candidate>> {
@@ -140,7 +134,7 @@ pub(crate) fn gather_candidates(
         .collect();
     for (id, state) in cached {
         let Some(exec) = state.executor() else { continue };
-        let window_refs = match refs.refs_in_window(id.rdd, current_job, config.horizon_jobs) {
+        let window_refs = match refs.refs_in_window(id.rdd, current_job, HORIZON_JOBS) {
             0 => u32::from(refs.future_refs(id.rdd, current_job) > 0),
             n => n,
         };
@@ -427,7 +421,6 @@ mod tests {
         refs: &JobRefs,
         capacity: ByteSize,
         current_job: usize,
-        config: &OptimizerConfig,
     ) -> Vec<StateCommand> {
         let hw = HardwareModel::default();
         IncrementalOptimizer::new().optimize(
@@ -437,7 +430,7 @@ mod tests {
             &hw,
             capacity,
             current_job,
-            config,
+            Tiers::default(),
         )
     }
 
@@ -640,12 +633,46 @@ mod tests {
         (cl, refs, BlockId::new(a.id(), 0), BlockId::new(b.id(), 0))
     }
 
+    /// The window is the submitted job and its successor (`HORIZON_JOBS`
+    /// = 2): a block read twice by job `current + 1` is priced with both
+    /// reads, and a block read twice but only by job `current + 2` gets the
+    /// one-read weight of a block referenced past the window.
+    #[test]
+    fn the_window_is_the_current_job_and_its_successor() {
+        use blaze_dataflow::{runner::LocalRunner, Context};
+        let ctx = Context::new(LocalRunner::new());
+        let next = ctx.parallelize(vec![0u64; 8], 1);
+        let after = ctx.parallelize(vec![0u64; 8], 1);
+        let current = ctx.parallelize(vec![0u64; 8], 1).map(|v| v + 1);
+        let twice = |d: &blaze_dataflow::Dataset<u64>| d.zip_partitions(d, |a, _| a.to_vec());
+        let targets = [current.id(), twice(&next).id(), twice(&after).id()];
+        let mut cl = CostLineage::new();
+        cl.merge_plan(&ctx.plan().read());
+        cl.seed_job_targets(targets.to_vec());
+        let refs = JobRefs::build(&ctx.plan().read(), &targets);
+        for rdd in [next.id(), after.id()] {
+            let id = BlockId::new(rdd, 0);
+            cl.record_metrics(id, ByteSize::from_kib(64), SimDuration::from_millis(50));
+            cl.set_state(id, PartitionState::Memory(ExecutorId(0)));
+        }
+        assert_eq!(refs.future_refs(after.id(), 0), 2);
+        let hw = HardwareModel::default();
+        let mut model = CostModel::new(&cl, &hw, None);
+        let per_exec = gather_candidates(&cl, &refs, &hw, 0, &mut model);
+        let window_refs = |rdd| {
+            let c = per_exec[&ExecutorId(0)].iter().find(|c| c.id.rdd == rdd).unwrap();
+            c.window_refs
+        };
+        assert_eq!(window_refs(next.id()), 2, "job current + 1 is inside the window");
+        assert_eq!(window_refs(after.id()), 1, "job current + 2 is past it");
+    }
+
     #[test]
     fn driver_evicts_the_unreferenced_block_under_pressure() {
         let (mut cl, refs, a_block, b_block) = small_world();
         // Capacity fits exactly one 64 KiB block: `b` (never referenced
         // after job 0; the window starts at job 1) must go.
-        let cmds = decide(&mut cl, &refs, ByteSize::from_kib(64), 1, &OptimizerConfig::default());
+        let cmds = decide(&mut cl, &refs, ByteSize::from_kib(64), 1);
         assert!(
             cmds.iter().any(|c| matches!(c,
                 StateCommand::UnpersistBlock(id) | StateCommand::SpillToDisk(id) if *id == b_block)),
@@ -659,7 +686,7 @@ mod tests {
     #[test]
     fn driver_is_a_noop_when_everything_fits() {
         let (mut cl, refs, _a, _b) = small_world();
-        let cmds = decide(&mut cl, &refs, ByteSize::from_mib(10), 1, &OptimizerConfig::default());
+        let cmds = decide(&mut cl, &refs, ByteSize::from_mib(10), 1);
         assert!(cmds.is_empty(), "no pressure, no commands: {cmds:?}");
     }
 }

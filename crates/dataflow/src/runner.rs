@@ -28,17 +28,14 @@ pub trait JobRunner: Send + Sync + 'static {
 /// A reference in-process executor.
 ///
 /// Memoizes every materialized partition (an effectively infinite cache), so
-/// it exercises operator correctness, not caching behaviour. Target
-/// partitions of a job run on `threads` OS threads; since every partition is
-/// a pure function of the plan and memoization is only an optimization,
-/// results are identical at any thread count.
+/// it exercises operator correctness, not caching behaviour. A job's target
+/// partitions run one after another on the calling thread.
 pub struct LocalRunner {
     // audit: allow(record-order) lookup only: a memo probed per block, never iterated into one
     blocks: Mutex<FxHashMap<BlockId, Block>>,
     /// Per shuffle (consumer RDD, dep index), its map outputs.
     // audit: allow(record-order) lookup only: probed per shuffle, never iterated
     shuffles: Mutex<FxHashMap<(RddId, usize), MapOutputs>>,
-    threads: usize,
 }
 
 /// One shuffle's map outputs, indexed by map task (`None`: not produced
@@ -52,16 +49,9 @@ impl Default for LocalRunner {
 }
 
 impl LocalRunner {
-    /// Creates a fresh single-threaded runner with empty memo tables.
+    /// Creates a fresh runner with empty memo tables.
     pub fn new() -> Self {
-        Self { blocks: Mutex::default(), shuffles: Mutex::default(), threads: 1 }
-    }
-
-    /// Sets the number of worker threads used per job (min 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        Self { blocks: Mutex::default(), shuffles: Mutex::default() }
     }
 
     fn compute(&self, plan: &Plan, rdd: RddId, part: usize) -> Result<Block> {
@@ -93,7 +83,8 @@ impl LocalRunner {
     /// The non-empty buckets a reduce task of `node` reads through
     /// `shuffle`, in map order. Map outputs not yet produced are computed
     /// outside the lock (computing them takes it too); a race between two
-    /// workers produces the same buckets, and the first one stays.
+    /// callers sharing the runner produces the same buckets, and the first
+    /// one stays.
     fn gather(
         &self,
         plan: &Plan,
@@ -123,9 +114,17 @@ impl LocalRunner {
         for (m, buckets) in produced {
             outputs[m].get_or_insert(buckets);
         }
-        let mut incoming = Vec::with_capacity(num_maps);
-        for buckets in outputs.iter().flatten() {
-            incoming.extend(buckets.get(part).cloned());
+        let mut incoming = Vec::new();
+        for (m, buckets) in outputs.iter().enumerate() {
+            if let Some(b) = buckets.as_ref().and_then(|b| b.get(part)) {
+                // Sized at the first bucket addressed to the task: the maps
+                // from here on bound the rest, and a task that receives none
+                // allocates nothing.
+                if incoming.is_empty() {
+                    incoming.reserve_exact(num_maps - m);
+                }
+                incoming.push(b.clone());
+            }
         }
         Ok(incoming)
     }
@@ -135,42 +134,7 @@ impl JobRunner for LocalRunner {
     fn run_job(&self, plan: &Arc<RwLock<Plan>>, target: RddId) -> Result<Vec<Block>> {
         let plan = plan.read();
         let parts = plan.node(target)?.num_partitions;
-        let workers = self.threads.min(parts);
-        if workers <= 1 {
-            return (0..parts).map(|p| self.compute(&plan, target, p)).collect();
-        }
-
-        // Scoped workers pull partition indices from a shared counter; two
-        // workers may race to compute the same lineage block, but both
-        // produce the same value, so the memo tables stay consistent.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut ordered: Vec<Option<Result<Block>>> = Vec::with_capacity(parts);
-        ordered.resize_with(parts, || None);
-        let plan: &Plan = &plan;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let p = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if p >= parts {
-                                break;
-                            }
-                            done.push((p, self.compute(plan, target, p)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (p, result) in handle.join().expect("local worker panicked") {
-                    ordered[p] = Some(result);
-                }
-            }
-        });
-        ordered.into_iter().map(|r| r.expect("every partition computed")).collect()
+        (0..parts).map(|p| self.compute(&plan, target, p)).collect()
     }
 
     fn on_unpersist(&self, rdd: RddId) {
@@ -271,24 +235,6 @@ mod tests {
         assert_eq!(total, 56);
         let bucket0 = blocks[0].as_slice::<u64>("t").unwrap()[0];
         assert_eq!(bucket0, 56);
-    }
-
-    #[test]
-    fn threaded_runner_matches_single_threaded() {
-        let (plan, target) = mk_plan();
-        let serial = LocalRunner::new().run_job(&plan, target).unwrap();
-        for threads in [2, 4] {
-            let runner = LocalRunner::new().with_threads(threads);
-            let parallel = runner.run_job(&plan, target).unwrap();
-            assert_eq!(serial.len(), parallel.len());
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(
-                    a.as_slice::<u64>("t").unwrap(),
-                    b.as_slice::<u64>("t").unwrap(),
-                    "diverged at {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]

@@ -199,12 +199,18 @@ pub trait CacheController: Send {
 
     /// If true, memory-resident cached data is kept serialized (an external
     /// store such as Alluxio): every memory hit pays (de)serialization, and
-    /// the stored footprint shrinks by [`CacheController::memory_footprint_factor`].
+    /// the stored footprint shrinks to
+    /// [`HardwareModel::ser_footprint`](crate::HardwareModel::ser_footprint)
+    /// of the logical size.
     fn serialized_in_memory(&self) -> bool {
         false
     }
 
-    /// Memory footprint multiplier for serialized-in-memory stores.
+    /// No caller: the engine scales a serialized-in-memory store by
+    /// [`HardwareModel::ser_footprint`](crate::HardwareModel::ser_footprint),
+    /// and no controller in the workspace overrides it. Kept with its
+    /// default body only because the repository benchmark's forwarding
+    /// controller overrides it by name; it goes when that forwarder does.
     fn memory_footprint_factor(&self) -> f64 {
         1.0
     }

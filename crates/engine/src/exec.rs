@@ -10,7 +10,7 @@
 
 use crate::config::ClusterConfig;
 use crate::controller::BlockInfo;
-use crate::fault::FaultCause;
+use crate::fault::{fetch_backoff, FaultCause};
 use crate::metrics::TaskCharge;
 use crate::shuffle::{MapOutput, ShuffleId};
 use crate::storage::{spill_checksum, StoredBlock};
@@ -337,7 +337,7 @@ impl<'a> TaskCtx<'a> {
             self.inject_fetch_failures(shuffle, *parent, num_maps, part as u32)?;
             let stored = view.stores.shuffle.outputs(shuffle);
             let mut fetched = ByteSize::ZERO;
-            let mut incoming = Vec::with_capacity(num_maps);
+            let mut incoming = Vec::new();
             for m in 0..num_maps {
                 let buckets = self
                     .shuffle_overlay
@@ -349,6 +349,12 @@ impl<'a> TaskCtx<'a> {
                 if let Some(b) = buckets.get(part) {
                     in_elems += b.len() as u64;
                     fetched += b.bytes();
+                    // Sized at the first bucket addressed to the task (the
+                    // maps from here on bound the rest): a task that
+                    // receives none allocates nothing.
+                    if incoming.is_empty() {
+                        incoming.reserve_exact(num_maps - m);
+                    }
                     incoming.push(b.clone());
                 }
             }
@@ -411,7 +417,7 @@ impl<'a> TaskCtx<'a> {
         while failed < budget
             && fault.fetch_attempt_fails(job.raw(), child.raw(), dep_idx, reduce_part, failed)
         {
-            let backoff = fault.fetch_backoff(failed);
+            let backoff = fetch_backoff(failed);
             self.charge.fetch_backoff += backoff;
             self.events.push(TaskEvent::FetchRetry {
                 shuffle,

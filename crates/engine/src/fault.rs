@@ -67,6 +67,22 @@ pub const SPECULATION_QUANTILE: f64 = 0.75;
 /// Multiplier applied to the quantile duration to form the deadline.
 pub const SPECULATION_SLACK: f64 = 1.5;
 
+/// Backoff wait after the first failed shuffle-fetch attempt; doubles per
+/// retry up to [`FETCH_BACKOFF_CAP`].
+pub(crate) const FETCH_BACKOFF_BASE: SimDuration = SimDuration::from_millis(10);
+
+/// Cap on a single fetch-backoff wait.
+pub(crate) const FETCH_BACKOFF_CAP: SimDuration = SimDuration::from_millis(200);
+
+/// Deterministic backoff wait after failed fetch attempt `attempt`
+/// (0-based): `min(FETCH_BACKOFF_BASE << attempt, FETCH_BACKOFF_CAP)`,
+/// saturating.
+pub(crate) fn fetch_backoff(attempt: u32) -> SimDuration {
+    let scaled =
+        FETCH_BACKOFF_BASE.as_nanos().saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
+    SimDuration::from_nanos(scaled.min(FETCH_BACKOFF_CAP.as_nanos()))
+}
+
 /// Straggler slowdown beyond which a plan without speculative execution is
 /// flagged by the BA302 preflight rule: tail latency grows linearly with
 /// the slowdown and nothing in the schedule can claw it back.
@@ -142,11 +158,6 @@ pub struct FaultPlan {
     /// stage's map outputs through lineage. Must be `>= 1` when
     /// `fetch_failure_rate > 0`.
     pub max_fetch_retries: u32,
-    /// Backoff wait after the first failed fetch attempt; doubles per
-    /// retry. Must be positive when `fetch_failure_rate > 0`.
-    pub fetch_backoff_base: SimDuration,
-    /// Cap on a single backoff wait. Must be `>= fetch_backoff_base`.
-    pub fetch_backoff_cap: SimDuration,
 }
 
 impl Default for FaultPlan {
@@ -164,8 +175,6 @@ impl Default for FaultPlan {
             spill_corruption_rate: 0.0,
             fetch_failure_rate: 0.0,
             max_fetch_retries: 4,
-            fetch_backoff_base: SimDuration::from_millis(10),
-            fetch_backoff_cap: SimDuration::from_millis(200),
         }
     }
 }
@@ -267,14 +276,6 @@ impl FaultPlan {
         )
     }
 
-    /// Deterministic backoff wait after failed fetch attempt `attempt`
-    /// (0-based): `min(base << attempt, cap)`, saturating.
-    pub fn fetch_backoff(&self, attempt: u32) -> SimDuration {
-        let base = self.fetch_backoff_base.as_nanos();
-        let scaled = base.saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
-        SimDuration::from_nanos(scaled.min(self.fetch_backoff_cap.as_nanos()))
-    }
-
     /// The deepest uncached lineage chain the retry budget can be expected
     /// to replay, or `None` when the plan is disabled (no bound applies).
     /// Used by the BA301 preflight rule.
@@ -363,24 +364,10 @@ impl FaultPlan {
                  every retry would fail and escalation would loop forever"
             )));
         }
-        if self.fetch_failure_rate > 0.0 {
-            if self.max_fetch_retries == 0 {
-                return Err(BlazeError::Config(
-                    "fault plan: max_fetch_retries must be >= 1 when fetch_failure_rate > 0".into(),
-                ));
-            }
-            if self.fetch_backoff_base <= SimDuration::ZERO {
-                return Err(BlazeError::Config(
-                    "fault plan: fetch_backoff_base must be positive when fetch_failure_rate > 0"
-                        .into(),
-                ));
-            }
-            if self.fetch_backoff_cap < self.fetch_backoff_base {
-                return Err(BlazeError::Config(format!(
-                    "fault plan: fetch_backoff_cap ({}) must be >= fetch_backoff_base ({})",
-                    self.fetch_backoff_cap, self.fetch_backoff_base
-                )));
-            }
+        if self.fetch_failure_rate > 0.0 && self.max_fetch_retries == 0 {
+            return Err(BlazeError::Config(
+                "fault plan: max_fetch_retries must be >= 1 when fetch_failure_rate > 0".into(),
+            ));
         }
         Ok(())
     }
@@ -720,17 +707,9 @@ mod tests {
 
     #[test]
     fn fetch_backoff_doubles_and_caps() {
-        let plan = FaultPlan {
-            fetch_backoff_base: SimDuration::from_millis(10),
-            fetch_backoff_cap: SimDuration::from_millis(50),
-            ..Default::default()
-        };
-        assert_eq!(plan.fetch_backoff(0), SimDuration::from_millis(10));
-        assert_eq!(plan.fetch_backoff(1), SimDuration::from_millis(20));
-        assert_eq!(plan.fetch_backoff(2), SimDuration::from_millis(40));
-        assert_eq!(plan.fetch_backoff(3), SimDuration::from_millis(50));
-        assert_eq!(plan.fetch_backoff(63), SimDuration::from_millis(50));
-        assert_eq!(plan.fetch_backoff(64), SimDuration::from_millis(50));
+        for (attempt, ms) in [(0, 10), (1, 20), (2, 40), (3, 80), (4, 160), (5, 200), (64, 200)] {
+            assert_eq!(fetch_backoff(attempt), SimDuration::from_millis(ms), "attempt {attempt}");
+        }
     }
 
     #[test]
@@ -747,26 +726,6 @@ mod tests {
         assert!(bad.validate(4).is_err());
         let bad = FaultPlan { fetch_failure_rate: 0.1, max_fetch_retries: 0, ..Default::default() };
         assert!(bad.validate(4).is_err());
-        let bad = FaultPlan {
-            fetch_failure_rate: 0.1,
-            fetch_backoff_base: SimDuration::ZERO,
-            ..Default::default()
-        };
-        assert!(bad.validate(4).is_err());
-        let bad = FaultPlan {
-            fetch_failure_rate: 0.1,
-            fetch_backoff_base: SimDuration::from_millis(10),
-            fetch_backoff_cap: SimDuration::from_millis(5),
-            ..Default::default()
-        };
-        assert!(bad.validate(4).is_err());
-        // A cap below base is fine while fetch failures are off.
-        let ok = FaultPlan {
-            fetch_backoff_base: SimDuration::from_millis(10),
-            fetch_backoff_cap: SimDuration::from_millis(5),
-            ..Default::default()
-        };
-        assert!(ok.validate(4).is_ok());
         let ok = FaultPlan {
             straggler_rate: 0.3,
             straggler_slowdown: 6.0,

@@ -28,8 +28,9 @@ pub struct StoredBlock {
     /// serialized form (the decision layer's s-state, `ser_tier`):
     /// `stored_bytes` is the footprint-scaled size and every access pays a
     /// deserialization. Distinct from store-global serialized-in-memory
-    /// modes (Alluxio), which keep this `false` and shrink footprints via
-    /// the controller's `memory_footprint_factor`. Always `false` on disk.
+    /// modes (Alluxio), which keep this `false` and store the same
+    /// footprint-scaled size ([`crate::HardwareModel::ser_footprint`]).
+    /// Always `false` on disk.
     pub serialized: bool,
     /// Integrity checksum stamped when the block was written to the disk
     /// tier (see [`spill_checksum`]). `None` for memory-resident blocks and

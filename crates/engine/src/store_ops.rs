@@ -152,7 +152,7 @@ impl ClusterState {
         let e = exec.raw() as usize;
         let serialized = self.controller.serialized_in_memory();
         let footprint = if serialized {
-            info.bytes.scale(self.controller.memory_footprint_factor())
+            info.bytes.scale(self.config.hardware.ser_footprint)
         } else {
             info.bytes
         };

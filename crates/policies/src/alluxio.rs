@@ -5,7 +5,9 @@
 //! memory tier. That shrinks the in-memory footprint (more blocks fit) but
 //! charges (de)serialization on every access — which is why Spark+Alluxio
 //! loses to plain MEM+DISK Spark on serialization-light workloads like LR
-//! (§7.2). Tier management itself is LRU with spill-to-disk.
+//! (§7.2). Tier management itself is LRU with spill-to-disk. The engine
+//! stores each block at the cluster's serialized footprint,
+//! `HardwareModel::ser_footprint` (0.6 by default).
 
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
@@ -14,27 +16,17 @@ use blaze_engine::{
     victims_by_key, Admission, BlockInfo, CacheController, CtrlCtx, StoreTier, VictimAction,
 };
 
-/// Default in-memory footprint ratio of serialized vs deserialized data.
-pub const DEFAULT_SER_FOOTPRINT: f64 = 0.6;
-
 /// Alluxio-style tiered store controller, obeying user cache annotations.
 #[derive(Debug)]
 pub struct AlluxioController {
-    footprint: f64,
     tick: u64,
     last_access: FxHashMap<BlockId, u64>,
 }
 
 impl AlluxioController {
-    /// Creates the controller with the default serialized footprint ratio.
+    /// Creates the controller with an empty access history.
     pub fn new() -> Self {
-        Self::with_footprint(DEFAULT_SER_FOOTPRINT)
-    }
-
-    /// Creates the controller with a custom serialized footprint ratio in
-    /// `(0, 1]`.
-    pub fn with_footprint(footprint: f64) -> Self {
-        Self { footprint: footprint.clamp(0.05, 1.0), tick: 0, last_access: FxHashMap::default() }
+        Self { tick: 0, last_access: FxHashMap::default() }
     }
 
     fn touch(&mut self, id: BlockId) {
@@ -58,13 +50,9 @@ impl CacheController for AlluxioController {
         true
     }
 
-    fn memory_footprint_factor(&self) -> f64 {
-        self.footprint
-    }
-
     fn choose_victims(
         &mut self,
-        _ctx: &CtrlCtx,
+        ctx: &CtrlCtx,
         _exec: ExecutorId,
         needed: ByteSize,
         _incoming: &BlockInfo,
@@ -77,7 +65,7 @@ impl CacheController for AlluxioController {
         // footprint is < 1 and the admission still fails.
         let stored: Vec<BlockInfo> = resident
             .iter()
-            .map(|b| BlockInfo { bytes: b.bytes.scale(self.footprint), ..*b })
+            .map(|b| BlockInfo { bytes: b.bytes.scale(ctx.hardware.ser_footprint), ..*b })
             .collect();
         victims_by_key(&stored, needed, |b| self.last_access.get(&b.id).copied().unwrap_or(0))
             .into_iter()
@@ -114,24 +102,37 @@ impl CacheController for AlluxioController {
 mod tests {
     use super::*;
     use blaze_common::ids::RddId;
-    use blaze_engine::HardwareModel;
+    use blaze_dataflow::{Block, Context};
+    use blaze_engine::{Cluster, ClusterConfig, HardwareModel};
 
     fn ctx() -> CtrlCtx {
         CtrlCtx { hardware: HardwareModel::default(), memory_capacity: ByteSize::from_mib(1) }
     }
 
     #[test]
-    fn serializes_in_memory_with_reduced_footprint() {
+    fn serializes_in_memory() {
         let a = AlluxioController::new();
         assert!(a.serialized_in_memory());
-        assert!((a.memory_footprint_factor() - DEFAULT_SER_FOOTPRINT).abs() < 1e-12);
         assert_eq!(a.name(), "Spark+Alluxio");
     }
 
+    /// The memory tier stores a cached block at the cluster's serialized
+    /// footprint: `ser_footprint` × the block's logical bytes.
     #[test]
-    fn footprint_is_clamped() {
-        assert_eq!(AlluxioController::with_footprint(0.0).memory_footprint_factor(), 0.05);
-        assert_eq!(AlluxioController::with_footprint(7.0).memory_footprint_factor(), 1.0);
+    fn memory_tier_follows_the_cluster_footprint() {
+        let data: Vec<u64> = (0..4096).collect();
+        let logical = Block::from_vec(data.clone()).bytes();
+        for footprint in [0.5, 1.0] {
+            let config = ClusterConfig {
+                executors: 1,
+                hardware: HardwareModel { ser_footprint: footprint, ..Default::default() },
+                ..Default::default()
+            };
+            let cluster = Cluster::new(config, Box::new(AlluxioController::new())).unwrap();
+            let ctx = Context::new(cluster.clone());
+            ctx.parallelize(data.clone(), 1).cache().count().unwrap();
+            assert_eq!(cluster.memory_used(), [logical.scale(footprint)], "{footprint}");
+        }
     }
 
     #[test]
@@ -163,8 +164,11 @@ mod tests {
         // must pick three victims (15 KiB stored); counting logical bytes
         // would stop after two (20 KiB logical but only 10 KiB stored) and
         // leave the admission failing — the pre-fix under-eviction.
-        let c = ctx();
-        let mut a = AlluxioController::with_footprint(0.5);
+        let c = CtrlCtx {
+            hardware: HardwareModel { ser_footprint: 0.5, ..Default::default() },
+            ..ctx()
+        };
+        let mut a = AlluxioController::new();
         let resident: Vec<BlockInfo> = (0..3)
             .map(|p| BlockInfo {
                 id: BlockId::new(RddId(1), p),

@@ -70,8 +70,9 @@ impl SessionBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a configuration error for an invalid [`BlazeConfig`], plus
-    /// any error surfaced by the driver itself.
+    /// Returns a configuration error when [`Cluster::new`] rejects the
+    /// spec's cluster configuration or the fault plan, plus any error
+    /// surfaced by dependency extraction or by the driver itself.
     pub fn run(self) -> Result<RunOutcome> {
         Session::launch(self)
     }
@@ -100,7 +101,6 @@ impl Session {
         let (system, controller): (SystemKind, Box<dyn CacheController>) =
             if blaze.is_some() || wrap.is_some() {
                 let cfg = blaze.unwrap_or_else(BlazeConfig::full);
-                cfg.validate()?;
                 let ctl = BlazeController::new(cfg, Some(profile()?));
                 let boxed = match wrap {
                     Some(w) => w(ctl),
@@ -118,21 +118,5 @@ impl Session {
         let cluster = Cluster::new(config, controller)?;
         spec.drive(&Context::new(cluster.clone()))?;
         Ok(RunOutcome { app: spec.app, system, metrics: cluster.metrics(), trace: cluster.trace() })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::apps::App;
-    use blaze_common::error::BlazeError;
-
-    #[test]
-    fn a_custom_blaze_config_is_validated() {
-        let spec = AppSpec::evaluation(App::PageRank).scaled(0.2);
-        let mut cfg = BlazeConfig::full();
-        cfg.optimizer.horizon_jobs = 0;
-        let err = Session::builder(spec).blaze(cfg).run().unwrap_err();
-        assert!(matches!(err, BlazeError::Config(_)), "{err:?}");
     }
 }

@@ -26,8 +26,18 @@ run cargo build --release $OFFLINE --workspace
 # The repository benchmark is a package of its own outside the workspace,
 # pinned to the crates' public API; build it so an API break surfaces here
 # and not in the outside driver. Its unit tests (BENCHMARK.json matches
-# spec.rs, verdicts, statistics) run here too.
+# spec.rs, verdicts, statistics) run here too. Its Cargo.lock is pinned:
+# cargo would rewrite it silently when a workspace crate's dependencies
+# change, so the build must leave it byte-identical.
+lock=$(mktemp)
+cp benchmark/Cargo.lock "$lock"
 run cargo build --release $OFFLINE --manifest-path benchmark/Cargo.toml
+cmp "$lock" benchmark/Cargo.lock || {
+    echo "ci: building the benchmark rewrote benchmark/Cargo.lock" >&2
+    rm -f "$lock"
+    exit 1
+}
+rm -f "$lock"
 run cargo test -q $OFFLINE --manifest-path benchmark/Cargo.toml
 run cargo test -q $OFFLINE --workspace
 # Examples: clippy compiles them, this runs them, so a panic in one (such as

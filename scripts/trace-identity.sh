@@ -6,8 +6,8 @@
 # "Same behaviour" for a host-time change means the engine's chrome traces
 # are byte-identical: every block size, admission, eviction and simulated
 # charge is in them. This writes `blaze-trace --timeline` for the six apps
-# under five systems (single worker thread) plus the faulted PageRank run,
-# 31 pairs, from both trees, and `cmp`s each pair. One line per pair; exits
+# under six systems (single worker thread) plus the faulted PageRank run,
+# 37 pairs, from both trees, and `cmp`s each pair. One line per pair; exits
 # non-zero on any difference. Builds `blaze-trace` in both trees first.
 #
 # Make the parent checkout with `git clone` or `git archive` (for example
@@ -49,7 +49,7 @@ compare() {
 }
 
 for app in pagerank cc lr kmeans gbt svdpp; do
-    for system in blaze blaze_no_profile blaze_ser_tier spark_mem_disk lrc; do
+    for system in blaze blaze_no_profile blaze_ser_tier spark_mem_disk lrc alluxio; do
         compare "$app.$system" --apps "$app" --system "$system" --threads 1
     done
 done

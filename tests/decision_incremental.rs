@@ -34,7 +34,7 @@ use blaze::common::ids::{BlockId, ExecutorId, RddId};
 use blaze::common::{ByteSize, SimDuration, SimTime};
 use blaze::core::{
     extract_dependencies, BlazeConfig, BlazeController, CostLineage, DecisionStats,
-    IncrementalOptimizer, JobRefs, OptimizerConfig, PartitionState,
+    IncrementalOptimizer, JobRefs, PartitionState, Tiers,
 };
 use blaze::dataflow::{runner::LocalRunner, Context, Dataset, Plan};
 use blaze::engine::{
@@ -123,7 +123,7 @@ proptest! {
         const PARTS: u32 = 3;
         let ctx = Context::new(LocalRunner::new());
         let rdds = build_random_plan(&ctx, &shape, PARTS as usize);
-        let config = OptimizerConfig::default();
+        let tiers = Tiers::default();
         let hardware = HardwareModel::default();
         let capacity = ByteSize::from_kib(capacity_kib);
 
@@ -157,11 +157,11 @@ proptest! {
             // dirty set, which a reset driver (empty memo) never needs.
             let refs = JobRefs::build(&plan, &targets);
             let fast = inc.optimize(
-                &mut lineage, &refs, None, &hardware, capacity, round, &config,
+                &mut lineage, &refs, None, &hardware, capacity, round, tiers,
             );
             cold.reset();
             let scratch = cold.optimize(
-                &mut lineage, &refs, None, &hardware, capacity, round, &config,
+                &mut lineage, &refs, None, &hardware, capacity, round, tiers,
             );
 
             prop_assert_eq!(&fast, &scratch, "round {} diverged", round);
@@ -199,7 +199,7 @@ impl StressRig {
     /// first: it drains the lineage's dirty set, which the reset driver
     /// (empty memo, nothing to invalidate) never needs.
     fn step(&mut self, plan: &Plan, targets: &[RddId], round: usize) {
-        let (hardware, config) = (HardwareModel::default(), OptimizerConfig::default());
+        let (hardware, tiers) = (HardwareModel::default(), Tiers::default());
         let refs = JobRefs::build(plan, targets);
         let fast = self.inc.optimize(
             &mut self.lineage,
@@ -208,7 +208,7 @@ impl StressRig {
             &hardware,
             self.capacity,
             round,
-            &config,
+            tiers,
         );
         self.cold.reset();
         let scratch = self.cold.optimize(
@@ -218,7 +218,7 @@ impl StressRig {
             &hardware,
             self.capacity,
             round,
-            &config,
+            tiers,
         );
         assert_eq!(fast, scratch, "round {round}: retained state changed the decision");
         assert!(self.lineage.residency_consistent(), "round {round}: residency index corrupted");
@@ -672,7 +672,7 @@ fn warm_and_cold_traces_are_identical_on_full_workloads() {
         let (cold, _) = trace_workload(spec, 2, cfg, true, FaultPlan::default());
         assert_eq!(warm, cold, "{:?}: trace diverged between warm and cold", spec.app);
         assert!(m.jobs >= 5, "{:?} ran only {} jobs", spec.app, m.jobs);
-        if cfg.optimizer.ser_tier {
+        if cfg.tiers.ser {
             assert!(m.ser_transitions > 0, "the ser-tier input must exercise the mc path");
         }
     }

@@ -38,7 +38,9 @@ mod common;
 use blaze::common::error::Result as BlazeResult;
 use blaze::common::ids::{JobId, RddId};
 use blaze::common::{ByteSize, SimDuration, SimTime};
-use blaze::core::{extract_dependencies, BlazeConfig, BlazeController, BlazeLevel, DecisionStats};
+use blaze::core::{
+    extract_dependencies, BlazeConfig, BlazeController, BlazeLevel, DecisionStats, Tiers,
+};
 use blaze::dataflow::planner::plan_job;
 use blaze::dataflow::{runner::LocalRunner, Context, Dataset, Plan};
 use blaze::engine::{
@@ -120,9 +122,8 @@ fn blaze_strategy() -> impl Strategy<Value = Controller> {
     // nothing on these aperiodic pipelines) and may use the disk.
     (level, (odds(4), odds(2)), (odds(2), odds(4))).prop_map(
         |(level, (use_disk, ser_tier), (certify, profiled))| {
-            let mut cfg = BlazeConfig { level, certify, ..BlazeConfig::full() };
-            cfg.optimizer.use_disk = use_disk;
-            cfg.optimizer.ser_tier = ser_tier;
+            let tiers = Tiers { ser: ser_tier, disk: use_disk };
+            let cfg = BlazeConfig { level, tiers, certify };
             Controller::Blaze { cfg, profiled }
         },
     )
@@ -296,7 +297,7 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
     let trace = base.trace.as_ref().expect("the primary run is traced");
 
     // 1. The run computes the local-runner answer with the same jobs.
-    let ctx = Context::new(LocalRunner::new().with_threads(case.threads));
+    let ctx = Context::new(LocalRunner::new());
     let want = case.drive(&ctx).expect("reference run");
     prop_assert!(base.result == want, "contract 1: the run computed a different result");
     prop_assert_eq!(base.metrics.jobs, u64::from(ctx.jobs_submitted()), "contract 1: job count");

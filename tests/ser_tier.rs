@@ -2,10 +2,10 @@
 //!
 //! Contracts pinned here:
 //!
-//! 1. **Off means off** — with `OptimizerConfig::ser_tier = false` (the
-//!    default) the serialized-tier counters stay exactly zero: the decision
-//!    path prices the same groups without the s option (the counters are
-//!    the observable witness).
+//! 1. **Off means off** — with `Tiers::ser = false` (the default) the
+//!    serialized-tier counters stay exactly zero: the decision path prices
+//!    the same groups without the s option (the counters are the
+//!    observable witness).
 //! 2. **The tier engages** — under memory pressure with a
 //!    serialization-heavy iterative workload, the multi-choice solver
 //!    actually picks the s-state: `ser_transitions > 0`.
