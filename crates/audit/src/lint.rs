@@ -450,11 +450,11 @@ mod tests {
             "}",
         ]);
         assert!(lint_source("crates/dataflow/src/pair.rs", &kept).is_empty());
-        // The runner's memo, justified the same way.
+        // The runner's shuffle memo, justified the same way.
         let memo = join(&[
             "pub struct LocalRunner {",
-            "    // audit: allow(record-order) lookup only: probed per block",
-            "    blocks: Mutex<FxHashMap<BlockId, Block>>,",
+            "    // audit: allow(record-order) lookup only: probed per shuffle",
+            "    shuffles: Mutex<FxHashMap<(RddId, usize), MapOutputs>>,",
             "}",
         ]);
         assert!(lint_source("crates/dataflow/src/runner.rs", &memo).is_empty());

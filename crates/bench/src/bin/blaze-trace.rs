@@ -15,7 +15,8 @@
 //!   not fail the sweep.
 //! - `--timeline <path>` writes the Chrome trace-event JSON for one run
 //!   (load it in `chrome://tracing` or Perfetto).
-//! - `--ledger` prints the per-job cache-decision ledger.
+//! - `--ledger` prints the per-job cache-decision ledger, closed by the
+//!   count of spills nobody read ([`blaze_engine::TraceLog::spilled_unread`]).
 //! - `--explain <rdd[:part]>` prints every cache decision that touched one
 //!   block, with the deciding policy's rationale.
 //! - `--diff <system>` diffs the trace against a second system's run of

@@ -204,6 +204,26 @@ struct AdmissionPrices<'a> {
     fresh: CostModel<'a>,
 }
 
+/// A full-Blaze eviction candidate's rank: its weighted recovery cost, and
+/// the window weight ([`BlazeController::value_weight`]) it was built from.
+/// Ordered by `value` alone.
+struct VictimKey {
+    value: f64,
+    w: f64,
+}
+
+impl PartialEq for VictimKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.value == other.value
+    }
+}
+
+impl PartialOrd for VictimKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        self.value.partial_cmp(&other.value)
+    }
+}
+
 impl<'a> AdmissionPrices<'a> {
     fn new(
         lineage: &'a CostLineage,
@@ -520,13 +540,10 @@ impl CacheController for BlazeController {
         // if the incoming partition saves more than the victims lose.
         let picked = victims_by_key(resident, needed, |b| {
             let w = self.value_weight(b.id.rdd, Some(incoming.id.rdd));
-            if w > 0.0 {
-                prices.cost(b.id).as_secs_f64() * w
-            } else {
-                0.0
-            }
+            let value = if w > 0.0 { prices.cost(b.id).as_secs_f64() * w } else { 0.0 };
+            VictimKey { value, w }
         });
-        let victims_value: f64 = picked.iter().map(|&(_, v)| v).sum();
+        let victims_value: f64 = picked.iter().map(|(_, key)| key.value).sum();
         let iw = self.value_weight(incoming.id.rdd, None);
         let incoming_value =
             if iw > 0.0 { prices.cost(incoming.id).as_secs_f64() * iw } else { 0.0 };
@@ -535,10 +552,13 @@ impl CacheController for BlazeController {
         let victims = if victims_value >= incoming_value {
             Vec::new()
         } else {
+            // A victim no job in the window reads is worth nothing out of
+            // memory (Eq. 5–6 price its `u` state at 0): discard it. Only a
+            // referenced one goes to disk, and only where `cost_d < cost_r`.
             picked
                 .into_iter()
-                .map(|(id, _)| {
-                    let action = if self.cfg.tiers.disk && prices.prefers_disk(id) {
+                .map(|(id, key)| {
+                    let action = if key.w > 0.0 && self.cfg.tiers.disk && prices.prefers_disk(id) {
                         VictimAction::ToDisk
                     } else {
                         VictimAction::Discard
@@ -739,6 +759,75 @@ mod tests {
         let victims =
             ctl.choose_victims(&ctx, ExecutorId(0), ByteSize::from_kib(64), &resident, &[incoming]);
         assert!(!victims.is_empty(), "expensive data should displace cheap data");
+    }
+
+    /// Of two victims at equal prices, the one no job in the window reads
+    /// is discarded and the referenced one (`cost_d < cost_r`) is spilled.
+    /// The disk is so fast that spilling either 64 KiB victim rounds to
+    /// 0 ns: both are priced at zero, so only their window weight tells
+    /// them apart, never the ranked product.
+    #[test]
+    fn an_unreferenced_victim_is_discarded_and_a_referenced_one_spilled() {
+        use blaze_dataflow::{runner::LocalRunner, Context};
+        let dctx = Context::new(LocalRunner::new());
+        let kept = dctx.parallelize((0..64u64).collect::<Vec<_>>(), 1); // rdd 0
+        let dead = dctx.parallelize((0..64u64).collect::<Vec<_>>(), 1); // rdd 1: never read
+        let hot = dctx.parallelize((0..64u64).collect::<Vec<_>>(), 1); // rdd 2
+        let first = hot.map(|x| x + 1); // rdd 3
+        let second = kept
+            .zip_partitions(&hot, |a, b| a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()); // rdd 4
+
+        let mut ctl = BlazeController::new(BlazeConfig::full(), None);
+        let fast = 1.0e15;
+        let hardware = HardwareModel {
+            disk_write_bps: fast,
+            disk_read_bps: fast,
+            ser_bps: fast,
+            deser_bps: fast,
+            ..HardwareModel::default()
+        };
+        let ctx = CtrlCtx { hardware, memory_capacity: ByteSize::from_mib(4) };
+        let plan_lock = dctx.plan();
+        let plan = plan_lock.read();
+        // Job 1 reads `kept` and `hot`; no job reads `dead`.
+        ctl.lineage.merge_plan(&plan);
+        ctl.lineage.seed_job_targets(vec![first.id(), second.id()]);
+        ctl.refs = crate::refs::JobRefs::build(&plan, &[first.id(), second.id()]);
+        ctl.profiled = true;
+        let jp = blaze_dataflow::planner::plan_job(&plan, first.id()).unwrap();
+        ctl.on_job_submit(&ctx, JobId(0), &jp, &plan);
+
+        let computed = |ctl: &mut BlazeController, info: BlockInfo| {
+            let event = PartitionEvent {
+                info,
+                edge_compute: SimDuration::from_millis(1),
+                job: JobId(0),
+                recomputed: false,
+            };
+            ctl.on_partition_computed(&ctx, &event);
+        };
+        let resident = [info(kept.id().raw(), 0, 64), info(dead.id().raw(), 0, 64)];
+        for b in resident {
+            computed(&mut ctl, b);
+            ctl.on_inserted(&ctx, &b, StoreTier::Memory);
+        }
+        // A 64 MiB incoming block costs a few hundred ns to spill: it is
+        // worth more than the two zero-priced victims together.
+        let incoming = info(hot.id().raw(), 0, 64 * 1024);
+        computed(&mut ctl, incoming);
+
+        let model = CostModel::new(&ctl.lineage, &ctx.hardware, ctl.pattern);
+        assert_eq!(model.cost_d(resident[0].id), SimDuration::ZERO);
+        assert_eq!(model.cost_d(resident[1].id), SimDuration::ZERO);
+        assert!(ctl.value_weight(kept.id(), Some(hot.id())) > 0.0);
+        assert_eq!(ctl.value_weight(dead.id(), Some(hot.id())), 0.0);
+
+        let victims =
+            ctl.choose_victims(&ctx, ExecutorId(0), ByteSize::from_kib(128), &incoming, &resident);
+        assert_eq!(
+            victims,
+            vec![(resident[0].id, VictimAction::ToDisk), (resident[1].id, VictimAction::Discard)]
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 use crate::block::{Block, Buckets};
 use crate::plan::{Compute, Dep, Plan, RddNode};
 use blaze_common::error::{BlazeError, Result};
-// audit: allow(record-order) for the memo tables only: looked up, never iterated into a block
+// audit: allow(record-order) for the shuffle memo only: looked up, never iterated into a block
 use blaze_common::fxhash::FxHashMap;
-use blaze_common::ids::{BlockId, RddId};
+use blaze_common::ids::RddId;
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -31,8 +31,8 @@ pub trait JobRunner: Send + Sync + 'static {
 /// it exercises operator correctness, not caching behaviour. A job's target
 /// partitions run one after another on the calling thread.
 pub struct LocalRunner {
-    // audit: allow(record-order) lookup only: a memo probed per block, never iterated into one
-    blocks: Mutex<FxHashMap<BlockId, Block>>,
+    /// Per RDD (indexed by id), one slot per partition: its memoized block.
+    blocks: Mutex<Vec<Vec<Option<Block>>>>,
     /// Per shuffle (consumer RDD, dep index), its map outputs.
     // audit: allow(record-order) lookup only: probed per shuffle, never iterated
     shuffles: Mutex<FxHashMap<(RddId, usize), MapOutputs>>,
@@ -55,8 +55,8 @@ impl LocalRunner {
     }
 
     fn compute(&self, plan: &Plan, rdd: RddId, part: usize) -> Result<Block> {
-        let key = BlockId::new(rdd, part as u32);
-        if let Some(b) = self.blocks.lock().get(&key) {
+        let slot = rdd.raw() as usize;
+        if let Some(b) = self.blocks.lock().get(slot).and_then(|parts| parts.get(part)?.as_ref()) {
             return Ok(b.clone());
         }
         let node = plan.node(rdd)?;
@@ -76,7 +76,15 @@ impl LocalRunner {
                 agg(part, &per_dep)?
             }
         };
-        self.blocks.lock().insert(key, block.clone());
+        let mut blocks = self.blocks.lock();
+        if blocks.len() <= slot {
+            blocks.resize_with(slot + 1, Vec::new);
+        }
+        let parts = &mut blocks[slot];
+        if parts.len() <= part {
+            parts.resize_with(node.num_partitions.max(part + 1), || None);
+        }
+        parts[part] = Some(block.clone());
         Ok(block)
     }
 
@@ -138,7 +146,9 @@ impl JobRunner for LocalRunner {
     }
 
     fn on_unpersist(&self, rdd: RddId) {
-        self.blocks.lock().retain(|k, _| k.rdd != rdd);
+        if let Some(parts) = self.blocks.lock().get_mut(rdd.raw() as usize) {
+            *parts = Vec::new();
+        }
     }
 }
 
@@ -273,13 +283,55 @@ mod tests {
         assert!(matches!(err, BlazeError::Execution(msg) if msg.contains("reducer 2 of")));
     }
 
+    /// The number of `rdd`'s partitions `runner` holds memoized.
+    fn memoized(runner: &LocalRunner, rdd: RddId) -> usize {
+        runner
+            .blocks
+            .lock()
+            .get(rdd.raw() as usize)
+            .map_or(0, |parts| parts.iter().flatten().count())
+    }
+
     #[test]
     fn unpersist_drops_memoized_blocks() {
         let (plan, target) = mk_plan();
         let runner = LocalRunner::new();
         runner.run_job(&plan, target).unwrap();
-        assert!(!runner.blocks.lock().is_empty());
+        assert_eq!(memoized(&runner, target), 2);
         runner.on_unpersist(target);
-        assert!(runner.blocks.lock().keys().all(|k| k.rdd != target));
+        assert_eq!(memoized(&runner, target), 0);
+    }
+
+    #[test]
+    fn unpersist_leaves_other_rdds_memoized() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (plan, target) = mk_plan();
+        let (src, doubled) = (RddId(0), RddId(1));
+        let calls = Arc::new(AtomicUsize::new(0));
+        {
+            let mut plan = plan.write();
+            let Compute::Source(gen) = &mut plan.node_mut(src).unwrap().compute else {
+                panic!("rdd 0 is the source");
+            };
+            let (inner, calls) = (Arc::clone(gen), Arc::clone(&calls));
+            *gen = Arc::new(move |p| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                inner(p)
+            });
+        }
+        let runner = LocalRunner::new();
+        runner.run_job(&plan, target).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        // Dropping `doubled` recomputes it from the source's memoized
+        // partitions: the source runs no more.
+        runner.on_unpersist(doubled);
+        assert_eq!(memoized(&runner, doubled), 0);
+        runner.run_job(&plan, doubled).unwrap();
+        assert_eq!(memoized(&runner, doubled), 2);
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        // Dropping the source makes the next read run it again.
+        runner.on_unpersist(src);
+        runner.run_job(&plan, src).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 4);
     }
 }

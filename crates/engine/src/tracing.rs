@@ -537,7 +537,8 @@ impl TraceLog {
 
     /// Renders the per-job cache-decision ledger: one line per decision,
     /// grouped under the job that was open when it was made (decisions
-    /// between jobs are marked as such).
+    /// between jobs are marked as such), closed by the count of spills
+    /// nobody read ([`Self::spilled_unread`]).
     pub fn ledger(&self) -> String {
         let mut out = String::new();
         let mut open: Option<JobId> = None;
@@ -573,7 +574,42 @@ impl TraceLog {
                 _ => {}
             }
         }
+        let (spills, bytes) = self.spilled_unread();
+        let _ = writeln!(out, "spilled unread: {spills} blocks ({bytes})");
         out
+    }
+
+    /// The spills nobody read: how many [`CacheDecision::EvictToDisk`]
+    /// copies left disk by an unpersist or an executor loss before a disk
+    /// hit or a promotion read them, and the bytes they wrote. A spill the
+    /// disk refused ([`CacheDecision::SpillRefused`]) wrote nothing and is
+    /// not counted.
+    pub fn spilled_unread(&self) -> (usize, ByteSize) {
+        // The spilled copies still unread, with the bytes each one wrote.
+        let mut unread: FxHashMap<BlockId, ByteSize> = FxHashMap::default();
+        let (mut spills, mut bytes) = (0, ByteSize::ZERO);
+        for ev in &self.events {
+            let TraceEvent::Cache(r) = ev else { continue };
+            match r.decision {
+                CacheDecision::EvictToDisk => {
+                    unread.insert(r.id, r.bytes);
+                }
+                CacheDecision::SpillRefused
+                | CacheDecision::HitDisk
+                | CacheDecision::PromoteToMemory
+                | CacheDecision::PromoteToSerializedMemory => {
+                    unread.remove(&r.id);
+                }
+                CacheDecision::UnpersistDisk | CacheDecision::LostDisk => {
+                    if let Some(written) = unread.remove(&r.id) {
+                        spills += 1;
+                        bytes += written;
+                    }
+                }
+                _ => {}
+            }
+        }
+        (spills, bytes)
     }
 
     /// Explains one block's cache history: every decision that touched it,
@@ -1141,6 +1177,35 @@ mod tests {
         assert!(ledger.contains("[job-1]"));
         assert!(ledger.contains("evict-discard"));
         assert!(ledger.contains("why: refcount=0"));
+    }
+
+    #[test]
+    fn spilled_unread_counts_spills_that_left_disk_unread() {
+        let mut log = minimal_log();
+        for rdd in 5..10 {
+            log.record(cache(1, 0, rdd, 0, CacheDecision::AdmitMemory));
+            log.record(cache(2, 0, rdd, 0, CacheDecision::EvictToDisk));
+        }
+        // Read before it went: not counted, however it leaves.
+        log.record(cache(3, 1, 5, 0, CacheDecision::HitDisk));
+        log.record(cache(4, 0, 5, 0, CacheDecision::UnpersistDisk));
+        // Promoted, then unpersisted from memory: not counted.
+        log.record(cache(3, 0, 6, 0, CacheDecision::PromoteToMemory));
+        log.record(cache(4, 0, 6, 0, CacheDecision::UnpersistMemory));
+        // The disk refused the write: nothing to count.
+        log.record(cache(2, 0, 7, 0, CacheDecision::SpillRefused));
+        log.record(cache(4, 0, 7, 0, CacheDecision::UnpersistDisk));
+        // Unread, then unpersisted or lost: both count.
+        log.record(cache(4, 0, 8, 0, CacheDecision::UnpersistDisk));
+        log.record(cache(4, 0, 9, 0, CacheDecision::LostDisk));
+        assert_eq!(log.spilled_unread(), (2, ByteSize::from_kib(8)));
+        // A second spill of the same block that nobody reads counts again.
+        log.record(cache(5, 0, 8, 0, CacheDecision::AdmitMemory));
+        log.record(cache(6, 0, 8, 0, CacheDecision::EvictToDisk));
+        log.record(cache(7, 0, 8, 0, CacheDecision::UnpersistDisk));
+        assert_eq!(log.spilled_unread(), (3, ByteSize::from_kib(12)));
+        assert!(log.ledger().ends_with("spilled unread: 3 blocks (12.00KiB)\n"));
+        assert_eq!(minimal_log().spilled_unread(), (0, ByteSize::ZERO));
     }
 
     #[test]

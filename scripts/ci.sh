@@ -71,6 +71,10 @@ for mode in --utilization --dot --ledger "--explain 2:0"; do
     cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- \
         $mode --apps pagerank >/dev/null
 done
+# The ledger once more on GBT, an app that spills, so its closing count of
+# spills nobody read runs over spill and unpersist records.
+echo "ci: blaze-trace --ledger --apps gbt"
+cargo run -q $OFFLINE --release -p blaze-bench --bin blaze-trace -- --ledger --apps gbt >/dev/null
 # Committed results are what the code renders: re-run the generator of
 # every results/*.txt (the binary of the same name), with the CSVs they
 # write through BLAZE_CSV_DIR, into a temporary directory and compare every

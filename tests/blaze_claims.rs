@@ -6,7 +6,7 @@ use blaze::common::ByteSize;
 use blaze::core::{extract_dependencies, BlazeConfig, BlazeController};
 use blaze::dataflow::{Context, CostSpec};
 use blaze::engine::{Cluster, ClusterConfig};
-use blaze::workloads::SystemKind;
+use blaze::workloads::{App, AppSpec, Session, SystemKind};
 
 fn blaze_cluster(
     mem_kib: u64,
@@ -176,4 +176,21 @@ fn the_last_read_of_a_cached_target_is_a_hit_behind_a_skipped_stage() {
     assert_eq!(m.stages_skipped, 1, "the second job's map stage is skipped");
     assert_eq!(m.recompute_misses, 0, "the cached target was dropped ahead of its own read");
     assert_eq!(m.mem_hits, PARTS as u64);
+}
+
+/// Eq. 5–6 price an out-of-memory partition that no job in the window
+/// reads at zero: at evaluation memory Blaze spills nothing it then drops
+/// unread. GBT and SVD++ are the two apps that evict under pressure with
+/// dead data among the victims.
+#[test]
+fn blaze_spills_nothing_it_never_reads() {
+    for app in [App::Gbt, App::Svdpp] {
+        let out = Session::builder(AppSpec::evaluation(app))
+            .system(SystemKind::Blaze)
+            .tracing(true)
+            .run()
+            .expect("workload run failed");
+        let trace = out.trace.expect("tracing was enabled");
+        assert_eq!(trace.spilled_unread(), (0, ByteSize::ZERO), "{}", app.key());
+    }
 }
