@@ -1,17 +1,14 @@
 //! Baseline cache controllers for the Blaze reproduction.
 //!
 //! These are the systems Blaze is compared against in the paper's evaluation
-//! (§7.1), plus the "considered" conventional policies (§7.1 lists LRU, FIFO,
-//! LFUDA, TinyLFU and LeCaR among them):
+//! (§7.1), plus TinyLFU, one of the conventional policies §7.1 considered:
 //!
 //! - [`LruController`] — Spark's default LRU eviction; with
 //!   [`EvictMode::MemOnly`] it is **MEM_ONLY Spark** (discard + recompute),
 //!   with [`EvictMode::MemDisk`] it is **MEM+DISK Spark** (spill + reload).
-//! - [`FifoController`], [`LfuController`] (with optional dynamic aging =
-//!   LFUDA), [`TinyLfuController`], [`LeCaRController`] — conventional
-//!   history-based policies.
-//! - [`GdWheelController`] — GreedyDual-style cost-aware eviction (the
-//!   GDWheel family).
+//! - [`TinyLfuController`] — a frequency sketch with an admission filter
+//!   that refuses blocks less popular than their would-be victim, on
+//!   MEM+DISK Spark.
 //! - [`LrcController`] — dependency-aware **Least Reference Count** (Yu et
 //!   al., INFOCOM '17): evicts the block whose RDD has the fewest remaining
 //!   references *within the current job*.
@@ -29,10 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod alluxio;
-pub mod fifo;
-pub mod gdwheel;
-pub mod lecar;
-pub mod lfu;
 pub mod lrc;
 pub mod lru;
 pub mod mode;
@@ -40,10 +33,6 @@ pub mod mrd;
 pub mod tinylfu;
 
 pub use alluxio::AlluxioController;
-pub use fifo::FifoController;
-pub use gdwheel::GdWheelController;
-pub use lecar::LeCaRController;
-pub use lfu::LfuController;
 pub use lrc::LrcController;
 pub use lru::LruController;
 pub use mode::EvictMode;

@@ -2,9 +2,9 @@
 //!
 //! Spark fixes, per application, what happens to eviction victims: MEM_ONLY
 //! discards them (recompute on miss), MEM_AND_DISK spills them (reload on
-//! miss). The paper points out this inflexibility (§3.2); every baseline
-//! policy here is parameterized by the same two modes, while Blaze chooses
-//! per partition.
+//! miss). The paper points out this inflexibility (§3.2); LRU, LRC and MRD
+//! are parameterized by the same two modes, while Blaze chooses per
+//! partition.
 
 use blaze_engine::{Admission, VictimAction};
 

@@ -5,9 +5,9 @@
 //! popular than the would-be victim. We implement the two core pieces: a
 //! count-min sketch with periodic halving (the "reset" aging mechanism) and
 //! the frequency-comparison admission filter, on top of LRU ordering for
-//! same-frequency ties.
+//! same-frequency ties. Like MEM+DISK Spark, it spills its victims and puts a
+//! block that cannot fit in memory on disk.
 
-use crate::mode::EvictMode;
 use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::{BlockId, ExecutorId};
 use blaze_common::ByteSize;
@@ -74,17 +74,15 @@ impl FrequencySketch {
 /// TinyLFU cache controller, obeying user cache annotations.
 #[derive(Debug)]
 pub struct TinyLfuController {
-    mode: EvictMode,
     sketch: FrequencySketch,
     tick: u64,
     last_access: FxHashMap<BlockId, u64>,
 }
 
 impl TinyLfuController {
-    /// Creates a TinyLFU controller with the given eviction mode.
-    pub fn new(mode: EvictMode) -> Self {
+    /// Creates a TinyLFU controller with an empty access history.
+    pub fn new() -> Self {
         Self {
-            mode,
             sketch: FrequencySketch::new(1024, 8192),
             tick: 0,
             last_access: FxHashMap::default(),
@@ -98,9 +96,15 @@ impl TinyLfuController {
     }
 }
 
+impl Default for TinyLfuController {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CacheController for TinyLfuController {
     fn name(&self) -> String {
-        format!("TinyLFU ({})", self.mode.label())
+        "TinyLFU (MEM+DISK)".into()
     }
 
     fn choose_victims(
@@ -124,12 +128,11 @@ impl CacheController for TinyLfuController {
                 return Vec::new();
             }
         }
-        let action = self.mode.victim_action();
-        victims.into_iter().map(|(id, _)| (id, action)).collect()
+        victims.into_iter().map(|(id, _)| (id, VictimAction::ToDisk)).collect()
     }
 
     fn on_admission_failure(&mut self, _ctx: &CtrlCtx, _block: &BlockInfo) -> Admission {
-        self.mode.admission_fallback()
+        Admission::Disk
     }
 
     fn on_access(&mut self, _ctx: &CtrlCtx, id: BlockId) {
@@ -204,7 +207,7 @@ mod tests {
     #[test]
     fn declines_admission_of_unpopular_blocks() {
         let c = ctx();
-        let mut tl = TinyLfuController::new(EvictMode::MemOnly);
+        let mut tl = TinyLfuController::new();
         let hot = info(1, 4);
         tl.on_inserted(&c, &hot, StoreTier::Memory);
         for _ in 0..5 {
@@ -218,7 +221,7 @@ mod tests {
     #[test]
     fn admits_popular_blocks_over_cold_residents() {
         let c = ctx();
-        let mut tl = TinyLfuController::new(EvictMode::MemOnly);
+        let mut tl = TinyLfuController::new();
         let cold = info(1, 4);
         tl.on_inserted(&c, &cold, StoreTier::Memory);
         let hot = info(2, 4);
@@ -226,6 +229,6 @@ mod tests {
             tl.sketch.increment(hot.id);
         }
         let victims = tl.choose_victims(&c, ExecutorId(0), ByteSize::from_kib(4), &hot, &[cold]);
-        assert_eq!(victims, vec![(cold.id, VictimAction::Discard)]);
+        assert_eq!(victims, vec![(cold.id, VictimAction::ToDisk)]);
     }
 }

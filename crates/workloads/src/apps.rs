@@ -248,7 +248,7 @@ impl AppSpec {
     /// Returns a proportionally rescaled copy: data volumes and the
     /// memory-store capacity are multiplied by `factor` together, which
     /// preserves the working-set-to-memory ratio that defines the caching
-    /// regime (used by the scale-sweep robustness harness).
+    /// regime (`blaze-certify --quick` runs its sweep on such copies).
     pub fn scaled(&self, factor: f64) -> Self {
         let factor = factor.clamp(0.1, 10.0);
         let mut s = *self;

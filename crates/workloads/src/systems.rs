@@ -3,8 +3,7 @@
 use blaze_core::{BlazeConfig, BlazeController, ProfileResult};
 use blaze_engine::CacheController;
 use blaze_policies::{
-    AlluxioController, EvictMode, FifoController, LeCaRController, LfuController, LrcController,
-    LruController, MrdController, TinyLfuController,
+    AlluxioController, EvictMode, LrcController, LruController, MrdController, TinyLfuController,
 };
 
 /// One of the systems compared in the evaluation.
@@ -38,23 +37,13 @@ pub enum SystemKind {
     MrdMemOnly,
     /// Blaze restricted to memory states (Fig. 12).
     BlazeMemOnly,
-    /// FIFO baseline (considered conventional policy, §7.1).
-    Fifo,
-    /// LFU baseline.
-    Lfu,
-    /// LFUDA baseline.
-    Lfuda,
-    /// TinyLFU baseline.
+    /// TinyLFU on MEM+DISK Spark (a conventional policy §7.1 considered).
     TinyLfu,
-    /// LeCaR baseline.
-    LeCaR,
-    /// GDWheel-style cost-aware baseline.
-    GdWheel,
 }
 
 impl SystemKind {
     /// Every system, in declaration order.
-    pub fn all() -> [SystemKind; 19] {
+    pub fn all() -> [SystemKind; 14] {
         [
             SystemKind::SparkMemOnly,
             SystemKind::SparkMemDisk,
@@ -69,12 +58,7 @@ impl SystemKind {
             SystemKind::LrcMemOnly,
             SystemKind::MrdMemOnly,
             SystemKind::BlazeMemOnly,
-            SystemKind::Fifo,
-            SystemKind::Lfu,
-            SystemKind::Lfuda,
             SystemKind::TinyLfu,
-            SystemKind::LeCaR,
-            SystemKind::GdWheel,
         ]
     }
 
@@ -141,14 +125,7 @@ impl SystemKind {
             SystemKind::BlazeMemOnly => {
                 Box::new(BlazeController::new(BlazeConfig::full_mem_only(), profile))
             }
-            SystemKind::Fifo => Box::new(FifoController::new(EvictMode::MemDisk)),
-            SystemKind::Lfu => Box::new(LfuController::new(EvictMode::MemDisk)),
-            SystemKind::Lfuda => Box::new(LfuController::with_dynamic_aging(EvictMode::MemDisk)),
-            SystemKind::TinyLfu => Box::new(TinyLfuController::new(EvictMode::MemDisk)),
-            SystemKind::LeCaR => Box::new(LeCaRController::new(EvictMode::MemDisk)),
-            SystemKind::GdWheel => {
-                Box::new(blaze_policies::GdWheelController::new(EvictMode::MemDisk))
-            }
+            SystemKind::TinyLfu => Box::new(TinyLfuController::new()),
         }
     }
 
@@ -168,12 +145,7 @@ impl SystemKind {
             SystemKind::LrcMemOnly => "LRC (MEM)",
             SystemKind::MrdMemOnly => "MRD (MEM)",
             SystemKind::BlazeMemOnly => "Blaze (MEM)",
-            SystemKind::Fifo => "FIFO",
-            SystemKind::Lfu => "LFU",
-            SystemKind::Lfuda => "LFUDA",
             SystemKind::TinyLfu => "TinyLFU",
-            SystemKind::LeCaR => "LeCaR",
-            SystemKind::GdWheel => "GDWheel",
         }
     }
 
@@ -195,12 +167,7 @@ impl SystemKind {
             SystemKind::LrcMemOnly => &["lrc_mem_only"],
             SystemKind::MrdMemOnly => &["mrd_mem_only"],
             SystemKind::BlazeMemOnly => &["blaze_mem_only"],
-            SystemKind::Fifo => &["fifo"],
-            SystemKind::Lfu => &["lfu"],
-            SystemKind::Lfuda => &["lfuda"],
             SystemKind::TinyLfu => &["tinylfu"],
-            SystemKind::LeCaR => &["lecar"],
-            SystemKind::GdWheel => &["gdwheel"],
         }
     }
 

@@ -22,6 +22,21 @@ run() {
     "$@"
 }
 
+# A generator cannot outlive its result file: the results loop below re-runs
+# the binary of every committed results/<name>.txt, so a crates/bench binary
+# with no such file would never run. The two inspection tools write no
+# result file and are exempt by name.
+for src in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$src" .rs)
+    case $bin in
+    blaze-trace | blaze-certify) continue ;;
+    esac
+    [ -f "results/$bin.txt" ] || {
+        echo "ci: $src has no committed results/$bin.txt" >&2
+        exit 1
+    }
+done
+
 run cargo build --release $OFFLINE --workspace
 # The repository benchmark is a package of its own outside the workspace,
 # pinned to the crates' public API; build it so an API break surfaces here

@@ -10,8 +10,7 @@
 //! - a `ClusterConfig`: executors, slots, a memory store from one byte to
 //!   ample, and worker threads;
 //! - a controller: any non-Blaze [`SystemKind`], or a drawn [`BlazeConfig`]
-//!   (level, `use_disk`, `ser_tier`, `certify`),
-//!   with or without a profile;
+//!   (`level`, `Tiers { ser, disk }`, `certify`), with or without a profile;
 //! - a `FaultPlan`: off, transient failures, a crash, map-output loss with
 //!   or without the external shuffle service, stragglers with or without
 //!   speculation, spill corruption, or fetch failures,
@@ -60,7 +59,7 @@ use std::sync::{Arc, Mutex};
 
 /// Every [`SystemKind`] that is not a preset of [`BlazeConfig`] (those are
 /// drawn as configurations instead).
-const SYSTEMS: [SystemKind; 13] = [
+const SYSTEMS: [SystemKind; 8] = [
     SystemKind::SparkMemOnly,
     SystemKind::SparkMemDisk,
     SystemKind::SparkAlluxio,
@@ -68,12 +67,7 @@ const SYSTEMS: [SystemKind; 13] = [
     SystemKind::Mrd,
     SystemKind::LrcMemOnly,
     SystemKind::MrdMemOnly,
-    SystemKind::Fifo,
-    SystemKind::Lfu,
-    SystemKind::Lfuda,
     SystemKind::TinyLfu,
-    SystemKind::LeCaR,
-    SystemKind::GdWheel,
 ];
 
 /// A store that holds every dataset a case caches: nothing is forced out.

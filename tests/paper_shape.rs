@@ -103,6 +103,18 @@ fn profiling_helps_pagerank() {
 }
 
 #[test]
+fn tinylfu_refuses_admission_on_pagerank() {
+    // Why TinyLFU is kept beside LRU: its admission filter turns away every
+    // block less popular than its would-be victim, so at evaluation memory
+    // it evicts nothing on PR and finishes ahead of MEM+DISK Spark.
+    let tinylfu = run_app(App::PageRank, SystemKind::TinyLfu).unwrap();
+    assert_eq!(tinylfu.metrics.evictions, 0, "TinyLFU must refuse rather than evict");
+    let tinylfu = tinylfu.metrics.completion_time.as_secs_f64();
+    let disk = act(App::PageRank, SystemKind::SparkMemDisk);
+    assert!(tinylfu < disk, "TinyLFU {tinylfu} must beat MEM+DISK {disk}");
+}
+
+#[test]
 fn eviction_volumes_are_skewed_across_executors() {
     // Fig. 3: power-law partitions make eviction volumes uneven.
     let out = run_app(App::PageRank, SystemKind::SparkMemDisk).unwrap();

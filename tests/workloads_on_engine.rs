@@ -35,7 +35,12 @@ fn pagerank_is_correct_under_eviction_pressure() {
     };
     let mut want = pagerank::run(&Context::new(LocalRunner::new()), &cfg).unwrap().ranks;
     want.sort_by_key(|(v, _)| *v);
-    for system in [SystemKind::SparkMemOnly, SystemKind::SparkMemDisk, SystemKind::BlazeNoProfile] {
+    for system in [
+        SystemKind::SparkMemOnly,
+        SystemKind::SparkMemDisk,
+        SystemKind::BlazeNoProfile,
+        SystemKind::TinyLfu,
+    ] {
         let mut got = pagerank::run(&starved_cluster(system), &cfg).unwrap().ranks;
         got.sort_by_key(|(v, _)| *v);
         assert_eq!(got.len(), want.len(), "{system:?}");
